@@ -7,9 +7,8 @@ dense exact diagonalization.
 """
 
 from .ansatz import (AnsatzCircuit, DerivativeDescriptor,
-                     build_hardware_efficient, build_ucc_h2, build_ucc_lih,
-                     hartree_fock_state)
-from .cmf import CmfPartition, EffectiveHamiltonian, cmf_reduce, lift_state
+                     build_hardware_efficient, build_ucc_h2, build_ucc_lih)
+from .cmf import EffectiveHamiltonian, cmf_reduce, lift_amplitudes
 from .engine import (EnergyMap, QiteConfig, QiteTrajectory,
                      average_z_coefficient, run_qite, theta_scan)
 from .mclachlan import (HadamardTestCircuit, McLachlanSystem,

@@ -7,10 +7,11 @@ read right-to-left, i.e. the rightmost factor is the first gate applied.
 
 Each parameter carries a derivative descriptor: the derivative of a
 rotation gate R_n(t) is (-i/2) sigma_n R_n(t), so differentiating the
-full circuit amounts to inserting sigma_n next to the rotation, with
-prefactor p = -i/2.  Descriptors place the insertion immediately after
-the parameterized gate; sigma_n commutes with its own rotation, so this
-matches the operator-product ordering of the A/B matrix elements.
+full circuit amounts to inserting sigma_n next to the rotation, with the
+prefactor DERIVATIVE_PREFACTOR = -i/2 shared by every parameter.
+Descriptors place the insertion immediately after the parameterized
+gate; sigma_n commutes with its own rotation, so this matches the
+operator-product ordering of the A/B matrix elements.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -28,22 +29,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString
-from .simulator import (Gate, StateVector, apply_gate, basis_state, cnot,
-                        run_circuit, rx, ry, rz)
+from .simulator import (Gate, StateVector, basis_state, cnot, run_circuit,
+                        rx, ry, rz)
+
+
+DERIVATIVE_PREFACTOR = -0.5j
 
 
 @dataclass(frozen=True)
 class DerivativeDescriptor:
     """How to differentiate one circuit parameter.
 
-    `insertion_point` is the gate-list index at which the sigma factors
-    are inserted (immediately after the parameterized gate); `factors`
-    holds (p, sigma) pairs with sigma a full-width Pauli string.
+    `insertion_point` is the gate-list index at which `sigma`, a
+    full-width Pauli string, is inserted (immediately after the
+    parameterized gate), with prefactor DERIVATIVE_PREFACTOR.
     """
 
-    parameter_index: int
     insertion_point: int
-    factors: tuple[tuple[complex, PauliString], ...]
+    sigma: PauliString
 
 
 @dataclass(frozen=True)
@@ -73,23 +76,13 @@ class AnsatzCircuit:
     def derivative_state(self, i: int) -> np.ndarray:
         """d|psi>/d theta_i as raw amplitudes (not normalized)."""
         desc = self.descriptors[i]
-        out = np.zeros_like(self.reference_state.amplitudes)
-        for p, sigma in desc.factors:
-            s = self.reference_state
-            for g in self.gates[: desc.insertion_point]:
-                s = apply_gate(s, g)
-            s = StateVector(sigma.apply(s.amplitudes))
-            for g in self.gates[desc.insertion_point:]:
-                s = apply_gate(s, g)
-            out = out + p * s.amplitudes
-        return out
+        s = run_circuit(self.reference_state, self.gates[: desc.insertion_point])
+        s = StateVector(desc.sigma.apply(s.amplitudes))
+        s = run_circuit(s, self.gates[desc.insertion_point:])
+        return DERIVATIVE_PREFACTOR * s.amplitudes
 
 
-def _single_z_string(q: int, n: int) -> PauliString:
-    return PauliString("".join("Z" if i == q else "I" for i in range(n)))
-
-
-def _single_axis_string(axis: str, q: int, n: int) -> PauliString:
+def _axis_string(axis: str, q: int, n: int) -> PauliString:
     return PauliString("".join(axis if i == q else "I" for i in range(n)))
 
 
@@ -111,7 +104,7 @@ def build_ucc_h2(theta) -> AnsatzCircuit:
     """UCC circuit for H2: 2 system qubits, 1 parameter, reference |10>."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     gates = _ucc_block(0, 1, theta[0])
-    desc = DerivativeDescriptor(0, 4, ((-0.5j, _single_z_string(1, 2)),))
+    desc = DerivativeDescriptor(4, _axis_string("Z", 1, 2))
     return AnsatzCircuit(tuple(gates), theta, (desc,), basis_state("10"), 2)
 
 
@@ -127,58 +120,28 @@ def build_ucc_lih(theta) -> AnsatzCircuit:
         raise ValueError("UCC-LiH takes exactly two parameters")
     gates = _ucc_block(0, 1, theta[0]) + _ucc_block(0, 2, theta[1])
     descs = (
-        DerivativeDescriptor(0, 4, ((-0.5j, _single_z_string(1, 3)),)),
-        DerivativeDescriptor(1, 11, ((-0.5j, _single_z_string(2, 3)),)),
+        DerivativeDescriptor(4, _axis_string("Z", 1, 3)),
+        DerivativeDescriptor(11, _axis_string("Z", 2, 3)),
     )
     return AnsatzCircuit(tuple(gates), theta, descs, basis_state("100"), 3)
 
 
-def build_hardware_efficient(theta, depth: int = 1,
-                             allow_depth_extension: bool = False) -> AnsatzCircuit:
-    """Depth-D hardware-efficient circuit on 2 qubits, reference |00>.
+def build_hardware_efficient(theta) -> AnsatzCircuit:
+    """Depth-1 hardware-efficient circuit on 2 qubits, reference |00>.
 
-    D=1 is the published form with six parameters, applied as
-    Rx(t1) Rx(t2) CNOT Rz(t3) Rz(t4) Rx(t5) Rx(t6).  Higher depth repeats
-    the entangler-plus-rotation block (4 extra parameters per layer) and
-    must be requested explicitly.
+    Six parameters, applied as Rx(t1) Rx(t2) CNOT Rz(t3) Rz(t4) Rx(t5) Rx(t6).
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    if depth != 1 and not allow_depth_extension:
-        raise ValueError("depth != 1 requires allow_depth_extension=True")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    expected = 2 + 4 * depth
-    if theta.size != expected:
-        raise ValueError(f"depth {depth} needs {expected} parameters, got {theta.size}")
-
+    if theta.size != 6:
+        raise ValueError(f"the hardware-efficient ansatz takes 6 parameters, "
+                         f"got {theta.size}")
+    rotations = ((rx, "X", 0), (rx, "X", 1), (rz, "Z", 0), (rz, "Z", 1),
+                 (rx, "X", 0), (rx, "X", 1))
     gates: list[Gate] = []
     descs: list[DerivativeDescriptor] = []
-
-    def add_rotation(builder, axis: str, q: int, value: float) -> None:
+    for k, ((builder, axis, q), value) in enumerate(zip(rotations, theta)):
+        if k == 2:
+            gates.append(cnot(0, 1))
         gates.append(builder(q, value))
-        descs.append(
-            DerivativeDescriptor(
-                len(descs), len(gates), ((-0.5j, _single_axis_string(axis, q, 2)),)
-            )
-        )
-
-    values = iter(theta)
-    add_rotation(rx, "X", 0, next(values))
-    add_rotation(rx, "X", 1, next(values))
-    for _ in range(depth):
-        gates.append(cnot(0, 1))
-        add_rotation(rz, "Z", 0, next(values))
-        add_rotation(rz, "Z", 1, next(values))
-        add_rotation(rx, "X", 0, next(values))
-        add_rotation(rx, "X", 1, next(values))
+        descs.append(DerivativeDescriptor(len(gates), _axis_string(axis, q, 2)))
     return AnsatzCircuit(tuple(gates), theta, tuple(descs), basis_state("00"), 2)
-
-
-def hartree_fock_state(molecule: str) -> StateVector:
-    """Reduced Hartree-Fock reference: |10> for H2, |100> for LiH."""
-    key = molecule.strip().lower()
-    if key == "h2":
-        return basis_state("10")
-    if key == "lih":
-        return basis_state("100")
-    raise ValueError(f"unknown molecule tag '{molecule}' (expected H2 or LiH)")

@@ -13,8 +13,7 @@ Outputs are plain CSV (10 significant digits, Hartree throughout):
 curve.csv, one trace_R<value>.csv per point when --trace is set, a
 manifest.echo with the resolved configuration, and cmf_selection.txt when
 a reduction is active.  Identical manifest and seed give byte-identical
-files; bond distances may be processed by a worker pool without changing
-the output.  Exit codes: 0 success, 1 point failures, 2 manifest or
+files.  Exit codes: 0 success, 1 point failures, 2 manifest or
 validation errors.
 """
 
@@ -22,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .ansatz import build_hardware_efficient, build_ucc_h2, build_ucc_lih
-from .cmf import CmfPartition, cmf_reduce
+from .cmf import cmf_reduce
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite
 from .pauli import to_dense_matrix
 from .simulator import DensityMatrix
@@ -73,7 +71,6 @@ class RunManifest:
     theta0: tuple[float, ...] | None = None
     out_dir: str | None = None
     trace: bool = False
-    workers: int = 1
 
     def echo_lines(self, resolved_rs) -> list[str]:
         pairs = [
@@ -88,7 +85,6 @@ class RunManifest:
             ("seed", self.seed),
             ("theta0", ",".join("%g" % t for t in self.resolved_theta0())),
             ("trace", self.trace),
-            ("workers", self.workers),
         ]
         return [f"{k} = {v}" for k, v in pairs]
 
@@ -148,8 +144,6 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
             raise ManifestError(f"bond distances not in table: {missing}")
     if manifest.iterations < 1:
         raise ManifestError("iterations must be >= 1")
-    if manifest.workers < 1:
-        raise ManifestError("workers must be >= 1")
     return rs
 
 
@@ -188,7 +182,7 @@ def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
     builder = ANSATZ_BUILDERS[manifest.ansatz]
     cmf_record = None
     if manifest.cmf:
-        eff = cmf_reduce(h, CmfPartition())
+        eff = cmf_reduce(h)
         h_system = eff.h_eff
         energy_map = EnergyMap.from_effective(eff, h)
         cmf_record = (r, eff.provenance)
@@ -202,7 +196,6 @@ def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
         route=manifest.route,
         shots=manifest.shots,
         seed=_point_seed(manifest.seed, r),
-        record_intermediate=manifest.trace,
     )
     traj = run_qite(h_system, builder, config, energy_map)
     flags = []
@@ -222,9 +215,9 @@ def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
 def run_scan(manifest: RunManifest):
     """Execute the manifest; returns (points, trajectories, cmf records).
 
-    Results are merged in bond-distance order whatever the worker count,
-    and every point's random stream is seeded from (seed, R), so parallel
-    and serial runs emit identical data.
+    Results are merged in bond-distance order, and every point's random
+    stream is seeded from (seed, R).  A failing point is recorded with an
+    `error:<ExceptionType>` flag and its message goes to stderr.
     """
     table = load_manifest_table(manifest)
     rs = validate_manifest(manifest, table)
@@ -234,15 +227,13 @@ def run_scan(manifest: RunManifest):
         try:
             return _run_point(manifest, table, r, flagged)
         except Exception as exc:  # per-point failure: recorded, not fatal
+            kind = type(exc).__name__
+            print(f"R={r:g}: {kind}: {exc}", file=sys.stderr)
             point = CurvePoint(r, float("nan"), float("nan"), None,
-                               manifest.iterations, ("error:" + str(exc),))
+                               manifest.iterations, ("error:" + kind,))
             return point, None, None
 
-    if manifest.workers > 1:
-        with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
-            results = list(pool.map(work, rs))
-    else:
-        results = [work(r) for r in rs]
+    results = [work(r) for r in rs]
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}
@@ -364,7 +355,6 @@ def _manifest_from_args(args) -> RunManifest:
         theta0=_parse_theta0(args.theta0),
         out_dir=args.out,
         trace=args.trace,
-        workers=args.workers,
     )
 
 
@@ -383,7 +373,6 @@ def _add_run_flags(p, default_r):
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--trace", action="store_true",
                    help="write per-iteration trace files")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _cmd_scan(args) -> int:
@@ -422,8 +411,7 @@ def _cmd_excited(args) -> int:
     table = load_manifest_table(RunManifest(table=args.table))
     h = hamiltonian_at(table, args.r)
     if table.n_qubits == 3:
-        eff = cmf_reduce(h, CmfPartition())
-        h_base = eff.h_eff
+        h_base = cmf_reduce(h).h_eff
     elif table.n_qubits == 2:
         h_base = h
     else:

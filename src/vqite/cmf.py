@@ -1,6 +1,6 @@
 """One-layer cluster-mean-field reduction of a 3-qubit Hamiltonian.
 
-The Hamiltonian is split into subsystem a (two qubits) and b (one qubit).
+The Hamiltonian is split into subsystem a (q0, q1) and b (q2).
 Starting from rho_b = (I + X)/2, the layered procedure alternates reduced
 Hamiltonians:
 
@@ -23,7 +23,7 @@ evaluates energies against the original Hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,36 +35,10 @@ from .spectra import DEGENERACY_GAP, phase_normalize
 GRAM_RANK_TOL = 1e-8
 
 
-def default_rho_b() -> DensityMatrix:
-    return DensityMatrix(0.5 * (PAULI_MATRICES["I"] + PAULI_MATRICES["X"]))
-
-
-@dataclass(frozen=True)
-class CmfPartition:
-    """Qubit split: subsystem a (kept), b (averaged), and b's seed state."""
-
-    subsystem_a: tuple[int, ...] = (0, 1)
-    subsystem_b: tuple[int, ...] = (2,)
-    initial_rho_b: DensityMatrix = field(default_factory=default_rho_b)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subsystem_a", tuple(sorted(self.subsystem_a)))
-        object.__setattr__(self, "subsystem_b", tuple(sorted(self.subsystem_b)))
-        a, b = set(self.subsystem_a), set(self.subsystem_b)
-        if a & b:
-            raise ValueError("subsystems a and b overlap")
-        if len(self.subsystem_a) != 2 or len(self.subsystem_b) != 1:
-            raise ValueError("the one-layer reduction uses |a| = 2 and |b| = 1")
-        if self.initial_rho_b.n_qubits != 1:
-            raise ValueError("initial rho_b must be a single-qubit density matrix")
-
-    def validate_for(self, n_qubits: int) -> None:
-        covered = set(self.subsystem_a) | set(self.subsystem_b)
-        if covered != set(range(n_qubits)):
-            raise ValueError(
-                f"partition {self.subsystem_a}/{self.subsystem_b} does not "
-                f"cover qubits 0..{n_qubits - 1}"
-            )
+# The one-layer split: subsystem a (kept), b (averaged), and b's seed state.
+SUBSYSTEM_A = (0, 1)
+SUBSYSTEM_B = (2,)
+INITIAL_RHO_B = DensityMatrix(0.5 * (PAULI_MATRICES["I"] + PAULI_MATRICES["X"]))
 
 
 @dataclass(frozen=True)
@@ -78,7 +52,6 @@ class EffectiveHamiltonian:
 
     h_eff: PauliHamiltonian
     basis_isometry: np.ndarray
-    partition: CmfPartition
     provenance: tuple[str, ...]
 
 
@@ -99,31 +72,19 @@ def _coeff_key(vec: np.ndarray) -> tuple:
     return tuple(np.round(np.concatenate([vec.real, vec.imag]), 12))
 
 
-def _product_state(a_vec: np.ndarray, b_vec: np.ndarray,
-                   a_idx: tuple[int, ...], b_idx: tuple[int, ...]) -> np.ndarray:
-    """|a> on qubits a_idx (sorted order) times |b> on b_idx, as a 3-qubit vector."""
-    t = np.tensordot(a_vec.reshape(2, 2), b_vec.reshape(2), axes=0)
-    t = np.moveaxis(t, (0, 1, 2), (a_idx[0], a_idx[1], b_idx[0]))
-    return t.reshape(-1)
-
-
-def cmf_reduce(h: PauliHamiltonian,
-               partition: CmfPartition | None = None) -> EffectiveHamiltonian:
+def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
     """Run the layered reduction; deterministic for identical input."""
     if h.n_qubits != 3:
         raise ValueError("the one-layer reduction is defined for 3-qubit input")
-    partition = partition or CmfPartition()
-    partition.validate_for(h.n_qubits)
-    a_idx, b_idx = partition.subsystem_a, partition.subsystem_b
     notes: list[str] = [
-        f"partition.a={a_idx}",
-        f"partition.b={b_idx}",
+        f"partition.a={SUBSYSTEM_A}",
+        f"partition.b={SUBSYSTEM_B}",
     ]
 
     h_dense = to_dense_matrix(h)
 
     # Step 1: seed reduction and the two lowest a states.
-    h_a0 = weighted_partial_trace(h, a_idx, partition.initial_rho_b)
+    h_a0 = weighted_partial_trace(h, SUBSYSTEM_A, INITIAL_RHO_B)
     a_states, a_vals = _two_lowest(h_a0, notes, "h_a0")
     notes.append(f"h_a0.lowest={a_vals[0]:.12g},{a_vals[1]:.12g}")
 
@@ -131,7 +92,7 @@ def cmf_reduce(h: PauliHamiltonian,
     b_states: list[np.ndarray] = []
     for tag, av in zip(("a_g", "a_e"), a_states):
         rho_a = DensityMatrix(np.outer(av, av.conj()))
-        h_b = weighted_partial_trace(h, b_idx, rho_a)
+        h_b = weighted_partial_trace(h, SUBSYSTEM_B, rho_a)
         m = to_dense_matrix(h_b)
         vals, vecs = np.linalg.eigh(m)
         if vals[1] - vals[0] < DEGENERACY_GAP:
@@ -145,11 +106,11 @@ def cmf_reduce(h: PauliHamiltonian,
     secondary: list[tuple[float, np.ndarray]] = []
     for tag, bv in zip(b_tags, b_states):
         rho_b = DensityMatrix(np.outer(bv, bv.conj()))
-        h_a1 = weighted_partial_trace(h, a_idx, rho_b)
+        h_a1 = weighted_partial_trace(h, SUBSYSTEM_A, rho_b)
         lo_states, lo_vals = _two_lowest(h_a1, notes, f"h_a1({tag})")
         notes.append(f"h_a1({tag}).lowest={lo_vals[0]:.12g},{lo_vals[1]:.12g}")
-        primary.append(_product_state(lo_states[0], bv, a_idx, b_idx))
-        secondary.append((lo_vals[1], _product_state(lo_states[1], bv, a_idx, b_idx)))
+        primary.append(np.kron(lo_states[0], bv))
+        secondary.append((lo_vals[1], np.kron(lo_states[1], bv)))
 
     def mean_energy(vec: np.ndarray) -> float:
         return float(np.vdot(vec, h_dense @ vec).real)
@@ -184,17 +145,9 @@ def cmf_reduce(h: PauliHamiltonian,
     h_eff_dense = iso.conj().T @ h_dense @ iso
     h_eff = pauli_decompose(h_eff_dense)
     notes.append(f"h_eff.terms={h_eff.n_terms}")
-    return EffectiveHamiltonian(h_eff, iso, partition, tuple(notes))
-
-
-def lift_state(eff: EffectiveHamiltonian, reduced: DensityMatrix) -> DensityMatrix:
-    """Map a reduced 2-qubit state back to the original 3-qubit space."""
-    if reduced.n_qubits != 2:
-        raise ValueError("reduced state must live on 2 qubits")
-    iso = eff.basis_isometry
-    return DensityMatrix(iso @ reduced.elements @ iso.conj().T)
+    return EffectiveHamiltonian(h_eff, iso, tuple(notes))
 
 
 def lift_amplitudes(eff: EffectiveHamiltonian, amplitudes: np.ndarray) -> np.ndarray:
-    """Pure-state version of lift_state, on raw amplitude vectors."""
+    """Map reduced 2-qubit amplitudes into the original 3-qubit space."""
     return eff.basis_isometry @ np.asarray(amplitudes, dtype=complex)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ansatz import AnsatzCircuit
-from .cmf import EffectiveHamiltonian
+from .cmf import EffectiveHamiltonian, lift_amplitudes
 from .mclachlan import compute_exact, compute_sampled, solve_update
 from .pauli import PauliHamiltonian, expectation
 from .simulator import DensityMatrix, StateVector
@@ -65,7 +65,6 @@ class QiteConfig:
     route: str = "exact"             # "exact" | "hadamard"
     shots: int | None = None
     seed: int | None = None
-    record_intermediate: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial_theta",
@@ -80,18 +79,18 @@ class QiteConfig:
 
 @dataclass(frozen=True)
 class EnergyMap:
-    """Back-transform for CMF runs: isometry plus the original Hamiltonian."""
+    """Back-transform for CMF runs: the reduction plus the original Hamiltonian."""
 
-    isometry: np.ndarray
+    effective: EffectiveHamiltonian
     h_original: PauliHamiltonian
 
     @classmethod
     def from_effective(cls, eff: EffectiveHamiltonian,
                        h_original: PauliHamiltonian) -> "EnergyMap":
-        return cls(eff.basis_isometry, h_original)
+        return cls(eff, h_original)
 
     def lift(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.isometry @ amplitudes
+        return lift_amplitudes(self.effective, amplitudes)
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
 
     `h_system` is the Hamiltonian the ansatz is optimized against (the
     CMF-reduced one when a reduction is active); `energy_map` carries the
-    isometry and original Hamiltonian used for reporting.  The final
+    reduction and original Hamiltonian used for reporting.  The final
     record holds no A/B (nothing is estimated after the last update).
     """
     h_report = energy_map.h_original if energy_map is not None else h_system
@@ -183,8 +182,6 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
             stationary = True
         theta = theta + update.delta_theta
 
-    if not config.record_intermediate and len(records) > 2:
-        records = [records[0], records[-1]]
     final_record = records[-1]
     return QiteTrajectory(
         records=tuple(records),

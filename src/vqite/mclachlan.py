@@ -8,10 +8,10 @@ defining inner products directly on statevectors:
 
 with |d_i psi> built from the ansatz derivative descriptors.  The
 Hadamard route expands the same sums into one ancilla test circuit per
-(factor-pair, A entry) and per (factor x Hamiltonian term, B entry); the
-ancilla is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing
-the complex prefactor of the summand, and the ancilla Z expectation then
-yields the summand's real part.  Evaluated without sampling, the two
+A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
+(|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
+of the summand, and the ancilla Z expectation then yields the summand's
+real part.  Evaluated without sampling, the two
 routes agree to machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit
+from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from .pauli import PauliHamiltonian, PauliString
 from .simulator import (Gate, StateVector, controlled_pauli, hadamard,
                         measure_z_expectation, run_circuit, x)
@@ -44,7 +44,6 @@ class McLachlanSystem:
     b_vector: np.ndarray
     route: str = "exact"            # "exact" or "hadamard"
     shots: int | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -121,65 +120,45 @@ def _assemble(ansatz: AnsatzCircuit, insertions: dict[int, list[Gate]],
     return tuple(gates)
 
 
-def build_hadamard_circuits(ansatz: AnsatzCircuit, h: PauliHamiltonian,
-                            simplify: bool = False) -> list[HadamardJob]:
+def build_hadamard_circuits(ansatz: AnsatzCircuit,
+                            h: PauliHamiltonian) -> list[HadamardJob]:
     """One weighted test circuit per A/B summand.
 
-    For A(i, j), i <= j: the bra-side sigma is inserted anti-controlled at
-    descriptor i's insertion point, the ket-side sigma controlled at
-    descriptor j's; the ancilla phase absorbs conj(p_ki) p_lj.  For B(i):
-    the bra-side sigma as above, the Hamiltonian string controlled after
-    the full circuit, phase absorbing -conj(p_ki) h_l.
-
-    With `simplify`, uncontrolled system gates after the last controlled
-    insertion are dropped (they cancel in the ancilla expectation); the
-    default keeps the literal circuit.
+    For A(i, j), i <= j: descriptor i's sigma is inserted anti-controlled
+    at its insertion point, descriptor j's sigma controlled at its own;
+    the ancilla phase absorbs conj(p) p.  For B(i): the bra-side sigma as
+    above, the Hamiltonian string controlled after the full circuit,
+    phase absorbing -conj(p) h_l.  Here p is DERIVATIVE_PREFACTOR.
     """
     if h.n_qubits != ansatz.n_system_qubits:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
     anc = ansatz.n_system_qubits
     n = anc + 1
+    p = DERIVATIVE_PREFACTOR
     jobs: list[HadamardJob] = []
 
     def make(insertions, tail, prefactor, destination):
         phase = float(np.angle(prefactor))
         weight = float(abs(prefactor))
         gates = _assemble(ansatz, insertions, tail, anc)
-        if simplify:
-            gates = _truncate_trailing_system_gates(gates, anc)
         circ = HadamardTestCircuit(gates, phase, anc, n, ansatz.reference_state)
         jobs.append(HadamardJob(circ, weight, destination))
 
-    gamma = ansatz.n_parameters
-    for i in range(gamma):
-        di = ansatz.descriptors[i]
-        for j in range(i, gamma):
-            dj = ansatz.descriptors[j]
-            for p_k, sig_k in di.factors:
-                for p_l, sig_l in dj.factors:
-                    ins: dict[int, list[Gate]] = {}
-                    ins.setdefault(di.insertion_point, []).extend(
-                        _anti_controlled(anc, sig_k))
-                    ins.setdefault(dj.insertion_point, []).extend(
-                        _controlled(anc, sig_l))
-                    make(ins, [], np.conj(p_k) * p_l, ("A", i, j))
-    for i in range(gamma):
-        di = ansatz.descriptors[i]
-        for p_k, sig_k in di.factors:
-            for h_l, sig_l in h.terms:
-                ins = {di.insertion_point: _anti_controlled(anc, sig_k)}
-                make(ins, _controlled(anc, sig_l), -np.conj(p_k) * h_l, ("B", i))
+    descs = ansatz.descriptors
+    for i, di in enumerate(descs):
+        for j in range(i, len(descs)):
+            dj = descs[j]
+            ins: dict[int, list[Gate]] = {}
+            ins.setdefault(di.insertion_point, []).extend(
+                _anti_controlled(anc, di.sigma))
+            ins.setdefault(dj.insertion_point, []).extend(
+                _controlled(anc, dj.sigma))
+            make(ins, [], np.conj(p) * p, ("A", i, j))
+    for i, di in enumerate(descs):
+        for h_l, sig_l in h.terms:
+            ins = {di.insertion_point: _anti_controlled(anc, di.sigma)}
+            make(ins, _controlled(anc, sig_l), -np.conj(p) * h_l, ("B", i))
     return jobs
-
-
-def _truncate_trailing_system_gates(gates: tuple[Gate, ...], anc: int) -> tuple[Gate, ...]:
-    body = gates[:-1]  # the final gate is the ancilla Hadamard
-    last_controlled = max(
-        (k for k, g in enumerate(body)
-         if g.control is not None or (g.kind == "X" and g.targets == (anc,))),
-        default=-1,
-    )
-    return tuple(body[: last_controlled + 1]) + (gates[-1],)
 
 
 def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
@@ -193,7 +172,7 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
 
 
 def assemble_system(jobs: list[HadamardJob], values, gamma: int,
-                    route: str, shots: int | None, seed: int | None) -> McLachlanSystem:
+                    route: str, shots: int | None) -> McLachlanSystem:
     a = np.zeros((gamma, gamma))
     b = np.zeros(gamma)
     for job, z in zip(jobs, values):
@@ -206,23 +185,24 @@ def assemble_system(jobs: list[HadamardJob], values, gamma: int,
     for i in range(gamma):
         for j in range(i + 1, gamma):
             a[j, i] = a[i, j]
-    return McLachlanSystem(a, b, route=route, shots=shots, seed=seed)
+    return McLachlanSystem(a, b, route=route, shots=shots)
 
 
 def compute_sampled(ansatz: AnsatzCircuit, h: PauliHamiltonian,
-                    shots: int | None, seed: int | None = None) -> McLachlanSystem:
+                    shots: int | None, seed=None) -> McLachlanSystem:
     """A and B from the Hadamard-test circuits.
 
     shots=None evaluates every circuit analytically (the exact-mode
     switch); otherwise each ancilla expectation is a seeded binomial
-    estimate with the given shot count.
+    estimate with the given shot count.  `seed` is an integer seed or a
+    numpy Generator, which is then drawn from in place.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
     jobs = build_hadamard_circuits(ansatz, h)
     rng = np.random.default_rng(seed) if shots is not None else None
     values = [evaluate_circuit(job.circuit, shots=shots, rng=rng) for job in jobs]
-    return assemble_system(jobs, values, ansatz.n_parameters, "hadamard", shots, seed)
+    return assemble_system(jobs, values, ansatz.n_parameters, "hadamard", shots)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Single point of truth for the bit convention (see module docstring).
-QUBIT_ORDER = "q0-is-most-significant-bit"
-
 PAULI_LETTERS = "IXYZ"
 
 PAULI_MATRICES = {
@@ -38,6 +35,11 @@ COEFF_DROP_TOL = 1e-14
 
 class DimensionCapError(ValueError):
     """Raised when a dense realization would exceed the qubit cap."""
+
+
+def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """2x2 matrix m applied to axis q of an amplitude tensor of shape (2,)*n."""
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
 
 
 def _check_dense_cap(n_qubits: int) -> None:
@@ -79,12 +81,10 @@ class PauliString:
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply the string to a statevector without building the matrix."""
-        n = self.n_qubits
-        psi = np.asarray(amplitudes, dtype=complex).reshape((2,) * n)
+        psi = np.asarray(amplitudes, dtype=complex).reshape((2,) * self.n_qubits)
         for q, c in enumerate(self.letters):
-            if c == "I":
-                continue
-            psi = np.moveaxis(np.tensordot(PAULI_MATRICES[c], psi, axes=([1], [q])), 0, q)
+            if c != "I":
+                psi = apply_on_axis(psi, PAULI_MATRICES[c], q)
         return psi.reshape(-1)
 
     def __str__(self) -> str:

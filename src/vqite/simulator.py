@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliString
+from .pauli import PAULI_MATRICES, PauliString, apply_on_axis
 
 NORM_TOL = 1e-10
 
@@ -164,23 +164,15 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     return _SQ[gate.kind]
 
 
-def _apply_single(psi: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = psi.reshape((2,) * n)
-    t = np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
-    return t.reshape(-1)
-
-
-def _apply_controlled_single(psi: np.ndarray, m: np.ndarray, control: int,
-                             target: int, n: int) -> np.ndarray:
+def _apply_controlled_single(t: np.ndarray, m: np.ndarray, control: int,
+                             target: int) -> np.ndarray:
     """Apply m to `target` on the control=|1> slice only."""
-    t = psi.reshape((2,) * n).copy()
-    sl = [slice(None)] * n
+    t = t.copy()
+    sl = [slice(None)] * t.ndim
     sl[control] = 1
-    sub = t[tuple(sl)]
     q_sub = target if target < control else target - 1
-    sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [q_sub])), 0, q_sub)
-    t[tuple(sl)] = sub
-    return t.reshape(-1)
+    t[tuple(sl)] = apply_on_axis(t[tuple(sl)], m, q_sub)
+    return t
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -189,20 +181,20 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     qubits = list(gate.targets) + ([gate.control] if gate.control is not None else [])
     if any(q < 0 or q >= n for q in qubits):
         raise ValueError(f"gate {gate.kind} addresses qubit outside 0..{n - 1}")
-    psi = state.amplitudes
+    t = state.amplitudes.reshape((2,) * n)
     if gate.kind in ("Rx", "Ry", "Rz", "H", "X", "Y", "Z"):
-        psi = _apply_single(psi, _single_qubit_matrix(gate), gate.targets[0], n)
+        t = apply_on_axis(t, _single_qubit_matrix(gate), gate.targets[0])
     elif gate.kind == "CNOT":
-        psi = _apply_controlled_single(psi, _SQ["X"], gate.control, gate.targets[0], n)
+        t = _apply_controlled_single(t, _SQ["X"], gate.control, gate.targets[0])
     elif gate.kind == "CZ":
-        psi = _apply_controlled_single(psi, _SQ["Z"], gate.control, gate.targets[0], n)
+        t = _apply_controlled_single(t, _SQ["Z"], gate.control, gate.targets[0])
     elif gate.kind == "CP":
         for q, letter in zip(gate.targets, gate.letters):
             if letter != "I":
-                psi = _apply_controlled_single(psi, _SQ[letter], gate.control, q, n)
+                t = _apply_controlled_single(t, _SQ[letter], gate.control, q)
     else:
         raise ValueError(f"unknown gate kind '{gate.kind}'")
-    return StateVector(psi)
+    return StateVector(t.reshape(-1))
 
 
 def run_circuit(initial: StateVector, gates) -> StateVector:
@@ -211,25 +203,6 @@ def run_circuit(initial: StateVector, gates) -> StateVector:
     for g in gates:
         state = apply_gate(state, g)
     return state
-
-
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of one gate (oracle support)."""
-    dim = 2 ** n_qubits
-    cols = []
-    for idx in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[idx] = 1.0
-        cols.append(apply_gate(StateVector(e), gate).amplitudes)
-    return np.column_stack(cols)
-
-
-def circuit_unitary(gates, n_qubits: int) -> np.ndarray:
-    """Dense unitary of a whole gate list (oracle support)."""
-    u = np.eye(2 ** n_qubits, dtype=complex)
-    for g in gates:
-        u = gate_unitary(g, n_qubits) @ u
-    return u
 
 
 def fidelity(a, b) -> float:
@@ -295,21 +268,3 @@ def apply_readout_error(p_truth: float, f_g: float, f_e: float) -> float:
         raise ValueError("readout fidelities must lie in [0, 1]")
     return f_g * p_truth + (1.0 - f_e) * (1.0 - p_truth)
 
-
-_INVOLUTIONS = ("H", "X", "Y", "Z", "CNOT", "CZ")
-
-
-def drop_adjacent_involution_pairs(gates) -> list[Gate]:
-    """Optional peephole pass: cancel adjacent identical self-inverse gates.
-
-    Two consecutive CZ (or CNOT, H, X, Y, Z) gates on the same qubits
-    compose to the identity and can be omitted; the simplified circuit is
-    validated against the literal one by the test suite.
-    """
-    out: list[Gate] = []
-    for g in gates:
-        if out and g.kind in _INVOLUTIONS and out[-1] == g:
-            out.pop()
-        else:
-            out.append(g)
-    return out

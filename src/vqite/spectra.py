@@ -83,15 +83,6 @@ def gershgorin_emax(h_dense: np.ndarray, hermitian_tol: float = 1e-9) -> Gershgo
     return GershgorinBound(tuple(discs), e_max)
 
 
-def pauli_coefficient_bound(h: PauliHamiltonian) -> float:
-    """Looser spectrum bound without the dense matrix: sum of |h_l|.
-
-    Documented fast path for larger systems; the disc bound above is the
-    one the package's own workflows use.
-    """
-    return float(sum(abs(c) for c, _ in h.terms))
-
-
 def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
                       e_max: float) -> PauliHamiltonian:
     """H' = H + (e_max - E_0) * ground, as a Pauli sum.

@@ -120,29 +120,12 @@ def serialize_table(table: MoleculeTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hamiltonian_at(table: MoleculeTable, r: float,
-                   interpolation: str = "none") -> PauliHamiltonian:
-    """Hamiltonian assembled from one table row.
-
-    `none` requires an exact bond-distance match; `nearest` picks the
-    closest row, rejecting R outside the table's range (ties resolve to
-    the smaller R).
-    """
-    distances = table.bond_distances
-    if interpolation == "none":
-        matches = [i for i, d in enumerate(distances) if abs(d - r) < 1e-9]
-        if not matches:
-            raise KeyError(f"no row at R={r:g} (interpolation='none')")
-        idx = matches[0]
-    elif interpolation == "nearest":
-        if r < distances[0] - 1e-9 or r > distances[-1] + 1e-9:
-            raise ValueError(
-                f"R={r:g} outside table range [{distances[0]:g}, {distances[-1]:g}]"
-            )
-        idx = min(range(len(distances)), key=lambda i: (abs(distances[i] - r), i))
-    else:
-        raise ValueError(f"unknown interpolation mode '{interpolation}'")
-    coeffs = table.rows[idx][1]
+def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:
+    """Hamiltonian assembled from the row at bond distance r (exact match)."""
+    matches = [i for i, d in enumerate(table.bond_distances) if abs(d - r) < 1e-9]
+    if not matches:
+        raise ValueError(f"no row at R={r:g}")
+    coeffs = table.rows[matches[0]][1]
     return PauliHamiltonian.from_pairs(zip(coeffs, table.pauli_labels),
                                        n_qubits=table.n_qubits)
 

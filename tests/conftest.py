@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vqite import hamiltonian_at, load_h2_synthetic_table, load_lih_table
+from vqite import (StateVector, apply_gate, hamiltonian_at,
+                   load_h2_synthetic_table, load_lih_table)
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,17 @@ def random_hamiltonian_pairs(rng, n_qubits, n_terms):
         word = "".join(rng.choice(list(letters)) for _ in range(n_qubits))
         pairs.append((float(rng.normal()), word))
     return pairs
+
+
+def gate_unitary(gate, n_qubits):
+    """Dense 2^n x 2^n unitary of one gate, column by column."""
+    return np.column_stack([apply_gate(StateVector(e), gate).amplitudes
+                            for e in np.eye(2 ** n_qubits, dtype=complex)])
+
+
+def circuit_unitary(gates, n_qubits):
+    """Dense unitary of a whole gate list."""
+    u = np.eye(2 ** n_qubits, dtype=complex)
+    for g in gates:
+        u = gate_unitary(g, n_qubits) @ u
+    return u

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import circuit_unitary
 from vqite import (PauliHamiltonian, basis_state, build_hardware_efficient,
-                   build_ucc_h2, build_ucc_lih, hartree_fock_state,
-                   run_circuit, to_dense_matrix)
-from vqite.simulator import circuit_unitary, cnot
+                   build_ucc_h2, build_ucc_lih, run_circuit, to_dense_matrix)
+from vqite.simulator import cnot
 
 
 def pauli_dense(letters):
@@ -138,20 +138,6 @@ def test_he_descriptors_all_parameters():
         assert np.max(np.abs(fd - an)) < 1e-6
 
 
-def test_he_depth_extension_gate():
-    with pytest.raises(ValueError):
-        build_hardware_efficient([0.1] * 10, depth=2)
-    a = build_hardware_efficient([0.1] * 10, depth=2, allow_depth_extension=True)
-    assert a.n_parameters == 10
-    for i in range(10):
-        fd = finite_difference_state(
-            lambda t: build_hardware_efficient(t, depth=2,
-                                               allow_depth_extension=True),
-            [0.1] * 10, i)
-        an = a.derivative_state(i)
-        assert np.max(np.abs(fd - an)) < 1e-6
-
-
 # --- shared properties ---
 
 @pytest.mark.parametrize("builder,size", [
@@ -177,13 +163,3 @@ def test_builder_purity(builder, size, rng):
     assert first.gates == again.gates
     assert np.array_equal(first.parameters, again.parameters)
     assert first.descriptors == again.descriptors
-
-
-def test_hartree_fock_states():
-    h2 = hartree_fock_state("H2")
-    lih = hartree_fock_state("LiH")
-    assert np.allclose(h2.amplitudes, basis_state("10").amplitudes)
-    assert np.allclose(lih.amplitudes, basis_state("100").amplitudes)
-    assert np.linalg.norm(h2.amplitudes) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        hartree_fock_state("H2O")

@@ -46,17 +46,6 @@ def test_scan_deterministic_bytes(tmp_path):
         assert read(out_a / name) == read(out_b / name), name
 
 
-def test_parallel_matches_serial(tmp_path):
-    rs = (1.0, 1.5, 2.0, 3.0)
-    out_s, out_p = tmp_path / "serial", tmp_path / "parallel"
-    for out, workers in ((out_s, 1), (out_p, 4)):
-        m = manifest(r_selection=rs, workers=workers, out_dir=str(out), trace=True)
-        points, trajectories, cmf_records = run_scan(m)
-        emit_outputs(points, trajectories, out, m, cmf_records)
-    for name in ["curve.csv"] + [f"trace_R{r:g}.csv" for r in rs]:
-        assert read(out_s / name) == read(out_p / name), name
-
-
 def test_point_matches_engine(lih_r15):
     m = manifest(ansatz="ucc-lih", cmf=False, r_selection=(1.5,))
     points, trajectories, _ = run_scan(m)
@@ -155,11 +144,20 @@ def test_per_point_error_sets_flag_and_exit(tmp_path, monkeypatch, capsys):
     import vqite.cli as cli_mod
 
     def boom(*args, **kwargs):
-        raise RuntimeError("injected failure")
+        raise ValueError("dims (2, 3) disagree")
 
     monkeypatch.setattr(cli_mod, "run_qite", boom)
     rc = main(["scan", "--table", "lih", "--ansatz", "he", "--cmf",
-               "--r", "1.5", "--out", str(tmp_path)])
+               "--r", "1.4,1.5", "--out", str(tmp_path)])
     assert rc == 1
-    curve = (tmp_path / "curve.csv").read_text()
-    assert "error:" in curve
+    rows = (tmp_path / "curve.csv").read_text().splitlines()
+    assert [len(row.split(",")) for row in rows] == [6, 6, 6]
+    assert rows[1].endswith(",error:ValueError")
+    assert "R=1.4: ValueError: dims (2, 3) disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "excited"])
+def test_main_missing_row_exit_two(command, capsys):
+    rc = main([command, "--table", "lih", "--r", "1.55"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no row at R=1.55\n"

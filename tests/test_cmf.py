@@ -4,25 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from vqite import (DensityMatrix, PauliHamiltonian, cmf_reduce, exact_spectrum,
-                   lift_state, to_dense_matrix)
-from vqite.cmf import CmfPartition, lift_amplitudes
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        CmfPartition(subsystem_a=(0,), subsystem_b=(1,))
-    with pytest.raises(ValueError):
-        CmfPartition(subsystem_a=(0, 1), subsystem_b=(1,))
-    part = CmfPartition()
-    with pytest.raises(ValueError):
-        part.validate_for(4)
+from vqite import (PauliHamiltonian, cmf_reduce, exact_spectrum,
+                   lift_amplitudes, to_dense_matrix)
+from vqite.cmf import INITIAL_RHO_B
 
 
 def test_default_seed_state_is_plus_x():
-    part = CmfPartition()
     expected = 0.5 * np.array([[1, 1], [1, 1]])
-    assert np.max(np.abs(part.initial_rho_b.elements - expected)) < 1e-12
+    assert np.max(np.abs(INITIAL_RHO_B.elements - expected)) < 1e-12
 
 
 def test_product_hamiltonian_is_exact():
@@ -69,25 +58,15 @@ def test_spectral_containment_all_rows(lih_table):
 
 def test_lift_state_basis_column(lih_r15):
     eff = cmf_reduce(lih_r15)
-    reduced = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    rho = lift_state(eff, reduced)
-    first = eff.basis_isometry[:, 0]
-    assert np.max(np.abs(rho.elements - np.outer(first, first.conj()))) < 1e-12
-
-
-def test_lift_state_maximally_mixed(lih_r15):
-    eff = cmf_reduce(lih_r15)
-    rho = lift_state(eff, DensityMatrix(np.eye(4) / 4))
-    assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.matrix_rank(rho.elements, tol=1e-10) == 4
+    lifted = lift_amplitudes(eff, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert np.max(np.abs(lifted - eff.basis_isometry[:, 0])) < 1e-12
 
 
 def test_lift_ground_energy_consistency(lih_r15):
     eff = cmf_reduce(lih_r15)
     eff_spec = exact_spectrum(eff.h_eff)
-    g = eff_spec.ground_state
-    rho = lift_state(eff, DensityMatrix(np.outer(g, g.conj())))
-    energy = np.trace(rho.elements @ to_dense_matrix(lih_r15)).real
+    lifted = lift_amplitudes(eff, eff_spec.ground_state)
+    energy = np.vdot(lifted, to_dense_matrix(lih_r15) @ lifted).real
     assert energy == pytest.approx(eff_spec.ground_energy, abs=1e-10)
 
 
@@ -97,10 +76,9 @@ def test_energy_consistency_random_states(lih_r15, rng):
     h_dense = to_dense_matrix(lih_r15)
     for _ in range(10):
         amps = random_state(rng, 2)
-        reduced = DensityMatrix(np.outer(amps, amps.conj()))
-        lifted = lift_state(eff, reduced)
-        lhs = np.trace(lifted.elements @ h_dense).real
-        rhs = np.trace(reduced.elements @ h_eff_dense).real
+        lifted = lift_amplitudes(eff, amps)
+        lhs = np.vdot(lifted, h_dense @ lifted).real
+        rhs = np.vdot(amps, h_eff_dense @ amps).real
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -123,9 +101,3 @@ def test_reduce_rejects_wrong_size():
     h = PauliHamiltonian.from_pairs([(1.0, "ZZ")])
     with pytest.raises(ValueError):
         cmf_reduce(h)
-
-
-def test_lift_state_rejects_wrong_size(lih_r15):
-    eff = cmf_reduce(lih_r15)
-    with pytest.raises(ValueError):
-        lift_state(eff, DensityMatrix(np.eye(2) / 2))

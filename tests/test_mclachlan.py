@@ -129,18 +129,6 @@ def test_route_equivalence_exact_mode(h2_r07, lih_r15):
         assert sampled.route == "hadamard"
 
 
-def test_route_equivalence_with_simplified_circuits(lih_r15):
-    h_eff = cmf_reduce(lih_r15).h_eff
-    ansatz = build_hardware_efficient([0.5] * 6)
-    plain = build_hadamard_circuits(ansatz, h_eff)
-    short = build_hadamard_circuits(ansatz, h_eff, simplify=True)
-    assert sum(len(j.circuit.gates) for j in short) < sum(
-        len(j.circuit.gates) for j in plain)
-    for a, b in zip(plain, short):
-        assert a.destination == b.destination
-        assert abs(evaluate_circuit(a.circuit) - evaluate_circuit(b.circuit)) < 1e-10
-
-
 def test_sampled_a11_within_binomial_bound(h2_r07):
     system = compute_sampled(build_ucc_h2(0.9), h2_r07, shots=10 ** 5, seed=7)
     assert abs(system.a_matrix[0, 0] - 0.25) <= 3.0 / np.sqrt(10 ** 5)

@@ -1,0 +1,95 @@
+"""Property tests: Pauli kernel, decomposition, partial trace, circuits."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import circuit_unitary
+from vqite import (PauliHamiltonian, PauliString, StateVector, pauli_decompose,
+                   run_circuit, to_dense_matrix, weighted_partial_trace)
+from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
+                             x, y, z)
+
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
+COEFF = st.floats(-2.0, 2.0)
+AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
+
+
+def words(n):
+    return st.text("IXYZ", min_size=n, max_size=n)
+
+
+def vectors(n):
+    return arrays(complex, 2 ** n, elements=AMPLITUDE).filter(
+        lambda v: np.linalg.norm(v) > 0.1)
+
+
+@st.composite
+def hamiltonians(draw, n_qubits):
+    pairs = draw(st.lists(st.tuples(COEFF, words(n_qubits)), max_size=8))
+    return PauliHamiltonian.from_pairs(pairs, n_qubits=n_qubits)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(words(n), vectors(n))))
+def test_string_apply_matches_matrix(case):
+    word, psi = case
+    ps = PauliString(word)
+    assert np.max(np.abs(ps.apply(psi) - ps.matrix() @ psi)) < 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(hamiltonians))
+def test_decompose_dense_round_trip(h):
+    back = pauli_decompose(to_dense_matrix(h))
+    assert back.n_qubits == h.n_qubits
+    labels = {ps.letters for _, ps in h.terms + back.terms}
+    for letters in labels:
+        assert abs(back.coefficient(letters) - h.coefficient(letters)) < 1e-9
+
+
+@PROPERTY
+@given(hamiltonians(3), st.sets(st.integers(0, 2), min_size=1, max_size=2),
+       st.data())
+def test_partial_trace_matches_dense(h, keep, data):
+    keep = sorted(keep)
+    comp = [q for q in range(3) if q not in keep]
+    da, db = 2 ** len(keep), 2 ** len(comp)
+    m = data.draw(arrays(complex, (db, db), elements=AMPLITUDE))
+    rho = m @ m.conj().T + np.eye(db)
+    rho /= np.trace(rho).real
+    order = keep + comp
+    t = to_dense_matrix(h).reshape((2,) * 6).transpose(order + [3 + q for q in order])
+    # Tr_b((I_a x rho_b) H)[a, a'] = sum_{b, b'} rho[b, b'] H[(a, b'), (a', b)]
+    oracle = np.einsum("xcyd,dc->xy", t.reshape(da, db, da, db), rho)
+    reduced = weighted_partial_trace(h, keep, rho)
+    assert np.max(np.abs(to_dense_matrix(reduced) - oracle)) < 1e-10
+
+
+@st.composite
+def gates(draw, n):
+    kind = draw(st.sampled_from(["rotation", "single", "two-qubit", "CP"]))
+    q = draw(st.integers(0, n - 1))
+    others = [t for t in range(n) if t != q]
+    if kind == "rotation":
+        return draw(st.sampled_from([rx, ry, rz]))(q, draw(st.floats(-np.pi, np.pi)))
+    if kind == "single":
+        return draw(st.sampled_from([hadamard, x, y, z]))(q)
+    if kind == "two-qubit":
+        return draw(st.sampled_from([cnot, cz]))(q, draw(st.sampled_from(others)))
+    return controlled_pauli(q, others, draw(words(n - 1)))
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(2, 4))
+    return n, draw(st.lists(gates(n), max_size=8)), draw(vectors(n))
+
+
+@PROPERTY
+@given(circuits())
+def test_run_circuit_matches_unitary(case):
+    n, gate_list, psi = case
+    psi = psi / np.linalg.norm(psi)
+    out = run_circuit(StateVector(psi), gate_list).amplitudes
+    assert np.max(np.abs(out - circuit_unitary(gate_list, n) @ psi)) < 1e-10

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import circuit_unitary, gate_unitary, random_state
 from vqite import (DensityMatrix, StateVector, apply_gate, apply_readout_error,
                    basis_state, fidelity, measure_z_expectation, run_circuit)
-from vqite.simulator import (cnot, controlled_pauli, cz,
-                             drop_adjacent_involution_pairs, gate_unitary,
-                             circuit_unitary, hadamard, rx, ry, rz, x, y, z)
+from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
+                             x, y, z)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
@@ -160,16 +159,6 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.eye(4))           # trace 4
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
-def test_involution_pair_pass(rng):
-    state = StateVector(random_state(rng, 2))
-    gates = [hadamard(0), cz(0, 1), cz(0, 1), x(1), rx(0, 0.3)]
-    simplified = drop_adjacent_involution_pairs(gates)
-    assert len(simplified) == 3
-    a = run_circuit(state, gates)
-    b = run_circuit(state, simplified)
-    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
 
 def test_circuit_unitary_matches_run(rng):

@@ -6,7 +6,6 @@ import pytest
 from vqite import (DensityMatrix, PauliHamiltonian, exact_spectrum,
                    gershgorin_emax, lift_ground_state, to_dense_matrix)
 from vqite.pauli import DimensionCapError
-from vqite.spectra import pauli_coefficient_bound
 
 
 def projector(vec):
@@ -80,13 +79,6 @@ def test_gershgorin_permutation_invariant(rng):
 def test_gershgorin_rejects_non_hermitian():
     with pytest.raises(ValueError):
         gershgorin_emax(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-
-def test_pauli_coefficient_bound_is_looser(lih_r15):
-    dense_bound = gershgorin_emax(to_dense_matrix(lih_r15)).e_max
-    loose = pauli_coefficient_bound(lih_r15)
-    assert loose >= np.linalg.eigvalsh(to_dense_matrix(lih_r15))[-1]
-    assert loose >= dense_bound - 1e-12
 
 
 def test_lift_z_collapses_to_identity():

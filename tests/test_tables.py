@@ -81,20 +81,11 @@ def test_round_trip(lih_table):
 
 
 def test_hamiltonian_at_exact_match(lih_table):
-    h = hamiltonian_at(lih_table, 1.5, interpolation="none")
+    h = hamiltonian_at(lih_table, 1.5)
     assert h.n_terms == 13
     assert h.coefficient("III") == pytest.approx(-7.0632)
-    with pytest.raises(KeyError):
-        hamiltonian_at(lih_table, 1.49, interpolation="none")
-
-
-def test_hamiltonian_at_nearest(lih_table):
-    h = hamiltonian_at(lih_table, 1.49, interpolation="nearest")
-    assert h.coefficient("III") == pytest.approx(-7.0632)
-    with pytest.raises(ValueError):
-        hamiltonian_at(lih_table, 9.0, interpolation="nearest")
-    with pytest.raises(ValueError):
-        hamiltonian_at(lih_table, 1.5, interpolation="cubic")
+    with pytest.raises(ValueError, match="no row at R=1.49"):
+        hamiltonian_at(lih_table, 1.49)
 
 
 def test_zero_coefficient_dropped_from_hamiltonian(lih_table):
