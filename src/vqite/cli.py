@@ -142,6 +142,10 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         missing = [r for r in rs if not any(abs(r - k) < 1e-9 for k in known)]
         if missing:
             raise ManifestError(f"bond distances not in table: {missing}")
+        rows = [k for r in rs for k in known if abs(r - k) < 1e-9]
+        repeated = sorted({k for k in rows if rows.count(k) > 1})
+        if repeated:
+            raise ManifestError(f"bond distances given more than once: {repeated}")
     if manifest.iterations < 1:
         raise ManifestError("iterations must be >= 1")
     return rs
@@ -178,7 +182,6 @@ def _point_seed(seed: int, r: float):
 def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
                flagged: set[float]):
     h = hamiltonian_at(table, r)
-    spectrum = exact_spectrum(h)
     builder = ANSATZ_BUILDERS[manifest.ansatz]
     cmf_record = None
     if manifest.cmf:
@@ -205,9 +208,9 @@ def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
         flags.append("degenerate")
     if r in flagged:
         flags.append("discontinuity")
-    if traj.converged_energy < spectrum.ground_energy - 1e-9:
+    if traj.converged_energy < traj.exact_energy - 1e-9:
         flags.append("bound-violation")
-    point = CurvePoint(r, traj.converged_energy, spectrum.ground_energy,
+    point = CurvePoint(r, traj.converged_energy, traj.exact_energy,
                        traj.final_fidelity, manifest.iterations, tuple(flags))
     return point, traj, cmf_record
 

@@ -30,7 +30,7 @@ import numpy as np
 from .pauli import (PAULI_MATRICES, PauliHamiltonian, pauli_decompose,
                     to_dense_matrix, weighted_partial_trace)
 from .simulator import DensityMatrix
-from .spectra import DEGENERACY_GAP, phase_normalize
+from .spectra import DEGENERACY_GAP, exact_spectrum
 
 GRAM_RANK_TOL = 1e-8
 
@@ -56,16 +56,11 @@ class EffectiveHamiltonian:
 
 
 def _two_lowest(h: PauliHamiltonian, notes: list[str], label: str):
-    m = to_dense_matrix(h)
-    vals, vecs = np.linalg.eigh(m)
-    if vals[1] - vals[0] < DEGENERACY_GAP or (
-        vals.size > 2 and vals[2] - vals[1] < DEGENERACY_GAP
-    ):
+    spec = exact_spectrum(h)
+    if spec.degeneracy_flags[1]:
         notes.append(f"{label}.tie_break=eigh-order (gap below {DEGENERACY_GAP})")
-    return (
-        [phase_normalize(vecs[:, 0]), phase_normalize(vecs[:, 1])],
-        [float(vals[0]), float(vals[1])],
-    )
+    vals, vecs = spec.eigenvalues, spec.eigenstates
+    return [vecs[:, 0], vecs[:, 1]], [float(vals[0]), float(vals[1])]
 
 
 def _coeff_key(vec: np.ndarray) -> tuple:
@@ -92,12 +87,11 @@ def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
     b_states: list[np.ndarray] = []
     for tag, av in zip(("a_g", "a_e"), a_states):
         rho_a = DensityMatrix(np.outer(av, av.conj()))
-        h_b = weighted_partial_trace(h, SUBSYSTEM_B, rho_a)
-        m = to_dense_matrix(h_b)
-        vals, vecs = np.linalg.eigh(m)
-        if vals[1] - vals[0] < DEGENERACY_GAP:
+        spec = exact_spectrum(weighted_partial_trace(h, SUBSYSTEM_B, rho_a))
+        if spec.degeneracy_flags[0]:
             notes.append(f"h_b({tag}).tie_break=eigh-order")
-        b_states += [phase_normalize(vecs[:, 0]), phase_normalize(vecs[:, 1])]
+        vals, vecs = spec.eigenvalues, spec.eigenstates
+        b_states += [vecs[:, 0], vecs[:, 1]]
         notes.append(f"h_b({tag}).eigenvalues={vals[0]:.12g},{vals[1]:.12g}")
 
     # Step 3: a conditioned on each b state; two lowest each.

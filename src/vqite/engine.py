@@ -27,7 +27,7 @@ from .ansatz import AnsatzCircuit
 from .cmf import EffectiveHamiltonian, lift_amplitudes
 from .mclachlan import compute_exact, compute_sampled, solve_update
 from .pauli import PauliHamiltonian, expectation
-from .simulator import DensityMatrix, StateVector
+from .simulator import StateVector
 from .spectra import exact_spectrum
 
 STATIONARY_TOL = 1e-10
@@ -60,8 +60,7 @@ class QiteConfig:
 
     initial_theta: tuple[float, ...]
     iterations: int = 4
-    dtau: float | str = "auto"       # "auto" -> dtau_c / (|h_z| * iterations)
-    dtau_c: float = DEFAULT_DTAU_C
+    dtau: float | str = "auto"       # "auto" -> DEFAULT_DTAU_C / (|h_z| * iterations)
     route: str = "exact"             # "exact" | "hadamard"
     shots: int | None = None
     seed: int | None = None
@@ -106,8 +105,9 @@ class QiteRecord:
 @dataclass(frozen=True)
 class QiteTrajectory:
     records: tuple[QiteRecord, ...]
-    final_state: DensityMatrix
+    final_state: StateVector
     converged_energy: float
+    exact_energy: float              # ground energy of the reporting Hamiltonian
     final_fidelity: float | None
     stationary: bool
     ground_degenerate: bool
@@ -119,7 +119,7 @@ class QiteTrajectory:
 def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
     if config.dtau == "auto":
         h_z = average_z_coefficient(h_for_rule)
-        return config.dtau_c / (abs(h_z) * config.iterations)
+        return DEFAULT_DTAU_C / (abs(h_z) * config.iterations)
     value = float(config.dtau)
     if value <= 0:
         raise ValueError("fixed dtau must be positive")
@@ -185,8 +185,9 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     final_record = records[-1]
     return QiteTrajectory(
         records=tuple(records),
-        final_state=StateVector(lifted_final).to_density_matrix(),
+        final_state=StateVector(lifted_final),
         converged_energy=final_record.energy,
+        exact_energy=spectrum.ground_energy,
         final_fidelity=final_record.fidelity,
         stationary=stationary,
         ground_degenerate=degenerate,

@@ -100,9 +100,7 @@ def _anti_controlled(ancilla: int, sigma: PauliString) -> list[Gate]:
 
 
 def _controlled(ancilla: int, sigma: PauliString) -> list[Gate]:
-    if sigma.weight == 0:
-        return []
-    return [controlled_pauli(ancilla, tuple(range(sigma.n_qubits)), sigma.letters)]
+    return controlled_pauli(ancilla, range(sigma.n_qubits), sigma.letters)
 
 
 def _assemble(ansatz: AnsatzCircuit, insertions: dict[int, list[Gate]],
@@ -211,19 +209,17 @@ class UpdateResult:
     stationary: bool
 
 
-def solve_update(sys: McLachlanSystem, dtau: float,
-                 eps_cut: float | None = None) -> UpdateResult:
+def solve_update(sys: McLachlanSystem, dtau: float) -> UpdateResult:
     """delta theta = dtau * pinv(A) B via eigen-decomposition.
 
-    Eigenvalues below eps_cut * max eigenvalue are dropped; if the whole
-    spectrum sits below the absolute floor the update is zero and the
-    result is flagged stationary.  For a 1x1 system this reduces to
-    (B/A) * dtau.
+    Eigenvalues below the route's relative cutoff times the max eigenvalue
+    are dropped; if the whole spectrum sits below the absolute floor the
+    update is zero and the result is flagged stationary.  For a 1x1 system
+    this reduces to (B/A) * dtau.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    if eps_cut is None:
-        eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
+    eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
     lam, vec = np.linalg.eigh(np.asarray(sys.a_matrix, dtype=float))
     lam_max = float(lam.max())
     if lam_max < ABS_EIG_FLOOR:

@@ -31,6 +31,7 @@ PAULI_MATRICES = {
 
 DENSE_QUBIT_CAP = 12
 COEFF_DROP_TOL = 1e-14
+HERMITIAN_TOL = 1e-9
 
 
 class DimensionCapError(ValueError):
@@ -167,22 +168,14 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
 
 
 def expectation(h: PauliHamiltonian, state) -> float:
-    """<psi|H|psi> for a statevector, or Tr(rho H) for a density matrix.
+    """<psi|H|psi> for a statevector.
 
     The imaginary residual is asserted below 1e-10 and discarded.
     """
-    amps = getattr(state, "amplitudes", None)
-    if amps is not None:
-        if amps.size != 2 ** h.n_qubits:
-            raise ValueError("state and Hamiltonian dimensions disagree")
-        value = complex(np.vdot(amps, h.apply(amps)))
-    else:
-        rho = getattr(state, "elements", None)
-        if rho is None:
-            rho = np.asarray(state, dtype=complex)
-        if rho.shape != (2 ** h.n_qubits,) * 2:
-            raise ValueError("state and Hamiltonian dimensions disagree")
-        value = complex(np.trace(rho @ to_dense_matrix(h)))
+    amps = state.amplitudes
+    if amps.size != 2 ** h.n_qubits:
+        raise ValueError("state and Hamiltonian dimensions disagree")
+    value = complex(np.vdot(amps, h.apply(amps)))
     if abs(value.imag) > 1e-10:
         raise ArithmeticError(f"expectation has imaginary residual {value.imag:.3e}")
     return value.real
@@ -218,7 +211,7 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
     return PauliHamiltonian.from_pairs(pairs, n_qubits=len(keep))
 
 
-def pauli_decompose(m: np.ndarray, hermitian_tol: float = 1e-9) -> PauliHamiltonian:
+def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     """Expand a Hermitian 2^k x 2^k matrix in the Pauli basis.
 
     Coefficients are h_l = Tr(sigma_l m) / 2^k; the round trip through
@@ -228,7 +221,7 @@ def pauli_decompose(m: np.ndarray, hermitian_tol: float = 1e-9) -> PauliHamilton
     dim = m.shape[0]
     if m.shape != (dim, dim) or dim & (dim - 1):
         raise ValueError(f"matrix shape {m.shape} is not square power-of-two")
-    if np.max(np.abs(m - m.conj().T)) > hermitian_tol:
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     k = dim.bit_length() - 1
     _check_dense_cap(k)

@@ -1,11 +1,16 @@
-"""Exact statevector / density-matrix simulation of the package's gate set.
+"""Exact statevector simulation of circuits of one- and controlled
+one-qubit gates.
 
-Gate kinds: Rx, Ry, Rz, H, X, Y, Z, CNOT, CZ and controlled Pauli strings.
-A controlled string c-(s1 s2 ...) is applied by chaining single controlled
-Pauli factors, c-s2 . c-s1, which is also how the reference circuits
-decompose it.  Qubit ordering follows vqite.pauli (q0 = most significant
-bit).  Shot-mode measurements draw from a caller-supplied seeded generator
-so that every sampled result is reproducible from (seed, shots).
+A gate is its 2x2 matrix, a target qubit and an optional control qubit;
+Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and a controlled
+Pauli string c-(s1 s2 ...) is the list of its controlled single-letter
+factors c-s1, c-s2, ..., which is also how the reference circuits
+decompose it.  Circuits run on the raw amplitude tensor; the norm of the
+state is checked once per circuit.  Qubit ordering follows vqite.pauli
+(q0 = most significant bit).  Shot-mode measurements draw from a
+caller-supplied seeded generator so that every sampled result is
+reproducible from (seed, shots).  DensityMatrix holds the mixed states
+of the CMF reduction and the excited-state lift.
 """
 
 from __future__ import annotations
@@ -18,14 +23,7 @@ from .pauli import PAULI_MATRICES, PauliString, apply_on_axis
 
 NORM_TOL = 1e-10
 
-_SQ = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "X": PAULI_MATRICES["X"],
-    "Y": PAULI_MATRICES["Y"],
-    "Z": PAULI_MATRICES["Z"],
-}
-
-ROTATION_AXES = {"Rx": "X", "Ry": "Y", "Rz": "Z"}
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,6 @@ class StateVector:
     @property
     def n_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -85,71 +80,18 @@ def basis_state(bits) -> StateVector:
     return StateVector(amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """One gate of the simulator's fixed set.
+    """A 2x2 unitary on qubit `target`, applied only on the control=|1>
+    branch when `control` is set."""
 
-    `targets` lists the qubits acted on (for controlled Pauli strings, the
-    string's qubits in order); `control` is the control qubit when present;
-    `angle` is in radians for rotations; `letters` carries the Pauli word
-    of a controlled string.
-    """
-
-    kind: str
-    targets: tuple[int, ...]
+    matrix: np.ndarray
+    target: int
     control: int | None = None
-    angle: float | None = None
-    letters: str | None = None
 
     def __post_init__(self) -> None:
-        qubits = list(self.targets) + ([self.control] if self.control is not None else [])
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"gate {self.kind} has colliding qubit indices {qubits}")
-
-
-def rx(q: int, angle: float) -> Gate:
-    return Gate("Rx", (q,), angle=float(angle))
-
-
-def ry(q: int, angle: float) -> Gate:
-    return Gate("Ry", (q,), angle=float(angle))
-
-
-def rz(q: int, angle: float) -> Gate:
-    return Gate("Rz", (q,), angle=float(angle))
-
-
-def hadamard(q: int) -> Gate:
-    return Gate("H", (q,))
-
-
-def x(q: int) -> Gate:
-    return Gate("X", (q,))
-
-
-def y(q: int) -> Gate:
-    return Gate("Y", (q,))
-
-
-def z(q: int) -> Gate:
-    return Gate("Z", (q,))
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (target,), control=control)
-
-
-def cz(control: int, target: int) -> Gate:
-    return Gate("CZ", (target,), control=control)
-
-
-def controlled_pauli(control: int, targets, letters: str) -> Gate:
-    """Controlled Pauli string; identity letters are allowed and skipped."""
-    targets = tuple(targets)
-    if len(targets) != len(letters):
-        raise ValueError("one target qubit per Pauli letter required")
-    PauliString(letters)  # validates the alphabet
-    return Gate("CP", targets, control=control, letters=letters)
+        if self.control == self.target:
+            raise ValueError(f"gate control and target are both qubit {self.target}")
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -158,75 +100,77 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     return c * np.eye(2) - 1j * s * PAULI_MATRICES[axis]
 
 
-def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind in ROTATION_AXES:
-        return rotation_matrix(ROTATION_AXES[gate.kind], gate.angle)
-    return _SQ[gate.kind]
+def rx(q: int, angle: float) -> Gate:
+    return Gate(rotation_matrix("X", float(angle)), q)
 
 
-def _apply_controlled_single(t: np.ndarray, m: np.ndarray, control: int,
-                             target: int) -> np.ndarray:
-    """Apply m to `target` on the control=|1> slice only."""
+def ry(q: int, angle: float) -> Gate:
+    return Gate(rotation_matrix("Y", float(angle)), q)
+
+
+def rz(q: int, angle: float) -> Gate:
+    return Gate(rotation_matrix("Z", float(angle)), q)
+
+
+def hadamard(q: int) -> Gate:
+    return Gate(HADAMARD, q)
+
+
+def x(q: int) -> Gate:
+    return Gate(PAULI_MATRICES["X"], q)
+
+
+def y(q: int) -> Gate:
+    return Gate(PAULI_MATRICES["Y"], q)
+
+
+def z(q: int) -> Gate:
+    return Gate(PAULI_MATRICES["Z"], q)
+
+
+def cnot(control: int, target: int) -> Gate:
+    return Gate(PAULI_MATRICES["X"], target, control)
+
+
+def cz(control: int, target: int) -> Gate:
+    return Gate(PAULI_MATRICES["Z"], target, control)
+
+
+def controlled_pauli(control: int, targets, letters: str) -> list[Gate]:
+    """Controlled Pauli string as its controlled single-letter factors,
+    c-s1 first; identity letters are skipped."""
+    targets = tuple(targets)
+    if len(targets) != len(letters):
+        raise ValueError("one target qubit per Pauli letter required")
+    PauliString(letters)  # validates the alphabet
+    return [Gate(PAULI_MATRICES[c], q, control)
+            for q, c in zip(targets, letters) if c != "I"]
+
+
+def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate to an amplitude tensor of shape (2,)*n."""
+    if gate.control is None:
+        return apply_on_axis(t, gate.matrix, gate.target)
     t = t.copy()
-    sl = [slice(None)] * t.ndim
-    sl[control] = 1
-    q_sub = target if target < control else target - 1
-    t[tuple(sl)] = apply_on_axis(t[tuple(sl)], m, q_sub)
+    branch = (slice(None),) * gate.control + (1,)
+    q_sub = gate.target if gate.target < gate.control else gate.target - 1
+    t[branch] = apply_on_axis(t[branch], gate.matrix, q_sub)
     return t
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate; norm is preserved by construction."""
-    n = state.n_qubits
-    qubits = list(gate.targets) + ([gate.control] if gate.control is not None else [])
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"gate {gate.kind} addresses qubit outside 0..{n - 1}")
-    t = state.amplitudes.reshape((2,) * n)
-    if gate.kind in ("Rx", "Ry", "Rz", "H", "X", "Y", "Z"):
-        t = apply_on_axis(t, _single_qubit_matrix(gate), gate.targets[0])
-    elif gate.kind == "CNOT":
-        t = _apply_controlled_single(t, _SQ["X"], gate.control, gate.targets[0])
-    elif gate.kind == "CZ":
-        t = _apply_controlled_single(t, _SQ["Z"], gate.control, gate.targets[0])
-    elif gate.kind == "CP":
-        for q, letter in zip(gate.targets, gate.letters):
-            if letter != "I":
-                t = _apply_controlled_single(t, _SQ[letter], gate.control, q)
-    else:
-        raise ValueError(f"unknown gate kind '{gate.kind}'")
-    return StateVector(t.reshape(-1))
-
-
 def run_circuit(initial: StateVector, gates) -> StateVector:
-    """Apply gates left to right in list order."""
-    state = initial
+    """Apply gates left to right in list order; norm is preserved by
+    construction and checked once, on the final state."""
+    n = initial.n_qubits
+    gates = tuple(gates)
     for g in gates:
-        state = apply_gate(state, g)
-    return state
-
-
-def fidelity(a, b) -> float:
-    """State fidelity; with a pure reference this is Tr(rho_a rho_b).
-
-    Pure/pure: |<a|b>|^2.  Pure/mixed: <pure|rho|pure>.  Mixed/mixed:
-    Tr(rho_a rho_b), the overlap the reference experiments report.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        if a.elements.shape != b.elements.shape:
-            raise ValueError("fidelity arguments differ in dimension")
-        val = np.trace(a.elements @ b.elements).real
-    else:
-        if isinstance(a, DensityMatrix):
-            a, b = b, a
-        if isinstance(b, DensityMatrix):
-            if a.amplitudes.size != b.elements.shape[0]:
-                raise ValueError("fidelity arguments differ in dimension")
-            val = np.vdot(a.amplitudes, b.elements @ a.amplitudes).real
-        else:
-            if a.amplitudes.size != b.amplitudes.size:
-                raise ValueError("fidelity arguments differ in dimension")
-            val = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    return float(min(max(val, 0.0), 1.0))
+        if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
+            raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
+                             f"outside 0..{n - 1}")
+    t = initial.amplitudes.reshape((2,) * n)
+    for g in gates:
+        t = apply_gate(t, g)
+    return StateVector(t.reshape(-1))
 
 
 def z_expectation_exact(state: StateVector, qubit: int) -> float:

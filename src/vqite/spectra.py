@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, pauli_decompose, to_dense_matrix
+from .pauli import (HERMITIAN_TOL, PauliHamiltonian, pauli_decompose,
+                    to_dense_matrix)
 from .simulator import DensityMatrix
 
 DEGENERACY_GAP = 1e-9
@@ -70,10 +71,10 @@ def exact_spectrum(h: PauliHamiltonian | np.ndarray) -> SpectrumResult:
     return SpectrumResult(vals, vecs, tuple(flags))
 
 
-def gershgorin_emax(h_dense: np.ndarray, hermitian_tol: float = 1e-9) -> GershgorinBound:
+def gershgorin_emax(h_dense: np.ndarray) -> GershgorinBound:
     """Disc bound from matrix rows: center H_ii, radius sum_{j!=i} |H_ij|."""
     m = np.asarray(h_dense, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > hermitian_tol:
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
         raise ValueError("Gershgorin bound expects a Hermitian matrix")
     discs = []
     for i in range(m.shape[0]):

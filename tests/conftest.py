@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vqite import (StateVector, apply_gate, hamiltonian_at,
-                   load_h2_synthetic_table, load_lih_table)
+from vqite import hamiltonian_at, load_h2_synthetic_table, load_lih_table
 
 
 @pytest.fixture(scope="session")
@@ -45,10 +44,22 @@ def random_hamiltonian_pairs(rng, n_qubits, n_terms):
     return pairs
 
 
+def embed(ops, n_qubits):
+    """Kronecker product with ops[q] on qubit q and identity elsewhere."""
+    out = np.array([[1.0 + 0j]])
+    for q in range(n_qubits):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
 def gate_unitary(gate, n_qubits):
-    """Dense 2^n x 2^n unitary of one gate, column by column."""
-    return np.column_stack([apply_gate(StateVector(e), gate).amplitudes
-                            for e in np.eye(2 ** n_qubits, dtype=complex)])
+    """Dense 2^n x 2^n unitary of one gate by Kronecker embedding:
+    |0><0|_c (x) I + |1><1|_c (x) M_t for a controlled gate."""
+    if gate.control is None:
+        return embed({gate.target: gate.matrix}, n_qubits)
+    return (embed({gate.control: np.diag([1.0, 0.0])}, n_qubits)
+            + embed({gate.control: np.diag([0.0, 1.0]), gate.target: gate.matrix},
+                    n_qubits))
 
 
 def circuit_unitary(gates, n_qubits):

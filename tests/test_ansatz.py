@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from conftest import circuit_unitary
 from vqite import (PauliHamiltonian, basis_state, build_hardware_efficient,
                    build_ucc_h2, build_ucc_lih, run_circuit, to_dense_matrix)
-from vqite.simulator import cnot
+from vqite.simulator import cnot, rx, rz
 
 
 def pauli_dense(letters):
@@ -28,6 +28,12 @@ def global_phase_distance(u, v):
     if abs(overlap) < 1e-12:
         return 2.0
     return np.max(np.abs(u * (overlap / abs(overlap)) - v))
+
+
+def same_gates(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(g.matrix, h.matrix) and (g.target, g.control) == (h.target, h.control)
+        for g, h in zip(a, b))
 
 
 def finite_difference_state(builder, theta, i, eps=1e-5):
@@ -115,10 +121,11 @@ def test_ucc_lih_rejects_wrong_arity():
 # --- hardware-efficient ---
 
 def test_he_gate_order_and_zero_angles():
-    a = build_hardware_efficient([0.0] * 6)
-    kinds = [g.kind for g in a.gates]
-    assert kinds == ["Rx", "Rx", "CNOT", "Rz", "Rz", "Rx", "Rx"]
+    a = build_hardware_efficient([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    assert same_gates(a.gates, [rx(0, 0.1), rx(1, 0.2), cnot(0, 1), rz(0, 0.3),
+                                rz(1, 0.4), rx(0, 0.5), rx(1, 0.6)])
     # Zero angles collapse to the bare entangler.
+    a = build_hardware_efficient([0.0] * 6)
     state = run_circuit(basis_state("10"), a.gates)
     oracle = run_circuit(basis_state("10"), [cnot(0, 1)])
     assert np.allclose(state.amplitudes, oracle.amplitudes)
@@ -160,6 +167,6 @@ def test_builder_purity(builder, size, rng):
     first = builder(theta)
     builder(rng.uniform(-np.pi, np.pi, size=size))
     again = builder(theta)
-    assert first.gates == again.gates
+    assert same_gates(first.gates, again.gates)
     assert np.array_equal(first.parameters, again.parameters)
     assert first.descriptors == again.descriptors

@@ -81,6 +81,8 @@ def test_manifest_validation_errors():
     with pytest.raises(ManifestError):
         run_scan(manifest(r_selection=(1.23,)))        # not a table row
     with pytest.raises(ManifestError):
+        run_scan(manifest(r_selection=(1.5, 1.5 + 1e-10)))  # one row twice
+    with pytest.raises(ManifestError):
         run_scan(manifest(theta0=(0.1, 0.2)))          # wrong arity for he
 
 
@@ -104,6 +106,15 @@ def test_main_manifest_error_exit_two(capsys):
     rc = main(["scan", "--table", "lih", "--ansatz", "he", "--r", "1.5"])
     assert rc == 2
     assert "manifest error" in capsys.readouterr().err
+
+
+def test_main_repeated_r_exit_two(tmp_path, capsys):
+    rc = main(["scan", "--table", "lih", "--ansatz", "he", "--cmf",
+               "--r", "1.5,1.5", "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "manifest error: bond distances given more than once: [1.5]" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "d" / "curve.csv").exists()
 
 
 def test_main_point_requires_single_r(capsys):

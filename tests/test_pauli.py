@@ -68,14 +68,6 @@ def test_expectation_dimension_mismatch():
         expectation(h, basis_state("0"))
 
 
-def test_expectation_density_matrix(lih_r15, rng):
-    amps = random_state(rng, 3)
-    rho = DensityMatrix(np.outer(amps, amps.conj()))
-    dense = to_dense_matrix(lih_r15)
-    assert expectation(lih_r15, rho) == pytest.approx(
-        np.trace(rho.elements @ dense).real, abs=1e-12)
-
-
 def plus_x_weight():
     return DensityMatrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
 

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import circuit_unitary
+from conftest import circuit_unitary, embed
 from vqite import (PauliHamiltonian, PauliString, StateVector, pauli_decompose,
                    run_circuit, to_dense_matrix, weighted_partial_trace)
+from vqite.pauli import PAULI_MATRICES
 from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
                              x, y, z)
 
@@ -68,22 +69,24 @@ def test_partial_trace_matches_dense(h, keep, data):
 
 @st.composite
 def gates(draw, n):
+    """One gate as a one-element list, or a controlled string's factors."""
     kind = draw(st.sampled_from(["rotation", "single", "two-qubit", "CP"]))
     q = draw(st.integers(0, n - 1))
     others = [t for t in range(n) if t != q]
     if kind == "rotation":
-        return draw(st.sampled_from([rx, ry, rz]))(q, draw(st.floats(-np.pi, np.pi)))
+        return [draw(st.sampled_from([rx, ry, rz]))(q, draw(st.floats(-np.pi, np.pi)))]
     if kind == "single":
-        return draw(st.sampled_from([hadamard, x, y, z]))(q)
+        return [draw(st.sampled_from([hadamard, x, y, z]))(q)]
     if kind == "two-qubit":
-        return draw(st.sampled_from([cnot, cz]))(q, draw(st.sampled_from(others)))
+        return [draw(st.sampled_from([cnot, cz]))(q, draw(st.sampled_from(others)))]
     return controlled_pauli(q, others, draw(words(n - 1)))
 
 
 @st.composite
 def circuits(draw):
     n = draw(st.integers(2, 4))
-    return n, draw(st.lists(gates(n), max_size=8)), draw(vectors(n))
+    gate_list = [g for gs in draw(st.lists(gates(n), max_size=8)) for g in gs]
+    return n, gate_list, draw(vectors(n))
 
 
 @PROPERTY
@@ -93,3 +96,17 @@ def test_run_circuit_matches_unitary(case):
     psi = psi / np.linalg.norm(psi)
     out = run_circuit(StateVector(psi), gate_list).amplitudes
     assert np.max(np.abs(out - circuit_unitary(gate_list, n) @ psi)) < 1e-10
+
+
+@PROPERTY
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1), st.permutations(range(n - 1)), words(n - 1))))
+def test_controlled_pauli_matches_dense(case):
+    n, c, order, word = case
+    targets = [q + (q >= c) for q in order]      # the other qubits, in any order
+    sigma = embed({t: PAULI_MATRICES[l] for t, l in zip(targets, word)}, n)
+    # |0><0|_c (x) I + |1><1|_c (x) sigma
+    dense = (embed({c: np.diag([1.0, 0.0])}, n)
+             + embed({c: np.diag([0.0, 1.0])}, n) @ sigma)
+    assert np.max(np.abs(circuit_unitary(controlled_pauli(c, targets, word), n)
+                         - dense)) < 1e-12

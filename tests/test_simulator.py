@@ -1,47 +1,50 @@
-"""Gate set, statevector evolution, measurement and fidelity."""
+"""Gate set, statevector evolution and measurement."""
 
 import numpy as np
 import pytest
 
-from conftest import circuit_unitary, gate_unitary, random_state
-from vqite import (DensityMatrix, StateVector, apply_gate, apply_readout_error,
-                   basis_state, fidelity, measure_z_expectation, run_circuit)
+from conftest import circuit_unitary, embed, gate_unitary, random_state
+from vqite import (DensityMatrix, StateVector, apply_readout_error, basis_state,
+                   measure_z_expectation, run_circuit)
+from vqite.pauli import PAULI_MATRICES
 from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
                              x, y, z)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
-    cnot(0, 1), cz(1, 0), controlled_pauli(0, (1, 2), "XY"),
+    cnot(0, 1), cz(1, 0), *controlled_pauli(0, (1, 2), "XY"),
 ]
 
 
 def test_every_gate_unitary():
-    for g in ALL_GATE_SAMPLES:
+    for k, g in enumerate(ALL_GATE_SAMPLES):
         u = gate_unitary(g, 3)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12, g.kind
+        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12, k
 
 
 def test_rz_phase_on_basis_state():
-    out = apply_gate(basis_state("0"), rz(0, 0.8))
+    out = run_circuit(basis_state("0"), [rz(0, 0.8)])
     assert np.allclose(out.amplitudes, [np.exp(-0.4j), 0.0])
 
 
 def test_cnot_flips_target():
-    out = apply_gate(basis_state("10"), cnot(0, 1))
+    out = run_circuit(basis_state("10"), [cnot(0, 1)])
     assert np.allclose(out.amplitudes, basis_state("11").amplitudes)
-    out = apply_gate(basis_state("01"), cnot(0, 1))
+    out = run_circuit(basis_state("01"), [cnot(0, 1)])
     assert np.allclose(out.amplitudes, basis_state("01").amplitudes)
 
 
 def test_rx_inverse_pair(rng):
     state = StateVector(random_state(rng, 2))
-    out = apply_gate(apply_gate(state, rx(1, np.pi / 2)), rx(1, -np.pi / 2))
+    out = run_circuit(run_circuit(state, [rx(1, np.pi / 2)]), [rx(1, -np.pi / 2)])
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-10
 
 
 def test_gate_index_errors():
     with pytest.raises(ValueError):
-        apply_gate(basis_state("00"), rx(2, 1.0))
+        run_circuit(basis_state("00"), [rx(2, 1.0)])
+    with pytest.raises(ValueError):
+        run_circuit(basis_state("00"), [x(0), cnot(2, 1)])
     with pytest.raises(ValueError):
         cnot(1, 1)
 
@@ -53,12 +56,17 @@ def test_empty_circuit_is_identity(rng):
 
 
 def test_controlled_pauli_chains_factors(rng):
-    # c-(X1 Y2) must equal c-Y2 . c-X1 acting factor by factor.
+    # c-(X1 Y2) is the factor list c-X1, c-Y2; identity letters are skipped.
+    factors = controlled_pauli(0, (1, 2), "XY")
+    assert [(g.target, g.control) for g in factors] == [(1, 0), (2, 0)]
+    assert [g.target for g in controlled_pauli(0, (1, 2), "IY")] == [2]
+    assert controlled_pauli(0, (1, 2), "II") == []
     state = StateVector(random_state(rng, 3))
-    combined = apply_gate(state, controlled_pauli(0, (1, 2), "XY"))
-    stepwise = apply_gate(apply_gate(state, controlled_pauli(0, (1,), "X")),
-                          controlled_pauli(0, (2,), "Y"))
-    assert np.max(np.abs(combined.amplitudes - stepwise.amplitudes)) < 1e-12
+    p = PAULI_MATRICES
+    dense = (embed({0: np.diag([1.0, 0.0])}, 3)
+             + embed({0: np.diag([0.0, 1.0]), 1: p["X"], 2: p["Y"]}, 3))
+    out = run_circuit(state, factors).amplitudes
+    assert np.max(np.abs(out - dense @ state.amplitudes)) < 1e-12
 
 
 def test_cnot_equals_h_cz_h():
@@ -124,23 +132,6 @@ def test_measure_z_rejects_bad_shots():
         measure_z_expectation(basis_state("0"), 0, shots=0, rng=1)
     with pytest.raises(ValueError):
         measure_z_expectation(basis_state("0"), 0, shots=10)
-
-
-def test_fidelity_pure_cases(rng):
-    a = StateVector(random_state(rng, 2))
-    assert fidelity(a, a) == pytest.approx(1.0)
-    assert fidelity(basis_state("01"), basis_state("10")) == pytest.approx(0.0)
-
-
-def test_fidelity_maximally_mixed_vs_pure():
-    mixed = DensityMatrix(np.eye(2) / 2)
-    assert fidelity(mixed, basis_state("0")) == pytest.approx(0.5)
-    assert fidelity(basis_state("0"), mixed) == pytest.approx(0.5)
-
-
-def test_fidelity_dimension_mismatch():
-    with pytest.raises(ValueError):
-        fidelity(basis_state("0"), basis_state("00"))
 
 
 def test_readout_error_map():
