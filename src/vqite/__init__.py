@@ -16,8 +16,8 @@ from .mclachlan import (HadamardTestCircuit, McLachlanSystem,
                         compute_sampled, solve_update)
 from .pauli import (PauliHamiltonian, PauliString, expectation,
                     pauli_decompose, to_dense_matrix, weighted_partial_trace)
-from .simulator import (DensityMatrix, Gate, StateVector, apply_readout_error,
-                        basis_state, measure_z_expectation, run_circuit)
+from .simulator import (DensityMatrix, Gate, StateVector, basis_state,
+                        measure_z_expectation, run_circuit)
 from .spectra import (GershgorinBound, SpectrumResult, exact_spectrum,
                       gershgorin_emax, lift_ground_state)
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,

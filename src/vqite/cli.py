@@ -146,6 +146,11 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         repeated = sorted({k for k in rows if rows.count(k) > 1})
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
+    keys = [_point_seed(manifest.seed, r) for r in rs]
+    shared = [r for r, key in zip(rs, keys) if keys.count(key) > 1]
+    if shared:
+        raise ManifestError(f"bond distances share one seed stream "
+                            f"(R rounded to 1e-3): {shared}")
     if manifest.iterations < 1:
         raise ManifestError("iterations must be >= 1")
     return rs
@@ -210,6 +215,8 @@ def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
         flags.append("discontinuity")
     if traj.converged_energy < traj.exact_energy - 1e-9:
         flags.append("bound-violation")
+    if manifest.route == "exact" and traj.monotonicity_violations:
+        flags.append("non-monotone")
     point = CurvePoint(r, traj.converged_energy, traj.exact_energy,
                        traj.final_fidelity, manifest.iterations, tuple(flags))
     return point, traj, cmf_record
@@ -444,6 +451,8 @@ def _cmd_excited(args) -> int:
     print(f"first excited (oracle) = {format_number(target)}")
     print(f"qite on lifted hamiltonian = {format_number(traj.converged_energy)}")
     print(f"deviation = {format_number(abs(traj.converged_energy - target))}")
+    if traj.monotonicity_violations:
+        print("flags = non-monotone")
     return 0
 
 

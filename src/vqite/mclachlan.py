@@ -11,8 +11,12 @@ Hadamard route expands the same sums into one ancilla test circuit per
 A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
 (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
 of the summand, and the ancilla Z expectation then yields the summand's
-real part.  Evaluated without sampling, the two
-routes agree to machine precision; with shots they agree statistically.
+real part.  Each circuit resumes from the longest gate prefix it shares
+with the last one run from the same ancilla phase; its states come from
+the same gate applications on the same arrays, so every expectation and
+binomial draw is bitwise that of a run from scratch.  Evaluated without
+sampling, the two routes agree to machine precision; with shots they
+agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -26,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simulator
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from .pauli import PauliHamiltonian, PauliString
-from .simulator import (Gate, StateVector, controlled_pauli, hadamard,
-                        measure_z_expectation, run_circuit, x)
+from .simulator import (Gate, StateVector, check_qubits, controlled_pauli,
+                        hadamard, measure_z_expectation, x)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
@@ -104,7 +109,7 @@ def _controlled(ancilla: int, sigma: PauliString) -> list[Gate]:
 
 
 def _assemble(ansatz: AnsatzCircuit, insertions: dict[int, list[Gate]],
-              tail: list[Gate], ancilla: int) -> tuple[Gate, ...]:
+              tail: list[Gate], final: Gate) -> tuple[Gate, ...]:
     gates: list[Gate] = []
     for pos, g in enumerate(ansatz.gates):
         if pos in insertions:
@@ -114,7 +119,7 @@ def _assemble(ansatz: AnsatzCircuit, insertions: dict[int, list[Gate]],
     if end in insertions:
         gates += insertions[end]
     gates += tail
-    gates.append(hadamard(ancilla))
+    gates.append(final)
     return tuple(gates)
 
 
@@ -127,6 +132,8 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     the ancilla phase absorbs conj(p) p.  For B(i): the bra-side sigma as
     above, the Hamiltonian string controlled after the full circuit,
     phase absorbing -conj(p) h_l.  Here p is DERIVATIVE_PREFACTOR.
+    Each inserted gate list is built once and shared by every circuit
+    that contains it, so circuits compare by gate identity.
     """
     if h.n_qubits != ansatz.n_system_qubits:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
@@ -134,38 +141,55 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     n = anc + 1
     p = DERIVATIVE_PREFACTOR
     jobs: list[HadamardJob] = []
+    descs = ansatz.descriptors
+    anti = [_anti_controlled(anc, d.sigma) for d in descs]
+    ctrl = [_controlled(anc, d.sigma) for d in descs]
+    tails = [_controlled(anc, sig_l) for _, sig_l in h.terms]
+    final = hadamard(anc)
 
     def make(insertions, tail, prefactor, destination):
         phase = float(np.angle(prefactor))
         weight = float(abs(prefactor))
-        gates = _assemble(ansatz, insertions, tail, anc)
+        gates = _assemble(ansatz, insertions, tail, final)
         circ = HadamardTestCircuit(gates, phase, anc, n, ansatz.reference_state)
         jobs.append(HadamardJob(circ, weight, destination))
 
-    descs = ansatz.descriptors
     for i, di in enumerate(descs):
         for j in range(i, len(descs)):
-            dj = descs[j]
             ins: dict[int, list[Gate]] = {}
-            ins.setdefault(di.insertion_point, []).extend(
-                _anti_controlled(anc, di.sigma))
-            ins.setdefault(dj.insertion_point, []).extend(
-                _controlled(anc, dj.sigma))
+            ins.setdefault(di.insertion_point, []).extend(anti[i])
+            ins.setdefault(descs[j].insertion_point, []).extend(ctrl[j])
             make(ins, [], np.conj(p) * p, ("A", i, j))
     for i, di in enumerate(descs):
-        for h_l, sig_l in h.terms:
-            ins = {di.insertion_point: _anti_controlled(anc, di.sigma)}
-            make(ins, _controlled(anc, sig_l), -np.conj(p) * h_l, ("B", i))
+        for (h_l, _), tail in zip(h.terms, tails):
+            make({di.insertion_point: anti[i]}, tail, -np.conj(p) * h_l, ("B", i))
     return jobs
 
 
 def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
-                     rng=None) -> float:
-    """Run one test circuit and return the ancilla Z expectation."""
-    init = StateVector(
-        np.kron(circuit.system_reference.amplitudes, ancilla_state(circuit.ancilla_phase))
-    )
-    final = run_circuit(init, circuit.gates)
+                     rng=None, memo: dict | None = None) -> float:
+    """Run one test circuit and return the ancilla Z expectation.
+
+    `memo`, shared by the circuits of one compute_sampled call, keeps per
+    ancilla phase the reference state, the gates of the last circuit run
+    and the state after each; a circuit on the same reference resumes
+    from the longest gate prefix it shares with them, compared by identity.
+    """
+    memo = {} if memo is None else memo
+    ref = circuit.system_reference
+    start, done, states = memo.get(circuit.ancilla_phase, (None, (), None))
+    if start is not ref:
+        init = StateVector(np.kron(ref.amplitudes, ancilla_state(circuit.ancilla_phase)))
+        done, states = (), [init.amplitudes.reshape((2,) * init.n_qubits)]
+    gates, k = circuit.gates, 0
+    while k < min(len(done), len(gates)) and done[k] is gates[k]:
+        k += 1
+    check_qubits(gates[k:], states[0].ndim)
+    states = states[:k + 1]
+    for g in gates[k:]:
+        states.append(simulator.apply_gate(states[-1], g))
+    memo[circuit.ancilla_phase] = (ref, gates, states)
+    final = StateVector(states[-1].reshape(-1))
     return measure_z_expectation(final, circuit.measured_qubit, shots=shots, rng=rng)
 
 
@@ -199,7 +223,9 @@ def compute_sampled(ansatz: AnsatzCircuit, h: PauliHamiltonian,
         raise ValueError("shots must be >= 1 (or None for exact mode)")
     jobs = build_hadamard_circuits(ansatz, h)
     rng = np.random.default_rng(seed) if shots is not None else None
-    values = [evaluate_circuit(job.circuit, shots=shots, rng=rng) for job in jobs]
+    memo: dict = {}
+    values = [evaluate_circuit(job.circuit, shots=shots, rng=rng, memo=memo)
+              for job in jobs]
     return assemble_system(jobs, values, ansatz.n_parameters, "hadamard", shots)
 
 

@@ -158,15 +158,20 @@ def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
     return t
 
 
+def check_qubits(gates, n: int) -> None:
+    """Raise ValueError unless every gate acts on qubits 0..n-1."""
+    for g in gates:
+        if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
+            raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
+                             f"outside 0..{n - 1}")
+
+
 def run_circuit(initial: StateVector, gates) -> StateVector:
     """Apply gates left to right in list order; norm is preserved by
     construction and checked once, on the final state."""
     n = initial.n_qubits
     gates = tuple(gates)
-    for g in gates:
-        if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
-            raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
-                             f"outside 0..{n - 1}")
+    check_qubits(gates, n)
     t = initial.amplitudes.reshape((2,) * n)
     for g in gates:
         t = apply_gate(t, g)
@@ -200,15 +205,3 @@ def measure_z_expectation(state: StateVector, qubit: int, shots: int | None = No
     p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
     count = rng.binomial(shots, p)
     return 2.0 * count / shots - 1.0
-
-
-def apply_readout_error(p_truth: float, f_g: float, f_e: float) -> float:
-    """Probability of reading ground given true ground probability p_truth.
-
-    f_g and f_e are the ground/excited readout fidelities; the optional
-    noise-study mode is the only caller.
-    """
-    if not (0.0 <= f_g <= 1.0 and 0.0 <= f_e <= 1.0):
-        raise ValueError("readout fidelities must lie in [0, 1]")
-    return f_g * p_truth + (1.0 - f_e) * (1.0 - p_truth)
-

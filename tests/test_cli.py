@@ -1,8 +1,11 @@
 """CLI surface: manifests, outputs, determinism, exit codes."""
 
+import warnings
+
 import pytest
 
-from vqite import build_ucc_lih, run_qite
+from vqite import (MoleculeTable, build_ucc_lih, load_lih_table, run_qite,
+                   serialize_table)
 from vqite.cli import (ManifestError, RunManifest, discontinuity_rs,
                        emit_outputs, main, run_scan)
 from vqite.engine import QiteConfig
@@ -115,6 +118,41 @@ def test_main_repeated_r_exit_two(tmp_path, capsys):
     assert "manifest error: bond distances given more than once: [1.5]" in \
         capsys.readouterr().err
     assert not (tmp_path / "d" / "curve.csv").exists()
+
+
+def test_main_shared_seed_key_exit_two(tmp_path, capsys):
+    lih = load_lih_table()
+    rows = tuple((r, dict(lih.rows)[1.0]) for r in (1.0001, 1.0004))
+    table = tmp_path / "close.csv"
+    table.write_text(serialize_table(MoleculeTable("", 3, lih.pauli_labels, rows)))
+    rc = main(["scan", "--table", str(table), "--ansatz", "ucc-lih",
+               "--r", "all", "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "share one seed stream" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "curve.csv").exists()
+
+
+def test_non_monotone_flag_exact_route_only(tmp_path, capsys):
+    with pytest.warns(UserWarning, match="energy rose"):
+        rc = main(["point", "--table", "lih", "--ansatz", "ucc-lih", "--r", "1.5",
+                   "--dtau", "5", "--out", str(tmp_path / "exact")])
+    assert rc == 0
+    assert (tmp_path / "exact" / "curve.csv").read_text().splitlines()[1] \
+        .endswith(",non-monotone")
+    assert "flags=non-monotone" in capsys.readouterr().out
+    points, trajectories, _ = run_scan(manifest(route="hadamard", shots=1000,
+                                                seed=7, r_selection=(1.5,)))
+    assert trajectories[1.5].monotonicity_violations
+    assert "non-monotone" not in points[0].flags
+
+
+@pytest.mark.parametrize("r, flagged", [("0.5", True), ("1.5", False)])
+def test_main_excited_non_monotone_line(r, flagged, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["excited", "--table", "lih", "--r", r]) == 0
+    assert ("flags = non-monotone" in capsys.readouterr().out) is flagged
+    assert any("energy rose" in str(w.message) for w in caught) is flagged
 
 
 def test_main_point_requires_single_r(capsys):

@@ -6,7 +6,9 @@ import pytest
 from vqite import (build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    build_hadamard_circuits, cmf_reduce, compute_exact,
                    compute_sampled, solve_update)
-from vqite.mclachlan import McLachlanSystem, ancilla_state, evaluate_circuit
+from vqite.mclachlan import (McLachlanSystem, ancilla_state, assemble_system,
+                             evaluate_circuit)
+from vqite.simulator import StateVector, measure_z_expectation, run_circuit
 
 
 def fd_system(builder, theta, h, eps=1e-5):
@@ -146,6 +148,43 @@ def test_sampled_he_within_pooled_errors(lih_r15):
     dev_b = np.abs(sampled.b_vector - exact.b_vector)
     assert np.all(dev_a <= 5.0 * se_a + 1e-15)
     assert np.all(dev_b <= 5.0 * se_b + 1e-15)
+
+
+def scratch_z(circuit, shots=None, rng=None):
+    """Ancilla <Z> of one test circuit run from its reference state."""
+    init = StateVector(np.kron(circuit.system_reference.amplitudes,
+                               ancilla_state(circuit.ancilla_phase)))
+    final = run_circuit(init, circuit.gates)
+    return measure_z_expectation(final, circuit.measured_qubit, shots=shots, rng=rng)
+
+
+def memo_cases(lih_r15, h2_r07, rng):
+    h_eff = cmf_reduce(lih_r15).h_eff
+    return [
+        (build_ucc_h2(rng.uniform(-np.pi, np.pi, 1)), h2_r07),
+        (build_ucc_lih(rng.uniform(-np.pi, np.pi, 2)), lih_r15),
+        (build_hardware_efficient(rng.uniform(-np.pi, np.pi, 6)), h_eff),
+    ]
+
+
+def test_prefix_memo_bitwise_equals_scratch(lih_r15, h2_r07, rng):
+    memo = {}  # shared across ansatzes: a new reference state starts afresh
+    for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
+        for job in build_hadamard_circuits(ansatz, h):
+            z = evaluate_circuit(job.circuit, memo=memo)
+            assert z == evaluate_circuit(job.circuit) == scratch_z(job.circuit)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampled_bitwise_equals_scratch_loop(lih_r15, h2_r07, rng, seed):
+    for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
+        sampled = compute_sampled(ansatz, h, shots=1000, seed=seed)
+        draws = np.random.default_rng(seed)
+        jobs = build_hadamard_circuits(ansatz, h)
+        values = [scratch_z(job.circuit, 1000, draws) for job in jobs]
+        ref = assemble_system(jobs, values, ansatz.n_parameters, "hadamard", 1000)
+        assert np.array_equal(sampled.a_matrix, ref.a_matrix)
+        assert np.array_equal(sampled.b_vector, ref.b_vector)
 
 
 def test_sampled_reproducible(h2_r07):

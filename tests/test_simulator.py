@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import circuit_unitary, embed, gate_unitary, random_state
-from vqite import (DensityMatrix, StateVector, apply_readout_error, basis_state,
-                   measure_z_expectation, run_circuit)
+from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectation,
+                   run_circuit)
 from vqite.pauli import PAULI_MATRICES
 from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
                              x, y, z)
@@ -132,14 +132,6 @@ def test_measure_z_rejects_bad_shots():
         measure_z_expectation(basis_state("0"), 0, shots=0, rng=1)
     with pytest.raises(ValueError):
         measure_z_expectation(basis_state("0"), 0, shots=10)
-
-
-def test_readout_error_map():
-    assert apply_readout_error(0.3, 1.0, 1.0) == pytest.approx(0.3)
-    assert apply_readout_error(1.0, 0.979, 0.932) == pytest.approx(0.979)
-    assert apply_readout_error(0.0, 0.979, 0.932) == pytest.approx(0.068)
-    with pytest.raises(ValueError):
-        apply_readout_error(0.5, 1.2, 0.9)
 
 
 def test_density_matrix_validation(rng):
