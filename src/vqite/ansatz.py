@@ -13,6 +13,10 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
+A circuit runs its gates once, on first use, keeping the read-only tensor
+after each; state() is the last one, and a derivative applies sigma_n to
+the one at its insertion point and runs only the gates after it.
+
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
 exp(-i Y0 X1 theta/2); on the Hartree-Fock reference orbit this is the
@@ -25,12 +29,13 @@ matrix-exponential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .pauli import PauliString
-from .simulator import (Gate, StateVector, basis_state, cnot, run_circuit,
-                        rx, ry, rz)
+from .simulator import (Gate, StateVector, apply_gate, basis_state,
+                        check_qubits, cnot, run_circuit, rx, ry, rz)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
@@ -70,14 +75,26 @@ class AnsatzCircuit:
     def n_parameters(self) -> int:
         return self.parameters.size
 
+    @cached_property
+    def _forward(self) -> tuple[np.ndarray, ...]:
+        """Read-only amplitudes before and after each gate; the last is flat."""
+        n = self.reference_state.n_qubits
+        check_qubits(self.gates, n)
+        tensors = [self.reference_state.amplitudes.reshape((2,) * n)]
+        for g in self.gates:
+            tensors.append(apply_gate(tensors[-1], g))
+        tensors[-1] = tensors[-1].reshape(-1)
+        for t in tensors:
+            t.flags.writeable = False
+        return tuple(tensors)
+
     def state(self) -> StateVector:
-        return run_circuit(self.reference_state, self.gates)
+        return StateVector(self._forward[-1])
 
     def derivative_state(self, i: int) -> np.ndarray:
         """d|psi>/d theta_i as raw amplitudes (not normalized)."""
         desc = self.descriptors[i]
-        s = run_circuit(self.reference_state, self.gates[: desc.insertion_point])
-        s = StateVector(desc.sigma.apply(s.amplitudes))
+        s = StateVector(desc.sigma.apply(self._forward[desc.insertion_point]))
         s = run_circuit(s, self.gates[desc.insertion_point:])
         return DERIVATIVE_PREFACTOR * s.amplitudes
 

@@ -12,11 +12,18 @@ Conventions used throughout the package:
 Every cross-module identity (Hartree-Fock energies, reduced-Hamiltonian
 traces, isometry back-maps) relies on this single ordering convention, so
 it is defined here and nowhere else.
+
+A string is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
+memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
+j ^ xmask, xmask marking the X and Y letters.  Products by it are exact, so
+one gather and one multiply give the values of the Kronecker product.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -29,6 +36,8 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+ROW_PHASES = {"I": (1, 1), "X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
+
 DENSE_QUBIT_CAP = 12
 COEFF_DROP_TOL = 1e-14
 HERMITIAN_TOL = 1e-9
@@ -38,9 +47,14 @@ class DimensionCapError(ValueError):
     """Raised when a dense realization would exceed the qubit cap."""
 
 
-def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    """2x2 matrix m applied to axis q of an amplitude tensor of shape (2,)*n."""
-    return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
+@functools.lru_cache(maxsize=1024)
+def _signed_permutation(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (src, phase): row j of the matrix holds phase[j] at src[j]."""
+    xmask = int("".join("1" if c in "XY" else "0" for c in letters), 2)
+    src = np.arange(2 ** len(letters)) ^ xmask
+    phase = functools.reduce(np.kron, map(ROW_PHASES.get, letters), np.ones(1, complex))
+    src.flags.writeable = phase.flags.writeable = False
+    return src, phase
 
 
 def _check_dense_cap(n_qubits: int) -> None:
@@ -75,18 +89,15 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n realization under the fixed qubit ordering."""
         _check_dense_cap(self.n_qubits)
-        out = np.array([[1.0 + 0j]])
-        for c in self.letters:
-            out = np.kron(out, PAULI_MATRICES[c])
+        src, phase = _signed_permutation(self.letters)
+        out = np.zeros((src.size, src.size), dtype=complex)
+        out[np.arange(src.size), src] = phase
         return out
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply the string to a statevector without building the matrix."""
-        psi = np.asarray(amplitudes, dtype=complex).reshape((2,) * self.n_qubits)
-        for q, c in enumerate(self.letters):
-            if c != "I":
-                psi = apply_on_axis(psi, PAULI_MATRICES[c], q)
-        return psi.reshape(-1)
+        src, phase = _signed_permutation(self.letters)
+        return phase * np.asarray(amplitudes, dtype=complex).reshape(src.shape)[src]
 
     def __str__(self) -> str:
         return self.letters
@@ -114,6 +125,8 @@ class PauliHamiltonian:
                 raise ValueError(
                     f"term '{ps}' has {ps.n_qubits} qubits, expected {n}"
                 )
+            if not np.isfinite(coeff):
+                raise ValueError(f"term '{ps}' has non-finite coefficient {coeff}")
             merged[ps.letters] = merged.get(ps.letters, 0.0) + float(coeff)
         canon = tuple(
             (c, PauliString(s))
@@ -226,12 +239,7 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     k = dim.bit_length() - 1
     _check_dense_cap(k)
     pairs = []
-    for idx in range(4 ** k):
-        letters = ""
-        rem = idx
-        for _ in range(k):
-            letters = PAULI_LETTERS[rem % 4] + letters
-            rem //= 4
+    for letters in map("".join, product(PAULI_LETTERS, repeat=k)):
         coeff = complex(np.trace(PauliString(letters).matrix() @ m)) / dim
         pairs.append((coeff.real, letters))
     return PauliHamiltonian.from_pairs(pairs, n_qubits=k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliString, apply_on_axis
+from .pauli import PAULI_MATRICES, PauliString
 
 NORM_TOL = 1e-10
 
@@ -145,6 +145,11 @@ def controlled_pauli(control: int, targets, letters: str) -> list[Gate]:
     PauliString(letters)  # validates the alphabet
     return [Gate(PAULI_MATRICES[c], q, control)
             for q, c in zip(targets, letters) if c != "I"]
+
+
+def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """2x2 matrix m applied to axis q of an amplitude tensor of shape (2,)*n."""
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
 
 
 def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:

@@ -5,7 +5,7 @@ line is the header; its first column is literally `R`, the remaining
 columns are Pauli labels.  Each following line holds a bond distance in
 Angstrom and one coefficient per label, in Hartree.  Lines starting with
 `#` are comments; `# molecule: NAME` names the table.  R values must be
-strictly increasing.
+strictly increasing, labels distinct and every cell finite.
 
 Two tables ship with the package:
 
@@ -19,6 +19,7 @@ Two tables ship with the package:
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -85,6 +86,8 @@ def parse_table(source, molecule_name: str = "") -> MoleculeTable:
                     raise TableFormatError(
                         lineno, f"column {col}: label '{label}' length differs"
                     )
+                if label in cells[1:col - 1]:
+                    raise TableFormatError(lineno, f"column {col}: label '{label}' repeated")
             labels = tuple(cells[1:])
             continue
         cells = [c.strip() for c in line.split(delimiter)]
@@ -96,6 +99,8 @@ def parse_table(source, molecule_name: str = "") -> MoleculeTable:
             values = [float(c) for c in cells]
         except ValueError:
             raise TableFormatError(lineno, f"non-numeric cell in {cells!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise TableFormatError(lineno, f"non-finite cell in {cells!r}")
         r = values[0]
         if rows and r <= rows[-1][0]:
             raise TableFormatError(

@@ -44,6 +44,15 @@ def random_hamiltonian_pairs(rng, n_qubits, n_terms):
     return pairs
 
 
+PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+         "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1.0, -1.0])}
+
+
+def pauli_kron(word):
+    """Dense matrix of a Pauli word: Kronecker product, letter 0 outermost."""
+    return embed({q: PAULI[c] for q, c in enumerate(word)}, len(word))
+
+
 def embed(ops, n_qubits):
     """Kronecker product with ops[q] on qubit q and identity elsewhere."""
     out = np.array([[1.0 + 0j]])

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import circuit_unitary
-from vqite import (PauliHamiltonian, basis_state, build_hardware_efficient,
-                   build_ucc_h2, build_ucc_lih, run_circuit, to_dense_matrix)
+from conftest import circuit_unitary, pauli_kron
+from vqite import (PauliHamiltonian, StateVector, basis_state,
+                   build_hardware_efficient, build_ucc_h2, build_ucc_lih,
+                   run_circuit, to_dense_matrix)
+from vqite.ansatz import DERIVATIVE_PREFACTOR
 from vqite.simulator import cnot, rx, rz
 
 
@@ -170,3 +172,24 @@ def test_builder_purity(builder, size, rng):
     assert same_gates(first.gates, again.gates)
     assert np.array_equal(first.parameters, again.parameters)
     assert first.descriptors == again.descriptors
+
+
+@pytest.mark.parametrize("builder,size", [
+    (build_ucc_h2, 1), (build_ucc_lih, 2), (build_hardware_efficient, 6),
+])
+def test_forward_pass_bitwise_equals_scratch(builder, size, rng):
+    """state() and each derivative equal a from-scratch run with the
+    Kronecker sigma inserted: prefix, sigma, suffix."""
+    for _ in range(3):
+        a = builder(rng.uniform(-np.pi, np.pi, size=size))
+        psi = a.state()
+        for i, desc in enumerate(a.descriptors):
+            k = desc.insertion_point
+            s = run_circuit(a.reference_state, a.gates[:k]).amplitudes
+            s = run_circuit(StateVector(pauli_kron(desc.sigma.letters) @ s), a.gates[k:])
+            assert np.array_equal(a.derivative_state(i), DERIVATIVE_PREFACTOR * s.amplitudes)
+        scratch = run_circuit(a.reference_state, a.gates).amplitudes
+        assert np.array_equal(psi.amplitudes, scratch)
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 0.0
+        assert np.array_equal(a.state().amplitudes, scratch)

@@ -184,9 +184,13 @@ def test_main_validate(tmp_path, capsys):
     assert rc == 0
     assert "rows: 50" in capsys.readouterr().out
     bad = tmp_path / "bad.csv"
-    bad.write_text("R,Q\n0.5,1.0\n")
-    rc = main(["validate", "--table", str(bad)])
-    assert rc == 2
+    for text in ("R,Q\n0.5,1.0\n", "R,ZI,IZ\n0.5,1.0,2.0\nnan,nan,inf\n",
+                 "R,ZI,ZI\n0.5,1.0,2.0\n"):
+        bad.write_text(text)
+        rc = main(["validate", "--table", str(bad)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid table: line" in captured.err
 
 
 def test_per_point_error_sets_flag_and_exit(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,15 @@
 """Pauli string and Hamiltonian algebra against dense oracles."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from conftest import random_hamiltonian_pairs, random_state
-from vqite import (PauliHamiltonian, StateVector, basis_state, expectation,
-                   pauli_decompose, to_dense_matrix, weighted_partial_trace)
-from vqite.pauli import DimensionCapError
+from conftest import pauli_kron, random_hamiltonian_pairs, random_state
+from vqite import (PauliHamiltonian, PauliString, StateVector, basis_state,
+                   expectation, pauli_decompose, to_dense_matrix,
+                   weighted_partial_trace)
+from vqite.pauli import DimensionCapError, _signed_permutation
 from vqite.simulator import DensityMatrix
 
 
@@ -39,6 +42,25 @@ def test_dimension_cap():
     h = PauliHamiltonian.from_pairs([(1.0, "I" * 13)])
     with pytest.raises(DimensionCapError):
         to_dense_matrix(h)
+
+
+def test_every_word_up_to_four_qubits_matches_kronecker(rng):
+    for n in range(1, 5):
+        psi = random_state(rng, n)
+        for word in map("".join, product("IXYZ", repeat=n)):
+            ps, oracle = PauliString(word), pauli_kron(word)
+            assert np.array_equal(ps.matrix(), oracle), word
+            assert np.array_equal(ps.apply(psi), oracle @ psi), word
+
+
+def test_memoized_permutation_is_read_only():
+    src, phase = _signed_permutation("XYZI")
+    assert _signed_permutation("XYZI")[0] is src
+    with pytest.raises(ValueError):
+        src[0] = 1
+    with pytest.raises(ValueError):
+        phase[0] = 1.0
+    assert np.array_equal(PauliString("XYZI").matrix(), pauli_kron("XYZI"))
 
 
 def test_expectation_z_eigenstate():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import circuit_unitary, embed
+from conftest import circuit_unitary, embed, pauli_kron
 from vqite import (PauliHamiltonian, PauliString, StateVector, pauli_decompose,
                    run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES
@@ -34,9 +34,12 @@ def hamiltonians(draw, n_qubits):
 @PROPERTY
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(words(n), vectors(n))))
 def test_string_apply_matches_matrix(case):
+    # Every entry is an amplitude times 0, +-1 or +-i, so equality is exact.
     word, psi = case
     ps = PauliString(word)
-    assert np.max(np.abs(ps.apply(psi) - ps.matrix() @ psi)) < 1e-12
+    oracle = pauli_kron(word)
+    assert np.array_equal(ps.matrix(), oracle)
+    assert np.array_equal(ps.apply(psi), oracle @ psi)
 
 
 @PROPERTY

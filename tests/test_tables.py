@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from vqite import (exact_spectrum, gershgorin_emax, hamiltonian_at,
-                   parse_table, serialize_table, to_dense_matrix)
+from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax,
+                   hamiltonian_at, parse_table, serialize_table, to_dense_matrix)
 from vqite.tables import TableFormatError
 
 
@@ -61,6 +61,24 @@ def test_parse_reports_non_numeric():
 def test_parse_reports_non_increasing_r():
     with pytest.raises(TableFormatError, match="line 3"):
         parse_table("R,Z\n0.5,1.0\n0.5,2.0\n")
+
+
+@pytest.mark.parametrize("row", ["0.7,1.0,nan", "0.7,inf,1.0", "0.7,1.0,-inf",
+                                 "nan,1.0,2.0"])
+def test_parse_reports_non_finite_cell(row):
+    with pytest.raises(TableFormatError, match="line 3: non-finite cell"):
+        parse_table(f"R,ZI,IZ\n0.5,1.0,2.0\n{row}\n")
+
+
+def test_parse_reports_repeated_label():
+    with pytest.raises(TableFormatError, match="line 1: column 3: label 'ZI' repeated"):
+        parse_table("R,ZI,ZI\n0.5,1.0,2.0\n")
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+def test_hamiltonian_rejects_non_finite_coefficient(coeff):
+    with pytest.raises(ValueError, match="'IZ' has non-finite coefficient"):
+        PauliHamiltonian.from_pairs([(1.0, "ZI"), (coeff, "IZ")])
 
 
 def test_parse_requires_r_header():
