@@ -13,9 +13,11 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
-A circuit runs its gates once, on first use, keeping the read-only tensor
-after each; state() is the last one, and a derivative applies sigma_n to
-the one at its insertion point and runs only the gates after it.
+A circuit runs its gates once, on first use, through
+simulator.run_gates, keeping the read-only tensor after each; state() is
+the last one, and a derivative applies sigma_n to the one at its
+insertion point and runs only the gates after it.  Insertion points are
+non-decreasing, so the Hadamard-test circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -34,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import PauliString
-from .simulator import (Gate, StateVector, apply_gate, basis_state,
-                        check_qubits, cnot, run_circuit, rx, ry, rz)
+from .simulator import (Gate, StateVector, basis_state, cnot, run_circuit,
+                        run_gates, rx, ry, rz)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
@@ -70,6 +72,9 @@ class AnsatzCircuit:
         )
         if len(self.descriptors) != self.parameters.size:
             raise ValueError("one derivative descriptor per parameter required")
+        points = [0, *(d.insertion_point for d in self.descriptors), len(self.gates)]
+        if points != sorted(points):
+            raise ValueError(f"insertion points not in order within 0..{len(self.gates)}")
 
     @property
     def n_parameters(self) -> int:
@@ -78,11 +83,8 @@ class AnsatzCircuit:
     @cached_property
     def _forward(self) -> tuple[np.ndarray, ...]:
         """Read-only amplitudes before and after each gate; the last is flat."""
-        n = self.reference_state.n_qubits
-        check_qubits(self.gates, n)
-        tensors = [self.reference_state.amplitudes.reshape((2,) * n)]
-        for g in self.gates:
-            tensors.append(apply_gate(tensors[-1], g))
+        ref = self.reference_state
+        tensors = run_gates([ref.amplitudes.reshape((2,) * ref.n_qubits)], self.gates)
         tensors[-1] = tensors[-1].reshape(-1)
         for t in tensors:
             t.flags.writeable = False

@@ -127,7 +127,7 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
     if manifest.ansatz == "he" and table.n_qubits not in (2, 3):
         raise ManifestError("the he ansatz needs a 2- or 3-qubit table")
     theta0 = manifest.resolved_theta0()
-    expected = {"ucc-h2": 1, "ucc-lih": 2, "he": 6}[manifest.ansatz]
+    expected = len(DEFAULT_THETA0[manifest.ansatz])
     if len(theta0) != expected:
         raise ManifestError(
             f"theta0 needs {expected} values for {manifest.ansatz}, got {len(theta0)}"
@@ -337,21 +337,29 @@ def _parse_theta0(text: str | None):
     if text is None:
         return None
     try:
-        return tuple(float(v) for v in text.split(","))
+        theta0 = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ManifestError(f"bad --theta0 value '{text}'") from None
+    if not np.all(np.isfinite(theta0)):
+        raise ManifestError(f"--theta0 values must be finite, got '{text}'")
+    return theta0
+
+
+def _parse_dtau(text: str):
+    if text == "auto":
+        return text
+    try:
+        dtau = float(text)
+    except ValueError:
+        raise ManifestError(f"bad --dtau value '{text}'") from None
+    if not 0 < dtau < np.inf:  # NaN fails too
+        raise ManifestError("--dtau must be positive and finite")
+    return dtau
 
 
 def _manifest_from_args(args) -> RunManifest:
     route, shots = _parse_route(args.route)
-    dtau = args.dtau
-    if dtau != "auto":
-        try:
-            dtau = float(dtau)
-        except ValueError:
-            raise ManifestError(f"bad --dtau value '{args.dtau}'") from None
-        if dtau <= 0:
-            raise ManifestError("--dtau must be positive")
+    dtau = _parse_dtau(args.dtau)
     return RunManifest(
         table=args.table,
         ansatz=args.ansatz,
@@ -418,6 +426,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_excited(args) -> int:
+    dtau = _parse_dtau(args.dtau)
     table = load_manifest_table(RunManifest(table=args.table))
     h = hamiltonian_at(table, args.r)
     if table.n_qubits == 3:
@@ -435,10 +444,8 @@ def _cmd_excited(args) -> int:
     # imaginary time fixed; the lifted spectrum is denser than the original
     # one, so the step size stays at the published 4-iteration rule while
     # --iters extends the total evolution time.
-    if args.dtau == "auto":
+    if dtau == "auto":
         dtau = resolve_dtau(QiteConfig((0.0,), iterations=4), h)
-    else:
-        dtau = float(args.dtau)
     config = QiteConfig(
         initial_theta=DEFAULT_THETA0["he"],
         iterations=args.iters,

@@ -121,8 +121,8 @@ def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
         h_z = average_z_coefficient(h_for_rule)
         return DEFAULT_DTAU_C / (abs(h_z) * config.iterations)
     value = float(config.dtau)
-    if value <= 0:
-        raise ValueError("fixed dtau must be positive")
+    if not 0 < value < np.inf:  # NaN fails too
+        raise ValueError("fixed dtau must be positive and finite")
     return value
 
 
@@ -134,11 +134,9 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     CMF-reduced one when a reduction is active); `energy_map` carries the
     reduction and original Hamiltonian used for reporting.  The final
     record holds no A/B (nothing is estimated after the last update).
+    The builder raises ValueError if initial_theta has the wrong length.
     """
     h_report = energy_map.h_original if energy_map is not None else h_system
-    probe = ansatz_builder(np.asarray(config.initial_theta))
-    if len(config.initial_theta) != probe.n_parameters:
-        raise ValueError("initial_theta length does not match the ansatz")
     dtau = resolve_dtau(config, h_report)
     spectrum = exact_spectrum(h_report)
     degenerate = spectrum.ground_degenerate
@@ -207,10 +205,8 @@ class ScanPoint:
 
 def theta_scan(h: PauliHamiltonian, ansatz_builder, theta_grid,
                config: QiteConfig, energy_map: EnergyMap | None = None) -> list[ScanPoint]:
-    """run_qite over a grid of initial angles for a one-parameter ansatz."""
-    probe = ansatz_builder(np.zeros(1))
-    if probe.n_parameters != 1:
-        raise ValueError("theta_scan is defined for one-parameter ansatzes")
+    """run_qite over a grid of initial angles for a one-parameter ansatz;
+    the builder raises ValueError on any other."""
     points = []
     for theta0 in theta_grid:
         traj = run_qite(h, ansatz_builder,

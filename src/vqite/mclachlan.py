@@ -11,12 +11,13 @@ Hadamard route expands the same sums into one ancilla test circuit per
 A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
 (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
 of the summand, and the ancilla Z expectation then yields the summand's
-real part.  Each circuit resumes from the longest gate prefix it shares
-with the last one run from the same ancilla phase; its states come from
-the same gate applications on the same arrays, so every expectation and
-binomial draw is bitwise that of a run from scratch.  Evaluated without
-sampling, the two routes agree to machine precision; with shots they
-agree statistically.
+real part.  A test circuit is three slices of the ansatz gate tuple
+with controlled Pauli gates between them.  simulator.run_gates resumes
+each from the longest gate prefix it shares with the last one run from
+the same ancilla phase; its states come from the same gate applications
+on the same arrays, so every expectation and binomial draw is bitwise
+that of a run from scratch.  Evaluated without sampling, the two routes
+agree to machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simulator
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from .pauli import PauliHamiltonian, PauliString
-from .simulator import (Gate, StateVector, check_qubits, controlled_pauli,
-                        hadamard, measure_z_expectation, x)
+from .simulator import (Gate, StateVector, controlled_pauli, hadamard,
+                        measure_z_expectation, run_gates, x)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
@@ -96,73 +96,46 @@ def compute_exact(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> McLachlanSystem
     return McLachlanSystem(a, b, route="exact")
 
 
-def _anti_controlled(ancilla: int, sigma: PauliString) -> list[Gate]:
-    """sigma applied on the ancilla-|0> branch: X . c-sigma . X."""
-    gates = [x(ancilla)]
-    gates += _controlled(ancilla, sigma)
-    gates.append(x(ancilla))
-    return gates
-
-
-def _controlled(ancilla: int, sigma: PauliString) -> list[Gate]:
-    return controlled_pauli(ancilla, range(sigma.n_qubits), sigma.letters)
-
-
-def _assemble(ansatz: AnsatzCircuit, insertions: dict[int, list[Gate]],
-              tail: list[Gate], final: Gate) -> tuple[Gate, ...]:
-    gates: list[Gate] = []
-    for pos, g in enumerate(ansatz.gates):
-        if pos in insertions:
-            gates += insertions[pos]
-        gates.append(g)
-    end = len(ansatz.gates)
-    if end in insertions:
-        gates += insertions[end]
-    gates += tail
-    gates.append(final)
-    return tuple(gates)
-
-
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
-    """One weighted test circuit per A/B summand.
+    """One weighted test circuit per A/B summand, cut from the ansatz
+    gates g at the insertion points p_i.
 
-    For A(i, j), i <= j: descriptor i's sigma is inserted anti-controlled
-    at its insertion point, descriptor j's sigma controlled at its own;
-    the ancilla phase absorbs conj(p) p.  For B(i): the bra-side sigma as
-    above, the Hamiltonian string controlled after the full circuit,
-    phase absorbing -conj(p) h_l.  Here p is DERIVATIVE_PREFACTOR.
-    Each inserted gate list is built once and shared by every circuit
-    that contains it, so circuits compare by gate identity.
+    A(i, j), i <= j: g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:] + H,
+    with ctrl_i the sigma of descriptor i controlled on the ancilla and
+    anti_i = X ctrl_i X its anti-controlled form; the ancilla phase
+    absorbs conj(p) p.  B(i, l): g[:p_i] + anti_i + g[p_i:] + tail_l + H,
+    tail_l the l-th Hamiltonian string controlled, phase absorbing
+    -conj(p) h_l.  Here p is DERIVATIVE_PREFACTOR.  Each inserted gate
+    list is built once and shared by every circuit that contains it, so
+    circuits compare by gate identity.
     """
     if h.n_qubits != ansatz.n_system_qubits:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
     anc = ansatz.n_system_qubits
     n = anc + 1
     p = DERIVATIVE_PREFACTOR
-    jobs: list[HadamardJob] = []
-    descs = ansatz.descriptors
-    anti = [_anti_controlled(anc, d.sigma) for d in descs]
-    ctrl = [_controlled(anc, d.sigma) for d in descs]
-    tails = [_controlled(anc, sig_l) for _, sig_l in h.terms]
-    final = hadamard(anc)
+    g = tuple(ansatz.gates)
+    pts = [d.insertion_point for d in ansatz.descriptors]
 
-    def make(insertions, tail, prefactor, destination):
-        phase = float(np.angle(prefactor))
-        weight = float(abs(prefactor))
-        gates = _assemble(ansatz, insertions, tail, final)
-        circ = HadamardTestCircuit(gates, phase, anc, n, ansatz.reference_state)
-        jobs.append(HadamardJob(circ, weight, destination))
+    def controlled(sigma: PauliString) -> tuple[Gate, ...]:
+        return tuple(controlled_pauli(anc, range(sigma.n_qubits), sigma.letters))
 
-    for i, di in enumerate(descs):
-        for j in range(i, len(descs)):
-            ins: dict[int, list[Gate]] = {}
-            ins.setdefault(di.insertion_point, []).extend(anti[i])
-            ins.setdefault(descs[j].insertion_point, []).extend(ctrl[j])
-            make(ins, [], np.conj(p) * p, ("A", i, j))
-    for i, di in enumerate(descs):
-        for (h_l, _), tail in zip(h.terms, tails):
-            make({di.insertion_point: anti[i]}, tail, -np.conj(p) * h_l, ("B", i))
+    ctrl = [controlled(d.sigma) for d in ansatz.descriptors]
+    anti = [(x(anc), *c, x(anc)) for c in ctrl]
+    tails = [controlled(sig_l) for _, sig_l in h.terms]
+    final = (hadamard(anc),)
+
+    def job(gates, prefactor, destination):
+        circ = HadamardTestCircuit(gates, float(np.angle(prefactor)), anc, n,
+                                   ansatz.reference_state)
+        return HadamardJob(circ, float(abs(prefactor)), destination)
+
+    jobs = [job(g[:pi] + anti[i] + g[pi:pj] + ctrl[j] + g[pj:] + final,
+                np.conj(p) * p, ("A", i, j))
+            for i, pi in enumerate(pts) for j, pj in enumerate(pts) if j >= i]
+    jobs += [job(g[:pi] + anti[i] + g[pi:] + tail + final, -np.conj(p) * h_l, ("B", i))
+             for i, pi in enumerate(pts) for (h_l, _), tail in zip(h.terms, tails)]
     return jobs
 
 
@@ -173,7 +146,7 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
     `memo`, shared by the circuits of one compute_sampled call, keeps per
     ancilla phase the reference state, the gates of the last circuit run
     and the state after each; a circuit on the same reference resumes
-    from the longest gate prefix it shares with them, compared by identity.
+    from the longest gate prefix it shares with them (run_gates).
     """
     memo = {} if memo is None else memo
     ref = circuit.system_reference
@@ -181,14 +154,8 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
     if start is not ref:
         init = StateVector(np.kron(ref.amplitudes, ancilla_state(circuit.ancilla_phase)))
         done, states = (), [init.amplitudes.reshape((2,) * init.n_qubits)]
-    gates, k = circuit.gates, 0
-    while k < min(len(done), len(gates)) and done[k] is gates[k]:
-        k += 1
-    check_qubits(gates[k:], states[0].ndim)
-    states = states[:k + 1]
-    for g in gates[k:]:
-        states.append(simulator.apply_gate(states[-1], g))
-    memo[circuit.ancilla_phase] = (ref, gates, states)
+    states = run_gates(states, circuit.gates, done)
+    memo[circuit.ancilla_phase] = (ref, circuit.gates, states)
     final = StateVector(states[-1].reshape(-1))
     return measure_z_expectation(final, circuit.measured_qubit, shots=shots, rng=rng)
 

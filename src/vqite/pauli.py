@@ -152,11 +152,6 @@ class PauliHamiltonian:
                 return c
         return 0.0
 
-    def scaled(self, factor: float) -> "PauliHamiltonian":
-        return PauliHamiltonian(
-            tuple((factor * c, ps) for c, ps in self.terms), self.n_qubits
-        )
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H |psi> by term-wise string application."""
         out = np.zeros_like(np.asarray(amplitudes, dtype=complex))

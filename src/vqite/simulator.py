@@ -5,12 +5,13 @@ A gate is its 2x2 matrix, a target qubit and an optional control qubit;
 Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and a controlled
 Pauli string c-(s1 s2 ...) is the list of its controlled single-letter
 factors c-s1, c-s2, ..., which is also how the reference circuits
-decompose it.  Circuits run on the raw amplitude tensor; the norm of the
-state is checked once per circuit.  Qubit ordering follows vqite.pauli
-(q0 = most significant bit).  Shot-mode measurements draw from a
-caller-supplied seeded generator so that every sampled result is
-reproducible from (seed, shots).  DensityMatrix holds the mixed states
-of the CMF reduction and the excited-state lift.
+decompose it.  run_gates is the one place gates run, on the raw amplitude
+tensor, resuming after the gate prefix shared with an earlier run; the
+norm of the state is checked once per circuit.  Qubit ordering follows
+vqite.pauli (q0 = most significant bit).  Shot-mode measurements draw
+from a caller-supplied seeded generator so that every sampled result is
+reproducible from (seed, shots).  DensityMatrix holds the mixed states of
+the CMF reduction and the excited-state lift.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class StateVector:
         if amps.size & (amps.size - 1) or amps.size < 2:
             raise ValueError(f"amplitude vector length {amps.size} is not 2^n")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -57,9 +58,9 @@ class DensityMatrix:
         dim = m.shape[0]
         if m.shape != (dim, dim) or dim & (dim - 1):
             raise ValueError(f"density matrix shape {m.shape} is not square 2^n")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= NORM_TOL:  # NaN fails too
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL:
+        if not abs(np.trace(m).real - 1.0) <= NORM_TOL:
             raise ValueError("density matrix trace deviates from 1 beyond 1e-10")
         if np.linalg.eigvalsh(m).min() < -1e-9:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
@@ -163,24 +164,32 @@ def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
     return t
 
 
-def check_qubits(gates, n: int) -> None:
-    """Raise ValueError unless every gate acts on qubits 0..n-1."""
-    for g in gates:
+def run_gates(states, gates, done=()) -> list[np.ndarray]:
+    """Tensors before and after each of `gates`, applied left to right.
+
+    `states` holds the starting tensor and the tensor after each gate of
+    `done`, an earlier run from the same start; the run resumes after
+    the longest prefix `gates` shares with `done`, compared by identity.
+    Raises ValueError on a gate outside qubits 0..n-1 before applying it.
+    """
+    k = 0
+    while k < min(len(done), len(gates)) and done[k] is gates[k]:
+        k += 1
+    n = states[0].ndim
+    states = list(states[:k + 1])
+    for g in gates[k:]:
         if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
             raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
                              f"outside 0..{n - 1}")
+        states.append(apply_gate(states[-1], g))
+    return states
 
 
 def run_circuit(initial: StateVector, gates) -> StateVector:
     """Apply gates left to right in list order; norm is preserved by
     construction and checked once, on the final state."""
-    n = initial.n_qubits
-    gates = tuple(gates)
-    check_qubits(gates, n)
-    t = initial.amplitudes.reshape((2,) * n)
-    for g in gates:
-        t = apply_gate(t, g)
-    return StateVector(t.reshape(-1))
+    t = initial.amplitudes.reshape((2,) * initial.n_qubits)
+    return StateVector(run_gates([t], tuple(gates))[-1].reshape(-1))
 
 
 def z_expectation_exact(state: StateVector, qubit: int) -> float:

@@ -58,10 +58,9 @@ def phase_normalize(vec: np.ndarray) -> np.ndarray:
     return vec * (pivot.conj() / abs(pivot))
 
 
-def exact_spectrum(h: PauliHamiltonian | np.ndarray) -> SpectrumResult:
+def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
     """Full dense eigen-decomposition, phase-normalized, ascending."""
-    m = to_dense_matrix(h) if isinstance(h, PauliHamiltonian) else np.asarray(h, complex)
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(to_dense_matrix(h))
     vecs = np.column_stack([phase_normalize(vecs[:, k]) for k in range(vals.size)])
     flags = []
     for k in range(vals.size):

@@ -17,7 +17,8 @@ from conftest import circuit_unitary, pauli_kron
 from vqite import (PauliHamiltonian, StateVector, basis_state,
                    build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    run_circuit, to_dense_matrix)
-from vqite.ansatz import DERIVATIVE_PREFACTOR
+from vqite.ansatz import (DERIVATIVE_PREFACTOR, AnsatzCircuit,
+                          DerivativeDescriptor)
 from vqite.simulator import cnot, rx, rz
 
 
@@ -118,6 +119,17 @@ def test_ucc_lih_descriptor_finite_difference_both_parameters():
 def test_ucc_lih_rejects_wrong_arity():
     with pytest.raises(ValueError):
         build_ucc_lih([1.0])
+
+
+def test_insertion_points_must_be_ordered_and_in_range():
+    a = build_ucc_lih([0.3, 0.4])
+    d0, d1 = a.descriptors
+    past_end = DerivativeDescriptor(len(a.gates) + 1, d1.sigma)
+    for descs in ((d1, d0), (d0, past_end), (DerivativeDescriptor(-1, d0.sigma), d1)):
+        with pytest.raises(ValueError, match="insertion points"):
+            AnsatzCircuit(a.gates, a.parameters, descs, a.reference_state, 3)
+    at_end = DerivativeDescriptor(len(a.gates), d1.sigma)
+    AnsatzCircuit(a.gates, a.parameters, (d0, at_end), a.reference_state, 3)
 
 
 # --- hardware-efficient ---

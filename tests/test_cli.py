@@ -111,6 +111,23 @@ def test_main_manifest_error_exit_two(capsys):
     assert "manifest error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("point", "--dtau", "nan"),
+    ("point", "--dtau", "inf"),
+    ("scan", "--theta0", "nan,1"),
+    ("point", "--theta0", "inf,1"),
+    ("excited", "--dtau", "nan"),
+    ("excited", "--dtau", "inf"),
+])
+def test_main_non_finite_value_exit_two(tmp_path, capsys, command, flag, value):
+    argv = [command, "--table", "lih", "--r", "1.5", flag, value]
+    if command != "excited":
+        argv += ["--ansatz", "ucc-lih", "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"manifest error: {flag}")
+    assert not (tmp_path / "d").exists()
+
+
 def test_main_repeated_r_exit_two(tmp_path, capsys):
     rc = main(["scan", "--table", "lih", "--ansatz", "he", "--cmf",
                "--r", "1.5,1.5", "--out", str(tmp_path / "d")])

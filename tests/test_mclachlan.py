@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from vqite import (build_hardware_efficient, build_ucc_h2, build_ucc_lih,
-                   build_hadamard_circuits, cmf_reduce, compute_exact,
-                   compute_sampled, solve_update)
+from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_h2,
+                   build_ucc_lih, build_hadamard_circuits, cmf_reduce,
+                   compute_exact, compute_sampled, solve_update)
 from vqite.mclachlan import (McLachlanSystem, ancilla_state, assemble_system,
                              evaluate_circuit)
-from vqite.simulator import StateVector, measure_z_expectation, run_circuit
+from vqite.simulator import (StateVector, controlled_pauli, hadamard,
+                             measure_z_expectation, run_circuit, x)
 
 
 def fd_system(builder, theta, h, eps=1e-5):
@@ -90,7 +91,8 @@ def test_a_positive_semidefinite(rng, lih_r15):
 def test_b_scales_with_hamiltonian(h2_r07):
     ansatz = build_ucc_h2(1.3)
     base = compute_exact(ansatz, h2_r07)
-    scaled = compute_exact(ansatz, h2_r07.scaled(2.5))
+    pairs = [(2.5 * c, ps.letters) for c, ps in h2_r07.terms]
+    scaled = compute_exact(ansatz, PauliHamiltonian.from_pairs(pairs))
     assert np.max(np.abs(scaled.b_vector - 2.5 * base.b_vector)) < 1e-10
     assert np.max(np.abs(scaled.a_matrix - base.a_matrix)) < 1e-10
 
@@ -106,6 +108,46 @@ def test_ancilla_preparation():
     for phi in (0.0, 0.7, -np.pi / 2):
         target = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2)
         assert np.max(np.abs(ancilla_state(phi) - target)) < 1e-12
+
+
+def insertion_oracle(ansatz, h):
+    """(gates, destination) of every test circuit, assembled by inserting
+    gate lists before ansatz gate positions, for any descriptor order."""
+    anc = ansatz.n_system_qubits
+    descs = ansatz.descriptors
+
+    def ctrl(sigma):
+        return controlled_pauli(anc, range(sigma.n_qubits), sigma.letters)
+
+    def assemble(insertions, tail):
+        gates = []
+        for pos, g in enumerate(ansatz.gates):
+            gates += insertions.get(pos, []) + [g]
+        return gates + insertions.get(len(ansatz.gates), []) + tail + [hadamard(anc)]
+
+    out = []
+    for i, di in enumerate(descs):
+        for j in range(i, len(descs)):
+            ins = {di.insertion_point: [x(anc), *ctrl(di.sigma), x(anc)]}
+            ins.setdefault(descs[j].insertion_point, []).extend(ctrl(descs[j].sigma))
+            out.append((assemble(ins, []), ("A", i, j)))
+    for i, di in enumerate(descs):
+        for _, sigma in h.terms:
+            anti = {di.insertion_point: [x(anc), *ctrl(di.sigma), x(anc)]}
+            out.append((assemble(anti, ctrl(sigma)), ("B", i)))
+    return out
+
+
+def test_circuits_match_insertion_oracle(lih_r15, h2_r07, rng):
+    for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
+        jobs = build_hadamard_circuits(ansatz, h)
+        oracle = insertion_oracle(ansatz, h)
+        assert [job.destination for job in jobs] == [dest for _, dest in oracle]
+        for job, (gates, _) in zip(jobs, oracle):
+            assert len(job.circuit.gates) == len(gates)
+            for got, want in zip(job.circuit.gates, gates):
+                assert np.array_equal(got.matrix, want.matrix)
+                assert (got.target, got.control) == (want.target, want.control)
 
 
 def test_ucc_h2_circuit_counts(h2_r07):

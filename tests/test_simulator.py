@@ -134,6 +134,13 @@ def test_measure_z_rejects_bad_shots():
         measure_z_expectation(basis_state("0"), 0, shots=10)
 
 
+def test_nan_fails_state_checks():
+    with pytest.raises(ValueError, match="norm"):
+        StateVector([np.nan, 0])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.diag([np.nan, 1.0]))
+
+
 def test_density_matrix_validation(rng):
     amps = random_state(rng, 2)
     rho = DensityMatrix(np.outer(amps, amps.conj()))
