@@ -13,7 +13,9 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
-A circuit runs its gates once, on first use, through
+A family's reference state, descriptors and fixed gates are built once,
+on first use, and shared by every build; a build makes only its rotation
+gates.  A circuit runs its gates once, on first use, through
 simulator.run_gates, keeping the read-only tensor after each; state() is
 the last one, and a derivative applies sigma_n to the one at its
 insertion point and runs only the gates after it.  Insertion points are
@@ -31,19 +33,19 @@ matrix-exponential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .pauli import PauliString
-from .simulator import (Gate, StateVector, basis_state, cnot, run_circuit,
-                        run_gates, rx, ry, rz)
+from .pauli import PauliString, read_only
+from .simulator import (Gate, StateVector, basis_state, cnot, rotation_matrix,
+                        run_circuit, run_gates, rx, ry)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivativeDescriptor:
     """How to differentiate one circuit parameter.
 
@@ -105,26 +107,50 @@ def _axis_string(axis: str, q: int, n: int) -> PauliString:
     return PauliString("".join(axis if i == q else "I" for i in range(n)))
 
 
-def _ucc_block(control: int, target: int, theta: float) -> list[Gate]:
-    """One exponentiated-excitation block; the Rz angle is the parameter
+def _ucc_block(control: int, target: int) -> list:
+    """One exponentiated-excitation block; its Rz slot takes the parameter
     itself after the published 2theta -> theta reset."""
-    return [
-        ry(target, -np.pi / 2),
-        rx(control, +np.pi / 2),
-        cnot(control, target),
-        rz(target, theta),
-        cnot(control, target),
-        ry(target, +np.pi / 2),
-        rx(control, -np.pi / 2),
-    ]
+    return [ry(target, -np.pi / 2), rx(control, +np.pi / 2), cnot(control, target),
+            ("Z", target),
+            cnot(control, target), ry(target, +np.pi / 2), rx(control, -np.pi / 2)]
+
+
+@lru_cache(maxsize=None)
+def _template(family: str) -> tuple:
+    """(slots, descriptors, reference state) of a family, built once.
+
+    A slot is a fixed gate, shared by every build, or the (axis, qubit)
+    of the next parameter's rotation; that parameter's descriptor inserts
+    the axis string right after it.
+    """
+    if family == "ucc-h2":
+        slots, bits = _ucc_block(0, 1), "10"
+    elif family == "ucc-lih":
+        slots, bits = _ucc_block(0, 1) + _ucc_block(0, 2), "100"
+    else:
+        slots = [("X", 0), ("X", 1), cnot(0, 1), ("Z", 0), ("Z", 1), ("X", 0), ("X", 1)]
+        bits = "00"
+    descs = tuple(DerivativeDescriptor(k + 1, _axis_string(*slot, len(bits)))
+                  for k, slot in enumerate(slots) if isinstance(slot, tuple))
+    return tuple(slots), descs, StateVector(read_only(basis_state(bits).amplitudes))
+
+
+def _build(family: str, theta) -> AnsatzCircuit:
+    """The family's circuit at angles theta: only the rotations are new."""
+    slots, descs, reference = _template(family)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != len(descs):
+        raise ValueError(f"{family} takes {len(descs)} parameters, got {theta.size}")
+    angles = iter(theta)
+    gates = tuple([slot if isinstance(slot, Gate)
+                   else Gate(rotation_matrix(slot[0], float(next(angles))), slot[1])
+                   for slot in slots])
+    return AnsatzCircuit(gates, theta, descs, reference, reference.n_qubits)
 
 
 def build_ucc_h2(theta) -> AnsatzCircuit:
     """UCC circuit for H2: 2 system qubits, 1 parameter, reference |10>."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    gates = _ucc_block(0, 1, theta[0])
-    desc = DerivativeDescriptor(4, _axis_string("Z", 1, 2))
-    return AnsatzCircuit(tuple(gates), theta, (desc,), basis_state("10"), 2)
+    return _build("ucc-h2", theta)
 
 
 def build_ucc_lih(theta) -> AnsatzCircuit:
@@ -134,15 +160,7 @@ def build_ucc_lih(theta) -> AnsatzCircuit:
     block (q0, q2), matching the rightmost-first reading of the operator
     product.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != 2:
-        raise ValueError("UCC-LiH takes exactly two parameters")
-    gates = _ucc_block(0, 1, theta[0]) + _ucc_block(0, 2, theta[1])
-    descs = (
-        DerivativeDescriptor(4, _axis_string("Z", 1, 3)),
-        DerivativeDescriptor(11, _axis_string("Z", 2, 3)),
-    )
-    return AnsatzCircuit(tuple(gates), theta, descs, basis_state("100"), 3)
+    return _build("ucc-lih", theta)
 
 
 def build_hardware_efficient(theta) -> AnsatzCircuit:
@@ -150,17 +168,4 @@ def build_hardware_efficient(theta) -> AnsatzCircuit:
 
     Six parameters, applied as Rx(t1) Rx(t2) CNOT Rz(t3) Rz(t4) Rx(t5) Rx(t6).
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != 6:
-        raise ValueError(f"the hardware-efficient ansatz takes 6 parameters, "
-                         f"got {theta.size}")
-    rotations = ((rx, "X", 0), (rx, "X", 1), (rz, "Z", 0), (rz, "Z", 1),
-                 (rx, "X", 0), (rx, "X", 1))
-    gates: list[Gate] = []
-    descs: list[DerivativeDescriptor] = []
-    for k, ((builder, axis, q), value) in enumerate(zip(rotations, theta)):
-        if k == 2:
-            gates.append(cnot(0, 1))
-        gates.append(builder(q, value))
-        descs.append(DerivativeDescriptor(len(gates), _axis_string(axis, q, 2)))
-    return AnsatzCircuit(tuple(gates), theta, tuple(descs), basis_state("00"), 2)
+    return _build("he", theta)

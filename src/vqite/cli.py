@@ -146,6 +146,8 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         repeated = sorted({k for k in rows if rows.count(k) > 1})
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
+    if manifest.seed < 0:
+        raise ManifestError(f"--seed must be non-negative, got {manifest.seed}")
     keys = [_point_seed(manifest.seed, r) for r in rs]
     shared = [r for r, key in zip(rs, keys) if keys.count(key) > 1]
     if shared:
@@ -252,9 +254,7 @@ def run_scan(manifest: RunManifest):
 
 
 def format_number(v) -> str:
-    if v is None:
-        return ""
-    return ENERGY_FMT % v
+    return "" if v is None else ENERGY_FMT % v
 
 
 def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,

@@ -42,16 +42,12 @@ def average_z_coefficient(h: PauliHamiltonian) -> float:
     and is divided by the qubit count.  Downstream, the absolute value
     feeds the automatic time-step rule.
     """
-    total, found = 0.0, 0
-    for c, ps in h.terms:
-        if ps.weight == 1 and "Z" in ps.letters:
-            total += c
-            found += 1
-    if found == 0:
+    single_z = [c for c, ps in h.terms if ps.weight == 1 and "Z" in ps.letters]
+    if not single_z:
         raise ValueError(
             "Hamiltonian has no single-qubit Z term; use a fixed dtau instead"
         )
-    return total / h.n_qubits
+    return sum(single_z, 0.0) / h.n_qubits
 
 
 @dataclass(frozen=True)

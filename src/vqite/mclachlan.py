@@ -12,12 +12,13 @@ A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
 (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
 of the summand, and the ancilla Z expectation then yields the summand's
 real part.  A test circuit is three slices of the ansatz gate tuple
-with controlled Pauli gates between them.  simulator.run_gates resumes
-each from the longest gate prefix it shares with the last one run from
-the same ancilla phase; its states come from the same gate applications
-on the same arrays, so every expectation and binomial draw is bitwise
-that of a run from scratch.  Evaluated without sampling, the two routes
-agree to machine precision; with shots they agree statistically.
+with controlled Pauli gates between them, kept for the last two sets of
+strings.  simulator.run_gates resumes each from the longest gate prefix
+it shares with the last one run from the same ancilla phase; its states
+come from the same gate applications on the same arrays, so every
+expectation and binomial draw is bitwise that of a run from scratch.
+Evaluated without sampling, the two routes agree to machine precision;
+with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -28,11 +29,12 @@ stationary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
-from .pauli import PauliHamiltonian, PauliString
+from .pauli import PauliHamiltonian
 from .simulator import (Gate, StateVector, controlled_pauli, hadamard,
                         measure_z_expectation, run_gates, x)
 
@@ -51,23 +53,22 @@ class McLachlanSystem:
     shots: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HadamardTestCircuit:
     """One ancilla test: phased ancilla, gate list, Z measurement.
 
-    The ancilla is the last qubit (index n_qubits - 1) and is prepared in
-    (|0> + e^{i ancilla_phase} |1>)/sqrt(2); the system qubits start in
-    `system_reference`.
+    The ancilla, `measured_qubit`, follows the system qubits and is
+    prepared in (|0> + e^{i ancilla_phase} |1>)/sqrt(2); the system qubits
+    start in `system_reference`.
     """
 
     gates: tuple[Gate, ...]
     ancilla_phase: float
     measured_qubit: int
-    n_qubits: int
     system_reference: StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HadamardJob:
     """A test circuit plus its weight and destination entry."""
 
@@ -96,6 +97,15 @@ def compute_exact(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> McLachlanSystem
     return McLachlanSystem(a, b, route="exact")
 
 
+@lru_cache(maxsize=2)
+def _inserted_gates(sigmas: tuple[str, ...], terms: tuple[str, ...], anc: int) -> tuple:
+    """(ctrl, anti, tails, final) for the descriptor strings `sigmas` and
+    Hamiltonian strings `terms` on qubits 0..anc-1, controlled on `anc`."""
+    ctrl = tuple(tuple(controlled_pauli(anc, range(anc), s)) for s in sigmas)
+    tails = tuple(tuple(controlled_pauli(anc, range(anc), t)) for t in terms)
+    return ctrl, tuple((x(anc), *c, x(anc)) for c in ctrl), tails, (hadamard(anc),)
+
+
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
     """One weighted test circuit per A/B summand, cut from the ansatz
@@ -107,27 +117,21 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     absorbs conj(p) p.  B(i, l): g[:p_i] + anti_i + g[p_i:] + tail_l + H,
     tail_l the l-th Hamiltonian string controlled, phase absorbing
     -conj(p) h_l.  Here p is DERIVATIVE_PREFACTOR.  Each inserted gate
-    list is built once and shared by every circuit that contains it, so
-    circuits compare by gate identity.
+    list is shared by every circuit that contains it (_inserted_gates),
+    so circuits compare by gate identity.
     """
     if h.n_qubits != ansatz.n_system_qubits:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
     anc = ansatz.n_system_qubits
-    n = anc + 1
     p = DERIVATIVE_PREFACTOR
     g = tuple(ansatz.gates)
     pts = [d.insertion_point for d in ansatz.descriptors]
-
-    def controlled(sigma: PauliString) -> tuple[Gate, ...]:
-        return tuple(controlled_pauli(anc, range(sigma.n_qubits), sigma.letters))
-
-    ctrl = [controlled(d.sigma) for d in ansatz.descriptors]
-    anti = [(x(anc), *c, x(anc)) for c in ctrl]
-    tails = [controlled(sig_l) for _, sig_l in h.terms]
-    final = (hadamard(anc),)
+    ctrl, anti, tails, final = _inserted_gates(
+        tuple([d.sigma.letters for d in ansatz.descriptors]),
+        tuple([sig_l.letters for _, sig_l in h.terms]), anc)
 
     def job(gates, prefactor, destination):
-        circ = HadamardTestCircuit(gates, float(np.angle(prefactor)), anc, n,
+        circ = HadamardTestCircuit(gates, float(np.angle(prefactor)), anc,
                                    ansatz.reference_state)
         return HadamardJob(circ, float(abs(prefactor)), destination)
 

@@ -1,33 +1,34 @@
 """Exact statevector simulation of circuits of one- and controlled
 one-qubit gates.
 
-A gate is its 2x2 matrix, a target qubit and an optional control qubit;
-Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and a controlled
-Pauli string c-(s1 s2 ...) is the list of its controlled single-letter
-factors c-s1, c-s2, ..., which is also how the reference circuits
+A gate is its read-only 2x2 matrix, a target qubit and an optional
+control qubit; Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and
+a controlled Pauli string c-(s1 s2 ...) is the list of its controlled
+single-letter factors c-s1, c-s2, ..., as the reference circuits
 decompose it.  run_gates is the one place gates run, on the raw amplitude
-tensor, resuming after the gate prefix shared with an earlier run; the
-norm of the state is checked once per circuit.  Qubit ordering follows
-vqite.pauli (q0 = most significant bit).  Shot-mode measurements draw
-from a caller-supplied seeded generator so that every sampled result is
-reproducible from (seed, shots).  DensityMatrix holds the mixed states of
-the CMF reduction and the excited-state lift.
+tensor, resuming after the gate prefix shared with an earlier run; each
+gate is one BLAS product (apply_on_axis), and the norm is checked once
+per circuit.  Qubit ordering follows vqite.pauli (q0 = most significant
+bit).  Shot-mode measurements draw from a caller-supplied seeded
+generator, so every sampled result is reproducible from (seed, shots).
+DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliString
+from .pauli import PAULI_MATRICES, PauliString, read_only
 
 NORM_TOL = 1e-10
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+HADAMARD = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Normalized pure state on n qubits."""
 
@@ -81,10 +82,11 @@ def basis_state(bits) -> StateVector:
     return StateVector(amps)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     """A 2x2 unitary on qubit `target`, applied only on the control=|1>
-    branch when `control` is set."""
+    branch when `control` is set.  The matrix is made read-only, as gates
+    share their matrices across circuits."""
 
     matrix: np.ndarray
     target: int
@@ -93,6 +95,7 @@ class Gate:
     def __post_init__(self) -> None:
         if self.control == self.target:
             raise ValueError(f"gate control and target are both qubit {self.target}")
+        read_only(self.matrix)
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -148,9 +151,20 @@ def controlled_pauli(control: int, targets, letters: str) -> list[Gate]:
             for q, c in zip(targets, letters) if c != "I"]
 
 
+@lru_cache(maxsize=256)
+def _axis_plan(ndim: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order bringing axis q to the front, and its inverse."""
+    order = (q, *(k for k in range(ndim) if k != q))
+    return order, (*range(1, q + 1), 0, *range(q + 1, ndim))
+
+
 def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    """2x2 matrix m applied to axis q of an amplitude tensor of shape (2,)*n."""
-    return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
+    """2x2 matrix m applied to axis q of an amplitude tensor of shape (2,)*n:
+    one np.dot of m with axis q moved to the front and the rest flattened,
+    transposed back into a view: bitwise the tensordot + moveaxis oracle."""
+    order, inverse = _axis_plan(t.ndim, q)
+    front = t.transpose(order)
+    return np.dot(m, front.reshape(2, -1)).reshape(front.shape).transpose(inverse)
 
 
 def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
@@ -172,8 +186,8 @@ def run_gates(states, gates, done=()) -> list[np.ndarray]:
     the longest prefix `gates` shares with `done`, compared by identity.
     Raises ValueError on a gate outside qubits 0..n-1 before applying it.
     """
-    k = 0
-    while k < min(len(done), len(gates)) and done[k] is gates[k]:
+    k, shared = 0, min(len(done), len(gates))
+    while k < shared and done[k] is gates[k]:
         k += 1
     n = states[0].ndim
     states = list(states[:k + 1])
@@ -192,12 +206,6 @@ def run_circuit(initial: StateVector, gates) -> StateVector:
     return StateVector(run_gates([t], tuple(gates))[-1].reshape(-1))
 
 
-def z_expectation_exact(state: StateVector, qubit: int) -> float:
-    probs = np.abs(state.amplitudes.reshape((2,) * state.n_qubits)) ** 2
-    marg = probs.sum(axis=tuple(i for i in range(state.n_qubits) if i != qubit))
-    return float(marg[0] - marg[1])
-
-
 def measure_z_expectation(state: StateVector, qubit: int, shots: int | None = None,
                           rng=None) -> float:
     """<Z_qubit>, analytically (shots=None) or from a binomial sample.
@@ -207,7 +215,9 @@ def measure_z_expectation(state: StateVector, qubit: int, shots: int | None = No
     """
     if qubit < 0 or qubit >= state.n_qubits:
         raise ValueError(f"qubit {qubit} outside 0..{state.n_qubits - 1}")
-    exact = z_expectation_exact(state, qubit)
+    probs = np.abs(state.amplitudes.reshape((2,) * state.n_qubits)) ** 2
+    marg = probs.sum(axis=tuple([i for i in range(state.n_qubits) if i != qubit]))
+    exact = float(marg[0] - marg[1])
     if shots is None:
         return exact
     if shots <= 0:

@@ -43,7 +43,7 @@ class MoleculeTable:
 
     @property
     def bond_distances(self) -> tuple[float, ...]:
-        return tuple(r for r, _ in self.rows)
+        return tuple([r for r, _ in self.rows])
 
     def coefficient(self, r: float, label: str) -> float:
         row = dict(self.rows)[r]
@@ -52,10 +52,7 @@ class MoleculeTable:
 
 def parse_table(source, molecule_name: str = "") -> MoleculeTable:
     """Parse and validate a coefficient table from text or a stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+    text = source.read() if hasattr(source, "read") else source
     labels: tuple[str, ...] | None = None
     delimiter = ","
     name = molecule_name

@@ -77,3 +77,29 @@ def circuit_unitary(gates, n_qubits):
     for g in gates:
         u = gate_unitary(g, n_qubits) @ u
     return u
+
+
+def tensordot_on_axis(t, m, q):
+    """2x2 matrix m on axis q of an amplitude tensor by np.tensordot and
+    np.moveaxis: the form the gate kernel must match bitwise and in layout."""
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
+
+
+def tensordot_gate(t, gate):
+    """One gate on an amplitude tensor through tensordot_on_axis; a
+    controlled gate acts on the control=|1> slice of a copy."""
+    if gate.control is None:
+        return tensordot_on_axis(t, gate.matrix, gate.target)
+    t = t.copy()
+    branch = (slice(None),) * gate.control + (1,)
+    t[branch] = tensordot_on_axis(t[branch], gate.matrix,
+                                  gate.target - (gate.target > gate.control))
+    return t
+
+
+def term_loop(h, psi):
+    """H|psi> as a loop over the terms, summed from zero."""
+    out = np.zeros(psi.shape, dtype=complex)
+    for c, ps in h.terms:
+        out += c * ps.apply(psi)
+    return out

@@ -19,7 +19,7 @@ from vqite import (PauliHamiltonian, StateVector, basis_state,
                    run_circuit, to_dense_matrix)
 from vqite.ansatz import (DERIVATIVE_PREFACTOR, AnsatzCircuit,
                           DerivativeDescriptor)
-from vqite.simulator import cnot, rx, rz
+from vqite.simulator import cnot, rx, ry, rz
 
 
 def pauli_dense(letters):
@@ -205,3 +205,56 @@ def test_forward_pass_bitwise_equals_scratch(builder, size, rng):
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
         assert np.array_equal(a.state().amplitudes, scratch)
+
+
+def ucc_block(control, target, theta):
+    return [ry(target, -np.pi / 2), rx(control, np.pi / 2), cnot(control, target),
+            rz(target, theta), cnot(control, target), ry(target, np.pi / 2),
+            rx(control, -np.pi / 2)]
+
+
+# Each family from scratch: its gates at angles t, and its descriptors as
+# (insertion point, sigma).
+SCRATCH = {
+    build_ucc_h2: (lambda t: ucc_block(0, 1, t[0]), [(4, "IZ")]),
+    build_ucc_lih: (lambda t: ucc_block(0, 1, t[0]) + ucc_block(0, 2, t[1]),
+                    [(4, "IZI"), (11, "IIZ")]),
+    build_hardware_efficient: (
+        lambda t: [rx(0, t[0]), rx(1, t[1]), cnot(0, 1), rz(0, t[2]), rz(1, t[3]),
+                   rx(0, t[4]), rx(1, t[5])],
+        [(1, "XI"), (2, "IX"), (4, "ZI"), (5, "IZ"), (6, "XI"), (7, "IX")]),
+}
+
+
+def gate_bits(gates):
+    return [(g.matrix.tobytes(), g.target, g.control) for g in gates]
+
+
+@pytest.mark.parametrize("builder,size", [
+    (build_ucc_h2, 1), (build_ucc_lih, 2), (build_hardware_efficient, 6),
+])
+def test_builder_matches_scratch_construction(builder, size, rng):
+    """Gates bitwise equal to rx/ry/rz/cnot built from scratch; the fixed
+    gates and the reference are shared read-only by every build."""
+    scratch, descriptors = SCRATCH[builder]
+    for _ in range(5):
+        theta = rng.uniform(-np.pi, np.pi, size=size)
+        a, b = builder(theta), builder(rng.uniform(-np.pi, np.pi, size=size))
+        assert gate_bits(a.gates) == gate_bits(scratch(theta))
+        assert [(d.insertion_point, d.sigma.letters) for d in a.descriptors] == descriptors
+        rotations = {k - 1 for k, _ in descriptors}
+        shared = [k for k, (g, h) in enumerate(zip(a.gates, b.gates)) if g is h]
+        assert shared == [k for k in range(len(a.gates)) if k not in rotations]
+        assert a.reference_state is b.reference_state
+        for m in (*(g.matrix for g in a.gates), a.reference_state.amplitudes):
+            with pytest.raises(ValueError):
+                m[0] = 0.0
+
+
+@pytest.mark.parametrize("builder,size", [
+    (build_ucc_h2, 1), (build_ucc_lih, 2), (build_hardware_efficient, 6),
+])
+def test_builders_reject_wrong_arity(builder, size):
+    for bad in ([], [0.1] * (size + 1)):
+        with pytest.raises(ValueError, match=f"takes {size} parameters, got {len(bad)}"):
+            builder(bad)

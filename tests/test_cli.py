@@ -128,6 +128,16 @@ def test_main_non_finite_value_exit_two(tmp_path, capsys, command, flag, value):
     assert not (tmp_path / "d").exists()
 
 
+def test_main_negative_seed_exit_two(tmp_path, capsys):
+    rc = main(["scan", "--table", "lih", "--ansatz", "ucc-lih", "--route", "shots:100",
+               "--r", "1.5,2.0", "--seed", "-1", "--out", str(tmp_path / "d")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("manifest error: --seed must be non-negative")
+    assert captured.out == ""
+    assert not (tmp_path / "d").exists()
+
+
 def test_main_repeated_r_exit_two(tmp_path, capsys):
     rc = main(["scan", "--table", "lih", "--ansatz", "he", "--cmf",
                "--r", "1.5,1.5", "--out", str(tmp_path / "d")])

@@ -5,9 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import pauli_kron, random_hamiltonian_pairs, random_state
+from conftest import pauli_kron, random_hamiltonian_pairs, random_state, term_loop
 from vqite import (PauliHamiltonian, PauliString, StateVector, basis_state,
-                   expectation, pauli_decompose, to_dense_matrix,
+                   expectation, hamiltonian_at, pauli_decompose, to_dense_matrix,
                    weighted_partial_trace)
 from vqite.pauli import DimensionCapError, _signed_permutation
 from vqite.simulator import DensityMatrix
@@ -61,6 +61,15 @@ def test_memoized_permutation_is_read_only():
     with pytest.raises(ValueError):
         phase[0] = 1.0
     assert np.array_equal(PauliString("XYZI").matrix(), pauli_kron("XYZI"))
+
+
+def test_apply_equals_term_loop_on_table_rows(lih_table, rng):
+    for r in lih_table.bond_distances[::7]:
+        h = hamiltonian_at(lih_table, r)
+        for psi in (random_state(rng, 3), *np.eye(8, dtype=complex)):
+            assert h.apply(psi).tobytes() == term_loop(h, psi).tobytes()
+    empty = PauliHamiltonian((), n_qubits=2)
+    assert np.array_equal(empty.apply(random_state(rng, 2)), np.zeros(4))
 
 
 def test_expectation_z_eigenstate():

@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import circuit_unitary, embed, pauli_kron
+from conftest import (circuit_unitary, embed, pauli_kron, tensordot_gate,
+                      tensordot_on_axis, term_loop)
 from vqite import (PauliHamiltonian, PauliString, StateVector, pauli_decompose,
                    run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES
-from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
-                             x, y, z)
+from vqite.simulator import (Gate, apply_gate, apply_on_axis, cnot, controlled_pauli,
+                             cz, hadamard, rx, ry, rz, x, y, z)
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 COEFF = st.floats(-2.0, 2.0)
@@ -113,3 +114,44 @@ def test_controlled_pauli_matches_dense(case):
              + embed({c: np.diag([0.0, 1.0])}, n) @ sigma)
     assert np.max(np.abs(circuit_unitary(controlled_pauli(c, targets, word), n)
                          - dense)) < 1e-12
+
+
+@st.composite
+def tensors(draw):
+    """An amplitude tensor on 1-6 qubits: C-contiguous, or a transposed
+    view such as the gate kernel returns."""
+    n = draw(st.integers(1, 6))
+    t = draw(arrays(complex, (2,) * n, elements=AMPLITUDE))
+    return t.transpose(draw(st.permutations(range(n)))) if draw(st.booleans()) else t
+
+
+MATRICES = arrays(complex, (2, 2), elements=AMPLITUDE)
+
+
+def same_bits(a, b):
+    return a.tobytes() == b.tobytes() and a.strides == b.strides
+
+
+@PROPERTY
+@given(tensors(), MATRICES)
+def test_apply_on_axis_is_tensordot_bitwise(t, m):
+    for q in range(t.ndim):
+        assert same_bits(apply_on_axis(t, m, q), tensordot_on_axis(t, m, q)), q
+
+
+@PROPERTY
+@given(tensors(), MATRICES, st.data())
+def test_apply_gate_is_tensordot_bitwise(t, m, data):
+    target = data.draw(st.integers(0, t.ndim - 1))
+    control = data.draw(st.sampled_from(
+        [None, *(c for c in range(t.ndim) if c != target)]))
+    gate = Gate(m, target, control)
+    assert same_bits(apply_gate(t, gate), tensordot_gate(t, gate))
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(hamiltonians(n), vectors(n))))
+def test_hamiltonian_apply_is_term_loop(case):
+    h, psi = case
+    for state in (psi, *np.eye(psi.size, dtype=complex)):
+        assert h.apply(state).tobytes() == term_loop(h, state).tobytes()

@@ -7,8 +7,8 @@ from conftest import circuit_unitary, embed, gate_unitary, random_state
 from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectation,
                    run_circuit)
 from vqite.pauli import PAULI_MATRICES
-from vqite.simulator import (cnot, controlled_pauli, cz, hadamard, rx, ry, rz,
-                             x, y, z)
+from vqite.simulator import (HADAMARD, Gate, cnot, controlled_pauli, cz, hadamard,
+                             rx, ry, rz, x, y, z)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
@@ -20,6 +20,17 @@ def test_every_gate_unitary():
     for k, g in enumerate(ALL_GATE_SAMPLES):
         u = gate_unitary(g, 3)
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12, k
+
+
+def test_shared_matrices_are_read_only():
+    # x(), cnot() and controlled_pauli hand out these arrays themselves.
+    assert cnot(0, 1).matrix is PAULI_MATRICES["X"]
+    for m in (*PAULI_MATRICES.values(), HADAMARD, rx(0, 0.3).matrix):
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    own = np.eye(2, dtype=complex)
+    Gate(own, 0)
+    assert not own.flags.writeable
 
 
 def test_rz_phase_on_basis_state():
