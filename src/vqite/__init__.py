@@ -21,6 +21,6 @@ from .simulator import (DensityMatrix, Gate, StateVector, basis_state,
 from .spectra import (GershgorinBound, SpectrumResult, exact_spectrum,
                       gershgorin_emax, lift_ground_state)
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
-                     load_lih_table, load_table, parse_table, serialize_table)
+                     load_lih_table, load_table, parse_table)
 
 __version__ = "0.1.0"

@@ -84,9 +84,6 @@ class EnergyMap:
                        h_original: PauliHamiltonian) -> "EnergyMap":
         return cls(eff, h_original)
 
-    def lift(self, amplitudes: np.ndarray) -> np.ndarray:
-        return lift_amplitudes(self.effective, amplitudes)
-
 
 @dataclass(frozen=True)
 class QiteRecord:
@@ -150,7 +147,7 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     for it in range(config.iterations + 1):
         ansatz: AnsatzCircuit = ansatz_builder(theta)
         amps = ansatz.state().amplitudes
-        lifted = energy_map.lift(amps) if energy_map is not None else amps
+        lifted = lift_amplitudes(energy_map.effective, amps) if energy_map is not None else amps
         energy = expectation(h_report, StateVector(lifted))
         fid = None if degenerate else float(abs(np.vdot(ground, lifted)) ** 2)
         if records and energy > records[-1].energy + MONOTONICITY_TOL:

@@ -214,8 +214,8 @@ def solve_update(sys: McLachlanSystem, dtau: float) -> UpdateResult:
     update is zero and the result is flagged stationary.  For a 1x1 system
     this reduces to (B/A) * dtau.
     """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
+    if not 0 < dtau < np.inf:  # NaN fails too
+        raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
     lam, vec = np.linalg.eigh(np.asarray(sys.a_matrix, dtype=float))
     lam_max = float(lam.max())

@@ -15,10 +15,15 @@ it is defined here and nowhere else.
 
 A string is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
 memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
-j ^ xmask, xmask marking the X and Y letters.  Products by it are exact, so
-one gather and one multiply give the values of the Kronecker product.  A
-Hamiltonian stacks its strings once, and H|psi> is one gather, multiply
-and sum over the terms, in the order and from the zero of a term loop.
+src[j] = j ^ xmask, xmask marking the X and Y letters.  It is the one Pauli
+representation.  Products by it are exact, so one gather and one multiply
+give the values of the Kronecker product.  A Hamiltonian stacks its strings
+once; H|psi> is one gather, multiply and sum over the terms, and its dense
+matrix is the stacked entries added into zeros, both in the order and from
+the zero of a term loop.  Traces read the one entry per row:
+Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
+Tr(sigma m) = sum_j phase[j] m[src[j], j], summed over ascending j like the
+diagonal of the matrix product, so they equal the dense forms bit for bit.
 """
 
 from __future__ import annotations
@@ -95,14 +100,6 @@ class PauliString:
         """Number of non-identity letters."""
         return sum(1 for c in self.letters if c != "I")
 
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n realization under the fixed qubit ordering."""
-        _check_dense_cap(self.n_qubits)
-        src, phase = _signed_permutation(self.letters)
-        out = np.zeros((src.size, src.size), dtype=complex)
-        out[np.arange(src.size), src] = phase
-        return out
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply the string to a statevector without building the matrix."""
         src, phase = _signed_permutation(self.letters)
@@ -156,12 +153,6 @@ class PauliHamiltonian:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, letters: str) -> float:
-        for c, ps in self.terms:
-            if ps.letters == letters:
-                return c
-        return 0.0
-
     @functools.cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, coefficient * phase) of every term, stacked to (L, 2^n)."""
@@ -182,10 +173,10 @@ class PauliHamiltonian:
 def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Hamiltonian (n <= 12)."""
     _check_dense_cap(h.n_qubits)
-    dim = 2 ** h.n_qubits
+    src, weight = h._stacked
+    dim = src.shape[1]
     out = np.zeros((dim, dim), dtype=complex)
-    for c, ps in h.terms:
-        out += c * ps.matrix()
+    np.add.at(out, (np.arange(dim), src), weight)
     return out
 
 
@@ -223,11 +214,12 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
         raise ValueError(
             f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} on complement"
         )
+    rows = np.arange(rho.shape[0])
     pairs = []
     for c, ps in h.terms:
-        comp_string = PauliString("".join(ps.letters[q] for q in comp))
-        scalar = complex(np.trace(rho @ comp_string.matrix()))
-        # Tr(rho sigma) is real for Hermitian rho and Pauli sigma.
+        src, phase = _signed_permutation("".join(ps.letters[q] for q in comp))
+        # Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]], real for Hermitian rho.
+        scalar = (rho[rows, src] * phase[src]).sum()
         reduced = "".join(ps.letters[q] for q in keep)
         pairs.append((c * scalar.real, reduced))
     return PauliHamiltonian.from_pairs(pairs, n_qubits=len(keep))
@@ -243,12 +235,14 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     dim = m.shape[0]
     if m.shape != (dim, dim) or dim & (dim - 1):
         raise ValueError(f"matrix shape {m.shape} is not square power-of-two")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
         raise ValueError("matrix is not Hermitian within tolerance")
     k = dim.bit_length() - 1
     _check_dense_cap(k)
+    cols = np.arange(dim)
     pairs = []
     for letters in map("".join, product(PAULI_LETTERS, repeat=k)):
-        coeff = complex(np.trace(PauliString(letters).matrix() @ m)) / dim
+        src, phase = _signed_permutation(letters)
+        coeff = complex((phase * m[src, cols]).sum()) / dim
         pairs.append((coeff.real, letters))
     return PauliHamiltonian.from_pairs(pairs, n_qubits=k)

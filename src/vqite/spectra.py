@@ -73,7 +73,7 @@ def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
 def gershgorin_emax(h_dense: np.ndarray) -> GershgorinBound:
     """Disc bound from matrix rows: center H_ii, radius sum_{j!=i} |H_ij|."""
     m = np.asarray(h_dense, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
         raise ValueError("Gershgorin bound expects a Hermitian matrix")
     discs = []
     for i in range(m.shape[0]):
@@ -93,7 +93,7 @@ def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
     """
     h_dense = to_dense_matrix(h)
     e0 = float(np.trace(ground.elements @ h_dense).real)
-    if e_max < e0:
-        raise ValueError(f"e_max {e_max} is below the current ground energy {e0}")
+    if not e_max >= e0:  # NaN fails too
+        raise ValueError(f"e_max {e_max} must be at least the current ground energy {e0}")
     lifted = h_dense + (e_max - e0) * ground.elements
     return pauli_decompose(lifted)

@@ -45,10 +45,6 @@ class MoleculeTable:
     def bond_distances(self) -> tuple[float, ...]:
         return tuple([r for r, _ in self.rows])
 
-    def coefficient(self, r: float, label: str) -> float:
-        row = dict(self.rows)[r]
-        return row[self.pauli_labels.index(label)]
-
 
 def parse_table(source, molecule_name: str = "") -> MoleculeTable:
     """Parse and validate a coefficient table from text or a stream."""
@@ -109,17 +105,6 @@ def parse_table(source, molecule_name: str = "") -> MoleculeTable:
     if not rows:
         raise TableFormatError(0, "table has no data rows")
     return MoleculeTable(name, len(labels[0]), labels, tuple(rows))
-
-
-def serialize_table(table: MoleculeTable) -> str:
-    """Canonical comma-delimited text; parse(serialize(t)) == t."""
-    lines = []
-    if table.molecule_name:
-        lines.append(f"# molecule: {table.molecule_name}")
-    lines.append(",".join(("R",) + table.pauli_labels))
-    for r, coeffs in table.rows:
-        lines.append(",".join([repr(r)] + [repr(c) for c in coeffs]))
-    return "\n".join(lines) + "\n"
 
 
 def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:

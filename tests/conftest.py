@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from vqite import hamiltonian_at, load_h2_synthetic_table, load_lih_table
+from vqite import PauliHamiltonian, hamiltonian_at, load_h2_synthetic_table, load_lih_table
 
 
 @pytest.fixture(scope="session")
@@ -103,3 +105,66 @@ def term_loop(h, psi):
     for c, ps in h.terms:
         out += c * ps.apply(psi)
     return out
+
+
+def coefficient(h, letters):
+    """Coefficient of one Pauli word in a Hamiltonian, 0.0 when absent."""
+    for c, ps in h.terms:
+        if ps.letters == letters:
+            return c
+    return 0.0
+
+
+def table_coefficient(table, r, label):
+    """One cell of a coefficient table: the row at exactly r, column label."""
+    return dict(table.rows)[r][table.pauli_labels.index(label)]
+
+
+def serialize_table(table):
+    """Canonical comma-delimited text; parse_table(serialize_table(t)) == t."""
+    lines = []
+    if table.molecule_name:
+        lines.append(f"# molecule: {table.molecule_name}")
+    lines.append(",".join(("R",) + table.pauli_labels))
+    for r, coeffs in table.rows:
+        lines.append(",".join([repr(r)] + [repr(c) for c in coeffs]))
+    return "\n".join(lines) + "\n"
+
+
+def term_bytes(h):
+    """Every term as (float.hex of its coefficient, letters): equal bit for bit."""
+    return [(c.hex(), ps.letters) for c, ps in h.terms]
+
+
+# Oracles in the dense matrix-product form the signed-permutation kernel
+# replaced; the kernel must match them bit for bit.
+
+def dense_oracle(h):
+    """Dense matrix of a Hamiltonian as a sum of Kronecker products, from zero."""
+    out = np.zeros((2 ** h.n_qubits,) * 2, dtype=complex)
+    for c, ps in h.terms:
+        out += c * pauli_kron(ps.letters)
+    return out
+
+
+def partial_trace_oracle(h, keep, rho):
+    """Tr_b((I_a x rho) H) with Tr(rho sigma_b) taken as np.trace(rho @ sigma_b)."""
+    keep = sorted(keep)
+    comp = [q for q in range(h.n_qubits) if q not in keep]
+    pairs = []
+    for c, ps in h.terms:
+        sigma = pauli_kron("".join(ps.letters[q] for q in comp))
+        scalar = complex(np.trace(rho @ sigma))
+        pairs.append((c * scalar.real, "".join(ps.letters[q] for q in keep)))
+    return PauliHamiltonian.from_pairs(pairs, n_qubits=len(keep))
+
+
+def decompose_oracle(m):
+    """Pauli expansion with h_l = np.trace(sigma_l @ m) / 2^k."""
+    dim = m.shape[0]
+    k = dim.bit_length() - 1
+    pairs = []
+    for letters in map("".join, product("IXYZ", repeat=k)):
+        coeff = complex(np.trace(pauli_kron(letters) @ m)) / dim
+        pairs.append((coeff.real, letters))
+    return PauliHamiltonian.from_pairs(pairs, n_qubits=k)

@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from vqite import (MoleculeTable, build_ucc_lih, load_lih_table, run_qite,
-                   serialize_table)
+from conftest import serialize_table
+from vqite import MoleculeTable, build_ucc_lih, load_lih_table, run_qite
 from vqite.cli import (ManifestError, RunManifest, discontinuity_rs,
                        emit_outputs, main, run_scan)
 from vqite.engine import QiteConfig

@@ -1,11 +1,14 @@
 """Property tests: Pauli kernel, decomposition, partial trace, circuits."""
 
+from itertools import combinations
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (circuit_unitary, embed, pauli_kron, tensordot_gate,
-                      tensordot_on_axis, term_loop)
+from conftest import (circuit_unitary, coefficient, decompose_oracle, dense_oracle, embed,
+                      partial_trace_oracle, pauli_kron, tensordot_gate, tensordot_on_axis,
+                      term_bytes, term_loop)
 from vqite import (PauliHamiltonian, PauliString, StateVector, pauli_decompose,
                    run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES
@@ -39,7 +42,7 @@ def test_string_apply_matches_matrix(case):
     word, psi = case
     ps = PauliString(word)
     oracle = pauli_kron(word)
-    assert np.array_equal(ps.matrix(), oracle)
+    assert np.array_equal(to_dense_matrix(PauliHamiltonian.from_pairs([(1.0, word)])), oracle)
     assert np.array_equal(ps.apply(psi), oracle @ psi)
 
 
@@ -50,7 +53,7 @@ def test_decompose_dense_round_trip(h):
     assert back.n_qubits == h.n_qubits
     labels = {ps.letters for _, ps in h.terms + back.terms}
     for letters in labels:
-        assert abs(back.coefficient(letters) - h.coefficient(letters)) < 1e-9
+        assert abs(coefficient(back, letters) - coefficient(h, letters)) < 1e-9
 
 
 @PROPERTY
@@ -69,6 +72,36 @@ def test_partial_trace_matches_dense(h, keep, data):
     oracle = np.einsum("xcyd,dc->xy", t.reshape(da, db, da, db), rho)
     reduced = weighted_partial_trace(h, keep, rho)
     assert np.max(np.abs(to_dense_matrix(reduced) - oracle)) < 1e-10
+
+
+# The signed-permutation forms multiply only by 0, +-1 and +-i and sum in the
+# order of the matrix-product forms they replaced, so they match bit for bit.
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(hamiltonians))
+def test_dense_matrix_is_kronecker_sum_bitwise(h):
+    assert to_dense_matrix(h).tobytes() == dense_oracle(h).tobytes()
+
+
+@PROPERTY
+@given(st.integers(2, 4).flatmap(hamiltonians), st.data())
+def test_partial_trace_is_matrix_product_bitwise(h, data):
+    n = h.n_qubits
+    for keep in (s for size in range(1, n) for s in combinations(range(n), size)):
+        db = 2 ** (n - len(keep))
+        m = data.draw(arrays(complex, (db, db), elements=AMPLITUDE))
+        rho = m @ m.conj().T + np.eye(db)
+        rho /= np.trace(rho).real
+        assert (term_bytes(weighted_partial_trace(h, keep, rho))
+                == term_bytes(partial_trace_oracle(h, keep, rho))), keep
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda n: arrays(complex, (2 ** n,) * 2, elements=AMPLITUDE)))
+def test_decompose_is_matrix_product_bitwise(a):
+    m = a + a.conj().T
+    assert term_bytes(pauli_decompose(m)) == term_bytes(decompose_oracle(m))
 
 
 @st.composite

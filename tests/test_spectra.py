@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import coefficient
 from vqite import (DensityMatrix, PauliHamiltonian, exact_spectrum,
-                   gershgorin_emax, lift_ground_state, to_dense_matrix)
+                   gershgorin_emax, lift_ground_state, pauli_decompose,
+                   to_dense_matrix)
+from vqite.mclachlan import McLachlanSystem, solve_update
 from vqite.pauli import DimensionCapError
+
+NAN = float("nan")
 
 
 def projector(vec):
@@ -85,12 +90,11 @@ def test_lift_z_collapses_to_identity():
     h = PauliHamiltonian.from_pairs([(1.0, "Z")])
     lifted = lift_ground_state(h, projector(np.array([0.0, 1.0])), e_max=1.0)
     assert lifted.n_terms == 1
-    assert lifted.coefficient("I") == pytest.approx(1.0)
+    assert coefficient(lifted, "I") == pytest.approx(1.0)
     assert exact_spectrum(lifted).ground_degenerate
 
 
 def test_lift_diagonal_bookkeeping():
-    from vqite import pauli_decompose
     h = pauli_decompose(np.diag([0.0, 1.0, 2.0, 3.0]))
     ground = projector(np.array([1.0, 0.0, 0.0, 0.0]))
     lifted = lift_ground_state(h, ground, e_max=3.0)
@@ -127,3 +131,16 @@ def test_lift_rejects_low_e_max(lih_r15):
     with pytest.raises(ValueError):
         lift_ground_state(lih_r15, projector(spec.ground_state),
                           e_max=spec.ground_energy - 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gershgorin_emax(np.array([[NAN, 0.0], [0.0, 1.0]])), "Hermitian"),
+    (lambda: pauli_decompose(np.array([[NAN, 0.0], [0.0, 1.0]])), "not Hermitian"),
+    (lambda: solve_update(McLachlanSystem(np.eye(1), np.ones(1), route="exact"), NAN),
+     "dtau"),
+    (lambda: lift_ground_state(PauliHamiltonian.from_pairs([(1.0, "Z")]),
+                               projector(np.array([0.0, 1.0])), e_max=NAN), "e_max"),
+], ids=["gershgorin_emax", "pauli_decompose", "solve_update", "lift_ground_state"])
+def test_numeric_guards_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import coefficient, serialize_table, table_coefficient
 from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax,
-                   hamiltonian_at, parse_table, serialize_table, to_dense_matrix)
+                   hamiltonian_at, parse_table, to_dense_matrix)
 from vqite.tables import TableFormatError
 
 
@@ -20,9 +21,9 @@ def test_bundle_shape(lih_table):
 
 
 def test_bundle_reference_cells(lih_table):
-    assert lih_table.coefficient(0.7, "IZI") == pytest.approx(-0.2332)
-    assert lih_table.coefficient(5.0, "YYI") == 0.0
-    assert lih_table.coefficient(1.5, "III") == pytest.approx(-7.0632)
+    assert table_coefficient(lih_table, 0.7, "IZI") == pytest.approx(-0.2332)
+    assert table_coefficient(lih_table, 5.0, "YYI") == 0.0
+    assert table_coefficient(lih_table, 1.5, "III") == pytest.approx(-7.0632)
 
 
 def test_bundle_rows_hermitian_within_gershgorin(lih_table):
@@ -101,7 +102,7 @@ def test_round_trip(lih_table):
 def test_hamiltonian_at_exact_match(lih_table):
     h = hamiltonian_at(lih_table, 1.5)
     assert h.n_terms == 13
-    assert h.coefficient("III") == pytest.approx(-7.0632)
+    assert coefficient(h, "III") == pytest.approx(-7.0632)
     with pytest.raises(ValueError, match="no row at R=1.49"):
         hamiltonian_at(lih_table, 1.49)
 
@@ -109,7 +110,7 @@ def test_hamiltonian_at_exact_match(lih_table):
 def test_zero_coefficient_dropped_from_hamiltonian(lih_table):
     # The R=5.0 row lists YYI as 0.0000; canonicalization drops the term.
     h = hamiltonian_at(lih_table, 5.0)
-    assert h.coefficient("YYI") == 0.0
+    assert coefficient(h, "YYI") == 0.0
     assert all(ps.letters != "YYI" for _, ps in h.terms)
 
 
