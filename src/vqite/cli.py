@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import build_hardware_efficient, build_ucc_h2, build_ucc_lih
-from .cmf import cmf_reduce
+from .cmf import cmf_reduce, cmf_stages
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite
 from .pauli import to_dense_matrix
 from .simulator import DensityMatrix
@@ -187,12 +187,12 @@ def _point_seed(seed: int, r: float):
 
 
 def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
-               flagged: set[float]):
+               flagged: set[float], finish, row: int):
     h = hamiltonian_at(table, r)
     builder = ANSATZ_BUILDERS[manifest.ansatz]
     cmf_record = None
     if manifest.cmf:
-        eff = cmf_reduce(h)
+        eff = finish(row)
         h_system = eff.h_eff
         energy_map = EnergyMap.from_effective(eff, h)
         cmf_record = (r, eff.provenance)
@@ -229,15 +229,17 @@ def run_scan(manifest: RunManifest):
 
     Results are merged in bond-distance order, and every point's random
     stream is seeded from (seed, R).  A failing point is recorded with an
-    `error:<ExceptionType>` flag and its message goes to stderr.
+    `error:<ExceptionType>` flag and its message goes to stderr.  Each point
+    finishes its row of one batched CMF reduction (cmf_stages).
     """
     table = load_manifest_table(manifest)
     rs = validate_manifest(manifest, table)
     flagged = discontinuity_rs(table)
+    finish = cmf_stages([hamiltonian_at(table, r) for r in rs]) if manifest.cmf else None
 
-    def work(r):
+    def work(k, r):
         try:
-            return _run_point(manifest, table, r, flagged)
+            return _run_point(manifest, table, r, flagged, finish, k)
         except Exception as exc:  # per-point failure: recorded, not fatal
             kind = type(exc).__name__
             print(f"R={r:g}: {kind}: {exc}", file=sys.stderr)
@@ -245,7 +247,7 @@ def run_scan(manifest: RunManifest):
                                manifest.iterations, ("error:" + kind,))
             return point, None, None
 
-    results = [work(r) for r in rs]
+    results = [work(k, r) for k, r in enumerate(rs)]
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}

@@ -19,6 +19,11 @@ Hamiltonians:
 The resulting 2-qubit effective Hamiltonian comes with the 8x4 isometry
 whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
+
+Steps 1-3 run batched over all rows of a scan: each partial trace is one
+gather through a compiled trace plan, each spectrum one eigh of a (B, k, k)
+stack.  Steps 4-5 run per row.  Each row equals its reduction alone, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (PAULI_MATRICES, PauliHamiltonian, pauli_decompose,
-                    to_dense_matrix, weighted_partial_trace)
+from .pauli import (PAULI_MATRICES, PauliHamiltonian, check_density, dense_matrices,
+                    partial_traces, pauli_decompose, term_columns)
 from .simulator import DensityMatrix
-from .spectra import DEGENERACY_GAP, exact_spectrum
+from .spectra import DEGENERACY_GAP, stacked_spectrum
 
 GRAM_RANK_TOL = 1e-8
 
@@ -55,61 +60,94 @@ class EffectiveHamiltonian:
     provenance: tuple[str, ...]
 
 
-def _two_lowest(h: PauliHamiltonian, notes: list[str], label: str):
-    spec = exact_spectrum(h)
-    if spec.degeneracy_flags[1]:
-        notes.append(f"{label}.tie_break=eigh-order (gap below {DEGENERACY_GAP})")
-    vals, vecs = spec.eigenvalues, spec.eigenstates
-    return [vecs[:, 0], vecs[:, 1]], [float(vals[0]), float(vals[1])]
-
-
 def _coeff_key(vec: np.ndarray) -> tuple:
     return tuple(np.round(np.concatenate([vec.real, vec.imag]), 12))
 
 
-def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
-    """Run the layered reduction; deterministic for identical input."""
-    if h.n_qubits != 3:
-        raise ValueError("the one-layer reduction is defined for 3-qubit input")
-    notes: list[str] = [
-        f"partition.a={SUBSYSTEM_A}",
-        f"partition.b={SUBSYSTEM_B}",
-    ]
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer of each row pair of two (B, d) stacks, as a (B, d, d) stack."""
+    return a[:, :, None] * b[:, None, :]
 
-    h_dense = to_dense_matrix(h)
+
+def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
+    """Run the layered reduction on every row; deterministic, and each row
+    equals cmf_reduce of that row alone bit for bit."""
+    hs = list(hamiltonians)
+    finish = cmf_stages(hs)
+    return [finish(b) for b in range(len(hs))]
+
+
+def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
+    """Run the layered reduction on one Hamiltonian."""
+    return cmf_reduce_rows([h])[0]
+
+
+def cmf_stages(hs: list[PauliHamiltonian]):
+    """finish(b) -> the reduction of hs[b], with steps 1-3 run once for all
+    rows and steps 4-5 per call, so that a scan holds one row's Pauli terms
+    at a time.  If the batch raises, finish(b) reduces row b alone, and only
+    the rows that fail alone raise."""
+    try:
+        return _stages(hs)
+    except Exception:  # any failing row fails the whole batch
+        return lambda b: _stages(hs[b:b + 1])(0)
+
+
+def _stages(hs: list[PauliHamiltonian]):
+    """Steps 1-3 for all rows at once; returns finish(b) for steps 4-5."""
+    if any(h.n_qubits != 3 for h in hs):
+        raise ValueError("the one-layer reduction is defined for 3-qubit input")
+    labels, coeffs = term_columns(hs)
+    stages = []         # (tag, eigenvalues, degeneracy flags, level noted)
+
+    def conditioned(tag, keep, rho, level):
+        words, reduced = partial_traces(labels, coeffs, keep, check_density(rho), 3)
+        vals, vecs, flags = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
+        stages.append((tag, vals, flags, level))
+        return vals, vecs
 
     # Step 1: seed reduction and the two lowest a states.
-    h_a0 = weighted_partial_trace(h, SUBSYSTEM_A, INITIAL_RHO_B)
-    a_states, a_vals = _two_lowest(h_a0, notes, "h_a0")
-    notes.append(f"h_a0.lowest={a_vals[0]:.12g},{a_vals[1]:.12g}")
+    seed = np.broadcast_to(INITIAL_RHO_B.elements, (len(hs), 2, 2))
+    _, a_vecs = conditioned("h_a0", SUBSYSTEM_A, seed, 1)
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
-    b_states: list[np.ndarray] = []
-    for tag, av in zip(("a_g", "a_e"), a_states):
-        rho_a = DensityMatrix(np.outer(av, av.conj()))
-        spec = exact_spectrum(weighted_partial_trace(h, SUBSYSTEM_B, rho_a))
-        if spec.degeneracy_flags[0]:
-            notes.append(f"h_b({tag}).tie_break=eigh-order")
-        vals, vecs = spec.eigenvalues, spec.eigenstates
-        b_states += [vecs[:, 0], vecs[:, 1]]
-        notes.append(f"h_b({tag}).eigenvalues={vals[0]:.12g},{vals[1]:.12g}")
+    b_states = []
+    for tag, av in (("a_g", a_vecs[:, :, 0]), ("a_e", a_vecs[:, :, 1])):
+        _, vecs = conditioned(f"h_b({tag})", SUBSYSTEM_B, _outer(av, av.conj()), 0)
+        b_states += [vecs[:, :, 0], vecs[:, :, 1]]
 
     # Step 3: a conditioned on each b state; two lowest each.
     b_tags = ("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)")
-    primary: list[np.ndarray] = []
-    secondary: list[tuple[float, np.ndarray]] = []
+    pairs = []          # (two lowest a states, b state, a eigenvalues) per b state
     for tag, bv in zip(b_tags, b_states):
-        rho_b = DensityMatrix(np.outer(bv, bv.conj()))
-        h_a1 = weighted_partial_trace(h, SUBSYSTEM_A, rho_b)
-        lo_states, lo_vals = _two_lowest(h_a1, notes, f"h_a1({tag})")
-        notes.append(f"h_a1({tag}).lowest={lo_vals[0]:.12g},{lo_vals[1]:.12g}")
-        primary.append(np.kron(lo_states[0], bv))
-        secondary.append((lo_vals[1], np.kron(lo_states[1], bv)))
+        vals, vecs = conditioned(f"h_a1({tag})", SUBSYSTEM_A, _outer(bv, bv.conj()), 1)
+        pairs.append((vecs[:, :, :2].copy(), bv, vals))
 
-    def mean_energy(vec: np.ndarray) -> float:
-        return float(np.vdot(vec, h_dense @ vec).real)
+    # The stage arrays stay alive for the whole scan; what finish needs of one
+    # row beyond them (H dense, the product candidates) is built per row.
+    def finish(b: int) -> EffectiveHamiltonian:
+        notes = [f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"]
+        for tag, vals, flags, level in stages:  # steps 1 and 3 note level 1, step 2 level 0
+            if flags[b, level]:
+                notes.append(f"{tag}.tie_break=eigh-order"
+                             + (f" (gap below {DEGENERACY_GAP})" if level else ""))
+            notes.append(f"{tag}.{'lowest' if level else 'eigenvalues'}="
+                         f"{float(vals[b, 0]):.12g},{float(vals[b, 1]):.12g}")
+        return _select_basis(dense_matrices(labels, coeffs[b:b + 1], 3)[0],
+                             [np.kron(a[b, :, 0], bv[b]) for a, bv, _ in pairs],
+                             [(float(v[b, 1]), np.kron(a[b, :, 1], bv[b])) for a, bv, v in pairs],
+                             notes)
 
-    ordered = sorted(primary, key=lambda v: (mean_energy(v), _coeff_key(v)))
+    return finish
+
+
+def _select_basis(h_dense: np.ndarray, primary: list[np.ndarray],
+                  secondary: list[tuple[float, np.ndarray]],
+                  notes: list[str]) -> EffectiveHamiltonian:
+    """Steps 4 and 5 for one row: order, orthonormalize and project."""
+    # ascending mean energy <v|H|v>
+    ordered = sorted(primary, key=lambda v: (float(np.vdot(v, h_dense @ v).real),
+                                             _coeff_key(v)))
     fallback = [v for _, v in sorted(secondary, key=lambda t: (t[0], _coeff_key(t[1])))]
 
     basis: list[np.ndarray] = []

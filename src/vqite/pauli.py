@@ -17,13 +17,14 @@ A string is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
 memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
 src[j] = j ^ xmask, xmask marking the X and Y letters.  It is the one Pauli
 representation.  Products by it are exact, so one gather and one multiply
-give the values of the Kronecker product.  A Hamiltonian stacks its strings
-once; H|psi> is one gather, multiply and sum over the terms, and its dense
-matrix is the stacked entries added into zeros, both in the order and from
-the zero of a term loop.  Traces read the one entry per row:
-Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
-Tr(sigma m) = sum_j phase[j] m[src[j], j], summed over ascending j like the
-diagonal of the matrix product, so they equal the dense forms bit for bit.
+give the values of the Kronecker product.  A word tuple is stacked once;
+H|psi> is one gather, multiply and sum over the terms, and the dense matrices
+of B sums over one word tuple are the stacked entries added into zeros, in
+the order and from the zero of a term loop.  Traces read the one entry per
+row: Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
+Tr(sigma m) = sum_j phase[j] m[src[j], j], summed like the diagonal of the
+matrix product, so they equal the dense forms bit for bit; partial traces
+gather through a plan compiled once per word tuple and subsystem.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ ROW_PHASES = {"I": (1, 1), "X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
 DENSE_QUBIT_CAP = 12
 COEFF_DROP_TOL = 1e-14
 HERMITIAN_TOL = 1e-9
+NORM_TOL = 1e-10
 
 
 class DimensionCapError(ValueError):
@@ -67,8 +69,16 @@ def _signed_permutation(letters: str) -> tuple[np.ndarray, np.ndarray]:
     xmask = int("".join("1" if c in "XY" else "0" for c in letters), 2)
     src = np.arange(2 ** len(letters)) ^ xmask
     phase = functools.reduce(np.kron, map(ROW_PHASES.get, letters), np.ones(1, complex))
-    src.flags.writeable = phase.flags.writeable = False
-    return src, phase
+    return read_only(src), read_only(phase)
+
+
+@functools.lru_cache(maxsize=256)
+def _term_stack(labels: tuple[str, ...], n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (src, phase) of every word in `labels`, stacked to (L, 2^n)."""
+    shape = (len(labels), 2 ** n_qubits)
+    src, phase = zip(*map(_signed_permutation, labels)) if labels else ((), ())
+    return (read_only(np.array(src, dtype=np.intp).reshape(shape)),
+            read_only(np.array(phase, dtype=complex).reshape(shape)))
 
 
 def _check_dense_cap(n_qubits: int) -> None:
@@ -156,12 +166,9 @@ class PauliHamiltonian:
     @functools.cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, coefficient * phase) of every term, stacked to (L, 2^n)."""
-        src = np.zeros((self.n_terms, 2 ** self.n_qubits), dtype=np.intp)
-        weight = np.zeros(src.shape, dtype=complex)
-        for row, (c, ps) in enumerate(self.terms):
-            src[row], phase = _signed_permutation(ps.letters)
-            weight[row] = c * phase
-        return src, weight
+        labels, coeffs = term_columns([self])
+        src, phase = _term_stack(labels, self.n_qubits)
+        return src, coeffs.reshape(-1, 1) * phase
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H |psi>: one gather, multiply and sum over the stacked terms."""
@@ -170,14 +177,31 @@ class PauliHamiltonian:
         return (weight * psi[src]).sum(axis=0, initial=0)
 
 
+def term_columns(hamiltonians) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted union of the words of B Hamiltonians and their (B, L)
+    coefficients, 0.0 where a Hamiltonian lacks the word."""
+    labels = tuple(sorted({ps.letters for h in hamiltonians for _, ps in h.terms}))
+    column = {word: k for k, word in enumerate(labels)}
+    coeffs = np.zeros((len(hamiltonians), len(labels)))
+    for b, h in enumerate(hamiltonians):
+        for c, ps in h.terms:
+            coeffs[b, column[ps.letters]] = c
+    return labels, coeffs
+
+
+def dense_matrices(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(B, 2^n, 2^n) dense matrices of the Pauli sums coeffs[b] over `labels`
+    (n <= 12): entry l of row j added at column src_l[j], in term order."""
+    _check_dense_cap(n_qubits)
+    src, phase = _term_stack(labels, n_qubits)
+    out = np.zeros((len(coeffs), src.shape[1], src.shape[1]), dtype=complex)
+    np.add.at(out, (slice(None), np.arange(src.shape[1]), src), coeffs[:, :, None] * phase)
+    return out
+
+
 def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Hamiltonian (n <= 12)."""
-    _check_dense_cap(h.n_qubits)
-    src, weight = h._stacked
-    dim = src.shape[1]
-    out = np.zeros((dim, dim), dtype=complex)
-    np.add.at(out, (np.arange(dim), src), weight)
-    return out
+    return dense_matrices(*term_columns([h]), h.n_qubits)[0]
 
 
 def expectation(h: PauliHamiltonian, state) -> float:
@@ -194,12 +218,68 @@ def expectation(h: PauliHamiltonian, state) -> float:
     return value.real
 
 
+def check_density(m) -> np.ndarray:
+    """`m` as a complex array once every matrix of the stack (..., 2^n, 2^n)
+    is Hermitian, of unit trace and has no eigenvalue below -1e-9."""
+    m = np.asarray(m, dtype=complex)
+    dim = m.shape[-1]
+    if m.shape[-2:] != (dim, dim) or dim & (dim - 1):
+        raise ValueError(f"density matrix shape {m.shape} is not square 2^n")
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= NORM_TOL:  # NaN fails too
+        raise ValueError("density matrix is not Hermitian within 1e-10")
+    if not np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)) <= NORM_TOL:
+        raise ValueError("density matrix trace deviates from 1 beyond 1e-10")
+    if np.linalg.eigvalsh(m).min() < -1e-9:
+        raise ValueError("density matrix has an eigenvalue below -1e-9")
+    return m
+
+
+@functools.lru_cache(maxsize=256)
+def _trace_plan(labels: tuple[str, ...], keep: tuple[int, ...], n_qubits: int):
+    """Per term the flat index of rho[j, src[j]] and the phase[src[j]] of its
+    complement word, the sorted reduced words, and the one each term lands on."""
+    comp = [q for q in range(n_qubits) if q not in keep]
+    src, phase = _term_stack(tuple(["".join(w[q] for q in comp) for w in labels]), len(comp))
+    reduced = ["".join(w[q] for q in keep) for w in labels]
+    words = sorted(set(reduced))
+    return (read_only(src + src.shape[1] * np.arange(src.shape[1])),
+            read_only(np.take_along_axis(phase, src, axis=-1)), tuple(words),
+            read_only(np.array([words.index(w) for w in reduced], dtype=np.intp)))
+
+
+def _row_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, 2^k long, in the pairwise order numpy sums one
+    contiguous complex row in, whatever the layout of `p`."""
+    n = p.shape[-1]
+    if n > 64:
+        return _row_sum(p[..., :n // 2]) + _row_sum(p[..., n // 2:])
+    if n < 4:
+        return functools.reduce(np.add, np.moveaxis(p, -1, 0))
+    acc = functools.reduce(np.add, np.split(p, n // 4, axis=-1))
+    return (acc[..., 0] + acc[..., 1]) + (acc[..., 2] + acc[..., 3])
+
+
+def partial_traces(labels: tuple[str, ...], coeffs: np.ndarray, keep: tuple[int, ...],
+                   rho: np.ndarray, n_qubits: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Reduced words and (B, L') coefficients of Tr_b((I_a x rho[b]) H_b) for
+    the Pauli sums H_b = coeffs[b] over `labels` and a checked (B, d_b, d_b)
+    weight stack.  Coefficients merge from 0.0 in term order, and those with
+    |c| <= 1e-14, which a PauliHamiltonian drops, are exact zeros."""
+    flat, phase, words, index = _trace_plan(labels, keep, n_qubits)
+    # Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]], real for Hermitian rho.
+    scalars = _row_sum(rho.reshape(len(rho), -1)[:, flat] * phase).real
+    out = np.zeros((len(rho), len(words)))
+    np.add.at(out, (slice(None), index), coeffs * scalars)
+    return words, np.where(np.abs(out) <= COEFF_DROP_TOL, 0.0, out)
+
+
 def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamiltonian:
     """Tr_b((I_a x rho_b) H): replace complement letters by Tr(rho_b sigma_b).
 
     `subsystem` is the set of qubit indices kept; the reduced Hamiltonian's
     qubit j corresponds to sorted(subsystem)[j].  `weight` must be a density
-    matrix on the complement qubits (sorted order, same bit convention).
+    matrix on the complement qubits (sorted order, same bit convention); a
+    raw array gets the checks of a DensityMatrix.
     """
     keep = sorted(set(subsystem))
     if any(q < 0 or q >= h.n_qubits for q in keep) or not keep:
@@ -207,22 +287,14 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
     comp = [q for q in range(h.n_qubits) if q not in keep]
     if not comp:
         raise ValueError("subsystem covers all qubits; nothing to trace out")
-    rho = getattr(weight, "elements", None)
-    if rho is None:
-        rho = np.asarray(weight, dtype=complex)
+    rho = np.asarray(getattr(weight, "elements", weight), dtype=complex)
     if rho.shape != (2 ** len(comp),) * 2:
         raise ValueError(
             f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} on complement"
         )
-    rows = np.arange(rho.shape[0])
-    pairs = []
-    for c, ps in h.terms:
-        src, phase = _signed_permutation("".join(ps.letters[q] for q in comp))
-        # Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]], real for Hermitian rho.
-        scalar = (rho[rows, src] * phase[src]).sum()
-        reduced = "".join(ps.letters[q] for q in keep)
-        pairs.append((c * scalar.real, reduced))
-    return PauliHamiltonian.from_pairs(pairs, n_qubits=len(keep))
+    words, coeffs = partial_traces(*term_columns([h]), tuple(keep),
+                                   check_density(rho)[None], h.n_qubits)
+    return PauliHamiltonian.from_pairs(zip(coeffs[0], words), n_qubits=len(keep))
 
 
 def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:

@@ -21,9 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliString, read_only
-
-NORM_TOL = 1e-10
+from .pauli import NORM_TOL, PAULI_MATRICES, PauliString, check_density, read_only
 
 HADAMARD = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 
@@ -56,16 +54,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.elements, dtype=complex)
-        dim = m.shape[0]
-        if m.shape != (dim, dim) or dim & (dim - 1):
+        if m.ndim != 2:
             raise ValueError(f"density matrix shape {m.shape} is not square 2^n")
-        if not np.max(np.abs(m - m.conj().T)) <= NORM_TOL:  # NaN fails too
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if not abs(np.trace(m).real - 1.0) <= NORM_TOL:
-            raise ValueError("density matrix trace deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(m).min() < -1e-9:
-            raise ValueError("density matrix has an eigenvalue below -1e-9")
-        object.__setattr__(self, "elements", m)
+        object.__setattr__(self, "elements", check_density(m))
 
     @property
     def n_qubits(self) -> int:

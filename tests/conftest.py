@@ -168,3 +168,89 @@ def decompose_oracle(m):
         coeff = complex(np.trace(pauli_kron(letters) @ m)) / dim
         pairs.append((coeff.real, letters))
     return PauliHamiltonian.from_pairs(pairs, n_qubits=k)
+
+
+def spectrum_oracle(m):
+    """Ascending eigenvalues, eigenvectors and degeneracy flags of one dense
+    Hermitian matrix, column by column: each eigenvector scaled by
+    conj(pivot) / abs(pivot) at its largest-magnitude entry."""
+    vals, vecs = np.linalg.eigh(m)
+    cols = []
+    for k in range(vals.size):
+        vec = vecs[:, k]
+        pivot = vec[int(np.argmax(np.abs(vec)))]
+        cols.append(vec if abs(pivot) == 0.0 else vec * (pivot.conj() / abs(pivot)))
+    flags = tuple(bool((k > 0 and vals[k] - vals[k - 1] < 1e-9)
+                       or (k + 1 < vals.size and vals[k + 1] - vals[k] < 1e-9))
+                  for k in range(vals.size))
+    return vals, np.column_stack(cols), flags
+
+
+def cmf_oracle(h):
+    """The one-layer CMF reduction of one Hamiltonian, stage by stage on its
+    own, from dense_oracle, partial_trace_oracle and spectrum_oracle:
+    (isometry, h_eff, provenance) as the batched reduction must give them."""
+    from vqite.cmf import GRAM_RANK_TOL, INITIAL_RHO_B, _coeff_key
+    from vqite.simulator import DensityMatrix
+    from vqite import pauli_decompose
+
+    notes = ["partition.a=(0, 1)", "partition.b=(2,)"]
+    h_dense = dense_oracle(h)
+
+    def spectrum(keep, rho):
+        return spectrum_oracle(dense_oracle(partial_trace_oracle(h, keep, rho)))
+
+    vals, vecs, flags = spectrum((0, 1), INITIAL_RHO_B.elements)
+    if flags[1]:
+        notes.append("h_a0.tie_break=eigh-order (gap below 1e-09)")
+    notes.append(f"h_a0.lowest={float(vals[0]):.12g},{float(vals[1]):.12g}")
+    b_states = []
+    for tag, av in zip(("a_g", "a_e"), (vecs[:, 0], vecs[:, 1])):
+        rho_a = DensityMatrix(np.outer(av, av.conj())).elements
+        bvals, bvecs, bflags = spectrum((2,), rho_a)
+        if bflags[0]:
+            notes.append(f"h_b({tag}).tie_break=eigh-order")
+        b_states += [bvecs[:, 0], bvecs[:, 1]]
+        notes.append(f"h_b({tag}).eigenvalues={bvals[0]:.12g},{bvals[1]:.12g}")
+    primary, secondary = [], []
+    for tag, bv in zip(("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)"), b_states):
+        rho_b = DensityMatrix(np.outer(bv, bv.conj())).elements
+        avals, avecs, aflags = spectrum((0, 1), rho_b)
+        if aflags[1]:
+            notes.append(f"h_a1({tag}).tie_break=eigh-order (gap below 1e-09)")
+        notes.append(f"h_a1({tag}).lowest={float(avals[0]):.12g},{float(avals[1]):.12g}")
+        primary.append(np.kron(avecs[:, 0], bv))
+        secondary.append((float(avals[1]), np.kron(avecs[:, 1], bv)))
+
+    def mean_energy(v):
+        return float(np.vdot(v, h_dense @ v).real)
+
+    ordered = sorted(primary, key=lambda v: (mean_energy(v), _coeff_key(v)))
+    fallback = [v for _, v in sorted(secondary, key=lambda t: (t[0], _coeff_key(t[1])))]
+    basis, used, dropped = [], 0, 0
+    for cand in ordered + fallback:
+        if len(basis) == 4:
+            break
+        w = cand.copy()
+        for u in basis:
+            w = w - np.vdot(u, w) * u
+        if float(np.linalg.norm(w)) < GRAM_RANK_TOL:
+            dropped += 1
+            continue
+        for u in basis:
+            w = w - np.vdot(u, w) * u
+        basis.append(w / np.linalg.norm(w))
+        used += 1
+    if len(basis) < 4:
+        raise ValueError("candidate products span fewer than 4 dimensions")
+    notes += [f"gram_schmidt.candidates_used={used}",
+              f"gram_schmidt.rank_deficient_dropped={dropped}"]
+    iso = np.column_stack(basis)
+    h_eff = pauli_decompose(iso.conj().T @ h_dense @ iso)
+    notes.append(f"h_eff.terms={h_eff.n_terms}")
+    return iso, h_eff, tuple(notes)
+
+
+def reduction_bytes(iso, h_eff, provenance):
+    """A reduction as bytes: isometry tobytes(), h_eff term_bytes, provenance."""
+    return iso.tobytes(), term_bytes(h_eff), provenance

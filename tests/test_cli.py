@@ -2,10 +2,12 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import serialize_table
-from vqite import MoleculeTable, build_ucc_lih, load_lih_table, run_qite
+from vqite import (MoleculeTable, build_ucc_lih, hamiltonian_at, load_lih_table, run_qite,
+                   to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, discontinuity_rs,
                        emit_outputs, main, run_scan)
 from vqite.engine import QiteConfig
@@ -234,6 +236,46 @@ def test_per_point_error_sets_flag_and_exit(tmp_path, monkeypatch, capsys):
     assert [len(row.split(",")) for row in rows] == [6, 6, 6]
     assert rows[1].endswith(",error:ValueError")
     assert "R=1.4: ValueError: dims (2, 3) disagree" in capsys.readouterr().err
+
+
+def _failing_at_r15(stage, real):
+    """`real`, raising ArithmeticError whenever it works on the R = 1.5 row."""
+    h = hamiltonian_at(load_lih_table(), 1.5)
+    if stage == "_select_basis":                 # per row: the first argument is H
+        target = to_dense_matrix(h)
+        hit = lambda args: np.array_equal(args[0], target)
+    else:                                        # batched: a row of the (B, L) coefficients
+        target = np.array([c for c, _ in h.terms])
+        hit = lambda args: any(np.array_equal(c, target) for c in args[1])
+
+    def stage_fn(*args):
+        if hit(args):
+            raise ArithmeticError("injected at R=1.5")
+        return real(*args)
+    return stage_fn
+
+
+@pytest.mark.parametrize("stage", ["_select_basis", "partial_traces"])
+def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, capsys):
+    # _select_basis fails in the point of R = 1.5; partial_traces fails the
+    # batch, and then R = 1.5 alone when each point reduces its own row.
+    import vqite.cmf as cmf_mod
+    args = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "1.0,1.5,3.0"]
+    assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+    clean = (tmp_path / "clean" / "curve.csv").read_text().splitlines()
+    capsys.readouterr()
+
+    monkeypatch.setattr(cmf_mod, stage, _failing_at_r15(stage, getattr(cmf_mod, stage)))
+    assert main(args + ["--out", str(tmp_path / "failed")]) == 1
+    rows = (tmp_path / "failed" / "curve.csv").read_text().splitlines()
+    assert rows[1::2] == clean[1::2]      # the rows of R = 1.0 and 3.0 are unchanged
+    assert rows[2] == "1.5,nan,nan,,4,error:ArithmeticError"
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if "error" in line] == [
+        "R=1.5 e_qite=nan e_exact=nan fidelity= flags=error:ArithmeticError"]
+    assert captured.err.splitlines() == ["R=1.5: ArithmeticError: injected at R=1.5"]
+    selection = (tmp_path / "failed" / "cmf_selection.txt").read_text()
+    assert "[R=1]" in selection and "[R=3]" in selection and "[R=1.5]" not in selection
 
 
 @pytest.mark.parametrize("command", ["spectrum", "excited"])

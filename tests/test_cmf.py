@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
-from vqite import (PauliHamiltonian, cmf_reduce, exact_spectrum,
-                   lift_amplitudes, to_dense_matrix)
+from conftest import cmf_oracle, random_state, reduction_bytes
+from vqite import (PauliHamiltonian, cmf_reduce, cmf_reduce_rows, exact_spectrum,
+                   hamiltonian_at, lift_amplitudes, to_dense_matrix)
 from vqite.cmf import INITIAL_RHO_B
 
 
@@ -101,3 +101,14 @@ def test_reduce_rejects_wrong_size():
     h = PauliHamiltonian.from_pairs([(1.0, "ZZ")])
     with pytest.raises(ValueError):
         cmf_reduce(h)
+
+
+def test_batched_rows_equal_per_row_oracle_bitwise(lih_table):
+    # All 50 rows in one batch, including the 11-term rows R = 4.9 and 5.0.
+    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    assert {h.n_terms for h in hs} == {11, 13}
+    effs = cmf_reduce_rows(hs)
+    assert len(effs) == len(hs)
+    for r, h, eff in zip(lih_table.bond_distances, hs, effs):
+        assert (reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance)
+                == reduction_bytes(*cmf_oracle(h))), r

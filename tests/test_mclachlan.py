@@ -6,6 +6,7 @@ import pytest
 from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce,
                    compute_exact, compute_sampled, solve_update)
+from vqite.ansatz import DERIVATIVE_PREFACTOR
 from vqite.mclachlan import (McLachlanSystem, ancilla_state, assemble_system,
                              evaluate_circuit)
 from vqite.simulator import (StateVector, controlled_pauli, hadamard,
@@ -148,6 +149,24 @@ def test_circuits_match_insertion_oracle(lih_r15, h2_r07, rng):
             for got, want in zip(job.circuit.gates, gates):
                 assert np.array_equal(got.matrix, want.matrix)
                 assert (got.target, got.control) == (want.target, want.control)
+
+
+def test_analytic_z_is_branch_overlap(lih_r15, h2_r07, rng):
+    # With the ancilla in (|0> + e^{i phi}|1>)/sqrt(2), the analytic ancilla Z
+    # of a test is Re(e^{i phi} <bra|ket>) (McArdle et al., npj QI 5, 75 (2019)):
+    # bra the sigma_i branch, ket the sigma_j branch (A) or sigma_l |psi> (B).
+    for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
+        gamma = ansatz.n_parameters
+        branch = [ansatz.derivative_state(i) / DERIVATIVE_PREFACTOR for i in range(gamma)]
+        psi = ansatz.state().amplitudes
+        kets = [branch[j] for i in range(gamma) for j in range(i, gamma)]
+        kets += [ps.apply(psi) for _ in range(gamma) for _, ps in h.terms]
+        jobs = build_hadamard_circuits(ansatz, h)
+        assert len(jobs) == len(kets)
+        for job, ket in zip(jobs, kets):
+            bra = branch[job.destination[1]]
+            expected = (np.exp(1j * job.circuit.ancilla_phase) * np.vdot(bra, ket)).real
+            assert abs(evaluate_circuit(job.circuit) - expected) < 1e-12, job.destination
 
 
 def test_ucc_h2_circuit_counts(h2_r07):

@@ -147,6 +147,14 @@ def test_weighted_partial_trace_bad_partition(lih_r15):
         weighted_partial_trace(lih_r15, {0, 1, 2}, plus_x_weight())
 
 
+@pytest.mark.parametrize("weight", [np.array([[1, 1], [0, 0]]),
+                                    np.array([[0.5, np.nan], [np.nan, 0.5]])])
+def test_weighted_partial_trace_checks_raw_weight(weight):
+    h = PauliHamiltonian.from_pairs([(1.0, "ZX"), (0.5, "XZ")])
+    with pytest.raises(ValueError, match="density matrix"):
+        weighted_partial_trace(h, {0}, weight)
+
+
 def test_pauli_decompose_identity():
     h = pauli_decompose(np.eye(4))
     assert h.n_terms == 1

@@ -1,4 +1,4 @@
-"""Property tests: Pauli kernel, decomposition, partial trace, circuits."""
+"""Property tests: Pauli kernel, decomposition, partial trace, CMF reduction, circuits."""
 
 from itertools import combinations
 
@@ -6,11 +6,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (circuit_unitary, coefficient, decompose_oracle, dense_oracle, embed,
-                      partial_trace_oracle, pauli_kron, tensordot_gate, tensordot_on_axis,
-                      term_bytes, term_loop)
-from vqite import (PauliHamiltonian, PauliString, StateVector, pauli_decompose,
-                   run_circuit, to_dense_matrix, weighted_partial_trace)
+from conftest import (circuit_unitary, cmf_oracle, coefficient, decompose_oracle, dense_oracle,
+                      embed, partial_trace_oracle, pauli_kron, reduction_bytes, tensordot_gate,
+                      tensordot_on_axis, term_bytes, term_loop)
+from vqite import (PauliHamiltonian, PauliString, StateVector, cmf_reduce_rows,
+                   pauli_decompose, run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES
 from vqite.simulator import (Gate, apply_gate, apply_on_axis, cnot, controlled_pauli,
                              cz, hadamard, rx, ry, rz, x, y, z)
@@ -102,6 +102,30 @@ def test_partial_trace_is_matrix_product_bitwise(h, data):
 def test_decompose_is_matrix_product_bitwise(a):
     m = a + a.conj().T
     assert term_bytes(pauli_decompose(m)) == term_bytes(decompose_oracle(m))
+
+
+@st.composite
+def reduction_batches(draw):
+    """1-4 random 3-qubit Hamiltonians of 1-13 terms, each drawn from a word
+    pool the batch shares, from words of its own, or from both."""
+    pool = draw(st.lists(words(3), min_size=1, max_size=13))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 13))
+        source = draw(st.sampled_from([st.sampled_from(pool), words(3),
+                                       st.one_of(st.sampled_from(pool), words(3))]))
+        letters = draw(st.lists(source, min_size=size, max_size=size))
+        coeffs = draw(st.lists(COEFF, min_size=size, max_size=size))
+        batch.append(PauliHamiltonian.from_pairs(zip(coeffs, letters), n_qubits=3))
+    return batch
+
+
+@PROPERTY
+@given(reduction_batches())
+def test_batched_reduction_is_per_row_oracle_bitwise(batch):
+    expected = [reduction_bytes(*cmf_oracle(h)) for h in batch]
+    effs = cmf_reduce_rows(batch)
+    assert [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance) for e in effs] == expected
 
 
 @st.composite

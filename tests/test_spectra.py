@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import coefficient
-from vqite import (DensityMatrix, PauliHamiltonian, exact_spectrum,
-                   gershgorin_emax, lift_ground_state, pauli_decompose,
+from conftest import coefficient, random_hamiltonian_pairs, spectrum_oracle
+from vqite import (DensityMatrix, PauliHamiltonian, cmf_reduce, exact_spectrum,
+                   gershgorin_emax, hamiltonian_at, lift_ground_state, pauli_decompose,
                    to_dense_matrix)
 from vqite.mclachlan import McLachlanSystem, solve_update
 from vqite.pauli import DimensionCapError
+from vqite.spectra import stacked_spectrum
 
 NAN = float("nan")
 
@@ -45,6 +46,29 @@ def test_spectrum_residuals_and_lih_reference(lih_r15):
 def test_spectrum_size_cap():
     with pytest.raises(DimensionCapError):
         exact_spectrum(PauliHamiltonian.from_pairs([(1.0, "Z" * 13)]))
+
+
+def test_stacked_spectrum_is_exact_spectrum_per_matrix(lih_table, rng):
+    # ZI + IZ has the degenerate middle pair 0, 0; 11- and 13-term rows of the
+    # table, their reductions and random sums fill the rest of the stacks.
+    rows = [hamiltonian_at(lih_table, r) for r in (0.5, 1.5, 3.0, 4.9, 5.0)]
+    stacks = [rows, [PauliHamiltonian.from_pairs([(1.0, "ZI"), (1.0, "IZ")])]
+              + [cmf_reduce(h).h_eff for h in rows]
+              + [PauliHamiltonian.from_pairs(random_hamiltonian_pairs(rng, 2, 6), n_qubits=2)
+                 for _ in range(3)]]
+    degenerate = 0
+    for hs in stacks:
+        vals, vecs, flags = stacked_spectrum(np.stack([to_dense_matrix(h) for h in hs]))
+        for h, v, w, f in zip(hs, vals, vecs, flags):
+            spec = exact_spectrum(h)
+            assert (v.tobytes(), w.tobytes(), tuple(f.tolist())) == (
+                spec.eigenvalues.tobytes(), spec.eigenstates.tobytes(), spec.degeneracy_flags)
+            oracle = spectrum_oracle(to_dense_matrix(h))
+            assert (v.tobytes(), w.tobytes(), tuple(f.tolist())) == (
+                oracle[0].tobytes(), oracle[1].tobytes(), oracle[2])
+            degenerate += any(spec.degeneracy_flags)
+    assert degenerate == 1
+    assert exact_spectrum(stacks[1][0]).degeneracy_flags == (False, True, True, False)
 
 
 def test_gershgorin_diagonal():
