@@ -86,7 +86,7 @@ class AnsatzCircuit:
     def _forward(self) -> tuple[np.ndarray, ...]:
         """Read-only amplitudes before and after each gate; the last is flat."""
         ref = self.reference_state
-        tensors = run_gates([ref.amplitudes.reshape((2,) * ref.n_qubits)], self.gates)
+        tensors = run_gates([ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits)], self.gates)
         tensors[-1] = tensors[-1].reshape(-1)
         for t in tensors:
             t.flags.writeable = False

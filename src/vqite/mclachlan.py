@@ -13,10 +13,11 @@ A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
 of the summand, and the ancilla Z expectation then yields the summand's
 real part.  A test circuit is three slices of the ansatz gate tuple
 with controlled Pauli gates between them, kept for the last two sets of
-strings.  simulator.run_gates resumes each from the longest gate prefix
-it shares with the last one run from the same ancilla phase; its states
-come from the same gate applications on the same arrays, so every
-expectation and binomial draw is bitwise that of a run from scratch.
+strings.  One estimate runs all its tests as one stacked pass
+(hadamard_z): each distinct gate prefix once on the stack of ancilla
+phases, each Hamiltonian word as a gather, then the final H, the
+measurement and the binomial draws once over all tests in job order;
+every expectation and draw is bitwise that of the test run alone.
 Evaluated without sampling, the two routes agree to machine precision;
 with shots they agree statistically.
 
@@ -30,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
-from .pauli import PauliHamiltonian
-from .simulator import (Gate, StateVector, controlled_pauli, hadamard,
+from .pauli import PauliHamiltonian, _term_stack
+from .simulator import (Gate, StateVector, check_norms, controlled_pauli, hadamard,
                         measure_z_expectation, run_gates, x)
 
 EXACT_EIG_CUTOFF = 1e-8
@@ -57,14 +59,12 @@ class McLachlanSystem:
 class HadamardTestCircuit:
     """One ancilla test: phased ancilla, gate list, Z measurement.
 
-    The ancilla, `measured_qubit`, follows the system qubits and is
-    prepared in (|0> + e^{i ancilla_phase} |1>)/sqrt(2); the system qubits
-    start in `system_reference`.
+    The ancilla, the last qubit, is prepared in (|0> + e^{i ancilla_phase}
+    |1>)/sqrt(2) and measured; the system qubits start in `system_reference`.
     """
 
     gates: tuple[Gate, ...]
     ancilla_phase: float
-    measured_qubit: int
     system_reference: StateVector
 
 
@@ -106,98 +106,121 @@ def _inserted_gates(sigmas: tuple[str, ...], terms: tuple[str, ...], anc: int) -
     return ctrl, tuple((x(anc), *c, x(anc)) for c in ctrl), tails, (hadamard(anc),)
 
 
-def build_hadamard_circuits(ansatz: AnsatzCircuit,
-                            h: PauliHamiltonian) -> list[HadamardJob]:
-    """One weighted test circuit per A/B summand, cut from the ansatz
-    gates g at the insertion points p_i.
+def _layout(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> tuple:
+    """(jobs, tails, final): each A/B summand in job order as (prefix,
+    word, phase, weight, destination), cut from the ansatz gates g at the
+    insertion points p_i; its circuit is prefix + tails[word] + final.
 
-    A(i, j), i <= j: g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:] + H,
-    with ctrl_i the sigma of descriptor i controlled on the ancilla and
-    anti_i = X ctrl_i X its anti-controlled form; the ancilla phase
-    absorbs conj(p) p.  B(i, l): g[:p_i] + anti_i + g[p_i:] + tail_l + H,
-    tail_l the l-th Hamiltonian string controlled, phase absorbing
-    -conj(p) h_l.  Here p is DERIVATIVE_PREFACTOR.  Each inserted gate
-    list is shared by every circuit that contains it (_inserted_gates),
-    so circuits compare by gate identity.
+    A(i, j), i <= j: prefix g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:],
+    no word, prefactor conj(p) p; ctrl_i is sigma_i controlled on the
+    ancilla and anti_i = X ctrl_i X.  B(i, l): prefix g[:p_i] + anti_i +
+    g[p_i:], one tuple for all l, word l (tails[l] is the l-th Hamiltonian
+    string controlled), prefactor -conj(p) h_l.  p is DERIVATIVE_PREFACTOR;
+    phase and weight are the prefactor's angle and modulus.  Inserted
+    gates are shared (_inserted_gates), so prefixes compare by identity.
     """
     if h.n_qubits != ansatz.n_system_qubits:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
-    anc = ansatz.n_system_qubits
     p = DERIVATIVE_PREFACTOR
     g = tuple(ansatz.gates)
     pts = [d.insertion_point for d in ansatz.descriptors]
     ctrl, anti, tails, final = _inserted_gates(
         tuple([d.sigma.letters for d in ansatz.descriptors]),
-        tuple([sig_l.letters for _, sig_l in h.terms]), anc)
-
-    def job(gates, prefactor, destination):
-        circ = HadamardTestCircuit(gates, float(np.angle(prefactor)), anc,
-                                   ansatz.reference_state)
-        return HadamardJob(circ, float(abs(prefactor)), destination)
-
-    jobs = [job(g[:pi] + anti[i] + g[pi:pj] + ctrl[j] + g[pj:] + final,
-                np.conj(p) * p, ("A", i, j))
+        tuple([sig_l.letters for _, sig_l in h.terms]), ansatz.n_system_qubits)
+    sums = [(float(np.angle(c)), float(abs(c)))
+            for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l, _ in h.terms]]
+    jobs = [(g[:pi] + anti[i] + g[pi:pj] + ctrl[j] + g[pj:], None, *sums[0], ("A", i, j))
             for i, pi in enumerate(pts) for j, pj in enumerate(pts) if j >= i]
-    jobs += [job(g[:pi] + anti[i] + g[pi:] + tail + final, -np.conj(p) * h_l, ("B", i))
-             for i, pi in enumerate(pts) for (h_l, _), tail in zip(h.terms, tails)]
-    return jobs
+    for i, pi in enumerate(pts):
+        prefix = g[:pi] + anti[i] + g[pi:]
+        jobs += [(prefix, l, *sums[l + 1], ("B", i)) for l in range(h.n_terms)]
+    return jobs, tails, final
+
+
+def build_hadamard_circuits(ansatz: AnsatzCircuit,
+                            h: PauliHamiltonian) -> list[HadamardJob]:
+    """One weighted test circuit per A/B summand of _layout."""
+    jobs, tails, final = _layout(ansatz, h)
+    ref = ansatz.reference_state
+    return [HadamardJob(HadamardTestCircuit(
+                prefix + (() if word is None else tails[word]) + final, phase, ref),
+                weight, dest)
+            for prefix, word, phase, weight, dest in jobs]
+
+
+def _start(ref: StateVector, phases) -> np.ndarray:
+    """ref (x) ancilla_state(phi) per phase, as a norm-checked tensor stack."""
+    amps = np.stack([ref.amplitudes[:, None] * ancilla_state(phi) for phi in phases])
+    check_norms(np.linalg.norm(amps.reshape(len(phases), -1), axis=1))
+    return amps.reshape((len(phases),) + (2,) * (ref.n_qubits + 1))
 
 
 def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
-                     rng=None, memo: dict | None = None) -> float:
-    """Run one test circuit and return the ancilla Z expectation.
+                     rng=None) -> float:
+    """Run one test circuit and return the ancilla Z expectation."""
+    start = _start(circuit.system_reference, [circuit.ancilla_phase])
+    return float(measure_z_expectation(run_gates([start], circuit.gates)[-1], shots, rng)[0])
 
-    `memo`, shared by the circuits of one compute_sampled call, keeps per
-    ancilla phase the reference state, the gates of the last circuit run
-    and the state after each; a circuit on the same reference resumes
-    from the longest gate prefix it shares with them (run_gates).
+
+def hadamard_z(ansatz: AnsatzCircuit, h: PauliHamiltonian, shots: int | None = None,
+               rng=None) -> tuple[list, np.ndarray]:
+    """(jobs of _layout, ancilla <Z> of each) from one stacked pass.
+
+    Per insertion point i, the prefixes of A(i, j >= i) and of B(i) each
+    run once on the stack of distinct ancilla phases, resuming after the
+    gates shared with the prefix run before (run_gates).  A B job's word
+    is one gather on the ancilla-1 half through the words' stacked signed
+    permutations, exact since every product is by +-1 or +-i.  The final
+    H and the measurement run once over all jobs, in job order.  On 3 or
+    more qubits, and for the Pauli matrices of every controlled gate here,
+    a gate gives each state of a stack the bytes it gives it alone, so
+    each value and draw is bitwise that of the job's circuit run alone.
     """
-    memo = {} if memo is None else memo
-    ref = circuit.system_reference
-    start, done, states = memo.get(circuit.ancilla_phase, (None, (), None))
-    if start is not ref:
-        init = StateVector(np.kron(ref.amplitudes, ancilla_state(circuit.ancilla_phase)))
-        done, states = (), [init.amplitudes.reshape((2,) * init.n_qubits)]
-    states = run_gates(states, circuit.gates, done)
-    memo[circuit.ancilla_phase] = (ref, circuit.gates, states)
-    final = StateVector(states[-1].reshape(-1))
-    return measure_z_expectation(final, circuit.measured_qubit, shots=shots, rng=rng)
-
-
-def assemble_system(jobs: list[HadamardJob], values, gamma: int,
-                    route: str, shots: int | None) -> McLachlanSystem:
-    a = np.zeros((gamma, gamma))
-    b = np.zeros(gamma)
-    for job, z in zip(jobs, values):
-        if job.destination[0] == "A":
-            _, i, j = job.destination
-            a[i, j] += job.weight * z
-        else:
-            _, i = job.destination
-            b[i] += job.weight * z
-    for i in range(gamma):
-        for j in range(i + 1, gamma):
-            a[j, i] = a[i, j]
-    return McLachlanSystem(a, b, route=route, shots=shots)
+    jobs, _, final = _layout(ansatz, h)
+    n = ansatz.n_system_qubits
+    phases = list(dict.fromkeys([phase for _, _, phase, *_ in jobs]))
+    rows = np.array([phases.index(phase) for _, _, phase, *_ in jobs])
+    words = np.array([-1 if word is None else word for _, word, *_ in jobs])
+    src, sign = _term_stack(tuple([ps.letters for _, ps in h.terms]), n)
+    out = np.empty((len(jobs), 2 ** n, 2), dtype=complex)
+    states, done = [_start(ansatz.reference_state, phases)], ()
+    order = sorted(range(len(jobs)), key=lambda k: jobs[k][-1][1])  # by i, A before B
+    for _, group in groupby(order, key=lambda k: id(jobs[k][0])):
+        first, *rest = group
+        ks = slice(first, first + 1 + len(rest))  # a prefix's jobs are consecutive
+        states, done = run_gates(states, jobs[first][0], done), jobs[first][0]
+        t = states[-1].reshape(len(phases), -1, 2)
+        out[ks] = t[rows[ks]]
+        if words[first] >= 0:
+            w = words[ks]
+            out[ks, :, 1] = sign[w] * t[rows[ks, None], src[w], 1]
+    final_states = run_gates([out.reshape((len(jobs),) + (2,) * (n + 1))], final)[-1]
+    return jobs, measure_z_expectation(final_states, shots, rng)
 
 
 def compute_sampled(ansatz: AnsatzCircuit, h: PauliHamiltonian,
                     shots: int | None, seed=None) -> McLachlanSystem:
-    """A and B from the Hadamard-test circuits.
+    """A and B from the Hadamard-test circuits (hadamard_z).
 
     shots=None evaluates every circuit analytically (the exact-mode
     switch); otherwise each ancilla expectation is a seeded binomial
     estimate with the given shot count.  `seed` is an integer seed or a
-    numpy Generator, which is then drawn from in place.
+    numpy Generator, which is then drawn from in place.  A and B add the
+    weighted values from 0.0 in job order.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
-    jobs = build_hadamard_circuits(ansatz, h)
     rng = np.random.default_rng(seed) if shots is not None else None
-    memo: dict = {}
-    values = [evaluate_circuit(job.circuit, shots=shots, rng=rng, memo=memo)
-              for job in jobs]
-    return assemble_system(jobs, values, ansatz.n_parameters, "hadamard", shots)
+    jobs, values = hadamard_z(ansatz, h, shots, rng)
+    gamma = ansatz.n_parameters
+    entry = [d[1] * gamma + d[2] if d[0] == "A" else gamma * gamma + d[1]
+             for *_, d in jobs]
+    ab = np.zeros(gamma * gamma + gamma)
+    np.add.at(ab, entry, np.array([weight for *_, weight, _ in jobs]) * values)
+    a = ab[:gamma * gamma].reshape(gamma, gamma)
+    lower = np.tril_indices(gamma, -1)
+    a[lower] = a.T[lower]
+    return McLachlanSystem(a, ab[gamma * gamma:], route="hadamard", shots=shots)
 
 
 @dataclass(frozen=True)

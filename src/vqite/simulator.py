@@ -5,12 +5,14 @@ A gate is its read-only 2x2 matrix, a target qubit and an optional
 control qubit; Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and
 a controlled Pauli string c-(s1 s2 ...) is the list of its controlled
 single-letter factors c-s1, c-s2, ..., as the reference circuits
-decompose it.  run_gates is the one place gates run, on the raw amplitude
-tensor, resuming after the gate prefix shared with an earlier run; each
-gate is one BLAS product (apply_on_axis), and the norm is checked once
-per circuit.  Qubit ordering follows vqite.pauli (q0 = most significant
-bit).  Shot-mode measurements draw from a caller-supplied seeded
-generator, so every sampled result is reproducible from (seed, shots).
+decompose it.  run_gates is the one place gates run, on a stack of raw
+amplitude tensors (one state is a stack of one), resuming after the gate
+prefix shared with an earlier run; each gate is one BLAS product for the
+whole stack (apply_on_axis), and norms are checked once per circuit.
+Qubit ordering follows vqite.pauli (q0 = most significant bit).
+measure_z_expectation reads the last qubit of each state of a stack, with
+one binomial call from a caller-supplied seeded generator for all of
+them, so every sampled result is reproducible from (seed, shots).
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -159,28 +161,30 @@ def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
 
 
 def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to an amplitude tensor of shape (2,)*n."""
+    """Apply one gate to a stack of amplitude tensors, shape (S,) + (2,)*n;
+    qubit q is axis q + 1."""
+    q = gate.target + 1
     if gate.control is None:
-        return apply_on_axis(t, gate.matrix, gate.target)
+        return apply_on_axis(t, gate.matrix, q)
     t = t.copy()
-    branch = (slice(None),) * gate.control + (1,)
-    q_sub = gate.target if gate.target < gate.control else gate.target - 1
-    t[branch] = apply_on_axis(t[branch], gate.matrix, q_sub)
+    branch = (slice(None),) * (gate.control + 1) + (1,)
+    t[branch] = apply_on_axis(t[branch], gate.matrix, q - (gate.target > gate.control))
     return t
 
 
 def run_gates(states, gates, done=()) -> list[np.ndarray]:
-    """Tensors before and after each of `gates`, applied left to right.
+    """Tensor stacks before and after each of `gates`, applied left to right.
 
-    `states` holds the starting tensor and the tensor after each gate of
-    `done`, an earlier run from the same start; the run resumes after
-    the longest prefix `gates` shares with `done`, compared by identity.
-    Raises ValueError on a gate outside qubits 0..n-1 before applying it.
+    `states` holds the starting stack, shape (S,) + (2,)*n, and the stack
+    after each gate of `done`, an earlier run from the same start; the run
+    resumes after the longest prefix `gates` shares with `done`, compared
+    by identity.  Raises ValueError on a gate outside qubits 0..n-1 before
+    applying it.
     """
     k, shared = 0, min(len(done), len(gates))
     while k < shared and done[k] is gates[k]:
         k += 1
-    n = states[0].ndim
+    n = states[0].ndim - 1
     states = list(states[:k + 1])
     for g in gates[k:]:
         if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
@@ -193,30 +197,34 @@ def run_gates(states, gates, done=()) -> list[np.ndarray]:
 def run_circuit(initial: StateVector, gates) -> StateVector:
     """Apply gates left to right in list order; norm is preserved by
     construction and checked once, on the final state."""
-    t = initial.amplitudes.reshape((2,) * initial.n_qubits)
+    t = initial.amplitudes.reshape((1,) + (2,) * initial.n_qubits)
     return StateVector(run_gates([t], tuple(gates))[-1].reshape(-1))
 
 
-def measure_z_expectation(state: StateVector, qubit: int, shots: int | None = None,
-                          rng=None) -> float:
-    """<Z_qubit>, analytically (shots=None) or from a binomial sample.
+def check_norms(norms: np.ndarray) -> None:
+    """Raise ValueError unless every state norm in `norms` is 1."""
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"state norm {norms[bad][0]} deviates from 1 beyond {NORM_TOL}")
 
-    Shot mode draws count ~ Binomial(shots, (1+<Z>)/2) and returns
-    2*count/shots - 1.  `rng` is a numpy Generator or an integer seed.
+
+def measure_z_expectation(states: np.ndarray, shots: int | None = None,
+                          rng=None) -> np.ndarray:
+    """<Z> of the last qubit of each state of a stack (leading axis),
+    analytically (shots=None) or from a binomial sample, after checking
+    each norm.  Shot mode draws count ~ Binomial(shots, (1+<Z>)/2) per
+    state in stack order, in one call equal to one draw per state in turn,
+    and returns 2*count/shots - 1.  `rng` is a Generator or an integer seed.
     """
-    if qubit < 0 or qubit >= state.n_qubits:
-        raise ValueError(f"qubit {qubit} outside 0..{state.n_qubits - 1}")
-    probs = np.abs(state.amplitudes.reshape((2,) * state.n_qubits)) ** 2
-    marg = probs.sum(axis=tuple([i for i in range(state.n_qubits) if i != qubit]))
-    exact = float(marg[0] - marg[1])
+    if shots is not None and not (shots > 0 and rng is not None):
+        raise ValueError("shot mode needs a positive shot count and a seed or generator")
+    amps = np.ascontiguousarray(states).reshape(len(states), -1, 2)
+    marg = (np.abs(amps) ** 2).sum(axis=1)
+    check_norms(np.sqrt(marg.sum(axis=1)))
+    exact = marg[:, 0] - marg[:, 1]
     if shots is None:
         return exact
-    if shots <= 0:
-        raise ValueError("shots must be a positive integer")
-    if rng is None:
-        raise ValueError("shot mode needs a seeded generator or seed")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    count = rng.binomial(shots, p)
-    return 2.0 * count / shots - 1.0
+    counts = rng.binomial(shots, np.clip((1.0 + exact) / 2.0, 0.0, 1.0))
+    return 2.0 * counts / shots - 1.0

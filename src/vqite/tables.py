@@ -109,10 +109,9 @@ def parse_table(source, molecule_name: str = "") -> MoleculeTable:
 
 def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:
     """Hamiltonian assembled from the row at bond distance r (exact match)."""
-    matches = [i for i, d in enumerate(table.bond_distances) if abs(d - r) < 1e-9]
-    if not matches:
+    coeffs = next((c for d, c in table.rows if abs(d - r) < 1e-9), None)
+    if coeffs is None:
         raise ValueError(f"no row at R={r:g}")
-    coeffs = table.rows[matches[0]][1]
     return PauliHamiltonian.from_pairs(zip(coeffs, table.pauli_labels),
                                        n_qubits=table.n_qubits)
 

@@ -1,9 +1,16 @@
+import contextlib
+import ctypes
+import hashlib
+import io
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vqite import PauliHamiltonian, hamiltonian_at, load_h2_synthetic_table, load_lih_table
+from vqite import (PauliHamiltonian, build_hadamard_circuits, hamiltonian_at,
+                   load_h2_synthetic_table, load_lih_table)
+from vqite.mclachlan import McLachlanSystem, ancilla_state
 
 
 @pytest.fixture(scope="session")
@@ -254,3 +261,118 @@ def cmf_oracle(h):
 def reduction_bytes(iso, h_eff, provenance):
     """A reduction as bytes: isometry tobytes(), h_eff term_bytes, provenance."""
     return iso.tobytes(), term_bytes(h_eff), provenance
+
+
+# The per-job Hadamard route the stacked pass replaced: each test circuit
+# on its own unstacked tensor, measured one by one with scalar draws.
+
+def scalar_z(tensor, shots=None, rng=None):
+    """Ancilla <Z> of one final amplitude tensor (2,)*N, ancilla last: the
+    marginal over every other axis of the contiguous probabilities, then
+    one scalar binomial draw from the Generator `rng` when shots is set."""
+    probs = np.abs(np.ascontiguousarray(tensor)) ** 2
+    marg = probs.sum(axis=tuple(range(tensor.ndim - 1)))
+    exact = float(marg[0] - marg[1])
+    if shots is None:
+        return exact
+    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+
+
+def start_tensor(circuit):
+    """Reference state (x) phased ancilla, by np.kron, as a (2,)*N tensor."""
+    amps = np.kron(circuit.system_reference.amplitudes, ancilla_state(circuit.ancilla_phase))
+    return amps.reshape((2,) * (amps.size.bit_length() - 1))
+
+
+def scratch_z(circuit, shots=None, rng=None):
+    """Ancilla <Z> of one test circuit run from its start through tensordot_gate."""
+    t = start_tensor(circuit)
+    for g in circuit.gates:
+        t = tensordot_gate(t, g)
+    return scalar_z(t, shots, rng)
+
+
+def assemble_system(jobs, values, gamma, route, shots):
+    """A and B from per-job values: weight * value added from 0.0 in job
+    order, then A mirrored below the diagonal."""
+    a = np.zeros((gamma, gamma))
+    b = np.zeros(gamma)
+    for job, z in zip(jobs, values):
+        if job.destination[0] == "A":
+            _, i, j = job.destination
+            a[i, j] += job.weight * z
+        else:
+            _, i = job.destination
+            b[i] += job.weight * z
+    for i in range(gamma):
+        for j in range(i + 1, gamma):
+            a[j, i] = a[i, j]
+    return McLachlanSystem(a, b, route=route, shots=shots)
+
+
+def sampled_oracle(ansatz, h, runs):
+    """compute_sampled(ansatz, h, shots, rng) for each (shots, rng) of
+    `runs`, as a loop over the jobs of build_hadamard_circuits.
+
+    Per ancilla phase, a circuit resumes from the longest gate prefix it
+    shares by identity with the last circuit of that phase (the per-job
+    memo), applying gates with tensordot_gate; each job is then measured
+    alone by scalar_z, drawing from the Generator `rng` in job order.
+    """
+    jobs = build_hadamard_circuits(ansatz, h)
+    memo, finals = {}, []
+    for job in jobs:
+        c = job.circuit
+        done, states = memo.get(c.ancilla_phase, ((), [start_tensor(c)]))
+        k = 0
+        while k < min(len(done), len(c.gates)) and done[k] is c.gates[k]:
+            k += 1
+        states = states[:k + 1]
+        for g in c.gates[k:]:
+            states.append(tensordot_gate(states[-1], g))
+        memo[c.ancilla_phase] = (c.gates, states)
+        finals.append(states[-1])
+    return [assemble_system(jobs, [scalar_z(t, shots, rng) for t in finals],
+                            ansatz.n_parameters, "hadamard", shots)
+            for shots, rng in runs]
+
+
+# Golden outputs: recorded CLI runs, replayed through vqite.cli.main.
+
+def run_cli(argv, out_dir):
+    """(exit code, stdout, sha256 of every file written to out_dir) of one
+    in-process `vqite` call with `--out out_dir` appended."""
+    from vqite.cli import main
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*argv, "--out", str(out_dir)])
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(Path(out_dir).iterdir())}
+    return code, stdout.getvalue(), files
+
+
+OPENBLAS_CONFIG = ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                   "openblas_get_config64_", "openblas_get_config")
+
+
+def golden_platform():
+    """What the bytes of a shot-route run depend on besides the code: the
+    numpy version and the BLAS numpy runs with.  For OpenBLAS built with
+    DYNAMIC_ARCH, the configuration string read from the loaded library
+    names the kernel set picked for this CPU."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25, or a build without the record
+        config = "unknown"
+    runtime = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        get = next((getattr(dll, s) for s in OPENBLAS_CONFIG if hasattr(dll, s)), None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            runtime = " ".join(get().decode().split())
+            break
+    return {"numpy": np.__version__, "blas": config, "blas_runtime": runtime}

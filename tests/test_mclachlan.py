@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import assemble_system, sampled_oracle, scratch_z
 from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_h2,
-                   build_ucc_lih, build_hadamard_circuits, cmf_reduce,
-                   compute_exact, compute_sampled, solve_update)
+                   build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
+                   compute_exact, compute_sampled, hamiltonian_at, solve_update)
 from vqite.ansatz import DERIVATIVE_PREFACTOR
-from vqite.mclachlan import (McLachlanSystem, ancilla_state, assemble_system,
-                             evaluate_circuit)
-from vqite.simulator import (StateVector, controlled_pauli, hadamard,
-                             measure_z_expectation, run_circuit, x)
+from vqite.mclachlan import McLachlanSystem, ancilla_state, evaluate_circuit, hadamard_z
+from vqite.simulator import controlled_pauli, hadamard, x
 
 
 def fd_system(builder, theta, h, eps=1e-5):
@@ -211,14 +211,6 @@ def test_sampled_he_within_pooled_errors(lih_r15):
     assert np.all(dev_b <= 5.0 * se_b + 1e-15)
 
 
-def scratch_z(circuit, shots=None, rng=None):
-    """Ancilla <Z> of one test circuit run from its reference state."""
-    init = StateVector(np.kron(circuit.system_reference.amplitudes,
-                               ancilla_state(circuit.ancilla_phase)))
-    final = run_circuit(init, circuit.gates)
-    return measure_z_expectation(final, circuit.measured_qubit, shots=shots, rng=rng)
-
-
 def memo_cases(lih_r15, h2_r07, rng):
     h_eff = cmf_reduce(lih_r15).h_eff
     return [
@@ -229,10 +221,13 @@ def memo_cases(lih_r15, h2_r07, rng):
 
 
 def test_prefix_memo_bitwise_equals_scratch(lih_r15, h2_r07, rng):
-    memo = {}  # shared across ansatzes: a new reference state starts afresh
+    # The stacked pass runs each distinct prefix once on the stack of ancilla
+    # phases; each job's value is still that of its circuit run alone.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
-        for job in build_hadamard_circuits(ansatz, h):
-            z = evaluate_circuit(job.circuit, memo=memo)
+        jobs, values = hadamard_z(ansatz, h)
+        circuits = build_hadamard_circuits(ansatz, h)
+        assert len(jobs) == len(values) == len(circuits)
+        for z, job in zip(values, circuits):
             assert z == evaluate_circuit(job.circuit) == scratch_z(job.circuit)
 
 
@@ -246,6 +241,74 @@ def test_sampled_bitwise_equals_scratch_loop(lih_r15, h2_r07, rng, seed):
         ref = assemble_system(jobs, values, ansatz.n_parameters, "hadamard", 1000)
         assert np.array_equal(sampled.a_matrix, ref.a_matrix)
         assert np.array_equal(sampled.b_vector, ref.b_vector)
+
+
+def same_system(got, want):
+    return (got.a_matrix.tobytes() == want.a_matrix.tobytes()
+            and got.b_vector.tobytes() == want.b_vector.tobytes())
+
+
+def oracle_agrees(ansatz, h, shots_list, seed):
+    """compute_sampled and sampled_oracle at each shot count, from twin
+    generators: the same A and B bytes and generator state afterwards."""
+    gens = [np.random.default_rng(seed) for _ in shots_list]
+    twins = [np.random.default_rng(seed) for _ in shots_list]
+    want = sampled_oracle(ansatz, h, list(zip(shots_list, twins)))
+    for shots, gen, twin, ref in zip(shots_list, gens, twins, want):
+        got = compute_sampled(ansatz, h, shots, gen)
+        if not (same_system(got, ref) and gen.bit_generator.state == twin.bit_generator.state):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def table_cases(lih_table, h2_table):
+    """(ansatz, h) for every table row at random angles: UCC-LiH on the 50
+    LiH rows, HE on their CMF-reduced h_eff, UCC-H2 on the H2 rows."""
+    draw = np.random.default_rng(12)
+    lih = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    cases = [(build_ucc_lih(draw.uniform(-np.pi, np.pi, 2)), h) for h in lih]
+    cases += [(build_hardware_efficient(draw.uniform(-np.pi, np.pi, 6)), e.h_eff)
+              for e in cmf_reduce_rows(lih)]
+    cases += [(build_ucc_h2(draw.uniform(-np.pi, np.pi, 1)), hamiltonian_at(h2_table, r))
+              for r in h2_table.bond_distances]
+    return cases
+
+
+def test_sampled_is_per_job_oracle_bitwise(table_cases):
+    for k, (ansatz, h) in enumerate(table_cases):
+        assert oracle_agrees(ansatz, h, [None, 1, 10_000], 1000 + k), k
+
+
+FAMILIES = {"ucc-h2": (build_ucc_h2, 2, 1), "ucc-lih": (build_ucc_lih, 3, 2),
+            "he": (build_hardware_efficient, 2, 6)}
+
+
+@st.composite
+def sampled_cases(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    _, n, gamma = FAMILIES[family]
+    sign = draw(st.sampled_from([-1.0, 1.0, None]))   # None: mixed signs
+    coeff = st.floats(0.01, 2.0) if sign else st.floats(-2.0, 2.0)
+    pairs = draw(st.lists(st.tuples(coeff, st.text("IXYZ", min_size=n, max_size=n)),
+                          min_size=1, max_size=6))
+    pairs = [(c * (sign or 1.0), w) for c, w in pairs]
+    theta = draw(st.lists(st.floats(-np.pi, np.pi), min_size=gamma, max_size=gamma))
+    return (family, pairs, theta, draw(st.sampled_from([None, 1, 7, 10_000])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(sampled_cases())
+@example(("ucc-h2", [(0.4, "II")], [0.3], 10_000, 1))             # one term, identity word
+@example(("ucc-lih", [(0.3, "ZII"), (0.2, "XXI"), (1.1, "III")], [0.3, -1.2], 7, 2))
+@example(("he", [(-0.3, "ZZ"), (-0.5, "XI")], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 1, 3))
+def test_sampled_is_per_job_oracle_on_random_hamiltonians(case):
+    # Single-sign coefficients give one B phase, mixed signs two.
+    family, pairs, theta, shots, seed = case
+    builder, n, _ = FAMILIES[family]
+    h = PauliHamiltonian.from_pairs(pairs, n_qubits=n)
+    assert oracle_agrees(builder(theta), h, [shots], seed)
 
 
 def test_sampled_reproducible(h2_r07):

@@ -7,8 +7,9 @@ from conftest import circuit_unitary, embed, gate_unitary, random_state
 from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectation,
                    run_circuit)
 from vqite.pauli import PAULI_MATRICES
+from vqite import simulator
 from vqite.simulator import (HADAMARD, Gate, cnot, controlled_pauli, cz, hadamard,
-                             rx, ry, rz, x, y, z)
+                             run_gates, rx, ry, rz, x, y, z)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
@@ -113,36 +114,59 @@ def test_norm_preserved_random_circuits(rng):
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
 
+def z_of(state, **kw):
+    """<Z> of the last qubit of one StateVector, as a stack of one."""
+    return measure_z_expectation(state.amplitudes[None], **kw)[0]
+
+
 def test_measure_z_exact():
-    assert measure_z_expectation(basis_state("0"), 0) == pytest.approx(1.0)
+    assert z_of(basis_state("0")) == pytest.approx(1.0)
     plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert measure_z_expectation(plus, 0) == pytest.approx(0.0, abs=1e-15)
+    assert z_of(plus) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_measure_z_shots_within_binomial_bound():
     # <Z> = 0.6; 3 sigma of the binomial estimator at 1e6 shots.
     amps = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=complex)
     state = StateVector(amps)
-    est = measure_z_expectation(state, 0, shots=10 ** 6, rng=11)
+    est = z_of(state, shots=10 ** 6, rng=11)
     assert abs(est - 0.6) < 3.0 * np.sqrt((1 - 0.36) / 10 ** 6)
 
 
 def test_measure_z_shot_estimator_unbiased():
     amps = np.array([np.sqrt(0.7), np.sqrt(0.3) * 1j], dtype=complex)
     state = StateVector(amps)
-    exact = measure_z_expectation(state, 0)
+    exact = z_of(state)
     shots = 4000
-    runs = [measure_z_expectation(state, 0, shots=shots, rng=seed)
-            for seed in range(100)]
+    runs = [z_of(state, shots=shots, rng=seed) for seed in range(100)]
     se = np.sqrt((1 - exact ** 2) / shots / len(runs))
     assert abs(np.mean(runs) - exact) < 4 * se
 
 
 def test_measure_z_rejects_bad_shots():
     with pytest.raises(ValueError):
-        measure_z_expectation(basis_state("0"), 0, shots=0, rng=1)
+        z_of(basis_state("0"), shots=0, rng=1)
     with pytest.raises(ValueError):
-        measure_z_expectation(basis_state("0"), 0, shots=10)
+        z_of(basis_state("0"), shots=10)
+
+
+@pytest.mark.parametrize("shots", [1, 7, 1000, 10_000])
+def test_measure_z_stack_equals_one_by_one(rng, shots):
+    # The last qubit of each state; one binomial call over the stack draws
+    # what one scalar call per state draws, and leaves the same generator.
+    stack = np.array([random_state(rng, 3) for _ in range(40)]
+                     + [basis_state("001").amplitudes, basis_state("000").amplitudes])
+    gen, twin = np.random.default_rng(shots), np.random.default_rng(shots)
+    got = measure_z_expectation(stack.reshape(-1, 2, 2, 2), shots, gen)
+    exact = measure_z_expectation(stack)
+    for k, amps in enumerate(stack):
+        probs = np.abs(amps.reshape(2, 2, 2)) ** 2
+        marg = probs.sum(axis=(0, 1))
+        assert exact[k] == float(marg[0] - marg[1])
+        p = min(max((1.0 + exact[k]) / 2.0, 0.0), 1.0)
+        assert got[k] == 2.0 * twin.binomial(shots, p) / shots - 1.0
+    assert (exact[-2], exact[-1]) == (-1.0, 1.0)
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_nan_fails_state_checks():
@@ -150,6 +174,24 @@ def test_nan_fails_state_checks():
         StateVector([np.nan, 0])
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="norm"):
+        measure_z_expectation(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="norm"):
+        measure_z_expectation(np.array([[1.0, 0.0], [1.0, 1.0]]), shots=5, rng=1)
+
+
+@pytest.mark.parametrize("gate", [rx(-1, 0.3), rx(3, 0.3), rx(4, 0.3), cnot(-1, 0),
+                                  cnot(3, 1)])
+def test_gate_range_checked_on_stacks(monkeypatch, gate):
+    # Qubit q of a stack is axis q + 1: a target or control of -1 would land
+    # on the stack axis, so the check is on the register's qubits 0..n-1.
+    applied = []
+    monkeypatch.setattr(simulator, "apply_gate",
+                        lambda t, g: applied.append(g) or t)
+    stack = np.zeros((3, 2, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        run_gates([stack], (x(0), gate, x(1)))
+    assert applied == [applied[0]] and applied[0].target == 0
 
 
 def test_density_matrix_validation(rng):

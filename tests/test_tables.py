@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import coefficient, serialize_table, table_coefficient
+from conftest import coefficient, serialize_table, table_coefficient, term_bytes
 from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax,
                    hamiltonian_at, parse_table, to_dense_matrix)
 from vqite.tables import TableFormatError
@@ -105,6 +105,14 @@ def test_hamiltonian_at_exact_match(lih_table):
     assert coefficient(h, "III") == pytest.approx(-7.0632)
     with pytest.raises(ValueError, match="no row at R=1.49"):
         hamiltonian_at(lih_table, 1.49)
+
+
+def test_hamiltonian_at_reads_each_row(lih_table):
+    # Each row, also looked up up to 1e-9 away, gives its own coefficients.
+    for r, coeffs in lih_table.rows:
+        want = term_bytes(PauliHamiltonian.from_pairs(zip(coeffs, lih_table.pauli_labels)))
+        for probe in (r, r - 5e-10, r + 5e-10):
+            assert term_bytes(hamiltonian_at(lih_table, probe)) == want, probe
 
 
 def test_zero_coefficient_dropped_from_hamiltonian(lih_table):
