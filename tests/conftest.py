@@ -340,16 +340,17 @@ def sampled_oracle(ansatz, h, runs):
 
 # Golden outputs: recorded CLI runs, replayed through vqite.cli.main.
 
-def run_cli(argv, out_dir):
+def run_cli(argv, out_dir=None):
     """(exit code, stdout, sha256 of every file written to out_dir) of one
-    in-process `vqite` call with `--out out_dir` appended."""
+    in-process `vqite` call, with `--out out_dir` appended when out_dir is
+    given (`spectrum` and `excited` write no files)."""
     from vqite.cli import main
 
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main([*argv, "--out", str(out_dir)])
+        code = main([*argv, "--out", str(out_dir)] if out_dir else argv)
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-             for p in sorted(Path(out_dir).iterdir())}
+             for p in sorted(Path(out_dir).iterdir())} if out_dir else {}
     return code, stdout.getvalue(), files
 
 
