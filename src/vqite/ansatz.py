@@ -13,13 +13,14 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
-A family's reference state, descriptors and fixed gates are built once,
-on first use, and shared by every build; a build makes only its rotation
-gates.  A circuit runs its gates once, on first use, through
-simulator.run_gates, keeping the read-only tensor after each; state() is
-the last one, and a derivative applies sigma_n to the one at its
-insertion point and runs only the gates after it.  Insertion points are
-non-decreasing, so the Hadamard-test circuits are slices of `gates`.
+A family's reference state, descriptors, fixed gates and rotation axes
+are built once and shared; a build, at one angle vector or at a (B, gamma)
+array of B rows (the bond distances of a scan), makes only its rotation
+matrices.  A circuit runs its gates once for all rows, one per-state
+matmul each, keeping the read-only stack after each gate; every
+derivative branch, sigma_n applied at its insertion point, joins one stack
+that runs the gates after it once.  Insertion points are non-decreasing,
+so the Hadamard-test circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -37,9 +38,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .pauli import PauliString, read_only
-from .simulator import (Gate, StateVector, basis_state, cnot, rotation_matrix,
-                        run_circuit, run_gates, rx, ry)
+from .pauli import PAULI_MATRICES, PauliString, read_only
+from .simulator import (Gate, StateVector, apply_gate, basis_state, check_norms, cnot,
+                        rotation_matrix, run_gates, rx, ry)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
@@ -60,7 +61,9 @@ class DerivativeDescriptor:
 
 @dataclass(frozen=True)
 class AnsatzCircuit:
-    """A parameterized circuit with reference state and derivative data."""
+    """A parameterized circuit with reference state and derivative data, at
+    one angle vector (`parameters` of shape (gamma,)) or at B rows of angles
+    ((B, gamma); each rotation gate then holds a (B, 2, 2) matrix stack)."""
 
     gates: tuple[Gate, ...]
     parameters: np.ndarray
@@ -69,10 +72,9 @@ class AnsatzCircuit:
     n_system_qubits: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "parameters", np.asarray(self.parameters, dtype=float).reshape(-1)
-        )
-        if len(self.descriptors) != self.parameters.size:
+        theta = np.asarray(self.parameters, dtype=float)
+        object.__setattr__(self, "parameters", theta if theta.ndim == 2 else theta.reshape(-1))
+        if len(self.descriptors) != self.parameters.shape[-1]:
             raise ValueError("one derivative descriptor per parameter required")
         points = [0, *(d.insertion_point for d in self.descriptors), len(self.gates)]
         if points != sorted(points):
@@ -80,27 +82,48 @@ class AnsatzCircuit:
 
     @property
     def n_parameters(self) -> int:
-        return self.parameters.size
+        return self.parameters.shape[-1]
 
     @cached_property
     def _forward(self) -> tuple[np.ndarray, ...]:
-        """Read-only amplitudes before and after each gate; the last is flat."""
+        """Read-only (B,) + (2,)*n stacks before and after each gate, B = 1
+        for one angle vector; the last is (B, 2^n) and norm-checked."""
         ref = self.reference_state
-        tensors = run_gates([ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits)], self.gates)
-        tensors[-1] = tensors[-1].reshape(-1)
-        for t in tensors:
-            t.flags.writeable = False
-        return tuple(tensors)
+        rows = 1 if self.parameters.ndim == 1 else len(self.parameters)
+        start = ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits).repeat(rows, axis=0)
+        tensors = run_gates([start], self.gates, per_state=True)
+        tensors[-1] = tensors[-1].reshape(rows, -1)
+        check_norms(np.linalg.norm(tensors[-1], axis=1))
+        return tuple([read_only(t) for t in tensors])
+
+    def states(self) -> np.ndarray:
+        """(B, 2^n) amplitudes, one row per angle row."""
+        return self._forward[-1]
 
     def state(self) -> StateVector:
-        return StateVector(self._forward[-1])
+        """The state of a circuit at one angle vector."""
+        return StateVector(self._forward[-1].reshape(-1))
+
+    @cached_property
+    def derivatives(self) -> np.ndarray:
+        """(gamma, B, 2^n) read-only d|psi>/d theta_i of every row (not
+        normalized).  Branch i, sigma_i applied to the state at its insertion
+        point, joins one stack that runs the remaining gates, one per-state
+        matmul each, so every branch gets the bytes it gets alone."""
+        fwd, shape = self._forward, (-1,) + (2,) * self.n_system_qubits
+        rows, stack = len(fwd[-1]), np.empty((0, fwd[-1].shape[1]), dtype=complex)
+        for k, gate in enumerate((*self.gates, None)):
+            new = [d.sigma.apply(fwd[k].reshape(rows, -1)) for d in self.descriptors
+                   if d.insertion_point == k]
+            stack = np.concatenate([stack, *new]) if new else stack
+            if gate is not None and len(stack):
+                stack = apply_gate(stack.reshape(shape), gate, per_state=True)
+                stack = stack.reshape(len(stack), -1)
+        return read_only(DERIVATIVE_PREFACTOR * stack.reshape(self.n_parameters, rows, -1))
 
     def derivative_state(self, i: int) -> np.ndarray:
-        """d|psi>/d theta_i as raw amplitudes (not normalized)."""
-        desc = self.descriptors[i]
-        s = StateVector(desc.sigma.apply(self._forward[desc.insertion_point]))
-        s = run_circuit(s, self.gates[desc.insertion_point:])
-        return DERIVATIVE_PREFACTOR * s.amplitudes
+        """d|psi>/d theta_i of a circuit at one angle vector (not normalized)."""
+        return self.derivatives[i, 0]
 
 
 def _axis_string(axis: str, q: int, n: int) -> PauliString:
@@ -117,12 +140,10 @@ def _ucc_block(control: int, target: int) -> list:
 
 @lru_cache(maxsize=None)
 def _template(family: str) -> tuple:
-    """(slots, descriptors, reference state) of a family, built once.
-
-    A slot is a fixed gate, shared by every build, or the (axis, qubit)
-    of the next parameter's rotation; that parameter's descriptor inserts
-    the axis string right after it.
-    """
+    """(slots, descriptors, reference state, rotation axes) of a family,
+    built once.  A slot is a fixed gate, shared by every build, or the
+    (axis, qubit) of the next parameter's rotation, whose descriptor inserts
+    the axis string right after it; the axes stack the rotations' Paulis."""
     if family == "ucc-h2":
         slots, bits = _ucc_block(0, 1), "10"
     elif family == "ucc-lih":
@@ -130,20 +151,24 @@ def _template(family: str) -> tuple:
     else:
         slots = [("X", 0), ("X", 1), cnot(0, 1), ("Z", 0), ("Z", 1), ("X", 0), ("X", 1)]
         bits = "00"
+    rotations = [(k, slot) for k, slot in enumerate(slots) if isinstance(slot, tuple)]
     descs = tuple(DerivativeDescriptor(k + 1, _axis_string(*slot, len(bits)))
-                  for k, slot in enumerate(slots) if isinstance(slot, tuple))
-    return tuple(slots), descs, StateVector(read_only(basis_state(bits).amplitudes))
+                  for k, slot in rotations)
+    axes = read_only(np.array([PAULI_MATRICES[axis] for _, (axis, _) in rotations]))
+    return tuple(slots), descs, StateVector(read_only(basis_state(bits).amplitudes)), axes
 
 
 def _build(family: str, theta) -> AnsatzCircuit:
-    """The family's circuit at angles theta: only the rotations are new."""
-    slots, descs, reference = _template(family)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != len(descs):
-        raise ValueError(f"{family} takes {len(descs)} parameters, got {theta.size}")
-    angles = iter(theta)
-    gates = tuple([slot if isinstance(slot, Gate)
-                   else Gate(rotation_matrix(slot[0], float(next(angles))), slot[1])
+    """The family's circuit at angles theta, a vector or a (B, gamma) array
+    of B rows: only the rotations are new, each a (2, 2) matrix or a
+    (B, 2, 2) stack."""
+    slots, descs, reference, axes = _template(family)
+    theta = np.asarray(theta, dtype=float)
+    theta = theta if theta.ndim == 2 else theta.reshape(-1)
+    if theta.shape[-1] != len(descs):
+        raise ValueError(f"{family} takes {len(descs)} parameters, got {theta.shape[-1]}")
+    matrices = iter(np.moveaxis(rotation_matrix(axes, theta), -3, 0))
+    gates = tuple([slot if isinstance(slot, Gate) else Gate(next(matrices), slot[1])
                    for slot in slots])
     return AnsatzCircuit(gates, theta, descs, reference, reference.n_qubits)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ansatz import build_hardware_efficient, build_ucc_h2, build_ucc_lih
 from .cmf import cmf_reduce, cmf_stages
-from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite
+from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
 from .pauli import to_dense_matrix
 from .simulator import DensityMatrix
 from .spectra import exact_spectrum, gershgorin_emax, lift_ground_state
@@ -186,42 +186,15 @@ def _point_seed(seed: int, r: float):
     return (seed, int(round(r * 1000)))
 
 
-def _run_point(manifest: RunManifest, table: MoleculeTable, r: float,
-               flagged: set[float], finish, row: int):
+def _prepare(manifest: RunManifest, table: MoleculeTable, r: float, finish, row: int):
+    """(h_system, config, energy_map, cmf record) of one scan point."""
     h = hamiltonian_at(table, r)
-    builder = ANSATZ_BUILDERS[manifest.ansatz]
-    cmf_record = None
-    if manifest.cmf:
-        eff = finish(row)
-        h_system = eff.h_eff
-        energy_map = EnergyMap.from_effective(eff, h)
-        cmf_record = (r, eff.provenance)
-    else:
-        h_system = h
-        energy_map = None
-    config = QiteConfig(
-        initial_theta=manifest.resolved_theta0(),
-        iterations=manifest.iterations,
-        dtau=manifest.dtau,
-        route=manifest.route,
-        shots=manifest.shots,
-        seed=_point_seed(manifest.seed, r),
-    )
-    traj = run_qite(h_system, builder, config, energy_map)
-    flags = []
-    if traj.stationary:
-        flags.append("stationary")
-    if traj.ground_degenerate:
-        flags.append("degenerate")
-    if r in flagged:
-        flags.append("discontinuity")
-    if traj.converged_energy < traj.exact_energy - 1e-9:
-        flags.append("bound-violation")
-    if manifest.route == "exact" and traj.monotonicity_violations:
-        flags.append("non-monotone")
-    point = CurvePoint(r, traj.converged_energy, traj.exact_energy,
-                       traj.final_fidelity, manifest.iterations, tuple(flags))
-    return point, traj, cmf_record
+    config = QiteConfig(manifest.resolved_theta0(), manifest.iterations, manifest.dtau,
+                        manifest.route, manifest.shots, _point_seed(manifest.seed, r))
+    if not manifest.cmf:
+        return h, config, None, None
+    eff = finish(row)
+    return eff.h_eff, config, EnergyMap.from_effective(eff, h), (r, eff.provenance)
 
 
 def run_scan(manifest: RunManifest):
@@ -230,24 +203,54 @@ def run_scan(manifest: RunManifest):
     Results are merged in bond-distance order, and every point's random
     stream is seeded from (seed, R).  A failing point is recorded with an
     `error:<ExceptionType>` flag and its message goes to stderr.  Each point
-    finishes its row of one batched CMF reduction (cmf_stages).
+    finishes its row of one batched CMF reduction (cmf_stages), and the
+    points that prepare cleanly run as one run_qite_rows batch; if the batch
+    raises, each of them runs alone, and only the points that fail alone fail.
     """
     table = load_manifest_table(manifest)
     rs = validate_manifest(manifest, table)
     flagged = discontinuity_rs(table)
     finish = cmf_stages([hamiltonian_at(table, r) for r in rs]) if manifest.cmf else None
-
-    def work(k, r):
+    builder = ANSATZ_BUILDERS[manifest.ansatz]
+    rows, failed, trajectories = {}, {}, {}
+    for k, r in enumerate(rs):
         try:
-            return _run_point(manifest, table, r, flagged, finish, k)
+            rows[k] = _prepare(manifest, table, r, finish, k)
         except Exception as exc:  # per-point failure: recorded, not fatal
-            kind = type(exc).__name__
-            print(f"R={r:g}: {kind}: {exc}", file=sys.stderr)
-            point = CurvePoint(r, float("nan"), float("nan"), None,
-                               manifest.iterations, ("error:" + kind,))
-            return point, None, None
+            failed[k] = exc
 
-    results = [work(k, r) for k, r in enumerate(rs)]
+    def run(ks):
+        h_systems, configs, maps, _ = zip(*[rows[k] for k in ks]) if ks else ((),) * 4
+        trajectories.update(zip(ks, run_qite_rows(h_systems, builder, configs, maps)))
+
+    try:
+        run(list(rows))
+    except Exception:  # some row fails the batch: rerun each alone
+        for k in rows:
+            try:
+                run([k])
+            except Exception as exc:
+                failed[k] = exc
+
+    results = []
+    for k, r in enumerate(rs):
+        traj = trajectories.get(k)
+        if traj is None:
+            kind = type(failed[k]).__name__
+            print(f"R={r:g}: {kind}: {failed[k]}", file=sys.stderr)
+            results.append((CurvePoint(r, float("nan"), float("nan"), None,
+                                       manifest.iterations, ("error:" + kind,)), None, None))
+            continue
+        flags = tuple(flag for flag, hit in (
+            ("stationary", traj.stationary),
+            ("degenerate", traj.ground_degenerate),
+            ("discontinuity", r in flagged),
+            ("bound-violation", traj.converged_energy < traj.exact_energy - 1e-9),
+            ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
+        ) if hit)
+        results.append((CurvePoint(r, traj.converged_energy, traj.exact_energy,
+                                   traj.final_fidelity, manifest.iterations, flags),
+                        traj, rows[k][3]))
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}

@@ -14,6 +14,9 @@ the original one by lifting the state through the basis isometry.
 Fidelity is always measured against the exact-diagonalization ground
 state of the reporting Hamiltonian; if that ground state is degenerate
 the run switches to energy-only reporting.
+
+The loop runs B rows at once (run_qite_rows): the bond distances of a
+scan or the initial angles of theta_scan; run_qite is the one-row case.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ansatz import AnsatzCircuit
-from .cmf import EffectiveHamiltonian, lift_amplitudes
-from .mclachlan import compute_exact, compute_sampled, solve_update
-from .pauli import PauliHamiltonian, expectation
+from .cmf import EffectiveHamiltonian
+from .mclachlan import McLachlanSystem, compute_exact, compute_sampled, solve_update
+from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
 from .simulator import StateVector
-from .spectra import exact_spectrum
+from .spectra import stacked_spectrum
 
 STATIONARY_TOL = 1e-10
 MONOTONICITY_TOL = 1e-6
@@ -121,71 +124,86 @@ def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
 
 def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
              energy_map: EnergyMap | None = None) -> QiteTrajectory:
-    """Run l Euler steps and record theta, A, B, energy and fidelity.
+    """Run l Euler steps and record theta, A, B, energy and fidelity, as
+    run_qite_rows of one row.  `h_system` is the Hamiltonian the ansatz is
+    optimized against (the CMF-reduced one when a reduction is active);
+    `energy_map` carries the reduction and original Hamiltonian used for
+    reporting.  The final record holds no A/B (nothing is estimated after
+    the last update).  The builder raises ValueError if initial_theta has
+    the wrong length."""
+    return run_qite_rows([h_system], ansatz_builder, [config], [energy_map])[0]
 
-    `h_system` is the Hamiltonian the ansatz is optimized against (the
-    CMF-reduced one when a reduction is active); `energy_map` carries the
-    reduction and original Hamiltonian used for reporting.  The final
-    record holds no A/B (nothing is estimated after the last update).
-    The builder raises ValueError if initial_theta has the wrong length.
+
+def run_qite_rows(h_systems, ansatz_builder, configs,
+                  energy_maps=None) -> list[QiteTrajectory]:
+    """run_qite for B rows as one loop over a (B, gamma) angle array.
+
+    Row b runs configs[b] against h_systems[b] and reports through
+    energy_maps[b] (None for every row: against h_systems[b]).  The rows
+    share the ansatz, the qubit counts, the iteration count, the route and
+    the shot count.  Each iteration builds one circuit for all rows, takes
+    A and B from compute_exact of all rows (or compute_sampled per row, each
+    drawing from its own seeded generator) and solves every update with one
+    stacked eigh.  Each row's records are bitwise those of the row run
+    alone; its warnings are emitted after the loop, row by row.
     """
-    h_report = energy_map.h_original if energy_map is not None else h_system
-    dtau = resolve_dtau(config, h_report)
-    spectrum = exact_spectrum(h_report)
-    degenerate = spectrum.ground_degenerate
-    if degenerate:
-        warnings.warn("degenerate ground state: fidelity reporting disabled")
-    ground = spectrum.ground_state
+    if not configs:
+        return []
+    maps, cfg = list(energy_maps or [None] * len(configs)), configs[0]
+    if len({(c.iterations, c.route, c.shots, m is None) for c, m in zip(configs, maps)}) > 1:
+        raise ValueError("rows of one run share iterations, route, shots and reduction")
+    reports = [h if m is None else m.h_original for h, m in zip(h_systems, maps)]
+    dtau = np.array([resolve_dtau(c, h) for c, h in zip(configs, reports)])
+    labels, coeffs = term_columns(reports)
+    exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, reports[0].n_qubits))
+    # each ground state as the strided column of its eigenvector matrix, which
+    # BLAS accumulates unlike a contiguous copy
+    ground = vecs.conj()[:, None, :, 0]
+    iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
+    rngs = [np.random.default_rng(c.seed) for c in configs] if cfg.route != "exact" else ()
+    theta = np.array([c.initial_theta for c in configs])
+    steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
 
-    rng = np.random.default_rng(config.seed) if config.route == "hadamard" else None
-    theta = np.asarray(config.initial_theta, dtype=float)
-    records: list[QiteRecord] = []
-    violations: list[int] = []
-    stationary = False
-    lifted_final: np.ndarray | None = None
-
-    for it in range(config.iterations + 1):
+    for it in range(cfg.iterations + 1):
         ansatz: AnsatzCircuit = ansatz_builder(theta)
-        amps = ansatz.state().amplitudes
-        lifted = lift_amplitudes(energy_map.effective, amps) if energy_map is not None else amps
-        energy = expectation(h_report, StateVector(lifted))
-        fid = None if degenerate else float(abs(np.vdot(ground, lifted)) ** 2)
-        if records and energy > records[-1].energy + MONOTONICITY_TOL:
-            violations.append(it)
-            if config.route == "exact":
-                warnings.warn(
-                    f"energy rose by {energy - records[-1].energy:.3e} "
-                    f"at iteration {it}"
-                )
-        if it == config.iterations:
-            records.append(QiteRecord(it, theta.copy(), None, None, energy, fid))
-            lifted_final = lifted
+        psi = ansatz.states() if iso is None else (iso @ ansatz.states()[:, :, None])[:, :, 0]
+        steps.append([theta, expectations(labels, coeffs, psi),
+                      (ground @ psi[:, :, None])[:, 0, 0], none, none])
+        if it == cfg.iterations:
             break
-        if config.route == "exact":
-            system = compute_exact(ansatz, h_system)
+        if cfg.route == "exact":
+            system = compute_exact(ansatz, h_systems)
         else:
-            system = compute_sampled(ansatz, h_system, config.shots, rng)
-        records.append(QiteRecord(it, theta.copy(), system.a_matrix,
-                                  system.b_vector, energy, fid))
+            rows = [compute_sampled(ansatz_builder(t), h, cfg.shots, rng)
+                    for t, h, rng in zip(theta, h_systems, rngs)]
+            system = McLachlanSystem(np.array([r.a_matrix for r in rows]),
+                                     np.array([r.b_vector for r in rows]), "hadamard", cfg.shots)
+        steps[-1][3:] = system.a_matrix, system.b_vector
         update = solve_update(system, dtau)
-        if it == 0 and (update.stationary
-                        or float(np.max(np.abs(update.delta_theta))) < STATIONARY_TOL):
-            stationary = True
+        if it == 0:
+            stationary = update.stationary | (np.abs(update.delta_theta).max(axis=1)
+                                              < STATIONARY_TOL)
         theta = theta + update.delta_theta
 
-    final_record = records[-1]
-    return QiteTrajectory(
-        records=tuple(records),
-        final_state=StateVector(lifted_final),
-        converged_energy=final_record.energy,
-        exact_energy=spectrum.ground_energy,
-        final_fidelity=final_record.fidelity,
-        stationary=stationary,
-        ground_degenerate=degenerate,
-        dtau=dtau,
-        iterations=config.iterations,
-        monotonicity_violations=tuple(violations),
-    )
+    trajectories = []
+    for b, degenerate in enumerate(flags[:, 0].tolist()):
+        if degenerate:
+            warnings.warn("degenerate ground state: fidelity reporting disabled")
+        records, violations = [], []
+        for it, (th, energy, overlap, a, b_vector) in enumerate(steps):
+            energy = float(energy[b])
+            if records and energy > records[-1].energy + MONOTONICITY_TOL:
+                violations.append(it)
+                if cfg.route == "exact":
+                    warnings.warn(f"energy rose by {energy - records[-1].energy:.3e} "
+                                  f"at iteration {it}")
+            fid = None if degenerate else abs(complex(overlap[b])) ** 2
+            records.append(QiteRecord(it, th[b], a[b], b_vector[b], energy, fid))
+        trajectories.append(QiteTrajectory(
+            tuple(records), StateVector(psi[b]), energy, float(exact[b, 0]), fid,
+            bool(stationary[b]), degenerate, float(dtau[b]), cfg.iterations,
+            tuple(violations)))
+    return trajectories
 
 
 @dataclass(frozen=True)
@@ -198,12 +216,11 @@ class ScanPoint:
 
 def theta_scan(h: PauliHamiltonian, ansatz_builder, theta_grid,
                config: QiteConfig, energy_map: EnergyMap | None = None) -> list[ScanPoint]:
-    """run_qite over a grid of initial angles for a one-parameter ansatz;
-    the builder raises ValueError on any other."""
-    points = []
-    for theta0 in theta_grid:
-        traj = run_qite(h, ansatz_builder,
-                        replace(config, initial_theta=(float(theta0),)), energy_map)
-        points.append(ScanPoint(float(theta0), traj.converged_energy,
-                                traj.final_fidelity, traj.stationary))
-    return points
+    """run_qite over a grid of initial angles for a one-parameter ansatz, as
+    one run_qite_rows call; the builder raises ValueError on any other."""
+    grid = [float(t) for t in theta_grid]
+    trajectories = run_qite_rows([h] * len(grid), ansatz_builder,
+                                 [replace(config, initial_theta=(t,)) for t in grid],
+                                 [energy_map] * len(grid))
+    return [ScanPoint(t, traj.converged_energy, traj.final_fidelity, traj.stationary)
+            for t, traj in zip(grid, trajectories)]

@@ -6,25 +6,22 @@ defining inner products directly on statevectors:
     A_ij = Re <d_i psi | d_j psi>
     B_i  = -Re <d_i psi | H | psi>
 
-with |d_i psi> built from the ansatz derivative descriptors.  The
-Hadamard route expands the same sums into one ancilla test circuit per
+with |d_i psi> built from the ansatz derivative descriptors, for one
+circuit or for the B rows of a batched one at once (A and B stacked).
+The Hadamard route expands the same sums into one ancilla test circuit per
 A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
 (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
 of the summand, and the ancilla Z expectation then yields the summand's
-real part.  A test circuit is three slices of the ansatz gate tuple
-with controlled Pauli gates between them, kept for the last two sets of
-strings.  One estimate runs all its tests as one stacked pass
-(hadamard_z): each distinct gate prefix once on the stack of ancilla
-phases, each Hamiltonian word as a gather, then the final H, the
-measurement and the binomial draws once over all tests in job order;
-every expectation and draw is bitwise that of the test run alone.
-Evaluated without sampling, the two routes agree to machine precision;
-with shots they agree statistically.
+real part.  A test circuit is three slices of the ansatz gate tuple with
+controlled Pauli gates between them.  One estimate runs all its tests as
+one stacked pass (hadamard_z), every expectation and draw bitwise that of
+the test run alone.  Evaluated without sampling, the two routes agree to
+machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
-eigenvalues); a fully degenerate A yields a zero update flagged as
-stationary.
+eigenvalues), one stacked eigh for all rows; a fully degenerate A yields
+a zero update flagged as stationary.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from itertools import groupby
 import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
-from .pauli import PauliHamiltonian, _term_stack
+from .pauli import PauliHamiltonian, _term_stack, apply_sums, term_columns
 from .simulator import (Gate, StateVector, check_norms, controlled_pauli, hadamard,
                         measure_z_expectation, run_gates, x)
 
@@ -81,20 +78,28 @@ def ancilla_state(phase: float) -> np.ndarray:
     return np.array([1.0, np.exp(1j * phase)], dtype=complex) / np.sqrt(2.0)
 
 
-def compute_exact(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> McLachlanSystem:
-    """A and B by direct statevector inner products."""
-    if h.n_qubits != ansatz.n_system_qubits:
+def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
+    """A and B by direct statevector inner products, for a circuit at one
+    angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians
+    (A and B stacked).  Each inner product is a (1, L) @ (L, 1) matmul,
+    bitwise np.vdot; H|psi> gathers over the union of the rows' words."""
+    batch = ansatz.parameters.ndim == 2
+    hs = list(h) if batch else [h]
+    if any(x.n_qubits != ansatz.n_system_qubits for x in hs):
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
-    gamma = ansatz.n_parameters
-    derivs = [ansatz.derivative_state(i) for i in range(gamma)]
-    h_psi = h.apply(ansatz.state().amplitudes)
-    a = np.zeros((gamma, gamma))
-    b = np.zeros(gamma)
-    for i in range(gamma):
-        for j in range(i, gamma):
-            a[i, j] = a[j, i] = np.vdot(derivs[i], derivs[j]).real
-        b[i] = -np.vdot(derivs[i], h_psi).real
-    return McLachlanSystem(a, b, route="exact")
+    gamma, d = ansatz.n_parameters, ansatz.derivatives
+    kets = np.concatenate([d, apply_sums(*term_columns(hs), ansatz.states())[None]])
+    # v[i, j, b] = <d_i|d_j> (j < gamma) and <d_i|H|psi> (j = gamma) of row b
+    v = (d.conj()[:, None, :, None, :] @ kets[None, :, :, :, None])[..., 0, 0].real
+    a, (low, up) = v[:, :gamma].transpose(2, 0, 1), _lower(gamma)
+    a[:, low, up] = a[:, up, low]
+    b = -np.ascontiguousarray(v[:, gamma].T)  # BLAS rounds a strided b otherwise
+    return McLachlanSystem(a if batch else a[0], b if batch else b[0], route="exact")
+
+
+@lru_cache(maxsize=16)
+def _lower(gamma: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(gamma, -1)
 
 
 @lru_cache(maxsize=2)
@@ -217,9 +222,8 @@ def compute_sampled(ansatz: AnsatzCircuit, h: PauliHamiltonian,
              for *_, d in jobs]
     ab = np.zeros(gamma * gamma + gamma)
     np.add.at(ab, entry, np.array([weight for *_, weight, _ in jobs]) * values)
-    a = ab[:gamma * gamma].reshape(gamma, gamma)
-    lower = np.tril_indices(gamma, -1)
-    a[lower] = a.T[lower]
+    a, (low, up) = ab[:gamma * gamma].reshape(gamma, gamma), _lower(gamma)
+    a[low, up] = a[up, low]
     return McLachlanSystem(a, ab[gamma * gamma:], route="hadamard", shots=shots)
 
 
@@ -229,22 +233,24 @@ class UpdateResult:
     stationary: bool
 
 
-def solve_update(sys: McLachlanSystem, dtau: float) -> UpdateResult:
-    """delta theta = dtau * pinv(A) B via eigen-decomposition.
-
-    Eigenvalues below the route's relative cutoff times the max eigenvalue
-    are dropped; if the whole spectrum sits below the absolute floor the
-    update is zero and the result is flagged stationary.  For a 1x1 system
-    this reduces to (B/A) * dtau.
+def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
+    """delta theta = dtau * pinv(A) B via eigen-decomposition, for one system
+    or a stack (A of shape (..., gamma, gamma), dtau a scalar or one per
+    system): one stacked eigh, bitwise per system.  Eigenvalues below the
+    route's relative cutoff times the max eigenvalue are dropped; if the
+    whole spectrum sits below the absolute floor the update is zero and the
+    result is flagged stationary.  For a 1x1 system this is (B/A) * dtau.
     """
-    if not 0 < dtau < np.inf:  # NaN fails too
+    dtau = np.asarray(dtau, dtype=float)
+    if not (0 < dtau.min() and dtau.max() < np.inf):  # NaN fails too
         raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
     lam, vec = np.linalg.eigh(np.asarray(sys.a_matrix, dtype=float))
-    lam_max = float(lam.max())
-    if lam_max < ABS_EIG_FLOOR:
-        return UpdateResult(np.zeros_like(sys.b_vector), True)
+    lam_max = lam.max(axis=-1, keepdims=True)
     keep = lam > eps_cut * lam_max
     inv = np.where(keep, 1.0, 0.0) / np.where(keep, lam, 1.0)
-    delta = dtau * (vec @ (inv * (vec.T @ sys.b_vector)))
-    return UpdateResult(delta, False)
+    coef = inv * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])[..., 0]
+    delta = dtau[..., None] * (vec @ coef[..., None])[..., 0]
+    stationary = lam_max[..., 0] < ABS_EIG_FLOOR
+    delta[stationary] = 0.0
+    return UpdateResult(delta, stationary)

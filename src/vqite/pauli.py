@@ -111,9 +111,10 @@ class PauliString:
         return sum(1 for c in self.letters if c != "I")
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Apply the string to a statevector without building the matrix."""
+        """Apply the string to the last axis of (..., 2^n) amplitudes without
+        building the matrix."""
         src, phase = _signed_permutation(self.letters)
-        return phase * np.asarray(amplitudes, dtype=complex).reshape(src.shape)[src]
+        return phase * np.asarray(amplitudes, dtype=complex)[..., src]
 
     def __str__(self) -> str:
         return self.letters
@@ -163,18 +164,10 @@ class PauliHamiltonian:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    @functools.cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, coefficient * phase) of every term, stacked to (L, 2^n)."""
-        labels, coeffs = term_columns([self])
-        src, phase = _term_stack(labels, self.n_qubits)
-        return src, coeffs.reshape(-1, 1) * phase
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """H |psi>: one gather, multiply and sum over the stacked terms."""
-        src, weight = self._stacked
-        psi = np.asarray(amplitudes, dtype=complex).reshape(src.shape[1:])
-        return (weight * psi[src]).sum(axis=0, initial=0)
+        """H |psi>, as apply_sums of one row."""
+        psi = np.asarray(amplitudes, dtype=complex).reshape(1, 2 ** self.n_qubits)
+        return apply_sums(*term_columns([self]), psi)[0]
 
 
 def term_columns(hamiltonians) -> tuple[tuple[str, ...], np.ndarray]:
@@ -204,18 +197,32 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     return dense_matrices(*term_columns([h]), h.n_qubits)[0]
 
 
-def expectation(h: PauliHamiltonian, state) -> float:
-    """<psi|H|psi> for a statevector.
+def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """H_b |psi_b> for the Pauli sums H_b = coeffs[b] over `labels` and the
+    rows of a (B, 2^n) stack: one gather, multiply and sum, adding the terms
+    in order from zero; a word a row lacks weighs 0.0 and moves no bit."""
+    src, phase = _term_stack(labels, psi.shape[-1].bit_length() - 1)
+    terms = coeffs[:, :, None] * phase
+    terms *= psi[:, src]
+    return terms.sum(axis=1, initial=0)
 
-    The imaginary residual is asserted below 1e-10 and discarded.
-    """
+
+def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi_b|H_b|psi_b> of each row of apply_sums, each a (1, L) @ (L, 1)
+    matmul, bitwise np.vdot; an imaginary residual above 1e-10 raises."""
+    value = (psi.conj()[:, None, :] @ apply_sums(labels, coeffs, psi)[:, :, None])[:, 0, 0]
+    bad = np.abs(value.imag) > 1e-10
+    if bad.any():
+        raise ArithmeticError(f"expectation has imaginary residual {value.imag[bad][0]:.3e}")
+    return value.real
+
+
+def expectation(h: PauliHamiltonian, state) -> float:
+    """<psi|H|psi> for a statevector, as expectations of one row."""
     amps = state.amplitudes
     if amps.size != 2 ** h.n_qubits:
         raise ValueError("state and Hamiltonian dimensions disagree")
-    value = complex(np.vdot(amps, h.apply(amps)))
-    if abs(value.imag) > 1e-10:
-        raise ArithmeticError(f"expectation has imaginary residual {value.imag:.3e}")
-    return value.real
+    return float(expectations(*term_columns([h]), amps[None])[0])
 
 
 def check_density(m) -> np.ndarray:
@@ -311,10 +318,8 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
         raise ValueError("matrix is not Hermitian within tolerance")
     k = dim.bit_length() - 1
     _check_dense_cap(k)
-    cols = np.arange(dim)
-    pairs = []
-    for letters in map("".join, product(PAULI_LETTERS, repeat=k)):
-        src, phase = _signed_permutation(letters)
-        coeff = complex((phase * m[src, cols]).sum()) / dim
-        pairs.append((coeff.real, letters))
-    return PauliHamiltonian.from_pairs(pairs, n_qubits=k)
+    labels = tuple(map("".join, product(PAULI_LETTERS, repeat=k)))
+    src, phase = _term_stack(labels, k)
+    # h_l = Tr(sigma_l m) / 2^k = sum_j phase_l[j] m[src_l[j], j] / 2^k, one row per word
+    coeffs = _row_sum(phase * m[src, np.arange(dim)]).real / dim
+    return PauliHamiltonian.from_pairs(zip(coeffs, labels), n_qubits=k)

@@ -7,8 +7,10 @@ a controlled Pauli string c-(s1 s2 ...) is the list of its controlled
 single-letter factors c-s1, c-s2, ..., as the reference circuits
 decompose it.  run_gates is the one place gates run, on a stack of raw
 amplitude tensors (one state is a stack of one), resuming after the gate
-prefix shared with an earlier run; each gate is one BLAS product for the
-whole stack (apply_on_axis), and norms are checked once per circuit.
+prefix shared with an earlier run, and norms are checked once per circuit.
+A gate is one np.dot over the stack, or per_state one matmul per state,
+which rounds each state as alone (apply_on_axis); a rotation may hold one
+(2, 2) matrix per row of a stack of B ansatz rows.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
 measure_z_expectation reads the last qubit of each state of a stack, with
 one binomial call from a caller-supplied seeded generator for all of
@@ -91,10 +93,12 @@ class Gate:
         read_only(self.matrix)
 
 
-def rotation_matrix(axis: str, angle: float) -> np.ndarray:
-    """R_n(a) = exp(-i a/2 sigma_n), written out in closed form."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return c * np.eye(2) - 1j * s * PAULI_MATRICES[axis]
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """R_n(a) = exp(-i a/2 sigma_n), written out in closed form.  `axis` is a
+    letter or a stack of Pauli matrices, broadcast against an array of angles."""
+    sigma = PAULI_MATRICES[axis] if isinstance(axis, str) else axis
+    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
+    return np.cos(half) * np.eye(2) - 1j * np.sin(half) * sigma
 
 
 def rx(q: int, angle: float) -> Gate:
@@ -145,41 +149,49 @@ def controlled_pauli(control: int, targets, letters: str) -> list[Gate]:
 
 
 @lru_cache(maxsize=256)
-def _axis_plan(ndim: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order bringing axis q to the front, and its inverse."""
-    order = (q, *(k for k in range(ndim) if k != q))
-    return order, (*range(1, q + 1), 0, *range(q + 1, ndim))
+def _axis_plan(ndim: int, q: int, lead: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order bringing axis q to position `lead`, and its inverse."""
+    order = (*range(lead), q, *(k for k in range(lead, ndim) if k != q))
+    return order, tuple([order.index(k) for k in range(ndim)])
 
 
-def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    """2x2 matrix m applied to axis q of an amplitude tensor of shape (2,)*n:
-    one np.dot of m with axis q moved to the front and the rest flattened,
-    transposed back into a view: bitwise the tensordot + moveaxis oracle."""
-    order, inverse = _axis_plan(t.ndim, q)
+def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int, per_state: bool = False) -> np.ndarray:
+    """2x2 matrix m applied to axis q of a stack of amplitude tensors, shape
+    (S,) + (2,)*n, as a transposed view: one np.dot of m with axis q moved to
+    the front and the rest flattened (bitwise the tensordot + moveaxis
+    oracle), or per_state one matmul per state, which gives each state its
+    bytes alone; m is then (2, 2) or a (B, 2, 2) stack, state s taking m[s % B]."""
+    order, inverse = _axis_plan(t.ndim, q, int(per_state))
     front = t.transpose(order)
-    return np.dot(m, front.reshape(2, -1)).reshape(front.shape).transpose(inverse)
+    if per_state:
+        x = front.reshape(len(t), 2, -1)
+        out = np.matmul(m, x if m.ndim == 2 else x.reshape(-1, len(m), 2, x.shape[2]))
+    else:
+        out = np.dot(m, front.reshape(2, -1))
+    return out.reshape(front.shape).transpose(inverse)
 
 
-def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
+def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray:
     """Apply one gate to a stack of amplitude tensors, shape (S,) + (2,)*n;
-    qubit q is axis q + 1."""
+    qubit q is axis q + 1.  per_state as in apply_on_axis."""
     q = gate.target + 1
     if gate.control is None:
-        return apply_on_axis(t, gate.matrix, q)
+        return apply_on_axis(t, gate.matrix, q, per_state)
     t = t.copy()
     branch = (slice(None),) * (gate.control + 1) + (1,)
-    t[branch] = apply_on_axis(t[branch], gate.matrix, q - (gate.target > gate.control))
+    t[branch] = apply_on_axis(t[branch], gate.matrix, q - (gate.target > gate.control),
+                              per_state)
     return t
 
 
-def run_gates(states, gates, done=()) -> list[np.ndarray]:
+def run_gates(states, gates, done=(), per_state=False) -> list[np.ndarray]:
     """Tensor stacks before and after each of `gates`, applied left to right.
 
     `states` holds the starting stack, shape (S,) + (2,)*n, and the stack
     after each gate of `done`, an earlier run from the same start; the run
     resumes after the longest prefix `gates` shares with `done`, compared
     by identity.  Raises ValueError on a gate outside qubits 0..n-1 before
-    applying it.
+    applying it.  per_state as in apply_on_axis.
     """
     k, shared = 0, min(len(done), len(gates))
     while k < shared and done[k] is gates[k]:
@@ -190,7 +202,7 @@ def run_gates(states, gates, done=()) -> list[np.ndarray]:
         if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
             raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
                              f"outside 0..{n - 1}")
-        states.append(apply_gate(states[-1], g))
+        states.append(apply_gate(states[-1], g, per_state))
     return states
 
 

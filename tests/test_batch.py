@@ -1,0 +1,174 @@
+"""The QITE loop over B rows at once, held to the rows run one at a time.
+
+Batching is bitwise only because of a few facts about numpy and BLAS: a
+matmul over a stack runs one product per state, so each state is rounded
+as it would be alone, and a (1, L) @ (L, 1) matmul rounds as np.vdot.  The
+oracle tests compare every record byte for byte; the property tests pin
+the facts themselves.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import term_loop
+from vqite import (build_hardware_efficient, build_ucc_h2, build_ucc_lih, cmf_reduce_rows,
+                   compute_exact, exact_spectrum, hamiltonian_at, run_qite)
+from vqite.engine import EnergyMap, QiteConfig, run_qite_rows
+from vqite.mclachlan import McLachlanSystem, solve_update
+from vqite.simulator import Gate, apply_gate
+
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
+AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
+THETA0 = {build_hardware_efficient: (0.5,) * 6, build_ucc_lih: (1.0, 1.0),
+          build_ucc_h2: (2.0,)}
+
+
+def scan_rows(table, builder, cmf):
+    """(h_systems, configs, energy maps) of every row of a table, seeded as a scan."""
+    hs = [hamiltonian_at(table, r) for r in table.bond_distances]
+    configs = [QiteConfig(THETA0[builder], seed=(0, int(round(r * 1000))))
+               for r in table.bond_distances]
+    if not cmf:
+        return hs, configs, [None] * len(hs)
+    effs = cmf_reduce_rows(hs)
+    return [e.h_eff for e in effs], configs, [EnergyMap(e, h) for e, h in zip(effs, hs)]
+
+
+def record_bytes(traj):
+    def raw(x):
+        return None if x is None else np.asarray(x, dtype=float).tobytes()
+    return ([(rec.iteration, raw(rec.theta), raw(rec.a_matrix), raw(rec.b_vector),
+              raw(rec.energy), raw(rec.fidelity)) for rec in traj.records],
+            traj.stationary, traj.ground_degenerate, traj.monotonicity_violations,
+            raw(traj.exact_energy), traj.final_state.amplitudes.tobytes())
+
+
+@pytest.mark.parametrize("table,builder,cmf", [
+    ("lih", build_hardware_efficient, True),
+    ("lih", build_ucc_lih, False),
+    ("h2", build_ucc_h2, False),
+], ids=["cmf-he", "ucc-lih", "h2-synthetic"])
+def test_batched_rows_equal_one_row_runs(table, builder, cmf, lih_table, h2_table):
+    hs, configs, maps = scan_rows(lih_table if table == "lih" else h2_table, builder, cmf)
+    batched = run_qite_rows(hs, builder, configs, maps)
+    assert len(batched) == len(hs)
+    for h, config, energy_map, traj in zip(hs, configs, maps, batched):
+        alone = run_qite(h, builder, config, energy_map)
+        assert record_bytes(traj) == record_bytes(alone)
+        # the final energy and fidelity as one state's np.vdot forms give them
+        h_report = h if energy_map is None else energy_map.h_original
+        psi = traj.final_state.amplitudes
+        assert traj.converged_energy == np.vdot(psi, term_loop(h_report, psi)).real
+        ground = exact_spectrum(h_report).ground_state
+        assert traj.final_fidelity == float(abs(np.vdot(ground, psi)) ** 2)
+
+
+def test_batched_shot_rows_equal_one_row_runs(lih_table):
+    # Each row draws from its own (seed, R) generator, in job order.
+    hs, configs, maps = scan_rows(lih_table, build_ucc_lih, False)
+    rows = slice(0, 50, 7)
+    configs = [QiteConfig(c.initial_theta, route="hadamard", shots=1000, seed=c.seed)
+               for c in configs[rows]]
+    batched = run_qite_rows(hs[rows], build_ucc_lih, configs)
+    for h, config, traj in zip(hs[rows], configs, batched):
+        assert record_bytes(traj) == record_bytes(run_qite(h, build_ucc_lih, config))
+
+
+def vdot_system(ansatz, h):
+    """A and B of one circuit by np.vdot loops over its derivative states."""
+    gamma = ansatz.n_parameters
+    derivs = [ansatz.derivative_state(i) for i in range(gamma)]
+    h_psi = h.apply(ansatz.state().amplitudes)
+    a, b = np.zeros((gamma, gamma)), np.zeros(gamma)
+    for i in range(gamma):
+        for j in range(i, gamma):
+            a[i, j] = a[j, i] = np.vdot(derivs[i], derivs[j]).real
+        b[i] = -np.vdot(derivs[i], h_psi).real
+    return a, b
+
+
+@pytest.mark.parametrize("builder,cmf", [(build_hardware_efficient, True),
+                                         (build_ucc_lih, False)], ids=["cmf-he", "ucc-lih"])
+def test_batched_exact_system_is_vdot_loop(builder, cmf, lih_table, rng):
+    hs, _, _ = scan_rows(lih_table, builder, cmf)
+    theta = rng.uniform(-np.pi, np.pi, size=(len(hs), len(THETA0[builder])))
+    batch = builder(theta)
+    system = compute_exact(batch, hs)
+    assert system.a_matrix.shape == (len(hs),) + (theta.shape[1],) * 2
+    for b, h in enumerate(hs):
+        one = builder(theta[b])
+        assert batch.states()[b].tobytes() == one.state().amplitudes.tobytes()
+        a, bv = vdot_system(one, h)
+        assert system.a_matrix[b].tobytes() == a.tobytes()
+        assert system.b_vector[b].tobytes() == bv.tobytes()
+
+
+@st.composite
+def per_state_cases(draw):
+    """(stack, gate, matrix of each state): k * B states of 1-4 qubits,
+    C-contiguous or a transposed view, and a gate whose matrix is shared
+    (2, 2) or one per row (B, 2, 2), state s taking row s % B."""
+    n, rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    shape = (k * rows,) + (2,) * n
+    order = draw(st.permutations(range(len(shape)))) if draw(st.booleans()) else range(n + 1)
+    t = draw(arrays(complex, tuple([shape[i] for i in order]), elements=AMPLITUDE))
+    t = t.transpose(np.argsort(order))
+    shared = draw(st.booleans())
+    m = draw(arrays(complex, (2, 2) if shared else (rows, 2, 2), elements=AMPLITUDE))
+    target = draw(st.integers(0, n - 1))
+    control = draw(st.sampled_from([None, *(c for c in range(n) if c != target)]))
+    mats = [m if shared else m[s % rows] for s in range(len(t))]
+    return t, Gate(m, target, control), mats
+
+
+@PROPERTY
+@given(per_state_cases())
+def test_per_state_gate_is_each_state_alone(case):
+    t, gate, mats = case
+    out = apply_gate(t, gate, per_state=True)
+    for s, m in enumerate(mats):
+        alone = apply_gate(t[s:s + 1], Gate(m, gate.target, gate.control))
+        assert out[s].tobytes() == alone[0].tobytes(), s
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    arrays(complex, (3, 2 ** n), elements=AMPLITUDE),
+    arrays(complex, (3, 2 ** n), elements=AMPLITUDE))))
+def test_batched_inner_product_is_vdot(case):
+    a, b = case
+    batched = (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+    assert batched.tobytes() == np.array([np.vdot(x, y) for x, y in zip(a, b)]).tobytes()
+    # a column of a matrix stack, strided, as each ground state is read
+    cols = np.stack([a, b], axis=-1)
+    strided = (cols.conj()[:, None, :, 0] @ b[:, :, None])[:, 0, 0]
+    assert strided.tobytes() == np.array([np.vdot(c[:, 0], y)
+                                          for c, y in zip(cols, b)]).tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda g: st.tuples(
+    arrays(float, (4, g, g), elements=st.floats(-1, 1)),
+    arrays(float, (4, g), elements=st.floats(-1, 1)))), st.sampled_from([None, 100]))
+def test_stacked_solve_is_per_system(case, shots):
+    m, b = case
+    a = m @ m.swapaxes(-1, -2)
+    a[0] = 0.0                               # one stationary system
+    dtau = np.array([0.5, 1.0, 0.25, 2.0])
+    route = "exact" if shots is None else "hadamard"
+    lam, vec = np.linalg.eigh(a)
+    stacked = solve_update(McLachlanSystem(a, b, route, shots), dtau)
+    for k in range(len(a)):
+        one_lam, one_vec = np.linalg.eigh(a[k])
+        assert lam[k].tobytes() == one_lam.tobytes() and vec[k].tobytes() == one_vec.tobytes()
+        one = solve_update(McLachlanSystem(a[k].copy(), b[k].copy(), route, shots), dtau[k])
+        assert stacked.delta_theta[k].tobytes() == one.delta_theta.tobytes()
+        assert stacked.stationary[k] == one.stationary
+        if not one.stationary:               # the pseudo-inverse as one system's gemv forms
+            keep = one_lam > (1e-8 if shots is None else 1e-3) * one_lam.max()
+            inv = np.where(keep, 1.0, 0.0) / np.where(keep, one_lam, 1.0)
+            old = dtau[k] * (one_vec @ (inv * (one_vec.T @ b[k])))
+            assert one.delta_theta.tobytes() == old.tobytes()
+    assert stacked.stationary[0]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import serialize_table
-from vqite import (MoleculeTable, build_ucc_lih, hamiltonian_at, load_lih_table, run_qite,
-                   to_dense_matrix)
+from vqite import (MoleculeTable, build_ucc_lih, cmf_reduce, hamiltonian_at, load_lih_table,
+                   run_qite, to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, discontinuity_rs,
                        emit_outputs, main, run_scan)
 from vqite.engine import QiteConfig
@@ -228,7 +228,7 @@ def test_per_point_error_sets_flag_and_exit(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ValueError("dims (2, 3) disagree")
 
-    monkeypatch.setattr(cli_mod, "run_qite", boom)
+    monkeypatch.setattr(cli_mod, "run_qite_rows", boom)
     rc = main(["scan", "--table", "lih", "--ansatz", "he", "--cmf",
                "--r", "1.4,1.5", "--out", str(tmp_path)])
     assert rc == 1
@@ -276,6 +276,63 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
     assert captured.err.splitlines() == ["R=1.5: ArithmeticError: injected at R=1.5"]
     selection = (tmp_path / "failed" / "cmf_selection.txt").read_text()
     assert "[R=1]" in selection and "[R=3]" in selection and "[R=1.5]" not in selection
+
+
+def _failing_qite_at_r15(stage, real):
+    """`real`, raising ArithmeticError whenever its batch holds the R = 1.5 row."""
+    h = hamiltonian_at(load_lih_table(), 1.5)
+    if stage == "compute_exact":                 # the rows' reduced Hamiltonians
+        target = cmf_reduce(h).h_eff.terms
+        hit = lambda args: any(x.terms == target for x in args[1])
+    else:                                        # a row of the (B, L) report coefficients
+        target = np.array([c for c, _ in h.terms])
+        hit = lambda args: any(np.array_equal(c[c != 0], target) for c in args[1])
+
+    def stage_fn(*args):
+        if hit(args):
+            raise ArithmeticError("injected at R=1.5")
+        return real(*args)
+    return stage_fn
+
+
+@pytest.mark.parametrize("stage", ["compute_exact", "expectations"])
+def test_failing_qite_row_flags_only_its_row(stage, tmp_path, monkeypatch, capsys):
+    # The batch of all three rows fails; each row then runs alone, and only
+    # R = 1.5 fails alone.
+    import vqite.engine as engine_mod
+    args = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "1.0,1.5,3.0",
+            "--trace"]
+    assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+    clean = (tmp_path / "clean" / "curve.csv").read_text().splitlines()
+    capsys.readouterr()
+
+    monkeypatch.setattr(engine_mod, stage, _failing_qite_at_r15(stage, getattr(engine_mod, stage)))
+    assert main(args + ["--out", str(tmp_path / "failed")]) == 1
+    rows = (tmp_path / "failed" / "curve.csv").read_text().splitlines()
+    assert rows[1::2] == clean[1::2]      # the rows of R = 1.0 and 3.0 are unchanged
+    assert rows[2] == "1.5,nan,nan,,4,error:ArithmeticError"
+    assert capsys.readouterr().err.splitlines() == ["R=1.5: ArithmeticError: injected at R=1.5"]
+    for r in ("1", "3"):
+        assert (read(tmp_path / "failed" / f"trace_R{r}.csv")
+                == read(tmp_path / "clean" / f"trace_R{r}.csv"))
+    assert not (tmp_path / "failed" / "trace_R1.5.csv").exists()
+    selection = (tmp_path / "failed" / "cmf_selection.txt").read_text()
+    assert "[R=1]" in selection and "[R=1.5]" not in selection
+
+
+def test_scan_warnings_follow_row_order():
+    # Each row's warnings come out together, in row order, as one row at a
+    # time would emit them.
+    def messages(*selections):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for rs in selections:
+                run_scan(manifest(ansatz="ucc-lih", cmf=False, r_selection=rs, dtau=5.0))
+        return [str(w.message) for w in caught]
+
+    batched = messages((0.5, 1.5))
+    assert batched == messages((0.5,), (1.5,))
+    assert sum("energy rose" in text for text in batched) == 5
 
 
 @pytest.mark.parametrize("command", ["spectrum", "excited"])

@@ -187,7 +187,7 @@ def test_gate_range_checked_on_stacks(monkeypatch, gate):
     # on the stack axis, so the check is on the register's qubits 0..n-1.
     applied = []
     monkeypatch.setattr(simulator, "apply_gate",
-                        lambda t, g: applied.append(g) or t)
+                        lambda t, g, *kernel: applied.append(g) or t)
     stack = np.zeros((3, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match="outside 0..2"):
         run_gates([stack], (x(0), gate, x(1)))
