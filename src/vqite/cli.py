@@ -189,8 +189,9 @@ def _point_seed(seed: int, r: float):
 def _prepare(manifest: RunManifest, table: MoleculeTable, r: float, finish, row: int):
     """(h_system, config, energy_map, cmf record) of one scan point."""
     h = hamiltonian_at(table, r)
-    config = QiteConfig(manifest.resolved_theta0(), manifest.iterations, manifest.dtau,
-                        manifest.route, manifest.shots, _point_seed(manifest.seed, r))
+    config = QiteConfig(initial_theta=manifest.resolved_theta0(),
+                        iterations=manifest.iterations, dtau=manifest.dtau, route=manifest.route,
+                        shots=manifest.shots, seed=_point_seed(manifest.seed, r))
     if not manifest.cmf:
         return h, config, None, None
     eff = finish(row)
