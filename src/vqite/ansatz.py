@@ -91,7 +91,7 @@ class AnsatzCircuit:
         ref = self.reference_state
         rows = 1 if self.parameters.ndim == 1 else len(self.parameters)
         start = ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits).repeat(rows, axis=0)
-        tensors = run_gates([start], self.gates, per_state=True)
+        tensors = run_gates(start, self.gates, per_state=True)
         tensors[-1] = tensors[-1].reshape(rows, -1)
         check_norms(np.linalg.norm(tensors[-1], axis=1))
         return tuple([read_only(t) for t in tensors])

@@ -15,8 +15,8 @@ Fidelity is always measured against the exact-diagonalization ground
 state of the reporting Hamiltonian; if that ground state is degenerate
 the run switches to energy-only reporting.
 
-The loop runs B rows at once (run_qite_rows): the bond distances of a
-scan or the initial angles of theta_scan; run_qite is the one-row case.
+The loop runs B rows at once on both routes (run_qite_rows): a scan's
+bond distances or theta_scan's initial angles; run_qite is the one-row case.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .ansatz import AnsatzCircuit
 from .cmf import EffectiveHamiltonian
-from .mclachlan import McLachlanSystem, compute_exact, compute_sampled, solve_update
+from .mclachlan import compute_exact, compute_sampled, solve_update
 from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
 from .simulator import StateVector
 from .spectra import stacked_spectrum
@@ -142,7 +142,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     energy_maps[b] (None for every row: against h_systems[b]).  The rows
     share the ansatz, the qubit counts, the iteration count, the route and
     the shot count.  Each iteration builds one circuit for all rows, takes
-    A and B from compute_exact of all rows (or compute_sampled per row, each
+    A and B of all rows from compute_exact or compute_sampled (each row
     drawing from its own seeded generator) and solves every update with one
     stacked eigh.  Each row's records are bitwise those of the row run
     alone; its warnings are emitted after the loop, row by row.
@@ -171,13 +171,8 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
                       (ground @ psi[:, :, None])[:, 0, 0], none, none])
         if it == cfg.iterations:
             break
-        if cfg.route == "exact":
-            system = compute_exact(ansatz, h_systems)
-        else:
-            rows = [compute_sampled(ansatz_builder(t), h, cfg.shots, rng)
-                    for t, h, rng in zip(theta, h_systems, rngs)]
-            system = McLachlanSystem(np.array([r.a_matrix for r in rows]),
-                                     np.array([r.b_vector for r in rows]), "hadamard", cfg.shots)
+        system = (compute_exact(ansatz, h_systems) if cfg.route == "exact"
+                  else compute_sampled(ansatz, h_systems, cfg.shots, rngs))
         steps[-1][3:] = system.a_matrix, system.b_vector
         update = solve_update(system, dtau)
         if it == 0:

@@ -13,10 +13,11 @@ A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
 (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
 of the summand, and the ancilla Z expectation then yields the summand's
 real part.  A test circuit is three slices of the ansatz gate tuple with
-controlled Pauli gates between them.  One estimate runs all its tests as
-one stacked pass (hadamard_z), every expectation and draw bitwise that of
-the test run alone.  Evaluated without sampling, the two routes agree to
-machine precision; with shots they agree statistically.
+controlled Pauli gates between them.  One estimate (hadamard_z), for one
+circuit or the B rows of a batched one, is one forward sweep applying each
+ansatz gate once; each row draws from its own generator, every value and
+draw bitwise that of the test run alone.  Evaluated without sampling, the
+two routes agree to machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .simulator import (Gate, StateVector, check_norms, controlled_pauli, hadama
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
+PASS_ROWS = 8                       # rows per measured pass of hadamard_z
 ABS_EIG_FLOOR = 1e-12
 
 
@@ -74,10 +75,6 @@ class HadamardJob:
     destination: tuple              # ("A", i, j) with i <= j, or ("B", i)
 
 
-def ancilla_state(phase: float) -> np.ndarray:
-    return np.array([1.0, np.exp(1j * phase)], dtype=complex) / np.sqrt(2.0)
-
-
 def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
     """A and B by direct statevector inner products, for a circuit at one
     angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians
@@ -103,59 +100,89 @@ def _lower(gamma: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=2)
-def _inserted_gates(sigmas: tuple[str, ...], terms: tuple[str, ...], anc: int) -> tuple:
-    """(ctrl, anti, tails, final) for the descriptor strings `sigmas` and
-    Hamiltonian strings `terms` on qubits 0..anc-1, controlled on `anc`."""
+def _inserted_gates(sigmas: tuple[str, ...], anc: int) -> tuple:
+    """(ctrl, anti, final) for descriptor strings `sigmas` on qubits 0..anc-1:
+    sigma_i controlled on the ancilla `anc`, X ctrl_i X, and the closing H."""
     ctrl = tuple(tuple(controlled_pauli(anc, range(anc), s)) for s in sigmas)
-    tails = tuple(tuple(controlled_pauli(anc, range(anc), t)) for t in terms)
-    return ctrl, tuple((x(anc), *c, x(anc)) for c in ctrl), tails, (hadamard(anc),)
+    return ctrl, tuple((x(anc), *c, x(anc)) for c in ctrl), (hadamard(anc),)
 
 
-def _layout(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> tuple:
-    """(jobs, tails, final): each A/B summand in job order as (prefix,
-    word, phase, weight, destination), cut from the ansatz gates g at the
-    insertion points p_i; its circuit is prefix + tails[word] + final.
+def _layout(descriptors, n: int, h: PauliHamiltonian) -> list:
+    """Each A/B summand of one row in job order, as (word, phase, weight,
+    destination).  Its circuit cuts the ansatz gates g at the insertion
+    points p_i (ctrl, anti and final of _inserted_gates):
 
-    A(i, j), i <= j: prefix g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:],
-    no word, prefactor conj(p) p; ctrl_i is sigma_i controlled on the
-    ancilla and anti_i = X ctrl_i X.  B(i, l): prefix g[:p_i] + anti_i +
-    g[p_i:], one tuple for all l, word l (tails[l] is the l-th Hamiltonian
-    string controlled), prefactor -conj(p) h_l.  p is DERIVATIVE_PREFACTOR;
-    phase and weight are the prefactor's angle and modulus.  Inserted
-    gates are shared (_inserted_gates), so prefixes compare by identity.
+    A(i, j), i <= j: g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:] + final,
+    no word, prefactor conj(p) p.  B(i, l): g[:p_i] + anti_i + g[p_i:] +
+    c-h_l + final, word l (the l-th Hamiltonian string controlled on the
+    ancilla), prefactor -conj(p) h_l.  p is DERIVATIVE_PREFACTOR; phase and
+    weight are the prefactor's angle and modulus.
     """
-    if h.n_qubits != ansatz.n_system_qubits:
+    if h.n_qubits != n:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
-    p = DERIVATIVE_PREFACTOR
-    g = tuple(ansatz.gates)
-    pts = [d.insertion_point for d in ansatz.descriptors]
-    ctrl, anti, tails, final = _inserted_gates(
-        tuple([d.sigma.letters for d in ansatz.descriptors]),
-        tuple([sig_l.letters for _, sig_l in h.terms]), ansatz.n_system_qubits)
+    p, gamma = DERIVATIVE_PREFACTOR, len(descriptors)
     sums = [(float(np.angle(c)), float(abs(c)))
             for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l, _ in h.terms]]
-    jobs = [(g[:pi] + anti[i] + g[pi:pj] + ctrl[j] + g[pj:], None, *sums[0], ("A", i, j))
-            for i, pi in enumerate(pts) for j, pj in enumerate(pts) if j >= i]
-    for i, pi in enumerate(pts):
-        prefix = g[:pi] + anti[i] + g[pi:]
-        jobs += [(prefix, l, *sums[l + 1], ("B", i)) for l in range(h.n_terms)]
-    return jobs, tails, final
+    jobs = [(None, *sums[0], ("A", i, j)) for i in range(gamma) for j in range(i, gamma)]
+    return jobs + [(l, *sums[l + 1], ("B", i)) for i in range(gamma) for l in range(h.n_terms)]
 
 
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
     """One weighted test circuit per A/B summand of _layout."""
-    jobs, tails, final = _layout(ansatz, h)
-    ref = ansatz.reference_state
-    return [HadamardJob(HadamardTestCircuit(
-                prefix + (() if word is None else tails[word]) + final, phase, ref),
-                weight, dest)
-            for prefix, word, phase, weight, dest in jobs]
+    n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
+    ctrl, anti, final = _inserted_gates(tuple([d.sigma.letters for d in descs]), n)
+    tails = [tuple(controlled_pauli(n, range(n), ps.letters)) for _, ps in h.terms]
+    pts, jobs = [d.insertion_point for d in descs], []
+    for word, phase, weight, (kind, i, *j) in _layout(descs, n, h):
+        pj, tail = (pts[j[0]], ctrl[j[0]] + g[pts[j[0]]:]) if j else (len(g), tails[word])
+        gates = g[:pts[i]] + anti[i] + g[pts[i]:pj] + tail + final
+        jobs.append(HadamardJob(HadamardTestCircuit(gates, phase, ansatz.reference_state),
+                                weight, (kind, i, *j)))
+    return jobs
+
+
+@lru_cache(maxsize=2)
+def _table(descriptors, n: int, hs: tuple) -> tuple:
+    """The Hadamard jobs of B rows with Hamiltonians hs, compiled once per run
+    for hadamard_z (they depend only on hs and the ansatz family): (phases,
+    plan, final, take, words, src, sign, entry, weight, sizes).
+
+    The sweep's stack starts as (distinct ancilla phases x rows), phase-
+    major.  At insertion point p_j, the plan joins branch B(j), anti_j on
+    that start block, then A(i, j) for i <= j, ctrl_j on the A-phase block
+    of B(i); each step, (inserted gates, first state, state count), appends
+    its block.  Job k of all rows, in row-major job order, reads state
+    take[k] of the final stack, gathered through union word words[k] (-1:
+    none), and adds its weighted value to entry[k] of A (B, gamma, gamma)
+    and then B (B, gamma), flattened.  sizes: each row's job count."""
+    rows, gamma = len(hs), len(descriptors)
+    ctrl, anti, final = _inserted_gates(tuple([d.sigma.letters for d in descriptors]), n)
+    jobs = [_layout(descriptors, n, h) for h in hs]
+    phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
+    block, fa = len(phases) * rows, phases.index(jobs[0][0][1]) * rows
+    size, at, plan = block, {}, {}
+    for j, d in enumerate(descriptors):
+        plan.setdefault(d.insertion_point, []).append((anti[j], 0, block))
+        at["B", j], size = size, size + block
+        for i in range(j + 1):   # an A block holds the A phase only, at offset fa
+            plan[d.insertion_point].append((ctrl[j], at["B", i] + fa, rows))
+            at["A", i, j], size = size - fa, size + rows
+    labels, cols = term_columns(hs)[0], []
+    for b, (h, row) in enumerate(zip(hs, jobs)):
+        cols += [(at[kind, i, *j] + phases.index(phase) * rows + b,
+                  -1 if word is None else labels.index(h.terms[word][1].letters),
+                  (b * gamma + i) * gamma + j[0] if j else (rows * gamma + b) * gamma + i, w)
+                 for word, phase, w, (kind, i, *j) in row]
+    take, words, entry = np.array([c[:3] for c in cols], dtype=np.intp).T
+    return (phases, plan, final, take, words, *_term_stack(labels, n), entry,
+            np.array([c[3] for c in cols]), [len(row) for row in jobs])
 
 
 def _start(ref: StateVector, phases) -> np.ndarray:
-    """ref (x) ancilla_state(phi) per phase, as a norm-checked tensor stack."""
-    amps = np.stack([ref.amplitudes[:, None] * ancilla_state(phi) for phi in phases])
+    """ref (x) (|0> + e^{i phi} |1>)/sqrt(2) per phase, a norm-checked tensor stack."""
+    amps = np.stack([ref.amplitudes[:, None] * (np.array([1.0, np.exp(1j * phi)], dtype=complex)
+                                                / np.sqrt(2.0)) for phi in phases])
     check_norms(np.linalg.norm(amps.reshape(len(phases), -1), axis=1))
     return amps.reshape((len(phases),) + (2,) * (ref.n_qubits + 1))
 
@@ -164,67 +191,67 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
                      rng=None) -> float:
     """Run one test circuit and return the ancilla Z expectation."""
     start = _start(circuit.system_reference, [circuit.ancilla_phase])
-    return float(measure_z_expectation(run_gates([start], circuit.gates)[-1], shots, rng)[0])
+    return float(measure_z_expectation(run_gates(start, circuit.gates)[-1], shots, rng)[0])
 
 
-def hadamard_z(ansatz: AnsatzCircuit, h: PauliHamiltonian, shots: int | None = None,
-               rng=None) -> tuple[list, np.ndarray]:
-    """(jobs of _layout, ancilla <Z> of each) from one stacked pass.
+def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> tuple:
+    """(_table of the rows, ancilla <Z> of every job) of a circuit at one
+    angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians;
+    `rng` lists one Generator (or seed) per row, or is None for shots=None.
 
-    Per insertion point i, the prefixes of A(i, j >= i) and of B(i) each
-    run once on the stack of distinct ancilla phases, resuming after the
-    gates shared with the prefix run before (run_gates).  A B job's word
-    is one gather on the ancilla-1 half through the words' stacked signed
-    permutations, exact since every product is by +-1 or +-i.  The final
-    H and the measurement run once over all jobs, in job order.  On 3 or
-    more qubits, and for the Pauli matrices of every controlled gate here,
-    a gate gives each state of a stack the bytes it gives it alone, so
-    each value and draw is bitwise that of the job's circuit run alone.
+    One forward sweep runs each ansatz gate once over the whole stack (the
+    start block and the branches joined so far), a (B, 2, 2) rotation as
+    one matmul per state, a shared gate as one np.dot.  Then, PASS_ROWS
+    rows at a time, each job gathers its state (a B job's word on the
+    ancilla-1 half, exact: every product is by +-1 or +-i), and the final
+    H and the draws run, each row drawing in its job order.  A gate gives
+    each state of a stack the bytes it gives it alone (on 3 or more qubits,
+    and for the Pauli matrices of every controlled gate here), so each
+    value and draw is bitwise that of the job's circuit run alone.
     """
-    jobs, _, final = _layout(ansatz, h)
-    n = ansatz.n_system_qubits
-    phases = list(dict.fromkeys([phase for _, _, phase, *_ in jobs]))
-    rows = np.array([phases.index(phase) for _, _, phase, *_ in jobs])
-    words = np.array([-1 if word is None else word for _, word, *_ in jobs])
-    src, sign = _term_stack(tuple([ps.letters for _, ps in h.terms]), n)
-    out = np.empty((len(jobs), 2 ** n, 2), dtype=complex)
-    states, done = [_start(ansatz.reference_state, phases)], ()
-    order = sorted(range(len(jobs)), key=lambda k: jobs[k][-1][1])  # by i, A before B
-    for _, group in groupby(order, key=lambda k: id(jobs[k][0])):
-        first, *rest = group
-        ks = slice(first, first + 1 + len(rest))  # a prefix's jobs are consecutive
-        states, done = run_gates(states, jobs[first][0], done), jobs[first][0]
-        t = states[-1].reshape(len(phases), -1, 2)
-        out[ks] = t[rows[ks]]
-        if words[first] >= 0:
-            w = words[ks]
-            out[ks, :, 1] = sign[w] * t[rows[ks, None], src[w], 1]
-    final_states = run_gates([out.reshape((len(jobs),) + (2,) * (n + 1))], final)[-1]
-    return jobs, measure_z_expectation(final_states, shots, rng)
+    batch = ansatz.parameters.ndim == 2
+    hs, n = tuple(h) if batch else (h,), ansatz.n_system_qubits
+    table = _table(ansatz.descriptors, n, hs)
+    phases, plan, final, take, words, src, sign, *_, sizes = table
+    stack = _start(ansatz.reference_state, phases).repeat(len(hs), axis=0)
+    for k, gate in enumerate((*ansatz.gates, None)):
+        for inserted, first, count in plan.get(k, ()):
+            stack = np.concatenate([stack, run_gates(stack[first:first + count], inserted)[-1]])
+        if gate is not None:
+            stack = run_gates(stack, (gate,), gate.matrix.ndim == 3)[-1]
+    stack, ends, values = stack.reshape(len(stack), -1, 2), np.cumsum([0, *sizes]), []
+    for r in range(0, len(hs), PASS_ROWS):
+        ks = slice(ends[r], ends[min(r + PASS_ROWS, len(hs))])
+        out, bj = stack[take[ks]], np.flatnonzero(words[ks] >= 0) + ends[r]
+        out[bj - ends[r], :, 1] = sign[words[bj]] * stack[take[bj, None], src[words[bj]], 1]
+        out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)[-1]
+        values.append(measure_z_expectation(out, shots, rng and rng[r:r + PASS_ROWS],
+                                            sizes[r:r + PASS_ROWS]))
+    return table, np.concatenate(values)
 
 
-def compute_sampled(ansatz: AnsatzCircuit, h: PauliHamiltonian,
-                    shots: int | None, seed=None) -> McLachlanSystem:
-    """A and B from the Hadamard-test circuits (hadamard_z).
+def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
+                    seed=None) -> McLachlanSystem:
+    """A and B from the Hadamard-test circuits (hadamard_z), for one angle
+    vector and Hamiltonian or for B rows (A and B stacked).
 
     shots=None evaluates every circuit analytically (the exact-mode
     switch); otherwise each ancilla expectation is a seeded binomial
     estimate with the given shot count.  `seed` is an integer seed or a
-    numpy Generator, which is then drawn from in place.  A and B add the
-    weighted values from 0.0 in job order.
+    numpy Generator, which is then drawn from in place; one per row for a
+    batch.  A and B add the weighted values from 0.0 in job order.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
-    rng = np.random.default_rng(seed) if shots is not None else None
-    jobs, values = hadamard_z(ansatz, h, shots, rng)
-    gamma = ansatz.n_parameters
-    entry = [d[1] * gamma + d[2] if d[0] == "A" else gamma * gamma + d[1]
-             for *_, d in jobs]
-    ab = np.zeros(gamma * gamma + gamma)
-    np.add.at(ab, entry, np.array([weight for *_, weight, _ in jobs]) * values)
-    a, (low, up) = ab[:gamma * gamma].reshape(gamma, gamma), _lower(gamma)
-    a[low, up] = a[up, low]
-    return McLachlanSystem(a, ab[gamma * gamma:], route="hadamard", shots=shots)
+    batch, gamma = ansatz.parameters.ndim == 2, ansatz.n_parameters
+    rng = None if shots is None else list(map(np.random.default_rng, seed if batch else [seed]))
+    (*_, entry, weight, sizes), values = hadamard_z(ansatz, h, shots, rng)
+    ab, cut = np.zeros(len(sizes) * (gamma + 1) * gamma), len(sizes) * gamma * gamma
+    np.add.at(ab, entry, weight * values)
+    a, (low, up) = ab[:cut].reshape(-1, gamma, gamma), _lower(gamma)
+    a[:, low, up] = a[:, up, low]
+    b = ab[cut:].reshape(-1, gamma)
+    return McLachlanSystem(a if batch else a[0], b if batch else b[0], "hadamard", shots)
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,16 @@ A gate is its read-only 2x2 matrix, a target qubit and an optional
 control qubit; Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and
 a controlled Pauli string c-(s1 s2 ...) is the list of its controlled
 single-letter factors c-s1, c-s2, ..., as the reference circuits
-decompose it.  run_gates is the one place gates run, on a stack of raw
-amplitude tensors (one state is a stack of one), resuming after the gate
-prefix shared with an earlier run, and norms are checked once per circuit.
-A gate is one np.dot over the stack, or per_state one matmul per state,
-which rounds each state as alone (apply_on_axis); a rotation may hold one
-(2, 2) matrix per row of a stack of B ansatz rows.
-Qubit ordering follows vqite.pauli (q0 = most significant bit).
-measure_z_expectation reads the last qubit of each state of a stack, with
-one binomial call from a caller-supplied seeded generator for all of
-them, so every sampled result is reproducible from (seed, shots).
+decompose it.  Gates run on a stack of raw amplitude tensors (one state
+is a stack of one), through run_gates, which checks their qubits, and
+norms are checked once per circuit.  A gate is one np.dot over the stack,
+or per_state one matmul per state, which rounds each state as alone
+(apply_on_axis); a rotation may hold one (2, 2) matrix per row of a stack
+of B ansatz rows.  Qubit ordering follows vqite.pauli (q0 = most
+significant bit).  measure_z_expectation reads the last qubit of each
+state of a stack, with one binomial call per caller-supplied seeded
+generator (one for all states, or one per row for consecutive states), so
+every sampled result is reproducible from (seed, shots).
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -184,21 +184,13 @@ def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray
     return t
 
 
-def run_gates(states, gates, done=(), per_state=False) -> list[np.ndarray]:
-    """Tensor stacks before and after each of `gates`, applied left to right.
-
-    `states` holds the starting stack, shape (S,) + (2,)*n, and the stack
-    after each gate of `done`, an earlier run from the same start; the run
-    resumes after the longest prefix `gates` shares with `done`, compared
-    by identity.  Raises ValueError on a gate outside qubits 0..n-1 before
-    applying it.  per_state as in apply_on_axis.
+def run_gates(start: np.ndarray, gates, per_state=False) -> list[np.ndarray]:
+    """Tensor stacks before and after each of `gates`, applied left to right
+    to the stack `start`, shape (S,) + (2,)*n.  Raises ValueError on a gate
+    outside qubits 0..n-1 before applying it.  per_state as in apply_on_axis.
     """
-    k, shared = 0, min(len(done), len(gates))
-    while k < shared and done[k] is gates[k]:
-        k += 1
-    n = states[0].ndim - 1
-    states = list(states[:k + 1])
-    for g in gates[k:]:
+    n, states = start.ndim - 1, [start]
+    for g in gates:
         if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
             raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
                              f"outside 0..{n - 1}")
@@ -210,7 +202,7 @@ def run_circuit(initial: StateVector, gates) -> StateVector:
     """Apply gates left to right in list order; norm is preserved by
     construction and checked once, on the final state."""
     t = initial.amplitudes.reshape((1,) + (2,) * initial.n_qubits)
-    return StateVector(run_gates([t], tuple(gates))[-1].reshape(-1))
+    return StateVector(run_gates(t, gates)[-1].reshape(-1))
 
 
 def check_norms(norms: np.ndarray) -> None:
@@ -221,12 +213,14 @@ def check_norms(norms: np.ndarray) -> None:
 
 
 def measure_z_expectation(states: np.ndarray, shots: int | None = None,
-                          rng=None) -> np.ndarray:
+                          rng=None, sizes=None) -> np.ndarray:
     """<Z> of the last qubit of each state of a stack (leading axis),
     analytically (shots=None) or from a binomial sample, after checking
     each norm.  Shot mode draws count ~ Binomial(shots, (1+<Z>)/2) per
     state in stack order, in one call equal to one draw per state in turn,
-    and returns 2*count/shots - 1.  `rng` is a Generator or an integer seed.
+    and returns 2*count/shots - 1.  `rng` is a Generator or an integer seed,
+    or with `sizes` a list of them, the r-th drawing for the next sizes[r]
+    states of the stack.
     """
     if shots is not None and not (shots > 0 and rng is not None):
         raise ValueError("shot mode needs a positive shot count and a seed or generator")
@@ -236,7 +230,8 @@ def measure_z_expectation(states: np.ndarray, shots: int | None = None,
     exact = marg[:, 0] - marg[:, 1]
     if shots is None:
         return exact
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    counts = rng.binomial(shots, np.clip((1.0 + exact) / 2.0, 0.0, 1.0))
+    p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
+    rngs, parts = ([rng], [p]) if sizes is None else (rng, np.split(p, np.cumsum(sizes)[:-1]))
+    counts = np.concatenate([np.random.default_rng(g).binomial(shots, part)
+                             for g, part in zip(rngs, parts)])
     return 2.0 * counts / shots - 1.0

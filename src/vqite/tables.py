@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .pauli import PauliHamiltonian, PauliString
@@ -121,7 +122,9 @@ def load_table(path) -> MoleculeTable:
         return parse_table(fh)
 
 
+@lru_cache(maxsize=None)
 def _bundled(name: str) -> MoleculeTable:
+    """A shipped table, parsed once (MoleculeTable is frozen and holds tuples)."""
     text = resources.files(__package__).joinpath("data", name).read_text("utf-8")
     return parse_table(text)
 

@@ -10,7 +10,7 @@ import pytest
 
 from vqite import (PauliHamiltonian, build_hadamard_circuits, hamiltonian_at,
                    load_h2_synthetic_table, load_lih_table)
-from vqite.mclachlan import McLachlanSystem, ancilla_state
+from vqite.mclachlan import McLachlanSystem
 
 
 @pytest.fixture(scope="session")
@@ -277,6 +277,11 @@ def scalar_z(tensor, shots=None, rng=None):
         return exact
     p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
     return 2.0 * rng.binomial(shots, p) / shots - 1.0
+
+
+def ancilla_state(phase):
+    """(|0> + e^{i phase} |1>)/sqrt(2)."""
+    return np.array([1.0, np.exp(1j * phase)], dtype=complex) / np.sqrt(2.0)
 
 
 def start_tensor(circuit):

@@ -281,10 +281,10 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
 def _failing_qite_at_r15(stage, real):
     """`real`, raising ArithmeticError whenever its batch holds the R = 1.5 row."""
     h = hamiltonian_at(load_lih_table(), 1.5)
-    if stage == "compute_exact":                 # the rows' reduced Hamiltonians
+    if stage in ("compute_exact", "compute_sampled"):   # the rows' reduced Hamiltonians
         target = cmf_reduce(h).h_eff.terms
         hit = lambda args: any(x.terms == target for x in args[1])
-    else:                                        # a row of the (B, L) report coefficients
+    else:                                    # a row of the (B, L) report coefficients
         target = np.array([c for c, _ in h.terms])
         hit = lambda args: any(np.array_equal(c[c != 0], target) for c in args[1])
 
@@ -295,13 +295,14 @@ def _failing_qite_at_r15(stage, real):
     return stage_fn
 
 
-@pytest.mark.parametrize("stage", ["compute_exact", "expectations"])
+@pytest.mark.parametrize("stage", ["compute_exact", "expectations", "compute_sampled"])
 def test_failing_qite_row_flags_only_its_row(stage, tmp_path, monkeypatch, capsys):
     # The batch of all three rows fails; each row then runs alone, and only
-    # R = 1.5 fails alone.
+    # R = 1.5 fails alone.  On the shot route the neighbours' rows and traces
+    # stay byte-identical, so each still draws from its own (seed, R) generator.
     import vqite.engine as engine_mod
     args = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "1.0,1.5,3.0",
-            "--trace"]
+            "--trace"] + (["--route", "shots:1000"] if stage == "compute_sampled" else [])
     assert main(args + ["--out", str(tmp_path / "clean")]) == 0
     clean = (tmp_path / "clean" / "curve.csv").read_text().splitlines()
     capsys.readouterr()

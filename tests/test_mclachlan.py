@@ -9,8 +9,10 @@ from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
 from vqite.ansatz import DERIVATIVE_PREFACTOR
-from vqite.mclachlan import McLachlanSystem, ancilla_state, evaluate_circuit, hadamard_z
-from vqite.simulator import controlled_pauli, hadamard, x
+from vqite import simulator
+from vqite.mclachlan import (PASS_ROWS, McLachlanSystem, _start, evaluate_circuit,
+                             hadamard_z)
+from vqite.simulator import basis_state, controlled_pauli, hadamard, x
 
 
 def fd_system(builder, theta, h, eps=1e-5):
@@ -106,9 +108,11 @@ def test_dimension_mismatch_rejected(lih_r15):
 # --- Hadamard route ---
 
 def test_ancilla_preparation():
+    # A test starts as the reference state (x) (|0> + e^{i phi} |1>)/sqrt(2).
     for phi in (0.0, 0.7, -np.pi / 2):
         target = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2)
-        assert np.max(np.abs(ancilla_state(phi) - target)) < 1e-12
+        start = _start(basis_state("01"), [phi, 0.0]).reshape(2, -1)[0]
+        assert np.max(np.abs(start - np.kron([0, 1, 0, 0], target))) < 1e-12
 
 
 def insertion_oracle(ansatz, h):
@@ -221,12 +225,12 @@ def memo_cases(lih_r15, h2_r07, rng):
 
 
 def test_prefix_memo_bitwise_equals_scratch(lih_r15, h2_r07, rng):
-    # The stacked pass runs each distinct prefix once on the stack of ancilla
-    # phases; each job's value is still that of its circuit run alone.
+    # The sweep runs each ansatz gate once over all branches; each job's
+    # value is still that of its circuit run alone.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
-        jobs, values = hadamard_z(ansatz, h)
+        _, values = hadamard_z(ansatz, h)
         circuits = build_hadamard_circuits(ansatz, h)
-        assert len(jobs) == len(values) == len(circuits)
+        assert len(values) == len(circuits)
         for z, job in zip(values, circuits):
             assert z == evaluate_circuit(job.circuit) == scratch_z(job.circuit)
 
@@ -309,6 +313,89 @@ def test_sampled_is_per_job_oracle_on_random_hamiltonians(case):
     builder, n, _ = FAMILIES[family]
     h = PauliHamiltonian.from_pairs(pairs, n_qubits=n)
     assert oracle_agrees(builder(theta), h, [shots], seed)
+
+
+def rows_agree(builder, theta, hs, shots_list, seeds):
+    """compute_sampled of B rows as one batch and sampled_oracle of each row
+    alone, from twin generators: at each shot count, every row's A and B
+    bytes and its generator's state afterwards agree."""
+    twins = [[np.random.default_rng(s) for s in seeds] for _ in shots_list]
+    want = [sampled_oracle(builder(t), h, [(shots, tw[b]) for shots, tw in
+                                           zip(shots_list, twins)])
+            for b, (t, h) in enumerate(zip(theta, hs))]
+    for k, shots in enumerate(shots_list):
+        gens = [np.random.default_rng(s) for s in seeds]
+        got = compute_sampled(builder(np.array(theta)), hs, shots, gens)
+        for b, (gen, twin) in enumerate(zip(gens, twins[k])):
+            if not (got.a_matrix[b].tobytes() == want[b][k].a_matrix.tobytes()
+                    and got.b_vector[b].tobytes() == want[b][k].b_vector.tobytes()
+                    and gen.bit_generator.state == twin.bit_generator.state):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("family", ["ucc-lih", "he", "ucc-h2"])
+def test_batched_sampled_is_per_row_oracle_bitwise(table_cases, family):
+    # Every row of a table in one batch: under UCC-LiH the 11-term LiH rows
+    # (R = 4.9 and 5.0) sit beside 13-term rows; HE runs the CMF h_eff.
+    builder, _, gamma = FAMILIES[family]
+    rows = [(ansatz.parameters, h) for ansatz, h in table_cases if ansatz.n_parameters == gamma]
+    theta, hs = zip(*rows)
+    if family == "ucc-lih":
+        assert {h.n_terms for h in hs} == {11, 13}
+    assert rows_agree(builder, theta, hs, [None, 1, 10_000], range(2000, 2000 + len(hs)))
+
+
+@st.composite
+def batched_cases(draw):
+    """Rows of random term subsets of one word pool, each with coefficients
+    of one sign (one B phase) or of mixed signs (two)."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    _, n, gamma = FAMILIES[family]
+    pool = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=5,
+                         unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        sign = draw(st.sampled_from([-1.0, 1.0, None]))   # None: mixed signs
+        rows.append([(draw(st.floats(0.01, 2.0)) * (sign or draw(st.sampled_from([-1.0, 1.0]))),
+                      w) for w in words])
+    angles = st.lists(st.floats(-np.pi, np.pi), min_size=gamma, max_size=gamma)
+    theta = draw(st.lists(angles, min_size=len(rows), max_size=len(rows)))
+    return (family, rows, theta, draw(st.sampled_from([None, 1, 7, 10_000])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(batched_cases())
+@example(("ucc-lih", [[(0.3, "ZII"), (0.2, "XXI")],
+                      [(-0.3, "ZII"), (0.5, "XXI"), (1.1, "III")]],
+          [[0.3, -1.2], [1.0, 0.5]], 7, 2))
+@example(("he", [[(-0.3, "ZZ")], [(0.4, "XI"), (-0.5, "ZZ")], [(0.2, "II")]],
+          [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.6, 0.5, 0.4, 0.3, 0.2, 0.1], [0.0] * 6], 1, 3))
+def test_batched_sampled_is_per_row_oracle_on_random_hamiltonians(case):
+    family, rows, theta, shots, seed = case
+    builder, n, _ = FAMILIES[family]
+    hs = [PauliHamiltonian.from_pairs(pairs, n_qubits=n) for pairs in rows]
+    assert rows_agree(builder, theta, hs, [shots], range(seed, seed + len(hs)))
+
+
+def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
+    # One batched compute_sampled applies each gate of the batched build
+    # once, whatever B is: 14 ansatz gates, 3 gates for each of the 2
+    # anti-controlled branches, 3 controlled A branches, and the closing H
+    # once per pass of PASS_ROWS rows.
+    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    real = simulator.apply_gate
+    for rows, calls in ((1, 14 + 9 + 1), (50, 14 + 9 + -(-50 // PASS_ROWS))):
+        applied = []
+        monkeypatch.setattr(simulator, "apply_gate",
+                            lambda t, g, *kernel: applied.append(g) or real(t, g, *kernel))
+        ansatz = build_ucc_lih(np.ones((rows, 2)))
+        compute_sampled(ansatz, hs[:rows], 10_000, list(range(rows)))
+        monkeypatch.undo()
+        assert len(applied) == calls
+        assert all(sum(a is g for a in applied) == 1 for g in ansatz.gates)
 
 
 def test_sampled_reproducible(h2_r07):

@@ -169,6 +169,21 @@ def test_measure_z_stack_equals_one_by_one(rng, shots):
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
+def test_measure_z_rows_draw_from_their_own_generators(rng):
+    # With sizes, generator r draws for the next sizes[r] states: what one
+    # call per row draws, each generator left in that call's state.
+    stack = np.array([random_state(rng, 3) for _ in range(9)]).reshape(-1, 2, 2, 2)
+    sizes, seeds = [4, 1, 4], [11, 12, 13]
+    gens = [np.random.default_rng(s) for s in seeds]
+    twins = [np.random.default_rng(s) for s in seeds]
+    got = measure_z_expectation(stack, 1000, gens, sizes)
+    bounds = np.cumsum([0, *sizes])
+    want = np.concatenate([measure_z_expectation(stack[a:b], 1000, twin)
+                           for a, b, twin in zip(bounds, bounds[1:], twins)])
+    assert got.tobytes() == want.tobytes()
+    assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+
+
 def test_nan_fails_state_checks():
     with pytest.raises(ValueError, match="norm"):
         StateVector([np.nan, 0])
@@ -190,7 +205,7 @@ def test_gate_range_checked_on_stacks(monkeypatch, gate):
                         lambda t, g, *kernel: applied.append(g) or t)
     stack = np.zeros((3, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match="outside 0..2"):
-        run_gates([stack], (x(0), gate, x(1)))
+        run_gates(stack, (x(0), gate, x(1)))
     assert applied == [applied[0]] and applied[0].target == 0
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import coefficient, serialize_table, table_coefficient, term_bytes
-from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax,
-                   hamiltonian_at, parse_table, to_dense_matrix)
+from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax, hamiltonian_at,
+                   load_h2_synthetic_table, load_lih_table, load_table, parse_table,
+                   to_dense_matrix)
 from vqite.tables import TableFormatError
 
 
@@ -97,6 +98,16 @@ def test_round_trip(lih_table):
     again = parse_table(text)
     assert again == lih_table
     assert serialize_table(again) == text
+
+
+def test_bundled_tables_parsed_once(tmp_path):
+    # A bundled table is parsed once and shared; a table read from a path is not cached.
+    assert load_lih_table() is load_lih_table()
+    assert load_h2_synthetic_table() is load_h2_synthetic_table()
+    path = tmp_path / "lih.csv"
+    path.write_text(serialize_table(load_lih_table()))
+    first, second = load_table(path), load_table(path)
+    assert first == second == load_lih_table() and first is not second
 
 
 def test_hamiltonian_at_exact_match(lih_table):
