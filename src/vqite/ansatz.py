@@ -16,11 +16,11 @@ operator-product ordering of the A/B matrix elements.
 A family's reference state, descriptors, fixed gates and rotation axes
 are built once and shared; a build, at one angle vector or at a (B, gamma)
 array of B rows (the bond distances of a scan), makes only its rotation
-matrices.  A circuit runs its gates once for all rows, one per-state
-matmul each, keeping the read-only stack after each gate; every
-derivative branch, sigma_n applied at its insertion point, joins one stack
-that runs the gates after it once.  Insertion points are non-decreasing,
-so the Hadamard-test circuits are slices of `gates`.
+matrices.  One sweep gives the states and derivatives of all rows: each
+gate runs once over one stack of the B forward rows and every branch,
+sigma_n applied to the forward rows at its insertion point; states alone
+sweep the forward rows.  Insertion points are non-decreasing, so the
+Hadamard-test circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .pauli import PAULI_MATRICES, PauliString, read_only
-from .simulator import (Gate, StateVector, apply_gate, basis_state, check_norms, cnot,
+from .simulator import (Gate, StateVector, basis_state, check_norms, cnot,
                         rotation_matrix, run_gates, rx, ry)
 
 
@@ -84,42 +84,39 @@ class AnsatzCircuit:
     def n_parameters(self) -> int:
         return self.parameters.shape[-1]
 
-    @cached_property
-    def _forward(self) -> tuple[np.ndarray, ...]:
-        """Read-only (B,) + (2,)*n stacks before and after each gate, B = 1
-        for one angle vector; the last is (B, 2^n) and norm-checked."""
-        ref = self.reference_state
-        rows = 1 if self.parameters.ndim == 1 else len(self.parameters)
-        start = ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits).repeat(rows, axis=0)
-        tensors = run_gates(start, self.gates, per_state=True)
-        tensors[-1] = tensors[-1].reshape(rows, -1)
-        check_norms(np.linalg.norm(tensors[-1], axis=1))
-        return tuple([read_only(t) for t in tensors])
+    def _sweep(self, descriptors) -> np.ndarray:
+        """(B (1 + len(descriptors)), 2^n): the B forward rows, then each
+        descriptor's branch, joined at its insertion point; each gate is one
+        per-state matmul over the stack, so every row keeps its bytes alone.
+        The first sweep's forward rows, norm-checked, are states()."""
+        ref, rows, k = self.reference_state, len(np.atleast_2d(self.parameters)), 0
+        stack = ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits).repeat(rows, axis=0)
+        for d in descriptors:
+            flat = run_gates(stack, self.gates[k:d.insertion_point], per_state=True)
+            flat, k = flat.reshape(len(flat), -1), d.insertion_point
+            stack = np.vstack([flat, d.sigma.apply(flat[:rows])]).reshape(-1, *stack.shape[1:])
+        stack = run_gates(stack, self.gates[k:], per_state=True).reshape(len(stack), -1)
+        check_norms(np.linalg.norm(stack[:rows], axis=1))
+        self.__dict__.setdefault("_states", read_only(stack[:rows]))
+        return stack
 
     def states(self) -> np.ndarray:
-        """(B, 2^n) amplitudes, one row per angle row."""
-        return self._forward[-1]
+        """(B, 2^n) read-only amplitudes, one row per angle row: the head of
+        the derivative sweep if it ran first, else a sweep of the B rows."""
+        if "_states" not in self.__dict__:
+            self._sweep(())
+        return self.__dict__["_states"]
 
     def state(self) -> StateVector:
         """The state of a circuit at one angle vector."""
-        return StateVector(self._forward[-1].reshape(-1))
+        return StateVector(self.states().reshape(-1))
 
     @cached_property
     def derivatives(self) -> np.ndarray:
         """(gamma, B, 2^n) read-only d|psi>/d theta_i of every row (not
-        normalized).  Branch i, sigma_i applied to the state at its insertion
-        point, joins one stack that runs the remaining gates, one per-state
-        matmul each, so every branch gets the bytes it gets alone."""
-        fwd, shape = self._forward, (-1,) + (2,) * self.n_system_qubits
-        rows, stack = len(fwd[-1]), np.empty((0, fwd[-1].shape[1]), dtype=complex)
-        for k, gate in enumerate((*self.gates, None)):
-            new = [d.sigma.apply(fwd[k].reshape(rows, -1)) for d in self.descriptors
-                   if d.insertion_point == k]
-            stack = np.concatenate([stack, *new]) if new else stack
-            if gate is not None and len(stack):
-                stack = apply_gate(stack.reshape(shape), gate, per_state=True)
-                stack = stack.reshape(len(stack), -1)
-        return read_only(DERIVATIVE_PREFACTOR * stack.reshape(self.n_parameters, rows, -1))
+        normalized), from one sweep of the forward rows and every branch."""
+        stack, rows = self._sweep(self.descriptors), len(self.states())
+        return read_only(DERIVATIVE_PREFACTOR * stack[rows:].reshape(-1, rows, stack.shape[1]))
 
     def derivative_state(self, i: int) -> np.ndarray:
         """d|psi>/d theta_i of a circuit at one angle vector (not normalized)."""
@@ -167,7 +164,7 @@ def _build(family: str, theta) -> AnsatzCircuit:
     theta = theta if theta.ndim == 2 else theta.reshape(-1)
     if theta.shape[-1] != len(descs):
         raise ValueError(f"{family} takes {len(descs)} parameters, got {theta.shape[-1]}")
-    matrices = iter(np.moveaxis(rotation_matrix(axes, theta), -3, 0))
+    matrices = iter(rotation_matrix(axes, theta).swapaxes(-3, 0))
     gates = tuple([slot if isinstance(slot, Gate) else Gate(next(matrices), slot[1])
                    for slot in slots])
     return AnsatzCircuit(gates, theta, descs, reference, reference.n_qubits)

@@ -20,6 +20,7 @@ validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -433,6 +434,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_excited(args) -> int:
     dtau = _parse_dtau(args.dtau)
+    if args.seed < 0:
+        raise ManifestError(f"--seed must be non-negative, got {args.seed}")
     table = load_manifest_table(RunManifest(table=args.table))
     h = hamiltonian_at(table, args.r)
     if table.n_qubits == 3:
@@ -452,12 +455,7 @@ def _cmd_excited(args) -> int:
     # --iters extends the total evolution time.
     if dtau == "auto":
         dtau = resolve_dtau(QiteConfig((0.0,), iterations=4), h)
-    config = QiteConfig(
-        initial_theta=DEFAULT_THETA0["he"],
-        iterations=args.iters,
-        dtau=dtau,
-        seed=args.seed,
-    )
+    config = QiteConfig(DEFAULT_THETA0["he"], iterations=args.iters, dtau=dtau, seed=args.seed)
     traj = run_qite(lifted, build_hardware_efficient, config)
     target = spec.eigenvalues[1]
     print(f"gershgorin e_max = {format_number(bound.e_max)}")
@@ -520,8 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)     # built once, on the first main call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ManifestError as exc:

@@ -20,10 +20,10 @@ The resulting 2-qubit effective Hamiltonian comes with the 8x4 isometry
 whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
 
-Steps 1-3 run batched over all rows of a scan: each partial trace is one
-gather through a compiled trace plan, each spectrum one eigh of a (B, k, k)
-stack.  Steps 4-5 run per row.  Each row equals its reduction alone, bit
-for bit.
+Steps 1-3 run batched over all rows of a scan, one pass per step over the
+conditioning weights of every row (B, 2B and 4B): each partial trace one
+gather through a compiled trace plan, each spectrum one eigh of a stack.
+Steps 4-5 run per row.  Each row equals its reduction alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,31 +97,32 @@ def _stages(hs: list[PauliHamiltonian]):
     """Steps 1-3 for all rows at once; returns finish(b) for steps 4-5."""
     if any(h.n_qubits != 3 for h in hs):
         raise ValueError("the one-layer reduction is defined for 3-qubit input")
-    labels, coeffs = term_columns(hs)
+    labels, coeffs, rows = *term_columns(hs), len(hs)
     stages = []         # (tag, eigenvalues, degeneracy flags, level noted)
 
-    def conditioned(tag, keep, rho, level):
-        words, reduced = partial_traces(labels, coeffs, keep, check_density(rho), 3)
+    def conditioned(tags, keep, rho, level):  # one pass, a block of rows per tag
+        words, reduced = partial_traces(labels, np.tile(coeffs, (len(tags), 1)), keep,
+                                        check_density(rho), 3)
         vals, vecs, flags = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
-        stages.append((tag, vals, flags, level))
-        return vals, vecs
+        cut = [slice(t * rows, (t + 1) * rows) for t in range(len(tags))]
+        stages.extend([(tag, vals[c], flags[c], level) for tag, c in zip(tags, cut)])
+        return [(vals[c], vecs[c]) for c in cut]
 
     # Step 1: seed reduction and the two lowest a states.
-    seed = np.broadcast_to(INITIAL_RHO_B.elements, (len(hs), 2, 2))
-    _, a_vecs = conditioned("h_a0", SUBSYSTEM_A, seed, 1)
+    seed = np.broadcast_to(INITIAL_RHO_B.elements, (rows, 2, 2))
+    [(_, a_vecs)] = conditioned(["h_a0"], SUBSYSTEM_A, seed, 1)
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
-    b_states = []
-    for tag, av in (("a_g", a_vecs[:, :, 0]), ("a_e", a_vecs[:, :, 1])):
-        _, vecs = conditioned(f"h_b({tag})", SUBSYSTEM_B, _outer(av, av.conj()), 0)
-        b_states += [vecs[:, :, 0], vecs[:, :, 1]]
+    av = np.concatenate([a_vecs[:, :, 0], a_vecs[:, :, 1]])
+    b_states = [vecs[:, :, k] for _, vecs in conditioned(
+        ["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, _outer(av, av.conj()), 0) for k in (0, 1)]
 
-    # Step 3: a conditioned on each b state; two lowest each.
+    # Step 3: a conditioned on each b state; (two lowest, b state, eigenvalues) each.
+    b_all = np.concatenate(b_states)
     b_tags = ("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)")
-    pairs = []          # (two lowest a states, b state, a eigenvalues) per b state
-    for tag, bv in zip(b_tags, b_states):
-        vals, vecs = conditioned(f"h_a1({tag})", SUBSYSTEM_A, _outer(bv, bv.conj()), 1)
-        pairs.append((vecs[:, :, :2].copy(), bv, vals))
+    step3 = conditioned([f"h_a1({tag})" for tag in b_tags], SUBSYSTEM_A,
+                        _outer(b_all, b_all.conj()), 1)
+    pairs = [(vecs[:, :, :2].copy(), b, vals) for b, (vals, vecs) in zip(b_states, step3)]
 
     # The stage arrays stay alive for the whole scan; what finish needs of one
     # row beyond them (H dense, the product candidates) is built per row.

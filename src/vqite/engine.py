@@ -17,6 +17,7 @@ the run switches to energy-only reporting.
 
 The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
+On the exact route one gate sweep per iteration gives A, B and the states.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit
 from .cmf import EffectiveHamiltonian
 from .mclachlan import compute_exact, compute_sampled, solve_update
 from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
@@ -165,14 +165,15 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
 
     for it in range(cfg.iterations + 1):
-        ansatz: AnsatzCircuit = ansatz_builder(theta)
+        ansatz = ansatz_builder(theta)
+        if it < cfg.iterations:  # first, so that the derivative sweep gives the states
+            system = (compute_exact(ansatz, h_systems) if cfg.route == "exact"
+                      else compute_sampled(ansatz, h_systems, cfg.shots, rngs))
         psi = ansatz.states() if iso is None else (iso @ ansatz.states()[:, :, None])[:, :, 0]
         steps.append([theta, expectations(labels, coeffs, psi),
                       (ground @ psi[:, :, None])[:, 0, 0], none, none])
         if it == cfg.iterations:
             break
-        system = (compute_exact(ansatz, h_systems) if cfg.route == "exact"
-                  else compute_sampled(ansatz, h_systems, cfg.shots, rngs))
         steps[-1][3:] = system.a_matrix, system.b_vector
         update = solve_update(system, dtau)
         if it == 0:

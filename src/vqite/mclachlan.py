@@ -191,7 +191,7 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
                      rng=None) -> float:
     """Run one test circuit and return the ancilla Z expectation."""
     start = _start(circuit.system_reference, [circuit.ancilla_phase])
-    return float(measure_z_expectation(run_gates(start, circuit.gates)[-1], shots, rng)[0])
+    return float(measure_z_expectation(run_gates(start, circuit.gates), shots, rng)[0])
 
 
 def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> tuple:
@@ -216,15 +216,15 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     stack = _start(ansatz.reference_state, phases).repeat(len(hs), axis=0)
     for k, gate in enumerate((*ansatz.gates, None)):
         for inserted, first, count in plan.get(k, ()):
-            stack = np.concatenate([stack, run_gates(stack[first:first + count], inserted)[-1]])
+            stack = np.concatenate([stack, run_gates(stack[first:first + count], inserted)])
         if gate is not None:
-            stack = run_gates(stack, (gate,), gate.matrix.ndim == 3)[-1]
+            stack = run_gates(stack, (gate,), gate.matrix.ndim == 3)
     stack, ends, values = stack.reshape(len(stack), -1, 2), np.cumsum([0, *sizes]), []
     for r in range(0, len(hs), PASS_ROWS):
         ks = slice(ends[r], ends[min(r + PASS_ROWS, len(hs))])
         out, bj = stack[take[ks]], np.flatnonzero(words[ks] >= 0) + ends[r]
         out[bj - ends[r], :, 1] = sign[words[bj]] * stack[take[bj, None], src[words[bj]], 1]
-        out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)[-1]
+        out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)
         values.append(measure_z_expectation(out, shots, rng and rng[r:r + PASS_ROWS],
                                             sizes[r:r + PASS_ROWS]))
     return table, np.concatenate(values)
@@ -269,15 +269,15 @@ def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
     result is flagged stationary.  For a 1x1 system this is (B/A) * dtau.
     """
     dtau = np.asarray(dtau, dtype=float)
-    if not (0 < dtau.min() and dtau.max() < np.inf):  # NaN fails too
+    if not all(0 < t < np.inf for t in dtau.ravel().tolist()):  # NaN fails too
         raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
     lam, vec = np.linalg.eigh(np.asarray(sys.a_matrix, dtype=float))
     lam_max = lam.max(axis=-1, keepdims=True)
     keep = lam > eps_cut * lam_max
-    inv = np.where(keep, 1.0, 0.0) / np.where(keep, lam, 1.0)
+    inv = keep / np.where(keep, lam, 1.0)       # 1/lam where kept, else 0.0
     coef = inv * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])[..., 0]
-    delta = dtau[..., None] * (vec @ coef[..., None])[..., 0]
     stationary = lam_max[..., 0] < ABS_EIG_FLOOR
-    delta[stationary] = 0.0
+    delta = np.where(stationary[..., None], 0.0,
+                     dtau[..., None] * (vec @ coef[..., None])[..., 0])
     return UpdateResult(delta, stationary)

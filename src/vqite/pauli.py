@@ -114,7 +114,7 @@ class PauliString:
         """Apply the string to the last axis of (..., 2^n) amplitudes without
         building the matrix."""
         src, phase = _signed_permutation(self.letters)
-        return phase * np.asarray(amplitudes, dtype=complex)[..., src]
+        return phase * np.asarray(amplitudes, dtype=complex).take(src, axis=-1)
 
     def __str__(self) -> str:
         return self.letters

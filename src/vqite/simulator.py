@@ -184,25 +184,25 @@ def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray
     return t
 
 
-def run_gates(start: np.ndarray, gates, per_state=False) -> list[np.ndarray]:
-    """Tensor stacks before and after each of `gates`, applied left to right
-    to the stack `start`, shape (S,) + (2,)*n.  Raises ValueError on a gate
-    outside qubits 0..n-1 before applying it.  per_state as in apply_on_axis.
+def run_gates(t: np.ndarray, gates, per_state=False) -> np.ndarray:
+    """The tensor stack t, shape (S,) + (2,)*n, after `gates` applied left to
+    right.  Raises ValueError on a gate outside qubits 0..n-1 before applying
+    it.  per_state as in apply_on_axis.
     """
-    n, states = start.ndim - 1, [start]
+    n = t.ndim - 1
     for g in gates:
         if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
             raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
                              f"outside 0..{n - 1}")
-        states.append(apply_gate(states[-1], g, per_state))
-    return states
+        t = apply_gate(t, g, per_state)
+    return t
 
 
 def run_circuit(initial: StateVector, gates) -> StateVector:
     """Apply gates left to right in list order; norm is preserved by
     construction and checked once, on the final state."""
     t = initial.amplitudes.reshape((1,) + (2,) * initial.n_qubits)
-    return StateVector(run_gates(t, gates)[-1].reshape(-1))
+    return StateVector(run_gates(t, gates).reshape(-1))
 
 
 def check_norms(norms: np.ndarray) -> None:

@@ -263,6 +263,79 @@ def reduction_bytes(iso, h_eff, provenance):
     return iso.tobytes(), term_bytes(h_eff), provenance
 
 
+def per_stage_cmf(hs):
+    """The batched reduction of every row of hs with steps 1-3 as seven
+    passes, one per conditioned Hamiltonian (the form the stacked stages
+    replaced): a list of EffectiveHamiltonian, one per row."""
+    from vqite.cmf import INITIAL_RHO_B, _select_basis
+    from vqite.pauli import (check_density, dense_matrices, partial_traces,
+                             term_columns)
+    from vqite.spectra import DEGENERACY_GAP, stacked_spectrum
+
+    labels, coeffs = term_columns(hs)
+    stages = []
+
+    def conditioned(tag, keep, rho, level):
+        words, reduced = partial_traces(labels, coeffs, keep, check_density(rho), 3)
+        vals, vecs, flags = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
+        stages.append((tag, vals, flags, level))
+        return vals, vecs
+
+    def outer(v):
+        return v[:, :, None] * v.conj()[:, None, :]
+
+    seed = np.broadcast_to(INITIAL_RHO_B.elements, (len(hs), 2, 2))
+    _, a_vecs = conditioned("h_a0", (0, 1), seed, 1)
+    b_states = []
+    for tag, av in (("a_g", a_vecs[:, :, 0]), ("a_e", a_vecs[:, :, 1])):
+        _, vecs = conditioned(f"h_b({tag})", (2,), outer(av), 0)
+        b_states += [vecs[:, :, 0], vecs[:, :, 1]]
+    pairs = []
+    for tag, bv in zip(("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)"), b_states):
+        vals, vecs = conditioned(f"h_a1({tag})", (0, 1), outer(bv), 1)
+        pairs.append((vecs, bv, vals))
+    out = []
+    for b in range(len(hs)):
+        notes = ["partition.a=(0, 1)", "partition.b=(2,)"]
+        for tag, vals, flags, level in stages:
+            if flags[b, level]:
+                notes.append(f"{tag}.tie_break=eigh-order"
+                             + (f" (gap below {DEGENERACY_GAP})" if level else ""))
+            notes.append(f"{tag}.{'lowest' if level else 'eigenvalues'}="
+                         f"{float(vals[b, 0]):.12g},{float(vals[b, 1]):.12g}")
+        out.append(_select_basis(
+            dense_matrices(labels, coeffs[b:b + 1], 3)[0],
+            [np.kron(a[b, :, 0], bv[b]) for a, bv, _ in pairs],
+            [(float(v[b, 1]), np.kron(a[b, :, 1], bv[b])) for a, bv, v in pairs], notes))
+    return out
+
+
+def forward_then_branches(ansatz):
+    """(states, derivatives) of a circuit in the two-pass form the single
+    sweep replaced: the forward pass of the B rows keeping the stack after
+    every gate, then one stack of the derivative branches, branch i joining
+    with sigma_i applied to the forward stack at its insertion point and
+    running the gates after it, every gate a per-state apply_gate."""
+    from vqite.ansatz import DERIVATIVE_PREFACTOR
+    from vqite.simulator import apply_gate
+
+    ref = ansatz.reference_state
+    rows, shape = len(np.atleast_2d(ansatz.parameters)), (-1,) + (2,) * ref.n_qubits
+    forward = [ref.amplitudes.reshape(shape).repeat(rows, axis=0)]
+    for gate in ansatz.gates:
+        forward.append(apply_gate(forward[-1], gate, per_state=True))
+    stack = np.empty((0, 2 ** ref.n_qubits), dtype=complex)
+    for k, gate in enumerate((*ansatz.gates, None)):
+        new = [d.sigma.apply(forward[k].reshape(rows, -1)) for d in ansatz.descriptors
+               if d.insertion_point == k]
+        stack = np.concatenate([stack, *new]) if new else stack
+        if gate is not None and len(stack):
+            stack = apply_gate(stack.reshape(shape), gate, per_state=True)
+            stack = stack.reshape(len(stack), -1)
+    return (forward[-1].reshape(rows, -1),
+            DERIVATIVE_PREFACTOR * stack.reshape(ansatz.n_parameters, rows, -1))
+
+
 # The per-job Hadamard route the stacked pass replaced: each test circuit
 # on its own unstacked tensor, measured one by one with scalar draws.
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import term_loop
+from conftest import forward_then_branches, term_loop
 from vqite import (build_hardware_efficient, build_ucc_h2, build_ucc_lih, cmf_reduce_rows,
-                   compute_exact, exact_spectrum, hamiltonian_at, run_qite)
+                   compute_exact, exact_spectrum, hamiltonian_at, run_qite, simulator)
 from vqite.engine import EnergyMap, QiteConfig, run_qite_rows
 from vqite.mclachlan import McLachlanSystem, solve_update
 from vqite.simulator import Gate, apply_gate
@@ -103,6 +103,59 @@ def test_batched_exact_system_is_vdot_loop(builder, cmf, lih_table, rng):
         a, bv = vdot_system(one, h)
         assert system.a_matrix[b].tobytes() == a.tobytes()
         assert system.b_vector[b].tobytes() == bv.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 50], ids=["vector", "1-row", "50-rows"])
+@pytest.mark.parametrize("builder", list(THETA0), ids=["he", "ucc-lih", "ucc-h2"])
+def test_sweep_is_forward_then_branches(builder, rows, rng):
+    # One sweep of the forward rows and every branch gives the bytes of the
+    # forward pass and the branch stack run one after the other, whether
+    # the states or the derivatives are asked for first.
+    gamma = len(THETA0[builder])
+    theta = rng.uniform(-np.pi, np.pi, size=gamma if rows is None else (rows, gamma))
+    states, derivatives = forward_then_branches(builder(theta))
+    for states_first in (False, True):
+        ansatz = builder(theta)
+        if states_first:
+            ansatz.states()
+        got = (ansatz.derivatives, ansatz.states())
+        assert [a.shape for a in got] == [derivatives.shape, states.shape]
+        assert got[0].tobytes() == derivatives.tobytes()
+        assert got[1].tobytes() == states.tobytes()
+
+
+def recorded_gates(monkeypatch, run):
+    """(stack ndim, stack length) of every apply_gate call made by run()."""
+    real, calls = simulator.apply_gate, []
+    monkeypatch.setattr(simulator, "apply_gate",
+                        lambda t, g, *kernel: calls.append((t.ndim, len(t)))
+                        or real(t, g, *kernel))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+def test_exact_iteration_applies_each_gate_once(rows, lih_table, monkeypatch):
+    # An exact HE iteration applies each of the 7 gates once, to the B
+    # forward rows and the branches joined before it; the final iteration,
+    # which needs only the states, applies them to the B rows alone.
+    hs, configs, maps = scan_rows(lih_table, build_hardware_efficient, True)
+    calls = recorded_gates(monkeypatch, lambda: run_qite_rows(
+        hs[:rows], build_hardware_efficient, configs[:rows], maps[:rows]))
+    # branches join after gates 0, 1, 3, 4, 5 and 6 (none after the CNOT)
+    sweep = [(3, rows * k) for k in (1, 2, 3, 3, 4, 5, 6)]
+    assert calls == sweep * 4 + [(3, rows)] * 7
+
+
+def test_shot_route_states_apply_no_branch(lih_table, monkeypatch):
+    # On the shot route the ansatz gates run on the B forward rows only (the
+    # branches live in the Hadamard sweep, one qubit wider), once per iteration.
+    hs, configs, _ = scan_rows(lih_table, build_ucc_lih, False)
+    configs = [QiteConfig(c.initial_theta, route="hadamard", shots=1000, seed=c.seed)
+               for c in configs[:7]]
+    calls = recorded_gates(monkeypatch, lambda: run_qite_rows(hs[:7], build_ucc_lih, configs))
+    assert [c for c in calls if c[0] == 4] == [(4, 7)] * (14 * 5)
 
 
 @st.composite

@@ -140,6 +140,24 @@ def test_main_negative_seed_exit_two(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_main_excited_negative_seed_exit_two(capsys):
+    # excited ignores the seed on its exact route, but rejects a negative one
+    # as scan does, before any work.
+    assert main(["excited", "--table", "lih", "--r", "1.5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("manifest error: --seed must be non-negative, got -1")
+    assert captured.out == ""
+
+
+def test_main_builds_its_parser_once(capsys):
+    from vqite import cli
+
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["spectrum", "--table", "lih", "--r", "1.5"]) == 0
+    assert cli._parser.cache_info().misses == 1 and cli._parser.cache_info().hits == 1
+
+
 def test_main_repeated_r_exit_two(tmp_path, capsys):
     rc = main(["scan", "--table", "lih", "--ansatz", "he", "--cmf",
                "--r", "1.5,1.5", "--out", str(tmp_path / "d")])

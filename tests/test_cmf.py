@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import cmf_oracle, random_state, reduction_bytes
-from vqite import (PauliHamiltonian, cmf_reduce, cmf_reduce_rows, exact_spectrum,
+from conftest import cmf_oracle, per_stage_cmf, random_state, reduction_bytes
+from vqite import (PauliHamiltonian, cmf, cmf_reduce, cmf_reduce_rows, exact_spectrum,
                    hamiltonian_at, lift_amplitudes, to_dense_matrix)
-from vqite.cmf import INITIAL_RHO_B
+from vqite.cmf import INITIAL_RHO_B, cmf_stages
 
 
 def test_default_seed_state_is_plus_x():
@@ -112,3 +112,20 @@ def test_batched_rows_equal_per_row_oracle_bitwise(lih_table):
     for r, h, eff in zip(lih_table.bond_distances, hs, effs):
         assert (reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance)
                 == reduction_bytes(*cmf_oracle(h))), r
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+def test_stacked_stages_equal_per_stage_form(rows, lih_table, monkeypatch):
+    # Steps 1-3 make one stacked pass each (B, 2B and 4B weights) where the
+    # per-stage form made seven, and every row's reduction keeps its bytes.
+    rs = lih_table.bond_distances if rows > 1 else (1.5,)
+    hs = [hamiltonian_at(lih_table, r) for r in rs]
+    real, sizes = cmf.stacked_spectrum, []
+    monkeypatch.setattr(cmf, "stacked_spectrum", lambda m: sizes.append(len(m)) or real(m))
+    finish = cmf_stages(hs)
+    monkeypatch.undo()
+    assert sizes == [rows, 2 * rows, 4 * rows]
+    for b, want in enumerate(per_stage_cmf(hs)):
+        got = finish(b)
+        assert (reduction_bytes(got.basis_isometry, got.h_eff, got.provenance)
+                == reduction_bytes(want.basis_isometry, want.h_eff, want.provenance)), rs[b]

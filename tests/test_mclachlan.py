@@ -173,6 +173,32 @@ def test_analytic_z_is_branch_overlap(lih_r15, h2_r07, rng):
             assert abs(evaluate_circuit(job.circuit) - expected) < 1e-12, job.destination
 
 
+@pytest.mark.parametrize("family", ["ucc-h2", "ucc-lih", "he"])
+def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
+    # The sweep's analytic ancilla Z of every job (shots=None), for one row
+    # and for all rows of a table at once, is Re(e^{i phi} <bra|ket>) with
+    # the branch states taken from the circuit's own derivative sweep.
+    builder, _, gamma = FAMILIES[family]
+    rows = [(a.parameters, h) for a, h in table_cases if a.n_parameters == gamma]
+    for batch in (rows[:1], rows):
+        ansatz = builder(np.array([theta for theta, _ in batch]))
+        hs = [h for _, h in batch]
+        _, values = hadamard_z(ansatz, hs)
+        branches, psi = ansatz.derivatives / DERIVATIVE_PREFACTOR, ansatz.states()
+        expected = []
+        for b, (theta, h) in enumerate(batch):
+            branch = branches[:, b]
+            kets = [branch[j] for i in range(gamma) for j in range(i, gamma)]
+            kets += [ps.apply(psi[b]) for _ in range(gamma) for _, ps in h.terms]
+            jobs = build_hadamard_circuits(builder(theta), h)
+            assert len(jobs) == len(kets)
+            expected += [(np.exp(1j * job.circuit.ancilla_phase)
+                          * np.vdot(branch[job.destination[1]], ket)).real
+                         for job, ket in zip(jobs, kets)]
+        assert len(values) == len(expected)
+        assert np.max(np.abs(values - np.array(expected))) < 1e-12
+
+
 def test_ucc_h2_circuit_counts(h2_r07):
     jobs = build_hadamard_circuits(build_ucc_h2(0.9), h2_r07)
     a_jobs = [j for j in jobs if j.destination[0] == "A"]
