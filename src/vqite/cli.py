@@ -187,9 +187,8 @@ def _point_seed(seed: int, r: float):
     return (seed, int(round(r * 1000)))
 
 
-def _prepare(manifest: RunManifest, table: MoleculeTable, r: float, finish, row: int):
-    """(h_system, config, energy_map, cmf record) of one scan point."""
-    h = hamiltonian_at(table, r)
+def _prepare(manifest: RunManifest, h, r: float, finish, row: int):
+    """(h_system, config, energy_map, cmf record) of the scan point (r, h)."""
     config = QiteConfig(initial_theta=manifest.resolved_theta0(),
                         iterations=manifest.iterations, dtau=manifest.dtau, route=manifest.route,
                         shots=manifest.shots, seed=_point_seed(manifest.seed, r))
@@ -205,19 +204,20 @@ def run_scan(manifest: RunManifest):
     Results are merged in bond-distance order, and every point's random
     stream is seeded from (seed, R).  A failing point is recorded with an
     `error:<ExceptionType>` flag and its message goes to stderr.  Each point
-    finishes its row of one batched CMF reduction (cmf_stages), and the
+    takes its row of one batched CMF reduction (cmf_stages), and the
     points that prepare cleanly run as one run_qite_rows batch; if the batch
     raises, each of them runs alone, and only the points that fail alone fail.
     """
     table = load_manifest_table(manifest)
     rs = validate_manifest(manifest, table)
     flagged = discontinuity_rs(table)
-    finish = cmf_stages([hamiltonian_at(table, r) for r in rs]) if manifest.cmf else None
+    hs = [hamiltonian_at(table, r) for r in rs]
+    finish = cmf_stages(hs) if manifest.cmf else None
     builder = ANSATZ_BUILDERS[manifest.ansatz]
     rows, failed, trajectories = {}, {}, {}
     for k, r in enumerate(rs):
         try:
-            rows[k] = _prepare(manifest, table, r, finish, k)
+            rows[k] = _prepare(manifest, hs[k], r, finish, k)
         except Exception as exc:  # per-point failure: recorded, not fatal
             failed[k] = exc
 

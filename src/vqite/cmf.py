@@ -20,10 +20,11 @@ The resulting 2-qubit effective Hamiltonian comes with the 8x4 isometry
 whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
 
-Steps 1-3 run batched over all rows of a scan, one pass per step over the
-conditioning weights of every row (B, 2B and 4B): each partial trace one
-gather through a compiled trace plan, each spectrum one eigh of a stack.
-Steps 4-5 run per row.  Each row equals its reduction alone, bit for bit.
+All five steps run batched over the rows of a scan, one pass per step:
+steps 1-3 over the conditioning weights of every row (B, 2B and 4B), each
+partial trace one gather through a compiled trace plan and each spectrum one
+eigh of a stack; steps 4-5 over the candidates of every row, one Gram-Schmidt
+sweep and one Pauli expansion.  Each row equals its reduction alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class EffectiveHamiltonian:
     provenance: tuple[str, ...]
 
 
-def _coeff_key(vec: np.ndarray) -> tuple:
-    return tuple(np.round(np.concatenate([vec.real, vec.imag]), 12))
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.outer of each row pair of two (B, d) stacks, as a (B, d, d) stack."""
     return a[:, :, None] * b[:, None, :]
@@ -73,8 +70,7 @@ def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
     """Run the layered reduction on every row; deterministic, and each row
     equals cmf_reduce of that row alone bit for bit."""
     hs = list(hamiltonians)
-    finish = cmf_stages(hs)
-    return [finish(b) for b in range(len(hs))]
+    return list(map(cmf_stages(hs), range(len(hs))))
 
 
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
@@ -83,102 +79,105 @@ def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
 
 
 def cmf_stages(hs: list[PauliHamiltonian]):
-    """finish(b) -> the reduction of hs[b], with steps 1-3 run once for all
-    rows and steps 4-5 per call, so that a scan holds one row's Pauli terms
-    at a time.  If the batch raises, finish(b) reduces row b alone, and only
+    """finish(b) -> the reduction of hs[b], with all five steps run once for
+    all rows.  If the batch raises, finish(b) reduces row b alone, and only
     the rows that fail alone raise."""
     try:
-        return _stages(hs)
+        return _stages(hs).__getitem__
     except Exception:  # any failing row fails the whole batch
-        return lambda b: _stages(hs[b:b + 1])(0)
+        return lambda b: _stages(hs[b:b + 1])[0]
 
 
-def _stages(hs: list[PauliHamiltonian]):
-    """Steps 1-3 for all rows at once; returns finish(b) for steps 4-5."""
+def _stages(hs: list[PauliHamiltonian]) -> list[EffectiveHamiltonian]:
+    """Steps 1-5 for all rows at once."""
     if any(h.n_qubits != 3 for h in hs):
         raise ValueError("the one-layer reduction is defined for 3-qubit input")
     labels, coeffs, rows = *term_columns(hs), len(hs)
-    stages = []         # (tag, eigenvalues, degeneracy flags, level noted)
+    notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in hs]
 
-    def conditioned(tags, keep, rho, level):  # one pass, a block of rows per tag
+    def conditioned(tags, keep, rho, level):  # one pass; (tag, row, ...) spectra
         words, reduced = partial_traces(labels, np.tile(coeffs, (len(tags), 1)), keep,
                                         check_density(rho), 3)
-        vals, vecs, flags = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
-        cut = [slice(t * rows, (t + 1) * rows) for t in range(len(tags))]
-        stages.extend([(tag, vals[c], flags[c], level) for tag, c in zip(tags, cut)])
-        return [(vals[c], vecs[c]) for c in cut]
+        vals, vecs, flags = (a.reshape(len(tags), rows, *a.shape[1:]) for a in
+                             stacked_spectrum(dense_matrices(words, reduced, len(keep))))
+        for tag, v, f in zip(tags, vals, flags):  # steps 1 and 3 note level 1, step 2 level 0
+            for row, (lo, hi), flag in zip(notes, v[:, :2].tolist(), f[:, level].tolist()):
+                if flag:
+                    row.append(f"{tag}.tie_break=eigh-order"
+                               + (f" (gap below {DEGENERACY_GAP})" if level else ""))
+                row.append(f"{tag}.{'lowest' if level else 'eigenvalues'}={lo:.12g},{hi:.12g}")
+        return vals, vecs
 
     # Step 1: seed reduction and the two lowest a states.
     seed = np.broadcast_to(INITIAL_RHO_B.elements, (rows, 2, 2))
-    [(_, a_vecs)] = conditioned(["h_a0"], SUBSYSTEM_A, seed, 1)
+    a_vecs = conditioned(["h_a0"], SUBSYSTEM_A, seed, 1)[1][0]
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
     av = np.concatenate([a_vecs[:, :, 0], a_vecs[:, :, 1]])
-    b_states = [vecs[:, :, k] for _, vecs in conditioned(
-        ["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, _outer(av, av.conj()), 0) for k in (0, 1)]
+    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, _outer(av, av.conj()), 0)
+    bs = b_vecs.transpose(0, 3, 1, 2).reshape(4 * rows, 2)   # b_g(a_g), b_e(a_g), ...
 
-    # Step 3: a conditioned on each b state; (two lowest, b state, eigenvalues) each.
-    b_all = np.concatenate(b_states)
-    b_tags = ("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)")
-    step3 = conditioned([f"h_a1({tag})" for tag in b_tags], SUBSYSTEM_A,
-                        _outer(b_all, b_all.conj()), 1)
-    pairs = [(vecs[:, :, :2].copy(), b, vals) for b, (vals, vecs) in zip(b_states, step3)]
+    # Step 3: a conditioned on each b state, and its two lowest states.
+    a_vals, a_vecs = conditioned(["h_a1(b_g(a_g))", "h_a1(b_e(a_g))", "h_a1(b_g(a_e))",
+                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, _outer(bs, bs.conj()), 1)
 
-    # The stage arrays stay alive for the whole scan; what finish needs of one
-    # row beyond them (H dense, the product candidates) is built per row.
-    def finish(b: int) -> EffectiveHamiltonian:
-        notes = [f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"]
-        for tag, vals, flags, level in stages:  # steps 1 and 3 note level 1, step 2 level 0
-            if flags[b, level]:
-                notes.append(f"{tag}.tie_break=eigh-order"
-                             + (f" (gap below {DEGENERACY_GAP})" if level else ""))
-            notes.append(f"{tag}.{'lowest' if level else 'eigenvalues'}="
-                         f"{float(vals[b, 0]):.12g},{float(vals[b, 1]):.12g}")
-        return _select_basis(dense_matrices(labels, coeffs[b:b + 1], 3)[0],
-                             [np.kron(a[b, :, 0], bv[b]) for a, bv, _ in pairs],
-                             [(float(v[b, 1]), np.kron(a[b, :, 1], bv[b])) for a, bv, v in pairs],
-                             notes)
-
-    return finish
+    # Step 4 candidates: the np.kron of each b state with the lowest (primary)
+    # and the second (secondary) a state of its own conditioned Hamiltonian.
+    bs = bs.reshape(4, rows, 2).swapaxes(0, 1)[:, None, :, None]
+    cands = (a_vecs[..., :2].transpose(1, 3, 0, 2)[..., None] * bs).reshape(rows, 2, 4, 8)
+    return _select_basis(dense_matrices(labels, coeffs, 3), cands, a_vals[:, :, 1].T, notes)
 
 
-def _select_basis(h_dense: np.ndarray, primary: list[np.ndarray],
-                  secondary: list[tuple[float, np.ndarray]],
-                  notes: list[str]) -> EffectiveHamiltonian:
-    """Steps 4 and 5 for one row: order, orthonormalize and project."""
-    # ascending mean energy <v|H|v>
-    ordered = sorted(primary, key=lambda v: (float(np.vdot(v, h_dense @ v).real),
-                                             _coeff_key(v)))
-    fallback = [v for _, v in sorted(secondary, key=lambda t: (t[0], _coeff_key(t[1])))]
+def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
+                  notes: list[list[str]]) -> list[EffectiveHamiltonian]:
+    """Steps 4 and 5 for all rows: order, orthonormalize and project.
 
-    basis: list[np.ndarray] = []
-    used, dropped = 0, 0
-    for cand in ordered + fallback:
-        if len(basis) == 4:
+    `h_dense` stacks the (B, 8, 8) Hamiltonians, `cands` the (B, 2, 4, 8)
+    primary and secondary candidates, taken by ascending mean energy <v|H|v>
+    and (B, 4) `second` eigenvalue, ties broken as sorted() breaks them on
+    the coefficients rounded to 12 decimals; notes[b] gets row b's counts."""
+    v = cands[:, 0, :, :, None]     # <v|H|v>: (8, 8) @ (8, 1), then (1, 8) @ (8, 1)
+    energy = (v.conj().swapaxes(-1, -2) @ (h_dense[:, None] @ v))[..., 0, 0].real
+    keys = np.round(np.concatenate([cands.real, cands.imag], axis=-1), 12)
+    order = np.lexsort((*np.moveaxis(keys, -1, 0)[::-1], np.stack([energy, second], axis=1)))
+    cands = np.take_along_axis(cands, order[..., None], axis=-2).reshape(len(cands), 8, 8, 1)
+
+    # Gram-Schmidt over the candidate slots of all rows until each row holds
+    # 4 columns, dropping a candidate whose residual norm is below the tolerance
+    iso = np.zeros((len(cands), 8, 4), dtype=complex)
+    size, dropped = np.zeros((2, len(cands)), dtype=np.intp)
+    for cand in cands.swapaxes(0, 1):    # (B, 8, 1) per slot
+        open_ = size < 4
+        if not open_.any():
             break
-        w = cand.copy()
-        for u in basis:
-            w = w - np.vdot(u, w) * u
-        norm = float(np.linalg.norm(w))
-        if norm < GRAM_RANK_TOL:
-            dropped += 1
-            continue
+        w, norms = _project(iso, size, cand)
+        kept = open_ & ~(norms < GRAM_RANK_TOL)
         # second projection pass keeps the basis orthonormal even when the
         # candidate was nearly dependent
-        for u in basis:
-            w = w - np.vdot(u, w) * u
-        basis.append(w / np.linalg.norm(w))
-        used += 1
-    if len(basis) < 4:
+        w, norms = _project(iso, size, w)
+        iso[kept, :, size[kept]] = (w[kept] / norms[kept, None, None])[..., 0]
+        dropped += open_ & ~kept
+        size += kept
+    if (size < 4).any():
         raise ValueError("candidate products span fewer than 4 dimensions")
-    notes.append(f"gram_schmidt.candidates_used={used}")
-    notes.append(f"gram_schmidt.rank_deficient_dropped={dropped}")
 
-    iso = np.column_stack(basis)
-    h_eff_dense = iso.conj().T @ h_dense @ iso
-    h_eff = pauli_decompose(h_eff_dense)
-    notes.append(f"h_eff.terms={h_eff.n_terms}")
-    return EffectiveHamiltonian(h_eff, iso, tuple(notes))
+    h_effs = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
+    return [EffectiveHamiltonian(h, m, (*row, "gram_schmidt.candidates_used=4",
+                                        f"gram_schmidt.rank_deficient_dropped={n}",
+                                        f"h_eff.terms={h.n_terms}"))
+            for h, m, row, n in zip(h_effs, iso, notes, dropped.tolist())]
+
+
+def _project(iso: np.ndarray, size: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column w[b] minus np.vdot(u, w) * u for the first size[b] columns u
+    of iso[b] in turn, and its np.linalg.norm, bit for bit: the same strided
+    dot of the real and of the imaginary parts, then sqrt."""
+    for j in range(size.max(initial=0)):
+        u = iso[:, :, j:j + 1]
+        step = w - (u.conj().swapaxes(-1, -2) @ w) * u
+        w = step if j < size.min() else np.where((j < size)[:, None, None], step, w)
+    re, im = w.real, w.imag
+    return w, np.sqrt((re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[:, 0, 0])
 
 
 def lift_amplitudes(eff: EffectiveHamiltonian, amplitudes: np.ndarray) -> np.ndarray:

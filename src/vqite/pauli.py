@@ -304,22 +304,23 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
     return PauliHamiltonian.from_pairs(zip(coeffs[0], words), n_qubits=len(keep))
 
 
-def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
-    """Expand a Hermitian 2^k x 2^k matrix in the Pauli basis.
+def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
+    """Expand a Hermitian 2^k x 2^k matrix, or a (B, 2^k, 2^k) stack, in the Pauli basis.
 
-    Coefficients are h_l = Tr(sigma_l m) / 2^k; the round trip through
-    to_dense_matrix reproduces m to the same tolerance.
+    Coefficients are h_l = Tr(sigma_l m) / 2^k, a list of B Hamiltonians for a
+    stack; the round trip through to_dense_matrix reproduces m to the same tolerance.
     """
     m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    if m.shape != (dim, dim) or dim & (dim - 1):
+    dim = m.shape[-1]
+    if m.ndim not in (2, 3) or m.shape[-2] != dim or dim & (dim - 1):
         raise ValueError(f"matrix shape {m.shape} is not square power-of-two")
-    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0) <= HERMITIAN_TOL:  # NaN too
         raise ValueError("matrix is not Hermitian within tolerance")
     k = dim.bit_length() - 1
     _check_dense_cap(k)
     labels = tuple(map("".join, product(PAULI_LETTERS, repeat=k)))
     src, phase = _term_stack(labels, k)
     # h_l = Tr(sigma_l m) / 2^k = sum_j phase_l[j] m[src_l[j], j] / 2^k, one row per word
-    coeffs = _row_sum(phase * m[src, np.arange(dim)]).real / dim
-    return PauliHamiltonian.from_pairs(zip(coeffs, labels), n_qubits=k)
+    coeffs = _row_sum(phase * m[..., src, np.arange(dim)]).real / dim
+    hs = [PauliHamiltonian.from_pairs(zip(c, labels), n_qubits=k) for c in np.atleast_2d(coeffs)]
+    return hs if m.ndim == 3 else hs[0]

@@ -193,11 +193,17 @@ def spectrum_oracle(m):
     return vals, np.column_stack(cols), flags
 
 
+def coeff_key(vec):
+    """The tie-break key of a CMF candidate: its coefficients rounded to 12
+    decimals, real parts then imaginary."""
+    return tuple(np.round(np.concatenate([vec.real, vec.imag]), 12))
+
+
 def cmf_oracle(h):
     """The one-layer CMF reduction of one Hamiltonian, stage by stage on its
     own, from dense_oracle, partial_trace_oracle and spectrum_oracle:
     (isometry, h_eff, provenance) as the batched reduction must give them."""
-    from vqite.cmf import GRAM_RANK_TOL, INITIAL_RHO_B, _coeff_key
+    from vqite.cmf import GRAM_RANK_TOL, INITIAL_RHO_B
     from vqite.simulator import DensityMatrix
     from vqite import pauli_decompose
 
@@ -232,8 +238,8 @@ def cmf_oracle(h):
     def mean_energy(v):
         return float(np.vdot(v, h_dense @ v).real)
 
-    ordered = sorted(primary, key=lambda v: (mean_energy(v), _coeff_key(v)))
-    fallback = [v for _, v in sorted(secondary, key=lambda t: (t[0], _coeff_key(t[1])))]
+    ordered = sorted(primary, key=lambda v: (mean_energy(v), coeff_key(v)))
+    fallback = [v for _, v in sorted(secondary, key=lambda t: (t[0], coeff_key(t[1])))]
     basis, used, dropped = [], 0, 0
     for cand in ordered + fallback:
         if len(basis) == 4:
@@ -266,7 +272,8 @@ def reduction_bytes(iso, h_eff, provenance):
 def per_stage_cmf(hs):
     """The batched reduction of every row of hs with steps 1-3 as seven
     passes, one per conditioned Hamiltonian (the form the stacked stages
-    replaced): a list of EffectiveHamiltonian, one per row."""
+    replaced), and the step 4 candidates built by np.kron per row: a list of
+    EffectiveHamiltonian, one per row."""
     from vqite.cmf import INITIAL_RHO_B, _select_basis
     from vqite.pauli import (check_density, dense_matrices, partial_traces,
                              term_columns)
@@ -294,20 +301,19 @@ def per_stage_cmf(hs):
     for tag, bv in zip(("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)"), b_states):
         vals, vecs = conditioned(f"h_a1({tag})", (0, 1), outer(bv), 1)
         pairs.append((vecs, bv, vals))
-    out = []
+    notes = []
     for b in range(len(hs)):
-        notes = ["partition.a=(0, 1)", "partition.b=(2,)"]
+        notes.append(["partition.a=(0, 1)", "partition.b=(2,)"])
         for tag, vals, flags, level in stages:
             if flags[b, level]:
-                notes.append(f"{tag}.tie_break=eigh-order"
-                             + (f" (gap below {DEGENERACY_GAP})" if level else ""))
-            notes.append(f"{tag}.{'lowest' if level else 'eigenvalues'}="
-                         f"{float(vals[b, 0]):.12g},{float(vals[b, 1]):.12g}")
-        out.append(_select_basis(
-            dense_matrices(labels, coeffs[b:b + 1], 3)[0],
-            [np.kron(a[b, :, 0], bv[b]) for a, bv, _ in pairs],
-            [(float(v[b, 1]), np.kron(a[b, :, 1], bv[b])) for a, bv, v in pairs], notes))
-    return out
+                notes[b].append(f"{tag}.tie_break=eigh-order"
+                                + (f" (gap below {DEGENERACY_GAP})" if level else ""))
+            notes[b].append(f"{tag}.{'lowest' if level else 'eigenvalues'}="
+                            f"{float(vals[b, 0]):.12g},{float(vals[b, 1]):.12g}")
+    cands = np.array([[[np.kron(a[b, :, k], bv[b]) for a, bv, _ in pairs] for k in (0, 1)]
+                      for b in range(len(hs))])
+    second = np.array([[v[b, 1] for _, _, v in pairs] for b in range(len(hs))])
+    return _select_basis(dense_matrices(labels, coeffs, 3), cands, second, notes)
 
 
 def forward_then_branches(ansatz):

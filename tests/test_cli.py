@@ -259,9 +259,9 @@ def test_per_point_error_sets_flag_and_exit(tmp_path, monkeypatch, capsys):
 def _failing_at_r15(stage, real):
     """`real`, raising ArithmeticError whenever it works on the R = 1.5 row."""
     h = hamiltonian_at(load_lih_table(), 1.5)
-    if stage == "_select_basis":                 # per row: the first argument is H
+    if stage == "_select_basis":                 # batched: a matrix of the (B, 8, 8) H stack
         target = to_dense_matrix(h)
-        hit = lambda args: np.array_equal(args[0], target)
+        hit = lambda args: any(np.array_equal(m, target) for m in args[0])
     else:                                        # batched: a row of the (B, L) coefficients
         target = np.array([c for c, _ in h.terms])
         hit = lambda args: any(np.array_equal(c, target) for c in args[1])
@@ -275,8 +275,8 @@ def _failing_at_r15(stage, real):
 
 @pytest.mark.parametrize("stage", ["_select_basis", "partial_traces"])
 def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, capsys):
-    # _select_basis fails in the point of R = 1.5; partial_traces fails the
-    # batch, and then R = 1.5 alone when each point reduces its own row.
+    # Either stage fails the batch of all three rows, and then R = 1.5 alone
+    # when each point reduces its own row.
     import vqite.cmf as cmf_mod
     args = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "1.0,1.5,3.0"]
     assert main(args + ["--out", str(tmp_path / "clean")]) == 0

@@ -14,13 +14,15 @@ def test_default_seed_state_is_plus_x():
     assert np.max(np.abs(INITIAL_RHO_B.elements - expected)) < 1e-12
 
 
+# H = H_a x I_b + h_x I_a x X_b, whose candidates are rank-deficient.
+PRODUCT = PauliHamiltonian.from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
+
+
 def test_product_hamiltonian_is_exact():
-    # H = H_a x I_b + h_x I_a x X_b: the reduction must capture the two
-    # lowest levels exactly (mean field is exact for product systems).
-    pairs = [(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")]
-    h = PauliHamiltonian.from_pairs(pairs)
-    eff = cmf_reduce(h)
-    full = np.linalg.eigvalsh(to_dense_matrix(h))
+    # The reduction must capture the two lowest levels exactly (mean field is
+    # exact for product systems).
+    eff = cmf_reduce(PRODUCT)
+    full = np.linalg.eigvalsh(to_dense_matrix(PRODUCT))
     reduced = np.linalg.eigvalsh(to_dense_matrix(eff.h_eff))
     assert reduced[0] == pytest.approx(full[0], abs=1e-10)
     assert reduced[1] == pytest.approx(full[1], abs=1e-10)
@@ -129,3 +131,23 @@ def test_stacked_stages_equal_per_stage_form(rows, lih_table, monkeypatch):
         got = finish(b)
         assert (reduction_bytes(got.basis_isometry, got.h_eff, got.provenance)
                 == reduction_bytes(want.basis_isometry, want.h_eff, want.provenance)), rs[b]
+
+
+def test_mixed_batch_selects_bases_in_one_pass(lih_table, monkeypatch):
+    # LiH rows of 13 and 11 terms beside the product Hamiltonian, whose
+    # candidates take the rank-deficient fallback: steps 4-5 make one pass,
+    # one Pauli expansion of all rows, and every row keeps its oracle bytes.
+    hs = [hamiltonian_at(lih_table, r) for r in (0.5, 4.9, 1.5, 5.0)]
+    hs.insert(2, PRODUCT)
+    assert [h.n_terms for h in hs] == [13, 11, 4, 13, 11]
+    real, sizes = cmf.pauli_decompose, []
+    monkeypatch.setattr(cmf, "pauli_decompose", lambda m: sizes.append(len(m)) or real(m))
+    effs = cmf_reduce_rows(hs)
+    monkeypatch.undo()
+    assert sizes == [len(hs)]
+    dropped = [next(n for n in eff.provenance if n.startswith("gram_schmidt.rank_deficient"))
+               for eff in effs]
+    assert [n.rsplit("=", 1)[1] for n in dropped] == ["0", "0", "3", "0", "0"]
+    for h, eff in zip(hs, effs):
+        assert (reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance)
+                == reduction_bytes(*cmf_oracle(h))), h

@@ -102,6 +102,10 @@ def test_partial_trace_is_matrix_product_bitwise(h, data):
 def test_decompose_is_matrix_product_bitwise(a):
     m = a + a.conj().T
     assert term_bytes(pauli_decompose(m)) == term_bytes(decompose_oracle(m))
+    # a stack expands each of its matrices as that matrix alone
+    stack = np.stack([m, m.T, 2.0 * m])
+    assert ([term_bytes(h) for h in pauli_decompose(stack)]
+            == [term_bytes(decompose_oracle(x)) for x in stack])
 
 
 @st.composite
