@@ -169,8 +169,15 @@ def test_pauli_decompose_diag_z():
 
 def test_pauli_decompose_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        pauli_decompose(m)
+    for bad in (m, np.stack([np.eye(2), m])):   # one matrix of a stack fails it
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pauli_decompose(bad)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 3), (2, 4, 2), (1, 1, 2, 2)])
+def test_pauli_decompose_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError, match="not square power-of-two"):
+        pauli_decompose(np.zeros(shape))
 
 
 def test_decompose_round_trip_random(rng):
