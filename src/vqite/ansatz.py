@@ -13,14 +13,15 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
-A family's reference state, descriptors, fixed gates and rotation axes
-are built once and shared; a build, at one angle vector or at a (B, gamma)
-array of B rows (the bond distances of a scan), makes only its rotation
-matrices.  One sweep gives the states and derivatives of all rows: each
-gate runs once over one stack of the B forward rows and every branch,
-sigma_n applied to the forward rows at its insertion point; states alone
-sweep the forward rows.  Insertion points are non-decreasing, so the
-Hadamard-test circuits are slices of `gates`.
+Each family compiles once into a template, its circuit at zero angles run
+through AnsatzCircuit's checks, which holds each branch's join: insertion
+point and sigma_n as a signed permutation (src, phase).  A build, at one
+angle vector or a (B, gamma) array of B rows, copies it with only the
+rotation stack new, from one rotation_matrix call.  One sweep writes the B
+forward rows and each branch (sigma_n of the forward rows at its insertion
+point) into one (B (1 + gamma), 2^n) buffer, each gate running once over
+the rows written so far; states alone sweep the forward rows.  Insertion
+points are non-decreasing, so the Hadamard-test circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -38,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliString, read_only
+from .pauli import PAULI_MATRICES, PauliString, _signed_permutation, read_only
 from .simulator import (Gate, StateVector, basis_state, check_norms, cnot,
                         rotation_matrix, run_gates, rx, ry)
 
@@ -79,25 +80,31 @@ class AnsatzCircuit:
         points = [0, *(d.insertion_point for d in self.descriptors), len(self.gates)]
         if points != sorted(points):
             raise ValueError(f"insertion points not in order within 0..{len(self.gates)}")
+        self.__dict__["_joins"] = tuple(   # (insertion point, src, phase) of each branch
+            [(d.insertion_point, *_signed_permutation(d.sigma.letters)) for d in self.descriptors])
 
     @property
     def n_parameters(self) -> int:
         return self.parameters.shape[-1]
 
-    def _sweep(self, descriptors) -> np.ndarray:
-        """(B (1 + len(descriptors)), 2^n): the B forward rows, then each
-        descriptor's branch, joined at its insertion point; each gate is one
-        per-state matmul over the stack, so every row keeps its bytes alone.
-        The first sweep's forward rows, norm-checked, are states()."""
-        ref, rows, k = self.reference_state, len(np.atleast_2d(self.parameters)), 0
-        stack = ref.amplitudes.reshape((1,) + (2,) * ref.n_qubits).repeat(rows, axis=0)
-        for d in descriptors:
-            flat = run_gates(stack, self.gates[k:d.insertion_point], per_state=True)
-            flat, k = flat.reshape(len(flat), -1), d.insertion_point
-            stack = np.vstack([flat, d.sigma.apply(flat[:rows])]).reshape(-1, *stack.shape[1:])
-        stack = run_gates(stack, self.gates[k:], per_state=True).reshape(len(stack), -1)
-        check_norms(np.linalg.norm(stack[:rows], axis=1))
-        self.__dict__.setdefault("_states", read_only(stack[:rows]))
+    def _sweep(self, joins) -> np.ndarray:
+        """(B (1 + len(joins)), 2^n): the B forward rows, then each join's
+        branch, in one buffer; each gate is one per-state matmul over the rows
+        written so far, so every row keeps its bytes alone.  The first sweep's
+        forward rows, norm-checked, are states()."""
+        ref, rows = self.reference_state, len(self.parameters) if self.parameters.ndim == 2 else 1
+        shape = (-1,) + (2,) * ref.n_qubits
+        stack = np.empty((rows * (1 + len(joins)), ref.amplitudes.size), dtype=complex)
+        stack[:rows], k, end = ref.amplitudes, 0, rows
+        for point, src, phase in joins:
+            head = stack[:end].reshape(shape)
+            head[...] = run_gates(head, self.gates[k:point], per_state=True)
+            np.multiply(phase, stack[:rows].take(src, axis=1), out=stack[end:end + rows])
+            k, end = point, end + rows
+        stack = run_gates(stack.reshape(shape), self.gates[k:], per_state=True).reshape(end, -1)
+        psi = stack[:rows]          # its norms as np.linalg.norm sums them
+        check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
+        self.__dict__.setdefault("_states", read_only(psi))
         return stack
 
     def states(self) -> np.ndarray:
@@ -115,7 +122,7 @@ class AnsatzCircuit:
     def derivatives(self) -> np.ndarray:
         """(gamma, B, 2^n) read-only d|psi>/d theta_i of every row (not
         normalized), from one sweep of the forward rows and every branch."""
-        stack, rows = self._sweep(self.descriptors), len(self.states())
+        stack, rows = self._sweep(self._joins), len(self.states())
         return read_only(DERIVATIVE_PREFACTOR * stack[rows:].reshape(-1, rows, stack.shape[1]))
 
     def derivative_state(self, i: int) -> np.ndarray:
@@ -137,10 +144,10 @@ def _ucc_block(control: int, target: int) -> list:
 
 @lru_cache(maxsize=None)
 def _template(family: str) -> tuple:
-    """(slots, descriptors, reference state, rotation axes) of a family,
-    built once.  A slot is a fixed gate, shared by every build, or the
-    (axis, qubit) of the next parameter's rotation, whose descriptor inserts
-    the axis string right after it; the axes stack the rotations' Paulis."""
+    """(checked circuit at zero angles, rotation slots, rotation axes) of a
+    family.  A slot is a fixed gate, shared by every build, or the (axis,
+    qubit) of the next parameter's rotation, whose descriptor inserts the
+    axis string right after it; the axes stack the rotations' Paulis."""
     if family == "ucc-h2":
         slots, bits = _ucc_block(0, 1), "10"
     elif family == "ucc-lih":
@@ -152,22 +159,28 @@ def _template(family: str) -> tuple:
     descs = tuple(DerivativeDescriptor(k + 1, _axis_string(*slot, len(bits)))
                   for k, slot in rotations)
     axes = read_only(np.array([PAULI_MATRICES[axis] for _, (axis, _) in rotations]))
-    return tuple(slots), descs, StateVector(read_only(basis_state(bits).amplitudes)), axes
+    gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
+                  for s in slots)
+    reference = StateVector(read_only(basis_state(bits).amplitudes))
+    return (AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits)),
+            tuple(k for k, _ in rotations), axes)
 
 
 def _build(family: str, theta) -> AnsatzCircuit:
     """The family's circuit at angles theta, a vector or a (B, gamma) array
-    of B rows: only the rotations are new, each a (2, 2) matrix or a
-    (B, 2, 2) stack."""
-    slots, descs, reference, axes = _template(family)
+    of B rows: the checked template with new rotations, each a (2, 2)
+    matrix or a (B, 2, 2) stack."""
+    template, rotations, axes = _template(family)
     theta = np.asarray(theta, dtype=float)
     theta = theta if theta.ndim == 2 else theta.reshape(-1)
-    if theta.shape[-1] != len(descs):
-        raise ValueError(f"{family} takes {len(descs)} parameters, got {theta.shape[-1]}")
-    matrices = iter(rotation_matrix(axes, theta).swapaxes(-3, 0))
-    gates = tuple([slot if isinstance(slot, Gate) else Gate(next(matrices), slot[1])
-                   for slot in slots])
-    return AnsatzCircuit(gates, theta, descs, reference, reference.n_qubits)
+    if theta.shape[-1] != len(rotations):
+        raise ValueError(f"{family} takes {len(rotations)} parameters, got {theta.shape[-1]}")
+    gates = list(template.gates)
+    for k, matrix in zip(rotations, rotation_matrix(axes, theta).swapaxes(-3, 0)):
+        gates[k] = Gate(matrix, gates[k].target)
+    circuit = object.__new__(AnsatzCircuit)    # the template's checks hold; it is never swept
+    circuit.__dict__.update(template.__dict__, gates=tuple(gates), parameters=theta)
+    return circuit
 
 
 def build_ucc_h2(theta) -> AnsatzCircuit:

@@ -146,19 +146,21 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
     # 4 columns, dropping a candidate whose residual norm is below the tolerance
     iso = np.zeros((len(cands), 8, 4), dtype=complex)
     size, dropped = np.zeros((2, len(cands)), dtype=np.intp)
+    lo = hi = 0                          # the fewest and most columns of a row
     for cand in cands.swapaxes(0, 1):    # (B, 8, 1) per slot
-        open_ = size < 4
-        if not open_.any():
+        if lo == 4:
             break
-        w, norms = _project(iso, size, cand)
+        open_ = size < 4
+        w, norms = _project(iso, size, lo, hi, cand)
         kept = open_ & ~(norms < GRAM_RANK_TOL)
         # second projection pass keeps the basis orthonormal even when the
         # candidate was nearly dependent
-        w, norms = _project(iso, size, w)
+        w, norms = _project(iso, size, lo, hi, w)
         iso[kept, :, size[kept]] = (w[kept] / norms[kept, None, None])[..., 0]
         dropped += open_ & ~kept
         size += kept
-    if (size < 4).any():
+        lo, hi = min(columns := size.tolist()), max(columns)
+    if lo < 4:
         raise ValueError("candidate products span fewer than 4 dimensions")
 
     h_effs = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
@@ -168,14 +170,14 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
             for h, m, row, n in zip(h_effs, iso, notes, dropped.tolist())]
 
 
-def _project(iso: np.ndarray, size: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+def _project(iso: np.ndarray, size: np.ndarray, lo: int, hi: int, w: np.ndarray) -> tuple:
     """Each column w[b] minus np.vdot(u, w) * u for the first size[b] columns u
-    of iso[b] in turn, and its np.linalg.norm, bit for bit: the same strided
-    dot of the real and of the imaginary parts, then sqrt."""
-    for j in range(size.max(initial=0)):
+    of iso[b] in turn (lo, hi: min and max size), and its np.linalg.norm, bit
+    for bit: the same strided dot of the real and of the imaginary parts."""
+    for j in range(hi):
         u = iso[:, :, j:j + 1]
         step = w - (u.conj().swapaxes(-1, -2) @ w) * u
-        w = step if j < size.min() else np.where((j < size)[:, None, None], step, w)
+        w = step if j < lo else np.where((j < size)[:, None, None], step, w)
     re, im = w.real, w.imag
     return w, np.sqrt((re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[:, 0, 0])
 

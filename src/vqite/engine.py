@@ -17,7 +17,11 @@ the run switches to energy-only reporting.
 
 The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
-On the exact route one gate sweep per iteration gives A, B and the states.
+What does not depend on theta is fixed once per run: the reporting columns
+and spectra here, the ansatz template (ansatz) and the system Hamiltonians'
+columns (mclachlan).  An exact iteration is then one build of the rotations,
+one gate sweep for A, B and the states, and one solve; a row reported
+against its own Hamiltonian takes its energy from the H|psi> that gave B.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .cmf import EffectiveHamiltonian
 from .mclachlan import compute_exact, compute_sampled, solve_update
-from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
+from .pauli import PauliHamiltonian, _energies, dense_matrices, expectations, term_columns
 from .simulator import StateVector
 from .spectra import stacked_spectrum
 
@@ -161,6 +165,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     ground = vecs.conj()[:, None, :, 0]
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
     rngs = [np.random.default_rng(c.seed) for c in configs] if cfg.route != "exact" else ()
+    own = iso is None and cfg.route == "exact"   # compute_exact's H|psi> is the report's
     theta = np.array([c.initial_theta for c in configs])
     steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
 
@@ -170,8 +175,9 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
             system = (compute_exact(ansatz, h_systems) if cfg.route == "exact"
                       else compute_sampled(ansatz, h_systems, cfg.shots, rngs))
         psi = ansatz.states() if iso is None else (iso @ ansatz.states()[:, :, None])[:, :, 0]
-        steps.append([theta, expectations(labels, coeffs, psi),
-                      (ground @ psi[:, :, None])[:, 0, 0], none, none])
+        energy = (_energies(psi, system.h_psi) if own and it < cfg.iterations
+                  else expectations(labels, coeffs, psi))
+        steps.append([theta, energy, (ground @ psi[:, :, None])[:, 0, 0], none, none])
         if it == cfg.iterations:
             break
         steps[-1][3:] = system.a_matrix, system.b_vector

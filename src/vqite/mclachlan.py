@@ -7,12 +7,13 @@ defining inner products directly on statevectors:
     B_i  = -Re <d_i psi | H | psi>
 
 with |d_i psi> built from the ansatz derivative descriptors, for one
-circuit or for the B rows of a batched one at once (A and B stacked).
-The Hadamard route expands the same sums into one ancilla test circuit per
-A entry and per (Hamiltonian term, B entry); the ancilla is prepared in
-(|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex prefactor
-of the summand, and the ancilla Z expectation then yields the summand's
-real part.  A test circuit is three slices of the ansatz gate tuple with
+circuit or for the B rows of a batched one at once (A and B stacked): one
+product per pair i <= j and per B entry, and H|psi> comes back for the
+loop's energies.  The Hadamard route expands the same sums into one ancilla
+test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
+is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
+prefactor of the summand, and the ancilla Z expectation then yields the
+summand's real part.  A test circuit is three slices of the ansatz gate tuple with
 controlled Pauli gates between them.  One estimate (hadamard_z), for one
 circuit or the B rows of a batched one, is one forward sweep applying each
 ansatz gate once; each row draws from its own generator, every value and
@@ -21,14 +22,15 @@ two routes agree to machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
-eigenvalues), one stacked eigh for all rows; a fully degenerate A yields
-a zero update flagged as stationary.
+eigenvalues), one stacked eigh for all rows (one row is a stack of one);
+a fully degenerate A yields a zero update flagged as stationary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,14 +45,14 @@ PASS_ROWS = 8                       # rows per measured pass of hadamard_z
 ABS_EIG_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class McLachlanSystem:
+class McLachlanSystem(NamedTuple):
     """A and B of the variational linear system, with their provenance."""
 
     a_matrix: np.ndarray
     b_vector: np.ndarray
     route: str = "exact"            # "exact" or "hadamard"
     shots: int | None = None
+    h_psi: np.ndarray | None = None   # exact route: H|psi> of each row
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,24 +81,41 @@ def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
     """A and B by direct statevector inner products, for a circuit at one
     angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians
     (A and B stacked).  Each inner product is a (1, L) @ (L, 1) matmul,
-    bitwise np.vdot; H|psi> gathers over the union of the rows' words."""
+    bitwise np.vdot; H|psi> gathers over the union of the rows' words and
+    comes back in h_psi."""
     batch = ansatz.parameters.ndim == 2
     hs = list(h) if batch else [h]
     if any(x.n_qubits != ansatz.n_system_qubits for x in hs):
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
     gamma, d = ansatz.n_parameters, ansatz.derivatives
-    kets = np.concatenate([d, apply_sums(*term_columns(hs), ansatz.states())[None]])
-    # v[i, j, b] = <d_i|d_j> (j < gamma) and <d_i|H|psi> (j = gamma) of row b
-    v = (d.conj()[:, None, :, None, :] @ kets[None, :, :, :, None])[..., 0, 0].real
-    a, (low, up) = v[:, :gamma].transpose(2, 0, 1), _lower(gamma)
-    a[:, low, up] = a[:, up, low]
-    b = -np.ascontiguousarray(v[:, gamma].T)  # BLAS rounds a strided b otherwise
-    return McLachlanSystem(a if batch else a[0], b if batch else b[0], route="exact")
+    kets = np.concatenate([d, apply_sums(*_held_columns(hs), ansatz.states())[None]])
+    bra, ket, i, j = _pairs(gamma)
+    # v[k, b] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, of row b
+    v = (d[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].real
+    a = np.empty((d.shape[1], gamma, gamma))
+    a[:, i, j] = a[:, j, i] = v[:len(i)].T
+    b = -np.ascontiguousarray(v[len(i):].T)  # BLAS rounds a strided b otherwise
+    return (McLachlanSystem(a, b, "exact", None, kets[gamma]) if batch
+            else McLachlanSystem(a[0], b[0], "exact", None, kets[gamma, 0]))
+
+
+_HELD = [(), None]    # the Hamiltonians of the last compute_exact, and their columns
+
+
+def _held_columns(hs: list) -> tuple:
+    """term_columns(hs), made again only when other Hamiltonian objects come
+    (a run passes the same, immutable ones on every iteration)."""
+    if len(_HELD[0]) != len(hs) or any(a is not b for a, b in zip(_HELD[0], hs)):
+        _HELD[:] = tuple(hs), term_columns(hs)
+    return _HELD[1]
 
 
 @lru_cache(maxsize=16)
-def _lower(gamma: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.tril_indices(gamma, -1)
+def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
+    """(bra, ket) indices of the A pairs (i, j), i <= j, then of (i, gamma)
+    for B, and the A pairs' i and j."""
+    i, j = np.triu_indices(gamma)
+    return np.r_[i, :gamma], np.r_[j, [gamma] * gamma], i, j
 
 
 @lru_cache(maxsize=2)
@@ -248,14 +267,13 @@ def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
     (*_, entry, weight, sizes), values = hadamard_z(ansatz, h, shots, rng)
     ab, cut = np.zeros(len(sizes) * (gamma + 1) * gamma), len(sizes) * gamma * gamma
     np.add.at(ab, entry, weight * values)
-    a, (low, up) = ab[:cut].reshape(-1, gamma, gamma), _lower(gamma)
-    a[:, low, up] = a[:, up, low]
+    a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)
+    a[:, j, i] = a[:, i, j]
     b = ab[cut:].reshape(-1, gamma)
     return McLachlanSystem(a if batch else a[0], b if batch else b[0], "hadamard", shots)
 
 
-@dataclass(frozen=True)
-class UpdateResult:
+class UpdateResult(NamedTuple):
     delta_theta: np.ndarray
     stationary: bool
 
@@ -273,11 +291,11 @@ def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
         raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
     lam, vec = np.linalg.eigh(np.asarray(sys.a_matrix, dtype=float))
-    lam_max = lam.max(axis=-1, keepdims=True)
+    lam_max = np.maximum.reduce(lam, axis=-1, keepdims=True)
     keep = lam > eps_cut * lam_max
     inv = keep / np.where(keep, lam, 1.0)       # 1/lam where kept, else 0.0
-    coef = inv * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])[..., 0]
+    coef = inv[..., None] * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])
+    delta = dtau[..., None] * (vec @ coef)[..., 0]
     stationary = lam_max[..., 0] < ABS_EIG_FLOOR
-    delta = np.where(stationary[..., None], 0.0,
-                     dtau[..., None] * (vec @ coef[..., None])[..., 0])
+    delta[stationary] = 0.0
     return UpdateResult(delta, stationary)

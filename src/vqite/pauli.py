@@ -40,7 +40,7 @@ PAULI_LETTERS = "IXYZ"
 
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a`, marked read-only: for arrays that every circuit shares."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -208,9 +208,14 @@ def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> 
 
 
 def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi_b|H_b|psi_b> of each row of apply_sums, each a (1, L) @ (L, 1)
-    matmul, bitwise np.vdot; an imaginary residual above 1e-10 raises."""
-    value = (psi.conj()[:, None, :] @ apply_sums(labels, coeffs, psi)[:, :, None])[:, 0, 0]
+    """<psi_b|H_b|psi_b> of each row of apply_sums, as _energies."""
+    return _energies(psi, apply_sums(labels, coeffs, psi))
+
+
+def _energies(psi: np.ndarray, h_psi: np.ndarray) -> np.ndarray:
+    """<psi_b|h_psi_b> of the rows of two (B, 2^n) stacks, each a (1, L) @
+    (L, 1) matmul, bitwise np.vdot; an imaginary residual above 1e-10 raises."""
+    value = (psi.conj()[:, None, :] @ h_psi[:, :, None])[:, 0, 0]
     bad = np.abs(value.imag) > 1e-10
     if bad.any():
         raise ArithmeticError(f"expectation has imaginary residual {value.imag[bad][0]:.3e}")

@@ -28,6 +28,7 @@ import numpy as np
 from .pauli import NORM_TOL, PAULI_MATRICES, PauliString, check_density, read_only
 
 HADAMARD = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+EYE = read_only(np.eye(2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +99,7 @@ def rotation_matrix(axis, angle) -> np.ndarray:
     letter or a stack of Pauli matrices, broadcast against an array of angles."""
     sigma = PAULI_MATRICES[axis] if isinstance(axis, str) else axis
     half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
-    return np.cos(half) * np.eye(2) - 1j * np.sin(half) * sigma
+    return np.cos(half) * EYE - 1j * np.sin(half) * sigma
 
 
 def rx(q: int, angle: float) -> Gate:
@@ -164,8 +165,8 @@ def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int, per_state: bool = False)
     order, inverse = _axis_plan(t.ndim, q, int(per_state))
     front = t.transpose(order)
     if per_state:
-        x = front.reshape(len(t), 2, -1)
-        out = np.matmul(m, x if m.ndim == 2 else x.reshape(-1, len(m), 2, x.shape[2]))
+        out = np.matmul(m, front.reshape((len(t), 2, -1) if m.ndim == 2 else
+                                         (-1, len(m), 2, t.size // (2 * len(t)))))
     else:
         out = np.dot(m, front.reshape(2, -1))
     return out.reshape(front.shape).transpose(inverse)

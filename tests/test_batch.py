@@ -7,17 +7,20 @@ oracle tests compare every record byte for byte; the property tests pin
 the facts themselves.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import forward_then_branches, term_loop
-from vqite import (build_hardware_efficient, build_ucc_h2, build_ucc_lih, cmf_reduce_rows,
-                   compute_exact, exact_spectrum, hamiltonian_at, run_qite, simulator)
-from vqite.engine import EnergyMap, QiteConfig, run_qite_rows
+from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
+                   cmf_reduce, cmf_reduce_rows, compute_exact, exact_spectrum, gershgorin_emax,
+                   hamiltonian_at, lift_ground_state, run_qite, simulator, to_dense_matrix)
+from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
 from vqite.mclachlan import McLachlanSystem, solve_update
-from vqite.simulator import Gate, apply_gate
+from vqite.simulator import Gate, apply_gate, run_gates
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
@@ -74,6 +77,72 @@ def test_batched_shot_rows_equal_one_row_runs(lih_table):
     batched = run_qite_rows(hs[rows], build_ucc_lih, configs)
     for h, config, traj in zip(hs[rows], configs, batched):
         assert record_bytes(traj) == record_bytes(run_qite(h, build_ucc_lih, config))
+
+
+def unfused_records(h, builder, config, energy_map=None):
+    """(iteration, theta, A, B, energy, fidelity) of one row's QITE run in the
+    unfused form: each iteration builds the row's circuit alone, takes its
+    states and derivatives from forward_then_branches, A and B as np.vdot
+    loops, the energy and fidelity as np.vdot against the reporting
+    Hamiltonian, then solve_update of that one system."""
+    report = h if energy_map is None else energy_map.h_original
+    ground, dtau = exact_spectrum(report).ground_state, resolve_dtau(config, report)
+    theta, records = np.array(config.initial_theta), []
+    for it in range(config.iterations + 1):
+        states, derivs = forward_then_branches(builder(theta))
+        psi = states[0]
+        if energy_map is not None:    # the lift as run_qite_rows forms it, one (8, 4) @ (4, 1)
+            psi = (energy_map.effective.basis_isometry @ psi[:, None])[:, 0]
+        energy = np.vdot(psi, term_loop(report, psi)).real
+        fid = float(abs(np.vdot(ground, psi)) ** 2)
+        if it == config.iterations:
+            records.append((it, theta, None, None, energy, fid))
+            break
+        gamma, h_psi = len(derivs), term_loop(h, states[0])
+        a, b = np.zeros((gamma, gamma)), np.zeros(gamma)
+        for i in range(gamma):
+            for j in range(i, gamma):
+                a[i, j] = a[j, i] = np.vdot(derivs[i, 0], derivs[j, 0]).real
+            b[i] = -np.vdot(derivs[i, 0], h_psi).real
+        records.append((it, theta, a, b, energy, fid))
+        theta = theta + solve_update(McLachlanSystem(a, b), dtau).delta_theta
+    return records
+
+
+def lifted_row(table, r):
+    """(lifted Hamiltonian, config) of one `vqite excited` call at R = r."""
+    h = hamiltonian_at(table, r)
+    h_base = cmf_reduce(h).h_eff
+    ground = exact_spectrum(h_base).ground_state
+    lifted = lift_ground_state(h_base, DensityMatrix(np.outer(ground, ground.conj())),
+                               gershgorin_emax(to_dense_matrix(h_base)).e_max)
+    dtau = resolve_dtau(QiteConfig((0.0,), iterations=4), h)
+    return lifted, QiteConfig((0.5,) * 6, iterations=20, dtau=dtau)
+
+
+@pytest.mark.parametrize("case", ["excited-R0.5", "cmf-he-50-rows"])
+def test_loop_is_unfused_reference(case, lih_table):
+    # The compiled loop (template builds, one buffer per sweep, the energy
+    # from compute_exact's H|psi>) gives every record byte of the unfused
+    # form, on an excited-style lifted row (20 iterations, its energy rises
+    # at iteration 5) and on a 50-row CMF + HE batch (reported through the
+    # isometry).
+    if case == "excited-R0.5":
+        lifted, config = lifted_row(lih_table, 0.5)
+        hs, configs, maps = [lifted], [config], [None]
+    else:
+        hs, configs, maps = scan_rows(lih_table, build_hardware_efficient, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trajectories = run_qite_rows(hs, build_hardware_efficient, configs, maps)
+    for h, config, energy_map, traj in zip(hs, configs, maps, trajectories):
+        want = unfused_records(h, build_hardware_efficient, config, energy_map)
+        got = [(r.iteration, r.theta, r.a_matrix, r.b_vector, r.energy, r.fidelity)
+               for r in traj.records]
+        assert len(got) == len(want) == config.iterations + 1
+        for g, w in zip(got, want):
+            assert [None if x is None else np.asarray(x).tobytes() for x in g] == \
+                   [None if x is None else np.asarray(x).tobytes() for x in w], g[0]
 
 
 def vdot_system(ansatz, h):
@@ -184,6 +253,42 @@ def test_per_state_gate_is_each_state_alone(case):
     for s, m in enumerate(mats):
         alone = apply_gate(t[s:s + 1], Gate(m, gate.target, gate.control))
         assert out[s].tobytes() == alone[0].tobytes(), s
+
+
+@st.composite
+def buffer_cases(draw):
+    """(buffer, start, count, gates): a preallocated (S, 2^n) stack of 2 or 3
+    qubits, the k * B of its states from `start` on that a run of 1-3 gates
+    takes, each gate shared (2, 2) or one matrix per row (B, 2, 2), with or
+    without a control."""
+    n, rows, k = draw(st.integers(2, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    start, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    buf = draw(arrays(complex, (start + k * rows + after, 2 ** n), elements=AMPLITUDE))
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(arrays(complex, draw(st.sampled_from([(2, 2), (rows, 2, 2)])),
+                        elements=AMPLITUDE))
+        target = draw(st.integers(0, n - 1))
+        control = draw(st.sampled_from([None, *(c for c in range(n) if c != target)]))
+        gates.append(Gate(m, target, control))
+    return buf, start, k * rows, gates
+
+
+@PROPERTY
+@given(buffer_cases())
+def test_gates_within_buffer_equal_fresh_copy(case):
+    # The sweep runs each gate on a slice of its preallocated buffer and
+    # writes the result back in place: every state keeps the bytes the same
+    # gates give a fresh contiguous copy, and the rest of the buffer is untouched.
+    buf, start, count, gates = case
+    before = buf.copy()
+    view = buf[start:start + count].reshape((-1,) + (2,) * (buf.shape[1].bit_length() - 1))
+    fresh = run_gates(view.copy(), gates, per_state=True)
+    view[...] = run_gates(view, gates, per_state=True)
+    assert buf[start:start + count].tobytes() == fresh.tobytes()
+    outside = np.ones(len(buf), dtype=bool)
+    outside[start:start + count] = False
+    assert buf[outside].tobytes() == before[outside].tobytes()
 
 
 @PROPERTY
