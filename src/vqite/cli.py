@@ -422,9 +422,8 @@ def _cmd_point(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     table = load_manifest_table(RunManifest(table=args.table))
-    h = hamiltonian_at(table, args.r)
-    spec = exact_spectrum(h)
-    bound = gershgorin_emax(to_dense_matrix(h))
+    dense = to_dense_matrix(hamiltonian_at(table, args.r))
+    spec, bound = exact_spectrum(dense), gershgorin_emax(dense)
     print("eigenvalues:", " ".join(format_number(v) for v in spec.eigenvalues))
     print("degenerate levels:",
           ",".join(str(i) for i, f in enumerate(spec.degeneracy_flags) if f) or "none")
@@ -445,9 +444,9 @@ def _cmd_excited(args) -> int:
     else:
         print("excited mode needs a 2- or 3-qubit table", file=sys.stderr)
         return 2
-    spec = exact_spectrum(h_base)
+    dense = to_dense_matrix(h_base)
+    spec, bound = exact_spectrum(dense), gershgorin_emax(dense)
     ground = DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj()))
-    bound = gershgorin_emax(to_dense_matrix(h_base))
     lifted = lift_ground_state(h_base, ground, bound.e_max)
     # The auto rule ties dtau to the iteration count, keeping the total
     # imaginary time fixed; the lifted spectrum is denser than the original

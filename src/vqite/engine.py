@@ -18,10 +18,10 @@ the run switches to energy-only reporting.
 The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
 What does not depend on theta is fixed once per run: the reporting columns
-and spectra here, the ansatz template (ansatz) and the system Hamiltonians'
-columns (mclachlan).  An exact iteration is then one build of the rotations,
-one gate sweep for A, B and the states, and one solve; a row reported
-against its own Hamiltonian takes its energy from the H|psi> that gave B.
+and spectra here and the ansatz template (ansatz).  An exact iteration is
+then one build of the rotations, one gate sweep for A, B and the states, and
+one solve; a row reported against its own Hamiltonian takes its energy from
+the H|psi> that gave B.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def average_z_coefficient(h: PauliHamiltonian) -> float:
     and is divided by the qubit count.  Downstream, the absolute value
     feeds the automatic time-step rule.
     """
-    single_z = [c for c, ps in h.terms if ps.weight == 1 and "Z" in ps.letters]
+    single_z = [c for c, w in zip(h.coeffs.tolist(), h.words) if w.replace("I", "") == "Z"]
     if not single_z:
         raise ValueError(
             "Hamiltonian has no single-qubit Z term; use a fixed dtau instead"

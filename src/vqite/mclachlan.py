@@ -85,10 +85,9 @@ def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
     comes back in h_psi."""
     batch = ansatz.parameters.ndim == 2
     hs = list(h) if batch else [h]
-    if any(x.n_qubits != ansatz.n_system_qubits for x in hs):
-        raise ValueError("ansatz and Hamiltonian qubit counts disagree")
+    _check_qubits(ansatz, hs)
     gamma, d = ansatz.n_parameters, ansatz.derivatives
-    kets = np.concatenate([d, apply_sums(*_held_columns(hs), ansatz.states())[None]])
+    kets = np.concatenate([d, apply_sums(*term_columns(hs), ansatz.states())[None]])
     bra, ket, i, j = _pairs(gamma)
     # v[k, b] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, of row b
     v = (d[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].real
@@ -97,17 +96,6 @@ def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
     b = -np.ascontiguousarray(v[len(i):].T)  # BLAS rounds a strided b otherwise
     return (McLachlanSystem(a, b, "exact", None, kets[gamma]) if batch
             else McLachlanSystem(a[0], b[0], "exact", None, kets[gamma, 0]))
-
-
-_HELD = [(), None]    # the Hamiltonians of the last compute_exact, and their columns
-
-
-def _held_columns(hs: list) -> tuple:
-    """term_columns(hs), made again only when other Hamiltonian objects come
-    (a run passes the same, immutable ones on every iteration)."""
-    if len(_HELD[0]) != len(hs) or any(a is not b for a, b in zip(_HELD[0], hs)):
-        _HELD[:] = tuple(hs), term_columns(hs)
-    return _HELD[1]
 
 
 @lru_cache(maxsize=16)
@@ -126,34 +114,39 @@ def _inserted_gates(sigmas: tuple[str, ...], anc: int) -> tuple:
     return ctrl, tuple((x(anc), *c, x(anc)) for c in ctrl), (hadamard(anc),)
 
 
-def _layout(descriptors, n: int, h: PauliHamiltonian) -> list:
-    """Each A/B summand of one row in job order, as (word, phase, weight,
+def _layout(gamma: int, coeffs: list[float]) -> list:
+    """Each A/B summand of one row with `gamma` parameters and Hamiltonian
+    coefficients `coeffs`, in job order, as (word, phase, weight,
     destination).  Its circuit cuts the ansatz gates g at the insertion
     points p_i (ctrl, anti and final of _inserted_gates):
 
     A(i, j), i <= j: g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:] + final,
     no word, prefactor conj(p) p.  B(i, l): g[:p_i] + anti_i + g[p_i:] +
-    c-h_l + final, word l (the l-th Hamiltonian string controlled on the
+    c-h_l + final, word l (the l-th Hamiltonian word controlled on the
     ancilla), prefactor -conj(p) h_l.  p is DERIVATIVE_PREFACTOR; phase and
     weight are the prefactor's angle and modulus.
     """
-    if h.n_qubits != n:
-        raise ValueError("ansatz and Hamiltonian qubit counts disagree")
-    p, gamma = DERIVATIVE_PREFACTOR, len(descriptors)
+    p = DERIVATIVE_PREFACTOR
     sums = [(float(np.angle(c)), float(abs(c)))
-            for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l, _ in h.terms]]
+            for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l in coeffs]]
     jobs = [(None, *sums[0], ("A", i, j)) for i in range(gamma) for j in range(i, gamma)]
-    return jobs + [(l, *sums[l + 1], ("B", i)) for i in range(gamma) for l in range(h.n_terms)]
+    return jobs + [(l, *sums[l + 1], ("B", i)) for i in range(gamma) for l in range(len(coeffs))]
+
+
+def _check_qubits(ansatz: AnsatzCircuit, hs) -> None:
+    if any(h.n_qubits != ansatz.n_system_qubits for h in hs):
+        raise ValueError("ansatz and Hamiltonian qubit counts disagree")
 
 
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
     """One weighted test circuit per A/B summand of _layout."""
+    _check_qubits(ansatz, [h])
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
     ctrl, anti, final = _inserted_gates(tuple([d.sigma.letters for d in descs]), n)
-    tails = [tuple(controlled_pauli(n, range(n), ps.letters)) for _, ps in h.terms]
+    tails = [tuple(controlled_pauli(n, range(n), w)) for w in h.words]
     pts, jobs = [d.insertion_point for d in descs], []
-    for word, phase, weight, (kind, i, *j) in _layout(descs, n, h):
+    for word, phase, weight, (kind, i, *j) in _layout(len(descs), h.coeffs.tolist()):
         pj, tail = (pts[j[0]], ctrl[j[0]] + g[pts[j[0]]:]) if j else (len(g), tails[word])
         gates = g[:pts[i]] + anti[i] + g[pts[i]:pj] + tail + final
         jobs.append(HadamardJob(HadamardTestCircuit(gates, phase, ansatz.reference_state),
@@ -162,10 +155,12 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
 
 
 @lru_cache(maxsize=2)
-def _table(descriptors, n: int, hs: tuple) -> tuple:
-    """The Hadamard jobs of B rows with Hamiltonians hs, compiled once per run
-    for hadamard_z (they depend only on hs and the ansatz family): (phases,
-    plan, final, take, words, src, sign, entry, weight, sizes).
+def _table(descriptors, n: int, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
+    """The Hadamard jobs of B rows whose Hamiltonians have the (B, L)
+    coefficients `coeff_bytes` over the union words `labels` (term_columns),
+    compiled once per run for hadamard_z: they depend only on these values
+    and the ansatz family.  (phases, plan, final, take, words, src, sign,
+    entry, weight, sizes).  A row's terms are its nonzero coefficients.
 
     The sweep's stack starts as (distinct ancilla phases x rows), phase-
     major.  At insertion point p_j, the plan joins branch B(j), anti_j on
@@ -175,9 +170,10 @@ def _table(descriptors, n: int, hs: tuple) -> tuple:
     take[k] of the final stack, gathered through union word words[k] (-1:
     none), and adds its weighted value to entry[k] of A (B, gamma, gamma)
     and then B (B, gamma), flattened.  sizes: each row's job count."""
-    rows, gamma = len(hs), len(descriptors)
+    gamma, coeffs = len(descriptors), np.frombuffer(coeff_bytes).reshape(rows, len(labels))
     ctrl, anti, final = _inserted_gates(tuple([d.sigma.letters for d in descriptors]), n)
-    jobs = [_layout(descriptors, n, h) for h in hs]
+    kept = [np.flatnonzero(c).tolist() for c in coeffs]
+    jobs = [_layout(gamma, c[k].tolist()) for c, k in zip(coeffs, kept)]
     phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
     block, fa = len(phases) * rows, phases.index(jobs[0][0][1]) * rows
     size, at, plan = block, {}, {}
@@ -187,10 +183,10 @@ def _table(descriptors, n: int, hs: tuple) -> tuple:
         for i in range(j + 1):   # an A block holds the A phase only, at offset fa
             plan[d.insertion_point].append((ctrl[j], at["B", i] + fa, rows))
             at["A", i, j], size = size - fa, size + rows
-    labels, cols = term_columns(hs)[0], []
-    for b, (h, row) in enumerate(zip(hs, jobs)):
+    cols = []
+    for b, (k, row) in enumerate(zip(kept, jobs)):
         cols += [(at[kind, i, *j] + phases.index(phase) * rows + b,
-                  -1 if word is None else labels.index(h.terms[word][1].letters),
+                  -1 if word is None else k[word],
                   (b * gamma + i) * gamma + j[0] if j else (rows * gamma + b) * gamma + i, w)
                  for word, phase, w, (kind, i, *j) in row]
     take, words, entry = np.array([c[:3] for c in cols], dtype=np.intp).T
@@ -229,8 +225,10 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     value and draw is bitwise that of the job's circuit run alone.
     """
     batch = ansatz.parameters.ndim == 2
-    hs, n = tuple(h) if batch else (h,), ansatz.n_system_qubits
-    table = _table(ansatz.descriptors, n, hs)
+    hs, n = list(h) if batch else [h], ansatz.n_system_qubits
+    _check_qubits(ansatz, hs)
+    labels, coeffs = term_columns(hs)
+    table = _table(ansatz.descriptors, n, labels, len(hs), coeffs.tobytes())
     phases, plan, final, take, words, src, sign, *_, sizes = table
     stack = _start(ansatz.reference_state, phases).repeat(len(hs), axis=0)
     for k, gate in enumerate((*ansatz.gates, None)):

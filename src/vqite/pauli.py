@@ -13,15 +13,21 @@ Every cross-module identity (Hartree-Fock energies, reduced-Hamiltonian
 traces, isometry back-maps) relies on this single ordering convention, so
 it is defined here and nowhere else.
 
-A string is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
+A Hamiltonian is one thing: n_qubits, a sorted tuple of distinct words and
+a read-only float64 array of their coefficients, brought to that canonical
+form by its constructor alone.  Every kernel reads words and (B, L)
+coefficient rows; term_columns joins the rows of Hamiltonians whose word
+tuples differ, with 0.0 for a word a row lacks.
+
+A word is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
 memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
-src[j] = j ^ xmask, xmask marking the X and Y letters.  It is the one Pauli
-representation.  Products by it are exact, so one gather and one multiply
-give the values of the Kronecker product.  A word tuple is stacked once;
-H|psi> is one gather, multiply and sum over the terms, and the dense matrices
-of B sums over one word tuple are the stacked entries added into zeros, in
-the order and from the zero of a term loop.  Traces read the one entry per
-row: Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
+src[j] = j ^ xmask, xmask marking the X and Y letters.  Products by it are
+exact, so one gather and one multiply give the values of the Kronecker
+product.  A word tuple is stacked once; H|psi> is one gather, multiply and
+sum over the terms, and the dense matrices of B sums over one word tuple are
+the stacked entries added into zeros, in the order and from the zero of a
+term loop.  Traces read the one entry per row:
+Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
 Tr(sigma m) = sum_j phase[j] m[src[j], j], summed like the diagonal of the
 matrix product, so they equal the dense forms bit for bit; partial traces
 gather through a plan compiled once per word tuple and subsystem.
@@ -30,8 +36,8 @@ gather through a plan compiled once per word tuple and subsystem.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from itertools import compress, product
 
 import numpy as np
 
@@ -105,80 +111,67 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.letters)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return sum(1 for c in self.letters if c != "I")
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Apply the string to the last axis of (..., 2^n) amplitudes without
-        building the matrix."""
-        src, phase = _signed_permutation(self.letters)
-        return phase * np.asarray(amplitudes, dtype=complex).take(src, axis=-1)
-
-    def __str__(self) -> str:
-        return self.letters
+@functools.lru_cache(maxsize=256)
+def _merge_plan(words: tuple[str, ...], n_qubits: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct words of `words`, each checked once, and the
+    position among them of each input word."""
+    for word in dict.fromkeys(words):
+        if PauliString(word).n_qubits != n_qubits:
+            raise ValueError(f"term '{word}' has {len(word)} qubits, expected {n_qubits}")
+    distinct = tuple(sorted(set(words)))
+    return distinct, read_only(np.array([distinct.index(w) for w in words], dtype=np.intp))
 
 
-@dataclass(frozen=True)
 class PauliHamiltonian:
-    """Weighted sum of Pauli strings, H = sum_l h_l * sigma_l.
+    """Weighted sum of Pauli strings, H = sum_l coeffs[l] * words[l].
 
-    Terms are kept in canonical form: duplicate strings merged by
-    coefficient addition, terms with |coefficient| < 1e-14 dropped, and
-    the remainder sorted by letters (I < X < Y < Z).
+    Built in canonical form, by this constructor alone: every word checked,
+    duplicate words merged by adding their coefficients from 0.0 in input
+    order, terms with |coefficient| <= 1e-14 dropped, and the remaining
+    words sorted (I < X < Y < Z), with a read-only float64 array of their
+    coefficients.  n_qubits defaults to the width of the first word.
     """
 
-    terms: tuple[tuple[float, PauliString], ...]
-    n_qubits: int = field(default=0)
+    __slots__ = ("n_qubits", "words", "coeffs")
 
-    def __post_init__(self) -> None:
-        if not self.terms and self.n_qubits <= 0:
+    def __init__(self, words, coeffs=(), n_qubits: int | None = None) -> None:
+        words = tuple(words)
+        self.n_qubits = n_qubits or (len(words[0]) if words else 0)
+        if self.n_qubits <= 0:
             raise ValueError("empty Hamiltonian needs an explicit n_qubits")
-        n = self.n_qubits or self.terms[0][1].n_qubits
-        merged: dict[str, float] = {}
-        for coeff, ps in self.terms:
-            if ps.n_qubits != n:
-                raise ValueError(
-                    f"term '{ps}' has {ps.n_qubits} qubits, expected {n}"
-                )
-            if not np.isfinite(coeff):
-                raise ValueError(f"term '{ps}' has non-finite coefficient {coeff}")
-            merged[ps.letters] = merged.get(ps.letters, 0.0) + float(coeff)
-        # tuple([...]), not tuple(generator): that kept ~0.1 MB more alive (CPython 3.11)
-        canon = tuple([
-            (c, PauliString(s))
-            for s, c in sorted(merged.items())
-            if abs(c) > COEFF_DROP_TOL
-        ])
-        object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "n_qubits", n)
+        distinct, index = _merge_plan(words, self.n_qubits)
+        c = np.asarray(coeffs, dtype=float).reshape(len(words))
+        if not np.isfinite(c).all():
+            k = int(np.isfinite(c).argmin())
+            raise ValueError(f"term '{words[k]}' has non-finite coefficient {c[k]}")
+        merged = np.bincount(index, weights=c, minlength=len(distinct))
+        keep = np.abs(merged) > COEFF_DROP_TOL
+        self.words, self.coeffs = tuple(compress(distinct, keep.tolist())), read_only(merged[keep])
 
     @classmethod
     def from_pairs(cls, pairs, n_qubits: int | None = None) -> "PauliHamiltonian":
-        """Build from (coefficient, letters) pairs with plain-string labels."""
-        terms = tuple([(float(c), PauliString(s)) for c, s in pairs])
-        return cls(terms, n_qubits or (terms[0][1].n_qubits if terms else 0))
+        """Build from (coefficient, letters) pairs."""
+        pairs = list(pairs)
+        return cls([w for _, w in pairs], [c for c, _ in pairs], n_qubits)
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """H |psi>, as apply_sums of one row."""
-        psi = np.asarray(amplitudes, dtype=complex).reshape(1, 2 ** self.n_qubits)
-        return apply_sums(*term_columns([self]), psi)[0]
+        return len(self.words)
 
 
 def term_columns(hamiltonians) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted union of the words of B Hamiltonians and their (B, L)
     coefficients, 0.0 where a Hamiltonian lacks the word."""
-    labels = tuple(sorted({ps.letters for h in hamiltonians for _, ps in h.terms}))
+    hs = list(hamiltonians)
+    if all(h.words == hs[0].words for h in hs):     # one word tuple: stack the rows
+        labels = hs[0].words if hs else ()
+        return labels, np.array([h.coeffs for h in hs]).reshape(len(hs), len(labels))
+    labels = tuple(sorted(set().union(*[h.words for h in hs])))
     column = {word: k for k, word in enumerate(labels)}
-    coeffs = np.zeros((len(hamiltonians), len(labels)))
-    for b, h in enumerate(hamiltonians):
-        for c, ps in h.terms:
-            coeffs[b, column[ps.letters]] = c
+    coeffs = np.zeros((len(hs), len(labels)))
+    coeffs[[b for b, h in enumerate(hs) for _ in h.words],
+           [column[w] for h in hs for w in h.words]] = np.concatenate([h.coeffs for h in hs])
     return labels, coeffs
 
 
@@ -194,7 +187,7 @@ def dense_matrices(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -
 
 def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Hamiltonian (n <= 12)."""
-    return dense_matrices(*term_columns([h]), h.n_qubits)[0]
+    return dense_matrices(h.words, h.coeffs[None], h.n_qubits)[0]
 
 
 def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -227,7 +220,7 @@ def expectation(h: PauliHamiltonian, state) -> float:
     amps = state.amplitudes
     if amps.size != 2 ** h.n_qubits:
         raise ValueError("state and Hamiltonian dimensions disagree")
-    return float(expectations(*term_columns([h]), amps[None])[0])
+    return float(expectations(h.words, h.coeffs[None], amps[None])[0])
 
 
 def check_density(m) -> np.ndarray:
@@ -304,9 +297,9 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
         raise ValueError(
             f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} on complement"
         )
-    words, coeffs = partial_traces(*term_columns([h]), tuple(keep),
+    words, coeffs = partial_traces(h.words, h.coeffs[None], tuple(keep),
                                    check_density(rho)[None], h.n_qubits)
-    return PauliHamiltonian.from_pairs(zip(coeffs[0], words), n_qubits=len(keep))
+    return PauliHamiltonian(words, coeffs[0], len(keep))
 
 
 def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
@@ -327,5 +320,5 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
     src, phase = _term_stack(labels, k)
     # h_l = Tr(sigma_l m) / 2^k = sum_j phase_l[j] m[src_l[j], j] / 2^k, one row per word
     coeffs = _row_sum(phase * m[..., src, np.arange(dim)]).real / dim
-    hs = [PauliHamiltonian.from_pairs(zip(c, labels), n_qubits=k) for c in np.atleast_2d(coeffs)]
+    hs = [PauliHamiltonian(labels, c, k) for c in np.atleast_2d(coeffs)]
     return hs if m.ndim == 3 else hs[0]

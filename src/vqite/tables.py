@@ -113,8 +113,7 @@ def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:
     coeffs = next((c for d, c in table.rows if abs(d - r) < 1e-9), None)
     if coeffs is None:
         raise ValueError(f"no row at R={r:g}")
-    return PauliHamiltonian.from_pairs(zip(coeffs, table.pauli_labels),
-                                       n_qubits=table.n_qubits)
+    return PauliHamiltonian(table.pauli_labels, coeffs, table.n_qubits)
 
 
 def load_table(path) -> MoleculeTable:

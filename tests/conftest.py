@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqite import (PauliHamiltonian, build_hadamard_circuits, hamiltonian_at,
+from vqite import (PauliHamiltonian, PauliString, build_hadamard_circuits, hamiltonian_at,
                    load_h2_synthetic_table, load_lih_table)
 from vqite.mclachlan import McLachlanSystem
+from vqite.pauli import _signed_permutation, apply_sums
 
 
 @pytest.fixture(scope="session")
@@ -106,20 +107,50 @@ def tensordot_gate(t, gate):
     return t
 
 
+def apply_word(letters, amplitudes):
+    """A Pauli word applied to the last axis of (..., 2^n) amplitudes through
+    its signed permutation, without building the matrix."""
+    src, phase = _signed_permutation(letters)
+    return phase * np.asarray(amplitudes, dtype=complex).take(src, axis=-1)
+
+
+def apply(h, amplitudes):
+    """H |psi>, as apply_sums of one row."""
+    psi = np.asarray(amplitudes, dtype=complex).reshape(1, 2 ** h.n_qubits)
+    return apply_sums(h.words, h.coeffs[None], psi)[0]
+
+
 def term_loop(h, psi):
     """H|psi> as a loop over the terms, summed from zero."""
     out = np.zeros(psi.shape, dtype=complex)
-    for c, ps in h.terms:
-        out += c * ps.apply(psi)
+    for c, word in zip(h.coeffs.tolist(), h.words):
+        out += c * apply_word(word, psi)
     return out
 
 
 def coefficient(h, letters):
     """Coefficient of one Pauli word in a Hamiltonian, 0.0 when absent."""
-    for c, ps in h.terms:
-        if ps.letters == letters:
-            return c
-    return 0.0
+    return float(h.coeffs[h.words.index(letters)]) if letters in h.words else 0.0
+
+
+def canonical_oracle(pairs, n_qubits=0):
+    """The canonical form of (coefficient, letters) pairs by a dict merge, the
+    reference for PauliHamiltonian's constructor: (words, coefficients) with
+    duplicates added from 0.0 in input order, |c| <= 1e-14 dropped and the
+    words sorted; ValueError on a bad word, width or coefficient."""
+    terms = [(float(c), PauliString(s)) for c, s in pairs]
+    if not terms and n_qubits <= 0:
+        raise ValueError("empty Hamiltonian needs an explicit n_qubits")
+    n = n_qubits or terms[0][1].n_qubits
+    merged = {}
+    for coeff, ps in terms:
+        if ps.n_qubits != n:
+            raise ValueError(f"term '{ps.letters}' has {ps.n_qubits} qubits, expected {n}")
+        if not np.isfinite(coeff):
+            raise ValueError(f"term '{ps.letters}' has non-finite coefficient {coeff}")
+        merged[ps.letters] = merged.get(ps.letters, 0.0) + float(coeff)
+    canon = [(s, c) for s, c in sorted(merged.items()) if abs(c) > 1e-14]
+    return tuple([s for s, _ in canon]), np.array([c for _, c in canon])
 
 
 def table_coefficient(table, r, label):
@@ -140,7 +171,7 @@ def serialize_table(table):
 
 def term_bytes(h):
     """Every term as (float.hex of its coefficient, letters): equal bit for bit."""
-    return [(c.hex(), ps.letters) for c, ps in h.terms]
+    return [(c.hex(), word) for c, word in zip(h.coeffs.tolist(), h.words)]
 
 
 # Oracles in the dense matrix-product form the signed-permutation kernel
@@ -149,8 +180,8 @@ def term_bytes(h):
 def dense_oracle(h):
     """Dense matrix of a Hamiltonian as a sum of Kronecker products, from zero."""
     out = np.zeros((2 ** h.n_qubits,) * 2, dtype=complex)
-    for c, ps in h.terms:
-        out += c * pauli_kron(ps.letters)
+    for c, word in zip(h.coeffs.tolist(), h.words):
+        out += c * pauli_kron(word)
     return out
 
 
@@ -159,10 +190,10 @@ def partial_trace_oracle(h, keep, rho):
     keep = sorted(keep)
     comp = [q for q in range(h.n_qubits) if q not in keep]
     pairs = []
-    for c, ps in h.terms:
-        sigma = pauli_kron("".join(ps.letters[q] for q in comp))
+    for c, word in zip(h.coeffs.tolist(), h.words):
+        sigma = pauli_kron("".join(word[q] for q in comp))
         scalar = complex(np.trace(rho @ sigma))
-        pairs.append((c * scalar.real, "".join(ps.letters[q] for q in keep)))
+        pairs.append((c * scalar.real, "".join(word[q] for q in keep)))
     return PauliHamiltonian.from_pairs(pairs, n_qubits=len(keep))
 
 
@@ -332,8 +363,8 @@ def forward_then_branches(ansatz):
         forward.append(apply_gate(forward[-1], gate, per_state=True))
     stack = np.empty((0, 2 ** ref.n_qubits), dtype=complex)
     for k, gate in enumerate((*ansatz.gates, None)):
-        new = [d.sigma.apply(forward[k].reshape(rows, -1)) for d in ansatz.descriptors
-               if d.insertion_point == k]
+        new = [apply_word(d.sigma.letters, forward[k].reshape(rows, -1))
+               for d in ansatz.descriptors if d.insertion_point == k]
         stack = np.concatenate([stack, *new]) if new else stack
         if gate is not None and len(stack):
             stack = apply_gate(stack.reshape(shape), gate, per_state=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import forward_then_branches, term_loop
+from conftest import apply, forward_then_branches, term_loop
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    cmf_reduce, cmf_reduce_rows, compute_exact, exact_spectrum, gershgorin_emax,
                    hamiltonian_at, lift_ground_state, run_qite, simulator, to_dense_matrix)
@@ -149,7 +149,7 @@ def vdot_system(ansatz, h):
     """A and B of one circuit by np.vdot loops over its derivative states."""
     gamma = ansatz.n_parameters
     derivs = [ansatz.derivative_state(i) for i in range(gamma)]
-    h_psi = h.apply(ansatz.state().amplitudes)
+    h_psi = apply(h, ansatz.state().amplitudes)
     a, b = np.zeros((gamma, gamma)), np.zeros(gamma)
     for i in range(gamma):
         for j in range(i, gamma):

@@ -89,7 +89,8 @@ def test_determinism_bit_identical(lih_r15):
     b = cmf_reduce(lih_r15)
     assert a.provenance == b.provenance
     assert np.array_equal(a.basis_isometry, b.basis_isometry)
-    assert a.h_eff.terms == b.h_eff.terms
+    assert a.h_eff.words == b.h_eff.words
+    assert a.h_eff.coeffs.tobytes() == b.h_eff.coeffs.tobytes()
 
 
 def test_provenance_records_selection(lih_r15):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import assemble_system, sampled_oracle, scratch_z
-from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_h2,
+from conftest import apply, apply_word, assemble_system, sampled_oracle, scratch_z
+from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
 from vqite.ansatz import DERIVATIVE_PREFACTOR
@@ -27,7 +27,7 @@ def fd_system(builder, theta, h, eps=1e-5):
         derivs.append((builder(tp).state().amplitudes
                        - builder(tm).state().amplitudes) / (2 * eps))
     psi = builder(theta).state().amplitudes
-    h_psi = h.apply(psi)
+    h_psi = apply(h, psi)
     a = np.array([[np.vdot(di, dj).real for dj in derivs] for di in derivs])
     b = np.array([-np.vdot(di, h_psi).real for di in derivs])
     return a, b
@@ -94,7 +94,7 @@ def test_a_positive_semidefinite(rng, lih_r15):
 def test_b_scales_with_hamiltonian(h2_r07):
     ansatz = build_ucc_h2(1.3)
     base = compute_exact(ansatz, h2_r07)
-    pairs = [(2.5 * c, ps.letters) for c, ps in h2_r07.terms]
+    pairs = [(2.5 * c, word) for c, word in zip(h2_r07.coeffs.tolist(), h2_r07.words)]
     scaled = compute_exact(ansatz, PauliHamiltonian.from_pairs(pairs))
     assert np.max(np.abs(scaled.b_vector - 2.5 * base.b_vector)) < 1e-10
     assert np.max(np.abs(scaled.a_matrix - base.a_matrix)) < 1e-10
@@ -137,7 +137,7 @@ def insertion_oracle(ansatz, h):
             ins.setdefault(descs[j].insertion_point, []).extend(ctrl(descs[j].sigma))
             out.append((assemble(ins, []), ("A", i, j)))
     for i, di in enumerate(descs):
-        for _, sigma in h.terms:
+        for sigma in map(PauliString, h.words):
             anti = {di.insertion_point: [x(anc), *ctrl(di.sigma), x(anc)]}
             out.append((assemble(anti, ctrl(sigma)), ("B", i)))
     return out
@@ -164,7 +164,7 @@ def test_analytic_z_is_branch_overlap(lih_r15, h2_r07, rng):
         branch = [ansatz.derivative_state(i) / DERIVATIVE_PREFACTOR for i in range(gamma)]
         psi = ansatz.state().amplitudes
         kets = [branch[j] for i in range(gamma) for j in range(i, gamma)]
-        kets += [ps.apply(psi) for _ in range(gamma) for _, ps in h.terms]
+        kets += [apply_word(w, psi) for _ in range(gamma) for w in h.words]
         jobs = build_hadamard_circuits(ansatz, h)
         assert len(jobs) == len(kets)
         for job, ket in zip(jobs, kets):
@@ -189,7 +189,7 @@ def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
         for b, (theta, h) in enumerate(batch):
             branch = branches[:, b]
             kets = [branch[j] for i in range(gamma) for j in range(i, gamma)]
-            kets += [ps.apply(psi[b]) for _ in range(gamma) for _, ps in h.terms]
+            kets += [apply_word(w, psi[b]) for _ in range(gamma) for w in h.words]
             jobs = build_hadamard_circuits(builder(theta), h)
             assert len(jobs) == len(kets)
             expected += [(np.exp(1j * job.circuit.ancilla_phase)
@@ -422,6 +422,29 @@ def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
         monkeypatch.undo()
         assert len(applied) == calls
         assert all(sum(a is g for a in applied) == 1 for g in ansatz.gates)
+
+
+def test_sampled_table_is_keyed_on_values(lih_table):
+    # The compiled jobs of a batch are found again for equal Hamiltonians
+    # built anew, as each scan iteration and invocation builds them, and not
+    # for a coefficient one ulp away.
+    from vqite.mclachlan import _table
+
+    def rows():
+        return [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+
+    ansatz, first, second = build_ucc_lih(np.ones((50, 2))), rows(), rows()
+    assert all(a is not b for a, b in zip(first, second))
+    _table.cache_clear()
+    for hs in (first, second):
+        compute_sampled(ansatz, hs, None)
+    assert (_table.cache_info().misses, _table.cache_info().hits) == (1, 1)
+    h = second[7]
+    moved = h.coeffs.copy()
+    moved[3] = np.nextafter(moved[3], np.inf)
+    second[7] = PauliHamiltonian(h.words, moved, h.n_qubits)
+    compute_sampled(ansatz, second, None)
+    assert (_table.cache_info().misses, _table.cache_info().hits) == (2, 1)
 
 
 def test_sampled_reproducible(h2_r07):

@@ -6,10 +6,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (circuit_unitary, cmf_oracle, coefficient, decompose_oracle, dense_oracle,
-                      embed, partial_trace_oracle, pauli_kron, reduction_bytes, tensordot_gate,
-                      tensordot_on_axis, term_bytes, term_loop)
-from vqite import (PauliHamiltonian, PauliString, StateVector, cmf_reduce_rows,
+from conftest import (apply, apply_word, canonical_oracle, circuit_unitary, cmf_oracle,
+                      coefficient, decompose_oracle, dense_oracle, embed, partial_trace_oracle,
+                      pauli_kron, reduction_bytes, tensordot_gate, tensordot_on_axis, term_bytes,
+                      term_loop)
+from vqite import (PauliHamiltonian, StateVector, cmf_reduce_rows,
                    pauli_decompose, run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES
 from vqite.simulator import (Gate, apply_gate, apply_on_axis, cnot, controlled_pauli,
@@ -40,10 +41,47 @@ def hamiltonians(draw, n_qubits):
 def test_string_apply_matches_matrix(case):
     # Every entry is an amplitude times 0, +-1 or +-i, so equality is exact.
     word, psi = case
-    ps = PauliString(word)
     oracle = pauli_kron(word)
     assert np.array_equal(to_dense_matrix(PauliHamiltonian.from_pairs([(1.0, word)])), oracle)
-    assert np.array_equal(ps.apply(psi), oracle @ psi)
+    assert np.array_equal(apply_word(word, psi), oracle @ psi)
+
+
+def canonical(build, pairs, n_qubits):
+    """(words, coefficient bytes) that build(pairs, n_qubits) gives, or "ValueError"."""
+    try:
+        words, coeffs = build(pairs, n_qubits)
+    except ValueError:
+        return "ValueError"
+    return words, coeffs.tobytes()
+
+
+def hamiltonian_terms(pairs, n_qubits):
+    h = PauliHamiltonian.from_pairs(pairs, n_qubits=n_qubits)
+    return h.words, h.coeffs
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_canonical_form_is_dict_merge(n, data):
+    # Duplicates (merged from 0.0 in input order), exact cancellations,
+    # terms with |c| <= 1e-14 and any order give the terms of the dict-merge
+    # oracle bit for bit; a bad letter, a wrong width and a non-finite
+    # coefficient each raise ValueError wherever they sit.
+    coeff = st.one_of(COEFF, st.floats(-1e-14, 1e-14),
+                      st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 1.5e-14]))
+    pairs = data.draw(st.lists(st.tuples(coeff, words(n)), max_size=10))
+    pairs += [(-c, w) for c, w in pairs[:data.draw(st.integers(0, 3))]]
+    pairs = data.draw(st.permutations(pairs + pairs[:data.draw(st.integers(0, 3))]))
+    width = data.draw(st.sampled_from([n, 0]))
+    assert (canonical(hamiltonian_terms, pairs, width)
+            == canonical(canonical_oracle, pairs, width))
+    at = data.draw(st.integers(0, len(pairs)))
+    letter = data.draw(st.sampled_from("AQxi_"))
+    for bad in [(1.0, letter * n), (1.0, "Z" * (n + 1)), (1.0, "Z" * (n - 1)),
+                (data.draw(st.sampled_from([np.nan, np.inf, -np.inf])), "I" * n)]:
+        broken = pairs[:at] + [bad] + pairs[at:]
+        for build in (canonical_oracle, hamiltonian_terms):
+            assert canonical(build, broken, n) == "ValueError", (build, bad)
 
 
 @PROPERTY
@@ -51,7 +89,7 @@ def test_string_apply_matches_matrix(case):
 def test_decompose_dense_round_trip(h):
     back = pauli_decompose(to_dense_matrix(h))
     assert back.n_qubits == h.n_qubits
-    labels = {ps.letters for _, ps in h.terms + back.terms}
+    labels = set(h.words + back.words)
     for letters in labels:
         assert abs(coefficient(back, letters) - coefficient(h, letters)) < 1e-9
 
@@ -248,4 +286,4 @@ def test_stacked_gate_is_per_state_bitwise(t, m, data):
 def test_hamiltonian_apply_is_term_loop(case):
     h, psi = case
     for state in (psi, *np.eye(psi.size, dtype=complex)):
-        assert h.apply(state).tobytes() == term_loop(h, state).tobytes()
+        assert apply(h, state).tobytes() == term_loop(h, state).tobytes()
