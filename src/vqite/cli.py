@@ -32,7 +32,7 @@ from .cmf import cmf_reduce, cmf_stages
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
 from .pauli import to_dense_matrix
 from .simulator import DensityMatrix
-from .spectra import exact_spectrum, gershgorin_emax, lift_ground_state
+from .spectra import _spectrum, gershgorin_emax, lift_ground_state
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
                      load_lih_table, load_table)
 
@@ -423,7 +423,7 @@ def _cmd_point(args) -> int:
 def _cmd_spectrum(args) -> int:
     table = load_manifest_table(RunManifest(table=args.table))
     dense = to_dense_matrix(hamiltonian_at(table, args.r))
-    spec, bound = exact_spectrum(dense), gershgorin_emax(dense)
+    spec, bound = _spectrum(dense), gershgorin_emax(dense)
     print("eigenvalues:", " ".join(format_number(v) for v in spec.eigenvalues))
     print("degenerate levels:",
           ",".join(str(i) for i, f in enumerate(spec.degeneracy_flags) if f) or "none")
@@ -445,7 +445,7 @@ def _cmd_excited(args) -> int:
         print("excited mode needs a 2- or 3-qubit table", file=sys.stderr)
         return 2
     dense = to_dense_matrix(h_base)
-    spec, bound = exact_spectrum(dense), gershgorin_emax(dense)
+    spec, bound = _spectrum(dense), gershgorin_emax(dense)
     ground = DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj()))
     lifted = lift_ground_state(h_base, ground, bound.e_max)
     # The auto rule ties dtau to the iteration count, keeping the total

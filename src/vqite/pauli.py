@@ -16,8 +16,8 @@ it is defined here and nowhere else.
 A Hamiltonian is one thing: n_qubits, a sorted tuple of distinct words and
 a read-only float64 array of their coefficients, brought to that canonical
 form by its constructor alone.  Every kernel reads words and (B, L)
-coefficient rows; term_columns joins the rows of Hamiltonians whose word
-tuples differ, with 0.0 for a word a row lacks.
+coefficient rows; term_columns joins the rows of B Hamiltonians over the
+union of their words, with 0.0 for a word a row lacks.
 
 A word is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
 memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
 
 import numpy as np
 
@@ -119,8 +119,8 @@ def _merge_plan(words: tuple[str, ...], n_qubits: int) -> tuple[tuple[str, ...],
     for word in dict.fromkeys(words):
         if PauliString(word).n_qubits != n_qubits:
             raise ValueError(f"term '{word}' has {len(word)} qubits, expected {n_qubits}")
-    distinct = tuple(sorted(set(words)))
-    return distinct, read_only(np.array([distinct.index(w) for w in words], dtype=np.intp))
+    position = {w: k for k, w in enumerate(sorted(set(words)))}
+    return tuple(position), read_only(np.array([position[w] for w in words], dtype=np.intp))
 
 
 class PauliHamiltonian:
@@ -162,16 +162,13 @@ class PauliHamiltonian:
 
 def term_columns(hamiltonians) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted union of the words of B Hamiltonians and their (B, L)
-    coefficients, 0.0 where a Hamiltonian lacks the word."""
+    coefficients, 0.0 where a Hamiltonian lacks the word: the merge plan of
+    all their words gives each coefficient its column."""
     hs = list(hamiltonians)
-    if all(h.words == hs[0].words for h in hs):     # one word tuple: stack the rows
-        labels = hs[0].words if hs else ()
-        return labels, np.array([h.coeffs for h in hs]).reshape(len(hs), len(labels))
-    labels = tuple(sorted(set().union(*[h.words for h in hs])))
-    column = {word: k for k, word in enumerate(labels)}
+    labels, column = _merge_plan(tuple(chain.from_iterable([h.words for h in hs])), hs[0].n_qubits)
     coeffs = np.zeros((len(hs), len(labels)))
-    coeffs[[b for b, h in enumerate(hs) for _ in h.words],
-           [column[w] for h in hs for w in h.words]] = np.concatenate([h.coeffs for h in hs])
+    coeffs[np.arange(len(hs)).repeat([h.n_terms for h in hs]), column] = np.concatenate(
+        [h.coeffs for h in hs])
     return labels, coeffs
 
 
@@ -245,11 +242,9 @@ def _trace_plan(labels: tuple[str, ...], keep: tuple[int, ...], n_qubits: int):
     complement word, the sorted reduced words, and the one each term lands on."""
     comp = [q for q in range(n_qubits) if q not in keep]
     src, phase = _term_stack(tuple(["".join(w[q] for q in comp) for w in labels]), len(comp))
-    reduced = ["".join(w[q] for q in keep) for w in labels]
-    words = sorted(set(reduced))
+    reduced = tuple(["".join(w[q] for q in keep) for w in labels])
     return (read_only(src + src.shape[1] * np.arange(src.shape[1])),
-            read_only(np.take_along_axis(phase, src, axis=-1)), tuple(words),
-            read_only(np.array([words.index(w) for w in reduced], dtype=np.intp)))
+            read_only(np.take_along_axis(phase, src, axis=-1)), *_merge_plan(reduced, len(keep)))
 
 
 def _row_sum(p: np.ndarray) -> np.ndarray:

@@ -65,10 +65,13 @@ def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return vals, vecs, np.minimum(gaps[:, :-1], gaps[:, 1:]) < DEGENERACY_GAP
 
 
-def exact_spectrum(h: PauliHamiltonian | np.ndarray) -> SpectrumResult:
-    """Full dense eigen-decomposition of a Hamiltonian, or of its dense
-    matrix, phase-normalized, ascending."""
-    m = h if isinstance(h, np.ndarray) else to_dense_matrix(h)
+def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
+    """Full dense eigen-decomposition of a Hamiltonian, phase-normalized, ascending."""
+    return _spectrum(to_dense_matrix(h))
+
+
+def _spectrum(m: np.ndarray) -> SpectrumResult:
+    """exact_spectrum of the Hamiltonian whose dense matrix is `m`."""
     vals, vecs, flags = stacked_spectrum(m[None])
     return SpectrumResult(vals[0], vecs[0], tuple(flags[0].tolist()))
 

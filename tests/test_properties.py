@@ -12,7 +12,7 @@ from conftest import (apply, apply_word, canonical_oracle, circuit_unitary, cmf_
                       term_loop)
 from vqite import (PauliHamiltonian, StateVector, cmf_reduce_rows,
                    pauli_decompose, run_circuit, to_dense_matrix, weighted_partial_trace)
-from vqite.pauli import PAULI_MATRICES
+from vqite.pauli import PAULI_MATRICES, term_columns
 from vqite.simulator import (Gate, apply_gate, apply_on_axis, cnot, controlled_pauli,
                              cz, hadamard, rx, ry, rz, x, y, z)
 
@@ -82,6 +82,19 @@ def test_canonical_form_is_dict_merge(n, data):
         broken = pairs[:at] + [bad] + pairs[at:]
         for build in (canonical_oracle, hamiltonian_terms):
             assert canonical(build, broken, n) == "ValueError", (build, bad)
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(hamiltonians(n), min_size=1, max_size=4)))
+def test_term_columns_is_union_loop(hs):
+    # each row's coefficients written at its word's column of the sorted union
+    labels = tuple(sorted({w for h in hs for w in h.words}))
+    oracle = np.zeros((len(hs), len(labels)))
+    for b, h in enumerate(hs):
+        for w, c in zip(h.words, h.coeffs.tolist()):
+            oracle[b, labels.index(w)] = c
+    got_labels, got = term_columns(hs)
+    assert got_labels == labels and got.tobytes() == oracle.tobytes()
 
 
 @PROPERTY
