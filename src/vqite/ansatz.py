@@ -34,8 +34,9 @@ matrix-exponential oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ from .simulator import (Gate, StateVector, basis_state, check_norms, cnot,
 DERIVATIVE_PREFACTOR = -0.5j
 
 
-@dataclass(frozen=True, slots=True)
-class DerivativeDescriptor:
+class DerivativeDescriptor(NamedTuple):
     """How to differentiate one circuit parameter.
 
     `insertion_point` is the gate-list index at which `sigma`, a
@@ -60,28 +60,25 @@ class DerivativeDescriptor:
     sigma: PauliString
 
 
-@dataclass(frozen=True)
 class AnsatzCircuit:
     """A parameterized circuit with reference state and derivative data, at
     one angle vector (`parameters` of shape (gamma,)) or at B rows of angles
     ((B, gamma); each rotation gate then holds a (B, 2, 2) matrix stack)."""
 
-    gates: tuple[Gate, ...]
-    parameters: np.ndarray
-    descriptors: tuple[DerivativeDescriptor, ...]
-    reference_state: StateVector
-    n_system_qubits: int
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.parameters, dtype=float)
-        object.__setattr__(self, "parameters", theta if theta.ndim == 2 else theta.reshape(-1))
-        if len(self.descriptors) != self.parameters.shape[-1]:
+    def __init__(self, gates: tuple[Gate, ...], parameters,
+                 descriptors: tuple[DerivativeDescriptor, ...],
+                 reference_state: StateVector, n_system_qubits: int) -> None:
+        theta = np.asarray(parameters, dtype=float)
+        self.gates, self.descriptors, self.reference_state = gates, descriptors, reference_state
+        self.parameters = theta if theta.ndim == 2 else theta.reshape(-1)
+        self.n_system_qubits, self._states = n_system_qubits, None
+        if len(descriptors) != self.parameters.shape[-1]:
             raise ValueError("one derivative descriptor per parameter required")
-        points = [0, *(d.insertion_point for d in self.descriptors), len(self.gates)]
+        points = [0, *(d.insertion_point for d in descriptors), len(gates)]
         if points != sorted(points):
-            raise ValueError(f"insertion points not in order within 0..{len(self.gates)}")
-        self.__dict__["_joins"] = tuple(   # (insertion point, src, phase) of each branch
-            [(d.insertion_point, *_signed_permutation(d.sigma.letters)) for d in self.descriptors])
+            raise ValueError(f"insertion points not in order within 0..{len(gates)}")
+        self._joins = tuple(   # (insertion point, src, phase) of each branch
+            [(d.insertion_point, *_signed_permutation(d.sigma.letters)) for d in descriptors])
 
     @property
     def n_parameters(self) -> int:
@@ -104,15 +101,16 @@ class AnsatzCircuit:
         stack = run_gates(stack.reshape(shape), self.gates[k:], per_state=True).reshape(end, -1)
         psi = stack[:rows]          # its norms as np.linalg.norm sums them
         check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
-        self.__dict__.setdefault("_states", read_only(psi))
+        if self._states is None:
+            self._states = read_only(psi)
         return stack
 
     def states(self) -> np.ndarray:
         """(B, 2^n) read-only amplitudes, one row per angle row: the head of
         the derivative sweep if it ran first, else a sweep of the B rows."""
-        if "_states" not in self.__dict__:
+        if self._states is None:
             self._sweep(())
-        return self.__dict__["_states"]
+        return self._states
 
     def state(self) -> StateVector:
         """The state of a circuit at one angle vector."""
@@ -178,8 +176,8 @@ def _build(family: str, theta) -> AnsatzCircuit:
     gates = list(template.gates)
     for k, matrix in zip(rotations, rotation_matrix(axes, theta).swapaxes(-3, 0)):
         gates[k] = Gate(matrix, gates[k].target)
-    circuit = object.__new__(AnsatzCircuit)    # the template's checks hold; it is never swept
-    circuit.__dict__.update(template.__dict__, gates=tuple(gates), parameters=theta)
+    circuit = copy.copy(template)    # the template's checks hold; it is never swept
+    circuit.gates, circuit.parameters = tuple(gates), theta
     return circuit
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,8 @@ ANSATZ_BUILDERS = {
     "ucc-lih": build_ucc_lih,
     "he": build_hardware_efficient,
 }
+
+ANSATZ_QUBITS = {"ucc-h2": 2, "ucc-lih": 3, "he": 2}
 
 DEFAULT_THETA0 = {
     "ucc-h2": (2.0,),
@@ -93,23 +96,22 @@ class RunManifest:
         return self.theta0 if self.theta0 is not None else DEFAULT_THETA0[self.ansatz]
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     r: float
     e_qite: float
     e_exact: float
     final_fidelity: float | None
     iterations_used: int
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
 
-def load_manifest_table(manifest: RunManifest) -> MoleculeTable:
-    if manifest.table == "lih":
+def load_manifest_table(name: str) -> MoleculeTable:
+    if name == "lih":
         return load_lih_table()
-    if manifest.table == "h2-synthetic":
+    if name == "h2-synthetic":
         return load_h2_synthetic_table()
     try:
-        return load_table(manifest.table)
+        return load_table(name)
     except OSError as exc:
         raise ManifestError(f"cannot read table: {exc}") from exc
 
@@ -127,6 +129,10 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         raise ManifestError("the he ansatz needs --cmf on a 3-qubit table")
     if manifest.ansatz == "he" and table.n_qubits not in (2, 3):
         raise ManifestError("the he ansatz needs a 2- or 3-qubit table")
+    run_qubits = 2 if manifest.cmf else table.n_qubits
+    if ANSATZ_QUBITS[manifest.ansatz] != run_qubits:
+        raise ManifestError(f"{manifest.ansatz} acts on {ANSATZ_QUBITS[manifest.ansatz]} "
+                            f"qubits, the run's Hamiltonian on {run_qubits}")
     theta0 = manifest.resolved_theta0()
     expected = len(DEFAULT_THETA0[manifest.ansatz])
     if len(theta0) != expected:
@@ -136,15 +142,14 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
     if manifest.r_selection == "all":
         rs = table.bond_distances
     else:
-        rs = tuple(manifest.r_selection)
-        if not rs:
+        if not manifest.r_selection:
             raise ManifestError("empty bond-distance selection")
-        known = set(table.bond_distances)
-        missing = [r for r in rs if not any(abs(r - k) < 1e-9 for k in known)]
+        known = table.bond_distances
+        missing = [r for r in manifest.r_selection if not any(abs(r - k) < 1e-9 for k in known)]
         if missing:
             raise ManifestError(f"bond distances not in table: {missing}")
-        rows = [k for r in rs for k in known if abs(r - k) < 1e-9]
-        repeated = sorted({k for k in rows if rows.count(k) > 1})
+        rs = tuple(k for r in manifest.r_selection for k in known if abs(r - k) < 1e-9)
+        repeated = sorted({k for k in rs if rs.count(k) > 1})
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
     if manifest.seed < 0:
@@ -208,7 +213,7 @@ def run_scan(manifest: RunManifest):
     points that prepare cleanly run as one run_qite_rows batch; if the batch
     raises, each of them runs alone, and only the points that fail alone fail.
     """
-    table = load_manifest_table(manifest)
+    table = load_manifest_table(manifest.table)
     rs = validate_manifest(manifest, table)
     flagged = discontinuity_rs(table)
     hs = [hamiltonian_at(table, r) for r in rs]
@@ -421,7 +426,7 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    table = load_manifest_table(RunManifest(table=args.table))
+    table = load_manifest_table(args.table)
     dense = to_dense_matrix(hamiltonian_at(table, args.r))
     spec, bound = _spectrum(dense), gershgorin_emax(dense)
     print("eigenvalues:", " ".join(format_number(v) for v in spec.eigenvalues))
@@ -435,7 +440,7 @@ def _cmd_excited(args) -> int:
     dtau = _parse_dtau(args.dtau)
     if args.seed < 0:
         raise ManifestError(f"--seed must be non-negative, got {args.seed}")
-    table = load_manifest_table(RunManifest(table=args.table))
+    table = load_manifest_table(args.table)
     h = hamiltonian_at(table, args.r)
     if table.n_qubits == 3:
         h_base = cmf_reduce(h).h_eff
@@ -468,7 +473,7 @@ def _cmd_excited(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        table = load_manifest_table(RunManifest(table=args.table))
+        table = load_manifest_table(args.table)
     except (ManifestError, ValueError) as exc:
         print(f"invalid table: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ sweep and one Pauli expansion.  Each row equals its reduction alone, bit for bit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ SUBSYSTEM_B = (2,)
 INITIAL_RHO_B = DensityMatrix(0.5 * (PAULI_MATRICES["I"] + PAULI_MATRICES["X"]))
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
+class EffectiveHamiltonian(NamedTuple):
     """CMF-reduced Hamiltonian plus the basis back-map.
 
     `basis_isometry` columns are the orthonormal effective basis vectors

@@ -27,7 +27,8 @@ the H|psi> that gave B.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +80,7 @@ class QiteConfig:
             raise ValueError("dtau must be a positive number or 'auto'")
 
 
-@dataclass(frozen=True)
-class EnergyMap:
+class EnergyMap(NamedTuple):
     """Back-transform for CMF runs: the reduction plus the original Hamiltonian."""
 
     effective: EffectiveHamiltonian
@@ -92,8 +92,7 @@ class EnergyMap:
         return cls(eff, h_original)
 
 
-@dataclass(frozen=True)
-class QiteRecord:
+class QiteRecord(NamedTuple):
     iteration: int
     theta: np.ndarray
     a_matrix: np.ndarray | None
@@ -102,8 +101,7 @@ class QiteRecord:
     fidelity: float | None
 
 
-@dataclass(frozen=True)
-class QiteTrajectory:
+class QiteTrajectory(NamedTuple):
     records: tuple[QiteRecord, ...]
     final_state: StateVector
     converged_energy: float
@@ -113,7 +111,7 @@ class QiteTrajectory:
     ground_degenerate: bool
     dtau: float
     iterations: int
-    monotonicity_violations: tuple[int, ...] = field(default=())
+    monotonicity_violations: tuple[int, ...] = ()
 
 
 def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
@@ -208,8 +206,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     return trajectories
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     theta0: float
     final_energy: float
     final_fidelity: float | None

@@ -28,7 +28,6 @@ a fully degenerate A yields a zero update flagged as stationary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ class McLachlanSystem(NamedTuple):
     h_psi: np.ndarray | None = None   # exact route: H|psi> of each row
 
 
-@dataclass(frozen=True, slots=True)
-class HadamardTestCircuit:
+class HadamardTestCircuit(NamedTuple):
     """One ancilla test: phased ancilla, gate list, Z measurement.
 
     The ancilla, the last qubit, is prepared in (|0> + e^{i ancilla_phase}
@@ -68,8 +66,7 @@ class HadamardTestCircuit:
     system_reference: StateVector
 
 
-@dataclass(frozen=True, slots=True)
-class HadamardJob:
+class HadamardJob(NamedTuple):
     """A test circuit plus its weight and destination entry."""
 
     circuit: HadamardTestCircuit

@@ -9,7 +9,7 @@ first excited level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .simulator import DensityMatrix
 DEGENERACY_GAP = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Ascending eigenvalues with matching orthonormal eigenvectors."""
 
     eigenvalues: np.ndarray
@@ -41,11 +40,9 @@ class SpectrumResult:
         return self.degeneracy_flags[0]
 
 
-@dataclass(frozen=True)
-class GershgorinBound:
-    """Row discs (center, radius) and the spectrum upper bound they give."""
+class GershgorinBound(NamedTuple):
+    """The upper bound on a Hermitian matrix's spectrum that its row discs give."""
 
-    discs: tuple[tuple[float, float], ...]
     e_max: float
 
 
@@ -81,12 +78,8 @@ def gershgorin_emax(h_dense: np.ndarray) -> GershgorinBound:
     m = np.asarray(h_dense, dtype=complex)
     if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
         raise ValueError("Gershgorin bound expects a Hermitian matrix")
-    discs = []
-    for i in range(m.shape[0]):
-        radius = float(np.sum(np.abs(m[i]))) - abs(m[i, i])
-        discs.append((float(m[i, i].real), radius))
-    e_max = max(c + r for c, r in discs)
-    return GershgorinBound(tuple(discs), e_max)
+    return GershgorinBound(max(float(m[i, i].real) + (float(np.sum(np.abs(m[i]))) - abs(m[i, i]))
+                               for i in range(m.shape[0])))
 
 
 def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,

@@ -224,6 +224,16 @@ def spectrum_oracle(m):
     return vals, np.column_stack(cols), flags
 
 
+def check_gershgorin(m, bound):
+    """bound.e_max is max_i(Re m_ii + sum_{j!=i} |m_ij|) of the dense matrix
+    m within 1e-12, and no eigenvalue of m lies above it."""
+    n = len(m)
+    oracle = max(m[i][i].real + sum(abs(m[i][j]) for j in range(n) if j != i)
+                 for i in range(n))
+    assert abs(bound.e_max - oracle) <= 1e-12
+    assert all(lam <= bound.e_max + 1e-9 for lam in np.linalg.eigvalsh(m))
+
+
 def coeff_key(vec):
     """The tie-break key of a CMF candidate: its coefficients rounded to 12
     decimals, real parts then imaginary."""

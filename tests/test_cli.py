@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import serialize_table
+from conftest import run_cli, serialize_table
 from vqite import (MoleculeTable, build_ucc_lih, cmf_reduce, hamiltonian_at, load_lih_table,
                    run_qite, to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, discontinuity_rs,
@@ -68,12 +68,17 @@ def test_variational_bound_on_curve():
         assert "bound-violation" not in p.flags
 
 
-def test_discontinuity_flags(lih_table):
+def test_discontinuity_flags(lih_table, tmp_path):
     assert discontinuity_rs(lih_table) == {4.9, 5.0}
     points, _, _ = run_scan(manifest(r_selection=(4.9,)))
     assert "discontinuity" in points[0].flags
     points, _, _ = run_scan(manifest(r_selection=(1.5,)))
     assert "discontinuity" not in points[0].flags
+    # an R typed within the row-match tolerance runs as its row, flag included
+    runs = [run_cli(["scan", "--cmf", "--r", rs], tmp_path / rs)
+            for rs in ("4.9,5.0", "4.9000000001,5.0000000001")]
+    assert runs[0] == runs[1]
+    assert runs[0][1].count("flags=discontinuity") == 2
 
 
 def test_manifest_validation_errors():
@@ -89,6 +94,8 @@ def test_manifest_validation_errors():
         run_scan(manifest(r_selection=(1.5, 1.5 + 1e-10)))  # one row twice
     with pytest.raises(ManifestError):
         run_scan(manifest(theta0=(0.1, 0.2)))          # wrong arity for he
+    with pytest.raises(ManifestError):
+        run_scan(manifest(ansatz="ucc-lih"))           # 3-qubit ansatz, 2-qubit CMF run
 
 
 def test_h2_table_scan():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import coefficient, serialize_table, table_coefficient, term_bytes
+from conftest import (check_gershgorin, coefficient, serialize_table, table_coefficient,
+                      term_bytes)
 from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax, hamiltonian_at,
                    load_h2_synthetic_table, load_lih_table, load_table, parse_table,
                    to_dense_matrix)
@@ -31,9 +32,7 @@ def test_bundle_rows_hermitian_within_gershgorin(lih_table):
     for r in lih_table.bond_distances:
         dense = to_dense_matrix(hamiltonian_at(lih_table, r))
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
-        bound = gershgorin_emax(dense)
-        for lam in np.linalg.eigvalsh(dense):
-            assert any(abs(lam - c) <= rad + 1e-9 for c, rad in bound.discs)
+        check_gershgorin(dense, gershgorin_emax(dense))
 
 
 def test_parse_toy_table_comma_and_tab():
