@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import build_hardware_efficient, build_ucc_h2, build_ucc_lih
-from .cmf import cmf_reduce, cmf_stages
+from .cmf import cmf_reduce, cmf_reduce_rows
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
 from .pauli import to_dense_matrix
 from .simulator import DensityMatrix
@@ -121,14 +121,8 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         raise ManifestError(f"unknown ansatz '{manifest.ansatz}'")
     if manifest.ansatz == "ucc-h2" and table.n_qubits != 2:
         raise ManifestError("ucc-h2 needs a 2-qubit table")
-    if manifest.ansatz == "ucc-lih" and table.n_qubits != 3:
-        raise ManifestError("ucc-lih needs a 3-qubit table")
     if manifest.cmf and table.n_qubits != 3:
         raise ManifestError("the CMF reduction is defined for 3-qubit tables")
-    if manifest.ansatz == "he" and table.n_qubits == 3 and not manifest.cmf:
-        raise ManifestError("the he ansatz needs --cmf on a 3-qubit table")
-    if manifest.ansatz == "he" and table.n_qubits not in (2, 3):
-        raise ManifestError("the he ansatz needs a 2- or 3-qubit table")
     run_qubits = 2 if manifest.cmf else table.n_qubits
     if ANSATZ_QUBITS[manifest.ansatz] != run_qubits:
         raise ManifestError(f"{manifest.ansatz} acts on {ANSATZ_QUBITS[manifest.ansatz]} "
@@ -192,62 +186,53 @@ def _point_seed(seed: int, r: float):
     return (seed, int(round(r * 1000)))
 
 
-def _prepare(manifest: RunManifest, h, r: float, finish, row: int):
-    """(h_system, config, energy_map, cmf record) of the scan point (r, h)."""
-    config = QiteConfig(initial_theta=manifest.resolved_theta0(),
-                        iterations=manifest.iterations, dtau=manifest.dtau, route=manifest.route,
-                        shots=manifest.shots, seed=_point_seed(manifest.seed, r))
-    if not manifest.cmf:
-        return h, config, None, None
-    eff = finish(row)
-    return eff.h_eff, config, EnergyMap.from_effective(eff, h), (r, eff.provenance)
-
-
 def run_scan(manifest: RunManifest):
     """Execute the manifest; returns (points, trajectories, cmf records).
 
     Results are merged in bond-distance order, and every point's random
-    stream is seeded from (seed, R).  A failing point is recorded with an
-    `error:<ExceptionType>` flag and its message goes to stderr.  Each point
-    takes its row of one batched CMF reduction (cmf_stages), and the
-    points that prepare cleanly run as one run_qite_rows batch; if the batch
-    raises, each of them runs alone, and only the points that fail alone fail.
+    stream is seeded from (seed, R).  One step runs all points at once:
+    hamiltonian_at, the batched CMF reduction (cmf_reduce_rows) when --cmf is
+    set, then one run_qite_rows batch.  If the step raises, it runs again for
+    each point alone, and only the points that fail alone are recorded, with
+    an `error:<ExceptionType>` flag and their message on stderr.
     """
     table = load_manifest_table(manifest.table)
     rs = validate_manifest(manifest, table)
     flagged = discontinuity_rs(table)
-    hs = [hamiltonian_at(table, r) for r in rs]
-    finish = cmf_stages(hs) if manifest.cmf else None
     builder = ANSATZ_BUILDERS[manifest.ansatz]
-    rows, failed, trajectories = {}, {}, {}
-    for k, r in enumerate(rs):
-        try:
-            rows[k] = _prepare(manifest, hs[k], r, finish, k)
-        except Exception as exc:  # per-point failure: recorded, not fatal
-            failed[k] = exc
 
-    def run(ks):
-        h_systems, configs, maps, _ = zip(*[rows[k] for k in ks]) if ks else ((),) * 4
-        trajectories.update(zip(ks, run_qite_rows(h_systems, builder, configs, maps)))
+    def step(rows):  # (trajectory, cmf record) of each bond distance in rows
+        hs = [hamiltonian_at(table, r) for r in rows]
+        configs = [QiteConfig(initial_theta=manifest.resolved_theta0(),
+                              iterations=manifest.iterations, dtau=manifest.dtau,
+                              route=manifest.route, shots=manifest.shots,
+                              seed=_point_seed(manifest.seed, r)) for r in rows]
+        if not manifest.cmf:
+            return [(t, None) for t in run_qite_rows(hs, builder, configs)]
+        effs = cmf_reduce_rows(hs)
+        trajs = run_qite_rows([e.h_eff for e in effs], builder, configs,
+                              [EnergyMap.from_effective(e, h) for e, h in zip(effs, hs)])
+        return [(t, (r, e.provenance)) for t, r, e in zip(trajs, rows, effs)]
 
     try:
-        run(list(rows))
-    except Exception:  # some row fails the batch: rerun each alone
-        for k in rows:
+        outcomes = step(rs)
+    except Exception:  # some point fails the batch: rerun each alone
+        outcomes = []
+        for r in rs:
             try:
-                run([k])
-            except Exception as exc:
-                failed[k] = exc
+                outcomes += step([r])
+            except Exception as exc:  # per-point failure: recorded, not fatal
+                outcomes.append(exc)
 
     results = []
-    for k, r in enumerate(rs):
-        traj = trajectories.get(k)
-        if traj is None:
-            kind = type(failed[k]).__name__
-            print(f"R={r:g}: {kind}: {failed[k]}", file=sys.stderr)
+    for r, outcome in zip(rs, outcomes):
+        if isinstance(outcome, Exception):
+            kind = type(outcome).__name__
+            print(f"R={r:g}: {kind}: {outcome}", file=sys.stderr)
             results.append((CurvePoint(r, float("nan"), float("nan"), None,
                                        manifest.iterations, ("error:" + kind,)), None, None))
             continue
+        traj, record = outcome
         flags = tuple(flag for flag, hit in (
             ("stationary", traj.stationary),
             ("degenerate", traj.ground_degenerate),
@@ -257,7 +242,7 @@ def run_scan(manifest: RunManifest):
         ) if hit)
         results.append((CurvePoint(r, traj.converged_energy, traj.exact_energy,
                                    traj.final_fidelity, manifest.iterations, flags),
-                        traj, rows[k][3]))
+                        traj, record))
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}
@@ -438,17 +423,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_excited(args) -> int:
     dtau = _parse_dtau(args.dtau)
-    if args.seed < 0:
-        raise ManifestError(f"--seed must be non-negative, got {args.seed}")
     table = load_manifest_table(args.table)
     h = hamiltonian_at(table, args.r)
-    if table.n_qubits == 3:
-        h_base = cmf_reduce(h).h_eff
-    elif table.n_qubits == 2:
-        h_base = h
-    else:
-        print("excited mode needs a 2- or 3-qubit table", file=sys.stderr)
-        return 2
+    manifest = RunManifest(table=args.table, ansatz="he", cmf=table.n_qubits == 3,
+                           r_selection=(args.r,), iterations=args.iters, dtau=dtau,
+                           seed=args.seed)
+    validate_manifest(manifest, table)
+    h_base = cmf_reduce(h).h_eff if manifest.cmf else h
     dense = to_dense_matrix(h_base)
     spec, bound = _spectrum(dense), gershgorin_emax(dense)
     ground = DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj()))
@@ -474,7 +455,7 @@ def _cmd_excited(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         table = load_manifest_table(args.table)
-    except (ManifestError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid table: {exc}", file=sys.stderr)
         return 2
     print(f"molecule: {table.molecule_name or '(unnamed)'}")

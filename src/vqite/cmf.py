@@ -25,6 +25,8 @@ steps 1-3 over the conditioning weights of every row (B, 2B and 4B), each
 partial trace one gather through a compiled trace plan and each spectrum one
 eigh of a stack; steps 4-5 over the candidates of every row, one Gram-Schmidt
 sweep and one Pauli expansion.  Each row equals its reduction alone, bit for bit.
+cmf_reduce_rows is that batch; one failing row fails it, and a scan then
+reduces each row alone (cli.run_scan).
 """
 
 from __future__ import annotations
@@ -65,30 +67,17 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, None] * b[:, None, :]
 
 
-def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
-    """Run the layered reduction on every row; deterministic, and each row
-    equals cmf_reduce of that row alone bit for bit."""
-    hs = list(hamiltonians)
-    return list(map(cmf_stages(hs), range(len(hs))))
-
-
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
     """Run the layered reduction on one Hamiltonian."""
     return cmf_reduce_rows([h])[0]
 
 
-def cmf_stages(hs: list[PauliHamiltonian]):
-    """finish(b) -> the reduction of hs[b], with all five steps run once for
-    all rows.  If the batch raises, finish(b) reduces row b alone, and only
-    the rows that fail alone raise."""
-    try:
-        return _stages(hs).__getitem__
-    except Exception:  # any failing row fails the whole batch
-        return lambda b: _stages(hs[b:b + 1])[0]
-
-
-def _stages(hs: list[PauliHamiltonian]) -> list[EffectiveHamiltonian]:
-    """Steps 1-5 for all rows at once."""
+def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
+    """Steps 1-5 run once for all rows; deterministic, and each row equals
+    cmf_reduce of that row alone bit for bit.  A failing row fails the batch."""
+    hs = list(hamiltonians)
+    if not hs:
+        return []
     if any(h.n_qubits != 3 for h in hs):
         raise ValueError("the one-layer reduction is defined for 3-qubit input")
     labels, coeffs, rows = *term_columns(hs), len(hs)

@@ -117,6 +117,8 @@ class QiteTrajectory(NamedTuple):
 def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
     if config.dtau == "auto":
         h_z = average_z_coefficient(h_for_rule)
+        if h_z == 0:
+            raise ValueError("single-qubit Z coefficients average to 0; use a fixed dtau instead")
         return DEFAULT_DTAU_C / (abs(h_z) * config.iterations)
     value = float(config.dtau)
     if not 0 < value < np.inf:  # NaN fails too

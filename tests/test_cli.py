@@ -82,7 +82,7 @@ def test_discontinuity_flags(lih_table, tmp_path):
 
 
 def test_manifest_validation_errors():
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match="he acts on 2 qubits, the run's Hamiltonian on 3"):
         run_scan(manifest(ansatz="he", cmf=False))     # 3-qubit table, no CMF
     with pytest.raises(ManifestError):
         run_scan(manifest(ansatz="ucc-h2"))            # needs 2-qubit table
@@ -94,7 +94,7 @@ def test_manifest_validation_errors():
         run_scan(manifest(r_selection=(1.5, 1.5 + 1e-10)))  # one row twice
     with pytest.raises(ManifestError):
         run_scan(manifest(theta0=(0.1, 0.2)))          # wrong arity for he
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match="ucc-lih acts on 3 qubits, the run's Hamiltonian on 2"):
         run_scan(manifest(ansatz="ucc-lih"))           # 3-qubit ansatz, 2-qubit CMF run
 
 
@@ -154,6 +154,30 @@ def test_main_excited_negative_seed_exit_two(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("manifest error: --seed must be non-negative, got -1")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--table", "one_qubit.csv"], ["--iters", "0"]])
+def test_main_excited_argument_errors_are_manifest_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one_qubit.csv").write_text("R,Z\n1.5,1.0\n")
+    assert main(["excited", "--r", "1.5", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("manifest error: ")
+    assert captured.out == ""
+
+
+def test_auto_dtau_rejects_zero_mean_single_z(tmp_path, capsys):
+    # The single-Z coefficients sum to 0, so the auto rule has no step size.
+    table = tmp_path / "zero.csv"
+    table.write_text("R,ZI,IZ,XX\n0.5,1.0,-1.0,0.3\n")
+    message = "single-qubit Z coefficients average to 0; use a fixed dtau instead"
+    assert main(["excited", "--table", str(table), "--r", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["scan", "--table", str(table), "--ansatz", "he",
+                 "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"R=0.5: ValueError: {message}\n"
+    assert (tmp_path / "d" / "curve.csv").read_text().splitlines()[1].endswith(
+        ",error:ValueError")
 
 
 def test_main_builds_its_parser_once(capsys):
@@ -263,9 +287,9 @@ def test_per_point_error_sets_flag_and_exit(tmp_path, monkeypatch, capsys):
     assert "R=1.4: ValueError: dims (2, 3) disagree" in capsys.readouterr().err
 
 
-def _failing_at_r15(stage, real):
-    """`real`, raising ArithmeticError whenever it works on the R = 1.5 row."""
-    h = hamiltonian_at(load_lih_table(), 1.5)
+def _failing_reduction(stage, real, r=1.5, error=ArithmeticError):
+    """`real`, raising `error` whenever it works on the row of R = r."""
+    h = hamiltonian_at(load_lih_table(), r)
     if stage == "_select_basis":                 # batched: a matrix of the (B, 8, 8) H stack
         target = to_dense_matrix(h)
         hit = lambda args: any(np.array_equal(m, target) for m in args[0])
@@ -275,7 +299,7 @@ def _failing_at_r15(stage, real):
 
     def stage_fn(*args):
         if hit(args):
-            raise ArithmeticError("injected at R=1.5")
+            raise error(f"injected at R={r:g}")
         return real(*args)
     return stage_fn
 
@@ -290,7 +314,7 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
     clean = (tmp_path / "clean" / "curve.csv").read_text().splitlines()
     capsys.readouterr()
 
-    monkeypatch.setattr(cmf_mod, stage, _failing_at_r15(stage, getattr(cmf_mod, stage)))
+    monkeypatch.setattr(cmf_mod, stage, _failing_reduction(stage, getattr(cmf_mod, stage)))
     assert main(args + ["--out", str(tmp_path / "failed")]) == 1
     rows = (tmp_path / "failed" / "curve.csv").read_text().splitlines()
     assert rows[1::2] == clean[1::2]      # the rows of R = 1.0 and 3.0 are unchanged
@@ -303,9 +327,9 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
     assert "[R=1]" in selection and "[R=3]" in selection and "[R=1.5]" not in selection
 
 
-def _failing_qite_at_r15(stage, real):
-    """`real`, raising ArithmeticError whenever its batch holds the R = 1.5 row."""
-    h = hamiltonian_at(load_lih_table(), 1.5)
+def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
+    """`real`, raising `error` whenever its batch holds the row of R = r."""
+    h = hamiltonian_at(load_lih_table(), r)
     if stage in ("compute_exact", "compute_sampled"):   # the rows' reduced Hamiltonians
         target = cmf_reduce(h).h_eff
         hit = lambda args: any(x.words == target.words and np.array_equal(x.coeffs, target.coeffs)
@@ -316,7 +340,7 @@ def _failing_qite_at_r15(stage, real):
 
     def stage_fn(*args):
         if hit(args):
-            raise ArithmeticError("injected at R=1.5")
+            raise error(f"injected at R={r:g}")
         return real(*args)
     return stage_fn
 
@@ -333,7 +357,7 @@ def test_failing_qite_row_flags_only_its_row(stage, tmp_path, monkeypatch, capsy
     clean = (tmp_path / "clean" / "curve.csv").read_text().splitlines()
     capsys.readouterr()
 
-    monkeypatch.setattr(engine_mod, stage, _failing_qite_at_r15(stage, getattr(engine_mod, stage)))
+    monkeypatch.setattr(engine_mod, stage, _failing_qite(stage, getattr(engine_mod, stage)))
     assert main(args + ["--out", str(tmp_path / "failed")]) == 1
     rows = (tmp_path / "failed" / "curve.csv").read_text().splitlines()
     assert rows[1::2] == clean[1::2]      # the rows of R = 1.0 and 3.0 are unchanged
@@ -345,6 +369,36 @@ def test_failing_qite_row_flags_only_its_row(stage, tmp_path, monkeypatch, capsy
     assert not (tmp_path / "failed" / "trace_R1.5.csv").exists()
     selection = (tmp_path / "failed" / "cmf_selection.txt").read_text()
     assert "[R=1]" in selection and "[R=1.5]" not in selection
+
+
+def test_reduction_and_qite_failures_share_one_fallback(tmp_path, monkeypatch, capsys):
+    # R = 1.5 fails its reduction and R = 3.0 its QITE run: the batch of all
+    # three fails, each row reruns alone, and R = 1.0 keeps its clean bytes.
+    import vqite.cmf as cmf_mod
+    import vqite.engine as engine_mod
+    args = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "1.0,1.5,3.0",
+            "--trace"]
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    assert main(args + ["--out", str(clean)]) == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(cmf_mod, "_select_basis",
+                        _failing_reduction("_select_basis", cmf_mod._select_basis))
+    monkeypatch.setattr(engine_mod, "compute_exact",
+                        _failing_qite("compute_exact", engine_mod.compute_exact, 3.0,
+                                      FloatingPointError))
+    assert main(args + ["--out", str(failed)]) == 1
+    rows = (failed / "curve.csv").read_text().splitlines()
+    assert rows[:2] == (clean / "curve.csv").read_text().splitlines()[:2]
+    assert rows[2:] == ["1.5,nan,nan,,4,error:ArithmeticError",
+                        "3,nan,nan,,4,error:FloatingPointError"]
+    assert capsys.readouterr().err.splitlines() == [
+        "R=1.5: ArithmeticError: injected at R=1.5",
+        "R=3: FloatingPointError: injected at R=3"]
+    assert sorted(p.name for p in failed.glob("trace_*")) == ["trace_R1.csv"]
+    assert read(failed / "trace_R1.csv") == read(clean / "trace_R1.csv")
+    blocks = [(d / "cmf_selection.txt").read_text().strip().split("\n\n") for d in (clean, failed)]
+    assert blocks[1] == blocks[0][:1] and blocks[0][0].startswith("[R=1]\n")
 
 
 def test_scan_warnings_follow_row_order():

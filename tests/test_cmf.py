@@ -6,7 +6,7 @@ import pytest
 from conftest import cmf_oracle, per_stage_cmf, random_state, reduction_bytes
 from vqite import (PauliHamiltonian, cmf, cmf_reduce, cmf_reduce_rows, exact_spectrum,
                    hamiltonian_at, lift_amplitudes, to_dense_matrix)
-from vqite.cmf import INITIAL_RHO_B, cmf_stages
+from vqite.cmf import INITIAL_RHO_B
 
 
 def test_default_seed_state_is_plus_x():
@@ -111,7 +111,7 @@ def test_batched_rows_equal_per_row_oracle_bitwise(lih_table):
     hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
     assert {h.n_terms for h in hs} == {11, 13}
     effs = cmf_reduce_rows(hs)
-    assert len(effs) == len(hs)
+    assert len(effs) == len(hs) and cmf_reduce_rows([]) == []
     for r, h, eff in zip(lih_table.bond_distances, hs, effs):
         assert (reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance)
                 == reduction_bytes(*cmf_oracle(h))), r
@@ -125,11 +125,10 @@ def test_stacked_stages_equal_per_stage_form(rows, lih_table, monkeypatch):
     hs = [hamiltonian_at(lih_table, r) for r in rs]
     real, sizes = cmf.stacked_spectrum, []
     monkeypatch.setattr(cmf, "stacked_spectrum", lambda m: sizes.append(len(m)) or real(m))
-    finish = cmf_stages(hs)
+    effs = cmf_reduce_rows(hs)
     monkeypatch.undo()
     assert sizes == [rows, 2 * rows, 4 * rows]
-    for b, want in enumerate(per_stage_cmf(hs)):
-        got = finish(b)
+    for b, (got, want) in enumerate(zip(effs, per_stage_cmf(hs))):
         assert (reduction_bytes(got.basis_isometry, got.h_eff, got.provenance)
                 == reduction_bytes(want.basis_isometry, want.h_eff, want.provenance)), rs[b]
 
