@@ -13,15 +13,14 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
-Each family compiles once into a template, its circuit at zero angles run
-through AnsatzCircuit's checks, which holds each branch's join: insertion
-point and sigma_n as a signed permutation (src, phase).  A build, at one
-angle vector or a (B, gamma) array of B rows, copies it with only the
-rotation stack new, from one rotation_matrix call.  One sweep writes the B
-forward rows and each branch (sigma_n of the forward rows at its insertion
-point) into one (B (1 + gamma), 2^n) buffer, each gate running once over
-the rows written so far; states alone sweep the forward rows.  Insertion
-points are non-decreasing, so the Hadamard-test circuits are slices of `gates`.
+Each family compiles once into a template, its circuit at zero angles as
+a program of sweep steps.  A build, at one angle vector or a (B, gamma)
+array of B rows, is the template with the rotation stack of one
+rotation_matrix call; its `gates` are made only when read.  One sweep
+writes the B forward rows and each branch (sigma_n of the forward rows at
+its insertion point) into one buffer, each gate running once over the rows
+written so far.  Insertion points are non-decreasing, so the Hadamard-test
+circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -34,15 +33,14 @@ matrix-exponential oracle.
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import PAULI_MATRICES, PauliString, _signed_permutation, read_only
-from .simulator import (Gate, StateVector, basis_state, check_norms, cnot,
-                        rotation_matrix, run_gates, rx, ry)
+from .simulator import (Gate, StateVector, apply_planned, basis_state, check_norms, cnot,
+                        gate_plan, rotation_matrix, rx, ry)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
@@ -63,53 +61,84 @@ class DerivativeDescriptor(NamedTuple):
 class AnsatzCircuit:
     """A parameterized circuit with reference state and derivative data, at
     one angle vector (`parameters` of shape (gamma,)) or at B rows of angles
-    ((B, gamma); each rotation gate then holds a (B, 2, 2) matrix stack)."""
+    ((B, gamma)).  Its steps are per gate (matrix, or index into the
+    (gamma, [B,] 2, 2) rotation stack for the gates in `rotated`; gate_plan)
+    and per descriptor a join (None, sigma_i as (src, phase))."""
 
     def __init__(self, gates: tuple[Gate, ...], parameters,
                  descriptors: tuple[DerivativeDescriptor, ...],
-                 reference_state: StateVector, n_system_qubits: int) -> None:
+                 reference_state: StateVector, n_system_qubits: int, rotated=()) -> None:
+        """`rotated` lists the gates whose matrices a build's rotation stack
+        replaces, in stack order: a family's rotations, none for fixed gates."""
         theta = np.asarray(parameters, dtype=float)
-        self.gates, self.descriptors, self.reference_state = gates, descriptors, reference_state
         self.parameters = theta if theta.ndim == 2 else theta.reshape(-1)
-        self.n_system_qubits, self._states = n_system_qubits, None
-        if len(descriptors) != self.parameters.shape[-1]:
+        self.descriptors, self.reference_state = descriptors, reference_state
+        self.n_system_qubits, self._rotations, self._states = n_system_qubits, (), None
+        if len(descriptors) != self.n_parameters:
             raise ValueError("one derivative descriptor per parameter required")
         points = [0, *(d.insertion_point for d in descriptors), len(gates)]
         if points != sorted(points):
             raise ValueError(f"insertion points not in order within 0..{len(gates)}")
-        self._joins = tuple(   # (insertion point, src, phase) of each branch
-            [(d.insertion_point, *_signed_permutation(d.sigma.letters)) for d in descriptors])
+        self._fixed, self._rotated, self._steps = tuple(gates), tuple(rotated), []
+        slots = dict(zip(rotated, range(len(rotated))))
+        for k, gate in enumerate((*gates, None)):
+            self._steps += [(None, _signed_permutation(d.sigma.letters))
+                            for d in descriptors if d.insertion_point == k]
+            if gate is not None:
+                self._steps.append((slots.get(k, gate.matrix),
+                                    gate_plan(gate, reference_state.n_qubits)))
 
     @property
     def n_parameters(self) -> int:
         return self.parameters.shape[-1]
 
-    def _sweep(self, joins) -> np.ndarray:
-        """(B (1 + len(joins)), 2^n): the B forward rows, then each join's
-        branch, in one buffer; each gate is one per-state matmul over the rows
-        written so far, so every row keeps its bytes alone.  The first sweep's
-        forward rows, norm-checked, are states()."""
-        ref, rows = self.reference_state, len(self.parameters) if self.parameters.ndim == 2 else 1
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gate sequence, made when read: the fixed gates, shared by every
+        build, and a Gate on each rotation matrix (or stack)."""
+        gates = list(self._fixed)
+        for k, matrix in zip(self._rotated, self._rotations):
+            gates[k] = Gate(matrix, gates[k].target)
+        return tuple(gates)
+
+    def _sweep(self, branches: bool) -> np.ndarray:
+        """(B (1 + gamma), 2^n), or (B, 2^n) without `branches`: the B forward
+        rows, then each join's branch.  Each gate is one per-state matmul over
+        the rows written so far (apply_planned), so every row keeps its bytes
+        alone; joins, and controlled gates whose input is there, write into
+        the buffer.  The first sweep's forward rows, norm-checked, are states()."""
+        ref, rotations = self.reference_state, self._rotations
+        rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         shape = (-1,) + (2,) * ref.n_qubits
-        stack = np.empty((rows * (1 + len(joins)), ref.amplitudes.size), dtype=complex)
-        stack[:rows], k, end = ref.amplitudes, 0, rows
-        for point, src, phase in joins:
-            head = stack[:end].reshape(shape)
-            head[...] = run_gates(head, self.gates[k:point], per_state=True)
-            np.multiply(phase, stack[:rows].take(src, axis=1), out=stack[end:end + rows])
-            k, end = point, end + rows
-        stack = run_gates(stack.reshape(shape), self.gates[k:], per_state=True).reshape(end, -1)
+        stack = np.empty((rows * (1 + branches * self.n_parameters), ref.amplitudes.size),
+                         dtype=complex)
+        tensors = stack.reshape(shape)          # the same buffer, one tensor per row
+        stack[:rows], end = ref.amplitudes, rows
+        t = tensors[:rows]
+        for source, step in self._steps:
+            if source is not None:
+                t = apply_planned(t, source if isinstance(source, np.ndarray)
+                                  else rotations[source], step, tensors)
+            elif branches:
+                if t.base is not stack:   # back into the buffer, in natural order
+                    tensors[:end] = t
+                np.multiply(step[1], stack[:rows].take(step[0], axis=1),
+                            out=stack[end:end + rows])
+                end += rows
+                t = tensors[:end]
+        if t.base is not stack:
+            tensors[:end] = t
         psi = stack[:rows]          # its norms as np.linalg.norm sums them
         check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
         if self._states is None:
             self._states = read_only(psi)
-        return stack
+        return stack[:end]
 
     def states(self) -> np.ndarray:
         """(B, 2^n) read-only amplitudes, one row per angle row: the head of
         the derivative sweep if it ran first, else a sweep of the B rows."""
         if self._states is None:
-            self._sweep(())
+            self._sweep(False)
         return self._states
 
     def state(self) -> StateVector:
@@ -120,7 +149,7 @@ class AnsatzCircuit:
     def derivatives(self) -> np.ndarray:
         """(gamma, B, 2^n) read-only d|psi>/d theta_i of every row (not
         normalized), from one sweep of the forward rows and every branch."""
-        stack, rows = self._sweep(self._joins), len(self.states())
+        stack, rows = self._sweep(True), len(self.states())
         return read_only(DERIVATIVE_PREFACTOR * stack[rows:].reshape(-1, rows, stack.shape[1]))
 
     def derivative_state(self, i: int) -> np.ndarray:
@@ -142,7 +171,7 @@ def _ucc_block(control: int, target: int) -> list:
 
 @lru_cache(maxsize=None)
 def _template(family: str) -> tuple:
-    """(checked circuit at zero angles, rotation slots, rotation axes) of a
+    """(fields of the checked circuit at zero angles, rotation axes) of a
     family.  A slot is a fixed gate, shared by every build, or the (axis,
     qubit) of the next parameter's rotation, whose descriptor inserts the
     axis string right after it; the axes stack the rotations' Paulis."""
@@ -160,24 +189,21 @@ def _template(family: str) -> tuple:
     gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
                   for s in slots)
     reference = StateVector(read_only(basis_state(bits).amplitudes))
-    return (AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits)),
-            tuple(k for k, _ in rotations), axes)
+    return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits),
+                              [k for k, _ in rotations])), axes
 
 
 def _build(family: str, theta) -> AnsatzCircuit:
     """The family's circuit at angles theta, a vector or a (B, gamma) array
-    of B rows: the checked template with new rotations, each a (2, 2)
-    matrix or a (B, 2, 2) stack."""
-    template, rotations, axes = _template(family)
+    of B rows: the template's fields with its rotation stack."""
+    template, axes = _template(family)
     theta = np.asarray(theta, dtype=float)
     theta = theta if theta.ndim == 2 else theta.reshape(-1)
-    if theta.shape[-1] != len(rotations):
-        raise ValueError(f"{family} takes {len(rotations)} parameters, got {theta.shape[-1]}")
-    gates = list(template.gates)
-    for k, matrix in zip(rotations, rotation_matrix(axes, theta).swapaxes(-3, 0)):
-        gates[k] = Gate(matrix, gates[k].target)
-    circuit = copy.copy(template)    # the template's checks hold; it is never swept
-    circuit.gates, circuit.parameters = tuple(gates), theta
+    if theta.shape[-1] != len(axes):
+        raise ValueError(f"{family} takes {len(axes)} parameters, got {theta.shape[-1]}")
+    circuit = object.__new__(AnsatzCircuit)
+    circuit.__dict__.update(template, parameters=theta,
+                            _rotations=read_only(rotation_matrix(axes, theta).swapaxes(-3, 0)))
     return circuit
 
 

@@ -33,7 +33,7 @@ from .cmf import cmf_reduce, cmf_reduce_rows
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
 from .pauli import to_dense_matrix
 from .simulator import DensityMatrix
-from .spectra import _spectrum, gershgorin_emax, lift_ground_state
+from .spectra import _lift, _spectrum, gershgorin_emax
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
                      load_lih_table, load_table)
 
@@ -433,7 +433,7 @@ def _cmd_excited(args) -> int:
     dense = to_dense_matrix(h_base)
     spec, bound = _spectrum(dense), gershgorin_emax(dense)
     ground = DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj()))
-    lifted = lift_ground_state(h_base, ground, bound.e_max)
+    lifted = _lift(dense, ground, bound.e_max)
     # The auto rule ties dtau to the iteration count, keeping the total
     # imaginary time fixed; the lifted spectrum is denser than the original
     # one, so the step size stays at the published 4-iteration rule while

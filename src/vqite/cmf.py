@@ -84,7 +84,7 @@ def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
     notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in hs]
 
     def conditioned(tags, keep, rho, level):  # one pass; (tag, row, ...) spectra
-        words, reduced = partial_traces(labels, np.tile(coeffs, (len(tags), 1)), keep,
+        words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep,
                                         check_density(rho), 3)
         vals, vecs, flags = (a.reshape(len(tags), rows, *a.shape[1:]) for a in
                              stacked_spectrum(dense_matrices(words, reduced, len(keep))))
@@ -128,46 +128,57 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
     energy = (v.conj().swapaxes(-1, -2) @ (h_dense[:, None] @ v))[..., 0, 0].real
     keys = np.round(np.concatenate([cands.real, cands.imag], axis=-1), 12)
     order = np.lexsort((*np.moveaxis(keys, -1, 0)[::-1], np.stack([energy, second], axis=1)))
-    cands = np.take_along_axis(cands, order[..., None], axis=-2).reshape(len(cands), 8, 8, 1)
+    cands = cands[np.arange(len(cands))[:, None, None], np.arange(2)[:, None], order]
+    cands = cands.reshape(len(cands), 8, 8, 1)
 
     # Gram-Schmidt over the candidate slots of all rows until each row holds
-    # 4 columns, dropping a candidate whose residual norm is below the tolerance
+    # 4 columns, dropping a candidate whose residual norm is below the
+    # tolerance; basis[j] holds views of column j and of its conjugate row
     iso = np.zeros((len(cands), 8, 4), dtype=complex)
-    size, dropped = np.zeros((2, len(cands)), dtype=np.intp)
+    bras = np.zeros((len(cands), 4, 1, 8), dtype=complex)
+    basis = [(bras[:, j], iso[:, :, j:j + 1]) for j in range(4)]
+    size, used = np.zeros((2, len(cands)), dtype=np.intp)
     lo = hi = 0                          # the fewest and most columns of a row
     for cand in cands.swapaxes(0, 1):    # (B, 8, 1) per slot
         if lo == 4:
             break
         open_ = size < 4
-        w, norms = _project(iso, size, lo, hi, cand)
-        kept = open_ & ~(norms < GRAM_RANK_TOL)
-        # second projection pass keeps the basis orthonormal even when the
-        # candidate was nearly dependent
-        w, norms = _project(iso, size, lo, hi, w)
-        iso[kept, :, size[kept]] = (w[kept] / norms[kept, None, None])[..., 0]
-        dropped += open_ & ~kept
-        size += kept
+        # a second projection pass keeps the basis orthonormal even when the
+        # candidate was nearly dependent; the first pass's norm decides the drop
+        once = _project(basis[:hi], size, lo, cand)
+        twice = _project(basis[:hi], size, lo, once)
+        first, norms = _norms(np.concatenate([once, twice])).reshape(2, -1)
+        kept = (open_ & ~(first < GRAM_RANK_TOL)).nonzero()[0]
+        column, at = twice[kept] / norms[kept, None, None], size[kept]
+        iso[kept, :, at], bras[kept, at] = column[..., 0], column.conj().swapaxes(-1, -2)
+        used += open_
+        size[kept] += 1
         lo, hi = min(columns := size.tolist()), max(columns)
     if lo < 4:
         raise ValueError("candidate products span fewer than 4 dimensions")
 
     h_effs = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
     return [EffectiveHamiltonian(h, m, (*row, "gram_schmidt.candidates_used=4",
-                                        f"gram_schmidt.rank_deficient_dropped={n}",
+                                        f"gram_schmidt.rank_deficient_dropped={n - 4}",
                                         f"h_eff.terms={h.n_terms}"))
-            for h, m, row, n in zip(h_effs, iso, notes, dropped.tolist())]
+            for h, m, row, n in zip(h_effs, iso, notes, used.tolist())]
 
 
-def _project(iso: np.ndarray, size: np.ndarray, lo: int, hi: int, w: np.ndarray) -> tuple:
-    """Each column w[b] minus np.vdot(u, w) * u for the first size[b] columns u
-    of iso[b] in turn (lo, hi: min and max size), and its np.linalg.norm, bit
-    for bit: the same strided dot of the real and of the imaginary parts."""
-    for j in range(hi):
-        u = iso[:, :, j:j + 1]
-        step = w - (u.conj().swapaxes(-1, -2) @ w) * u
+def _project(basis: list, size: np.ndarray, lo: int, w: np.ndarray) -> np.ndarray:
+    """Each column w[b] minus np.vdot(u, w) * u for the first size[b] basis
+    columns u of row b in turn, bit for bit (basis: (conjugate row, column)
+    of each basis column, up to the most any row holds; lo: the fewest)."""
+    for j, (bra, ket) in enumerate(basis):
+        step = w - (bra @ w) * ket
         w = step if j < lo else np.where((j < size)[:, None, None], step, w)
+    return w
+
+
+def _norms(w: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each column of a (S, 8, 1) stack, bit for bit: the
+    same strided dot of the real and of the imaginary parts."""
     re, im = w.real, w.imag
-    return w, np.sqrt((re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[:, 0, 0])
+    return np.sqrt((re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[:, 0, 0])
 
 
 def lift_amplitudes(eff: EffectiveHamiltonian, amplitudes: np.ndarray) -> np.ndarray:

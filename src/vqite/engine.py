@@ -5,8 +5,9 @@ solves for the update, and steps with Euler's rule
 theta <- theta + pinv(A) B dtau.  The time step defaults to the empirical
 rule dtau = c / (|h_z| l) with c = 0.8, where h_z is the mean single-Z
 coefficient of the molecule Hamiltonian (the absolute value keeps dtau
-positive; the bundled tables have negative means) and l the iteration
-count.
+positive; the bundled tables have negative means, and a mean below 1e-12
+of the largest |coefficient| counts as 0, which needs a fixed dtau) and l
+the iteration count.
 
 When a CMF reduction is active, the loop evolves parameters against the
 reduced Hamiltonian while energies and fidelities are reported against
@@ -17,9 +18,10 @@ the run switches to energy-only reporting.
 
 The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
-What does not depend on theta is fixed once per run: the reporting columns
-and spectra here and the ansatz template (ansatz).  An exact iteration is
-then one build of the rotations, one gate sweep for A, B and the states, and
+What does not depend on theta is fixed once per run: the term columns of
+the Hamiltonians, which compute_exact and the reports gather through, the
+spectra here, and the ansatz program (ansatz).  An exact iteration is then
+one rotation stack, one in-place gate sweep for A, B and the states, and
 one solve; a row reported against its own Hamiltonian takes its energy from
 the H|psi> that gave B.
 """
@@ -41,6 +43,7 @@ from .spectra import stacked_spectrum
 STATIONARY_TOL = 1e-10
 MONOTONICITY_TOL = 1e-6
 DEFAULT_DTAU_C = 0.8
+ZERO_MEAN_TOL = 1e-12   # |h_z| up to this fraction of the largest |coefficient| reads as 0
 
 
 def average_z_coefficient(h: PauliHamiltonian) -> float:
@@ -117,7 +120,7 @@ class QiteTrajectory(NamedTuple):
 def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
     if config.dtau == "auto":
         h_z = average_z_coefficient(h_for_rule)
-        if h_z == 0:
+        if not abs(h_z) > ZERO_MEAN_TOL * float(np.abs(h_for_rule.coeffs).max()):
             raise ValueError("single-qubit Z coefficients average to 0; use a fixed dtau instead")
         return DEFAULT_DTAU_C / (abs(h_z) * config.iterations)
     value = float(config.dtau)
@@ -159,6 +162,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     reports = [h if m is None else m.h_original for h, m in zip(h_systems, maps)]
     dtau = np.array([resolve_dtau(c, h) for c, h in zip(configs, reports)])
     labels, coeffs = term_columns(reports)
+    columns = (labels, coeffs) if maps[0] is None else term_columns(h_systems)
     exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, reports[0].n_qubits))
     # each ground state as the strided column of its eigenvector matrix, which
     # BLAS accumulates unlike a contiguous copy
@@ -172,7 +176,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     for it in range(cfg.iterations + 1):
         ansatz = ansatz_builder(theta)
         if it < cfg.iterations:  # first, so that the derivative sweep gives the states
-            system = (compute_exact(ansatz, h_systems) if cfg.route == "exact"
+            system = (compute_exact(ansatz, h_systems, columns) if cfg.route == "exact"
                       else compute_sampled(ansatz, h_systems, cfg.shots, rngs))
         psi = ansatz.states() if iso is None else (iso @ ansatz.states()[:, :, None])[:, :, 0]
         energy = (_energies(psi, system.h_psi) if own and it < cfg.iterations

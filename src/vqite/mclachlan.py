@@ -74,17 +74,18 @@ class HadamardJob(NamedTuple):
     destination: tuple              # ("A", i, j) with i <= j, or ("B", i)
 
 
-def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
+def compute_exact(ansatz: AnsatzCircuit, h, columns=None) -> McLachlanSystem:
     """A and B by direct statevector inner products, for a circuit at one
     angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians
     (A and B stacked).  Each inner product is a (1, L) @ (L, 1) matmul,
-    bitwise np.vdot; H|psi> gathers over the union of the rows' words and
+    bitwise np.vdot; H|psi> gathers over the union of the rows' words (their
+    term_columns, made here unless a run passes them as `columns`) and
     comes back in h_psi."""
     batch = ansatz.parameters.ndim == 2
     hs = list(h) if batch else [h]
     _check_qubits(ansatz, hs)
     gamma, d = ansatz.n_parameters, ansatz.derivatives
-    kets = np.concatenate([d, apply_sums(*term_columns(hs), ansatz.states())[None]])
+    kets = np.concatenate([d, apply_sums(*(columns or term_columns(hs)), ansatz.states())[None]])
     bra, ket, i, j = _pairs(gamma)
     # v[k, b] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, of row b
     v = (d[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].real
@@ -285,8 +286,8 @@ def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
     if not all(0 < t < np.inf for t in dtau.ravel().tolist()):  # NaN fails too
         raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
-    lam, vec = np.linalg.eigh(np.asarray(sys.a_matrix, dtype=float))
-    lam_max = np.maximum.reduce(lam, axis=-1, keepdims=True)
+    lam, vec = np.linalg.eigh(sys.a_matrix)
+    lam_max = lam[..., -1:]                     # eigh sorts ascending
     keep = lam > eps_cut * lam_max
     inv = keep / np.where(keep, lam, 1.0)       # 1/lam where kept, else 0.0
     coef = inv[..., None] * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])

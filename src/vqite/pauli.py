@@ -254,8 +254,8 @@ def _row_sum(p: np.ndarray) -> np.ndarray:
     if n > 64:
         return _row_sum(p[..., :n // 2]) + _row_sum(p[..., n // 2:])
     if n < 4:
-        return functools.reduce(np.add, np.moveaxis(p, -1, 0))
-    acc = functools.reduce(np.add, np.split(p, n // 4, axis=-1))
+        return functools.reduce(np.add, [p[..., k] for k in range(n)])
+    acc = functools.reduce(np.add, [p[..., k:k + 4] for k in range(0, n, 4)])
     return (acc[..., 0] + acc[..., 1]) + (acc[..., 2] + acc[..., 3])
 
 

@@ -10,11 +10,13 @@ is a stack of one), through run_gates, which checks their qubits, and
 norms are checked once per circuit.  A gate is one np.dot over the stack,
 or per_state one matmul per state, which rounds each state as alone
 (apply_on_axis); a rotation may hold one (2, 2) matrix per row of a stack
-of B ansatz rows.  Qubit ordering follows vqite.pauli (q0 = most
-significant bit).  measure_z_expectation reads the last qubit of each
-state of a stack, with one binomial call per caller-supplied seeded
-generator (one for all states, or one per row for consecutive states), so
-every sampled result is reproducible from (seed, shots).
+of B ansatz rows.  A compiled circuit runs its gates per state through
+apply_planned, qubits checked and axis orders resolved once (gate_plan).
+Qubit ordering follows vqite.pauli (q0 = most significant bit).
+measure_z_expectation reads the last qubit of each state of a stack, with
+one binomial call per caller-supplied seeded generator (one for all
+states, or one per row for consecutive states), so every sampled result
+is reproducible from (seed, shots).
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -162,7 +164,10 @@ def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int, per_state: bool = False)
     the front and the rest flattened (bitwise the tensordot + moveaxis
     oracle), or per_state one matmul per state, which gives each state its
     bytes alone; m is then (2, 2) or a (B, 2, 2) stack, state s taking m[s % B]."""
-    order, inverse = _axis_plan(t.ndim, q, int(per_state))
+    return _apply_ordered(t, m, *_axis_plan(t.ndim, q, int(per_state)), per_state)
+
+
+def _apply_ordered(t: np.ndarray, m: np.ndarray, order, inverse, per_state=True) -> np.ndarray:
     front = t.transpose(order)
     if per_state:
         out = np.matmul(m, front.reshape((len(t), 2, -1) if m.ndim == 2 else
@@ -185,17 +190,44 @@ def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray
     return t
 
 
+def _check_gate(g: Gate, n: int) -> None:
+    if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
+        raise ValueError(f"gate on qubits ({g.target}, {g.control}) outside 0..{n - 1}")
+
+
 def run_gates(t: np.ndarray, gates, per_state=False) -> np.ndarray:
     """The tensor stack t, shape (S,) + (2,)*n, after `gates` applied left to
     right.  Raises ValueError on a gate outside qubits 0..n-1 before applying
     it.  per_state as in apply_on_axis.
     """
-    n = t.ndim - 1
     for g in gates:
-        if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
-            raise ValueError(f"gate on qubits ({g.target}, {g.control}) "
-                             f"outside 0..{n - 1}")
+        _check_gate(g, t.ndim - 1)
         t = apply_gate(t, g, per_state)
+    return t
+
+
+def gate_plan(gate: Gate, n: int) -> tuple:
+    """(control-1 index or None, axis order, inverse) of a gate on a stack of
+    n-qubit states, its qubits checked, for apply_planned."""
+    _check_gate(gate, n)
+    if gate.control is None:
+        return (None, *_axis_plan(n + 1, gate.target + 1, 1))
+    return ((slice(None),) * (gate.control + 1) + (1,),
+            *_axis_plan(n, gate.target + 1 - (gate.target > gate.control), 1))
+
+
+def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple, stack: np.ndarray) -> np.ndarray:
+    """apply_gate(t, gate, per_state=True) for the gate of matrix m and
+    gate_plan `plan`, t being a gate's output or the first rows of `stack`,
+    an (S,) + (2,)*n view of a buffer.  A controlled gate writes its
+    control-1 half in place there, t copied in first unless it is there."""
+    control, order, inverse = plan
+    if control is None:
+        return _apply_ordered(t, m, order, inverse)
+    if t.base is not stack.base:        # apply_gate's t.copy()
+        stack[:len(t)] = t
+        t = stack[:len(t)]
+    t[control] = _apply_ordered(t[control], m, order, inverse)
     return t
 
 

@@ -52,13 +52,15 @@ def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     largest-magnitude component is real and positive; a level is degenerate
     when a neighbour lies within DEGENERACY_GAP."""
     vals, vecs = np.linalg.eigh(m)
-    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=-2)[:, None], axis=-2)
+    pivot = vecs[np.arange(len(vecs))[:, None], np.abs(vecs).argmax(axis=-2),
+                 np.arange(vecs.shape[-1])][:, None]
     # hypot is the scalar abs(pivot), which rounds unlike np.abs on an array
     mag = np.hypot(pivot.real, pivot.imag)
     vecs = vecs * (pivot.conj() / np.where(mag == 0.0, np.inf, mag))
     # np.minimum of floats, not | of bools: a bool loop faults in numpy code
     # pages nothing else here runs, which shows in peak RSS
-    gaps = np.diff(vals, axis=-1, prepend=-np.inf, append=np.inf)
+    edge = np.full((len(vals), 1), np.inf)
+    gaps = np.concatenate([edge, vals[:, 1:] - vals[:, :-1], edge], axis=1)
     return vals, vecs, np.minimum(gaps[:, :-1], gaps[:, 1:]) < DEGENERACY_GAP
 
 
@@ -90,7 +92,11 @@ def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
     state of H' is the first excited state of H.  `ground` may be mixed
     (it typically comes out of a QITE run); E_0 = Tr(ground H).
     """
-    h_dense = to_dense_matrix(h)
+    return _lift(to_dense_matrix(h), ground, e_max)
+
+
+def _lift(h_dense: np.ndarray, ground: DensityMatrix, e_max: float) -> PauliHamiltonian:
+    """lift_ground_state of the Hamiltonian whose dense matrix is `h_dense`."""
     e0 = float(np.trace(ground.elements @ h_dense).real)
     if not e_max >= e0:  # NaN fails too
         raise ValueError(f"e_max {e_max} must be at least the current ground energy {e0}")

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import apply, forward_then_branches, term_loop
+from conftest import apply, apply_word, forward_then_branches, term_loop
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    cmf_reduce, cmf_reduce_rows, compute_exact, exact_spectrum, gershgorin_emax,
-                   hamiltonian_at, lift_ground_state, run_qite, simulator, to_dense_matrix)
+                   hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
+from vqite import ansatz as ansatz_module
+from vqite.ansatz import DERIVATIVE_PREFACTOR
 from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
 from vqite.mclachlan import McLachlanSystem, solve_update
-from vqite.simulator import Gate, apply_gate, run_gates
+from vqite.simulator import Gate, apply_gate, rotation_matrix, run_gates
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
@@ -193,12 +195,57 @@ def test_sweep_is_forward_then_branches(builder, rows, rng):
         assert got[1].tobytes() == states.tobytes()
 
 
+def per_gate_sweep(ansatz):
+    """(states, derivatives) of a circuit in the per-gate form the compiled
+    sweep replaced: one stack of the forward rows and the branches joined so
+    far, each run of gates between two joins applied by run_gates, one
+    per-state apply_gate per gate, and written back into the stack."""
+    ref, descs = ansatz.reference_state, ansatz.descriptors
+    rows, shape = len(ansatz.parameters), (-1,) + (2,) * ref.n_qubits
+    stack = np.empty((rows * (1 + len(descs)), ref.amplitudes.size), dtype=complex)
+    stack[:rows], k, end = ref.amplitudes, 0, rows
+    for d in descs:
+        head = stack[:end].reshape(shape)
+        head[...] = run_gates(head, ansatz.gates[k:d.insertion_point], per_state=True)
+        stack[end:end + rows] = apply_word(d.sigma.letters, stack[:rows])
+        k, end = d.insertion_point, end + rows
+    stack = run_gates(stack.reshape(shape), ansatz.gates[k:], per_state=True).reshape(end, -1)
+    return stack[:rows], DERIVATIVE_PREFACTOR * stack[rows:].reshape(len(descs), rows, -1)
+
+
+@PROPERTY
+@given(st.sampled_from(list(THETA0)), st.integers(1, 5), st.data())
+def test_compiled_sweep_is_per_gate_oracle(builder, rows, data):
+    # The compiled sweep (planned steps, a rotation stack, joins and
+    # controlled gates written into one buffer) gives the bytes of the same
+    # gates run one at a time through run_gates, whether the states or the
+    # derivatives are asked for first.  The gates, made on demand, are the
+    # family's fixed gates, shared, and one rotation stack per parameter.
+    gamma = len(THETA0[builder])
+    theta = data.draw(arrays(float, (rows, gamma), elements=st.floats(-np.pi, np.pi)))
+    states, derivatives = per_gate_sweep(builder(theta))
+    assert builder(theta).states().tobytes() == states.tobytes()
+    ansatz = builder(theta)
+    assert ansatz.derivatives.tobytes() == derivatives.tobytes()
+    assert ansatz.states().tobytes() == states.tobytes()
+    fixed = builder(np.zeros(gamma)).gates
+    slots = {d.insertion_point - 1: (i, d.sigma.letters) for i, d in enumerate(ansatz.descriptors)}
+    for k, (gate, zero) in enumerate(zip(ansatz.gates, fixed, strict=True)):
+        if k not in slots:
+            assert gate is zero
+            continue
+        i, letters = slots[k]
+        want = rotation_matrix(letters[gate.target], theta[:, i])
+        assert (gate.target, gate.control) == (zero.target, None)
+        assert gate.matrix.tobytes() == want.tobytes()
+
+
 def recorded_gates(monkeypatch, run):
-    """(stack ndim, stack length) of every apply_gate call made by run()."""
-    real, calls = simulator.apply_gate, []
-    monkeypatch.setattr(simulator, "apply_gate",
-                        lambda t, g, *kernel: calls.append((t.ndim, len(t)))
-                        or real(t, g, *kernel))
+    """(stack ndim, stack length) of every gate the ansatz sweep applies in
+    run(), each one apply_planned call."""
+    real, calls = ansatz_module.apply_planned, []
+    monkeypatch.setattr(ansatz_module, "apply_planned",
+                        lambda t, *kernel: calls.append((t.ndim, len(t))) or real(t, *kernel))
     run()
     monkeypatch.undo()
     return calls

@@ -41,6 +41,16 @@ def test_auto_dtau_rule(lih_r15):
     assert resolve_dtau(config([0.0], dtau=0.25), lih_r15) == 0.25
 
 
+def test_auto_dtau_rejects_rounding_residue_mean():
+    # 0.1 + 0.2 - 0.3 leaves 2.8e-17, no step scale: without the relative
+    # floor the rule would give dtau = 2.16e16.
+    h = PauliHamiltonian(["ZII", "IZI", "IIZ", "XXI"], [0.1, 0.2, -0.3, 0.5])
+    assert 0 < abs(average_z_coefficient(h)) < 1e-16
+    with pytest.raises(ValueError, match="average to 0; use a fixed dtau instead"):
+        resolve_dtau(config([0.0], iterations=4), h)
+    assert resolve_dtau(config([0.0], dtau=0.25), h) == 0.25
+
+
 def test_h2_fidelity_rises(h2_r07):
     traj = run_qite(h2_r07, build_ucc_h2, config([2.0], iterations=4))
     fids = [r.fidelity for r in traj.records]
