@@ -22,13 +22,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import build_hardware_efficient, build_ucc_h2, build_ucc_lih
+from . import ansatz
 from .cmf import cmf_reduce, cmf_reduce_rows
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
 from .pauli import to_dense_matrix
@@ -40,18 +40,17 @@ from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
 DISCONTINUITY_JUMP = 0.05
 ENERGY_FMT = "%.10g"
 
-ANSATZ_BUILDERS = {
-    "ucc-h2": build_ucc_h2,
-    "ucc-lih": build_ucc_lih,
-    "he": build_hardware_efficient,
-}
 
-ANSATZ_QUBITS = {"ucc-h2": 2, "ucc-lih": 3, "he": 2}
+class AnsatzFamily(NamedTuple):
+    builder: str                  # vqite.ansatz function, looked up when run, so wrappers apply
+    n_qubits: int                 # the qubits it acts on
+    theta0: tuple[float, ...]     # default initial angles
 
-DEFAULT_THETA0 = {
-    "ucc-h2": (2.0,),
-    "ucc-lih": (1.0, 1.0),
-    "he": (0.5,) * 6,
+
+ANSATZ_FAMILIES = {
+    "ucc-h2": AnsatzFamily("build_ucc_h2", 2, (2.0,)),
+    "ucc-lih": AnsatzFamily("build_ucc_lih", 3, (1.0, 1.0)),
+    "he": AnsatzFamily("build_hardware_efficient", 2, (0.5,) * 6),
 }
 
 
@@ -77,23 +76,15 @@ class RunManifest:
     trace: bool = False
 
     def echo_lines(self, resolved_rs) -> list[str]:
-        pairs = [
-            ("table", self.table),
-            ("ansatz", self.ansatz),
-            ("cmf", self.cmf),
-            ("r", ",".join("%g" % r for r in resolved_rs)),
-            ("iterations", self.iterations),
-            ("dtau", self.dtau),
-            ("route", self.route),
-            ("shots", self.shots),
-            ("seed", self.seed),
-            ("theta0", ",".join("%g" % t for t in self.resolved_theta0())),
-            ("trace", self.trace),
-        ]
-        return [f"{k} = {v}" for k, v in pairs]
+        """`name = value` per field in order, out_dir left out, with the
+        resolved bond distances as `r` and the resolved theta0."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        values["r_selection"] = ",".join("%g" % r for r in resolved_rs)
+        values["theta0"] = ",".join("%g" % t for t in self.resolved_theta0())
+        return [f"{'r' if k == 'r_selection' else k} = {v}" for k, v in values.items()]
 
     def resolved_theta0(self) -> tuple[float, ...]:
-        return self.theta0 if self.theta0 is not None else DEFAULT_THETA0[self.ansatz]
+        return self.theta0 if self.theta0 is not None else ANSATZ_FAMILIES[self.ansatz].theta0
 
 
 class CurvePoint(NamedTuple):
@@ -117,18 +108,19 @@ def load_manifest_table(name: str) -> MoleculeTable:
 
 
 def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[float, ...]:
-    if manifest.ansatz not in ANSATZ_BUILDERS:
+    if manifest.ansatz not in ANSATZ_FAMILIES:
         raise ManifestError(f"unknown ansatz '{manifest.ansatz}'")
+    family = ANSATZ_FAMILIES[manifest.ansatz]
     if manifest.ansatz == "ucc-h2" and table.n_qubits != 2:
         raise ManifestError("ucc-h2 needs a 2-qubit table")
     if manifest.cmf and table.n_qubits != 3:
         raise ManifestError("the CMF reduction is defined for 3-qubit tables")
     run_qubits = 2 if manifest.cmf else table.n_qubits
-    if ANSATZ_QUBITS[manifest.ansatz] != run_qubits:
-        raise ManifestError(f"{manifest.ansatz} acts on {ANSATZ_QUBITS[manifest.ansatz]} "
+    if family.n_qubits != run_qubits:
+        raise ManifestError(f"{manifest.ansatz} acts on {family.n_qubits} "
                             f"qubits, the run's Hamiltonian on {run_qubits}")
     theta0 = manifest.resolved_theta0()
-    expected = len(DEFAULT_THETA0[manifest.ansatz])
+    expected = len(family.theta0)
     if len(theta0) != expected:
         raise ManifestError(
             f"theta0 needs {expected} values for {manifest.ansatz}, got {len(theta0)}"
@@ -169,17 +161,10 @@ def discontinuity_rs(table: MoleculeTable) -> set[float]:
     coefficients.  The identity label is excluded because it only offsets
     the spectrum.
     """
-    coeff_cols = [j for j, lab in enumerate(table.pauli_labels)
-                  if set(lab) != {"I"}]
-    flagged: set[float] = set()
-    prev: tuple[float, ...] | None = None
-    for r, coeffs in table.rows:
-        if prev is not None and coeff_cols:
-            step = max(abs(coeffs[j] - prev[j]) for j in coeff_cols)
-            if step > DISCONTINUITY_JUMP:
-                flagged.add(r)
-        prev = coeffs
-    return flagged
+    cols = [j for j, lab in enumerate(table.pauli_labels) if set(lab) != {"I"}]
+    steps = np.abs(np.diff(np.array([c for _, c in table.rows])[:, cols], axis=0))
+    return {r for r, step in zip(table.bond_distances[1:], steps.max(axis=1, initial=0.0))
+            if step > DISCONTINUITY_JUMP}
 
 
 def _point_seed(seed: int, r: float):
@@ -199,7 +184,7 @@ def run_scan(manifest: RunManifest):
     table = load_manifest_table(manifest.table)
     rs = validate_manifest(manifest, table)
     flagged = discontinuity_rs(table)
-    builder = ANSATZ_BUILDERS[manifest.ansatz]
+    builder = getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder)
 
     def step(rows):  # (trajectory, cmf record) of each bond distance in rows
         hs = [hamiltonian_at(table, r) for r in rows]
@@ -261,7 +246,10 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    curve = out / "curve.csv"
+    def write(name, lines, end="\n"):
+        written.append(out / name)
+        written[-1].write_text("\n".join(lines) + end, encoding="utf-8")
+
     lines = ["R,e_qite,e_exact,fidelity,iterations,flags"]
     for p in points:
         lines.append(",".join([
@@ -272,8 +260,7 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
             str(p.iterations_used),
             ";".join(p.flags),
         ]))
-    curve.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(curve)
+    write("curve.csv", lines)
 
     if manifest.trace:
         for r, traj in sorted(trajectories.items()):
@@ -286,9 +273,7 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
                 cells += [format_number(t) for t in rec.theta]
                 cells += [format_number(rec.energy), format_number(rec.fidelity)]
                 rows.append(",".join(cells))
-            tf = out / ("trace_R%g.csv" % r)
-            tf.write_text("\n".join(rows) + "\n", encoding="utf-8")
-            written.append(tf)
+            write("trace_R%g.csv" % r, rows)
 
     if cmf_records:
         lines = []
@@ -296,47 +281,41 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
             lines.append(f"[R={r:g}]")
             lines.extend(notes)
             lines.append("")
-        sel = out / "cmf_selection.txt"
-        sel.write_text("\n".join(lines), encoding="utf-8")
-        written.append(sel)
+        write("cmf_selection.txt", lines, end="")
 
-    echo = out / "manifest.echo"
-    echo.write_text("\n".join(manifest.echo_lines([p.r for p in points])) + "\n",
-                    encoding="utf-8")
-    written.append(echo)
+    write("manifest.echo", manifest.echo_lines([p.r for p in points]))
     return written
+
+
+def _convert(flag: str, text: str, convert=float):
+    """convert(text), its ValueError raised as a ManifestError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ManifestError(f"bad {flag} value '{text}'") from None
 
 
 def _parse_r_selection(text: str):
     if text == "all":
         return "all"
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ManifestError(f"bad --r value '{text}'") from None
+    return _convert("--r", text, lambda t: tuple(float(v) for v in t.split(",") if v.strip()))
 
 
 def _parse_route(text: str) -> tuple[str, int | None]:
     if text == "exact":
         return "exact", None
-    if text.startswith("shots:"):
-        try:
-            shots = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ManifestError(f"bad --route value '{text}'") from None
-        if shots < 1:
-            raise ManifestError("shot count must be >= 1")
-        return "hadamard", shots
-    raise ManifestError(f"bad --route value '{text}' (use exact or shots:N)")
+    if not text.startswith("shots:"):
+        raise ManifestError(f"bad --route value '{text}' (use exact or shots:N)")
+    shots = _convert("--route", text, lambda t: int(t.split(":", 1)[1]))
+    if shots < 1:
+        raise ManifestError("shot count must be >= 1")
+    return "hadamard", shots
 
 
 def _parse_theta0(text: str | None):
     if text is None:
         return None
-    try:
-        theta0 = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ManifestError(f"bad --theta0 value '{text}'") from None
+    theta0 = _convert("--theta0", text, lambda t: tuple(float(v) for v in t.split(",")))
     if not np.all(np.isfinite(theta0)):
         raise ManifestError(f"--theta0 values must be finite, got '{text}'")
     return theta0
@@ -345,23 +324,25 @@ def _parse_theta0(text: str | None):
 def _parse_dtau(text: str):
     if text == "auto":
         return text
-    try:
-        dtau = float(text)
-    except ValueError:
-        raise ManifestError(f"bad --dtau value '{text}'") from None
+    dtau = _convert("--dtau", text)
     if not 0 < dtau < np.inf:  # NaN fails too
         raise ManifestError("--dtau must be positive and finite")
     return dtau
 
 
 def _manifest_from_args(args) -> RunManifest:
+    """The manifest of a scan, point or excited invocation; point and excited
+    take exactly one bond distance."""
     route, shots = _parse_route(args.route)
     dtau = _parse_dtau(args.dtau)
+    r_selection = _parse_r_selection(args.r)
+    if args.command != "scan" and (r_selection == "all" or len(r_selection) != 1):
+        raise ManifestError(f"{args.command} takes exactly one bond distance via --r")
     return RunManifest(
         table=args.table,
         ansatz=args.ansatz,
         cmf=args.cmf,
-        r_selection=_parse_r_selection(args.r),
+        r_selection=r_selection,
         iterations=args.iters,
         dtau=dtau,
         route=route,
@@ -376,7 +357,7 @@ def _manifest_from_args(args) -> RunManifest:
 def _add_run_flags(p, default_r):
     p.add_argument("--table", default="lih",
                    help="table path, or bundled name: lih, h2-synthetic")
-    p.add_argument("--ansatz", default="he", choices=sorted(ANSATZ_BUILDERS))
+    p.add_argument("--ansatz", default="he", choices=sorted(ANSATZ_FAMILIES))
     p.add_argument("--cmf", action="store_true",
                    help="reduce 3-qubit rows to 2 qubits before the run")
     p.add_argument("--r", default=default_r, help="comma list of R values, or 'all'")
@@ -403,13 +384,6 @@ def _cmd_scan(args) -> int:
     return 1 if any(f.startswith("error") for p in points for f in p.flags) else 0
 
 
-def _cmd_point(args) -> int:
-    selection = _parse_r_selection(args.r)
-    if selection == "all" or len(selection) != 1:
-        raise ManifestError("point takes exactly one bond distance via --r")
-    return _cmd_scan(args)
-
-
 def _cmd_spectrum(args) -> int:
     table = load_manifest_table(args.table)
     dense = to_dense_matrix(hamiltonian_at(table, args.r))
@@ -422,12 +396,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_excited(args) -> int:
-    dtau = _parse_dtau(args.dtau)
-    table = load_manifest_table(args.table)
-    h = hamiltonian_at(table, args.r)
-    manifest = RunManifest(table=args.table, ansatz="he", cmf=table.n_qubits == 3,
-                           r_selection=(args.r,), iterations=args.iters, dtau=dtau,
-                           seed=args.seed)
+    manifest = _manifest_from_args(args)
+    table = load_manifest_table(manifest.table)
+    h = hamiltonian_at(table, manifest.r_selection[0])
+    manifest = replace(manifest, cmf=table.n_qubits == 3)
     validate_manifest(manifest, table)
     h_base = cmf_reduce(h).h_eff if manifest.cmf else h
     dense = to_dense_matrix(h_base)
@@ -438,10 +410,10 @@ def _cmd_excited(args) -> int:
     # imaginary time fixed; the lifted spectrum is denser than the original
     # one, so the step size stays at the published 4-iteration rule while
     # --iters extends the total evolution time.
-    if dtau == "auto":
-        dtau = resolve_dtau(QiteConfig((0.0,), iterations=4), h)
-    config = QiteConfig(DEFAULT_THETA0["he"], iterations=args.iters, dtau=dtau, seed=args.seed)
-    traj = run_qite(lifted, build_hardware_efficient, config)
+    dtau = resolve_dtau(QiteConfig((0.0,), iterations=4, dtau=manifest.dtau), h)
+    config = QiteConfig(manifest.resolved_theta0(), iterations=manifest.iterations, dtau=dtau,
+                        seed=manifest.seed)
+    traj = run_qite(lifted, getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder), config)
     target = spec.eigenvalues[1]
     print(f"gershgorin e_max = {format_number(bound.e_max)}")
     print(f"first excited (oracle) = {format_number(target)}")
@@ -480,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="single bond distance")
     _add_run_flags(p_point, default_r="1.5")
-    p_point.set_defaults(func=_cmd_point)
+    p_point.set_defaults(func=_cmd_scan)
 
     p_spec = sub.add_parser("spectrum", help="exact spectrum of one row")
     p_spec.add_argument("--table", default="lih")
@@ -489,12 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exc = sub.add_parser("excited", help="lift the ground level, then solve")
     p_exc.add_argument("--table", default="lih")
-    p_exc.add_argument("--r", type=float, required=True)
+    p_exc.add_argument("--r", required=True, help="one R value")
     p_exc.add_argument("--iters", type=int, default=20)
     p_exc.add_argument("--dtau", default="auto",
                        help="'auto' (the 4-iteration rule) or a positive value")
     p_exc.add_argument("--seed", type=int, default=0)
-    p_exc.set_defaults(func=_cmd_excited)
+    p_exc.set_defaults(func=_cmd_excited, ansatz="he", cmf=False, route="exact", theta0=None,
+                       out=None, trace=False)
 
     p_val = sub.add_parser("validate", help="table lint")
     p_val.add_argument("--table", required=True)
@@ -510,11 +483,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "manifest error" if isinstance(exc, ManifestError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
 
 

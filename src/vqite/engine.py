@@ -81,6 +81,8 @@ class QiteConfig:
             raise ValueError(f"unknown route '{self.route}'")
         if isinstance(self.dtau, str) and self.dtau != "auto":
             raise ValueError("dtau must be a positive number or 'auto'")
+        if self.route == "hadamard" and self.shots is not None and self.seed is None:
+            raise ValueError("shot mode needs a seed, so that a run is reproducible")
 
 
 class EnergyMap(NamedTuple):

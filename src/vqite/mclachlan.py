@@ -251,15 +251,18 @@ def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
     vector and Hamiltonian or for B rows (A and B stacked).
 
     shots=None evaluates every circuit analytically (the exact-mode
-    switch); otherwise each ancilla expectation is a seeded binomial
-    estimate with the given shot count.  `seed` is an integer seed or a
-    numpy Generator, which is then drawn from in place; one per row for a
-    batch.  A and B add the weighted values from 0.0 in job order.
+    switch); otherwise each ancilla expectation is a binomial estimate
+    with the given shot count, drawn from `seed` (ValueError if missing):
+    an integer seed or a numpy Generator, then drawn from in place, one
+    per row for a batch.  A and B add the weighted values from 0.0 in job order.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
     batch, gamma = ansatz.parameters.ndim == 2, ansatz.n_parameters
-    rng = None if shots is None else list(map(np.random.default_rng, seed if batch else [seed]))
+    seeds = seed if batch and seed is not None else [seed]
+    if shots is not None and any(s is None for s in seeds):
+        raise ValueError("shot mode needs a seed or generator for every row")
+    rng = None if shots is None else list(map(np.random.default_rng, seeds))
     (*_, entry, weight, sizes), values = hadamard_z(ansatz, h, shots, rng)
     ab, cut = np.zeros(len(sizes) * (gamma + 1) * gamma), len(sizes) * gamma * gamma
     np.add.at(ab, entry, weight * values)

@@ -6,12 +6,14 @@ control qubit; Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and
 a controlled Pauli string c-(s1 s2 ...) is the list of its controlled
 single-letter factors c-s1, c-s2, ..., as the reference circuits
 decompose it.  Gates run on a stack of raw amplitude tensors (one state
-is a stack of one), through run_gates, which checks their qubits, and
-norms are checked once per circuit.  A gate is one np.dot over the stack,
-or per_state one matmul per state, which rounds each state as alone
-(apply_on_axis); a rotation may hold one (2, 2) matrix per row of a stack
-of B ansatz rows.  A compiled circuit runs its gates per state through
-apply_planned, qubits checked and axis orders resolved once (gate_plan).
+is a stack of one), and norms are checked once per circuit.  There is one
+gate kernel: gate_plan checks a gate's qubits and resolves its axis order,
+and apply_planned applies a matrix by that plan, as one np.dot over the
+stack, or per_state one matmul per state, which rounds each state as
+alone; a rotation may hold one (2, 2) matrix per row of a stack of B
+ansatz rows.  apply_gate plans and applies one gate, leaving its input
+unchanged, and run_gates a list of them; a compiled circuit keeps its
+plans and sweeps them in place through one buffer.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
 measure_z_expectation reads the last qubit of each state of a stack, with
 one binomial call per caller-supplied seeded generator (one for all
@@ -43,9 +45,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size & (amps.size - 1) or amps.size < 2:
             raise ValueError(f"amplitude vector length {amps.size} is not 2^n")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        check_norms(np.linalg.norm(amps))
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -158,76 +158,66 @@ def _axis_plan(ndim: int, q: int, lead: int) -> tuple[tuple[int, ...], tuple[int
     return order, tuple([order.index(k) for k in range(ndim)])
 
 
-def apply_on_axis(t: np.ndarray, m: np.ndarray, q: int, per_state: bool = False) -> np.ndarray:
-    """2x2 matrix m applied to axis q of a stack of amplitude tensors, shape
-    (S,) + (2,)*n, as a transposed view: one np.dot of m with axis q moved to
-    the front and the rest flattened (bitwise the tensordot + moveaxis
-    oracle), or per_state one matmul per state, which gives each state its
-    bytes alone; m is then (2, 2) or a (B, 2, 2) stack, state s taking m[s % B]."""
-    return _apply_ordered(t, m, *_axis_plan(t.ndim, q, int(per_state)), per_state)
+def gate_plan(gate: Gate, n: int, per_state: bool = True) -> tuple:
+    """(control-1 index or None, axis order, inverse, per_state) of a gate on
+    a stack of n-qubit tensors, for apply_planned.  Raises ValueError on a
+    qubit outside 0..n-1: qubit q is axis q + 1, so -1 would land on the
+    stack axis."""
+    if not (0 <= gate.target < n and (gate.control is None or 0 <= gate.control < n)):
+        raise ValueError(f"gate on qubits ({gate.target}, {gate.control}) outside 0..{n - 1}")
+    if gate.control is None:
+        return (None, *_axis_plan(n + 1, gate.target + 1, int(per_state)), per_state)
+    return ((slice(None),) * (gate.control + 1) + (1,),
+            *_axis_plan(n, gate.target + 1 - (gate.target > gate.control), int(per_state)),
+            per_state)
 
 
-def _apply_ordered(t: np.ndarray, m: np.ndarray, order, inverse, per_state=True) -> np.ndarray:
+def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
+                  stack: np.ndarray | None = None) -> np.ndarray:
+    """The 2x2 matrix m applied by gate_plan `plan` to a stack of amplitude
+    tensors t, shape (S,) + (2,)*n, as a transposed view: one np.dot of m
+    with the target axis moved to the front and the rest flattened (bitwise
+    the tensordot + moveaxis oracle), or per_state one matmul per state,
+    which gives each state its bytes alone; m is then (2, 2) or a (B, 2, 2)
+    stack, state s taking m[s % B].  A controlled gate writes its control-1
+    half of a copy of t, or with `stack`, an (S,) + (2,)*n view of a buffer,
+    in place there, t copied into its first rows unless it is there."""
+    control, order, inverse, per_state = plan
+    whole = t
+    if control is not None:
+        if stack is None:
+            whole = t.copy()
+        elif t.base is not stack.base:
+            stack[:len(t)] = t
+            whole = stack[:len(t)]
+        t = whole[control]
     front = t.transpose(order)
     if per_state:
         out = np.matmul(m, front.reshape((len(t), 2, -1) if m.ndim == 2 else
                                          (-1, len(m), 2, t.size // (2 * len(t)))))
     else:
         out = np.dot(m, front.reshape(2, -1))
-    return out.reshape(front.shape).transpose(inverse)
+    out = out.reshape(front.shape).transpose(inverse)
+    if control is None:
+        return out
+    whole[control] = out
+    return whole
 
 
 def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray:
-    """Apply one gate to a stack of amplitude tensors, shape (S,) + (2,)*n;
-    qubit q is axis q + 1.  per_state as in apply_on_axis."""
-    q = gate.target + 1
-    if gate.control is None:
-        return apply_on_axis(t, gate.matrix, q, per_state)
-    t = t.copy()
-    branch = (slice(None),) * (gate.control + 1) + (1,)
-    t[branch] = apply_on_axis(t[branch], gate.matrix, q - (gate.target > gate.control),
-                              per_state)
-    return t
-
-
-def _check_gate(g: Gate, n: int) -> None:
-    if not (0 <= g.target < n and (g.control is None or 0 <= g.control < n)):
-        raise ValueError(f"gate on qubits ({g.target}, {g.control}) outside 0..{n - 1}")
+    """Apply one gate to a stack of amplitude tensors, shape (S,) + (2,)*n,
+    leaving t unchanged; qubit q is axis q + 1.  Qubits checked and
+    per_state as in gate_plan and apply_planned."""
+    return apply_planned(t, gate.matrix, gate_plan(gate, t.ndim - 1, per_state))
 
 
 def run_gates(t: np.ndarray, gates, per_state=False) -> np.ndarray:
     """The tensor stack t, shape (S,) + (2,)*n, after `gates` applied left to
-    right.  Raises ValueError on a gate outside qubits 0..n-1 before applying
-    it.  per_state as in apply_on_axis.
+    right by apply_gate, which raises ValueError on a gate outside qubits
+    0..n-1 before applying it.
     """
     for g in gates:
-        _check_gate(g, t.ndim - 1)
         t = apply_gate(t, g, per_state)
-    return t
-
-
-def gate_plan(gate: Gate, n: int) -> tuple:
-    """(control-1 index or None, axis order, inverse) of a gate on a stack of
-    n-qubit states, its qubits checked, for apply_planned."""
-    _check_gate(gate, n)
-    if gate.control is None:
-        return (None, *_axis_plan(n + 1, gate.target + 1, 1))
-    return ((slice(None),) * (gate.control + 1) + (1,),
-            *_axis_plan(n, gate.target + 1 - (gate.target > gate.control), 1))
-
-
-def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple, stack: np.ndarray) -> np.ndarray:
-    """apply_gate(t, gate, per_state=True) for the gate of matrix m and
-    gate_plan `plan`, t being a gate's output or the first rows of `stack`,
-    an (S,) + (2,)*n view of a buffer.  A controlled gate writes its
-    control-1 half in place there, t copied in first unless it is there."""
-    control, order, inverse = plan
-    if control is None:
-        return _apply_ordered(t, m, order, inverse)
-    if t.base is not stack.base:        # apply_gate's t.copy()
-        stack[:len(t)] = t
-        t = stack[:len(t)]
-    t[control] = _apply_ordered(t[control], m, order, inverse)
     return t
 
 
@@ -239,10 +229,10 @@ def run_circuit(initial: StateVector, gates) -> StateVector:
 
 
 def check_norms(norms: np.ndarray) -> None:
-    """Raise ValueError unless every state norm in `norms` is 1."""
-    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails too
-    if bad.any():
-        raise ValueError(f"state norm {norms[bad][0]} deviates from 1 beyond {NORM_TOL}")
+    """Raise ValueError unless each state norm in `norms` (array or scalar) is 1."""
+    ok = abs(norms - 1.0) <= NORM_TOL  # NaN fails too
+    if not (ok.all() if ok.ndim else ok):     # a scalar skips the reduction's ~2 us
+        raise ValueError(f"state norm {norms[~ok][0]} deviates from 1 beyond {NORM_TOL}")
 
 
 def measure_z_expectation(states: np.ndarray, shots: int | None = None,

@@ -47,12 +47,12 @@ class MoleculeTable:
         return tuple([r for r, _ in self.rows])
 
 
-def parse_table(source, molecule_name: str = "") -> MoleculeTable:
+def parse_table(source) -> MoleculeTable:
     """Parse and validate a coefficient table from text or a stream."""
     text = source.read() if hasattr(source, "read") else source
     labels: tuple[str, ...] | None = None
     delimiter = ","
-    name = molecule_name
+    name = ""
     rows: list[tuple[float, tuple[float, ...]]] = []
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()

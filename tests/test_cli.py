@@ -1,5 +1,6 @@
 """CLI surface: manifests, outputs, determinism, exit codes."""
 
+import argparse
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import run_cli, serialize_table
 from vqite import (MoleculeTable, build_ucc_lih, cmf_reduce, hamiltonian_at, load_lih_table,
                    run_qite, to_dense_matrix)
-from vqite.cli import (ManifestError, RunManifest, discontinuity_rs,
+from vqite.cli import (ManifestError, RunManifest, build_parser, discontinuity_rs,
                        emit_outputs, main, run_scan)
 from vqite.engine import QiteConfig
 
@@ -145,6 +146,31 @@ def test_main_negative_seed_exit_two(tmp_path, capsys):
     assert captured.err.startswith("manifest error: --seed must be non-negative")
     assert captured.out == ""
     assert not (tmp_path / "d").exists()
+
+
+RUN_FLAGS = {"--table", "--ansatz", "--cmf", "--r", "--iters", "--dtau", "--route", "--seed",
+             "--theta0", "--out", "--trace"}
+
+
+def test_subcommand_option_sets():
+    # Each subcommand's option strings, as the one manifest path for scan,
+    # point and excited must keep them: no flag added, none dropped.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == {"scan": RUN_FLAGS, "point": RUN_FLAGS, "spectrum": {"--table", "--r"},
+                       "excited": {"--table", "--r", "--iters", "--dtau", "--seed"},
+                       "validate": {"--table"}}
+
+
+@pytest.mark.parametrize("command", ["point", "excited"])
+@pytest.mark.parametrize("r", ["1.4,1.5", "all"])
+def test_main_one_bond_distance_commands(command, r, capsys):
+    assert main([command, "--table", "lih", "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"manifest error: {command} takes exactly one bond distance via --r\n"
+    assert captured.out == ""
 
 
 def test_main_excited_negative_seed_exit_two(capsys):

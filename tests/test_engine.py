@@ -142,6 +142,15 @@ def test_hadamard_exact_mode_run_matches_exact_route(lih_r15):
     assert a.converged_energy == pytest.approx(b.converged_energy, abs=1e-9)
 
 
+def test_shot_route_needs_seed(lih_r15):
+    # Without a seed every run would draw from OS entropy; the analytic
+    # hadamard mode (shots=None) and the exact route stay seedless.
+    with pytest.raises(ValueError, match="seed"):
+        config([1.0, 1.0], route="hadamard", shots=1000)
+    config([1.0, 1.0], route="hadamard", shots=None)
+    config([1.0, 1.0], shots=1000)
+
+
 def test_hadamard_route_reproducible(h2_r07):
     kwargs = dict(iterations=2, route="hadamard", shots=2000, seed=5)
     a = run_qite(h2_r07, build_ucc_h2, config([2.0], **kwargs))

@@ -459,6 +459,18 @@ def test_sampled_rejects_bad_shots(h2_r07):
         compute_sampled(build_ucc_h2(0.9), h2_r07, shots=0)
 
 
+def test_sampled_rejects_missing_seed(h2_r07):
+    # A seedless shot estimate would draw from OS entropy and not reproduce;
+    # the analytic mode needs no seed.
+    with pytest.raises(ValueError, match="seed"):
+        compute_sampled(build_ucc_h2(0.9), h2_r07, shots=100)
+    with pytest.raises(ValueError, match="seed"):
+        compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), [h2_r07] * 2, 100, [1, None])
+    with pytest.raises(ValueError, match="seed"):
+        compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), [h2_r07] * 2, 100)
+    compute_sampled(build_ucc_h2(0.9), h2_r07, shots=None)
+
+
 # --- solver ---
 
 def test_solve_scalar_case():

@@ -8,12 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (apply, apply_word, canonical_oracle, circuit_unitary, cmf_oracle,
                       coefficient, decompose_oracle, dense_oracle, embed, partial_trace_oracle,
-                      pauli_kron, reduction_bytes, tensordot_gate, tensordot_on_axis, term_bytes,
+                      pauli_kron, reduction_bytes, tensordot_gate, term_bytes,
                       term_loop)
 from vqite import (PauliHamiltonian, StateVector, cmf_reduce_rows,
                    pauli_decompose, run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES, term_columns
-from vqite.simulator import (Gate, apply_gate, apply_on_axis, cnot, controlled_pauli,
+from vqite.simulator import (Gate, apply_gate, cnot, controlled_pauli,
                              cz, hadamard, rx, ry, rz, x, y, z)
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
@@ -228,27 +228,11 @@ def test_controlled_pauli_matches_dense(case):
                          - dense)) < 1e-12
 
 
-@st.composite
-def tensors(draw):
-    """An amplitude tensor on 1-6 qubits: C-contiguous, or a transposed
-    view such as the gate kernel returns."""
-    n = draw(st.integers(1, 6))
-    t = draw(arrays(complex, (2,) * n, elements=AMPLITUDE))
-    return t.transpose(draw(st.permutations(range(n)))) if draw(st.booleans()) else t
-
-
 MATRICES = arrays(complex, (2, 2), elements=AMPLITUDE)
 
 
 def same_bits(a, b):
     return a.tobytes() == b.tobytes() and a.strides == b.strides
-
-
-@PROPERTY
-@given(tensors(), MATRICES)
-def test_apply_on_axis_is_tensordot_bitwise(t, m):
-    for q in range(t.ndim):
-        assert same_bits(apply_on_axis(t, m, q), tensordot_on_axis(t, m, q)), q
 
 
 @st.composite

@@ -8,8 +8,8 @@ from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectatio
                    run_circuit)
 from vqite.pauli import PAULI_MATRICES
 from vqite import simulator
-from vqite.simulator import (HADAMARD, Gate, cnot, controlled_pauli, cz, hadamard,
-                             run_gates, rx, ry, rz, x, y, z)
+from vqite.simulator import (HADAMARD, Gate, cnot, controlled_pauli, cz, gate_plan,
+                             hadamard, run_gates, rx, ry, rz, x, y, z)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
@@ -199,14 +199,15 @@ def test_nan_fails_state_checks():
                                   cnot(3, 1)])
 def test_gate_range_checked_on_stacks(monkeypatch, gate):
     # Qubit q of a stack is axis q + 1: a target or control of -1 would land
-    # on the stack axis, so the check is on the register's qubits 0..n-1.
+    # on the stack axis, so gate_plan checks the register's qubits 0..n-1
+    # before the kernel applies anything.
     applied = []
-    monkeypatch.setattr(simulator, "apply_gate",
-                        lambda t, g, *kernel: applied.append(g) or t)
+    monkeypatch.setattr(simulator, "apply_planned",
+                        lambda t, m, plan, *stack: applied.append(plan) or t)
     stack = np.zeros((3, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match="outside 0..2"):
         run_gates(stack, (x(0), gate, x(1)))
-    assert applied == [applied[0]] and applied[0].target == 0
+    assert applied == [gate_plan(x(0), 3, per_state=False)]
 
 
 def test_density_matrix_validation(rng):
