@@ -79,14 +79,9 @@ class AnsatzCircuit:
         points = [0, *(d.insertion_point for d in descriptors), len(gates)]
         if points != sorted(points):
             raise ValueError(f"insertion points not in order within 0..{len(gates)}")
-        self._fixed, self._rotated, self._steps = tuple(gates), tuple(rotated), []
-        slots = dict(zip(rotated, range(len(rotated))))
-        for k, gate in enumerate((*gates, None)):
-            self._steps += [(None, _signed_permutation(d.sigma.letters))
-                            for d in descriptors if d.insertion_point == k]
-            if gate is not None:
-                self._steps.append((slots.get(k, gate.matrix),
-                                    gate_plan(gate, reference_state.n_qubits)))
+        self._fixed, self._rotated = tuple(gates), tuple(rotated)
+        self._steps = _program(self._fixed, tuple(descriptors), self._rotated,
+                               reference_state.n_qubits)
 
     @property
     def n_parameters(self) -> int:
@@ -155,6 +150,23 @@ class AnsatzCircuit:
     def derivative_state(self, i: int) -> np.ndarray:
         """d|psi>/d theta_i of a circuit at one angle vector (not normalized)."""
         return self.derivatives[i, 0]
+
+
+@lru_cache(maxsize=8)
+def _program(gates, descriptors, rotated, n: int, axes: int = 1) -> list:
+    """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
+    a gate in `rotated`, its index into the rotation stack) and gate_plan,
+    each after a join (None, sigma_i as (src, phase)) per descriptor there.
+    One stack axis runs each gate per state; two, (B rows, K states), run
+    a rotation as one matmul per row and a shared gate as one np.dot."""
+    slots, steps = dict(zip(rotated, range(len(rotated)))), []
+    for k, gate in enumerate((*gates, None)):
+        steps += [(None, _signed_permutation(d.sigma.letters))
+                  for d in descriptors if d.insertion_point == k]
+        if gate is not None:
+            steps.append((slots.get(k, gate.matrix),
+                          gate_plan(gate, n, axes == 1 or k in slots, axes)))
+    return steps
 
 
 def _axis_string(axis: str, q: int, n: int) -> PauliString:

@@ -13,12 +13,14 @@ loop's energies.  The Hadamard route expands the same sums into one ancilla
 test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
 is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
 prefactor of the summand, and the ancilla Z expectation then yields the
-summand's real part.  A test circuit is three slices of the ansatz gate tuple with
-controlled Pauli gates between them.  One estimate (hadamard_z), for one
-circuit or the B rows of a batched one, is one forward sweep applying each
-ansatz gate once; each row draws from its own generator, every value and
-draw bitwise that of the test run alone.  Evaluated without sampling, the
-two routes agree to machine precision; with shots they agree statistically.
+summand's real part.  A test circuit is three slices of the ansatz gate
+tuple with controlled Pauli gates between them.  Up to its closing H it is
+two system-qubit half-states, one per ancilla branch, and its jobs share
+them: one estimate (hadamard_z), for one circuit or the B rows of a batched
+one, sweeps each ansatz gate once over the distinct half-states; each row
+draws from its own generator, every value and draw bitwise that of the
+test run alone.  Evaluated without sampling, the two routes agree to
+machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -33,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
+from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
 from .pauli import PauliHamiltonian, _term_stack, apply_sums, term_columns
-from .simulator import (Gate, StateVector, check_norms, controlled_pauli, hadamard,
-                        measure_z_expectation, run_gates, x)
+from .simulator import (Gate, StateVector, apply_planned, check_norms, controlled_pauli,
+                        hadamard, measure_z_expectation, run_gates, x)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
@@ -104,14 +106,6 @@ def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
     return np.r_[i, :gamma], np.r_[j, [gamma] * gamma], i, j
 
 
-@lru_cache(maxsize=2)
-def _inserted_gates(sigmas: tuple[str, ...], anc: int) -> tuple:
-    """(ctrl, anti, final) for descriptor strings `sigmas` on qubits 0..anc-1:
-    sigma_i controlled on the ancilla `anc`, X ctrl_i X, and the closing H."""
-    ctrl = tuple(tuple(controlled_pauli(anc, range(anc), s)) for s in sigmas)
-    return ctrl, tuple((x(anc), *c, x(anc)) for c in ctrl), (hadamard(anc),)
-
-
 def _layout(gamma: int, coeffs: list[float]) -> list:
     """Each A/B summand of one row with `gamma` parameters and Hamiltonian
     coefficients `coeffs`, in job order, as (word, phase, weight,
@@ -141,7 +135,8 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     """One weighted test circuit per A/B summand of _layout."""
     _check_qubits(ansatz, [h])
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
-    ctrl, anti, final = _inserted_gates(tuple([d.sigma.letters for d in descs]), n)
+    ctrl = [tuple(controlled_pauli(n, range(n), d.sigma.letters)) for d in descs]
+    anti, final = [(x(n), *c, x(n)) for c in ctrl], (hadamard(n),)
     tails = [tuple(controlled_pauli(n, range(n), w)) for w in h.words]
     pts, jobs = [d.insertion_point for d in descs], []
     for word, phase, weight, (kind, i, *j) in _layout(len(descs), h.coeffs.tolist()):
@@ -157,39 +152,36 @@ def _table(descriptors, n: int, labels: tuple[str, ...], rows: int, coeff_bytes:
     """The Hadamard jobs of B rows whose Hamiltonians have the (B, L)
     coefficients `coeff_bytes` over the union words `labels` (term_columns),
     compiled once per run for hadamard_z: they depend only on these values
-    and the ansatz family.  (phases, plan, final, take, words, src, sign,
-    entry, weight, sizes).  A row's terms are its nonzero coefficients.
+    and the ansatz family.  (phases, head, zero, one, words, src, sign, entry,
+    weight, sizes).  A row's terms are its nonzero coefficients.
 
-    The sweep's stack starts as (distinct ancilla phases x rows), phase-
-    major.  At insertion point p_j, the plan joins branch B(j), anti_j on
-    that start block, then A(i, j) for i <= j, ctrl_j on the A-phase block
-    of B(i); each step, (inserted gates, first state, state count), appends
-    its block.  Job k of all rows, in row-major job order, reads state
-    take[k] of the final stack, gathered through union word words[k] (-1:
-    none), and adds its weighted value to entry[k] of A (B, gamma, gamma)
-    and then B (B, gamma), flattened.  sizes: each row's job count."""
+    Each row sweeps K = head + 2 gamma half-states of the system qubits,
+    one ancilla branch each: F0 = ref/sqrt(2) (ancilla 0), F1 = e^{i phi}
+    ref/sqrt(2) (ancilla 1) per distinct phase phi, the A phase first, and
+    on 2 qubits a copy of F0 if that makes K even; then per descriptor j
+    B_j = sigma_j F0 and C_j = sigma_j F1[A phase], joined at p_j.  Job k of
+    all rows, in row-major job order, takes half-state zero[k] (row b's
+    B_i, b K + head + 2 i) for ancilla 0 and one[k] for ancilla 1: C_j for
+    A(i, j), F1 of its phase for B(i, l), gathered through union word
+    words[k] (-1: the identity appended to the word stack).  It adds its
+    weighted value to entry[k] of A (B, gamma, gamma) and then B (B, gamma),
+    flattened.  sizes: each row's job count."""
     gamma, coeffs = len(descriptors), np.frombuffer(coeff_bytes).reshape(rows, len(labels))
-    ctrl, anti, final = _inserted_gates(tuple([d.sigma.letters for d in descriptors]), n)
     kept = [np.flatnonzero(c).tolist() for c in coeffs]
     jobs = [_layout(gamma, c[k].tolist()) for c, k in zip(coeffs, kept)]
     phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
-    block, fa = len(phases) * rows, phases.index(jobs[0][0][1]) * rows
-    size, at, plan = block, {}, {}
-    for j, d in enumerate(descriptors):
-        plan.setdefault(d.insertion_point, []).append((anti[j], 0, block))
-        at["B", j], size = size, size + block
-        for i in range(j + 1):   # an A block holds the A phase only, at offset fa
-            plan[d.insertion_point].append((ctrl[j], at["B", i] + fa, rows))
-            at["A", i, j], size = size - fa, size + rows
-    cols = []
+    head = 1 + len(phases)
+    head += head % 2 * (n < 3)      # K even: see hadamard_z
+    cols, width = [], head + 2 * gamma
     for b, (k, row) in enumerate(zip(kept, jobs)):
-        cols += [(at[kind, i, *j] + phases.index(phase) * rows + b,
+        cols += [(b * width + head + 2 * i,
+                  b * width + (head + 2 * j[0] + 1 if j else 1 + phases.index(phase)),
                   -1 if word is None else k[word],
                   (b * gamma + i) * gamma + j[0] if j else (rows * gamma + b) * gamma + i, w)
                  for word, phase, w, (kind, i, *j) in row]
-    take, words, entry = np.array([c[:3] for c in cols], dtype=np.intp).T
-    return (phases, plan, final, take, words, *_term_stack(labels, n), entry,
-            np.array([c[3] for c in cols]), [len(row) for row in jobs])
+    zero, one, words, entry = np.array([c[:4] for c in cols], dtype=np.intp).T
+    return (phases, head, zero, one, words, *_term_stack((*labels, "I" * n), n), entry,
+            np.array([c[4] for c in cols]), [len(row) for row in jobs])
 
 
 def _start(ref: StateVector, phases) -> np.ndarray:
@@ -212,33 +204,39 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians;
     `rng` lists one Generator (or seed) per row, or is None for shots=None.
 
-    One forward sweep runs each ansatz gate once over the whole stack (the
-    start block and the branches joined so far), a (B, 2, 2) rotation as
-    one matmul per state, a shared gate as one np.dot.  Then, PASS_ROWS
-    rows at a time, each job gathers its state (a B job's word on the
-    ancilla-1 half, exact: every product is by +-1 or +-i), and the final
-    H and the draws run, each row drawing in its job order.  A gate gives
-    each state of a stack the bytes it gives it alone (on 3 or more qubits,
-    and for the Pauli matrices of every controlled gate here), so each
-    value and draw is bitwise that of the job's circuit run alone.
+    Until the closing H the ansatz acts on each ancilla branch of a test
+    alone.  One forward sweep runs each ansatz gate once over the (B, K)
+    stack of the rows' distinct half-states (_table): a (B, 2, 2) rotation
+    as one matmul per row over its K half-states, a shared gate as one
+    np.dot, each join a signed permutation.  Then, PASS_ROWS rows at a time,
+    each job's state is built from its two half-states (a B job's word
+    gathered on the ancilla-1 one; products by +-1 or +-i are exact), and
+    the final H and the draws run, each row drawing in its job order.  A
+    job's gate on its own state is a product 2^n wide, and BLAS rounds every
+    width that is a multiple of 4 alike (not 2 K on 2 qubits with K odd,
+    hence K even there), so each value and draw is bitwise that of the
+    job's circuit run alone.
     """
     batch = ansatz.parameters.ndim == 2
     hs, n = list(h) if batch else [h], ansatz.n_system_qubits
     _check_qubits(ansatz, hs)
     labels, coeffs = term_columns(hs)
     table = _table(ansatz.descriptors, n, labels, len(hs), coeffs.tobytes())
-    phases, plan, final, take, words, src, sign, *_, sizes = table
-    stack = _start(ansatz.reference_state, phases).repeat(len(hs), axis=0)
-    for k, gate in enumerate((*ansatz.gates, None)):
-        for inserted, first, count in plan.get(k, ()):
-            stack = np.concatenate([stack, run_gates(stack[first:first + count], inserted)])
-        if gate is not None:
-            stack = run_gates(stack, (gate,), gate.matrix.ndim == 3)
-    stack, ends, values = stack.reshape(len(stack), -1, 2), np.cumsum([0, *sizes]), []
+    phases, head, zero, one, words, src, sign, *_, sizes = table
+    amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
+    halves = np.concatenate([amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]])
+    t = halves[None].repeat(len(hs), axis=0).reshape((len(hs), head) + (2,) * n)
+    for source, step in _program(ansatz._fixed, ansatz.descriptors, ansatz._rotated, n, 2):
+        if source is None:      # B_j, C_j: sigma_j of F0 and F1[A phase]
+            pair = step[1] * t[:, :2].reshape(len(hs), 2, -1)[:, :, step[0]]
+            t = np.concatenate([t, pair.reshape(t[:, :2].shape)], axis=1)
+        else:
+            t = apply_planned(t, source if isinstance(source, np.ndarray)
+                              else ansatz._rotations[source], step)
+    t, ends, values, final = t.reshape(-1, 2 ** n), np.cumsum([0, *sizes]), [], (hadamard(n),)
     for r in range(0, len(hs), PASS_ROWS):
         ks = slice(ends[r], ends[min(r + PASS_ROWS, len(hs))])
-        out, bj = stack[take[ks]], np.flatnonzero(words[ks] >= 0) + ends[r]
-        out[bj - ends[r], :, 1] = sign[words[bj]] * stack[take[bj, None], src[words[bj]], 1]
+        out = np.stack([t[zero[ks]], sign[words[ks]] * t[one[ks, None], src[words[ks]]]], -1)
         out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)
         values.append(measure_z_expectation(out, shots, rng and rng[r:r + PASS_ROWS],
                                             sizes[r:r + PASS_ROWS]))

@@ -158,18 +158,18 @@ def _axis_plan(ndim: int, q: int, lead: int) -> tuple[tuple[int, ...], tuple[int
     return order, tuple([order.index(k) for k in range(ndim)])
 
 
-def gate_plan(gate: Gate, n: int, per_state: bool = True) -> tuple:
+def gate_plan(gate: Gate, n: int, per_state: bool = True, axes: int = 1) -> tuple:
     """(control-1 index or None, axis order, inverse, per_state) of a gate on
-    a stack of n-qubit tensors, for apply_planned.  Raises ValueError on a
-    qubit outside 0..n-1: qubit q is axis q + 1, so -1 would land on the
-    stack axis."""
+    a stack of n-qubit tensors with `axes` stack axes, for apply_planned.
+    Raises ValueError on a qubit outside 0..n-1: qubit q is axis q + axes,
+    so -1 would land on a stack axis."""
     if not (0 <= gate.target < n and (gate.control is None or 0 <= gate.control < n)):
         raise ValueError(f"gate on qubits ({gate.target}, {gate.control}) outside 0..{n - 1}")
     if gate.control is None:
-        return (None, *_axis_plan(n + 1, gate.target + 1, int(per_state)), per_state)
-    return ((slice(None),) * (gate.control + 1) + (1,),
-            *_axis_plan(n, gate.target + 1 - (gate.target > gate.control), int(per_state)),
-            per_state)
+        return (None, *_axis_plan(n + axes, gate.target + axes, int(per_state)), per_state)
+    return ((slice(None),) * (gate.control + axes) + (1,),
+            *_axis_plan(n + axes - 1, gate.target + axes - (gate.target > gate.control),
+                        int(per_state)), per_state)
 
 
 def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
@@ -239,18 +239,22 @@ def measure_z_expectation(states: np.ndarray, shots: int | None = None,
                           rng=None, sizes=None) -> np.ndarray:
     """<Z> of the last qubit of each state of a stack (leading axis),
     analytically (shots=None) or from a binomial sample, after checking
-    each norm.  Shot mode draws count ~ Binomial(shots, (1+<Z>)/2) per
-    state in stack order, in one call equal to one draw per state in turn,
-    and returns 2*count/shots - 1.  `rng` is a Generator or an integer seed,
-    or with `sizes` a list of them, the r-th drawing for the next sizes[r]
-    states of the stack.
+    each norm.  Each branch adds its |amplitude|^2 in index order, read in
+    the stack's own layout (no copy of a view from run_gates).  Shot mode
+    draws count ~ Binomial(shots, (1+<Z>)/2) per state in stack order, in
+    one call equal to one draw per state in turn, and returns
+    2*count/shots - 1.  `rng` is a Generator or an integer seed, or with
+    `sizes` a list of one per size, the r-th drawing for the next sizes[r]
+    states of the stack (ValueError unless the sizes add up to the stack).
     """
     if shots is not None and not (shots > 0 and rng is not None):
         raise ValueError("shot mode needs a positive shot count and a seed or generator")
-    amps = np.ascontiguousarray(states).reshape(len(states), -1, 2)
-    marg = (np.abs(amps) ** 2).sum(axis=1)
-    check_norms(np.sqrt(marg.sum(axis=1)))
-    exact = marg[:, 0] - marg[:, 1]
+    if shots and sizes is not None and (len(rng), sum(sizes)) != (len(sizes), len(states)):
+        raise ValueError("sizes must give one generator each and add up to the stack")
+    halves = np.moveaxis(states.reshape(len(states), -1, 2), -1, 0)   # (2, S, 2^(N-1))
+    marg = np.add.accumulate(np.abs(halves) ** 2, axis=2)[:, :, -1]   # in index order
+    check_norms(np.sqrt(marg[0] + marg[1]))
+    exact = marg[0] - marg[1]
     if shots is None:
         return exact
     p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)

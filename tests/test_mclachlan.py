@@ -9,7 +9,7 @@ from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, buil
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
 from vqite.ansatz import DERIVATIVE_PREFACTOR
-from vqite import simulator
+from vqite import mclachlan, simulator
 from vqite.mclachlan import (PASS_ROWS, McLachlanSystem, _start, evaluate_circuit,
                              hadamard_z)
 from vqite.simulator import basis_state, controlled_pauli, hadamard, x
@@ -406,22 +406,61 @@ def test_batched_sampled_is_per_row_oracle_on_random_hamiltonians(case):
     assert rows_agree(builder, theta, hs, [shots], range(seed, seed + len(hs)))
 
 
+GRID_WORDS = {2: ("XY", "ZZ", "IX", "YI", "II"), 3: ("XYZ", "ZII", "XXI", "IYY", "III")}
+
+
+def grid_hamiltonians(n, phases, rows):
+    """`rows` Hamiltonians on n qubits whose jobs take `phases` ancilla
+    phases: 1, no terms (A jobs only); 2, negative coefficients; 3, mixed
+    signs.  The first of 2 is -1.0 XY on 2 qubits."""
+    hs = []
+    for b in range(rows):
+        terms = 0 if phases == 1 else 1 + (phases == 3) + b % 2
+        pairs = [(-(1.0 + 0.5 * k) * (-1.0) ** (k * (phases == 3)), GRID_WORDS[n][(b + k) % 5])
+                 for k in range(terms)]
+        hs.append(PauliHamiltonian.from_pairs(pairs, n_qubits=n))
+    return hs
+
+
+@pytest.mark.parametrize("phases", [1, 2, 3])
+@pytest.mark.parametrize("family", ["ucc-h2", "he", "ucc-lih"])
+def test_sampled_is_per_job_oracle_on_grid(family, phases):
+    # A fixed grid that always runs: each family at 1, 2 or 3 ancilla phases,
+    # one row at 1-D theta, then B = 1..5 rows at 2-D theta.  Its case
+    # ucc-h2, h = -1.0 XY, theta = 1.0 fails a sweep whose products over the
+    # 2-qubit half-states of a row take an odd number of them.
+    builder, n, gamma = FAMILIES[family]
+    h = grid_hamiltonians(n, phases, 1)[0]
+    assert len(hadamard_z(builder(np.ones(gamma)), h)[0][0]) == phases
+    assert oracle_agrees(builder(np.ones(gamma)), h, [None, 10_000], 5)
+    for rows in range(1, 6):
+        theta = 1.0 - 0.6 * np.arange(rows)[:, None] + 0.3 * np.arange(gamma)
+        hs = grid_hamiltonians(n, phases, rows)
+        assert rows_agree(builder, theta, hs, [None, 10_000], range(7, 7 + rows)), rows
+
+
 def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
     # One batched compute_sampled applies each gate of the batched build
-    # once, whatever B is: 14 ansatz gates, 3 gates for each of the 2
-    # anti-controlled branches, 3 controlled A branches, and the closing H
-    # once per pass of PASS_ROWS rows.
+    # once, whatever B is, to the stack of half-states; the joins B_j and C_j
+    # are signed permutations, not gates, and the closing H runs once per
+    # pass of PASS_ROWS rows.  The 50 LiH rows (3 ancilla phases, gamma = 2)
+    # end with B (1 + 3 + 2 gamma) = 400 half-states of 8 amplitudes.
     hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
-    real = simulator.apply_gate
-    for rows, calls in ((1, 14 + 9 + 1), (50, 14 + 9 + -(-50 // PASS_ROWS))):
-        applied = []
+    planned, real = mclachlan.apply_planned, simulator.apply_gate
+    for rows in (1, 50):
+        swept, closing = [], []
+        monkeypatch.setattr(mclachlan, "apply_planned", lambda t, m, *plan: swept.append(
+            (m, t.shape)) or planned(t, m, *plan))
         monkeypatch.setattr(simulator, "apply_gate",
-                            lambda t, g, *kernel: applied.append(g) or real(t, g, *kernel))
+                            lambda t, g, *kernel: closing.append(g) or real(t, g, *kernel))
         ansatz = build_ucc_lih(np.ones((rows, 2)))
         compute_sampled(ansatz, hs[:rows], 10_000, list(range(rows)))
         monkeypatch.undo()
-        assert len(applied) == calls
-        assert all(sum(a is g for a in applied) == 1 for g in ansatz.gates)
+        assert len(swept) == len(ansatz.gates) == 14
+        assert all(np.array_equal(m, g.matrix) for (m, _), g in zip(swept, ansatz.gates))
+        assert len(closing) == -(-rows // PASS_ROWS)
+        assert all(g.matrix is hadamard(3).matrix and g.target == 3 for g in closing)
+    assert swept[-1][1] == (50, 1 + 3 + 2 * 2, 2, 2, 2)     # 400 half-states
 
 
 def test_sampled_table_is_keyed_on_values(lih_table):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import circuit_unitary, embed, gate_unitary, random_state
 from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectation,
@@ -182,6 +183,53 @@ def test_measure_z_rows_draw_from_their_own_generators(rng):
                            for a, b, twin in zip(bounds, bounds[1:], twins)])
     assert got.tobytes() == want.tobytes()
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+
+
+def test_measure_z_rejects_sizes_unlike_the_stack(rng):
+    # With sizes, each generator draws for its own states: a generator count
+    # other than len(sizes), or sizes not adding up to the stack, would leave
+    # states unmeasured or hand their draws to another row's generator.
+    stack = np.array([random_state(rng, 3) for _ in range(5)])
+    gens = [np.random.default_rng(s) for s in (1, 2)]
+    with pytest.raises(ValueError, match="sizes"):
+        measure_z_expectation(stack, 100, gens[:1], [2, 3])
+    with pytest.raises(ValueError, match="sizes"):
+        measure_z_expectation(stack, 100, gens, [2, 2])
+    assert len(measure_z_expectation(stack, 100, gens, [2, 3])) == 5
+
+
+def index_order_z(amps):
+    """Ancilla <Z> of one state: np.abs(amps) ** 2 of its contiguous
+    amplitudes, each ancilla branch added from 0.0 in index order."""
+    marg = [0.0, 0.0]
+    for k, p in enumerate((np.abs(np.ascontiguousarray(amps).reshape(-1)) ** 2).tolist()):
+        marg[k % 2] += p
+    return marg[0] - marg[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(st.integers(0, 4), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, 1, 7, 10_000]))
+def test_marginal_is_index_order_sum_on_every_layout(n, q, count, seed, shots):
+    # Flat (S, 2^N) stacks, C-contiguous tensor stacks and the transposed
+    # views run_gates returns all give each state the marginal of its
+    # amplitudes added in index order, bit for bit, and the draws of a twin
+    # generator fed those values one state at a time.
+    draw = np.random.default_rng(seed)
+    flat = np.array([random_state(draw, n) for _ in range(count)])
+    tensors = flat.reshape((count,) + (2,) * n)
+    view = run_gates(tensors, (hadamard(q % n),))
+    assert count == 1 or not view.flags.c_contiguous
+    for stack in (flat, tensors, view):
+        want = [index_order_z(amps) for amps in stack]
+        gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = measure_z_expectation(stack, shots, gen if shots else None)
+        if shots:
+            want = [2.0 * twin.binomial(shots, min(max((1.0 + z) / 2.0, 0.0), 1.0)) / shots - 1.0
+                    for z in want]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_nan_fails_state_checks():
