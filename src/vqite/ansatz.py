@@ -39,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .pauli import PAULI_MATRICES, PauliString, _signed_permutation, read_only
-from .simulator import (Gate, StateVector, apply_planned, basis_state, check_norms, cnot,
-                        gate_plan, rotation_matrix, rx, ry)
+from .simulator import (Gate, StateVector, apply_planned, basis_state, call, check_norms,
+                        cnot, gate_plan, rotation_matrix, rx, ry)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
@@ -63,7 +63,7 @@ class AnsatzCircuit:
     one angle vector (`parameters` of shape (gamma,)) or at B rows of angles
     ((B, gamma)).  Its steps are per gate (matrix, or index into the
     (gamma, [B,] 2, 2) rotation stack for the gates in `rotated`; gate_plan)
-    and per descriptor a join (None, sigma_i as (src, phase))."""
+    and per descriptor a join (None, sigma_i as _join gives it)."""
 
     def __init__(self, gates: tuple[Gate, ...], parameters,
                  descriptors: tuple[DerivativeDescriptor, ...],
@@ -96,38 +96,42 @@ class AnsatzCircuit:
             gates[k] = Gate(matrix, gates[k].target)
         return tuple(gates)
 
-    def _sweep(self, branches: bool) -> np.ndarray:
-        """(B (1 + gamma), 2^n), or (B, 2^n) without `branches`: the B forward
-        rows, then each join's branch.  Each gate is one per-state matmul over
-        the rows written so far (apply_planned), so every row keeps its bytes
-        alone; joins, and controlled gates whose input is there, write into
-        the buffer.  The first sweep's forward rows, norm-checked, are states()."""
-        ref, rotations = self.reference_state, self._rotations
+    def sweep(self, rotations, stack: np.ndarray, branches: bool, calls=None) -> None:
+        """Write the B forward rows at the rotation stack `rotations`, then
+        with `branches` each join's branch, into the head of `stack`, an
+        (S, 2^n) array that owns its memory, and norm-check the forward rows,
+        each numpy call also recorded into `calls` (apply_planned).  Each
+        gate is one per-state matmul over the rows written so far, so every
+        row keeps its bytes alone; joins, and controlled gates whose input
+        is there, write into the buffer."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
-        shape = (-1,) + (2,) * ref.n_qubits
-        stack = np.empty((rows * (1 + branches * self.n_parameters), ref.amplitudes.size),
-                         dtype=complex)
-        tensors = stack.reshape(shape)          # the same buffer, one tensor per row
-        stack[:rows], end = ref.amplitudes, rows
-        t = tensors[:rows]
+        tensors = stack.reshape((-1,) + (2,) * self.n_system_qubits)   # one tensor per row
+        call(calls, np.copyto, stack[:rows], self.reference_state.amplitudes)
+        t, end = tensors[:rows], rows
         for source, step in self._steps:
             if source is not None:
                 t = apply_planned(t, source if isinstance(source, np.ndarray)
-                                  else rotations[source], step, tensors)
+                                  else rotations[source], step, tensors, calls)
             elif branches:
                 if t.base is not stack:   # back into the buffer, in natural order
-                    tensors[:end] = t
-                np.multiply(step[1], stack[:rows].take(step[0], axis=1),
-                            out=stack[end:end + rows])
+                    call(calls, np.copyto, tensors[:end], t)
+                call(calls, np.multiply, step[1], tensors[:rows][step[0]], tensors[end:end + rows])
                 end += rows
                 t = tensors[:end]
         if t.base is not stack:
-            tensors[:end] = t
-        psi = stack[:rows]          # its norms as np.linalg.norm sums them
-        check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
+            call(calls, np.copyto, tensors[:end], t)
+        call(calls, _check_unit, stack[:rows])
+
+    def _sweep(self, branches: bool) -> np.ndarray:
+        """(B (1 + gamma), 2^n), or (B, 2^n) without `branches`: the sweep
+        into a buffer of its own; the first one's forward rows are states()."""
+        rows = len(self.parameters) if self.parameters.ndim == 2 else 1
+        stack = np.empty((rows * (1 + branches * self.n_parameters),
+                          self.reference_state.amplitudes.size), dtype=complex)
+        self.sweep(self._rotations, stack, branches)
         if self._states is None:
-            self._states = read_only(psi)
-        return stack[:end]
+            self._states = read_only(stack[:rows])
+        return stack
 
     def states(self) -> np.ndarray:
         """(B, 2^n) read-only amplitudes, one row per angle row: the head of
@@ -152,6 +156,11 @@ class AnsatzCircuit:
         return self.derivatives[i, 0]
 
 
+def _check_unit(psi: np.ndarray) -> None:
+    """check_norms of each row, its norm summed as np.linalg.norm sums it."""
+    check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
+
+
 @lru_cache(maxsize=8)
 def _program(gates, descriptors, rotated, n: int, axes: int = 1) -> list:
     """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
@@ -161,12 +170,18 @@ def _program(gates, descriptors, rotated, n: int, axes: int = 1) -> list:
     a rotation as one matmul per row and a shared gate as one np.dot."""
     slots, steps = dict(zip(rotated, range(len(rotated)))), []
     for k, gate in enumerate((*gates, None)):
-        steps += [(None, _signed_permutation(d.sigma.letters))
-                  for d in descriptors if d.insertion_point == k]
+        steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]
         if gate is not None:
             steps.append((slots.get(k, gate.matrix),
                           gate_plan(gate, n, axes == 1 or k in slots, axes)))
     return steps
+
+
+def _join(letters: str) -> tuple:
+    """sigma as (index, phase) on state tensors, their qubits last: the
+    signed permutation's src, j ^ xmask, reverses the axis of each X or Y."""
+    flips = [slice(None, None, -1 if c in "XY" else 1) for c in letters]
+    return (..., *flips), _signed_permutation(letters)[1].reshape((2,) * len(letters))
 
 
 def _axis_string(axis: str, q: int, n: int) -> PauliString:
@@ -214,7 +229,7 @@ def _build(family: str, theta) -> AnsatzCircuit:
     if theta.shape[-1] != len(axes):
         raise ValueError(f"{family} takes {len(axes)} parameters, got {theta.shape[-1]}")
     circuit = object.__new__(AnsatzCircuit)
-    circuit.__dict__.update(template, parameters=theta,
+    circuit.__dict__.update(template, parameters=theta, _axes=axes,
                             _rotations=read_only(rotation_matrix(axes, theta).swapaxes(-3, 0)))
     return circuit
 

@@ -18,12 +18,12 @@ the run switches to energy-only reporting.
 
 The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
-What does not depend on theta is fixed once per run: the term columns of
-the Hamiltonians, which compute_exact and the reports gather through, the
-spectra here, and the ansatz program (ansatz).  An exact iteration is then
-one rotation stack, one in-place gate sweep for A, B and the states, and
-one solve; a row reported against its own Hamiltonian takes its energy from
-the H|psi> that gave B.
+What does not depend on theta is made once per run: the row, qubit and
+dtau checks, the spectra, the reports' term columns, one circuit build and
+an ExactRun (mclachlan), whose first sweep is recorded and then repeated.
+An exact iteration is one rotation stack, one sweep, one H|psi> gather, one
+pair product and one stacked solve (pinv_step); a row reported against its
+own Hamiltonian takes its energy from that H|psi>.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cmf import EffectiveHamiltonian
-from .mclachlan import compute_exact, compute_sampled, solve_update
+from .mclachlan import (EXACT_EIG_CUTOFF, SHOT_EIG_CUTOFF, ExactRun, compute_sampled,
+                        pinv_step)
 from .pauli import PauliHamiltonian, _energies, dense_matrices, expectations, term_columns
 from .simulator import StateVector
 from .spectra import stacked_spectrum
@@ -150,48 +151,55 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     Row b runs configs[b] against h_systems[b] and reports through
     energy_maps[b] (None for every row: against h_systems[b]).  The rows
     share the ansatz, the qubit counts, the iteration count, the route and
-    the shot count.  Each iteration builds one circuit for all rows, takes
-    A and B of all rows from compute_exact or compute_sampled (each row
-    drawing from its own seeded generator) and solves every update with one
-    stacked eigh.  Each row's records are bitwise those of the row run
-    alone; its warnings are emitted after the loop, row by row.
+    the shot count, and the counts must agree.  Each iteration takes the
+    states of all rows from the run's ExactRun, A and B from it or from
+    compute_sampled (each row drawing from its own seeded generator), and
+    solves every update with one stacked eigh.  Each row's records are
+    bitwise those of the row run alone; its warnings come after the loop.
     """
+    maps = list(energy_maps or [None] * len(configs))
+    if not len(h_systems) == len(configs) == len(maps):
+        raise ValueError(f"{len(h_systems)} Hamiltonians, {len(configs)} configs and "
+                         f"{len(maps)} energy maps: one of each per row")
     if not configs:
         return []
-    maps, cfg = list(energy_maps or [None] * len(configs)), configs[0]
+    cfg = configs[0]
     if len({(c.iterations, c.route, c.shots, m is None) for c, m in zip(configs, maps)}) > 1:
         raise ValueError("rows of one run share iterations, route, shots and reduction")
     reports = [h if m is None else m.h_original for h, m in zip(h_systems, maps)]
     dtau = np.array([resolve_dtau(c, h) for c, h in zip(configs, reports)])
     labels, coeffs = term_columns(reports)
-    columns = (labels, coeffs) if maps[0] is None else term_columns(h_systems)
     exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, reports[0].n_qubits))
     # each ground state as the strided column of its eigenvector matrix, which
     # BLAS accumulates unlike a contiguous copy
     ground = vecs.conj()[:, None, :, 0]
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
-    rngs = [np.random.default_rng(c.seed) for c in configs] if cfg.route != "exact" else ()
-    own = iso is None and cfg.route == "exact"   # compute_exact's H|psi> is the report's
     theta = np.array([c.initial_theta for c in configs])
+    circuit = ansatz_builder(theta)      # the family's program, its arity checked once
+    # the states on both routes, and A and B on the exact one
+    run = ExactRun(circuit, h_systems, (labels, coeffs) if iso is None else None)
+    sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
+    rngs = [np.random.default_rng(c.seed) for c in configs] if sampled else ()
+    eps_cut = SHOT_EIG_CUTOFF if sampled and cfg.shots else EXACT_EIG_CUTOFF
     steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
 
     for it in range(cfg.iterations + 1):
-        ansatz = ansatz_builder(theta)
-        if it < cfg.iterations:  # first, so that the derivative sweep gives the states
-            system = (compute_exact(ansatz, h_systems, columns) if cfg.route == "exact"
-                      else compute_sampled(ansatz, h_systems, cfg.shots, rngs))
-        psi = ansatz.states() if iso is None else (iso @ ansatz.states()[:, :, None])[:, :, 0]
-        energy = (_energies(psi, system.h_psi) if own and it < cfg.iterations
+        last = it == cfg.iterations
+        states, a, b, h_psi = run(theta, not (sampled or last))
+        if sampled and not last:
+            ansatz = ansatz_builder(theta) if it else circuit
+            a, b = compute_sampled(ansatz, h_systems, cfg.shots, rngs)[:2]
+        psi = states if iso is None else (iso @ states[:, :, None])[:, :, 0]
+        energy = (_energies(psi, h_psi) if own and not last
                   else expectations(labels, coeffs, psi))
         steps.append([theta, energy, (ground @ psi[:, :, None])[:, 0, 0], none, none])
-        if it == cfg.iterations:
+        if last:
             break
-        steps[-1][3:] = system.a_matrix, system.b_vector
-        update = solve_update(system, dtau)
+        steps[-1][3:] = a, b
+        delta, flat = pinv_step(a, b, dtau, eps_cut)
         if it == 0:
-            stationary = update.stationary | (np.abs(update.delta_theta).max(axis=1)
-                                              < STATIONARY_TOL)
-        theta = theta + update.delta_theta
+            stationary = flat | (np.abs(delta).max(axis=1) < STATIONARY_TOL)
+        theta = theta + delta
 
     trajectories = []
     for b, degenerate in enumerate(flags[:, 0].tolist()):

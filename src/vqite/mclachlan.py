@@ -6,10 +6,12 @@ defining inner products directly on statevectors:
     A_ij = Re <d_i psi | d_j psi>
     B_i  = -Re <d_i psi | H | psi>
 
-with |d_i psi> built from the ansatz derivative descriptors, for one
-circuit or for the B rows of a batched one at once (A and B stacked): one
-product per pair i <= j and per B entry, and H|psi> comes back for the
-loop's energies.  The Hadamard route expands the same sums into one ancilla
+with |d_i psi> built from the ansatz derivative descriptors, for the B
+rows of a batched circuit at once (A and B stacked): one product per pair
+i <= j and per B entry.  ExactRun compiles it once per run (weighted terms,
+pair indices, one buffer, its sweep recorded once and repeated at new
+angles) and hands back H|psi> for the loop's energies; compute_exact is one
+call of it.  The Hadamard route expands the same sums into one ancilla
 test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
 is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
 prefactor of the summand, and the ancilla Z expectation then yields the
@@ -36,9 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
-from .pauli import PauliHamiltonian, _term_stack, apply_sums, term_columns
+from .pauli import PauliHamiltonian, _term_stack, apply_sums, term_columns, weighted_terms
 from .simulator import (Gate, StateVector, apply_planned, check_norms, controlled_pauli,
-                        hadamard, measure_z_expectation, run_gates, x)
+                        hadamard, measure_z_expectation, rotation_matrix, run_calls, run_gates, x)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
@@ -53,7 +55,6 @@ class McLachlanSystem(NamedTuple):
     b_vector: np.ndarray
     route: str = "exact"            # "exact" or "hadamard"
     shots: int | None = None
-    h_psi: np.ndarray | None = None   # exact route: H|psi> of each row
 
 
 class HadamardTestCircuit(NamedTuple):
@@ -77,33 +78,62 @@ class HadamardJob(NamedTuple):
 
 
 def compute_exact(ansatz: AnsatzCircuit, h, columns=None) -> McLachlanSystem:
-    """A and B by direct statevector inner products, for a circuit at one
-    angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians
-    (A and B stacked).  Each inner product is a (1, L) @ (L, 1) matmul,
-    bitwise np.vdot; H|psi> gathers over the union of the rows' words (their
-    term_columns, made here unless a run passes them as `columns`) and
-    comes back in h_psi."""
+    """A and B by direct statevector inner products (ExactRun), for a circuit
+    at one angle vector and its Hamiltonian, or at B angle rows and B
+    Hamiltonians (A and B stacked)."""
     batch = ansatz.parameters.ndim == 2
-    hs = list(h) if batch else [h]
-    _check_qubits(ansatz, hs)
-    gamma, d = ansatz.n_parameters, ansatz.derivatives
-    kets = np.concatenate([d, apply_sums(*(columns or term_columns(hs)), ansatz.states())[None]])
-    bra, ket, i, j = _pairs(gamma)
-    # v[k, b] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, of row b
-    v = (d[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].real
-    a = np.empty((d.shape[1], gamma, gamma))
-    a[:, i, j] = a[:, j, i] = v[:len(i)].T
-    b = -np.ascontiguousarray(v[len(i):].T)  # BLAS rounds a strided b otherwise
-    return (McLachlanSystem(a, b, "exact", None, kets[gamma]) if batch
-            else McLachlanSystem(a[0], b[0], "exact", None, kets[gamma, 0]))
+    _, a, b, _ = ExactRun(ansatz, h if batch else [h], columns)(ansatz.parameters)
+    return McLachlanSystem(a if batch else a[0], b if batch else b[0])
+
+
+class ExactRun:
+    """The exact route of a circuit's family over B fixed Hamiltonians, made
+    once per run: the row checks, their weighted terms (of `columns`, else
+    of term_columns), the pair indices, one buffer and its compiled sweeps.
+    A call at (B, gamma) angles is one rotation stack, one sweep of the
+    forward rows and every branch, one H|psi> gather and one pair product,
+    each a (1, L) @ (L, 1) matmul, bitwise np.vdot: (states, A, B, H|psi>),
+    or the states alone without `system`; states and H|psi> are views of
+    the buffer until the next call."""
+
+    def __init__(self, ansatz: AnsatzCircuit, hs, columns=None) -> None:
+        hs = list(hs)
+        _check_rows(ansatz, hs)
+        n, gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(hs)
+        self.ansatz, self.pairs, self.programs = ansatz, _pairs(gamma), {}
+        self.columns = columns or term_columns(hs)
+        self.terms = weighted_terms(*self.columns, n)
+        self.stack = np.empty(((gamma + 2) * rows, 2 ** n), dtype=complex)
+        # the forward rows, then each d_i and H|psi>; the rotations each call rewrites
+        self.psi, self.kets = self.stack[:rows], self.stack[rows:].reshape(gamma + 1, rows, -1)
+        self.rotations = rotation_matrix(ansatz._axes, ansatz.parameters)
+
+    def __call__(self, theta, system: bool = True) -> tuple:
+        rotation_matrix(self.ansatz._axes, theta, self.rotations)
+        if system in self.programs:
+            run_calls(self.programs[system])
+        else:   # the first sweep records its numpy calls for the next ones
+            self.ansatz.sweep(self.rotations.swapaxes(-3, 0), self.stack, system,
+                              self.programs.setdefault(system, []))
+        if not system:
+            return self.psi, None, None, None
+        kets, (bra, ket, a_cols, b_cols, *_) = self.kets, self.pairs
+        np.multiply(DERIVATIVE_PREFACTOR, kets[:-1], out=kets[:-1])   # branch i -> d_i
+        apply_sums(*self.columns, self.psi, self.terms, kets[-1])
+        # v[b, k] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, of row b;
+        # take makes A and B C-contiguous, as BLAS must read them
+        v = (kets[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].real.T
+        return self.psi, v.take(a_cols, axis=1), -v.take(b_cols, axis=1), kets[-1]
 
 
 @lru_cache(maxsize=16)
 def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
     """(bra, ket) indices of the A pairs (i, j), i <= j, then of (i, gamma)
-    for B, and the A pairs' i and j."""
+    for B; the pair of each A entry and of each B entry; the A pairs' i and j."""
     i, j = np.triu_indices(gamma)
-    return np.r_[i, :gamma], np.r_[j, [gamma] * gamma], i, j
+    a_cols = np.empty((gamma, gamma), dtype=np.intp)
+    a_cols[i, j] = a_cols[j, i] = np.arange(len(i))
+    return np.r_[i, :gamma], np.r_[j, [gamma] * gamma], a_cols, len(i) + np.arange(gamma), i, j
 
 
 def _layout(gamma: int, coeffs: list[float]) -> list:
@@ -125,7 +155,10 @@ def _layout(gamma: int, coeffs: list[float]) -> list:
     return jobs + [(l, *sums[l + 1], ("B", i)) for i in range(gamma) for l in range(len(coeffs))]
 
 
-def _check_qubits(ansatz: AnsatzCircuit, hs) -> None:
+def _check_rows(ansatz: AnsatzCircuit, hs) -> None:
+    rows = len(ansatz.parameters) if ansatz.parameters.ndim == 2 else 1
+    if len(hs) != rows:
+        raise ValueError(f"{rows} angle rows but {len(hs)} Hamiltonians")
     if any(h.n_qubits != ansatz.n_system_qubits for h in hs):
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
 
@@ -133,7 +166,7 @@ def _check_qubits(ansatz: AnsatzCircuit, hs) -> None:
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
     """One weighted test circuit per A/B summand of _layout."""
-    _check_qubits(ansatz, [h])
+    _check_rows(ansatz, [h])
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
     ctrl = [tuple(controlled_pauli(n, range(n), d.sigma.letters)) for d in descs]
     anti, final = [(x(n), *c, x(n)) for c in ctrl], (hadamard(n),)
@@ -219,7 +252,7 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     """
     batch = ansatz.parameters.ndim == 2
     hs, n = list(h) if batch else [h], ansatz.n_system_qubits
-    _check_qubits(ansatz, hs)
+    _check_rows(ansatz, hs)
     labels, coeffs = term_columns(hs)
     table = _table(ansatz.descriptors, n, labels, len(hs), coeffs.tobytes())
     phases, head, zero, one, words, src, sign, *_, sizes = table
@@ -228,8 +261,7 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     t = halves[None].repeat(len(hs), axis=0).reshape((len(hs), head) + (2,) * n)
     for source, step in _program(ansatz._fixed, ansatz.descriptors, ansatz._rotated, n, 2):
         if source is None:      # B_j, C_j: sigma_j of F0 and F1[A phase]
-            pair = step[1] * t[:, :2].reshape(len(hs), 2, -1)[:, :, step[0]]
-            t = np.concatenate([t, pair.reshape(t[:, :2].shape)], axis=1)
+            t = np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1)
         else:
             t = apply_planned(t, source if isinstance(source, np.ndarray)
                               else ansatz._rotations[source], step)
@@ -276,23 +308,28 @@ class UpdateResult(NamedTuple):
 
 
 def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
-    """delta theta = dtau * pinv(A) B via eigen-decomposition, for one system
-    or a stack (A of shape (..., gamma, gamma), dtau a scalar or one per
-    system): one stacked eigh, bitwise per system.  Eigenvalues below the
-    route's relative cutoff times the max eigenvalue are dropped; if the
-    whole spectrum sits below the absolute floor the update is zero and the
-    result is flagged stationary.  For a 1x1 system this is (B/A) * dtau.
-    """
+    """pinv_step of one system or a stack, at the route's cutoff, once dtau
+    (a scalar or one per system) is checked."""
     dtau = np.asarray(dtau, dtype=float)
     if not all(0 < t < np.inf for t in dtau.ravel().tolist()):  # NaN fails too
         raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
-    lam, vec = np.linalg.eigh(sys.a_matrix)
+    return UpdateResult(*pinv_step(sys.a_matrix, sys.b_vector, dtau, eps_cut))
+
+
+def pinv_step(a: np.ndarray, b: np.ndarray, dtau: np.ndarray, eps_cut: float) -> tuple:
+    """(delta theta, stationary) with delta theta = dtau * pinv(A) B via
+    eigen-decomposition, for one system or a stack (A of shape (..., gamma,
+    gamma)): one stacked eigh, bitwise per system.  Eigenvalues below eps_cut
+    times the max eigenvalue are dropped; if the whole spectrum sits below
+    the absolute floor the update is zero and flagged stationary.  For a 1x1
+    system this is (B/A) * dtau."""
+    lam, vec = np.linalg.eigh(a)
     lam_max = lam[..., -1:]                     # eigh sorts ascending
     keep = lam > eps_cut * lam_max
     inv = keep / np.where(keep, lam, 1.0)       # 1/lam where kept, else 0.0
-    coef = inv[..., None] * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])
+    coef = inv[..., None] * (vec.swapaxes(-1, -2) @ b[..., None])
     delta = dtau[..., None] * (vec @ coef)[..., 0]
     stationary = lam_max[..., 0] < ABS_EIG_FLOOR
     delta[stationary] = 0.0
-    return UpdateResult(delta, stationary)
+    return delta, stationary

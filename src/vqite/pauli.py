@@ -172,13 +172,20 @@ def term_columns(hamiltonians) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, coeffs
 
 
+def weighted_terms(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> tuple:
+    """(src, coeffs[b, l] phase_l[j]) of the Pauli sums coeffs[b] over `labels`:
+    the (L, 2^n) term stack with each row's (B, L) coefficients multiplied in."""
+    src, phase = _term_stack(labels, n_qubits)
+    return src, coeffs[:, :, None] * phase
+
+
 def dense_matrices(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> np.ndarray:
     """(B, 2^n, 2^n) dense matrices of the Pauli sums coeffs[b] over `labels`
     (n <= 12): entry l of row j added at column src_l[j], in term order."""
     _check_dense_cap(n_qubits)
-    src, phase = _term_stack(labels, n_qubits)
+    src, terms = weighted_terms(labels, coeffs, n_qubits)
     out = np.zeros((len(coeffs), src.shape[1], src.shape[1]), dtype=complex)
-    np.add.at(out, (slice(None), np.arange(src.shape[1]), src), coeffs[:, :, None] * phase)
+    np.add.at(out, (slice(None), np.arange(src.shape[1]), src), terms)
     return out
 
 
@@ -187,14 +194,15 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     return dense_matrices(h.words, h.coeffs[None], h.n_qubits)[0]
 
 
-def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray,
+               terms=None, out=None) -> np.ndarray:
     """H_b |psi_b> for the Pauli sums H_b = coeffs[b] over `labels` and the
     rows of a (B, 2^n) stack: one gather, multiply and sum, adding the terms
-    in order from zero; a word a row lacks weighs 0.0 and moves no bit."""
-    src, phase = _term_stack(labels, psi.shape[-1].bit_length() - 1)
-    terms = coeffs[:, :, None] * phase
-    terms *= psi[:, src]
-    return terms.sum(axis=1, initial=0)
+    in order from zero (into `out`); a word a row lacks weighs 0.0 and moves
+    no bit.  A run passes the weighted_terms it made once as `terms`."""
+    src, weighted = terms or weighted_terms(labels, coeffs, psi.shape[-1].bit_length() - 1)
+    return np.multiply(weighted, psi[:, src], out=None if terms else weighted).sum(
+        axis=1, initial=0, out=out)
 
 
 def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:

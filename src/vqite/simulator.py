@@ -96,12 +96,13 @@ class Gate:
         read_only(self.matrix)
 
 
-def rotation_matrix(axis, angle) -> np.ndarray:
-    """R_n(a) = exp(-i a/2 sigma_n), written out in closed form.  `axis` is a
-    letter or a stack of Pauli matrices, broadcast against an array of angles."""
+def rotation_matrix(axis, angle, out=None) -> np.ndarray:
+    """R_n(a) = exp(-i a/2 sigma_n), written out in closed form (into `out`
+    if given).  `axis` is a letter or a stack of Pauli matrices, broadcast
+    against an array of angles."""
     sigma = PAULI_MATRICES[axis] if isinstance(axis, str) else axis
     half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
-    return np.cos(half) * EYE - 1j * np.sin(half) * sigma
+    return np.subtract(np.cos(half) * EYE, 1j * np.sin(half) * sigma, out=out)
 
 
 def rx(q: int, angle: float) -> Gate:
@@ -173,7 +174,7 @@ def gate_plan(gate: Gate, n: int, per_state: bool = True, axes: int = 1) -> tupl
 
 
 def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
-                  stack: np.ndarray | None = None) -> np.ndarray:
+                  stack: np.ndarray | None = None, calls: list | None = None) -> np.ndarray:
     """The 2x2 matrix m applied by gate_plan `plan` to a stack of amplitude
     tensors t, shape (S,) + (2,)*n, as a transposed view: one np.dot of m
     with the target axis moved to the front and the rest flattened (bitwise
@@ -181,27 +182,42 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     which gives each state its bytes alone; m is then (2, 2) or a (B, 2, 2)
     stack, state s taking m[s % B].  A controlled gate writes its control-1
     half of a copy of t, or with `stack`, an (S,) + (2,)*n view of a buffer,
-    in place there, t copied into its first rows unless it is there."""
+    in place there, t copied into its first rows unless it is there.  Each
+    numpy call that moves values is also recorded into `calls`, with the
+    arrays it made, for run_calls to repeat on what t and m then hold."""
     control, order, inverse, per_state = plan
     whole = t
     if control is not None:
-        if stack is None:
-            whole = t.copy()
-        elif t.base is not stack.base:
-            stack[:len(t)] = t
-            whole = stack[:len(t)]
+        if stack is None or t.base is not stack.base:
+            whole = np.empty(t.shape, dtype=complex) if stack is None else stack[:len(t)]
+            call(calls, np.copyto, whole, t)
         t = whole[control]
     front = t.transpose(order)
-    if per_state:
-        out = np.matmul(m, front.reshape((len(t), 2, -1) if m.ndim == 2 else
-                                         (-1, len(m), 2, t.size // (2 * len(t)))))
-    else:
-        out = np.dot(m, front.reshape(2, -1))
+    x = front.reshape(((len(t), 2, -1) if m.ndim == 2 else (-1, len(m), 2, t.size // (2 * len(t))))
+                      if per_state else (2, -1))
+    if calls is not None and not np.may_share_memory(x, front):   # reshape copied
+        calls.append((np.copyto, (x.reshape(front.shape), front)))
+    out = np.empty(x.shape, dtype=complex)
+    call(calls, np.matmul if per_state else np.dot, m, x, out)
     out = out.reshape(front.shape).transpose(inverse)
     if control is None:
         return out
-    whole[control] = out
+    call(calls, np.copyto, whole[control], out)
     return whole
+
+
+def call(calls: list | None, function, *args) -> None:
+    """function(*args), the numpy call also appended to `calls` (unless
+    None) for run_calls to repeat."""
+    if calls is not None:
+        calls.append((function, args))
+    function(*args)
+
+
+def run_calls(calls: list) -> None:
+    """Repeat each recorded numpy call in turn."""
+    for function, args in calls:
+        function(*args)
 
 
 def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray:

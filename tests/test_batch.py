@@ -16,8 +16,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import apply, apply_word, forward_then_branches, term_loop
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
-                   cmf_reduce, cmf_reduce_rows, compute_exact, exact_spectrum, gershgorin_emax,
-                   hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
+                   cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled, exact_spectrum,
+                   gershgorin_emax, hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
 from vqite import ansatz as ansatz_module
 from vqite.ansatz import DERIVATIVE_PREFACTOR
 from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
@@ -122,29 +122,67 @@ def lifted_row(table, r):
     return lifted, QiteConfig((0.5,) * 6, iterations=20, dtau=dtau)
 
 
-@pytest.mark.parametrize("case", ["excited-R0.5", "cmf-he-50-rows"])
-def test_loop_is_unfused_reference(case, lih_table):
-    # The compiled loop (template builds, one buffer per sweep, the energy
-    # from compute_exact's H|psi>) gives every record byte of the unfused
-    # form, on an excited-style lifted row (20 iterations, its energy rises
-    # at iteration 5) and on a 50-row CMF + HE batch (reported through the
-    # isometry).
+@pytest.mark.parametrize("case", ["excited-R0.5", "cmf-he-50-rows", "ucc-lih-50-rows",
+                                  "ucc-h2-theta-scan"])
+def test_loop_is_unfused_reference(case, lih_table, h2_r07):
+    # The compiled loop (one ExactRun per run, its sweep recorded once and
+    # repeated, the energy from its H|psi>) gives every record byte of the
+    # unfused form: on an excited-style lifted row (20 iterations, its energy
+    # rises at iteration 5), on the 50-row CMF + HE batch (reported through
+    # the isometry), on the 50-row exact UCC-LiH batch (3 qubits, reported
+    # against its own Hamiltonian) and on a theta_scan grid of the H2 UCC
+    # circuit that holds theta = pi, stationary at iteration 0.
+    builder = {"ucc-lih-50-rows": build_ucc_lih, "ucc-h2-theta-scan": build_ucc_h2}.get(
+        case, build_hardware_efficient)
     if case == "excited-R0.5":
         lifted, config = lifted_row(lih_table, 0.5)
         hs, configs, maps = [lifted], [config], [None]
+    elif case == "ucc-h2-theta-scan":
+        grid = [0.5, 2.0, np.pi, 4.5]
+        hs, maps = [h2_r07] * len(grid), [None] * len(grid)
+        configs = [QiteConfig((t,), iterations=4) for t in grid]
     else:
-        hs, configs, maps = scan_rows(lih_table, build_hardware_efficient, True)
+        hs, configs, maps = scan_rows(lih_table, builder, case == "cmf-he-50-rows")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trajectories = run_qite_rows(hs, build_hardware_efficient, configs, maps)
+        trajectories = run_qite_rows(hs, builder, configs, maps)
+    if case == "ucc-h2-theta-scan":
+        assert [t.stationary for t in trajectories] == [False, False, True, False]
     for h, config, energy_map, traj in zip(hs, configs, maps, trajectories):
-        want = unfused_records(h, build_hardware_efficient, config, energy_map)
+        want = unfused_records(h, builder, config, energy_map)
         got = [(r.iteration, r.theta, r.a_matrix, r.b_vector, r.energy, r.fidelity)
                for r in traj.records]
         assert len(got) == len(want) == config.iterations + 1
         for g, w in zip(got, want):
             assert [None if x is None else np.asarray(x).tobytes() for x in g] == \
                    [None if x is None else np.asarray(x).tobytes() for x in w], g[0]
+
+
+ONE = QiteConfig((1.0, 1.0))
+TWO_ROWS = np.ones((2, 2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda h: run_qite_rows([h, h], build_ucc_lih, [ONE]),
+     "2 Hamiltonians, 1 configs and 1 energy maps"),
+    (lambda h: run_qite_rows([h], build_ucc_lih, [ONE, ONE]),
+     "1 Hamiltonians, 2 configs and 2 energy maps"),
+    (lambda h: run_qite_rows([h, h], build_ucc_lih, [ONE, ONE], [None]),
+     "2 Hamiltonians, 2 configs and 1 energy maps"),
+    (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), [h]), "2 angle rows but 1 Hamiltonians"),
+    (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), [h] * 3), "2 angle rows but 3 Hamiltonians"),
+    (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), [h], None),
+     "2 angle rows but 1 Hamiltonians"),
+    (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), [h] * 3, 100, [1, 2, 3]),
+     "2 angle rows but 3 Hamiltonians"),
+], ids=["run-hamiltonians", "run-configs", "run-energy-maps", "exact-1", "exact-3",
+        "sampled-1", "sampled-3"])
+def test_row_counts_must_agree(call, message, lih_r15):
+    # One Hamiltonian, config and energy map per angle row, or a ValueError
+    # that names the counts before any work starts (not a row dropped by zip
+    # or a numpy broadcast error deep inside).
+    with pytest.raises(ValueError, match=message):
+        call(lih_r15)
 
 
 def vdot_system(ansatz, h):
@@ -242,13 +280,22 @@ def test_compiled_sweep_is_per_gate_oracle(builder, rows, data):
 
 def recorded_gates(monkeypatch, run):
     """(stack ndim, stack length) of every gate the ansatz sweep applies in
-    run(), each one apply_planned call."""
-    real, calls = ansatz_module.apply_planned, []
-    monkeypatch.setattr(ansatz_module, "apply_planned",
-                        lambda t, *kernel: calls.append((t.ndim, len(t))) or real(t, *kernel))
+    run(): each apply_planned call, and each later run of the product it
+    recorded (a run repeats its first sweep's recorded numpy calls)."""
+    real, applied = ansatz_module.apply_planned, []
+
+    def recording(t, m, plan, stack=None, calls=None):
+        shape, start = (t.ndim, len(t)), len(calls) if calls is not None else 0
+        applied.append(shape)
+        result = real(t, m, plan, stack, calls)
+        if calls is not None:
+            calls[start:] = [((lambda *a, f=f: applied.append(shape) or f(*a)), args)
+                             if f in (np.matmul, np.dot) else (f, args) for f, args in calls[start:]]
+        return result
+    monkeypatch.setattr(ansatz_module, "apply_planned", recording)
     run()
     monkeypatch.undo()
-    return calls
+    return applied
 
 
 @pytest.mark.parametrize("rows", [1, 50])

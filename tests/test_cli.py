@@ -356,7 +356,7 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
 def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
     """`real`, raising `error` whenever its batch holds the row of R = r."""
     h = hamiltonian_at(load_lih_table(), r)
-    if stage in ("compute_exact", "compute_sampled"):   # the rows' reduced Hamiltonians
+    if stage in ("ExactRun", "compute_sampled"):   # the rows' reduced Hamiltonians
         target = cmf_reduce(h).h_eff
         hit = lambda args: any(x.words == target.words and np.array_equal(x.coeffs, target.coeffs)
                                for x in args[1])
@@ -371,7 +371,7 @@ def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
     return stage_fn
 
 
-@pytest.mark.parametrize("stage", ["compute_exact", "expectations", "compute_sampled"])
+@pytest.mark.parametrize("stage", ["ExactRun", "expectations", "compute_sampled"])
 def test_failing_qite_row_flags_only_its_row(stage, tmp_path, monkeypatch, capsys):
     # The batch of all three rows fails; each row then runs alone, and only
     # R = 1.5 fails alone.  On the shot route the neighbours' rows and traces
@@ -410,8 +410,8 @@ def test_reduction_and_qite_failures_share_one_fallback(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cmf_mod, "_select_basis",
                         _failing_reduction("_select_basis", cmf_mod._select_basis))
-    monkeypatch.setattr(engine_mod, "compute_exact",
-                        _failing_qite("compute_exact", engine_mod.compute_exact, 3.0,
+    monkeypatch.setattr(engine_mod, "ExactRun",
+                        _failing_qite("ExactRun", engine_mod.ExactRun, 3.0,
                                       FloatingPointError))
     assert main(args + ["--out", str(failed)]) == 1
     rows = (failed / "curve.csv").read_text().splitlines()

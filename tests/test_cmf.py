@@ -106,15 +106,30 @@ def test_reduce_rejects_wrong_size():
         cmf_reduce(h)
 
 
-def test_batched_rows_equal_per_row_oracle_bitwise(lih_table):
+@pytest.fixture(scope="module")
+def lih_oracle(lih_table):
+    """(Hamiltonian, cmf_oracle bytes) of each of the 50 LiH rows, by R."""
+    hs = {r: hamiltonian_at(lih_table, r) for r in lih_table.bond_distances}
+    return {r: (h, reduction_bytes(*cmf_oracle(h))) for r, h in hs.items()}
+
+
+def test_batched_rows_equal_per_row_oracle_bitwise(lih_oracle):
     # All 50 rows in one batch, including the 11-term rows R = 4.9 and 5.0.
-    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    hs = [h for h, _ in lih_oracle.values()]
     assert {h.n_terms for h in hs} == {11, 13}
     effs = cmf_reduce_rows(hs)
     assert len(effs) == len(hs) and cmf_reduce_rows([]) == []
-    for r, h, eff in zip(lih_table.bond_distances, hs, effs):
-        assert (reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance)
-                == reduction_bytes(*cmf_oracle(h))), r
+    for (r, (_, want)), eff in zip(lih_oracle.items(), effs):
+        assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
+
+
+def test_one_row_reductions_equal_oracle_bitwise(lih_oracle):
+    # The one-row reduction that every `excited` call runs, of each LiH row
+    # and of PRODUCT, whose candidates take the rank-deficient fallback.
+    cases = [(r, h, want) for r, (h, want) in lih_oracle.items()]
+    for r, h, want in cases + [("PRODUCT", PRODUCT, reduction_bytes(*cmf_oracle(PRODUCT)))]:
+        eff = cmf_reduce(h)
+        assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
 
 
 @pytest.mark.parametrize("rows", [1, 50])
