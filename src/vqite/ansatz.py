@@ -14,13 +14,12 @@ gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
 Each family compiles once into a template, its circuit at zero angles as
-a program of sweep steps.  A build, at one angle vector or a (B, gamma)
-array of B rows, is the template with the rotation stack of one
-rotation_matrix call; its `gates` are made only when read.  One sweep
-writes the B forward rows and each branch (sigma_n of the forward rows at
-its insertion point) into one buffer, each gate running once over the rows
-written so far.  Insertion points are non-decreasing, so the Hadamard-test
-circuits are slices of `gates`.
+a program of sweep steps; a build, at one angle vector or a (B, gamma)
+array of B rows, adds the rotation stack of one rotation_matrix call.  One
+sweep writes the B forward rows and each branch (sigma_n of the forward
+rows at its insertion point) into one buffer, each gate running once over
+the rows written so far; a run records it once and repeats it.  Insertion
+points are non-decreasing, so the Hadamard-test circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -47,12 +46,9 @@ DERIVATIVE_PREFACTOR = -0.5j
 
 
 class DerivativeDescriptor(NamedTuple):
-    """How to differentiate one circuit parameter.
-
-    `insertion_point` is the gate-list index at which `sigma`, a
-    full-width Pauli string, is inserted (immediately after the
-    parameterized gate), with prefactor DERIVATIVE_PREFACTOR.
-    """
+    """How to differentiate one circuit parameter: insert `sigma`, a
+    full-width Pauli string, at gate-list index `insertion_point` (right
+    after the parameterized gate), with prefactor DERIVATIVE_PREFACTOR."""
 
     insertion_point: int
     sigma: PauliString
@@ -98,12 +94,10 @@ class AnsatzCircuit:
 
     def sweep(self, rotations, stack: np.ndarray, branches: bool, calls=None) -> None:
         """Write the B forward rows at the rotation stack `rotations`, then
-        with `branches` each join's branch, into the head of `stack`, an
-        (S, 2^n) array that owns its memory, and norm-check the forward rows,
-        each numpy call also recorded into `calls` (apply_planned).  Each
-        gate is one per-state matmul over the rows written so far, so every
-        row keeps its bytes alone; joins, and controlled gates whose input
-        is there, write into the buffer."""
+        with `branches` each join's branch, into the head of `stack` (an
+        (S, 2^n) array owning its memory) and norm-check the forward rows,
+        recording each numpy call into `calls`.  Each gate is one per-state
+        matmul over the rows so far, so every row keeps its bytes alone."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         tensors = stack.reshape((-1,) + (2,) * self.n_system_qubits)   # one tensor per row
         call(calls, np.copyto, stack[:rows], self.reference_state.amplitudes)
@@ -123,8 +117,7 @@ class AnsatzCircuit:
         call(calls, _check_unit, stack[:rows])
 
     def _sweep(self, branches: bool) -> np.ndarray:
-        """(B (1 + gamma), 2^n), or (B, 2^n) without `branches`: the sweep
-        into a buffer of its own; the first one's forward rows are states()."""
+        """The sweep into a buffer of its own; the first one's rows are states()."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         stack = np.empty((rows * (1 + branches * self.n_parameters),
                           self.reference_state.amplitudes.size), dtype=complex)
@@ -156,8 +149,7 @@ class AnsatzCircuit:
         return self.derivatives[i, 0]
 
 
-def _check_unit(psi: np.ndarray) -> None:
-    """check_norms of each row, its norm summed as np.linalg.norm sums it."""
+def _check_unit(psi: np.ndarray) -> None:   # each row's norm as np.linalg.norm sums it
     check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
 
 
@@ -240,12 +232,9 @@ def build_ucc_h2(theta) -> AnsatzCircuit:
 
 
 def build_ucc_lih(theta) -> AnsatzCircuit:
-    """UCC circuit for LiH: 3 system qubits, 2 parameters, reference |100>.
-
-    The theta_1 block (qubits q0, q1) is applied first, then the theta_2
-    block (q0, q2), matching the rightmost-first reading of the operator
-    product.
-    """
+    """UCC circuit for LiH: 3 system qubits, 2 parameters, reference |100>;
+    the theta_1 block (q0, q1) is applied first, then the theta_2 block (q0,
+    q2), the rightmost-first reading of the operator product."""
     return _build("ucc-lih", theta)
 
 

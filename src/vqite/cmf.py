@@ -20,15 +20,13 @@ The resulting 2-qubit effective Hamiltonian comes with the 8x4 isometry
 whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
 
-All five steps run batched over the rows of a scan, one pass per step:
-steps 1-3 over the conditioning weights of every row (B, 2B and 4B), each
-partial trace one gather through a compiled trace plan and each spectrum one
-eigh of a stack; steps 4-5 over the candidates of every row: a stable sort
-of their energies (the coefficient keys only where energies tie), one
-Gram-Schmidt sweep, a slot every row keeps written into the basis in place,
-and one Pauli expansion.  Each row equals its reduction alone, bit for bit.
-cmf_reduce_rows is that batch; one failing row fails it, and a scan then
-reduces each row alone (cli.run_scan).
+cmf_reduce_rows runs all five steps for the rows of a scan, one pass per
+step: steps 1-3 over the B, 2B and 4B conditioning weights (each partial
+trace one gather through a compiled plan, each spectrum one eigh), steps
+4-5 over the candidates (a stable sort of their energies, the coefficient
+keys only where energies tie; one Gram-Schmidt sweep; one Pauli expansion).
+Each row equals its reduction alone bit for bit; one failing row fails the
+batch, and a scan then reduces each row alone (cli.run_scan).
 """
 
 from __future__ import annotations

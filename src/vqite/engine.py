@@ -56,9 +56,7 @@ def average_z_coefficient(h: PauliHamiltonian) -> float:
     """
     single_z = [c for c, w in zip(h.coeffs.tolist(), h.words) if w.replace("I", "") == "Z"]
     if not single_z:
-        raise ValueError(
-            "Hamiltonian has no single-qubit Z term; use a fixed dtau instead"
-        )
+        raise ValueError("Hamiltonian has no single-qubit Z term; use a fixed dtau instead")
     return sum(single_z, 0.0) / h.n_qubits
 
 
@@ -135,12 +133,9 @@ def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
 def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
              energy_map: EnergyMap | None = None) -> QiteTrajectory:
     """Run l Euler steps and record theta, A, B, energy and fidelity, as
-    run_qite_rows of one row.  `h_system` is the Hamiltonian the ansatz is
-    optimized against (the CMF-reduced one when a reduction is active);
-    `energy_map` carries the reduction and original Hamiltonian used for
-    reporting.  The final record holds no A/B (nothing is estimated after
-    the last update).  The builder raises ValueError if initial_theta has
-    the wrong length."""
+    run_qite_rows of one row: against `h_system` (the CMF-reduced one when
+    a reduction is active), reported through `energy_map`.  The final record
+    holds no A/B; the builder raises ValueError on a wrong-length theta."""
     return run_qite_rows([h_system], ansatz_builder, [config], [energy_map])[0]
 
 
@@ -149,14 +144,12 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     """run_qite for B rows as one loop over a (B, gamma) angle array.
 
     Row b runs configs[b] against h_systems[b] and reports through
-    energy_maps[b] (None for every row: against h_systems[b]).  The rows
-    share the ansatz, the qubit counts, the iteration count, the route and
-    the shot count, and the counts must agree.  Each iteration takes the
-    states of all rows from the run's ExactRun, A and B from it or from
-    compute_sampled (each row drawing from its own seeded generator), and
-    solves every update with one stacked eigh.  Each row's records are
-    bitwise those of the row run alone; its warnings come after the loop.
-    """
+    energy_maps[b] (None for every row: against h_systems[b]); the rows
+    share the ansatz, qubit counts, iterations, route and shot count.  Each
+    iteration takes the states from the run's ExactRun, A and B from it or
+    from compute_sampled (each row drawing from its own seeded generator),
+    and one stacked eigh.  Each row's records are bitwise those of the row
+    run alone; its warnings come after the loop."""
     maps = list(energy_maps or [None] * len(configs))
     if not len(h_systems) == len(configs) == len(maps):
         raise ValueError(f"{len(h_systems)} Hamiltonians, {len(configs)} configs and "
@@ -176,7 +169,6 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
     theta = np.array([c.initial_theta for c in configs])
     circuit = ansatz_builder(theta)      # the family's program, its arity checked once
-    # the states on both routes, and A and B on the exact one
     run = ExactRun(circuit, h_systems, (labels, coeffs) if iso is None else None)
     sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
     rngs = [np.random.default_rng(c.seed) for c in configs] if sampled else ()

@@ -12,16 +12,11 @@ i <= j and per B entry.  ExactRun compiles it once per run (weighted terms,
 pair indices, one buffer, its sweep recorded once and repeated at new
 angles) and hands back H|psi> for the loop's energies; compute_exact is one
 call of it.  The Hadamard route expands the same sums into one ancilla
-test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
-is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
-prefactor of the summand, and the ancilla Z expectation then yields the
-summand's real part.  A test circuit is three slices of the ansatz gate
-tuple with controlled Pauli gates between them.  Up to its closing H it is
-two system-qubit half-states, one per ancilla branch, and its jobs share
-them: one estimate (hadamard_z), for one circuit or the B rows of a batched
-one, sweeps each ansatz gate once over the distinct half-states; each row
-draws from its own generator, every value and draw bitwise that of the
-test run alone.  Evaluated without sampling, the two routes agree to
+test circuit per A entry and per (Hamiltonian term, B entry): three slices
+of the ansatz gate tuple with controlled Pauli gates between them, the
+ancilla prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the
+complex prefactor, so that its Z expectation is the summand's real part
+(hadamard_z).  Evaluated without sampling, the two routes agree to
 machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
@@ -87,18 +82,16 @@ def compute_exact(ansatz: AnsatzCircuit, h, columns=None) -> McLachlanSystem:
 
 
 class ExactRun:
-    """The exact route of a circuit's family over B fixed Hamiltonians, made
-    once per run: the row checks, their weighted terms (of `columns`, else
-    of term_columns), the pair indices, one buffer and its compiled sweeps.
-    A call at (B, gamma) angles is one rotation stack, one sweep of the
-    forward rows and every branch, one H|psi> gather and one pair product,
-    each a (1, L) @ (L, 1) matmul, bitwise np.vdot: (states, A, B, H|psi>),
-    or the states alone without `system`; states and H|psi> are views of
-    the buffer until the next call."""
+    """The exact route over B fixed Hamiltonians, made once per run: the row
+    checks, their weighted terms (of `columns`, else term_columns), the pair
+    indices and one buffer.  A call at (B, gamma) angles is one rotation
+    stack, one sweep (recorded by the first call, then repeated), one H|psi>
+    gather and one pair product of (1, L) @ (L, 1) matmuls, bitwise np.vdot:
+    (states, A, B, H|psi>), or the states alone without `system`, as views
+    of the buffer until the next call."""
 
     def __init__(self, ansatz: AnsatzCircuit, hs, columns=None) -> None:
-        hs = list(hs)
-        _check_rows(ansatz, hs)
+        _check_rows(ansatz, hs := list(hs))
         n, gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(hs)
         self.ansatz, self.pairs, self.programs = ansatz, _pairs(gamma), {}
         self.columns = columns or term_columns(hs)
@@ -238,18 +231,15 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     `rng` lists one Generator (or seed) per row, or is None for shots=None.
 
     Until the closing H the ansatz acts on each ancilla branch of a test
-    alone.  One forward sweep runs each ansatz gate once over the (B, K)
-    stack of the rows' distinct half-states (_table): a (B, 2, 2) rotation
-    as one matmul per row over its K half-states, a shared gate as one
-    np.dot, each join a signed permutation.  Then, PASS_ROWS rows at a time,
-    each job's state is built from its two half-states (a B job's word
-    gathered on the ancilla-1 one; products by +-1 or +-i are exact), and
-    the final H and the draws run, each row drawing in its job order.  A
-    job's gate on its own state is a product 2^n wide, and BLAS rounds every
-    width that is a multiple of 4 alike (not 2 K on 2 qubits with K odd,
-    hence K even there), so each value and draw is bitwise that of the
-    job's circuit run alone.
-    """
+    alone, so one forward sweep runs each ansatz gate once over the (B, K)
+    stack of the rows' distinct half-states (_table): a rotation as one
+    matmul per row, a shared gate as one np.dot, each join a signed
+    permutation.  Then, PASS_ROWS rows at a time, each job's state is built
+    from its two half-states (a B job's word gathered on the ancilla-1 one)
+    and the final H and the draws run, each row drawing in its job order.
+    BLAS rounds a product alike at every width that is a multiple of 4 (not
+    2 K on 2 qubits with K odd, hence K even there), so each value and draw
+    is bitwise that of the job's circuit run alone."""
     batch = ansatz.parameters.ndim == 2
     hs, n = list(h) if batch else [h], ansatz.n_system_qubits
     _check_rows(ansatz, hs)
@@ -318,12 +308,10 @@ def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
 
 
 def pinv_step(a: np.ndarray, b: np.ndarray, dtau: np.ndarray, eps_cut: float) -> tuple:
-    """(delta theta, stationary) with delta theta = dtau * pinv(A) B via
-    eigen-decomposition, for one system or a stack (A of shape (..., gamma,
-    gamma)): one stacked eigh, bitwise per system.  Eigenvalues below eps_cut
-    times the max eigenvalue are dropped; if the whole spectrum sits below
-    the absolute floor the update is zero and flagged stationary.  For a 1x1
-    system this is (B/A) * dtau."""
+    """(delta theta, stationary), delta theta = dtau * pinv(A) B, for one
+    system or a stack (A (..., gamma, gamma)): one stacked eigh, bitwise per
+    system, dropping eigenvalues below eps_cut times the largest; a spectrum
+    all below the absolute floor gives a zero update, flagged stationary."""
     lam, vec = np.linalg.eigh(a)
     lam_max = lam[..., -1:]                     # eigh sorts ascending
     keep = lam > eps_cut * lam_max
