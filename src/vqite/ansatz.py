@@ -76,6 +76,8 @@ class AnsatzCircuit:
         if points != sorted(points):
             raise ValueError(f"insertion points not in order within 0..{len(gates)}")
         self._fixed, self._rotated = tuple(gates), tuple(rotated)
+        self._axes = read_only(np.array([PAULI_MATRICES[d.sigma.letters[gates[k].target]] for k, d
+                                         in zip(self._rotated, descriptors)]).reshape(-1, 2, 2))
         self._steps = _program(self._fixed, tuple(descriptors), self._rotated,
                                reference_state.n_qubits)
 
@@ -190,10 +192,10 @@ def _ucc_block(control: int, target: int) -> list:
 
 @lru_cache(maxsize=None)
 def _template(family: str) -> tuple:
-    """(fields of the checked circuit at zero angles, rotation axes) of a
-    family.  A slot is a fixed gate, shared by every build, or the (axis,
-    qubit) of the next parameter's rotation, whose descriptor inserts the
-    axis string right after it; the axes stack the rotations' Paulis."""
+    """The fields of a family's checked circuit at zero angles.  A slot is a
+    fixed gate, shared by every build, or the (axis, qubit) of the next
+    parameter's rotation, whose descriptor inserts the axis string right
+    after it (and gives the rotation's Pauli to the axes)."""
     if family == "ucc-h2":
         slots, bits = _ucc_block(0, 1), "10"
     elif family == "ucc-lih":
@@ -204,24 +206,23 @@ def _template(family: str) -> tuple:
     rotations = [(k, slot) for k, slot in enumerate(slots) if isinstance(slot, tuple)]
     descs = tuple(DerivativeDescriptor(k + 1, _axis_string(*slot, len(bits)))
                   for k, slot in rotations)
-    axes = read_only(np.array([PAULI_MATRICES[axis] for _, (axis, _) in rotations]))
     gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
                   for s in slots)
     reference = StateVector(read_only(basis_state(bits).amplitudes))
     return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits),
-                              [k for k, _ in rotations])), axes
+                              [k for k, _ in rotations]))
 
 
 def _build(family: str, theta) -> AnsatzCircuit:
     """The family's circuit at angles theta, a vector or a (B, gamma) array
     of B rows: the template's fields with its rotation stack."""
-    template, axes = _template(family)
-    theta = np.asarray(theta, dtype=float)
+    template, theta = _template(family), np.asarray(theta, dtype=float)
+    axes = template["_axes"]
     theta = theta if theta.ndim == 2 else theta.reshape(-1)
     if theta.shape[-1] != len(axes):
         raise ValueError(f"{family} takes {len(axes)} parameters, got {theta.shape[-1]}")
     circuit = object.__new__(AnsatzCircuit)
-    circuit.__dict__.update(template, parameters=theta, _axes=axes,
+    circuit.__dict__.update(template, parameters=theta,
                             _rotations=read_only(rotation_matrix(axes, theta).swapaxes(-3, 0)))
     return circuit
 

@@ -149,14 +149,12 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
 def discontinuity_rs(table: MoleculeTable) -> set[float]:
     """Rows whose coefficients break the trend of the preceding row.
 
-    A row is flagged when any non-identity coefficient moves by more than
-    0.05 Hartree against the previous row.  A plain ground-energy-jump
-    test cannot isolate the anomalous rows: the physical curve itself is
-    steeper than that at short bond distances, and a qubit-relabeling
-    anomaly leaves the energy continuous while scrambling the
-    coefficients.  The identity label is excluded because it only offsets
-    the spectrum.
-    """
+    A row is flagged when any non-identity coefficient moves by more than 0.05
+    Hartree against the previous row.  A plain ground-energy-jump test cannot
+    isolate the anomalous rows: the physical curve itself is steeper than that
+    at short bond distances, and a qubit-relabeling anomaly leaves the energy
+    continuous while scrambling the coefficients.  The identity label is
+    excluded because it only offsets the spectrum."""
     cols = [j for j, lab in enumerate(table.pauli_labels) if set(lab) != {"I"}]
     steps = np.abs(np.diff(np.array([c for _, c in table.rows])[:, cols], axis=0))
     return {r for r, step in zip(table.bond_distances[1:], steps.max(axis=1, initial=0.0))

@@ -48,12 +48,9 @@ ZERO_MEAN_TOL = 1e-12   # |h_z| up to this fraction of the largest |coefficient|
 
 
 def average_z_coefficient(h: PauliHamiltonian) -> float:
-    """Mean single-Z coefficient, e.g. (h_ZII + h_IZI + h_IIZ) / 3.
-
-    The sum runs over the weight-one Z strings present in the Hamiltonian
-    and is divided by the qubit count.  Downstream, the absolute value
-    feeds the automatic time-step rule.
-    """
+    """Mean single-Z coefficient, e.g. (h_ZII + h_IZI + h_IIZ) / 3: the sum over
+    the weight-one Z strings present, divided by the qubit count.  Downstream,
+    the absolute value feeds the automatic time-step rule."""
     single_z = [c for c, w in zip(h.coeffs.tolist(), h.words) if w.replace("I", "") == "Z"]
     if not single_z:
         raise ValueError("Hamiltonian has no single-qubit Z term; use a fixed dtau instead")
@@ -169,6 +166,8 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
     theta = np.array([c.initial_theta for c in configs])
     circuit = ansatz_builder(theta)      # the family's program, its arity checked once
+    if len(circuit._axes) != circuit.n_parameters:   # each iteration rewrites only rotations
+        raise ValueError("the builder's circuit must carry each parameter in a rotated gate")
     run = ExactRun(circuit, h_systems, (labels, coeffs) if iso is None else None)
     sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
     rngs = [np.random.default_rng(c.seed) for c in configs] if sampled else ()

@@ -77,7 +77,7 @@ def compute_exact(ansatz: AnsatzCircuit, h, columns=None) -> McLachlanSystem:
     at one angle vector and its Hamiltonian, or at B angle rows and B
     Hamiltonians (A and B stacked)."""
     batch = ansatz.parameters.ndim == 2
-    _, a, b, _ = ExactRun(ansatz, h if batch else [h], columns)(ansatz.parameters)
+    _, a, b, _ = ExactRun(ansatz, h if batch else [h], columns)()
     return McLachlanSystem(a if batch else a[0], b if batch else b[0])
 
 
@@ -97,16 +97,17 @@ class ExactRun:
         self.columns = columns or term_columns(hs)
         self.terms = weighted_terms(*self.columns, n)
         self.stack = np.empty(((gamma + 2) * rows, 2 ** n), dtype=complex)
-        # the forward rows, then each d_i and H|psi>; the rotations each call rewrites
+        # the forward rows, then each d_i and H|psi>; the rotations calls rewrite
         self.psi, self.kets = self.stack[:rows], self.stack[rows:].reshape(gamma + 1, rows, -1)
-        self.rotations = rotation_matrix(ansatz._axes, ansatz.parameters)
+        self.rotations = np.array(ansatz._rotations)
 
-    def __call__(self, theta, system: bool = True) -> tuple:
-        rotation_matrix(self.ansatz._axes, theta, self.rotations)
+    def __call__(self, theta=None, system: bool = True) -> tuple:
+        if theta is not None:   # new angles of the circuit's rotations
+            rotation_matrix(self.ansatz._axes, theta, self.rotations.swapaxes(0, -3))
         if system in self.programs:
             run_calls(self.programs[system])
         else:   # the first sweep records its numpy calls for the next ones
-            self.ansatz.sweep(self.rotations.swapaxes(-3, 0), self.stack, system,
+            self.ansatz.sweep(self.rotations, self.stack, system,
                               self.programs.setdefault(system, []))
         if not system:
             return self.psi, None, None, None

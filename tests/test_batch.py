@@ -185,6 +185,23 @@ def test_row_counts_must_agree(call, message, lih_r15):
         call(lih_r15)
 
 
+def test_circuit_made_by_its_constructor():
+    # compute_exact reads a circuit's own rotations, so a circuit made by the
+    # AnsatzCircuit constructor, with no rotated gates, gives the bytes of
+    # the build it copies; a run, which takes new angles only through the
+    # rotated gates, refuses a builder of such circuits.
+    from vqite import AnsatzCircuit, PauliHamiltonian
+    h = PauliHamiltonian.from_pairs([(1.0, "ZI"), (0.5, "XX")])
+    build = build_hardware_efficient(np.full(6, 0.3))
+    fixed = AnsatzCircuit(build.gates, build.parameters, build.descriptors,
+                          build.reference_state, 2)
+    for got, want in zip(compute_exact(fixed, h), compute_exact(build, h)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    with pytest.raises(ValueError, match="rotated gate"):
+        run_qite(h, lambda t: AnsatzCircuit(build.gates, t, build.descriptors,
+                                            build.reference_state, 2), QiteConfig((0.3,) * 6))
+
+
 def vdot_system(ansatz, h):
     """A and B of one circuit by np.vdot loops over its derivative states."""
     gamma = ansatz.n_parameters
