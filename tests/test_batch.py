@@ -307,7 +307,8 @@ def recorded_gates(monkeypatch, run):
         result = real(t, m, plan, stack, calls)
         if calls is not None:
             calls[start:] = [((lambda *a, f=f: applied.append(shape) or f(*a)), args)
-                             if f in (np.matmul, np.dot) else (f, args) for f, args in calls[start:]]
+                             if f in (np.matmul, np.dot) else (f, args)
+                             for f, args in calls[start:]]
         return result
     monkeypatch.setattr(ansatz_module, "apply_planned", recording)
     run()

@@ -123,11 +123,17 @@ def test_batched_rows_equal_per_row_oracle_bitwise(lih_oracle):
         assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
 
 
+# H on subsystem a alone: the b states, and so the candidates' energies, tie.
+TIED = PauliHamiltonian.from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
+
+
 def test_one_row_reductions_equal_oracle_bitwise(lih_oracle):
-    # The one-row reduction that every `excited` call runs, of each LiH row
-    # and of PRODUCT, whose candidates take the rank-deficient fallback.
+    # The one-row reduction that every `excited` call runs, of each LiH row,
+    # of PRODUCT, whose candidates take the rank-deficient fallback, and of
+    # TIED, whose candidates are ordered on their coefficients.
     cases = [(r, h, want) for r, (h, want) in lih_oracle.items()]
-    for r, h, want in cases + [("PRODUCT", PRODUCT, reduction_bytes(*cmf_oracle(PRODUCT)))]:
+    for r, h, want in cases + [(name, h, reduction_bytes(*cmf_oracle(h)))
+                               for name, h in (("PRODUCT", PRODUCT), ("TIED", TIED))]:
         eff = cmf_reduce(h)
         assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
 
