@@ -195,8 +195,9 @@ def test_circuit_made_by_its_constructor():
     build = build_hardware_efficient(np.full(6, 0.3))
     fixed = AnsatzCircuit(build.gates, build.parameters, build.descriptors,
                           build.reference_state, 2)
-    for got, want in zip(compute_exact(fixed, h), compute_exact(build, h)):
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    got, want = compute_exact(fixed, h), compute_exact(build, h)
+    assert got.a_matrix.tobytes() == want.a_matrix.tobytes()
+    assert got.b_vector.tobytes() == want.b_vector.tobytes()
     with pytest.raises(ValueError, match="rotated gate"):
         run_qite(h, lambda t: AnsatzCircuit(build.gates, t, build.descriptors,
                                             build.reference_state, 2), QiteConfig((0.3,) * 6))
