@@ -186,16 +186,16 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     whole = t
     if control is not None:
         if stack is None or t.base is not stack.base:
-            whole = np.empty(t.shape, dtype=complex) if stack is None else stack[:len(t)]
-            call(calls, np.copyto, whole, t)
+            whole = t.copy() if stack is None else stack[:len(t)]
+            call(calls, np.copyto, whole, t, done=stack is None)
         t = whole[control]
     front = t.transpose(order)
     x = front.reshape(((len(t), 2, -1) if m.ndim == 2 else (-1, len(m), 2, t.size // (2 * len(t))))
                       if per_state else (2, -1))
     if calls is not None and not np.may_share_memory(x, front):   # reshape copied
-        calls.append((np.copyto, (x.reshape(front.shape), front)))
-    out = np.empty(x.shape, dtype=complex)
-    call(calls, np.matmul if per_state else np.dot, m, x, out)
+        call(calls, np.copyto, x.reshape(front.shape), front, done=True)
+    product = np.matmul if per_state else np.dot
+    call(calls, product, m, x, out := product(m, x), done=True)
     out = out.reshape(front.shape).transpose(inverse)
     if control is None:
         return out
@@ -203,11 +203,13 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     return whole
 
 
-def call(calls: list | None, function, *args) -> None:
-    """function(*args), also appended to `calls` (unless None) for run_calls."""
+def call(calls: list | None, function, *args, done: bool = False) -> None:
+    """function(*args), unless `done` (made already), and appended to `calls`
+    (unless None) for run_calls to repeat."""
     if calls is not None:
         calls.append((function, args))
-    function(*args)
+    if not done:
+        function(*args)
 
 
 def run_calls(calls: list) -> None:
