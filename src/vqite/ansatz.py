@@ -95,11 +95,10 @@ class AnsatzCircuit:
         return tuple(gates)
 
     def sweep(self, rotations, stack: np.ndarray, branches: bool, calls=None) -> None:
-        """Write the B forward rows at the rotation stack `rotations`, then
-        with `branches` each join's branch, into the head of `stack` (an
-        (S, 2^n) array owning its memory) and norm-check the forward rows,
-        recording each numpy call into `calls`.  Each gate is one per-state
-        matmul over the rows so far, so every row keeps its bytes alone."""
+        """Write the B forward rows at the rotation stack `rotations`, then with
+        `branches` each join's branch, into the head of `stack` (an (S, 2^n) array
+        owning its memory), norm-check the rows and record each numpy call into
+        `calls`.  A gate is one per-state matmul, so each row keeps its bytes."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         tensors = stack.reshape((-1,) + (2,) * self.n_system_qubits)   # one tensor per row
         call(calls, np.copyto, stack[:rows], self.reference_state.amplitudes)

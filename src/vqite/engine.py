@@ -153,10 +153,9 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
                          f"{len(maps)} energy maps: one of each per row")
     if not configs:
         return []
-    cfg = configs[0]
     if len({(c.iterations, c.route, c.shots, m is None) for c, m in zip(configs, maps)}) > 1:
         raise ValueError("rows of one run share iterations, route, shots and reduction")
-    reports = [h if m is None else m.h_original for h, m in zip(h_systems, maps)]
+    cfg, reports = configs[0], [h if m is None else m.h_original for h, m in zip(h_systems, maps)]
     dtau = np.array([resolve_dtau(c, h) for c, h in zip(configs, reports)])
     labels, coeffs = term_columns(reports)
     exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, reports[0].n_qubits))

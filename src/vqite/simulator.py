@@ -183,33 +183,35 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     in place there, t copied into its first rows unless it is there.  The
     numpy calls that move values are recorded into `calls` (call)."""
     control, order, inverse, per_state = plan
-    whole = t
+    whole, moves = t, []
     if control is not None:
-        if stack is None or t.base is not stack.base:
-            whole = t.copy() if stack is None else stack[:len(t)]
-            call(calls, np.copyto, whole, t, done=stack is None)
+        if stack is None:
+            whole = t.copy()
+        elif t.base is not stack.base:
+            stack[:len(t)] = t
+            whole = stack[:len(t)]
+        moves = [(whole, t)] if whole is not t else []
         t = whole[control]
     front = t.transpose(order)
     x = front.reshape(((len(t), 2, -1) if m.ndim == 2 else (-1, len(m), 2, t.size // (2 * len(t))))
                       if per_state else (2, -1))
-    if calls is not None and not np.may_share_memory(x, front):   # reshape copied
-        call(calls, np.copyto, x.reshape(front.shape), front, done=True)
     product = np.matmul if per_state else np.dot
-    call(calls, product, m, x, out := product(m, x), done=True)
-    out = out.reshape(front.shape).transpose(inverse)
-    if control is None:
-        return out
-    call(calls, np.copyto, whole[control], out)
-    return whole
+    out = product(m, x)
+    result = out.reshape(front.shape).transpose(inverse)
+    if control is not None:
+        whole[control] = result
+    if calls is not None:   # the copies (reshape's too) and the product, to repeat
+        moves += [(x.reshape(front.shape), front)] if not np.may_share_memory(x, front) else []
+        calls += [(np.copyto, move) for move in moves] + [(product, (m, x, out))]
+        calls += [(np.copyto, (whole[control], result))] if control is not None else []
+    return result if control is None else whole
 
 
-def call(calls: list | None, function, *args, done: bool = False) -> None:
-    """function(*args), unless `done` (made already), and appended to `calls`
-    (unless None) for run_calls to repeat."""
+def call(calls: list | None, function, *args) -> None:
+    """function(*args), also appended to `calls` (unless None) for run_calls."""
     if calls is not None:
         calls.append((function, args))
-    if not done:
-        function(*args)
+    function(*args)
 
 
 def run_calls(calls: list) -> None:
