@@ -97,8 +97,10 @@ class CurvePoint(NamedTuple):
 
 
 def load_manifest_table(name: str) -> MoleculeTable:
-    if name in ("lih", "h2-synthetic"):
-        return load_lih_table() if name == "lih" else load_h2_synthetic_table()
+    if name == "lih":
+        return load_lih_table()
+    if name == "h2-synthetic":
+        return load_h2_synthetic_table()
     try:
         return load_table(name)
     except OSError as exc:
@@ -117,10 +119,12 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
     if family.n_qubits != run_qubits:
         raise ManifestError(f"{manifest.ansatz} acts on {family.n_qubits} "
                             f"qubits, the run's Hamiltonian on {run_qubits}")
-    theta0, expected = manifest.resolved_theta0(), len(family.theta0)
+    theta0 = manifest.resolved_theta0()
+    expected = len(family.theta0)
     if len(theta0) != expected:
-        raise ManifestError(f"theta0 needs {expected} values for {manifest.ansatz}, "
-                            f"got {len(theta0)}")
+        raise ManifestError(
+            f"theta0 needs {expected} values for {manifest.ansatz}, got {len(theta0)}"
+        )
     if manifest.r_selection == "all":
         rs = table.bond_distances
     else:
@@ -149,12 +153,14 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
 def discontinuity_rs(table: MoleculeTable) -> set[float]:
     """Rows whose coefficients break the trend of the preceding row.
 
-    A row is flagged when any non-identity coefficient moves by more than 0.05
-    Hartree against the previous row.  A plain ground-energy-jump test cannot
-    isolate the anomalous rows: the physical curve itself is steeper than that
-    at short bond distances, and a qubit-relabeling anomaly leaves the energy
-    continuous while scrambling the coefficients.  The identity label is
-    excluded because it only offsets the spectrum."""
+    A row is flagged when any non-identity coefficient moves by more than
+    0.05 Hartree against the previous row.  A plain ground-energy-jump
+    test cannot isolate the anomalous rows: the physical curve itself is
+    steeper than that at short bond distances, and a qubit-relabeling
+    anomaly leaves the energy continuous while scrambling the
+    coefficients.  The identity label is excluded because it only offsets
+    the spectrum.
+    """
     cols = [j for j, lab in enumerate(table.pauli_labels) if set(lab) != {"I"}]
     steps = np.abs(np.diff(np.array([c for _, c in table.rows])[:, cols], axis=0))
     return {r for r, step in zip(table.bond_distances[1:], steps.max(axis=1, initial=0.0))
@@ -182,9 +188,10 @@ def run_scan(manifest: RunManifest):
 
     def step(rows):  # (trajectory, cmf record) of each bond distance in rows
         hs = [hamiltonian_at(table, r) for r in rows]
-        configs = [QiteConfig(manifest.resolved_theta0(), manifest.iterations, manifest.dtau,
-                              manifest.route, manifest.shots, _point_seed(manifest.seed, r))
-                   for r in rows]
+        configs = [QiteConfig(initial_theta=manifest.resolved_theta0(),
+                              iterations=manifest.iterations, dtau=manifest.dtau,
+                              route=manifest.route, shots=manifest.shots,
+                              seed=_point_seed(manifest.seed, r)) for r in rows]
         if not manifest.cmf:
             return [(t, None) for t in run_qite_rows(hs, builder, configs)]
         effs = cmf_reduce_rows(hs)
@@ -222,8 +229,10 @@ def run_scan(manifest: RunManifest):
                                    traj.final_fidelity, manifest.iterations, flags),
                         traj, record))
     results.sort(key=lambda item: item[0].r)
-    return ([p for p, _, _ in results], {p.r: t for p, t, _ in results if t is not None},
-            [c for _, _, c in results if c is not None])
+    points = [p for p, _, _ in results]
+    trajectories = {p.r: t for p, t, _ in results if t is not None}
+    cmf_records = [c for _, _, c in results if c is not None]
+    return points, trajectories, cmf_records
 
 
 def format_number(v) -> str:
@@ -241,21 +250,38 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
         written.append(out / name)
         written[-1].write_text("\n".join(lines) + end, encoding="utf-8")
 
-    write("curve.csv", ["R,e_qite,e_exact,fidelity,iterations,flags"] + [
-        ",".join(["%g" % p.r, *map(format_number, (p.e_qite, p.e_exact, p.final_fidelity)),
-                  str(p.iterations_used), ";".join(p.flags)]) for p in points])
+    lines = ["R,e_qite,e_exact,fidelity,iterations,flags"]
+    for p in points:
+        lines.append(",".join([
+            "%g" % p.r,
+            format_number(p.e_qite),
+            format_number(p.e_exact),
+            format_number(p.final_fidelity),
+            str(p.iterations_used),
+            ";".join(p.flags),
+        ]))
+    write("curve.csv", lines)
 
     if manifest.trace:
         for r, traj in sorted(trajectories.items()):
-            thetas = [f"theta_{k + 1}" for k in range(traj.records[0].theta.size)]
-            write("trace_R%g.csv" % r, [",".join(["iter", *thetas, "energy", "fidelity"])] + [
-                ",".join([str(rec.iteration), *map(format_number, (*rec.theta, rec.energy,
-                                                                    rec.fidelity))])
-                for rec in traj.records])
+            gamma = traj.records[0].theta.size
+            header = ["iter"] + [f"theta_{k + 1}" for k in range(gamma)]
+            header += ["energy", "fidelity"]
+            rows = [",".join(header)]
+            for rec in traj.records:
+                cells = [str(rec.iteration)]
+                cells += [format_number(t) for t in rec.theta]
+                cells += [format_number(rec.energy), format_number(rec.fidelity)]
+                rows.append(",".join(cells))
+            write("trace_R%g.csv" % r, rows)
 
     if cmf_records:
-        write("cmf_selection.txt", [line for r, notes in cmf_records
-                                    for line in (f"[R={r:g}]", *notes, "")], end="")
+        lines = []
+        for r, notes in cmf_records:
+            lines.append(f"[R={r:g}]")
+            lines.extend(notes)
+            lines.append("")
+        write("cmf_selection.txt", lines, end="")
 
     write("manifest.echo", manifest.echo_lines([p.r for p in points]))
     return written
@@ -307,18 +333,30 @@ def _parse_dtau(text: str):
 def _manifest_from_args(args) -> RunManifest:
     """The manifest of a scan, point or excited invocation; point and excited
     take exactly one bond distance."""
-    (route, shots), dtau, r_selection = (_parse_route(args.route), _parse_dtau(args.dtau),
-                                         _parse_r_selection(args.r))
+    route, shots = _parse_route(args.route)
+    dtau = _parse_dtau(args.dtau)
+    r_selection = _parse_r_selection(args.r)
     if args.command != "scan" and (r_selection == "all" or len(r_selection) != 1):
         raise ManifestError(f"{args.command} takes exactly one bond distance via --r")
-    return RunManifest(table=args.table, ansatz=args.ansatz, cmf=args.cmf,
-                       r_selection=r_selection, iterations=args.iters, dtau=dtau, route=route,
-                       shots=shots, seed=args.seed, theta0=_parse_theta0(args.theta0),
-                       out_dir=args.out, trace=args.trace)
+    return RunManifest(
+        table=args.table,
+        ansatz=args.ansatz,
+        cmf=args.cmf,
+        r_selection=r_selection,
+        iterations=args.iters,
+        dtau=dtau,
+        route=route,
+        shots=shots,
+        seed=args.seed,
+        theta0=_parse_theta0(args.theta0),
+        out_dir=args.out,
+        trace=args.trace,
+    )
 
 
 def _add_run_flags(p, default_r):
-    p.add_argument("--table", default="lih", help="table path, or bundled name: lih, h2-synthetic")
+    p.add_argument("--table", default="lih",
+                   help="table path, or bundled name: lih, h2-synthetic")
     p.add_argument("--ansatz", default="he", choices=sorted(ANSATZ_FAMILIES))
     p.add_argument("--cmf", action="store_true",
                    help="reduce 3-qubit rows to 2 qubits before the run")
@@ -329,7 +367,8 @@ def _add_run_flags(p, default_r):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta0", default=None, help="comma list of initial angles")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--trace", action="store_true", help="write per-iteration trace files")
+    p.add_argument("--trace", action="store_true",
+                   help="write per-iteration trace files")
 
 
 def _cmd_scan(args) -> int:
@@ -338,8 +377,10 @@ def _cmd_scan(args) -> int:
     if manifest.out_dir:
         emit_outputs(points, trajectories, manifest.out_dir, manifest, cmf_records)
     for p in points:
-        print(f"R={p.r:g} e_qite={format_number(p.e_qite)} e_exact={format_number(p.e_exact)} "
-              f"fidelity={format_number(p.final_fidelity)} flags={';'.join(p.flags) or '-'}")
+        print(f"R={p.r:g} e_qite={format_number(p.e_qite)} "
+              f"e_exact={format_number(p.e_exact)} "
+              f"fidelity={format_number(p.final_fidelity)} "
+              f"flags={';'.join(p.flags) or '-'}")
     return 1 if any(f.startswith("error") for p in points for f in p.flags) else 0
 
 
@@ -363,11 +404,12 @@ def _cmd_excited(args) -> int:
     h_base = cmf_reduce(h).h_eff if manifest.cmf else h
     dense = to_dense_matrix(h_base)
     spec, bound = _spectrum(dense), gershgorin_emax(dense)
-    lifted = _lift(dense, DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj())),
-                   bound.e_max)
-    # The auto rule ties dtau to the iteration count, keeping the total imaginary
-    # time fixed; the lifted spectrum is denser than the original one, so the step
-    # stays at the published 4-iteration rule while --iters extends the evolution.
+    ground = DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj()))
+    lifted = _lift(dense, ground, bound.e_max)
+    # The auto rule ties dtau to the iteration count, keeping the total
+    # imaginary time fixed; the lifted spectrum is denser than the original
+    # one, so the step size stays at the published 4-iteration rule while
+    # --iters extends the total evolution time.
     dtau = resolve_dtau(QiteConfig((0.0,), iterations=4, dtau=manifest.dtau), h)
     config = QiteConfig(manifest.resolved_theta0(), iterations=manifest.iterations, dtau=dtau,
                         seed=manifest.seed)
@@ -391,14 +433,17 @@ def _cmd_validate(args) -> int:
     print(f"molecule: {table.molecule_name or '(unnamed)'}")
     print(f"qubits: {table.n_qubits}")
     print(f"labels: {','.join(table.pauli_labels)}")
-    print(f"rows: {len(table.rows)} (R from {table.bond_distances[0]:g} to "
-          f"{table.bond_distances[-1]:g})")
+    print(f"rows: {len(table.rows)} "
+          f"(R from {table.bond_distances[0]:g} to {table.bond_distances[-1]:g})")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vqite", description="Variational imaginary-time "
-                                     "ground-state scans over molecular Pauli tables.")
+    parser = argparse.ArgumentParser(
+        prog="vqite",
+        description="Variational imaginary-time ground-state scans "
+                    "over molecular Pauli tables.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="potential-energy curve")

@@ -20,13 +20,13 @@ The resulting 2-qubit effective Hamiltonian comes with the 8x4 isometry
 whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
 
-cmf_reduce_rows runs all five steps for the rows of a scan, one pass per
-step: steps 1-3 over the B, 2B and 4B conditioning weights (each partial
-trace one gather through a compiled plan, each spectrum one eigh), steps
-4-5 over the candidates (a stable sort of their energies, the coefficient
-keys only where energies tie; one Gram-Schmidt sweep; one Pauli expansion).
-Each row equals its reduction alone bit for bit; one failing row fails the
-batch, and a scan then reduces each row alone (cli.run_scan).
+All five steps run batched over the rows of a scan, one pass per step:
+steps 1-3 over the conditioning weights of every row (B, 2B and 4B), each
+partial trace one gather through a compiled trace plan and each spectrum one
+eigh of a stack; steps 4-5 over the candidates of every row, one Gram-Schmidt
+sweep and one Pauli expansion.  Each row equals its reduction alone, bit for bit.
+cmf_reduce_rows is that batch; one failing row fails it, and a scan then
+reduces each row alone (cli.run_scan).
 """
 
 from __future__ import annotations
@@ -126,12 +126,8 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
     the coefficients rounded to 12 decimals; notes[b] gets row b's counts."""
     v = cands[:, 0, :, :, None]     # <v|H|v>: (8, 8) @ (8, 1), then (1, 8) @ (8, 1)
     energy = (v.conj().swapaxes(-1, -2) @ (h_dense[:, None] @ v))[..., 0, 0].real
-    primary = np.stack([energy, second], axis=1)
-    order = primary.argsort(axis=-1, kind="stable")
-    ranked = np.take_along_axis(primary, order, axis=-1)
-    if (ranked[..., 1:] == ranked[..., :-1]).any():   # a tie: sort on the coefficients too
-        keys = np.round(np.concatenate([cands.real, cands.imag], axis=-1), 12)
-        order = np.lexsort((*np.moveaxis(keys, -1, 0)[::-1], primary))
+    keys = np.round(np.concatenate([cands.real, cands.imag], axis=-1), 12)
+    order = np.lexsort((*np.moveaxis(keys, -1, 0)[::-1], np.stack([energy, second], axis=1)))
     cands = cands[np.arange(len(cands))[:, None, None], np.arange(2)[:, None], order]
     cands = cands.reshape(len(cands), 8, 8, 1)
 
@@ -146,21 +142,17 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
     for cand in cands.swapaxes(0, 1):    # (B, 8, 1) per slot
         if lo == 4:
             break
+        open_ = size < 4
         # a second projection pass keeps the basis orthonormal even when the
         # candidate was nearly dependent; the first pass's norm decides the drop
         once = _project(basis[:hi], size, lo, cand)
         twice = _project(basis[:hi], size, lo, once)
         first, norms = _norms(np.concatenate([once, twice])).reshape(2, -1)
-        kept = (size < 4) & ~(first < GRAM_RANK_TOL)
-        if lo == hi and kept.all():      # every row appends its column lo
-            np.divide(twice, norms[:, None, None], out=basis[lo][1])
-            np.conjugate(basis[lo][1].swapaxes(-1, -2), out=basis[lo][0])
-        else:
-            rows = kept.nonzero()[0]
-            column, at = twice[rows] / norms[rows, None, None], size[rows]
-            iso[rows, :, at], bras[rows, at] = column[..., 0], column.conj().swapaxes(-1, -2)
-        used += size < 4
-        size += kept
+        kept = (open_ & ~(first < GRAM_RANK_TOL)).nonzero()[0]
+        column, at = twice[kept] / norms[kept, None, None], size[kept]
+        iso[kept, :, at], bras[kept, at] = column[..., 0], column.conj().swapaxes(-1, -2)
+        used += open_
+        size[kept] += 1
         lo, hi = min(columns := size.tolist()), max(columns)
     if lo < 4:
         raise ValueError("candidate products span fewer than 4 dimensions")

@@ -51,7 +51,9 @@ def parse_table(source) -> MoleculeTable:
     """Parse and validate a coefficient table from text or a stream."""
     text = source.read() if hasattr(source, "read") else source
     labels: tuple[str, ...] | None = None
-    delimiter, name, rows = ",", "", []
+    delimiter = ","
+    name = ""
+    rows: list[tuple[float, tuple[float, ...]]] = []
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line:
@@ -75,14 +77,18 @@ def parse_table(source) -> MoleculeTable:
                 except ValueError as exc:
                     raise TableFormatError(lineno, f"column {col}: {exc}") from exc
                 if ps.n_qubits != width:
-                    raise TableFormatError(lineno, f"column {col}: label '{label}' length differs")
+                    raise TableFormatError(
+                        lineno, f"column {col}: label '{label}' length differs"
+                    )
                 if label in cells[1:col - 1]:
                     raise TableFormatError(lineno, f"column {col}: label '{label}' repeated")
             labels = tuple(cells[1:])
             continue
         cells = [c.strip() for c in line.split(delimiter)]
         if len(cells) != len(labels) + 1:
-            raise TableFormatError(lineno, f"expected {len(labels) + 1} cells, found {len(cells)}")
+            raise TableFormatError(
+                lineno, f"expected {len(labels) + 1} cells, found {len(cells)}"
+            )
         try:
             values = [float(c) for c in cells]
         except ValueError:
@@ -91,7 +97,9 @@ def parse_table(source) -> MoleculeTable:
             raise TableFormatError(lineno, f"non-finite cell in {cells!r}")
         r = values[0]
         if rows and r <= rows[-1][0]:
-            raise TableFormatError(lineno, f"R={r:g} does not increase past R={rows[-1][0]:g}")
+            raise TableFormatError(
+                lineno, f"R={r:g} does not increase past R={rows[-1][0]:g}"
+            )
         rows.append((r, tuple(values[1:])))
     if labels is None:
         raise TableFormatError(0, "no header line found")
