@@ -21,10 +21,12 @@ union of their words, with 0.0 for a word a row lacks.
 
 A word is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
 memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
-src[j] = j ^ xmask, xmask marking the X and Y letters; products by it are
-exact.  A word tuple is stacked once: H|psi> is one gather, multiply and sum
-over the terms, and dense matrices are the stacked entries added into zeros
-in the order of a term loop.  Traces read the one entry per row:
+src[j] = j ^ xmask, xmask marking the X and Y letters.  Products by it are
+exact, so one gather and one multiply give the values of the Kronecker
+product.  A word tuple is stacked once; H|psi> is one gather, multiply and
+sum over the terms, and the dense matrices of B sums over one word tuple are
+the stacked entries added into zeros, in the order and from the zero of a
+term loop.  Traces read the one entry per row:
 Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
 Tr(sigma m) = sum_j phase[j] m[src[j], j], summed like the diagonal of the
 matrix product, so they equal the dense forms bit for bit; partial traces
@@ -87,7 +89,9 @@ def _term_stack(labels: tuple[str, ...], n_qubits: int) -> tuple[np.ndarray, np.
 
 def _check_dense_cap(n_qubits: int) -> None:
     if n_qubits > DENSE_QUBIT_CAP:
-        raise DimensionCapError(f"dense work is capped at {DENSE_QUBIT_CAP} qubits, got {n_qubits}")
+        raise DimensionCapError(
+            f"dense work is capped at {DENSE_QUBIT_CAP} qubits, got {n_qubits}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,8 +297,9 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
         raise ValueError("subsystem covers all qubits; nothing to trace out")
     rho = np.asarray(getattr(weight, "elements", weight), dtype=complex)
     if rho.shape != (2 ** len(comp),) * 2:
-        raise ValueError(f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} "
-                         "on complement")
+        raise ValueError(
+            f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} on complement"
+        )
     words, coeffs = partial_traces(h.words, h.coeffs[None], tuple(keep),
                                    check_density(rho)[None], h.n_qubits)
     return PauliHamiltonian(words, coeffs[0], len(keep))
