@@ -14,12 +14,15 @@ gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
 Each family compiles once into a template, its circuit at zero angles as
-a program of sweep steps; a build, at one angle vector or a (B, gamma)
-array of B rows, adds the rotation stack of one rotation_matrix call.  One
-sweep writes the B forward rows and each branch (sigma_n of the forward
-rows at its insertion point) into one buffer, each gate running once over
-the rows written so far; a run records it once and repeats it.  Insertion
-points are non-decreasing, so the Hadamard-test circuits are slices of `gates`.
+a program of sweep steps.  A build, at one angle vector or a (B, gamma)
+array of B rows, is the template with the rotation stack of one
+rotation_matrix call; its `gates` are made only when read.  One sweep
+writes the B forward rows and each branch (sigma_n of the forward rows at
+its insertion point) into one buffer, each gate running once over the rows
+written so far; a QITE run records the numpy calls of its first sweep and
+repeats them at each iteration's rotation stack (mclachlan.ExactRun).
+Insertion points are non-decreasing, so the Hadamard-test circuits are
+slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -46,9 +49,12 @@ DERIVATIVE_PREFACTOR = -0.5j
 
 
 class DerivativeDescriptor(NamedTuple):
-    """How to differentiate one circuit parameter: insert `sigma`, a
-    full-width Pauli string, at gate-list index `insertion_point` (right
-    after the parameterized gate), with prefactor DERIVATIVE_PREFACTOR."""
+    """How to differentiate one circuit parameter.
+
+    `insertion_point` is the gate-list index at which `sigma`, a
+    full-width Pauli string, is inserted (immediately after the
+    parameterized gate), with prefactor DERIVATIVE_PREFACTOR.
+    """
 
     insertion_point: int
     sigma: PauliString
@@ -232,9 +238,12 @@ def build_ucc_h2(theta) -> AnsatzCircuit:
 
 
 def build_ucc_lih(theta) -> AnsatzCircuit:
-    """UCC circuit for LiH: 3 system qubits, 2 parameters, reference |100>;
-    the theta_1 block (q0, q1) is applied first, then the theta_2 block (q0,
-    q2), the rightmost-first reading of the operator product."""
+    """UCC circuit for LiH: 3 system qubits, 2 parameters, reference |100>.
+
+    The theta_1 block (qubits q0, q1) is applied first, then the theta_2
+    block (q0, q2), matching the rightmost-first reading of the operator
+    product.
+    """
     return _build("ucc-lih", theta)
 
 

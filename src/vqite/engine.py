@@ -20,10 +20,13 @@ The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
 What does not depend on theta is made once per run: the row, qubit and
 dtau checks, the spectra, the reports' term columns, one circuit build and
-an ExactRun (mclachlan), whose first sweep is recorded and then repeated.
-An exact iteration is one rotation stack, one sweep, one H|psi> gather, one
-pair product and one stacked solve (pinv_step); a row reported against its
-own Hamiltonian takes its energy from that H|psi>.
+an ExactRun (mclachlan) with its weighted terms, pair indices and buffer.
+An exact iteration is one rotation stack, one sweep into that buffer, one
+H|psi> gather, one pair product and one stacked solve (solve_update); a
+row reported against its own Hamiltonian takes its energy from that H|psi>.
+A builder must give a family's circuit (ansatz._build): each parameter
+in one rotation about its descriptor's axis, no other gate depending on
+theta, since iterations rewrite only the rotations.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cmf import EffectiveHamiltonian
-from .mclachlan import (EXACT_EIG_CUTOFF, SHOT_EIG_CUTOFF, ExactRun, compute_sampled,
-                        pinv_step)
+from .mclachlan import ExactRun, McLachlanSystem, compute_sampled, solve_update
 from .pauli import PauliHamiltonian, _energies, dense_matrices, expectations, term_columns
-from .simulator import StateVector
+from .simulator import StateVector, rotation_matrix
 from .spectra import stacked_spectrum
 
 STATIONARY_TOL = 1e-10
@@ -48,12 +50,17 @@ ZERO_MEAN_TOL = 1e-12   # |h_z| up to this fraction of the largest |coefficient|
 
 
 def average_z_coefficient(h: PauliHamiltonian) -> float:
-    """Mean single-Z coefficient, e.g. (h_ZII + h_IZI + h_IIZ) / 3: the sum over
-    the weight-one Z strings present, divided by the qubit count.  Downstream,
-    the absolute value feeds the automatic time-step rule."""
+    """Mean single-Z coefficient, e.g. (h_ZII + h_IZI + h_IIZ) / 3.
+
+    The sum runs over the weight-one Z strings present in the Hamiltonian
+    and is divided by the qubit count.  Downstream, the absolute value
+    feeds the automatic time-step rule.
+    """
     single_z = [c for c, w in zip(h.coeffs.tolist(), h.words) if w.replace("I", "") == "Z"]
     if not single_z:
-        raise ValueError("Hamiltonian has no single-qubit Z term; use a fixed dtau instead")
+        raise ValueError(
+            "Hamiltonian has no single-qubit Z term; use a fixed dtau instead"
+        )
     return sum(single_z, 0.0) / h.n_qubits
 
 
@@ -130,9 +137,12 @@ def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
 def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
              energy_map: EnergyMap | None = None) -> QiteTrajectory:
     """Run l Euler steps and record theta, A, B, energy and fidelity, as
-    run_qite_rows of one row: against `h_system` (the CMF-reduced one when
-    a reduction is active), reported through `energy_map`.  The final record
-    holds no A/B; the builder raises ValueError on a wrong-length theta."""
+    run_qite_rows of one row.  `h_system` is the Hamiltonian the ansatz is
+    optimized against (the CMF-reduced one when a reduction is active);
+    `energy_map` carries the reduction and original Hamiltonian used for
+    reporting.  The final record holds no A/B (nothing is estimated after
+    the last update).  The builder, a family build (module docstring),
+    raises ValueError if initial_theta has the wrong length."""
     return run_qite_rows([h_system], ansatz_builder, [config], [energy_map])[0]
 
 
@@ -141,12 +151,17 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     """run_qite for B rows as one loop over a (B, gamma) angle array.
 
     Row b runs configs[b] against h_systems[b] and reports through
-    energy_maps[b] (None for every row: against h_systems[b]); the rows
-    share the ansatz, qubit counts, iterations, route and shot count.  Each
-    iteration takes the states from the run's ExactRun, A and B from it or
-    from compute_sampled (each row drawing from its own seeded generator),
-    and one stacked eigh.  Each row's records are bitwise those of the row
-    run alone; its warnings come after the loop."""
+    energy_maps[b] (None for every row: against h_systems[b]).  The rows
+    share the ansatz, the qubit counts, the iteration count, the route and
+    the shot count.  The builder runs once, at the initial angles; a
+    circuit whose rotation stack is not rotation_matrix of theta about its
+    descriptors' axes is refused (ValueError).  Each iteration takes the
+    states of all rows from the run's ExactRun, A and B from it or from
+    compute_sampled (each row drawing from its own seeded generator) and
+    solves every update with one stacked eigh (solve_update).  Each row's
+    records are bitwise those of the row run alone; its warnings are
+    emitted after the loop, row by row.
+    """
     maps = list(energy_maps or [None] * len(configs))
     if not len(h_systems) == len(configs) == len(maps):
         raise ValueError(f"{len(h_systems)} Hamiltonians, {len(configs)} configs and "
@@ -165,12 +180,14 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
     theta = np.array([c.initial_theta for c in configs])
     circuit = ansatz_builder(theta)      # the family's program, its arity checked once
-    if len(circuit._axes) != circuit.n_parameters:   # each iteration rewrites only rotations
-        raise ValueError("the builder's circuit must carry each parameter in a rotated gate")
+    # iterations rewrite only the rotation stack: it must be rotation_matrix of theta
+    if len(circuit._axes) != circuit.n_parameters or not np.array_equal(
+            circuit._rotations, rotation_matrix(circuit._axes, theta).swapaxes(-3, 0)):
+        raise ValueError("the builder's circuit must carry each parameter in a rotated gate "
+                         "about its descriptor's axis")
     run = ExactRun(circuit, h_systems, (labels, coeffs) if iso is None else None)
     sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
     rngs = [np.random.default_rng(c.seed) for c in configs] if sampled else ()
-    eps_cut = SHOT_EIG_CUTOFF if sampled and cfg.shots else EXACT_EIG_CUTOFF
     steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
 
     for it in range(cfg.iterations + 1):
@@ -186,7 +203,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
         if last:
             break
         steps[-1][3:] = a, b
-        delta, flat = pinv_step(a, b, dtau, eps_cut)
+        delta, flat = solve_update(McLachlanSystem(a, b, cfg.route, cfg.shots), dtau)
         if it == 0:
             stationary = flat | (np.abs(delta).max(axis=1) < STATIONARY_TOL)
         theta = theta + delta

@@ -6,17 +6,23 @@ defining inner products directly on statevectors:
     A_ij = Re <d_i psi | d_j psi>
     B_i  = -Re <d_i psi | H | psi>
 
-with |d_i psi> built from the ansatz derivative descriptors, for the B
-rows of a batched circuit at once (A and B stacked): one product per pair
-i <= j and per B entry.  ExactRun compiles it once per run (weighted terms,
-pair indices, one buffer, its sweep recorded once and repeated at new
-angles) and hands back H|psi> for the loop's energies; compute_exact is one
-call of it.  The Hadamard route expands the same sums into one ancilla
-test circuit per A entry and per (Hamiltonian term, B entry): three slices
-of the ansatz gate tuple with controlled Pauli gates between them, the
-ancilla prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the
-complex prefactor, so that its Z expectation is the summand's real part
-(hadamard_z).  Evaluated without sampling, the two routes agree to
+with |d_i psi> built from the ansatz derivative descriptors, for one
+circuit or for the B rows of a batched one at once (A and B stacked): one
+product per pair i <= j and per B entry.  ExactRun makes once per run what
+does not depend on theta (the weighted terms, the pair indices, one buffer
+that each call sweeps at new angles, its first sweep recorded and then
+repeated) and hands back H|psi> for the loop's energies; compute_exact is
+one call of it.  The Hadamard route expands the same sums into one ancilla
+test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
+is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
+prefactor of the summand, and the ancilla Z expectation then yields the
+summand's real part.  A test circuit is three slices of the ansatz gate
+tuple with controlled Pauli gates between them.  Up to its closing H it is
+two system-qubit half-states, one per ancilla branch, and its jobs share
+them: one estimate (hadamard_z), for one circuit or the B rows of a batched
+one, sweeps each ansatz gate once over the distinct half-states; each row
+draws from its own generator, every value and draw bitwise that of the
+test run alone.  Evaluated without sampling, the two routes agree to
 machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
@@ -35,7 +41,7 @@ import numpy as np
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
 from .pauli import PauliHamiltonian, _term_stack, apply_sums, term_columns, weighted_terms
 from .simulator import (Gate, StateVector, apply_planned, check_norms, controlled_pauli,
-                        hadamard, measure_z_expectation, rotation_matrix, run_calls, run_gates, x)
+                        hadamard, measure_z_expectation, rotation_matrix, run_gates, x)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
@@ -72,12 +78,12 @@ class HadamardJob(NamedTuple):
     destination: tuple              # ("A", i, j) with i <= j, or ("B", i)
 
 
-def compute_exact(ansatz: AnsatzCircuit, h, columns=None) -> McLachlanSystem:
+def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
     """A and B by direct statevector inner products (ExactRun), for a circuit
     at one angle vector and its Hamiltonian, or at B angle rows and B
     Hamiltonians (A and B stacked)."""
     batch = ansatz.parameters.ndim == 2
-    _, a, b, _ = ExactRun(ansatz, h if batch else [h], columns)()
+    _, a, b, _ = ExactRun(ansatz, h if batch else [h])()
     return McLachlanSystem(a if batch else a[0], b if batch else b[0])
 
 
@@ -85,10 +91,11 @@ class ExactRun:
     """The exact route over B fixed Hamiltonians, made once per run: the row
     checks, their weighted terms (of `columns`, else term_columns), the pair
     indices and one buffer.  A call at (B, gamma) angles is one rotation
-    stack, one sweep (recorded by the first call, then repeated), one H|psi>
-    gather and one pair product of (1, L) @ (L, 1) matmuls, bitwise np.vdot:
-    (states, A, B, H|psi>), or the states alone without `system`, as views
-    of the buffer until the next call."""
+    stack, one sweep into the buffer (the first call in each mode records
+    its numpy calls, later ones repeat them), one H|psi> gather and one pair
+    product of (1, L) @ (L, 1) matmuls, bitwise np.vdot: (states, A, B,
+    H|psi>), or the states alone without `system`, as views of the buffer
+    until the next call."""
 
     def __init__(self, ansatz: AnsatzCircuit, hs, columns=None) -> None:
         _check_rows(ansatz, hs := list(hs))
@@ -105,7 +112,8 @@ class ExactRun:
         if theta is not None:   # new angles of the circuit's rotations
             rotation_matrix(self.ansatz._axes, theta, self.rotations.swapaxes(0, -3))
         if system in self.programs:
-            run_calls(self.programs[system])
+            for function, args in self.programs[system]:
+                function(*args)
         else:   # the first sweep records its numpy calls for the next ones
             self.ansatz.sweep(self.rotations, self.stack, system,
                               self.programs.setdefault(system, []))
@@ -232,15 +240,18 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     `rng` lists one Generator (or seed) per row, or is None for shots=None.
 
     Until the closing H the ansatz acts on each ancilla branch of a test
-    alone, so one forward sweep runs each ansatz gate once over the (B, K)
-    stack of the rows' distinct half-states (_table): a rotation as one
-    matmul per row, a shared gate as one np.dot, each join a signed
-    permutation.  Then, PASS_ROWS rows at a time, each job's state is built
-    from its two half-states (a B job's word gathered on the ancilla-1 one)
-    and the final H and the draws run, each row drawing in its job order.
-    BLAS rounds a product alike at every width that is a multiple of 4 (not
-    2 K on 2 qubits with K odd, hence K even there), so each value and draw
-    is bitwise that of the job's circuit run alone."""
+    alone.  One forward sweep runs each ansatz gate once over the (B, K)
+    stack of the rows' distinct half-states (_table): a (B, 2, 2) rotation
+    as one matmul per row over its K half-states, a shared gate as one
+    np.dot, each join a signed permutation.  Then, PASS_ROWS rows at a time,
+    each job's state is built from its two half-states (a B job's word
+    gathered on the ancilla-1 one; products by +-1 or +-i are exact), and
+    the final H and the draws run, each row drawing in its job order.  A
+    job's gate on its own state is a product 2^n wide, and BLAS rounds every
+    width that is a multiple of 4 alike (not 2 K on 2 qubits with K odd,
+    hence K even there), so each value and draw is bitwise that of the
+    job's circuit run alone.
+    """
     batch = ansatz.parameters.ndim == 2
     hs, n = list(h) if batch else [h], ansatz.n_system_qubits
     _check_rows(ansatz, hs)
@@ -299,26 +310,23 @@ class UpdateResult(NamedTuple):
 
 
 def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
-    """pinv_step of one system or a stack, at the route's cutoff, once dtau
-    (a scalar or one per system) is checked."""
+    """delta theta = dtau * pinv(A) B via eigen-decomposition, for one system
+    or a stack (A of shape (..., gamma, gamma), dtau a scalar or one per
+    system): one stacked eigh, bitwise per system.  Eigenvalues below the
+    route's relative cutoff times the max eigenvalue are dropped; if the
+    whole spectrum sits below the absolute floor the update is zero and the
+    result is flagged stationary.  For a 1x1 system this is (B/A) * dtau.
+    """
     dtau = np.asarray(dtau, dtype=float)
     if not all(0 < t < np.inf for t in dtau.ravel().tolist()):  # NaN fails too
         raise ValueError("dtau must be positive and finite")
     eps_cut = SHOT_EIG_CUTOFF if (sys.route == "hadamard" and sys.shots) else EXACT_EIG_CUTOFF
-    return UpdateResult(*pinv_step(sys.a_matrix, sys.b_vector, dtau, eps_cut))
-
-
-def pinv_step(a: np.ndarray, b: np.ndarray, dtau: np.ndarray, eps_cut: float) -> tuple:
-    """(delta theta, stationary), delta theta = dtau * pinv(A) B, for one
-    system or a stack (A (..., gamma, gamma)): one stacked eigh, bitwise per
-    system, dropping eigenvalues below eps_cut times the largest; a spectrum
-    all below the absolute floor gives a zero update, flagged stationary."""
-    lam, vec = np.linalg.eigh(a)
+    lam, vec = np.linalg.eigh(sys.a_matrix)
     lam_max = lam[..., -1:]                     # eigh sorts ascending
     keep = lam > eps_cut * lam_max
     inv = keep / np.where(keep, lam, 1.0)       # 1/lam where kept, else 0.0
-    coef = inv[..., None] * (vec.swapaxes(-1, -2) @ b[..., None])
+    coef = inv[..., None] * (vec.swapaxes(-1, -2) @ sys.b_vector[..., None])
     delta = dtau[..., None] * (vec @ coef)[..., 0]
     stationary = lam_max[..., 0] < ABS_EIG_FLOOR
     delta[stationary] = 0.0
-    return delta, stationary
+    return UpdateResult(delta, stationary)

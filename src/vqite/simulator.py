@@ -11,12 +11,15 @@ gate kernel: gate_plan checks a gate's qubits and resolves its axis order,
 and apply_planned applies a matrix by that plan, as one np.dot over the
 stack, or per_state one matmul per state, which rounds each state as
 alone; a rotation may hold one (2, 2) matrix per row of a stack of B
-ansatz rows.  It can record the numpy calls it makes (call), so that a
-run repeats a whole sweep at new matrices (run_calls).  Qubit ordering
-follows vqite.pauli (q0 = most significant bit).  measure_z_expectation
-reads the last qubit of each state of a stack, with one binomial call per
-seeded generator (one for all states, or one per row for consecutive
-states), so every sampled result is reproducible from (seed, shots).
+ansatz rows.  apply_gate plans and applies one gate, leaving its input
+unchanged, and run_gates a list of them; a compiled circuit keeps its
+plans and sweeps them in place through one buffer, and can record the
+numpy calls of that sweep (call) so that a run repeats it at new matrices.
+Qubit ordering follows vqite.pauli (q0 = most significant bit).
+measure_z_expectation reads the last qubit of each state of a stack, with
+one binomial call per caller-supplied seeded generator (one for all
+states, or one per row for consecutive states), so every sampled result
+is reproducible from (seed, shots).
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -208,16 +211,10 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
 
 
 def call(calls: list | None, function, *args) -> None:
-    """function(*args), also appended to `calls` (unless None) for run_calls."""
+    """function(*args), also appended to `calls` (unless None) to repeat."""
     if calls is not None:
         calls.append((function, args))
     function(*args)
-
-
-def run_calls(calls: list) -> None:
-    """Repeat each recorded numpy call in turn."""
-    for function, args in calls:
-        function(*args)
 
 
 def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray:
@@ -255,12 +252,14 @@ def measure_z_expectation(states: np.ndarray, shots: int | None = None,
                           rng=None, sizes=None) -> np.ndarray:
     """<Z> of the last qubit of each state of a stack (leading axis),
     analytically (shots=None) or from a binomial sample, after checking
-    each norm; each branch adds its |amplitude|^2 in index order, in the
-    stack's own layout.  Shot mode draws count ~ Binomial(shots, (1+<Z>)/2)
-    per state in stack order, in one call, and returns 2*count/shots - 1.
-    `rng` is a Generator or an integer seed, or with `sizes` a list of one
-    per size, the r-th drawing for the next sizes[r] states of the stack
-    (ValueError unless the sizes add up to the stack)."""
+    each norm.  Each branch adds its |amplitude|^2 in index order, read in
+    the stack's own layout (no copy of a view from run_gates).  Shot mode
+    draws count ~ Binomial(shots, (1+<Z>)/2) per state in stack order, in
+    one call equal to one draw per state in turn, and returns
+    2*count/shots - 1.  `rng` is a Generator or an integer seed, or with
+    `sizes` a list of one per size, the r-th drawing for the next sizes[r]
+    states of the stack (ValueError unless the sizes add up to the stack).
+    """
     if shots is not None and not (shots > 0 and rng is not None):
         raise ValueError("shot mode needs a positive shot count and a seed or generator")
     if shots and sizes is not None and (len(rng), sum(sizes)) != (len(sizes), len(states)):

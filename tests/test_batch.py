@@ -189,7 +189,8 @@ def test_circuit_made_by_its_constructor():
     # compute_exact reads a circuit's own rotations, so a circuit made by the
     # AnsatzCircuit constructor, with no rotated gates, gives the bytes of
     # the build it copies; a run, which takes new angles only through the
-    # rotated gates, refuses a builder of such circuits.
+    # rotated gates, refuses a builder of such circuits, and one whose
+    # rotations do not take theta as it is (here at twice the angles).
     from vqite import AnsatzCircuit, PauliHamiltonian
     h = PauliHamiltonian.from_pairs([(1.0, "ZI"), (0.5, "XX")])
     build = build_hardware_efficient(np.full(6, 0.3))
@@ -201,6 +202,8 @@ def test_circuit_made_by_its_constructor():
     with pytest.raises(ValueError, match="rotated gate"):
         run_qite(h, lambda t: AnsatzCircuit(build.gates, t, build.descriptors,
                                             build.reference_state, 2), QiteConfig((0.3,) * 6))
+    with pytest.raises(ValueError, match="rotated gate"):
+        run_qite(h, lambda t: build_hardware_efficient(2 * np.asarray(t)), QiteConfig((0.3,) * 6))
 
 
 def vdot_system(ansatz, h):
