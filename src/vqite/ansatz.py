@@ -13,16 +13,17 @@ Descriptors place the insertion immediately after the parameterized
 gate; sigma_n commutes with its own rotation, so this matches the
 operator-product ordering of the A/B matrix elements.
 
-Each family compiles once into a template, its circuit at zero angles as
-a program of sweep steps.  A build, at one angle vector or a (B, gamma)
-array of B rows, is the template with the rotation stack of one
-rotation_matrix call; its `gates` are made only when read.  One sweep
+A circuit is a fixed gate program plus one rotation stack, the matrices
+of the gates just before the insertion points.  Each family compiles once
+into a template, its circuit at zero angles; a build, at one angle vector
+or a (B, gamma) array of B rows, is the template with the rotation stack
+of one rotation_matrix call, its `gates` made only when read.  One sweep
 writes the B forward rows and each branch (sigma_n of the forward rows at
-its insertion point) into one buffer, each gate running once over the rows
-written so far; a QITE run records the numpy calls of its first sweep and
-repeats them at each iteration's rotation stack (mclachlan.ExactRun).
-Insertion points are non-decreasing, so the Hadamard-test circuits are
-slices of `gates`.
+its insertion point) into one buffer, only by joins and copies, each gate
+running once over the rows written so far; a QITE run records the numpy
+calls of its first sweep and repeats them at each iteration's rotation
+stack (mclachlan.ExactRun).  Insertion points are increasing, so the
+Hadamard-test circuits are slices of `gates`.
 
 Note on the UCC exponential forms: with R_n(a) = exp(-i a/2 sigma_n) and
 the standard CNOT, the printed H2 gate sequence realizes
@@ -64,28 +65,26 @@ class AnsatzCircuit:
     """A parameterized circuit with reference state and derivative data, at
     one angle vector (`parameters` of shape (gamma,)) or at B rows of angles
     ((B, gamma)).  Its steps are per gate (matrix, or index into the
-    (gamma, [B,] 2, 2) rotation stack for the gates in `rotated`; gate_plan)
-    and per descriptor a join (None, sigma_i as _join gives it)."""
+    (gamma, [B,] 2, 2) rotation stack for a rotation; gate_plan) and per
+    descriptor a join (None, sigma_i as _join gives it)."""
 
     def __init__(self, gates: tuple[Gate, ...], parameters,
                  descriptors: tuple[DerivativeDescriptor, ...],
-                 reference_state: StateVector, n_system_qubits: int, rotated=()) -> None:
-        """`rotated` lists the gates whose matrices a build's rotation stack
-        replaces, in stack order: a family's rotations, none for fixed gates."""
+                 reference_state: StateVector, n_system_qubits: int) -> None:
         theta = np.asarray(parameters, dtype=float)
         self.parameters = theta if theta.ndim == 2 else theta.reshape(-1)
         self.descriptors, self.reference_state = descriptors, reference_state
-        self.n_system_qubits, self._rotations, self._states = n_system_qubits, (), None
+        self.n_system_qubits = n_system_qubits
         if len(descriptors) != self.n_parameters:
             raise ValueError("one derivative descriptor per parameter required")
-        points = [0, *(d.insertion_point for d in descriptors), len(gates)]
-        if points != sorted(points):
-            raise ValueError(f"insertion points not in order within 0..{len(gates)}")
-        self._fixed, self._rotated = tuple(gates), tuple(rotated)
-        self._axes = read_only(np.array([PAULI_MATRICES[d.sigma.letters[gates[k].target]] for k, d
-                                         in zip(self._rotated, descriptors)]).reshape(-1, 2, 2))
-        self._steps = _program(self._fixed, tuple(descriptors), self._rotated,
-                               reference_state.n_qubits)
+        points = [0, *(d.insertion_point for d in descriptors), len(gates) + 1]
+        if any(a >= b for a, b in zip(points, points[1:])):   # each after its own rotation
+            raise ValueError(f"insertion points not increasing within 1..{len(gates)}")
+        self._fixed, rotated = tuple(gates), [gates[p - 1] for p in points[1:-1]]
+        self._rotations = read_only(np.array([g.matrix for g in rotated]))
+        self._axes = read_only(np.array([PAULI_MATRICES[d.sigma.letters[g.target]] for g, d
+                                         in zip(rotated, descriptors)]).reshape(-1, 2, 2))
+        self._steps = _program(self._fixed, tuple(descriptors), reference_state.n_qubits)
 
     @property
     def n_parameters(self) -> int:
@@ -96,15 +95,16 @@ class AnsatzCircuit:
         """The gate sequence, made when read: the fixed gates, shared by every
         build, and a Gate on each rotation matrix (or stack)."""
         gates = list(self._fixed)
-        for k, matrix in zip(self._rotated, self._rotations):
-            gates[k] = Gate(matrix, gates[k].target)
+        for k, matrix in zip((d.insertion_point - 1 for d in self.descriptors), self._rotations):
+            gates[k] = Gate(matrix, gates[k].target, gates[k].control)
         return tuple(gates)
 
     def sweep(self, rotations, stack: np.ndarray, branches: bool, calls=None) -> None:
         """Write the B forward rows at the rotation stack `rotations`, then with
         `branches` each join's branch, into the head of `stack` (an (S, 2^n) array
         owning its memory), norm-check the rows and record each numpy call into
-        `calls`.  A gate is one per-state matmul, so each row keeps its bytes."""
+        `calls`.  A gate is one per-state matmul into an array of its own, so
+        each row keeps its bytes; a copy brings it into the buffer."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         tensors = stack.reshape((-1,) + (2,) * self.n_system_qubits)   # one tensor per row
         call(calls, np.copyto, stack[:rows], self.reference_state.amplitudes)
@@ -112,7 +112,7 @@ class AnsatzCircuit:
         for source, step in self._steps:
             if source is not None:
                 t = apply_planned(t, source if isinstance(source, np.ndarray)
-                                  else rotations[source], step, tensors, calls)
+                                  else rotations[source], step, calls)
             elif branches:
                 if t.base is not stack:   # back into the buffer, in natural order
                     call(calls, np.copyto, tensors[:end], t)
@@ -124,21 +124,17 @@ class AnsatzCircuit:
         call(calls, _check_unit, stack[:rows])
 
     def _sweep(self, branches: bool) -> np.ndarray:
-        """The sweep into a buffer of its own; the first one's rows are states()."""
+        """The sweep into a read-only buffer of its own, (1 [+ gamma], B, 2^n)."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         stack = np.empty((rows * (1 + branches * self.n_parameters),
                           self.reference_state.amplitudes.size), dtype=complex)
         self.sweep(self._rotations, stack, branches)
-        if self._states is None:
-            self._states = read_only(stack[:rows])
-        return stack
+        return read_only(stack.reshape(-1, rows, stack.shape[1]))
 
     def states(self) -> np.ndarray:
-        """(B, 2^n) read-only amplitudes, one row per angle row: the head of
-        the derivative sweep if it ran first, else a sweep of the B rows."""
-        if self._states is None:
-            self._sweep(False)
-        return self._states
+        """(B, 2^n) read-only amplitudes, one row per angle row, from a sweep
+        of the B rows."""
+        return self._sweep(False)[0]
 
     def state(self) -> StateVector:
         """The state of a circuit at one angle vector."""
@@ -148,8 +144,7 @@ class AnsatzCircuit:
     def derivatives(self) -> np.ndarray:
         """(gamma, B, 2^n) read-only d|psi>/d theta_i of every row (not
         normalized), from one sweep of the forward rows and every branch."""
-        stack, rows = self._sweep(True), len(self.states())
-        return read_only(DERIVATIVE_PREFACTOR * stack[rows:].reshape(-1, rows, stack.shape[1]))
+        return read_only(DERIVATIVE_PREFACTOR * self._sweep(True)[1:])
 
     def derivative_state(self, i: int) -> np.ndarray:
         """d|psi>/d theta_i of a circuit at one angle vector (not normalized)."""
@@ -161,13 +156,13 @@ def _check_unit(psi: np.ndarray) -> None:   # each row's norm as np.linalg.norm 
 
 
 @lru_cache(maxsize=8)
-def _program(gates, descriptors, rotated, n: int, axes: int = 1) -> list:
+def _program(gates, descriptors, n: int, axes: int = 1) -> list:
     """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
-    a gate in `rotated`, its index into the rotation stack) and gate_plan,
-    each after a join (None, sigma_i as (src, phase)) per descriptor there.
-    One stack axis runs each gate per state; two, (B rows, K states), run
-    a rotation as one matmul per row and a shared gate as one np.dot."""
-    slots, steps = dict(zip(rotated, range(len(rotated)))), []
+    the gate before descriptor i's insertion point, i) and gate_plan, each
+    after a join (None, sigma_i as (src, phase)) per descriptor there.  One
+    stack axis runs each gate per state; two, (B rows, K states), run a
+    rotation as one matmul per row and a shared gate as one np.dot."""
+    slots, steps = {d.insertion_point - 1: i for i, d in enumerate(descriptors)}, []
     for k, gate in enumerate((*gates, None)):
         steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]
         if gate is not None:
@@ -208,14 +203,12 @@ def _template(family: str) -> tuple:
     else:
         slots = [("X", 0), ("X", 1), cnot(0, 1), ("Z", 0), ("Z", 1), ("X", 0), ("X", 1)]
         bits = "00"
-    rotations = [(k, slot) for k, slot in enumerate(slots) if isinstance(slot, tuple)]
     descs = tuple(DerivativeDescriptor(k + 1, _axis_string(*slot, len(bits)))
-                  for k, slot in rotations)
+                  for k, slot in enumerate(slots) if isinstance(slot, tuple))
     gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
                   for s in slots)
     reference = StateVector(read_only(basis_state(bits).amplitudes))
-    return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits),
-                              [k for k, _ in rotations]))
+    return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits)))
 
 
 def _build(family: str, theta) -> AnsatzCircuit:

@@ -246,9 +246,9 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name, lines, end="\n"):
+    def write(name, lines):
         written.append(out / name)
-        written[-1].write_text("\n".join(lines) + end, encoding="utf-8")
+        written[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = ["R,e_qite,e_exact,fidelity,iterations,flags"]
     for p in points:
@@ -281,7 +281,7 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
             lines.append(f"[R={r:g}]")
             lines.extend(notes)
             lines.append("")
-        write("cmf_selection.txt", lines, end="")
+        write("cmf_selection.txt", lines[:-1])     # no blank line after the last record
 
     write("manifest.echo", manifest.echo_lines([p.r for p in points]))
     return written
@@ -334,24 +334,12 @@ def _manifest_from_args(args) -> RunManifest:
     """The manifest of a scan, point or excited invocation; point and excited
     take exactly one bond distance."""
     route, shots = _parse_route(args.route)
-    dtau = _parse_dtau(args.dtau)
-    r_selection = _parse_r_selection(args.r)
+    dtau, r_selection = _parse_dtau(args.dtau), _parse_r_selection(args.r_selection)
     if args.command != "scan" and (r_selection == "all" or len(r_selection) != 1):
         raise ManifestError(f"{args.command} takes exactly one bond distance via --r")
-    return RunManifest(
-        table=args.table,
-        ansatz=args.ansatz,
-        cmf=args.cmf,
-        r_selection=r_selection,
-        iterations=args.iters,
-        dtau=dtau,
-        route=route,
-        shots=shots,
-        seed=args.seed,
-        theta0=_parse_theta0(args.theta0),
-        out_dir=args.out,
-        trace=args.trace,
-    )
+    values = dict(vars(args), route=route, shots=shots, dtau=dtau, r_selection=r_selection,
+                  theta0=_parse_theta0(args.theta0))   # argparse's dests are the field names
+    return RunManifest(**{f.name: values[f.name] for f in fields(RunManifest)})
 
 
 def _add_run_flags(p, default_r):
@@ -360,13 +348,14 @@ def _add_run_flags(p, default_r):
     p.add_argument("--ansatz", default="he", choices=sorted(ANSATZ_FAMILIES))
     p.add_argument("--cmf", action="store_true",
                    help="reduce 3-qubit rows to 2 qubits before the run")
-    p.add_argument("--r", default=default_r, help="comma list of R values, or 'all'")
-    p.add_argument("--iters", type=int, default=4)
+    p.add_argument("--r", dest="r_selection", default=default_r,
+                   help="comma list of R values, or 'all'")
+    p.add_argument("--iters", dest="iterations", type=int, default=4)
     p.add_argument("--dtau", default="auto", help="'auto' or a positive value")
     p.add_argument("--route", default="exact", help="exact or shots:N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta0", default=None, help="comma list of initial angles")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", dest="out_dir", default=None, help="output directory")
     p.add_argument("--trace", action="store_true",
                    help="write per-iteration trace files")
 
@@ -461,13 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exc = sub.add_parser("excited", help="lift the ground level, then solve")
     p_exc.add_argument("--table", default="lih")
-    p_exc.add_argument("--r", required=True, help="one R value")
-    p_exc.add_argument("--iters", type=int, default=20)
+    p_exc.add_argument("--r", dest="r_selection", required=True, help="one R value")
+    p_exc.add_argument("--iters", dest="iterations", type=int, default=20)
     p_exc.add_argument("--dtau", default="auto",
                        help="'auto' (the 4-iteration rule) or a positive value")
     p_exc.add_argument("--seed", type=int, default=0)
     p_exc.set_defaults(func=_cmd_excited, ansatz="he", cmf=False, route="exact", theta0=None,
-                       out=None, trace=False)
+                       out_dir=None, trace=False)
 
     p_val = sub.add_parser("validate", help="table lint")
     p_val.add_argument("--table", required=True)

@@ -20,13 +20,15 @@ The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
 What does not depend on theta is made once per run: the row, qubit and
 dtau checks, the spectra, the reports' term columns, one circuit build and
-an ExactRun (mclachlan) with its weighted terms, pair indices and buffer.
-An exact iteration is one rotation stack, one sweep into that buffer, one
-H|psi> gather, one pair product and one stacked solve (solve_update); a
-row reported against its own Hamiltonian takes its energy from that H|psi>.
-A builder must give a family's circuit (ansatz._build): each parameter
-in one rotation about its descriptor's axis, no other gate depending on
-theta, since iterations rewrite only the rotations.
+an ExactRun (mclachlan) with its term columns, weighted terms, pair indices
+and buffer.  An exact iteration is one rotation stack, one sweep into that
+buffer, one H|psi> gather, one pair product and one stacked solve
+(solve_update); a row reported against its own Hamiltonian takes its
+energy from that H|psi>.  Iterations rewrite only the rotation stack, so
+each circuit the builder gives (one per iteration on the shot route) must
+hold rotation_matrix of theta about its descriptors' axes there and no
+other gate depending on theta, as a family build and its copy by the
+AnsatzCircuit constructor do.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     optimized against (the CMF-reduced one when a reduction is active);
     `energy_map` carries the reduction and original Hamiltonian used for
     reporting.  The final record holds no A/B (nothing is estimated after
-    the last update).  The builder, a family build (module docstring),
-    raises ValueError if initial_theta has the wrong length."""
+    the last update).  The builder (its circuits as the module docstring
+    says) raises ValueError if initial_theta has the wrong length."""
     return run_qite_rows([h_system], ansatz_builder, [config], [energy_map])[0]
 
 
@@ -153,12 +155,12 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     Row b runs configs[b] against h_systems[b] and reports through
     energy_maps[b] (None for every row: against h_systems[b]).  The rows
     share the ansatz, the qubit counts, the iteration count, the route and
-    the shot count.  The builder runs once, at the initial angles; a
-    circuit whose rotation stack is not rotation_matrix of theta about its
-    descriptors' axes is refused (ValueError).  Each iteration takes the
-    states of all rows from the run's ExactRun, A and B from it or from
-    compute_sampled (each row drawing from its own seeded generator) and
-    solves every update with one stacked eigh (solve_update).  Each row's
+    the shot count.  The builder runs at the initial angles, and on the shot
+    route at each iteration's; a circuit off theta (module docstring) is
+    refused (ValueError).  Each iteration takes the states of all rows from
+    the run's ExactRun, A and B from it or from compute_sampled (each row
+    drawing from its own seeded generator) and solves every update with one
+    stacked eigh (solve_update).  Each row's
     records are bitwise those of the row run alone; its warnings are
     emitted after the loop, row by row.
     """
@@ -179,13 +181,14 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     ground = vecs.conj()[:, None, :, 0]
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
     theta = np.array([c.initial_theta for c in configs])
-    circuit = ansatz_builder(theta)      # the family's program, its arity checked once
-    # iterations rewrite only the rotation stack: it must be rotation_matrix of theta
-    if len(circuit._axes) != circuit.n_parameters or not np.array_equal(
-            circuit._rotations, rotation_matrix(circuit._axes, theta).swapaxes(-3, 0)):
-        raise ValueError("the builder's circuit must carry each parameter in a rotated gate "
-                         "about its descriptor's axis")
-    run = ExactRun(circuit, h_systems, (labels, coeffs) if iso is None else None)
+    def rotated(circuit):   # iterations rewrite only the rotation stack: it must be theta's
+        if not np.array_equal(circuit._rotations,
+                              rotation_matrix(circuit._axes, theta).swapaxes(-3, 0)):
+            raise ValueError("the builder's circuit must carry each parameter in a rotated "
+                             "gate about its descriptor's axis")
+        return circuit
+    circuit = rotated(ansatz_builder(theta))     # the family's program, its arity checked once
+    run = ExactRun(circuit, h_systems)
     sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
     rngs = [np.random.default_rng(c.seed) for c in configs] if sampled else ()
     steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
@@ -194,7 +197,7 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
         last = it == cfg.iterations
         states, a, b, h_psi = run(theta, not (sampled or last))
         if sampled and not last:
-            ansatz = ansatz_builder(theta) if it else circuit
+            ansatz = rotated(ansatz_builder(theta)) if it else circuit
             a, b = compute_sampled(ansatz, h_systems, cfg.shots, rngs)[:2]
         psi = states if iso is None else (iso @ states[:, :, None])[:, :, 0]
         energy = (_energies(psi, h_psi) if own and not last

@@ -9,9 +9,9 @@ defining inner products directly on statevectors:
 with |d_i psi> built from the ansatz derivative descriptors, for one
 circuit or for the B rows of a batched one at once (A and B stacked): one
 product per pair i <= j and per B entry.  ExactRun makes once per run what
-does not depend on theta (the weighted terms, the pair indices, one buffer
-that each call sweeps at new angles, its first sweep recorded and then
-repeated) and hands back H|psi> for the loop's energies; compute_exact is
+does not depend on theta (its term columns and weighted terms, the pair
+indices, one buffer that each call sweeps at new angles, its first sweep
+recorded, then repeated) and gives H|psi> for the energies; compute_exact is
 one call of it.  The Hadamard route expands the same sums into one ancilla
 test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
 is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
@@ -89,19 +89,19 @@ def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
 
 class ExactRun:
     """The exact route over B fixed Hamiltonians, made once per run: the row
-    checks, their weighted terms (of `columns`, else term_columns), the pair
-    indices and one buffer.  A call at (B, gamma) angles is one rotation
-    stack, one sweep into the buffer (the first call in each mode records
+    checks, their term columns and weighted terms, the pair indices and one
+    buffer.  A call at (B, gamma) angles is the circuit's rotation stack
+    rewritten, one sweep into the buffer (the first call in each mode records
     its numpy calls, later ones repeat them), one H|psi> gather and one pair
     product of (1, L) @ (L, 1) matmuls, bitwise np.vdot: (states, A, B,
     H|psi>), or the states alone without `system`, as views of the buffer
     until the next call."""
 
-    def __init__(self, ansatz: AnsatzCircuit, hs, columns=None) -> None:
+    def __init__(self, ansatz: AnsatzCircuit, hs) -> None:
         _check_rows(ansatz, hs := list(hs))
         n, gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(hs)
         self.ansatz, self.pairs, self.programs = ansatz, _pairs(gamma), {}
-        self.columns = columns or term_columns(hs)
+        self.columns = term_columns(hs)
         self.terms = weighted_terms(*self.columns, n)
         self.stack = np.empty(((gamma + 2) * rows, 2 ** n), dtype=complex)
         # the forward rows, then each d_i and H|psi>; the rotations calls rewrite
@@ -261,7 +261,7 @@ def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> 
     amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
     halves = np.concatenate([amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]])
     t = halves[None].repeat(len(hs), axis=0).reshape((len(hs), head) + (2,) * n)
-    for source, step in _program(ansatz._fixed, ansatz.descriptors, ansatz._rotated, n, 2):
+    for source, step in _program(ansatz._fixed, ansatz.descriptors, n, 2):
         if source is None:      # B_j, C_j: sigma_j of F0 and F1[A phase]
             t = np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1)
         else:

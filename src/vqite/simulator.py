@@ -11,10 +11,12 @@ gate kernel: gate_plan checks a gate's qubits and resolves its axis order,
 and apply_planned applies a matrix by that plan, as one np.dot over the
 stack, or per_state one matmul per state, which rounds each state as
 alone; a rotation may hold one (2, 2) matrix per row of a stack of B
-ansatz rows.  apply_gate plans and applies one gate, leaving its input
-unchanged, and run_gates a list of them; a compiled circuit keeps its
-plans and sweeps them in place through one buffer, and can record the
-numpy calls of that sweep (call) so that a run repeats it at new matrices.
+ansatz rows.  A gate leaves its input unchanged and writes only arrays of
+its own (a controlled gate its control-1 half of a copy).  apply_gate
+plans and applies one gate as one np.dot, and run_gates a list of them; a
+compiled circuit keeps its plans, copies the gates' results into one
+buffer, and can record the numpy calls of that sweep (call) so that a run
+repeats it at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
 measure_z_expectation reads the last qubit of each state of a stack, with
 one binomial call per caller-supplied seeded generator (one for all
@@ -175,26 +177,20 @@ def gate_plan(gate: Gate, n: int, per_state: bool = True, axes: int = 1) -> tupl
 
 
 def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
-                  stack: np.ndarray | None = None, calls: list | None = None) -> np.ndarray:
+                  calls: list | None = None) -> np.ndarray:
     """The 2x2 matrix m applied by gate_plan `plan` to a stack of amplitude
     tensors t, shape (S,) + (2,)*n, as a transposed view: one np.dot of m
     with the target axis moved to the front and the rest flattened (bitwise
     the tensordot + moveaxis oracle), or per_state one matmul per state,
     which gives each state its bytes alone; m is then (2, 2) or a (B, 2, 2)
-    stack, state s taking m[s % B].  A controlled gate writes its control-1
-    half of a copy of t, or with `stack`, an (S,) + (2,)*n view of a buffer,
-    in place there, t copied into its first rows unless it is there.  The
-    numpy calls that move values are recorded into `calls` (call)."""
+    stack, state s taking m[s % B].  t is left unchanged: a controlled gate
+    writes its control-1 half of a copy of t.  The numpy calls that move
+    values are recorded into `calls` (call)."""
     control, order, inverse, per_state = plan
     whole, moves = t, []
     if control is not None:
-        if stack is None:
-            whole = t.copy()
-        elif t.base is not stack.base:
-            stack[:len(t)] = t
-            whole = stack[:len(t)]
-        moves = [(whole, t)] if whole is not t else []
-        t = whole[control]
+        whole = t.copy()
+        moves, t = [(whole, t)], whole[control]
     front = t.transpose(order)
     x = front.reshape(((len(t), 2, -1) if m.ndim == 2 else (-1, len(m), 2, t.size // (2 * len(t))))
                       if per_state else (2, -1))
@@ -217,20 +213,20 @@ def call(calls: list | None, function, *args) -> None:
     function(*args)
 
 
-def apply_gate(t: np.ndarray, gate: Gate, per_state: bool = False) -> np.ndarray:
+def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate to a stack of amplitude tensors, shape (S,) + (2,)*n,
-    leaving t unchanged; qubit q is axis q + 1.  Qubits checked and
-    per_state as in gate_plan and apply_planned."""
-    return apply_planned(t, gate.matrix, gate_plan(gate, t.ndim - 1, per_state))
+    as one np.dot, leaving t unchanged; qubit q is axis q + 1.  Qubits
+    checked as in gate_plan."""
+    return apply_planned(t, gate.matrix, gate_plan(gate, t.ndim - 1, False))
 
 
-def run_gates(t: np.ndarray, gates, per_state=False) -> np.ndarray:
+def run_gates(t: np.ndarray, gates) -> np.ndarray:
     """The tensor stack t, shape (S,) + (2,)*n, after `gates` applied left to
     right by apply_gate, which raises ValueError on a gate outside qubits
     0..n-1 before applying it.
     """
     for g in gates:
-        t = apply_gate(t, g, per_state)
+        t = apply_gate(t, g)
     return t
 
 

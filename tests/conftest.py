@@ -357,27 +357,36 @@ def per_stage_cmf(hs):
     return _select_basis(dense_matrices(labels, coeffs, 3), cands, second, notes)
 
 
+def per_state_gates(t, gates):
+    """The tensor stack t, shape (S,) + (2,)*n, after `gates` applied left to
+    right, each as one matmul per state (gate_plan's per_state)."""
+    from vqite.simulator import apply_planned, gate_plan
+
+    for g in gates:
+        t = apply_planned(t, g.matrix, gate_plan(g, t.ndim - 1))
+    return t
+
+
 def forward_then_branches(ansatz):
     """(states, derivatives) of a circuit in the two-pass form the single
     sweep replaced: the forward pass of the B rows keeping the stack after
     every gate, then one stack of the derivative branches, branch i joining
     with sigma_i applied to the forward stack at its insertion point and
-    running the gates after it, every gate a per-state apply_gate."""
+    running the gates after it, every gate per state (per_state_gates)."""
     from vqite.ansatz import DERIVATIVE_PREFACTOR
-    from vqite.simulator import apply_gate
 
     ref = ansatz.reference_state
     rows, shape = len(np.atleast_2d(ansatz.parameters)), (-1,) + (2,) * ref.n_qubits
     forward = [ref.amplitudes.reshape(shape).repeat(rows, axis=0)]
     for gate in ansatz.gates:
-        forward.append(apply_gate(forward[-1], gate, per_state=True))
+        forward.append(per_state_gates(forward[-1], [gate]))
     stack = np.empty((0, 2 ** ref.n_qubits), dtype=complex)
     for k, gate in enumerate((*ansatz.gates, None)):
         new = [apply_word(d.sigma.letters, forward[k].reshape(rows, -1))
                for d in ansatz.descriptors if d.insertion_point == k]
         stack = np.concatenate([stack, *new]) if new else stack
         if gate is not None and len(stack):
-            stack = apply_gate(stack.reshape(shape), gate, per_state=True)
+            stack = per_state_gates(stack.reshape(shape), [gate])
             stack = stack.reshape(len(stack), -1)
     return (forward[-1].reshape(rows, -1),
             DERIVATIVE_PREFACTOR * stack.reshape(ansatz.n_parameters, rows, -1))

@@ -125,7 +125,10 @@ def test_insertion_points_must_be_ordered_and_in_range():
     a = build_ucc_lih([0.3, 0.4])
     d0, d1 = a.descriptors
     past_end = DerivativeDescriptor(len(a.gates) + 1, d1.sigma)
-    for descs in ((d1, d0), (d0, past_end), (DerivativeDescriptor(-1, d0.sigma), d1)):
+    # a descriptor at 0 has no gate before it to be its rotation, and two
+    # descriptors at one point would share one rotation
+    for descs in ((d1, d0), (d0, past_end), (DerivativeDescriptor(-1, d0.sigma), d1),
+                  (DerivativeDescriptor(0, d0.sigma), d1), (d0, d0._replace(sigma=d1.sigma))):
         with pytest.raises(ValueError, match="insertion points"):
             AnsatzCircuit(a.gates, a.parameters, descs, a.reference_state, 3)
     at_end = DerivativeDescriptor(len(a.gates), d1.sigma)

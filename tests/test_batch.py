@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import apply, apply_word, forward_then_branches, term_loop
+from conftest import apply, apply_word, forward_then_branches, per_state_gates, term_loop
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
 from vqite import ansatz as ansatz_module
-from vqite.ansatz import DERIVATIVE_PREFACTOR
+from vqite.ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
-from vqite.mclachlan import McLachlanSystem, solve_update
-from vqite.simulator import Gate, apply_gate, rotation_matrix, run_gates
+from vqite.mclachlan import ExactRun, McLachlanSystem, solve_update
+from vqite.simulator import Gate, apply_gate, rotation_matrix
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
@@ -185,13 +185,25 @@ def test_row_counts_must_agree(call, message, lih_r15):
         call(lih_r15)
 
 
-def test_circuit_made_by_its_constructor():
-    # compute_exact reads a circuit's own rotations, so a circuit made by the
-    # AnsatzCircuit constructor, with no rotated gates, gives the bytes of
-    # the build it copies; a run, which takes new angles only through the
-    # rotated gates, refuses a builder of such circuits, and one whose
-    # rotations do not take theta as it is (here at twice the angles).
-    from vqite import AnsatzCircuit, PauliHamiltonian
+def constructor_copy(table, builder, rows, rng):
+    """(Hamiltonians, build, copy): `rows` rows of a table, taken in turn,
+    a build at `rows` rows of random angles and its copy made by the
+    AnsatzCircuit constructor from the build's gates."""
+    hs = scan_rows(table, builder, False)[0]
+    build = builder(rng.uniform(-np.pi, np.pi, size=(rows, len(THETA0[builder]))))
+    return [hs[b % len(hs)] for b in range(rows)], build, AnsatzCircuit(
+        build.gates, build.parameters, build.descriptors, build.reference_state,
+        build.n_system_qubits)
+
+
+def test_circuit_made_by_its_constructor(lih_table, h2_table, rng):
+    # A circuit made by the AnsatzCircuit constructor takes its rotations
+    # from the gates before its insertion points, so on both routes it gives
+    # the bytes of the build it copies.  A run refuses a builder whose
+    # rotation stack is not rotation_matrix of theta: a copy of a one-vector
+    # build, whose stack has no axis for the run's row, and a build at twice
+    # the angles.
+    from vqite import PauliHamiltonian
     h = PauliHamiltonian.from_pairs([(1.0, "ZI"), (0.5, "XX")])
     build = build_hardware_efficient(np.full(6, 0.3))
     fixed = AnsatzCircuit(build.gates, build.parameters, build.descriptors,
@@ -199,11 +211,30 @@ def test_circuit_made_by_its_constructor():
     got, want = compute_exact(fixed, h), compute_exact(build, h)
     assert got.a_matrix.tobytes() == want.a_matrix.tobytes()
     assert got.b_vector.tobytes() == want.b_vector.tobytes()
+    for builder, table in [(build_hardware_efficient, h2_table), (build_ucc_lih, lih_table)]:
+        for rows, shots in [(1, None), (1, 1000), (50, None), (50, 1000)]:
+            hs, built, copy = constructor_copy(table, builder, rows, rng)
+            got, want = (compute_sampled(c, hs, shots, list(range(rows))) for c in (copy, built))
+            assert got.a_matrix.tobytes() == want.a_matrix.tobytes()
+            assert got.b_vector.tobytes() == want.b_vector.tobytes()
     with pytest.raises(ValueError, match="rotated gate"):
         run_qite(h, lambda t: AnsatzCircuit(build.gates, t, build.descriptors,
                                             build.reference_state, 2), QiteConfig((0.3,) * 6))
     with pytest.raises(ValueError, match="rotated gate"):
         run_qite(h, lambda t: build_hardware_efficient(2 * np.asarray(t)), QiteConfig((0.3,) * 6))
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+@pytest.mark.parametrize("builder", [build_hardware_efficient, build_ucc_lih],
+                         ids=["he", "ucc-lih"])
+def test_constructor_copy_runs_at_new_angles(builder, rows, lih_table, h2_table, rng):
+    # An ExactRun of a constructor-made copy rewrites the copy's rotation
+    # stack, so at new angles it gives every byte of the build at those angles.
+    table = lih_table if builder is build_ucc_lih else h2_table
+    hs, build, copy = constructor_copy(table, builder, rows, rng)
+    theta = rng.uniform(-np.pi, np.pi, size=build.parameters.shape)
+    got, want = ExactRun(copy, hs)(theta), ExactRun(builder(theta), hs)()
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def vdot_system(ansatz, h):
@@ -257,28 +288,28 @@ def test_sweep_is_forward_then_branches(builder, rows, rng):
 def per_gate_sweep(ansatz):
     """(states, derivatives) of a circuit in the per-gate form the compiled
     sweep replaced: one stack of the forward rows and the branches joined so
-    far, each run of gates between two joins applied by run_gates, one
-    per-state apply_gate per gate, and written back into the stack."""
+    far, each run of gates between two joins applied one gate at a time
+    (per_state_gates), and written back into the stack."""
     ref, descs = ansatz.reference_state, ansatz.descriptors
     rows, shape = len(ansatz.parameters), (-1,) + (2,) * ref.n_qubits
     stack = np.empty((rows * (1 + len(descs)), ref.amplitudes.size), dtype=complex)
     stack[:rows], k, end = ref.amplitudes, 0, rows
     for d in descs:
         head = stack[:end].reshape(shape)
-        head[...] = run_gates(head, ansatz.gates[k:d.insertion_point], per_state=True)
+        head[...] = per_state_gates(head, ansatz.gates[k:d.insertion_point])
         stack[end:end + rows] = apply_word(d.sigma.letters, stack[:rows])
         k, end = d.insertion_point, end + rows
-    stack = run_gates(stack.reshape(shape), ansatz.gates[k:], per_state=True).reshape(end, -1)
+    stack = per_state_gates(stack.reshape(shape), ansatz.gates[k:]).reshape(end, -1)
     return stack[:rows], DERIVATIVE_PREFACTOR * stack[rows:].reshape(len(descs), rows, -1)
 
 
 @PROPERTY
 @given(st.sampled_from(list(THETA0)), st.integers(1, 5), st.data())
 def test_compiled_sweep_is_per_gate_oracle(builder, rows, data):
-    # The compiled sweep (planned steps, a rotation stack, joins and
-    # controlled gates written into one buffer) gives the bytes of the same
-    # gates run one at a time through run_gates, whether the states or the
-    # derivatives are asked for first.  The gates, made on demand, are the
+    # The compiled sweep (planned steps, a rotation stack, joins and the
+    # gates' results copied into one buffer) gives the bytes of the same
+    # gates run one at a time through per_state_gates, whether the states or
+    # the derivatives are asked for first.  The gates, made on demand, are the
     # family's fixed gates, shared, and one rotation stack per parameter.
     gamma = len(THETA0[builder])
     theta = data.draw(arrays(float, (rows, gamma), elements=st.floats(-np.pi, np.pi)))
@@ -305,10 +336,10 @@ def recorded_gates(monkeypatch, run):
     recorded (a run repeats its first sweep's recorded numpy calls)."""
     real, applied = ansatz_module.apply_planned, []
 
-    def recording(t, m, plan, stack=None, calls=None):
+    def recording(t, m, plan, calls=None):
         shape, start = (t.ndim, len(t)), len(calls) if calls is not None else 0
         applied.append(shape)
-        result = real(t, m, plan, stack, calls)
+        result = real(t, m, plan, calls)
         if calls is not None:
             calls[start:] = [((lambda *a, f=f: applied.append(shape) or f(*a)), args)
                              if f in (np.matmul, np.dot) else (f, args)
@@ -365,7 +396,7 @@ def per_state_cases(draw):
 @given(per_state_cases())
 def test_per_state_gate_is_each_state_alone(case):
     t, gate, mats = case
-    out = apply_gate(t, gate, per_state=True)
+    out = per_state_gates(t, [gate])
     for s, m in enumerate(mats):
         alone = apply_gate(t[s:s + 1], Gate(m, gate.target, gate.control))
         assert out[s].tobytes() == alone[0].tobytes(), s
@@ -394,13 +425,13 @@ def buffer_cases(draw):
 @given(buffer_cases())
 def test_gates_within_buffer_equal_fresh_copy(case):
     # The sweep runs each gate on a slice of its preallocated buffer and
-    # writes the result back in place: every state keeps the bytes the same
+    # copies the result back there: every state keeps the bytes the same
     # gates give a fresh contiguous copy, and the rest of the buffer is untouched.
     buf, start, count, gates = case
     before = buf.copy()
     view = buf[start:start + count].reshape((-1,) + (2,) * (buf.shape[1].bit_length() - 1))
-    fresh = run_gates(view.copy(), gates, per_state=True)
-    view[...] = run_gates(view, gates, per_state=True)
+    fresh = per_state_gates(view.copy(), gates)
+    view[...] = per_state_gates(view, gates)
     assert buf[start:start + count].tobytes() == fresh.tobytes()
     outside = np.ones(len(buf), dtype=bool)
     outside[start:start + count] = False

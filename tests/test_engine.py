@@ -151,6 +151,16 @@ def test_shot_route_needs_seed(lih_r15):
     config([1.0, 1.0], shots=1000)
 
 
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_shot_route_refuses_later_circuits_off_theta(lih_r15, shots):
+    # The shot route builds a circuit at each iteration's angles; one whose
+    # rotations do not follow theta (here always at the initial angles, so
+    # iteration 0 passes) is refused, not run into rising energies.
+    config = QiteConfig((1.0, 1.0), route="hadamard", shots=shots, seed=1)
+    with pytest.raises(ValueError, match="rotated gate"):
+        run_qite(lih_r15, lambda t: build_ucc_lih(np.ones_like(t)), config)
+
+
 def test_hadamard_route_reproducible(h2_r07):
     kwargs = dict(iterations=2, route="hadamard", shots=2000, seed=5)
     a = run_qite(h2_r07, build_ucc_h2, config([2.0], **kwargs))
