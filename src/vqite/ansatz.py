@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pauli import PAULI_MATRICES, PauliString, _signed_permutation, read_only
-from .simulator import (Gate, StateVector, apply_planned, basis_state, call, check_norms,
+from .simulator import (Gate, StateVector, apply_planned, basis_state, call, check_unit,
                         cnot, gate_plan, rotation_matrix, rx, ry)
 
 
@@ -121,7 +121,7 @@ class AnsatzCircuit:
                 t = tensors[:end]
         if t.base is not stack:
             call(calls, np.copyto, tensors[:end], t)
-        call(calls, _check_unit, stack[:rows])
+        call(calls, check_unit, stack[:rows])
 
     def _sweep(self, branches: bool) -> np.ndarray:
         """The sweep into a read-only buffer of its own, (1 [+ gamma], B, 2^n)."""
@@ -149,10 +149,6 @@ class AnsatzCircuit:
     def derivative_state(self, i: int) -> np.ndarray:
         """d|psi>/d theta_i of a circuit at one angle vector (not normalized)."""
         return self.derivatives[i, 0]
-
-
-def _check_unit(psi: np.ndarray) -> None:   # each row's norm as np.linalg.norm sums it
-    check_norms(np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=1)))
 
 
 @lru_cache(maxsize=8)

@@ -32,7 +32,7 @@ from . import ansatz
 from .cmf import cmf_reduce, cmf_reduce_rows
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
 from .pauli import to_dense_matrix
-from .simulator import DensityMatrix
+from .simulator import StateVector
 from .spectra import _lift, _spectrum, gershgorin_emax
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
                      load_lih_table, load_table)
@@ -393,8 +393,8 @@ def _cmd_excited(args) -> int:
     h_base = cmf_reduce(h).h_eff if manifest.cmf else h
     dense = to_dense_matrix(h_base)
     spec, bound = _spectrum(dense), gershgorin_emax(dense)
-    ground = DensityMatrix(np.outer(spec.ground_state, spec.ground_state.conj()))
-    lifted = _lift(dense, ground, bound.e_max)
+    g = StateVector(spec.ground_state).amplitudes       # its norm checked: v v^dagger is valid
+    lifted = _lift(dense, np.outer(g, g.conj()), bound.e_max)
     # The auto rule ties dtau to the iteration count, keeping the total
     # imaginary time fixed; the lifted spectrum is denser than the original
     # one, so the step size stays at the published 4-iteration rule while

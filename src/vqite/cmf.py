@@ -21,12 +21,13 @@ whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
 
 All five steps run batched over the rows of a scan, one pass per step:
-steps 1-3 over the conditioning weights of every row (B, 2B and 4B), each
-partial trace one gather through a compiled trace plan and each spectrum one
-eigh of a stack; steps 4-5 over the candidates of every row, one Gram-Schmidt
-sweep and one Pauli expansion.  Each row equals its reduction alone, bit for bit.
-cmf_reduce_rows is that batch; one failing row fails it, and a scan then
-reduces each row alone (cli.run_scan).
+steps 1-3 over the conditioning weights of every row (B, 2B and 4B: the
+checked seed, then v v^dagger of eigenvectors v whose norms each pass checks,
+densities as built), each partial trace one gather through a compiled trace
+plan and each spectrum one eigh of a stack; steps 4-5 over the candidates of
+every row, one Gram-Schmidt sweep and one Pauli expansion.  Each row equals
+its reduction alone, bit for bit.  cmf_reduce_rows is that batch; one failing
+row fails it, and a scan then reduces each row alone (cli.run_scan).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import (PAULI_MATRICES, PauliHamiltonian, check_density, dense_matrices,
-                    partial_traces, pauli_decompose, term_columns)
-from .simulator import DensityMatrix
+from .pauli import (PAULI_MATRICES, PauliHamiltonian, dense_matrices, partial_traces,
+                    pauli_decompose, term_columns)
+from .simulator import DensityMatrix, check_unit
 from .spectra import DEGENERACY_GAP, stacked_spectrum
 
 GRAM_RANK_TOL = 1e-8
@@ -62,9 +63,11 @@ class EffectiveHamiltonian(NamedTuple):
     provenance: tuple[str, ...]
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.outer of each row pair of two (B, d) stacks, as a (B, d, d) stack."""
-    return a[:, :, None] * b[:, None, :]
+def _projectors(v: np.ndarray) -> np.ndarray:
+    """np.outer(v, v.conj()) of each row of a (B, d) stack once each |v| is 1:
+    Hermitian and positive semidefinite as built, of trace |v|^2, a density."""
+    check_unit(v)
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
@@ -84,12 +87,12 @@ def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
     notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in hs]
 
     def conditioned(tags, keep, rho, level):  # one pass; (tag, row, ...) spectra
-        words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep,
-                                        check_density(rho), 3)
+        words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep, rho, 3)
         vals, vecs, flags = (a.reshape(len(tags), rows, *a.shape[1:]) for a in
                              stacked_spectrum(dense_matrices(words, reduced, len(keep))))
-        for tag, v, f in zip(tags, vals, flags):  # steps 1 and 3 note level 1, step 2 level 0
-            for row, (lo, hi), flag in zip(notes, v[:, :2].tolist(), f[:, level].tolist()):
+        lows, ties = vals[..., :2].tolist(), flags[..., level].tolist()
+        for tag, v, f in zip(tags, lows, ties):  # steps 1 and 3 note level 1, step 2 level 0
+            for row, (lo, hi), flag in zip(notes, v, f):
                 if flag:
                     row.append(f"{tag}.tie_break=eigh-order"
                                + (f" (gap below {DEGENERACY_GAP})" if level else ""))
@@ -97,17 +100,17 @@ def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
         return vals, vecs
 
     # Step 1: seed reduction and the two lowest a states.
-    seed = np.broadcast_to(INITIAL_RHO_B.elements, (rows, 2, 2))
+    seed = INITIAL_RHO_B.elements[None].repeat(rows, axis=0)
     a_vecs = conditioned(["h_a0"], SUBSYSTEM_A, seed, 1)[1][0]
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
     av = np.concatenate([a_vecs[:, :, 0], a_vecs[:, :, 1]])
-    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, _outer(av, av.conj()), 0)
+    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, _projectors(av), 0)
     bs = b_vecs.transpose(0, 3, 1, 2).reshape(4 * rows, 2)   # b_g(a_g), b_e(a_g), ...
 
     # Step 3: a conditioned on each b state, and its two lowest states.
     a_vals, a_vecs = conditioned(["h_a1(b_g(a_g))", "h_a1(b_e(a_g))", "h_a1(b_g(a_e))",
-                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, _outer(bs, bs.conj()), 1)
+                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, _projectors(bs), 1)
 
     # Step 4 candidates: the np.kron of each b state with the lowest (primary)
     # and the second (secondary) a state of its own conditioned Hamiltonian.
@@ -148,11 +151,11 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
         once = _project(basis[:hi], size, lo, cand)
         twice = _project(basis[:hi], size, lo, once)
         first, norms = _norms(np.concatenate([once, twice])).reshape(2, -1)
-        kept = (open_ & ~(first < GRAM_RANK_TOL)).nonzero()[0]
+        kept = (keep := open_ & ~(first < GRAM_RANK_TOL)).nonzero()[0]
         column, at = twice[kept] / norms[kept, None, None], size[kept]
         iso[kept, :, at], bras[kept, at] = column[..., 0], column.conj().swapaxes(-1, -2)
         used += open_
-        size[kept] += 1
+        size += keep
         lo, hi = min(columns := size.tolist()), max(columns)
     if lo < 4:
         raise ValueError("candidate products span fewer than 4 dimensions")

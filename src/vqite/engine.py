@@ -20,15 +20,13 @@ The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
 What does not depend on theta is made once per run: the row, qubit and
 dtau checks, the spectra, the reports' term columns, one circuit build and
-an ExactRun (mclachlan) with its term columns, weighted terms, pair indices
-and buffer.  An exact iteration is one rotation stack, one sweep into that
-buffer, one H|psi> gather, one pair product and one stacked solve
-(solve_update); a row reported against its own Hamiltonian takes its
-energy from that H|psi>.  Iterations rewrite only the rotation stack, so
-each circuit the builder gives (one per iteration on the shot route) must
-hold rotation_matrix of theta about its descriptors' axes there and no
-other gate depending on theta, as a family build and its copy by the
-AnsatzCircuit constructor do.
+an ExactRun (mclachlan).  An exact iteration is one ExactRun call, whose one
+pair product gives A, B and the energy of a row reported against its own
+Hamiltonian, and one stacked solve (solve_update).  Iterations rewrite only
+the rotation stack, so each circuit the builder gives (one per iteration on
+the shot route) must hold rotation_matrix of theta about its descriptors'
+axes there and no other gate depending on theta, as a family build and its
+copy by the AnsatzCircuit constructor do.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from .cmf import EffectiveHamiltonian
 from .mclachlan import ExactRun, McLachlanSystem, compute_sampled, solve_update
-from .pauli import PauliHamiltonian, _energies, dense_matrices, expectations, term_columns
+from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
 from .simulator import StateVector, rotation_matrix
 from .spectra import stacked_spectrum
 
@@ -195,13 +193,12 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
 
     for it in range(cfg.iterations + 1):
         last = it == cfg.iterations
-        states, a, b, h_psi = run(theta, not (sampled or last))
+        states, a, b, energies = run(theta, not (sampled or last))
         if sampled and not last:
             ansatz = rotated(ansatz_builder(theta)) if it else circuit
             a, b = compute_sampled(ansatz, h_systems, cfg.shots, rngs)[:2]
         psi = states if iso is None else (iso @ states[:, :, None])[:, :, 0]
-        energy = (_energies(psi, h_psi) if own and not last
-                  else expectations(labels, coeffs, psi))
+        energy = energies if own and not last else expectations(labels, coeffs, psi)
         steps.append([theta, energy, (ground @ psi[:, :, None])[:, 0, 0], none, none])
         if last:
             break

@@ -8,22 +8,17 @@ defining inner products directly on statevectors:
 
 with |d_i psi> built from the ansatz derivative descriptors, for one
 circuit or for the B rows of a batched one at once (A and B stacked): one
-product per pair i <= j and per B entry.  ExactRun makes once per run what
-does not depend on theta (its term columns and weighted terms, the pair
-indices, one buffer that each call sweeps at new angles, its first sweep
-recorded, then repeated) and gives H|psi> for the energies; compute_exact is
-one call of it.  The Hadamard route expands the same sums into one ancilla
-test circuit per A entry and per (Hamiltonian term, B entry); the ancilla
-is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi absorbing the complex
-prefactor of the summand, and the ancilla Z expectation then yields the
-summand's real part.  A test circuit is three slices of the ansatz gate
-tuple with controlled Pauli gates between them.  Up to its closing H it is
-two system-qubit half-states, one per ancilla branch, and its jobs share
-them: one estimate (hadamard_z), for one circuit or the B rows of a batched
-one, sweeps each ansatz gate once over the distinct half-states; each row
-draws from its own generator, every value and draw bitwise that of the
-test run alone.  Evaluated without sampling, the two routes agree to
-machine precision; with shots they agree statistically.
+product per pair i <= j and per B entry, in one ExactRun call per angle
+step (compute_exact is one call).  The Hadamard route expands the same sums
+into one ancilla test circuit per A entry and per (Hamiltonian term, B
+entry); the ancilla is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi
+absorbing the complex prefactor of the summand, and the ancilla Z
+expectation then yields the summand's real part.  A test circuit is three
+slices of the ansatz gate tuple with controlled Pauli gates between them;
+hadamard_z runs the tests of one circuit or of B rows at once, every value
+and draw bitwise that of the test run alone.  Evaluated without sampling,
+the two routes agree to machine precision; with shots they agree
+statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -39,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
-from .pauli import PauliHamiltonian, _term_stack, apply_sums, term_columns, weighted_terms
+from .pauli import (PauliHamiltonian, _term_stack, apply_sums, real_part, term_columns,
+                    weighted_terms)
 from .simulator import (Gate, StateVector, apply_planned, check_norms, controlled_pauli,
                         hadamard, measure_z_expectation, rotation_matrix, run_gates, x)
 
@@ -90,11 +86,12 @@ def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
 class ExactRun:
     """The exact route over B fixed Hamiltonians, made once per run: the row
     checks, their term columns and weighted terms, the pair indices and one
-    buffer.  A call at (B, gamma) angles is the circuit's rotation stack
-    rewritten, one sweep into the buffer (the first call in each mode records
-    its numpy calls, later ones repeat them), one H|psi> gather and one pair
-    product of (1, L) @ (L, 1) matmuls, bitwise np.vdot: (states, A, B,
-    H|psi>), or the states alone without `system`, as views of the buffer
+    buffer.  A call at (B, gamma) angles, or (gamma,) for one row (else
+    ValueError), is the circuit's rotation stack rewritten, one sweep into the
+    buffer (the first call in each mode records its numpy calls, later ones
+    repeat them), one H|psi> gather and one pair product of (1, L) @ (L, 1)
+    matmuls, bitwise np.vdot: (states, A, B, energies <psi|H|psi> as
+    real_part), or the states alone without `system`, as views of the buffer
     until the next call."""
 
     def __init__(self, ansatz: AnsatzCircuit, hs) -> None:
@@ -104,52 +101,52 @@ class ExactRun:
         self.columns = term_columns(hs)
         self.terms = weighted_terms(*self.columns, n)
         self.stack = np.empty(((gamma + 2) * rows, 2 ** n), dtype=complex)
-        # the forward rows, then each d_i and H|psi>; the rotations calls rewrite
-        self.psi, self.kets = self.stack[:rows], self.stack[rows:].reshape(gamma + 1, rows, -1)
-        self.rotations = np.array(ansatz._rotations)
+        self.kets = self.stack.reshape(gamma + 2, rows, -1)   # psi, each d_i, H|psi>
+        self.rotations = np.array(ansatz._rotations)   # (gamma, [B,] 2, 2), rewritten by calls
+        self.angles = self.rotations.swapaxes(0, -3).reshape(rows, gamma, 2, 2)   # a view
+        self.shapes = ((rows, gamma),) + ((gamma,),) * (rows == 1)   # the angles a call takes
 
     def __call__(self, theta=None, system: bool = True) -> tuple:
         if theta is not None:   # new angles of the circuit's rotations
-            rotation_matrix(self.ansatz._axes, theta, self.rotations.swapaxes(0, -3))
+            if np.shape(theta) not in self.shapes:
+                raise ValueError(f"angles of shape {np.shape(theta)}, not {self.shapes[0]}")
+            rotation_matrix(self.ansatz._axes, theta, self.angles)
         if system in self.programs:
             for function, args in self.programs[system]:
                 function(*args)
         else:   # the first sweep records its numpy calls for the next ones
             self.ansatz.sweep(self.rotations, self.stack, system,
                               self.programs.setdefault(system, []))
-        if not system:
-            return self.psi, None, None, None
         kets, (bra, ket, a_cols, b_cols, *_) = self.kets, self.pairs
-        np.multiply(DERIVATIVE_PREFACTOR, kets[:-1], out=kets[:-1])   # branch i -> d_i
-        apply_sums(*self.columns, self.psi, self.terms, kets[-1])
-        # v[b, k] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, of row b;
-        # take makes A and B C-contiguous, as BLAS must read them
-        v = (kets[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].real.T
-        return self.psi, v.take(a_cols, axis=1), -v.take(b_cols, axis=1), kets[-1]
+        if not system:
+            return kets[0], None, None, None
+        np.multiply(DERIVATIVE_PREFACTOR, kets[1:-1], out=kets[1:-1])   # branch i -> d_i
+        apply_sums(*self.columns, kets[0], self.terms, kets[-1])
+        # v[b, k] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, then
+        # <psi|H|psi>, of row b; take makes A and B C-contiguous, as BLAS must read them
+        v = (kets[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].T
+        energies, v = real_part(v[:, -1]), v.real
+        return kets[0], v.take(a_cols, axis=1), -v.take(b_cols, axis=1), energies
 
 
 @lru_cache(maxsize=16)
 def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
-    """(bra, ket) indices of the A pairs (i, j), i <= j, then of (i, gamma)
-    for B; the pair of each A entry and of each B entry; the A pairs' i and j."""
+    """(bra, ket) ExactRun stack indices (psi, d_i, H|psi> at 0, i + 1, gamma + 1)
+    of the pairs (d_i, d_j), i <= j, for A, (d_i, H|psi>) for B, then (psi,
+    H|psi>); the pair of each A entry and of each B entry; the A pairs' i, j."""
     i, j = np.triu_indices(gamma)
     a_cols = np.empty((gamma, gamma), dtype=np.intp)
     a_cols[i, j] = a_cols[j, i] = np.arange(len(i))
-    return np.r_[i, :gamma], np.r_[j, [gamma] * gamma], a_cols, len(i) + np.arange(gamma), i, j
+    return (np.r_[i + 1, 1:gamma + 1, 0], np.r_[j + 1, [gamma + 1] * (gamma + 1)], a_cols,
+            len(i) + np.arange(gamma), i, j)
 
 
 def _layout(gamma: int, coeffs: list[float]) -> list:
     """Each A/B summand of one row with `gamma` parameters and Hamiltonian
-    coefficients `coeffs`, in job order, as (word, phase, weight,
-    destination).  Its circuit cuts the ansatz gates g at the insertion
-    points p_i (ctrl, anti and final of _inserted_gates):
-
-    A(i, j), i <= j: g[:p_i] + anti_i + g[p_i:p_j] + ctrl_j + g[p_j:] + final,
-    no word, prefactor conj(p) p.  B(i, l): g[:p_i] + anti_i + g[p_i:] +
-    c-h_l + final, word l (the l-th Hamiltonian word controlled on the
-    ancilla), prefactor -conj(p) h_l.  p is DERIVATIVE_PREFACTOR; phase and
-    weight are the prefactor's angle and modulus.
-    """
+    coefficients `coeffs`, in job order, as (word, phase, weight, destination):
+    A(i, j), i <= j, no word, prefactor conj(p) p, then B(i, l), word l,
+    prefactor -conj(p) h_l; p is DERIVATIVE_PREFACTOR, and phase and weight
+    are the prefactor's angle and modulus."""
     p = DERIVATIVE_PREFACTOR
     sums = [(float(np.angle(c)), float(abs(c)))
             for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l in coeffs]]
@@ -167,7 +164,10 @@ def _check_rows(ansatz: AnsatzCircuit, hs) -> None:
 
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
-    """One weighted test circuit per A/B summand of _layout."""
+    """One weighted test circuit per A/B summand of _layout: the ansatz gates g
+    cut at the insertion points p_i, A(i, j) as g[:p_i] + anti_i + g[p_i:p_j]
+    + ctrl_j + g[p_j:] + final and B(i, l) as g[:p_i] + anti_i + g[p_i:] +
+    c-h_l + final, c-h_l the l-th Hamiltonian word controlled on the ancilla."""
     _check_rows(ansatz, [h])
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
     ctrl = [tuple(controlled_pauli(n, range(n), d.sigma.letters)) for d in descs]

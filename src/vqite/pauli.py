@@ -206,14 +206,13 @@ def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray,
 
 
 def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi_b|H_b|psi_b> of each row of apply_sums, as _energies."""
-    return _energies(psi, apply_sums(labels, coeffs, psi))
+    """real_part of <psi_b|H_b|psi_b> of each row (apply_sums), a (1, L) @ (L, 1) matmul each."""
+    h_psi = apply_sums(labels, coeffs, psi)
+    return real_part((psi.conj()[:, None, :] @ h_psi[:, :, None])[:, 0, 0])
 
 
-def _energies(psi: np.ndarray, h_psi: np.ndarray) -> np.ndarray:
-    """<psi_b|h_psi_b> of the rows of two (B, 2^n) stacks, each a (1, L) @
-    (L, 1) matmul, bitwise np.vdot; an imaginary residual above 1e-10 raises."""
-    value = (psi.conj()[:, None, :] @ h_psi[:, :, None])[:, 0, 0]
+def real_part(value: np.ndarray) -> np.ndarray:
+    """The real part of expectation values; an imaginary residual above 1e-10 raises."""
     bad = np.abs(value.imag) > 1e-10
     if bad.any():
         raise ArithmeticError(f"expectation has imaginary residual {value.imag[bad][0]:.3e}")
@@ -230,7 +229,8 @@ def expectation(h: PauliHamiltonian, state) -> float:
 
 def check_density(m) -> np.ndarray:
     """`m` as a complex array once every matrix of the stack (..., 2^n, 2^n)
-    is Hermitian, of unit trace and has no eigenvalue below -1e-9."""
+    is Hermitian, of unit trace and has no eigenvalue below -1e-9: for the
+    densities a caller gives (v v^dagger of a unit v is one as built)."""
     m = np.asarray(m, dtype=complex)
     dim = m.shape[-1]
     if m.shape[-2:] != (dim, dim) or dim & (dim - 1):

@@ -244,6 +244,10 @@ def check_norms(norms: np.ndarray) -> None:
         raise ValueError(f"state norm {norms[~ok][0]} deviates from 1 beyond {NORM_TOL}")
 
 
+def check_unit(rows: np.ndarray) -> None:   # check_norms of rows summed as np.linalg.norm
+    check_norms(np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1)))
+
+
 def measure_z_expectation(states: np.ndarray, shots: int | None = None,
                           rng=None, sizes=None) -> np.ndarray:
     """<Z> of the last qubit of each state of a stack (leading axis),

@@ -54,13 +54,13 @@ def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     vals, vecs = np.linalg.eigh(m)
     pivot = vecs[np.arange(len(vecs))[:, None], np.abs(vecs).argmax(axis=-2),
                  np.arange(vecs.shape[-1])][:, None]
-    # hypot is the scalar abs(pivot), which rounds unlike np.abs on an array
-    mag = np.hypot(pivot.real, pivot.imag)
-    vecs = vecs * (pivot.conj() / np.where(mag == 0.0, np.inf, mag))
+    # hypot is the scalar abs(pivot), which rounds unlike np.abs on an array;
+    # the largest component of a unit vector is never 0
+    vecs = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
     # np.minimum of floats, not | of bools: a bool loop faults in numpy code
     # pages nothing else here runs, which shows in peak RSS
-    edge = np.full((len(vals), 1), np.inf)
-    gaps = np.concatenate([edge, vals[:, 1:] - vals[:, :-1], edge], axis=1)
+    gaps = np.full((len(vals), vals.shape[1] + 1), np.inf)
+    np.subtract(vals[:, 1:], vals[:, :-1], out=gaps[:, 1:-1])
     return vals, vecs, np.minimum(gaps[:, :-1], gaps[:, 1:]) < DEGENERACY_GAP
 
 
@@ -80,8 +80,8 @@ def gershgorin_emax(h_dense: np.ndarray) -> GershgorinBound:
     m = np.asarray(h_dense, dtype=complex)
     if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
         raise ValueError("Gershgorin bound expects a Hermitian matrix")
-    return GershgorinBound(max(float(m[i, i].real) + (float(np.sum(np.abs(m[i]))) - abs(m[i, i]))
-                               for i in range(m.shape[0])))
+    a = np.abs(m)   # each row's |entries| summed as np.sum of the row, less |H_ii|
+    return GershgorinBound(float((m.diagonal().real + (a.sum(axis=1) - a.diagonal())).max()))
 
 
 def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
@@ -92,13 +92,13 @@ def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
     state of H' is the first excited state of H.  `ground` may be mixed
     (it typically comes out of a QITE run); E_0 = Tr(ground H).
     """
-    return _lift(to_dense_matrix(h), ground, e_max)
+    return _lift(to_dense_matrix(h), ground.elements, e_max)
 
 
-def _lift(h_dense: np.ndarray, ground: DensityMatrix, e_max: float) -> PauliHamiltonian:
-    """lift_ground_state of the Hamiltonian whose dense matrix is `h_dense`."""
-    e0 = float(np.trace(ground.elements @ h_dense).real)
+def _lift(h_dense: np.ndarray, ground: np.ndarray, e_max: float) -> PauliHamiltonian:
+    """lift_ground_state of the Hamiltonian whose dense matrix is `h_dense`, by
+    a density array `ground` valid as given (checked, or v v^dagger of a unit v)."""
+    e0 = float(np.trace(ground @ h_dense).real)
     if not e_max >= e0:  # NaN fails too
         raise ValueError(f"e_max {e_max} must be at least the current ground energy {e0}")
-    lifted = h_dense + (e_max - e0) * ground.elements
-    return pauli_decompose(lifted)
+    return pauli_decompose(h_dense + (e_max - e0) * ground)

@@ -234,6 +234,13 @@ def check_gershgorin(m, bound):
     assert all(lam <= bound.e_max + 1e-9 for lam in np.linalg.eigvalsh(m))
 
 
+def gershgorin_oracle(m):
+    """The Gershgorin bound as a loop over rows: max_i Re m_ii + (sum_j |m_ij|
+    - |m_ii|), each row summed by np.sum and |m_ii| taken on the scalar."""
+    return max(float(m[i, i].real) + (float(np.sum(np.abs(m[i]))) - abs(m[i, i]))
+               for i in range(m.shape[0]))
+
+
 def coeff_key(vec):
     """The tie-break key of a CMF candidate: its coefficients rounded to 12
     decimals, real parts then imaginary."""

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import run_cli, serialize_table
-from vqite import (MoleculeTable, build_ucc_lih, cmf_reduce, hamiltonian_at, load_lih_table,
-                   run_qite, to_dense_matrix)
+from conftest import run_cli, serialize_table, term_bytes
+from vqite import (DensityMatrix, MoleculeTable, build_ucc_lih, cli, cmf_reduce, exact_spectrum,
+                   gershgorin_emax, hamiltonian_at, lift_ground_state, load_lih_table, run_qite,
+                   to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, build_parser, discontinuity_rs,
                        emit_outputs, main, run_scan)
 from vqite.engine import QiteConfig
@@ -180,6 +181,35 @@ def test_main_excited_negative_seed_exit_two(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("manifest error: --seed must be non-negative, got -1")
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore:energy rose")
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 4.9])
+def test_excited_lift_equals_public_lift(r, lih_table, monkeypatch):
+    # excited lifts through the projector of its norm-checked ground vector;
+    # the Hamiltonian it runs on is lift_ground_state's with the checked
+    # DensityMatrix of that projector, term for term.
+    runs = []
+    monkeypatch.setattr(cli, "run_qite", lambda h, *args: runs.append(h) or run_qite(h, *args))
+    run_cli(["excited", "--table", "lih", "--r", str(r)])
+    h_base = cmf_reduce(hamiltonian_at(lih_table, r)).h_eff
+    g = exact_spectrum(h_base).ground_state
+    want = lift_ground_state(h_base, DensityMatrix(np.outer(g, g.conj())),
+                             gershgorin_emax(to_dense_matrix(h_base)).e_max)
+    assert [term_bytes(h) for h in runs] == [term_bytes(want)]
+
+
+def test_excited_refuses_non_unit_ground_vector(monkeypatch, capsys):
+    real = cli._spectrum
+
+    def scaled(m):
+        spec = real(m)
+        return spec._replace(eigenstates=spec.eigenstates * (1 + 1e-6))
+
+    monkeypatch.setattr(cli, "_spectrum", scaled)
+    assert main(["excited", "--table", "lih", "--r", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: state norm ") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["--table", "one_qubit.csv"], ["--iters", "0"]])

@@ -106,6 +106,27 @@ def test_reduce_rejects_wrong_size():
         cmf_reduce(h)
 
 
+@pytest.mark.parametrize("stage", [0, 1], ids=["a states", "b states"])
+def test_non_unit_eigenvector_is_refused(lih_r15, stage, monkeypatch):
+    # Steps 2 and 3 weigh by v v^dagger of eigenvectors, valid densities
+    # only for unit v: one eigenvector of the pass scaled by 1 + 1e-6 fails
+    # the norm check that replaced the density check.
+    real, calls = cmf.stacked_spectrum, []
+
+    def scaled(m):
+        vals, vecs, flags = real(m)
+        if len(calls) == stage:
+            vecs = vecs.copy()
+            vecs[0, :, 0] *= 1 + 1e-6
+        calls.append(len(m))
+        return vals, vecs, flags
+
+    monkeypatch.setattr(cmf, "stacked_spectrum", scaled)
+    with pytest.raises(ValueError, match="state norm"):
+        cmf_reduce(lih_r15)
+    assert len(calls) == stage + 1
+
+
 @pytest.fixture(scope="module")
 def lih_oracle(lih_table):
     """(Hamiltonian, cmf_oracle bytes) of each of the 50 LiH rows, by R."""

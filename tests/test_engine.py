@@ -9,7 +9,8 @@ from vqite import (PauliHamiltonian, QiteConfig,
                    average_z_coefficient, build_hardware_efficient,
                    build_ucc_h2, build_ucc_lih, cmf_reduce, exact_spectrum,
                    run_qite, theta_scan, to_dense_matrix)
-from vqite.engine import EnergyMap, resolve_dtau
+from vqite.engine import EnergyMap, resolve_dtau, run_qite_rows
+from vqite.pauli import expectations
 
 H2_TABLE_ENV = "VQITE_H2_TABLE"
 
@@ -97,6 +98,26 @@ def test_energies_match_dense_route(lih_r15):
         amps = build_ucc_lih(rec.theta).state().amplitudes
         e_dense = np.vdot(amps, dense @ amps).real
         assert rec.energy == pytest.approx(e_dense, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["he", "ucc-lih", "theta-scan"])
+def test_record_energies_are_expectations_of_record_states(case, lih_r15, h2_r07):
+    # The energies of iterations 0..l-1 come from ExactRun's pair product and
+    # the last from expectations; each equals expectations of the state the
+    # builder makes at the record's angles, bit for bit.
+    builder, h, thetas = {
+        "he": (build_hardware_efficient, cmf_reduce(lih_r15).h_eff,
+               [[0.2, -0.1, 0.4, 0.3, 0.1, -0.2]]),
+        "ucc-lih": (build_ucc_lih, lih_r15, [[1.0, 1.0]]),
+        "theta-scan": (build_ucc_h2, h2_r07, [[t] for t in np.linspace(0.1, 6.0, 7)]),
+    }[case]
+    trajectories = run_qite_rows([h] * len(thetas), builder,
+                                 [config(t, iterations=6, dtau=0.2) for t in thetas])
+    for traj in trajectories:
+        for rec in traj.records:
+            state = builder(rec.theta).state().amplitudes[None]
+            want = expectations(h.words, h.coeffs[None], state)[0]
+            assert rec.energy.hex() == want.hex(), (case, rec.iteration)
 
 
 def test_euler_stability_halved_step(lih_r15):

@@ -105,6 +105,20 @@ def test_dimension_mismatch_rejected(lih_r15):
         compute_exact(build_ucc_h2(0.5), lih_r15)
 
 
+def test_exact_run_checks_angle_shape(lih_r15):
+    # A one-row run takes (gamma,) or (1, gamma) angles, a B-row run (B,
+    # gamma); any other shape is refused with both shapes named.
+    run = mclachlan.ExactRun(build_ucc_lih([0.3, 0.4]), [lih_r15])
+    want = [a.copy() for a in mclachlan.ExactRun(build_ucc_lih([0.3, 0.3]), [lih_r15])()]
+    for theta in (np.array([[0.3, 0.3]]), np.array([0.3, 0.3])):
+        assert [a.tobytes() for a in run(theta)] == [a.tobytes() for a in want]
+    with pytest.raises(ValueError, match=r"angles of shape \(3,\), not \(1, 2\)"):
+        run(np.array([0.3, 0.3, 0.3]))
+    rows = mclachlan.ExactRun(build_ucc_lih(np.full((2, 2), 0.3)), [lih_r15] * 2)
+    with pytest.raises(ValueError, match=r"angles of shape \(2,\), not \(2, 2\)"):
+        rows(np.array([0.3, 0.3]))
+
+
 # --- Hadamard route ---
 
 def test_ancilla_preparation():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import check_gershgorin, coefficient, random_hamiltonian_pairs, spectrum_oracle
+from conftest import (check_gershgorin, coefficient, gershgorin_oracle, random_hamiltonian_pairs,
+                      spectrum_oracle)
 from vqite import (DensityMatrix, PauliHamiltonian, cmf_reduce, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, pauli_decompose,
                    to_dense_matrix)
@@ -104,6 +105,23 @@ def test_gershgorin_permutation_invariant(rng):
         gershgorin_emax(p @ m @ p.T).e_max)
 
 
+def test_gershgorin_is_row_loop_oracle_bitwise(rng, lih_table):
+    # Seeded Hermitian matrices of every size 1-16, real and complex, at
+    # scales 1e-6 to 1e4 overall and per row and column, then every LiH row
+    # and its CMF h_eff: the one vectorized bound is the row loop's, bit for bit.
+    cases = []
+    for n in range(1, 17):
+        for k in range(24):
+            a = rng.normal(size=(n, n)) + (k % 2) * 1j * rng.normal(size=(n, n))
+            s = 10.0 ** rng.uniform(-6, 4, size=n if k % 3 == 0 else 1)
+            cases.append((a + a.conj().T) * np.outer(s, s))
+    for r in lih_table.bond_distances:
+        h = hamiltonian_at(lih_table, r)
+        cases += [to_dense_matrix(h), to_dense_matrix(cmf_reduce(h).h_eff)]
+    for m in cases:
+        assert gershgorin_emax(m).e_max.hex() == gershgorin_oracle(m).hex()
+
+
 def test_gershgorin_rejects_non_hermitian():
     with pytest.raises(ValueError):
         gershgorin_emax(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -154,6 +172,13 @@ def test_lift_rejects_low_e_max(lih_r15):
     with pytest.raises(ValueError):
         lift_ground_state(lih_r15, projector(spec.ground_state),
                           e_max=spec.ground_energy - 1.0)
+
+
+def test_lift_refuses_non_psd_density():
+    # lift_ground_state keeps the full density check on what a caller gives.
+    with pytest.raises(ValueError, match="eigenvalue below"):
+        lift_ground_state(PauliHamiltonian.from_pairs([(1.0, "Z")]),
+                          DensityMatrix(np.diag([1.5, -0.5])), e_max=2.0)
 
 
 @pytest.mark.parametrize("call, match", [
