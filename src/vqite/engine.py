@@ -19,14 +19,15 @@ the run switches to energy-only reporting.
 The loop runs B rows at once on both routes (run_qite_rows): a scan's
 bond distances or theta_scan's initial angles; run_qite is the one-row case.
 What does not depend on theta is made once per run: the row, qubit and
-dtau checks, the spectra, the reports' term columns, one circuit build and
-an ExactRun (mclachlan).  An exact iteration is one ExactRun call, whose one
-pair product gives A, B and the energy of a row reported against its own
-Hamiltonian, and one stacked solve (solve_update).  Iterations rewrite only
-the rotation stack, so each circuit the builder gives (one per iteration on
-the shot route) must hold rotation_matrix of theta about its descriptors'
-axes there and no other gate depending on theta, as a family build and its
-copy by the AnsatzCircuit constructor do.
+dtau checks, the spectra, the reports' term columns, one circuit build,
+its ExactRun and on the shot route a SampledRun (mclachlan).  An exact
+iteration is one ExactRun call, whose one pair product gives A, B and the
+energy of a row reported against its own Hamiltonian, and one stacked
+solve (solve_update); on the shot route A and B come from a SampledRun
+call, which reads the rotation stack the ExactRun call wrote.  Iterations
+rewrite only that stack, so the builder's circuit must hold rotation_matrix
+of theta about its descriptors' axes there and no other gate depending on
+theta, as a family build and its copy by the AnsatzCircuit constructor do.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cmf import EffectiveHamiltonian
-from .mclachlan import ExactRun, McLachlanSystem, compute_sampled, solve_update
+from .mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
 from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
 from .simulator import StateVector, rotation_matrix
 from .spectra import stacked_spectrum
@@ -141,7 +142,7 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     optimized against (the CMF-reduced one when a reduction is active);
     `energy_map` carries the reduction and original Hamiltonian used for
     reporting.  The final record holds no A/B (nothing is estimated after
-    the last update).  The builder (its circuits as the module docstring
+    the last update).  The builder (its circuit as the module docstring
     says) raises ValueError if initial_theta has the wrong length."""
     return run_qite_rows([h_system], ansatz_builder, [config], [energy_map])[0]
 
@@ -153,14 +154,13 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     Row b runs configs[b] against h_systems[b] and reports through
     energy_maps[b] (None for every row: against h_systems[b]).  The rows
     share the ansatz, the qubit counts, the iteration count, the route and
-    the shot count.  The builder runs at the initial angles, and on the shot
-    route at each iteration's; a circuit off theta (module docstring) is
-    refused (ValueError).  Each iteration takes the states of all rows from
-    the run's ExactRun, A and B from it or from compute_sampled (each row
-    drawing from its own seeded generator) and solves every update with one
-    stacked eigh (solve_update).  Each row's
-    records are bitwise those of the row run alone; its warnings are
-    emitted after the loop, row by row.
+    the shot count.  The builder runs once, at the initial angles; a circuit
+    off theta (module docstring) is refused (ValueError), and so is a shot
+    count below 1, before the loop.  Each iteration takes the states of all
+    rows from the run's ExactRun, A and B from it or from its SampledRun
+    (each row drawing from its own seeded generator) and solves every update
+    with one stacked eigh (solve_update).  Each row's records are bitwise
+    those of the row run alone; its warnings follow the loop, row by row.
     """
     maps = list(energy_maps or [None] * len(configs))
     if not len(h_systems) == len(configs) == len(maps):
@@ -179,24 +179,21 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     ground = vecs.conj()[:, None, :, 0]
     iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
     theta = np.array([c.initial_theta for c in configs])
-    def rotated(circuit):   # iterations rewrite only the rotation stack: it must be theta's
-        if not np.array_equal(circuit._rotations,
-                              rotation_matrix(circuit._axes, theta).swapaxes(-3, 0)):
-            raise ValueError("the builder's circuit must carry each parameter in a rotated "
-                             "gate about its descriptor's axis")
-        return circuit
-    circuit = rotated(ansatz_builder(theta))     # the family's program, its arity checked once
+    circuit = ansatz_builder(theta)     # the family's program, its arity checked once
+    if not np.array_equal(circuit._rotations,   # iterations rewrite only this stack
+                          rotation_matrix(circuit._axes, theta).swapaxes(-3, 0)):
+        raise ValueError("the builder's circuit must carry each parameter in a rotated "
+                         "gate about its descriptor's axis")
     run = ExactRun(circuit, h_systems)
     sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
-    rngs = [np.random.default_rng(c.seed) for c in configs] if sampled else ()
+    estimate = SampledRun(run, cfg.shots, [c.seed for c in configs]) if sampled else None
     steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
 
     for it in range(cfg.iterations + 1):
         last = it == cfg.iterations
         states, a, b, energies = run(theta, not (sampled or last))
         if sampled and not last:
-            ansatz = rotated(ansatz_builder(theta)) if it else circuit
-            a, b = compute_sampled(ansatz, h_systems, cfg.shots, rngs)[:2]
+            _, a, b = estimate()
         psi = states if iso is None else (iso @ states[:, :, None])[:, :, 0]
         energy = energies if own and not last else expectations(labels, coeffs, psi)
         steps.append([theta, energy, (ground @ psi[:, :, None])[:, 0, 0], none, none])

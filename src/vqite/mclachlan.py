@@ -1,24 +1,23 @@
 """Estimation of the McLachlan linear system A theta-dot = B.
 
-Two interchangeable routes are provided.  The exact route evaluates the
+Two interchangeable routes are provided, each a run object made once per
+run over B fixed Hamiltonians.  The exact route (ExactRun) evaluates the
 defining inner products directly on statevectors:
 
     A_ij = Re <d_i psi | d_j psi>
     B_i  = -Re <d_i psi | H | psi>
 
 with |d_i psi> built from the ansatz derivative descriptors, for one
-circuit or for the B rows of a batched one at once (A and B stacked): one
-product per pair i <= j and per B entry, in one ExactRun call per angle
-step (compute_exact is one call).  The Hadamard route expands the same sums
-into one ancilla test circuit per A entry and per (Hamiltonian term, B
-entry); the ancilla is prepared in (|0> + e^{i phi} |1>)/sqrt(2) with phi
-absorbing the complex prefactor of the summand, and the ancilla Z
-expectation then yields the summand's real part.  A test circuit is three
-slices of the ansatz gate tuple with controlled Pauli gates between them;
-hadamard_z runs the tests of one circuit or of B rows at once, every value
-and draw bitwise that of the test run alone.  Evaluated without sampling,
-the two routes agree to machine precision; with shots they agree
-statistically.
+circuit or for the B rows of a batched one at once (A and B stacked).
+The Hadamard route (SampledRun) expands the same sums into one ancilla
+test job per summand, in job order per row A(i, j), i <= j, prefactor
+conj(p) p, then B(i, l), prefactor -conj(p) h_l of term l, where p is
+DERIVATIVE_PREFACTOR; the ancilla is prepared in (|0> + e^{i phi}
+|1>)/sqrt(2), phi the prefactor's angle, and its Z expectation times the
+prefactor's modulus (the job's weight) is the summand's real part.  A
+test circuit is three slices of the ansatz gate tuple with controlled
+Pauli gates between them.  Evaluated without sampling, the two routes
+agree to machine precision; with shots they agree statistically.
 
 The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
 (1e-8 exact route, 1e-3 shot route, where noise inflates the small
@@ -41,7 +40,7 @@ from .simulator import (Gate, StateVector, apply_planned, check_norms, controlle
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3
-PASS_ROWS = 8                       # rows per measured pass of hadamard_z
+PASS_ROWS = 8                       # rows per measured pass of a SampledRun call
 ABS_EIG_FLOOR = 1e-12
 
 
@@ -142,11 +141,9 @@ def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
 
 
 def _layout(gamma: int, coeffs: list[float]) -> list:
-    """Each A/B summand of one row with `gamma` parameters and Hamiltonian
-    coefficients `coeffs`, in job order, as (word, phase, weight, destination):
-    A(i, j), i <= j, no word, prefactor conj(p) p, then B(i, l), word l,
-    prefactor -conj(p) h_l; p is DERIVATIVE_PREFACTOR, and phase and weight
-    are the prefactor's angle and modulus."""
+    """The jobs of one row with `gamma` parameters and Hamiltonian
+    coefficients `coeffs`, in job order (module docstring), as (word, phase,
+    weight, destination); A jobs have no word."""
     p = DERIVATIVE_PREFACTOR
     sums = [(float(np.angle(c)), float(abs(c)))
             for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l in coeffs]]
@@ -186,27 +183,27 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
 def _table(descriptors, n: int, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
     """The Hadamard jobs of B rows whose Hamiltonians have the (B, L)
     coefficients `coeff_bytes` over the union words `labels` (term_columns),
-    compiled once per run for hadamard_z: they depend only on these values
-    and the ansatz family.  (phases, head, zero, one, words, src, sign, entry,
-    weight, sizes).  A row's terms are its nonzero coefficients.
+    compiled for SampledRun from these values and the ansatz family alone:
+    (phases, head, zero, one, words, src, sign, entry, weight, sizes), a
+    row's terms its nonzero coefficients.
 
     Each row sweeps K = head + 2 gamma half-states of the system qubits,
     one ancilla branch each: F0 = ref/sqrt(2) (ancilla 0), F1 = e^{i phi}
     ref/sqrt(2) (ancilla 1) per distinct phase phi, the A phase first, and
     on 2 qubits a copy of F0 if that makes K even; then per descriptor j
-    B_j = sigma_j F0 and C_j = sigma_j F1[A phase], joined at p_j.  Job k of
-    all rows, in row-major job order, takes half-state zero[k] (row b's
-    B_i, b K + head + 2 i) for ancilla 0 and one[k] for ancilla 1: C_j for
-    A(i, j), F1 of its phase for B(i, l), gathered through union word
-    words[k] (-1: the identity appended to the word stack).  It adds its
-    weighted value to entry[k] of A (B, gamma, gamma) and then B (B, gamma),
-    flattened.  sizes: each row's job count."""
+    B_j = sigma_j F0 and C_j = sigma_j F1[A phase], joined at p_j.  Job k
+    (rows in turn) takes half-state zero[k] (row b's B_i, b K + head + 2 i)
+    for ancilla 0 and one[k] for ancilla 1: C_j for A(i, j), F1 of its
+    phase for B(i, l), gathered through union word words[k] (-1: the
+    identity appended to the word stack), and adds its weighted value to
+    entry[k] of A (B, gamma, gamma) then B (B, gamma), flattened.  sizes:
+    each row's job count."""
     gamma, coeffs = len(descriptors), np.frombuffer(coeff_bytes).reshape(rows, len(labels))
     kept = [np.flatnonzero(c).tolist() for c in coeffs]
     jobs = [_layout(gamma, c[k].tolist()) for c, k in zip(coeffs, kept)]
     phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
     head = 1 + len(phases)
-    head += head % 2 * (n < 3)      # K even: see hadamard_z
+    head += head % 2 * (n < 3)      # K even: see SampledRun
     cols, width = [], head + 2 * gamma
     for b, (k, row) in enumerate(zip(kept, jobs)):
         cols += [(b * width + head + 2 * i,
@@ -234,74 +231,77 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
     return float(measure_z_expectation(run_gates(start, circuit.gates), shots, rng)[0])
 
 
-def hadamard_z(ansatz: AnsatzCircuit, h, shots: int | None = None, rng=None) -> tuple:
-    """(_table of the rows, ancilla <Z> of every job) of a circuit at one
-    angle vector and its Hamiltonian, or at B angle rows and B Hamiltonians;
-    `rng` lists one Generator (or seed) per row, or is None for shots=None.
-
-    Until the closing H the ansatz acts on each ancilla branch of a test
-    alone.  One forward sweep runs each ansatz gate once over the (B, K)
-    stack of the rows' distinct half-states (_table): a (B, 2, 2) rotation
-    as one matmul per row over its K half-states, a shared gate as one
-    np.dot, each join a signed permutation.  Then, PASS_ROWS rows at a time,
-    each job's state is built from its two half-states (a B job's word
-    gathered on the ancilla-1 one; products by +-1 or +-i are exact), and
-    the final H and the draws run, each row drawing in its job order.  A
-    job's gate on its own state is a product 2^n wide, and BLAS rounds every
-    width that is a multiple of 4 alike (not 2 K on 2 qubits with K odd,
-    hence K even there), so each value and draw is bitwise that of the
-    job's circuit run alone.
-    """
-    batch = ansatz.parameters.ndim == 2
-    hs, n = list(h) if batch else [h], ansatz.n_system_qubits
-    _check_rows(ansatz, hs)
-    labels, coeffs = term_columns(hs)
-    table = _table(ansatz.descriptors, n, labels, len(hs), coeffs.tobytes())
-    phases, head, zero, one, words, src, sign, *_, sizes = table
-    amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
-    halves = np.concatenate([amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]])
-    t = halves[None].repeat(len(hs), axis=0).reshape((len(hs), head) + (2,) * n)
-    for source, step in _program(ansatz._fixed, ansatz.descriptors, n, 2):
-        if source is None:      # B_j, C_j: sigma_j of F0 and F1[A phase]
-            t = np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1)
-        else:
-            t = apply_planned(t, source if isinstance(source, np.ndarray)
-                              else ansatz._rotations[source], step)
-    t, ends, values, final = t.reshape(-1, 2 ** n), np.cumsum([0, *sizes]), [], (hadamard(n),)
-    for r in range(0, len(hs), PASS_ROWS):
-        ks = slice(ends[r], ends[min(r + PASS_ROWS, len(hs))])
-        out = np.stack([t[zero[ks]], sign[words[ks]] * t[one[ks, None], src[words[ks]]]], -1)
-        out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)
-        values.append(measure_z_expectation(out, shots, rng and rng[r:r + PASS_ROWS],
-                                            sizes[r:r + PASS_ROWS]))
-    return table, np.concatenate(values)
-
-
 def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
                     seed=None) -> McLachlanSystem:
-    """A and B from the Hadamard-test circuits (hadamard_z), for one angle
-    vector and Hamiltonian or for B rows (A and B stacked).
-
-    shots=None evaluates every circuit analytically (the exact-mode
-    switch); otherwise each ancilla expectation is a binomial estimate
-    with the given shot count, drawn from `seed` (ValueError if missing):
-    an integer seed or a numpy Generator, then drawn from in place, one
-    per row for a batch.  A and B add the weighted values from 0.0 in job order.
-    """
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1 (or None for exact mode)")
-    batch, gamma = ansatz.parameters.ndim == 2, ansatz.n_parameters
-    seeds = seed if batch and seed is not None else [seed]
-    if shots is not None and any(s is None for s in seeds):
-        raise ValueError("shot mode needs a seed or generator for every row")
-    rng = None if shots is None else list(map(np.random.default_rng, seeds))
-    (*_, entry, weight, sizes), values = hadamard_z(ansatz, h, shots, rng)
-    ab, cut = np.zeros(len(sizes) * (gamma + 1) * gamma), len(sizes) * gamma * gamma
-    np.add.at(ab, entry, weight * values)
-    a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)
-    a[:, j, i] = a[:, i, j]
-    b = ab[cut:].reshape(-1, gamma)
+    """A and B from the Hadamard-test circuits, as one SampledRun call, for
+    one angle vector and Hamiltonian or for B rows (A and B stacked).
+    shots=None evaluates every circuit analytically (the exact-mode switch);
+    otherwise each ancilla expectation is a binomial estimate with the given
+    shot count, drawn from `seed` (ValueError if missing): an integer seed or
+    a numpy Generator, then drawn from in place, one per row for a batch."""
+    batch = ansatz.parameters.ndim == 2
+    run = ExactRun(ansatz, h if batch else [h])
+    _, a, b = SampledRun(run, shots, seed if batch and seed is not None else [seed])()
     return McLachlanSystem(a if batch else a[0], b if batch else b[0], "hadamard", shots)
+
+
+class SampledRun:
+    """The Hadamard route of an ExactRun's rows, made once per run from it:
+    the job table (_table), the rows' starting half-states, the sweep steps
+    and one Generator per row from `seeds` (ValueError if shots < 1, or on
+    a missing seed in shot mode).  A call reads the ExactRun's rotation
+    stack as its last call left it and returns (ancilla <Z> of every job,
+    A, B), A and B adding the weighted values from 0.0 in job order.
+
+    Until the closing H the ansatz acts on each ancilla branch of a test
+    alone, so one forward sweep runs each ansatz gate once over the (B, K)
+    stack of the rows' distinct half-states: a (B, 2, 2) rotation as one
+    matmul per row over its K half-states, a shared gate as one np.dot, a
+    join as a signed permutation.  Then, PASS_ROWS rows at a time, each
+    job's state is built from its two half-states (a B job's word gathered
+    on the ancilla-1 one; products by +-1 or +-i are exact) and the final H
+    and the draws run, each row drawing in its job order.  BLAS rounds a
+    job's gate on its own state (2^n wide) as every width that is a multiple
+    of 4 (not 2 K on 2 qubits with K odd, hence K even), so each value and
+    draw is bitwise that of the job's circuit run alone.
+    """
+
+    def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
+        if shots is not None and shots < 1:
+            raise ValueError("shots must be >= 1 (or None for exact mode)")
+        if shots is not None and any(s is None for s in seeds):
+            raise ValueError("shot mode needs a seed or generator for every row")
+        ansatz, (labels, coeffs) = exact.ansatz, exact.columns
+        self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
+        self.table = _table(ansatz.descriptors, self.n, labels, rows, coeffs.tobytes())
+        phases, head, *_, sizes = self.table
+        amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
+        halves = [amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]] * rows
+        self.halves = np.concatenate(halves).reshape((rows, head) + (2,) * self.n)
+        self.steps = _program(ansatz._fixed, ansatz.descriptors, self.n, 2)
+        self.rotations, self.ends, self.shots = exact.rotations, np.cumsum([0, *sizes]), shots
+        self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
+
+    def __call__(self) -> tuple:
+        (*_, zero, one, words, src, sign, entry, weight, sizes), t = self.table, self.halves
+        n, gamma, rows, rngs = self.n, self.gamma, len(sizes), self.rngs
+        for source, step in self.steps:     # a join adds B_j, C_j: sigma_j of F0, F1[A phase]
+            t = (np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1) if source is None
+                 else apply_planned(t, source if isinstance(source, np.ndarray)
+                                    else self.rotations[source], step))
+        t, ends, values, final = t.reshape(-1, 2 ** n), self.ends, [], (hadamard(n),)
+        for r in range(0, rows, PASS_ROWS):
+            ks = slice(ends[r], ends[min(r + PASS_ROWS, rows)])
+            out = np.stack([t[zero[ks]], sign[words[ks]] * t[one[ks, None], src[words[ks]]]], -1)
+            out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)
+            values.append(measure_z_expectation(out, self.shots, rngs and rngs[r:r + PASS_ROWS],
+                                                sizes[r:r + PASS_ROWS]))
+        values = np.concatenate(values)
+        ab, cut = np.zeros(rows * (gamma + 1) * gamma), rows * gamma * gamma
+        np.add.at(ab, entry, weight * values)
+        a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)
+        a[:, j, i] = a[:, i, j]
+        return values, a, ab[cut:].reshape(-1, gamma)
 
 
 class UpdateResult(NamedTuple):

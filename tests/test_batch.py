@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import apply, apply_word, forward_then_branches, per_state_gates, term_loop
+from conftest import (apply, apply_word, forward_then_branches, per_state_gates, record_bytes,
+                      term_loop)
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
@@ -39,15 +40,6 @@ def scan_rows(table, builder, cmf):
         return hs, configs, [None] * len(hs)
     effs = cmf_reduce_rows(hs)
     return [e.h_eff for e in effs], configs, [EnergyMap(e, h) for e, h in zip(effs, hs)]
-
-
-def record_bytes(traj):
-    def raw(x):
-        return None if x is None else np.asarray(x, dtype=float).tobytes()
-    return ([(rec.iteration, raw(rec.theta), raw(rec.a_matrix), raw(rec.b_vector),
-              raw(rec.energy), raw(rec.fidelity)) for rec in traj.records],
-            traj.stationary, traj.ground_degenerate, traj.monotonicity_violations,
-            raw(traj.exact_energy), traj.final_state.amplitudes.tobytes())
 
 
 @pytest.mark.parametrize("table,builder,cmf", [
@@ -79,6 +71,29 @@ def test_batched_shot_rows_equal_one_row_runs(lih_table):
     batched = run_qite_rows(hs[rows], build_ucc_lih, configs)
     for h, config, traj in zip(hs[rows], configs, batched):
         assert record_bytes(traj) == record_bytes(run_qite(h, build_ucc_lih, config))
+
+
+@pytest.mark.parametrize("builder,cmf,rows,shots", [
+    (build_ucc_lih, False, slice(None), 10_000),
+    (build_hardware_efficient, True, slice(0, 50, 17), 1000),
+    (build_hardware_efficient, True, slice(0, 50, 17), None),
+], ids=["ucc-lih-50-rows", "cmf-he-3-rows-shots", "cmf-he-3-rows-analytic"])
+def test_shot_run_reads_the_live_rotation_stack(builder, cmf, rows, shots, lih_table):
+    # The run's one SampledRun reads the rotation stack as the iteration's
+    # ExactRun call wrote it: at every iteration A and B are bitwise those of
+    # compute_sampled on a build at that iteration's angles, drawn from twin
+    # generators that each step leaves in the same state.
+    hs, configs, maps = (x[rows] for x in scan_rows(lih_table, builder, cmf))
+    configs = [QiteConfig(c.initial_theta, route="hadamard", shots=shots, seed=c.seed)
+               for c in configs]
+    trajs = run_qite_rows(hs, builder, configs, maps)
+    twins = [np.random.default_rng(c.seed) for c in configs]
+    for it in range(configs[0].iterations):
+        theta = np.array([traj.records[it].theta for traj in trajs])
+        want = compute_sampled(builder(theta), hs, shots, twins)
+        for b, traj in enumerate(trajs):
+            assert traj.records[it].a_matrix.tobytes() == want.a_matrix[b].tobytes(), (it, b)
+            assert traj.records[it].b_vector.tobytes() == want.b_vector[b].tobytes(), (it, b)
 
 
 def unfused_records(h, builder, config, energy_map=None):

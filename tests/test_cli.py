@@ -386,10 +386,15 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
 def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
     """`real`, raising `error` whenever its batch holds the row of R = r."""
     h = hamiltonian_at(load_lih_table(), r)
-    if stage in ("ExactRun", "compute_sampled"):   # the rows' reduced Hamiltonians
+    if stage == "ExactRun":                  # the rows' reduced Hamiltonians
         target = cmf_reduce(h).h_eff
         hit = lambda args: any(x.words == target.words and np.array_equal(x.coeffs, target.coeffs)
                                for x in args[1])
+    elif stage == "SampledRun":              # the same, as its ExactRun's term columns
+        target = cmf_reduce(h).h_eff
+        terms = dict(zip(target.words, target.coeffs.tolist()))
+        hit = lambda args: any({w: v for w, v in zip(args[0].columns[0], c.tolist()) if v} == terms
+                               for c in args[0].columns[1])
     else:                                    # a row of the (B, L) report coefficients
         target = h.coeffs
         hit = lambda args: any(np.array_equal(c[c != 0], target) for c in args[1])
@@ -401,14 +406,14 @@ def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
     return stage_fn
 
 
-@pytest.mark.parametrize("stage", ["ExactRun", "expectations", "compute_sampled"])
+@pytest.mark.parametrize("stage", ["ExactRun", "expectations", "SampledRun"])
 def test_failing_qite_row_flags_only_its_row(stage, tmp_path, monkeypatch, capsys):
     # The batch of all three rows fails; each row then runs alone, and only
     # R = 1.5 fails alone.  On the shot route the neighbours' rows and traces
     # stay byte-identical, so each still draws from its own (seed, R) generator.
     import vqite.engine as engine_mod
     args = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "1.0,1.5,3.0",
-            "--trace"] + (["--route", "shots:1000"] if stage == "compute_sampled" else [])
+            "--trace"] + (["--route", "shots:1000"] if stage == "SampledRun" else [])
     assert main(args + ["--out", str(tmp_path / "clean")]) == 0
     clean = (tmp_path / "clean" / "curve.csv").read_text().splitlines()
     capsys.readouterr()

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from conftest import record_bytes
 from vqite import (PauliHamiltonian, QiteConfig,
                    average_z_coefficient, build_hardware_efficient,
                    build_ucc_h2, build_ucc_lih, cmf_reduce, exact_spectrum,
-                   run_qite, theta_scan, to_dense_matrix)
+                   hamiltonian_at, run_qite, theta_scan, to_dense_matrix)
 from vqite.engine import EnergyMap, resolve_dtau, run_qite_rows
+from vqite.mclachlan import ExactRun
 from vqite.pauli import expectations
 
 H2_TABLE_ENV = "VQITE_H2_TABLE"
@@ -172,14 +174,44 @@ def test_shot_route_needs_seed(lih_r15):
     config([1.0, 1.0], shots=1000)
 
 
-@pytest.mark.parametrize("shots", [None, 1000])
-def test_shot_route_refuses_later_circuits_off_theta(lih_r15, shots):
-    # The shot route builds a circuit at each iteration's angles; one whose
-    # rotations do not follow theta (here always at the initial angles, so
-    # iteration 0 passes) is refused, not run into rising energies.
+@pytest.mark.parametrize("route,shots", [("exact", None), ("hadamard", None),
+                                         ("hadamard", 1000)])
+def test_builder_runs_once_per_run(lih_table, lih_r15, route, shots):
+    # A run builds its circuit once, at the initial angles, for one row or
+    # fifty; its iterations rewrite that circuit's rotation stack.  So a
+    # builder stuck at the initial angles (which the check at theta0 cannot
+    # tell from the family build) runs as the family build, byte for byte,
+    # without shots to the energies of the family's LiH R = 1.5 run.
+    hs, calls = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances], []
+    def counted(theta):
+        calls.append(np.shape(theta))
+        return build_ucc_lih(theta)
+    for rows in (1, 50):
+        calls.clear()
+        run_qite_rows(hs[:rows], counted, [QiteConfig((1.0, 1.0), route=route, shots=shots,
+                                                      seed=b) for b in range(rows)])
+        assert calls == [(rows, 2)]
+    config = QiteConfig((1.0, 1.0), route=route, shots=shots, seed=1)
+    stuck = run_qite(lih_r15, lambda t: build_ucc_lih(np.ones_like(t)), config)
+    assert record_bytes(stuck) == record_bytes(run_qite(lih_r15, build_ucc_lih, config))
+    if shots is None:
+        assert [round(r.energy, 4) for r in stuck.records] == [-7.6025, -7.9480, -7.9541,
+                                                               -7.9544, -7.9544]
+
+
+@pytest.mark.parametrize("shots", [0, -3])
+def test_shot_count_refused_before_the_loop(lih_r15, monkeypatch, shots):
+    # run_qite and run_qite_rows check the shot count once, when they make
+    # the run's SampledRun; the loop, whose first step is an ExactRun call,
+    # never starts.
+    def loop_started(*args):
+        raise AssertionError("the loop started")
+    monkeypatch.setattr(ExactRun, "__call__", loop_started)
     config = QiteConfig((1.0, 1.0), route="hadamard", shots=shots, seed=1)
-    with pytest.raises(ValueError, match="rotated gate"):
-        run_qite(lih_r15, lambda t: build_ucc_lih(np.ones_like(t)), config)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        run_qite(lih_r15, build_ucc_lih, config)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        run_qite_rows([lih_r15] * 2, build_ucc_lih, [config] * 2)
 
 
 def test_hadamard_route_reproducible(h2_r07):

@@ -10,8 +10,8 @@ from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, buil
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
 from vqite.ansatz import DERIVATIVE_PREFACTOR
 from vqite import mclachlan, simulator
-from vqite.mclachlan import (PASS_ROWS, McLachlanSystem, _start, evaluate_circuit,
-                             hadamard_z)
+from vqite.mclachlan import (PASS_ROWS, ExactRun, McLachlanSystem, SampledRun, _start,
+                             evaluate_circuit)
 from vqite.simulator import basis_state, controlled_pauli, hadamard, x
 
 
@@ -197,7 +197,7 @@ def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
     for batch in (rows[:1], rows):
         ansatz = builder(np.array([theta for theta, _ in batch]))
         hs = [h for _, h in batch]
-        _, values = hadamard_z(ansatz, hs)
+        values = SampledRun(ExactRun(ansatz, hs), None, [None])()[0]
         branches, psi = ansatz.derivatives / DERIVATIVE_PREFACTOR, ansatz.states()
         expected = []
         for b, (theta, h) in enumerate(batch):
@@ -268,7 +268,7 @@ def test_prefix_memo_bitwise_equals_scratch(lih_r15, h2_r07, rng):
     # The sweep runs each ansatz gate once over all branches; each job's
     # value is still that of its circuit run alone.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
-        _, values = hadamard_z(ansatz, h)
+        values = SampledRun(ExactRun(ansatz, [h]), None, [None])()[0]
         circuits = build_hadamard_circuits(ansatz, h)
         assert len(values) == len(circuits)
         for z, job in zip(values, circuits):
@@ -445,7 +445,7 @@ def test_sampled_is_per_job_oracle_on_grid(family, phases):
     # 2-qubit half-states of a row take an odd number of them.
     builder, n, gamma = FAMILIES[family]
     h = grid_hamiltonians(n, phases, 1)[0]
-    assert len(hadamard_z(builder(np.ones(gamma)), h)[0][0]) == phases
+    assert len(SampledRun(ExactRun(builder(np.ones(gamma)), [h]), None, [None]).table[0]) == phases
     assert oracle_agrees(builder(np.ones(gamma)), h, [None, 10_000], 5)
     for rows in range(1, 6):
         theta = 1.0 - 0.6 * np.arange(rows)[:, None] + 0.3 * np.arange(gamma)
@@ -479,8 +479,9 @@ def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
 
 def test_sampled_table_is_keyed_on_values(lih_table):
     # The compiled jobs of a batch are found again for equal Hamiltonians
-    # built anew, as each scan iteration and invocation builds them, and not
-    # for a coefficient one ulp away.
+    # built anew, as a repeated invocation in one process builds them (and a
+    # one-point batch that fails, when it runs again alone), and not for a
+    # coefficient one ulp away.  A run makes its table once.
     from vqite.mclachlan import _table
 
     def rows():
