@@ -102,12 +102,12 @@ class AnsatzCircuit:
     def sweep(self, rotations, stack: np.ndarray, branches: bool, calls=None) -> None:
         """Write the B forward rows at the rotation stack `rotations`, then with
         `branches` each join's branch, into the head of `stack` (an (S, 2^n) array
-        owning its memory), norm-check the rows and record each numpy call into
-        `calls`.  A gate is one per-state matmul into an array of its own, so
-        each row keeps its bytes; a copy brings it into the buffer."""
+        owning its memory), and record each numpy call into `calls`; the caller
+        checks the rows' norms.  A gate is one per-state matmul into an array of
+        its own, so each row keeps its bytes; a copy brings it into the buffer."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         tensors = stack.reshape((-1,) + (2,) * self.n_system_qubits)   # one tensor per row
-        call(calls, np.copyto, stack[:rows], self.reference_state.amplitudes)
+        call(calls, stack[:rows].__setitem__, ..., self.reference_state.amplitudes)
         t, end = tensors[:rows], rows
         for source, step in self._steps:
             if source is not None:
@@ -115,13 +115,12 @@ class AnsatzCircuit:
                                   else rotations[source], step, calls)
             elif branches:
                 if t.base is not stack:   # back into the buffer, in natural order
-                    call(calls, np.copyto, tensors[:end], t)
+                    call(calls, tensors[:end].__setitem__, ..., t)
                 call(calls, np.multiply, step[1], tensors[:rows][step[0]], tensors[end:end + rows])
                 end += rows
                 t = tensors[:end]
         if t.base is not stack:
-            call(calls, np.copyto, tensors[:end], t)
-        call(calls, check_unit, stack[:rows])
+            call(calls, tensors[:end].__setitem__, ..., t)
 
     def _sweep(self, branches: bool) -> np.ndarray:
         """The sweep into a read-only buffer of its own, (1 [+ gamma], B, 2^n)."""
@@ -129,6 +128,7 @@ class AnsatzCircuit:
         stack = np.empty((rows * (1 + branches * self.n_parameters),
                           self.reference_state.amplitudes.size), dtype=complex)
         self.sweep(self._rotations, stack, branches)
+        check_unit(stack[:rows])
         return read_only(stack.reshape(-1, rows, stack.shape[1]))
 
     def states(self) -> np.ndarray:

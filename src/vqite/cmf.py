@@ -127,20 +127,21 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
     primary and secondary candidates, taken by ascending mean energy <v|H|v>
     and (B, 4) `second` eigenvalue, ties broken as sorted() breaks them on
     the coefficients rounded to 12 decimals; notes[b] gets row b's counts."""
+    rows, each = len(cands), np.arange(len(cands))
     v = cands[:, 0, :, :, None]     # <v|H|v>: (8, 8) @ (8, 1), then (1, 8) @ (8, 1)
     energy = (v.conj().swapaxes(-1, -2) @ (h_dense[:, None] @ v))[..., 0, 0].real
     keys = np.round(np.concatenate([cands.real, cands.imag], axis=-1), 12)
     order = np.lexsort((*np.moveaxis(keys, -1, 0)[::-1], np.stack([energy, second], axis=1)))
-    cands = cands[np.arange(len(cands))[:, None, None], np.arange(2)[:, None], order]
-    cands = cands.reshape(len(cands), 8, 8, 1)
+    cands = cands[each[:, None, None], np.arange(2)[:, None], order].reshape(rows, 8, 8, 1)
 
-    # Gram-Schmidt over the candidate slots of all rows until each row holds
-    # 4 columns, dropping a candidate whose residual norm is below the
-    # tolerance; basis[j] holds views of column j and of its conjugate row
-    iso = np.zeros((len(cands), 8, 4), dtype=complex)
-    bras = np.zeros((len(cands), 4, 1, 8), dtype=complex)
+    # Gram-Schmidt over the candidate slots of all rows until each row holds 4
+    # columns, dropping a candidate whose residual norm is below the tolerance;
+    # basis[j] views column j and its conjugate.  Each row writes its residual
+    # at column size[b], unread until a kept one fills it (a full row's: 4, unread)
+    iso = np.zeros((rows, 8, 5), dtype=complex)
+    bras = np.zeros((rows, 5, 1, 8), dtype=complex)
     basis = [(bras[:, j], iso[:, :, j:j + 1]) for j in range(4)]
-    size, used = np.zeros((2, len(cands)), dtype=np.intp)
+    size, used = np.zeros((2, rows), dtype=np.intp)
     lo = hi = 0                          # the fewest and most columns of a row
     for cand in cands.swapaxes(0, 1):    # (B, 8, 1) per slot
         if lo == 4:
@@ -150,16 +151,19 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
         # candidate was nearly dependent; the first pass's norm decides the drop
         once = _project(basis[:hi], size, lo, cand)
         twice = _project(basis[:hi], size, lo, once)
-        first, norms = _norms(np.concatenate([once, twice])).reshape(2, -1)
-        kept = (keep := open_ & ~(first < GRAM_RANK_TOL)).nonzero()[0]
-        column, at = twice[kept] / norms[kept, None, None], size[kept]
-        iso[kept, :, at], bras[kept, at] = column[..., 0], column.conj().swapaxes(-1, -2)
+        # np.linalg.norm of each, bit for bit: one strided dot of the real parts, one of the imag
+        re, im = (both := np.concatenate([once, twice])).real, both.imag
+        first, norms = np.sqrt(re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im).reshape(2, -1)
+        keep = open_ & ~(first < GRAM_RANK_TOL)
+        column = twice / (norms + ~keep)[:, None, None]   # 0/0 never divides
+        iso[each, :, size], bras[each, size] = column[..., 0], column.conj().swapaxes(-1, -2)
         used += open_
         size += keep
         lo, hi = min(columns := size.tolist()), max(columns)
     if lo < 4:
         raise ValueError("candidate products span fewer than 4 dimensions")
 
+    iso = iso[:, :, :4].copy()
     h_effs = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
     return [EffectiveHamiltonian(h, m, (*row, "gram_schmidt.candidates_used=4",
                                         f"gram_schmidt.rank_deficient_dropped={n - 4}",
@@ -175,13 +179,6 @@ def _project(basis: list, size: np.ndarray, lo: int, w: np.ndarray) -> np.ndarra
         step = w - (bra @ w) * ket
         w = step if j < lo else np.where((j < size)[:, None, None], step, w)
     return w
-
-
-def _norms(w: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each column of a (S, 8, 1) stack, bit for bit: the
-    same strided dot of the real and of the imaginary parts."""
-    re, im = w.real, w.imag
-    return np.sqrt((re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[:, 0, 0])
 
 
 def lift_amplitudes(eff: EffectiveHamiltonian, amplitudes: np.ndarray) -> np.ndarray:

@@ -21,13 +21,13 @@ bond distances or theta_scan's initial angles; run_qite is the one-row case.
 What does not depend on theta is made once per run: the row, qubit and
 dtau checks, the spectra, the reports' term columns, one circuit build,
 its ExactRun and on the shot route a SampledRun (mclachlan).  An exact
-iteration is one ExactRun call, whose one pair product gives A, B and the
-energy of a row reported against its own Hamiltonian, and one stacked
-solve (solve_update); on the shot route A and B come from a SampledRun
-call, which reads the rotation stack the ExactRun call wrote.  Iterations
-rewrite only that stack, so the builder's circuit must hold rotation_matrix
-of theta about its descriptors' axes there and no other gate depending on
-theta, as a family build and its copy by the AnsatzCircuit constructor do.
+iteration is one ExactRun call, whose pair product gives A, B, each state's
+norm and the energy of a row reported against its own Hamiltonian, and one
+stacked solve (solve_update); on the shot route A and B come from a
+SampledRun call, which reads the rotation stack the ExactRun call wrote.
+Iterations rewrite only that stack, so the builder's circuit must hold
+rotation_matrix of theta about its descriptors' axes there and no other
+gate depending on theta, as a family build and its AnsatzCircuit copy do.
 """
 
 from __future__ import annotations

@@ -89,9 +89,9 @@ class ExactRun:
     ValueError), is the circuit's rotation stack rewritten, one sweep into the
     buffer (the first call in each mode records its numpy calls, later ones
     repeat them), one H|psi> gather and one pair product of (1, L) @ (L, 1)
-    matmuls, bitwise np.vdot: (states, A, B, energies <psi|H|psi> as
-    real_part), or the states alone without `system`, as views of the buffer
-    until the next call."""
+    matmuls, bitwise np.vdot, whose <psi|psi> checks each norm: (states, A, B,
+    energies <psi|H|psi> as real_part), or without `system` the states alone,
+    norm-checked as np.linalg.norm, as views of the buffer until the next call."""
 
     def __init__(self, ansatz: AnsatzCircuit, hs) -> None:
         _check_rows(ansatz, hs := list(hs))
@@ -118,26 +118,28 @@ class ExactRun:
                               self.programs.setdefault(system, []))
         kets, (bra, ket, a_cols, b_cols, *_) = self.kets, self.pairs
         if not system:
+            check_norms(np.linalg.norm(kets[0], axis=1))
             return kets[0], None, None, None
         np.multiply(DERIVATIVE_PREFACTOR, kets[1:-1], out=kets[1:-1])   # branch i -> d_i
         apply_sums(*self.columns, kets[0], self.terms, kets[-1])
-        # v[b, k] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, then
-        # <psi|H|psi>, of row b; take makes A and B C-contiguous, as BLAS must read them
+        # v[b, k] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, <psi|H|psi>
+        # and <psi|psi>, of row b; take makes A and B C-contiguous, as BLAS must read them
         v = (kets[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].T
-        energies, v = real_part(v[:, -1]), v.real
+        check_norms(np.sqrt(v[:, -1].real))
+        energies, v = real_part(v[:, -2]), v.real
         return kets[0], v.take(a_cols, axis=1), -v.take(b_cols, axis=1), energies
 
 
 @lru_cache(maxsize=16)
 def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
     """(bra, ket) ExactRun stack indices (psi, d_i, H|psi> at 0, i + 1, gamma + 1)
-    of the pairs (d_i, d_j), i <= j, for A, (d_i, H|psi>) for B, then (psi,
-    H|psi>); the pair of each A entry and of each B entry; the A pairs' i, j."""
+    of the pairs (d_i, d_j), i <= j, for A, (d_i, H|psi>) for B, (psi, H|psi>)
+    and (psi, psi); the pair of each A entry and of each B entry; A's i, j."""
     i, j = np.triu_indices(gamma)
     a_cols = np.empty((gamma, gamma), dtype=np.intp)
     a_cols[i, j] = a_cols[j, i] = np.arange(len(i))
-    return (np.r_[i + 1, 1:gamma + 1, 0], np.r_[j + 1, [gamma + 1] * (gamma + 1)], a_cols,
-            len(i) + np.arange(gamma), i, j)
+    return (np.r_[i + 1, 1:gamma + 1, 0, 0], np.r_[j + 1, [gamma + 1] * (gamma + 1), 0],
+            a_cols, len(i) + np.arange(gamma), i, j)
 
 
 def _layout(gamma: int, coeffs: list[float]) -> list:

@@ -213,9 +213,9 @@ def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -
 
 def real_part(value: np.ndarray) -> np.ndarray:
     """The real part of expectation values; an imaginary residual above 1e-10 raises."""
-    bad = np.abs(value.imag) > 1e-10
-    if bad.any():
-        raise ArithmeticError(f"expectation has imaginary residual {value.imag[bad][0]:.3e}")
+    for residual in value.imag.tolist():
+        if abs(residual) > 1e-10:
+            raise ArithmeticError(f"expectation has imaginary residual {residual:.3e}")
     return value.real
 
 
@@ -315,7 +315,7 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
     dim = m.shape[-1]
     if m.ndim not in (2, 3) or m.shape[-2] != dim or dim & (dim - 1):
         raise ValueError(f"matrix shape {m.shape} is not square power-of-two")
-    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0) <= HERMITIAN_TOL:  # NaN too
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0) <= HERMITIAN_TOL:  # NaN too
         raise ValueError("matrix is not Hermitian within tolerance")
     k = dim.bit_length() - 1
     _check_dense_cap(k)
@@ -323,5 +323,5 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
     src, phase = _term_stack(labels, k)
     # h_l = Tr(sigma_l m) / 2^k = sum_j phase_l[j] m[src_l[j], j] / 2^k, one row per word
     coeffs = _row_sum(phase * m[..., src, np.arange(dim)]).real / dim
-    hs = [PauliHamiltonian(labels, c, k) for c in np.atleast_2d(coeffs)]
+    hs = [PauliHamiltonian(labels, c, k) for c in coeffs.reshape(-1, len(labels))]
     return hs if m.ndim == 3 else hs[0]

@@ -185,7 +185,8 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     which gives each state its bytes alone; m is then (2, 2) or a (B, 2, 2)
     stack, state s taking m[s % B].  t is left unchanged: a controlled gate
     writes its control-1 half of a copy of t.  The numpy calls that move
-    values are recorded into `calls` (call)."""
+    values are recorded into `calls` (call), a copy as dst.__setitem__(..., src),
+    which runs in about half the time of np.copyto."""
     control, order, inverse, per_state = plan
     whole, moves = t, []
     if control is not None:
@@ -201,8 +202,8 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
         whole[control] = result
     if calls is not None:   # the copies (reshape's too) and the product, to repeat
         moves += [(x.reshape(front.shape), front)] if not np.may_share_memory(x, front) else []
-        calls += [(np.copyto, move) for move in moves] + [(product, (m, x, out))]
-        calls += [(np.copyto, (whole[control], result))] if control is not None else []
+        calls += [(dst.__setitem__, (..., src)) for dst, src in moves] + [(product, (m, x, out))]
+        calls += [(whole[control].__setitem__, (..., result))] if control is not None else []
     return result if control is None else whole
 
 
@@ -238,10 +239,10 @@ def run_circuit(initial: StateVector, gates) -> StateVector:
 
 
 def check_norms(norms: np.ndarray) -> None:
-    """Raise ValueError unless each state norm in `norms` (array or scalar) is 1."""
-    ok = abs(norms - 1.0) <= NORM_TOL  # NaN fails too
-    if not (ok.all() if ok.ndim else ok):     # a scalar skips the reduction's ~2 us
-        raise ValueError(f"state norm {norms[~ok][0]} deviates from 1 beyond {NORM_TOL}")
+    """Raise ValueError unless each state norm in `norms` (array or numpy scalar) is 1."""
+    if not abs(norms - 1.0).max(initial=0.0) <= NORM_TOL:  # NaN fails too
+        bad = np.ravel(norms)[~(abs(np.ravel(norms) - 1.0) <= NORM_TOL)][0]
+        raise ValueError(f"state norm {bad} deviates from 1 beyond {NORM_TOL}")
 
 
 def check_unit(rows: np.ndarray) -> None:   # check_norms of rows summed as np.linalg.norm

@@ -251,6 +251,97 @@ def gershgorin_oracle(m):
                for i in range(m.shape[0]))
 
 
+# Pre-change forms of the kernels that the one-row excited work rewrote,
+# kept verbatim: each rewrite must give their bytes, compared by tobytes()
+# or float.hex() (np.array_equal counts -0.0 and 0.0 as equal), and raise
+# where they raised.
+
+def select_basis_before(h_dense, cands, second, notes):
+    """cmf._select_basis with its Gram-Schmidt writing only the kept rows
+    (gathered by nonzero, scattered at size[kept]) and its norms through the
+    helper _norms; the expansion by pauli_decompose_before."""
+    from vqite.cmf import GRAM_RANK_TOL, EffectiveHamiltonian, _project
+
+    def _norms(w):
+        re, im = w.real, w.imag
+        return np.sqrt((re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[:, 0, 0])
+
+    v = cands[:, 0, :, :, None]
+    energy = (v.conj().swapaxes(-1, -2) @ (h_dense[:, None] @ v))[..., 0, 0].real
+    keys = np.round(np.concatenate([cands.real, cands.imag], axis=-1), 12)
+    order = np.lexsort((*np.moveaxis(keys, -1, 0)[::-1], np.stack([energy, second], axis=1)))
+    cands = cands[np.arange(len(cands))[:, None, None], np.arange(2)[:, None], order]
+    cands = cands.reshape(len(cands), 8, 8, 1)
+    iso = np.zeros((len(cands), 8, 4), dtype=complex)
+    bras = np.zeros((len(cands), 4, 1, 8), dtype=complex)
+    basis = [(bras[:, j], iso[:, :, j:j + 1]) for j in range(4)]
+    size, used = np.zeros((2, len(cands)), dtype=np.intp)
+    lo = hi = 0
+    for cand in cands.swapaxes(0, 1):
+        if lo == 4:
+            break
+        open_ = size < 4
+        once = _project(basis[:hi], size, lo, cand)
+        twice = _project(basis[:hi], size, lo, once)
+        first, norms = _norms(np.concatenate([once, twice])).reshape(2, -1)
+        kept = (keep := open_ & ~(first < GRAM_RANK_TOL)).nonzero()[0]
+        column, at = twice[kept] / norms[kept, None, None], size[kept]
+        iso[kept, :, at], bras[kept, at] = column[..., 0], column.conj().swapaxes(-1, -2)
+        used += open_
+        size += keep
+        lo, hi = min(columns := size.tolist()), max(columns)
+    if lo < 4:
+        raise ValueError("candidate products span fewer than 4 dimensions")
+    h_effs = pauli_decompose_before(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
+    return [EffectiveHamiltonian(h, m, (*row, "gram_schmidt.candidates_used=4",
+                                        f"gram_schmidt.rank_deficient_dropped={n - 4}",
+                                        f"h_eff.terms={h.n_terms}"))
+            for h, m, row, n in zip(h_effs, iso, notes, used.tolist())]
+
+
+def pauli_decompose_before(m):
+    """pauli.pauli_decompose with its Hermitian check through np.max and its
+    rows through np.atleast_2d."""
+    from vqite.pauli import HERMITIAN_TOL, _check_dense_cap, _row_sum, _term_stack
+
+    m = np.asarray(m, dtype=complex)
+    dim = m.shape[-1]
+    if m.ndim not in (2, 3) or m.shape[-2] != dim or dim & (dim - 1):
+        raise ValueError(f"matrix shape {m.shape} is not square power-of-two")
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0) <= HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    k = dim.bit_length() - 1
+    _check_dense_cap(k)
+    labels = tuple(map("".join, product("IXYZ", repeat=k)))
+    src, phase = _term_stack(labels, k)
+    coeffs = _row_sum(phase * m[..., src, np.arange(dim)]).real / dim
+    hs = [PauliHamiltonian(labels, c, k) for c in np.atleast_2d(coeffs)]
+    return hs if m.ndim == 3 else hs[0]
+
+
+def check_norms_before(norms):
+    """simulator.check_norms as a mask of the norms within 1e-10 of 1."""
+    ok = abs(norms - 1.0) <= 1e-10
+    if not (ok.all() if ok.ndim else ok):
+        raise ValueError(f"state norm {norms[~ok][0]} deviates from 1 beyond 1e-10")
+
+
+def real_part_before(value):
+    """pauli.real_part as a mask of the residuals above 1e-10."""
+    bad = np.abs(value.imag) > 1e-10
+    if bad.any():
+        raise ArithmeticError(f"expectation has imaginary residual {value.imag[bad][0]:.3e}")
+    return value.real
+
+
+def outcome(function, *args):
+    """(exception type and message, or None; the result) of function(*args)."""
+    try:
+        return None, function(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return (type(exc), str(exc)), None
+
+
 def coeff_key(vec):
     """The tie-break key of a CMF candidate: its coefficients rounded to 12
     decimals, real parts then imaginary."""

@@ -137,20 +137,21 @@ def lifted_row(table, r):
     return lifted, QiteConfig((0.5,) * 6, iterations=20, dtau=dtau)
 
 
-@pytest.mark.parametrize("case", ["excited-R0.5", "cmf-he-50-rows", "ucc-lih-50-rows",
-                                  "ucc-h2-theta-scan"])
+@pytest.mark.parametrize("case", ["excited-R0.5", "excited-R1.5", "excited-R4.9",
+                                  "cmf-he-50-rows", "ucc-lih-50-rows", "ucc-h2-theta-scan"])
 def test_loop_is_unfused_reference(case, lih_table, h2_r07):
     # The compiled loop (one ExactRun per run, its sweep recorded once and
     # repeated, the energy from its H|psi>) gives every record byte of the
-    # unfused form: on an excited-style lifted row (20 iterations, its energy
-    # rises at iteration 5), on the 50-row CMF + HE batch (reported through
-    # the isometry), on the 50-row exact UCC-LiH batch (3 qubits, reported
-    # against its own Hamiltonian) and on a theta_scan grid of the H2 UCC
-    # circuit that holds theta = pi, stationary at iteration 0.
+    # unfused form: on the lifted rows of `excited` (20 iterations) at R = 0.5
+    # (its energy rises at iteration 5), at R = 1.5 (no rise) and at R = 4.9
+    # (an 11-term row near the table's end), on the 50-row CMF + HE batch
+    # (reported through the isometry), on the 50-row exact UCC-LiH batch (3
+    # qubits, reported against its own Hamiltonian) and on a theta_scan grid
+    # of the H2 UCC circuit that holds theta = pi, stationary at iteration 0.
     builder = {"ucc-lih-50-rows": build_ucc_lih, "ucc-h2-theta-scan": build_ucc_h2}.get(
         case, build_hardware_efficient)
-    if case == "excited-R0.5":
-        lifted, config = lifted_row(lih_table, 0.5)
+    if case.startswith("excited-R"):
+        lifted, config = lifted_row(lih_table, float(case[len("excited-R"):]))
         hs, configs, maps = [lifted], [config], [None]
     elif case == "ucc-h2-theta-scan":
         grid = [0.5, 2.0, np.pi, 4.5]

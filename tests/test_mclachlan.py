@@ -8,11 +8,12 @@ from conftest import apply, apply_word, assemble_system, sampled_oracle, scratch
 from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
-from vqite.ansatz import DERIVATIVE_PREFACTOR
+from vqite.ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from vqite import mclachlan, simulator
 from vqite.mclachlan import (PASS_ROWS, ExactRun, McLachlanSystem, SampledRun, _start,
                              evaluate_circuit)
-from vqite.simulator import basis_state, controlled_pauli, hadamard, x
+from vqite.pauli import PAULI_MATRICES
+from vqite.simulator import Gate, basis_state, controlled_pauli, hadamard, x
 
 
 def fd_system(builder, theta, h, eps=1e-5):
@@ -118,6 +119,29 @@ def test_exact_run_checks_angle_shape(lih_r15):
     with pytest.raises(ValueError, match=r"angles of shape \(2,\), not \(2, 2\)"):
         rows(np.array([0.3, 0.3]))
 
+
+
+@pytest.mark.parametrize("system", [True, False], ids=["system", "states"])
+def test_exact_run_checks_each_norm(lih_r15, system):
+    # Each call checks the norm of every forward state, a system call from
+    # the <psi|psi> of its pair product and a states-only call as
+    # np.linalg.norm, when it records its sweep and when it repeats it: a row
+    # at a NaN angle, and a circuit whose CNOT is scaled by 1 + 1e-6, fail.
+    theta = np.full((2, 6), 0.3)
+    hs = [e.h_eff for e in cmf_reduce_rows([lih_r15] * 2)]
+    good = build_hardware_efficient(theta)
+    gates = list(good.gates)
+    gates[2] = Gate(PAULI_MATRICES["X"] * (1 + 1e-6), gates[2].target, gates[2].control)
+    scaled = AnsatzCircuit(tuple(gates), theta, good.descriptors, good.reference_state, 2)
+    nan = np.array([theta[0], [np.nan] + [0.3] * 5])
+    for circuit, angles, message in ((good, nan, "state norm nan"),
+                                     (scaled, theta, r"state norm 1\.00000")):
+        fresh, repeated = mclachlan.ExactRun(circuit, hs), mclachlan.ExactRun(circuit, hs)
+        if circuit is good:
+            repeated(theta, system)
+        for run in (fresh, repeated):
+            with pytest.raises(ValueError, match=message):
+                run(angles, system)
 
 # --- Hadamard route ---
 

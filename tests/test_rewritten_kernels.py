@@ -1,0 +1,241 @@
+"""Kernels rewritten to cut fixed numpy work from one `excited` call, held
+to their pre-change forms (conftest): every output byte, compared by
+tobytes() or float.hex() so that -0.0 and 0.0 differ, and every refusal,
+on the 50 LiH rows and on drawn stacks that include degenerate ones."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import (check_norms_before, outcome, pauli_decompose_before, real_part_before,
+                      reduction_bytes, select_basis_before, term_bytes)
+from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_lih, cmf,
+                   cmf_reduce, cmf_reduce_rows, hamiltonian_at, mclachlan, pauli, simulator,
+                   to_dense_matrix)
+from vqite.engine import EnergyMap, QiteConfig, run_qite_rows
+from vqite.mclachlan import ExactRun
+from vqite.simulator import check_norms
+
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
+AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
+# H = H_a x I_b + h_x I_a x X_b (rank-deficient candidates) and H on a alone (tied ones)
+PRODUCT = PauliHamiltonian.from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
+TIED = PauliHamiltonian.from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
+
+
+def basis_bytes(effs):
+    return [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance) for e in effs]
+
+
+def selections(hs):
+    """The _select_basis arguments of one cmf_reduce_rows call on hs."""
+    real, seen = cmf._select_basis, []
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+    cmf._select_basis = spy
+    try:
+        cmf_reduce_rows(hs)
+    finally:
+        cmf._select_basis = real
+    return seen[0]
+
+
+def same_selection(h_dense, cands, second, rows):
+    """_select_basis and its pre-change form on fresh notes: equal bytes, or
+    the same refusal."""
+    def notes():
+        return [[f"row={b}"] for b in range(rows)]
+    got = outcome(lambda: basis_bytes(cmf._select_basis(h_dense, cands, second, notes())))
+    want = outcome(lambda: basis_bytes(select_basis_before(h_dense, cands, second, notes())))
+    return got == want
+
+
+def test_select_basis_is_pre_change_form_on_lih_rows(lih_table):
+    # All 50 rows as one batch, each row alone as `excited` reduces it, and
+    # the rank-deficient and tied one-row cases.
+    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    cases = [hs] + [[h] for h in hs] + [[PRODUCT], [TIED], [PRODUCT, TIED, hs[0]]]
+    for batch in cases:
+        h_dense, cands, second, _ = selections(batch)
+        assert same_selection(h_dense, cands, second, len(batch)), len(batch)
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def candidate_stacks(draw):
+    """(h_dense, cands, second) of 1-3 rows, each candidate drawn from a pool
+    of basis vectors and 0-3 drawn unit vectors, so that candidates repeat
+    and rows run out of rank; Hamiltonians drawn, zero or a multiple of the
+    identity (every mean energy tied); second eigenvalues from a few values."""
+    rows = draw(st.integers(1, 3))
+    pool = list(np.eye(8, dtype=complex))
+    pool += [unit(v) for v in draw(st.lists(arrays(complex, 8, elements=AMPLITUDE).filter(
+        lambda v: np.linalg.norm(v) > 0.1), max_size=3))]
+    picks = draw(arrays(np.intp, (rows, 2, 4), elements=st.integers(0, len(pool) - 1)))
+    cands = np.array(pool)[picks]
+    kind = draw(st.sampled_from(["drawn", "zero", "identity"]))
+    if kind == "drawn":
+        a = draw(arrays(complex, (rows, 8, 8), elements=AMPLITUDE))
+        h_dense = a + a.conj().swapaxes(-1, -2)
+    else:
+        h_dense = np.zeros((rows, 8, 8), dtype=complex) + (kind == "identity") * np.eye(8)
+    second = draw(arrays(float, (rows, 4), elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5])))
+    return h_dense, cands, second
+
+
+@PROPERTY
+@given(candidate_stacks())
+def test_select_basis_is_pre_change_form_on_drawn_stacks(case):
+    h_dense, cands, second = case
+    assert same_selection(h_dense, cands, second, len(cands))
+
+
+def decompositions(m):
+    """term_bytes of pauli_decompose and of its pre-change form, or the refusals."""
+    def expand(decompose):
+        hs = decompose(m)
+        return [term_bytes(h) for h in (hs if isinstance(hs, list) else [hs])]
+    return outcome(expand, pauli.pauli_decompose), outcome(expand, pauli_decompose_before)
+
+
+def test_decompose_is_pre_change_form_on_lih_rows(lih_table):
+    # The reduced Hamiltonians as projected and the lifted ones of `excited`,
+    # each alone and stacked, and the rows' own 8 x 8 matrices.
+    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    effs = cmf_reduce_rows(hs)
+    projected = np.array([e.basis_isometry.conj().T @ to_dense_matrix(h) @ e.basis_isometry
+                          for e, h in zip(effs, hs)])
+    lifted = []
+    for e in effs:
+        dense = to_dense_matrix(e.h_eff)
+        vals, vecs = np.linalg.eigh(dense)
+        g = vecs[:, 0]
+        lifted.append(dense + (vals[-1] + 1.0 - vals[0]) * np.outer(g, g.conj()))
+    dense = np.array([to_dense_matrix(h) for h in hs])
+    for stack in (projected, np.array(lifted), dense):
+        got, want = decompositions(stack)
+        assert got == want and got[0] is None
+        for m in stack:
+            assert decompositions(m)[0] == decompositions(m)[1]
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """A (B, 2^k, 2^k) stack or one matrix: drawn Hermitian, zero, -0.0
+    everywhere, a multiple of the identity, a repeated matrix, or one that
+    is not Hermitian or holds a NaN."""
+    k, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    a = draw(arrays(complex, (rows, 2 ** k, 2 ** k), elements=AMPLITUDE))
+    kind = draw(st.sampled_from(["drawn", "zero", "negative zero", "identity", "repeated",
+                                 "not hermitian", "nan"]))
+    m = a + a.conj().swapaxes(-1, -2)
+    if kind == "zero":
+        m = np.zeros_like(a)
+    elif kind == "negative zero":
+        m = np.full_like(a, complex(-0.0, -0.0))
+    elif kind == "identity":
+        m = np.zeros_like(a) + draw(st.floats(-2.0, 2.0)) * np.eye(2 ** k)
+    elif kind == "repeated":
+        m = np.repeat(m[:1], rows, axis=0)
+    elif kind == "not hermitian":
+        m = m + 1j * np.eye(2 ** k)
+    elif kind == "nan":
+        m[0, 0, 0] = np.nan
+    return m[0] if draw(st.booleans()) else m
+
+
+@PROPERTY
+@given(hermitian_stacks())
+def test_decompose_is_pre_change_form_on_drawn_stacks(m):
+    got, want = decompositions(m)
+    assert got == want
+
+
+def spied(monkeypatch, module, name, calls):
+    """module.name wrapped to record its argument arrays (copied) in `calls`."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda v: calls.append(np.array(v)) or real(v))
+
+
+def test_checks_are_pre_change_form_on_lih_runs(lih_table, monkeypatch):
+    # Every norm and expectation a 50-row CMF + HE scan, a 50-row UCC-LiH
+    # scan and one `excited` reduction check, checked again by the old forms.
+    norms, values = [], []
+    spied(monkeypatch, simulator, "check_norms", norms)
+    for module in (pauli, mclachlan):    # expectations, and ExactRun's pair product
+        spied(monkeypatch, module, "real_part", values)
+    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+    effs = cmf_reduce_rows(hs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_qite_rows([e.h_eff for e in effs], build_hardware_efficient,
+                      [QiteConfig((0.5,) * 6)] * 50, [EnergyMap(e, h) for e, h in zip(effs, hs)])
+        run_qite_rows(hs, build_ucc_lih, [QiteConfig((1.0, 1.0))] * 50)
+    cmf_reduce(hs[10])
+    monkeypatch.undo()
+    assert len(norms) > 10 and len(values) > 10
+    for n in norms:
+        assert outcome(check_norms, n) == outcome(check_norms_before, n) == (None, None)
+    for v in values:
+        assert pauli.real_part(v).tobytes() == real_part_before(v).tobytes()
+
+
+NEAR_ONE = st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 2e-10, 1.0 - 2e-10,
+                            np.nextafter(1.0 + 1e-10, 2.0), 0.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+@PROPERTY
+@given(st.one_of(arrays(float, st.integers(0, 5), elements=st.one_of(NEAR_ONE, st.floats())),
+                 NEAR_ONE.map(np.float64)))
+def test_check_norms_is_pre_change_form(norms):
+    # The same arrays and numpy scalars pass, and the same first offender is named.
+    assert outcome(check_norms, norms) == outcome(check_norms_before, norms)
+
+
+RESIDUAL = st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 2e-10, -2e-10, np.nan, np.inf, 1.0])
+
+
+@PROPERTY
+@given(arrays(complex, st.integers(0, 5), elements=st.builds(
+    complex, st.one_of(st.floats(), RESIDUAL), st.one_of(RESIDUAL, st.floats()))))
+def test_real_part_is_pre_change_form(value):
+    got, want = outcome(pauli.real_part, value), outcome(real_part_before, value)
+    assert got[0] == want[0]
+    if got[0] is None:
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("builder,rows", [(build_hardware_efficient, 1),
+                                          (build_hardware_efficient, 50), (build_ucc_lih, 50)])
+def test_recorded_copies_are_copyto(builder, rows, lih_table, rng):
+    # A recorded sweep copies by dst.__setitem__(..., src); replaying it with
+    # each copy made by np.copyto(dst, src) instead leaves every byte as it is.
+    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances][:rows]
+    if builder is build_hardware_efficient:
+        hs = [e.h_eff for e in cmf_reduce_rows(hs)]
+    gamma = 6 if builder is build_hardware_efficient else 2
+    run = ExactRun(builder(rng.uniform(-np.pi, np.pi, (rows, gamma))), hs)
+    for system in (True, False):
+        run(rng.uniform(-np.pi, np.pi, (rows, gamma)), system)
+        program = run.programs[system]
+        copies = [(f.__self__, args[1]) for f, args in program
+                  if getattr(f, "__name__", "") == "__setitem__"]
+        assert copies and all(args[0] is Ellipsis for f, args in program
+                              if getattr(f, "__name__", "") == "__setitem__")
+        for function, args in program:
+            function(*args)
+        replayed = run.stack.tobytes()
+        for function, args in program:
+            if getattr(function, "__name__", "") == "__setitem__":
+                np.copyto(function.__self__, args[1])
+            else:
+                function(*args)
+        assert run.stack.tobytes() == replayed
