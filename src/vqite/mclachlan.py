@@ -18,11 +18,6 @@ prefactor's modulus (the job's weight) is the summand's real part.  A
 test circuit is three slices of the ansatz gate tuple with controlled
 Pauli gates between them.  Evaluated without sampling, the two routes
 agree to machine precision; with shots they agree statistically.
-
-The linear solve uses an eigenvalue pseudo-inverse with a relative cutoff
-(1e-8 exact route, 1e-3 shot route, where noise inflates the small
-eigenvalues), one stacked eigh for all rows (one row is a stack of one);
-a fully degenerate A yields a zero update flagged as stationary.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from .simulator import (Gate, StateVector, apply_planned, check_norms, controlle
                         hadamard, measure_z_expectation, rotation_matrix, run_gates, x)
 
 EXACT_EIG_CUTOFF = 1e-8
-SHOT_EIG_CUTOFF = 1e-3
+SHOT_EIG_CUTOFF = 1e-3              # looser: shot noise inflates the small eigenvalues
 PASS_ROWS = 8                       # rows per measured pass of a SampledRun call
 ABS_EIG_FLOOR = 1e-12
 
@@ -257,15 +252,16 @@ class SampledRun:
 
     Until the closing H the ansatz acts on each ancilla branch of a test
     alone, so one forward sweep runs each ansatz gate once over the (B, K)
-    stack of the rows' distinct half-states: a (B, 2, 2) rotation as one
-    matmul per row over its K half-states, a shared gate as one np.dot, a
-    join as a signed permutation.  Then, PASS_ROWS rows at a time, each
-    job's state is built from its two half-states (a B job's word gathered
-    on the ancilla-1 one; products by +-1 or +-i are exact) and the final H
-    and the draws run, each row drawing in its job order.  BLAS rounds a
-    job's gate on its own state (2^n wide) as every width that is a multiple
-    of 4 (not 2 K on 2 qubits with K odd, hence K even), so each value and
-    draw is bitwise that of the job's circuit run alone.
+    half-states of _table: a (B, 2, 2) rotation as one matmul per row, a
+    shared gate as one np.dot, a join as a signed permutation.  Each pass of
+    PASS_ROWS rows, its index views, generators and job counts held by the
+    run, builds each job's state from its two half-states (a B job's word
+    gathered on the ancilla-1 one; products by +-1 or +-i are exact) as one
+    (2, k, 2^n) array, ancilla first, that the final H reads without a copy,
+    and draws each row in job order.  BLAS rounds a job's gate on its own
+    state (2^n wide) as every width that is a multiple of 4 (not 2 K on 2
+    qubits with K odd, hence K even), so each value and draw is bitwise that
+    of the job's circuit run alone.
     """
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
@@ -276,28 +272,30 @@ class SampledRun:
         ansatz, (labels, coeffs) = exact.ansatz, exact.columns
         self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
         self.table = _table(ansatz.descriptors, self.n, labels, rows, coeffs.tobytes())
-        phases, head, *_, sizes = self.table
+        phases, head, zero, one, words, *_, sizes = self.table
         amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
         halves = [amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]] * rows
         self.halves = np.concatenate(halves).reshape((rows, head) + (2,) * self.n)
         self.steps = _program(ansatz._fixed, ansatz.descriptors, self.n, 2)
-        self.rotations, self.ends, self.shots = exact.rotations, np.cumsum([0, *sizes]), shots
-        self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
+        self.rotations, self.shots, self.final = exact.rotations, shots, (hadamard(self.n),)
+        rngs = None if shots is None else list(map(np.random.default_rng, seeds))
+        ends, self.passes = np.cumsum([0, *sizes]).tolist(), []
+        for r in range(0, rows, PASS_ROWS):     # (zero, one, words, generators, sizes)
+            ks, cut = slice(ends[r], ends[min(r + PASS_ROWS, rows)]), slice(r, r + PASS_ROWS)
+            self.passes.append((zero[ks], one[ks, None], words[ks], rngs and rngs[cut], sizes[cut]))
 
     def __call__(self) -> tuple:
-        (*_, zero, one, words, src, sign, entry, weight, sizes), t = self.table, self.halves
-        n, gamma, rows, rngs = self.n, self.gamma, len(sizes), self.rngs
+        (*_, src, sign, entry, weight, sizes), t = self.table, self.halves
+        n, gamma, rows = self.n, self.gamma, len(sizes)
         for source, step in self.steps:     # a join adds B_j, C_j: sigma_j of F0, F1[A phase]
             t = (np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1) if source is None
                  else apply_planned(t, source if isinstance(source, np.ndarray)
                                     else self.rotations[source], step))
-        t, ends, values, final = t.reshape(-1, 2 ** n), self.ends, [], (hadamard(n),)
-        for r in range(0, rows, PASS_ROWS):
-            ks = slice(ends[r], ends[min(r + PASS_ROWS, rows)])
-            out = np.stack([t[zero[ks]], sign[words[ks]] * t[one[ks, None], src[words[ks]]]], -1)
-            out = run_gates(out.reshape((len(out),) + (2,) * (n + 1)), final)
-            values.append(measure_z_expectation(out, self.shots, rngs and rngs[r:r + PASS_ROWS],
-                                                sizes[r:r + PASS_ROWS]))
+        t, values = t.reshape(-1, 2 ** n), []
+        for zero, one, words, rngs, part in self.passes:
+            out = np.stack([t[zero], sign[words] * t[one, src[words]]]).reshape((2, -1) + (2,) * n)
+            out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
+            values.append(measure_z_expectation(out, self.shots, rngs, part))
         values = np.concatenate(values)
         ab, cut = np.zeros(rows * (gamma + 1) * gamma), rows * gamma * gamma
         np.add.at(ab, entry, weight * values)

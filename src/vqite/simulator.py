@@ -18,10 +18,7 @@ compiled circuit keeps its plans, copies the gates' results into one
 buffer, and can record the numpy calls of that sweep (call) so that a run
 repeats it at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
-measure_z_expectation reads the last qubit of each state of a stack, with
-one binomial call per caller-supplied seeded generator (one for all
-states, or one per row for consecutive states), so every sampled result
-is reproducible from (seed, shots).
+measure_z_expectation draws only from caller-supplied seeded generators.
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -29,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -252,27 +250,31 @@ def check_unit(rows: np.ndarray) -> None:   # check_norms of rows summed as np.l
 def measure_z_expectation(states: np.ndarray, shots: int | None = None,
                           rng=None, sizes=None) -> np.ndarray:
     """<Z> of the last qubit of each state of a stack (leading axis),
-    analytically (shots=None) or from a binomial sample, after checking
-    each norm.  Each branch adds its |amplitude|^2 in index order, read in
-    the stack's own layout (no copy of a view from run_gates).  Shot mode
-    draws count ~ Binomial(shots, (1+<Z>)/2) per state in stack order, in
-    one call equal to one draw per state in turn, and returns
-    2*count/shots - 1.  `rng` is a Generator or an integer seed, or with
+    analytically (shots=None) or from a binomial sample, after checking each
+    norm.  Each branch adds its |amplitude|^2 in index order, read in the
+    stack's own layout (no copy of a run_gates view, as of a SampledRun pass
+    built ancilla first).  Shot mode draws count ~ Binomial(shots, (1+<Z>)/2)
+    per state in stack order, in one call equal to one draw per state in turn,
+    and returns 2*count/shots - 1.  `rng` is a Generator or a seed, or with
     `sizes` a list of one per size, the r-th drawing for the next sizes[r]
-    states of the stack (ValueError unless the sizes add up to the stack).
+    states (ValueError unless they are >= 0 and add up to the stack).
     """
     if shots is not None and not (shots > 0 and rng is not None):
         raise ValueError("shot mode needs a positive shot count and a seed or generator")
-    if shots and sizes is not None and (len(rng), sum(sizes)) != (len(sizes), len(states)):
-        raise ValueError("sizes must give one generator each and add up to the stack")
-    halves = np.moveaxis(states.reshape(len(states), -1, 2), -1, 0)   # (2, S, 2^(N-1))
+    if shots and sizes is not None and not (isinstance(rng, (list, tuple))
+                                            and len(rng) == len(sizes)):
+        raise ValueError("with sizes, rng must be a list of one generator per size")
+    if shots and sizes is not None and (min(sizes, default=0) < 0 or sum(sizes) != len(states)):
+        raise ValueError(f"sizes {sizes} must be non-negative and add up to the stack")
+    halves = states.reshape(len(states), -1, 2).transpose(2, 0, 1)   # (2, S, 2^(N-1))
     marg = np.add.accumulate(np.abs(halves) ** 2, axis=2)[:, :, -1]   # in index order
     check_norms(np.sqrt(marg[0] + marg[1]))
     exact = marg[0] - marg[1]
     if shots is None:
         return exact
     p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-    rngs, parts = ([rng], [p]) if sizes is None else (rng, np.split(p, np.cumsum(sizes)[:-1]))
-    counts = np.concatenate([np.random.default_rng(g).binomial(shots, part)
-                             for g, part in zip(rngs, parts)])
+    rngs, sizes = ([rng], [len(p)]) if sizes is None else (rng, sizes)
+    ends = [0, *accumulate(sizes)]
+    counts = np.concatenate([np.random.default_rng(g).binomial(shots, p[a:b])
+                             for g, a, b in zip(rngs, ends, ends[1:])])
     return 2.0 * counts / shots - 1.0

@@ -464,17 +464,19 @@ def grid_hamiltonians(n, phases, rows):
 @pytest.mark.parametrize("family", ["ucc-h2", "he", "ucc-lih"])
 def test_sampled_is_per_job_oracle_on_grid(family, phases):
     # A fixed grid that always runs: each family at 1, 2 or 3 ancilla phases,
-    # one row at 1-D theta, then B = 1..5 rows at 2-D theta.  Its case
-    # ucc-h2, h = -1.0 XY, theta = 1.0 fails a sweep whose products over the
-    # 2-qubit half-states of a row take an odd number of them.
+    # one row at 1-D theta, then B = 1..5 rows at 2-D theta, and B =
+    # PASS_ROWS + 1 and 2 PASS_ROWS + 1, whose last measured pass holds one
+    # row.  Its case ucc-h2, h = -1.0 XY, theta = 1.0 fails a sweep whose
+    # products over the 2-qubit half-states of a row take an odd number of
+    # them; so do the multi-pass batches at 2 phases.
     builder, n, gamma = FAMILIES[family]
     h = grid_hamiltonians(n, phases, 1)[0]
     assert len(SampledRun(ExactRun(builder(np.ones(gamma)), [h]), None, [None]).table[0]) == phases
     assert oracle_agrees(builder(np.ones(gamma)), h, [None, 10_000], 5)
-    for rows in range(1, 6):
+    for rows in (*range(1, 6), PASS_ROWS + 1, 2 * PASS_ROWS + 1):
         theta = 1.0 - 0.6 * np.arange(rows)[:, None] + 0.3 * np.arange(gamma)
         hs = grid_hamiltonians(n, phases, rows)
-        assert rows_agree(builder, theta, hs, [None, 10_000], range(7, 7 + rows)), rows
+        assert rows_agree(builder, theta, hs, [None, 1000, 10_000], range(7, 7 + rows)), rows
 
 
 def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):

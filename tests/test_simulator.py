@@ -198,6 +198,20 @@ def test_measure_z_rejects_sizes_unlike_the_stack(rng):
     assert len(measure_z_expectation(stack, 100, gens, [2, 3])) == 5
 
 
+def test_measure_z_names_bad_sizes_and_generators(rng):
+    # A negative size that its neighbour cancels adds up to the stack but
+    # hands one generator every state and the next none; an integer seed
+    # with sizes is not a generator per size.  Each is a ValueError naming
+    # its cause, raised before any draw.
+    stack = np.array([random_state(rng, 3) for _ in range(5)])
+    gens, twins = ([np.random.default_rng(s) for s in (1, 2)] for _ in range(2))
+    with pytest.raises(ValueError, match=r"sizes \[6, -1\] must be non-negative"):
+        measure_z_expectation(stack, 100, gens, [6, -1])
+    with pytest.raises(ValueError, match="rng must be a list of one generator per size"):
+        measure_z_expectation(stack, 100, 7, [2, 3])
+    assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+
+
 def index_order_z(amps):
     """Ancilla <Z> of one state: np.abs(amps) ** 2 of its contiguous
     amplitudes, each ancilla branch added from 0.0 in index order."""
