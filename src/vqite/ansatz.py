@@ -103,8 +103,8 @@ class AnsatzCircuit:
         """Write the B forward rows at the rotation stack `rotations`, then with
         `branches` each join's branch, into the head of `stack` (an (S, 2^n) array
         owning its memory), and record each numpy call into `calls`; the caller
-        checks the rows' norms.  A gate is one per-state matmul into an array of
-        its own, so each row keeps its bytes; a copy brings it into the buffer."""
+        checks the rows' norms.  A gate runs by its _program plan into an array of
+        its own, each row keeping its bytes alone; a copy brings it into the buffer."""
         rows = len(self.parameters) if self.parameters.ndim == 2 else 1
         tensors = stack.reshape((-1,) + (2,) * self.n_system_qubits)   # one tensor per row
         call(calls, stack[:rows].__setitem__, ..., self.reference_state.amplitudes)
@@ -155,15 +155,16 @@ class AnsatzCircuit:
 def _program(gates, descriptors, n: int, axes: int = 1) -> list:
     """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
     the gate before descriptor i's insertion point, i) and gate_plan, each
-    after a join (None, sigma_i as (src, phase)) per descriptor there.  One
-    stack axis runs each gate per state; two, (B rows, K states), run a
-    rotation as one matmul per row and a shared gate as one np.dot."""
+    after a join (None, sigma_i as (src, phase)) per descriptor there.  A
+    rotation runs per state (one stack axis) or per row (two, (B rows, K
+    states)), a shared gate as one np.dot, but per state on one axis if its
+    2^(n-1) amplitudes, halved by a control, are under 4 (the width rule)."""
     slots, steps = {d.insertion_point - 1: i for i, d in enumerate(descriptors)}, []
     for k, gate in enumerate((*gates, None)):
         steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]
         if gate is not None:
-            steps.append((slots.get(k, gate.matrix),
-                          gate_plan(gate, n, axes == 1 or k in slots, axes)))
+            per_state = k in slots or axes == 1 and n - (gate.control is not None) < 3
+            steps.append((slots.get(k, gate.matrix), gate_plan(gate, n, per_state, axes)))
     return steps
 
 
@@ -172,10 +173,6 @@ def _join(letters: str) -> tuple:
     signed permutation's src, j ^ xmask, reverses the axis of each X or Y."""
     flips = [slice(None, None, -1 if c in "XY" else 1) for c in letters]
     return (..., *flips), _signed_permutation(letters)[1].reshape((2,) * len(letters))
-
-
-def _axis_string(axis: str, q: int, n: int) -> PauliString:
-    return PauliString("".join(axis if i == q else "I" for i in range(n)))
 
 
 def _ucc_block(control: int, target: int) -> list:
@@ -199,7 +196,8 @@ def _template(family: str) -> tuple:
     else:
         slots = [("X", 0), ("X", 1), cnot(0, 1), ("Z", 0), ("Z", 1), ("X", 0), ("X", 1)]
         bits = "00"
-    descs = tuple(DerivativeDescriptor(k + 1, _axis_string(*slot, len(bits)))
+    descs = tuple(DerivativeDescriptor(k + 1, PauliString("".join(
+                      slot[0] if q == slot[1] else "I" for q in range(len(bits)))))
                   for k, slot in enumerate(slots) if isinstance(slot, tuple))
     gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
                   for s in slots)

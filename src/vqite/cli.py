@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -119,12 +120,9 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
     if family.n_qubits != run_qubits:
         raise ManifestError(f"{manifest.ansatz} acts on {family.n_qubits} "
                             f"qubits, the run's Hamiltonian on {run_qubits}")
-    theta0 = manifest.resolved_theta0()
-    expected = len(family.theta0)
-    if len(theta0) != expected:
-        raise ManifestError(
-            f"theta0 needs {expected} values for {manifest.ansatz}, got {len(theta0)}"
-        )
+    if (given := len(manifest.resolved_theta0())) != len(family.theta0):
+        raise ManifestError(f"theta0 needs {len(family.theta0)} values for {manifest.ansatz}, "
+                            f"got {given}")
     if manifest.r_selection == "all":
         rs = table.bond_distances
     else:
@@ -135,13 +133,13 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         if missing:
             raise ManifestError(f"bond distances not in table: {missing}")
         rs = tuple(k for r in manifest.r_selection for k in known if abs(r - k) < 1e-9)
-        repeated = sorted({k for k in rs if rs.count(k) > 1})
+        repeated = sorted(k for k, count in Counter(rs).items() if count > 1)
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
     if manifest.seed < 0:
         raise ManifestError(f"--seed must be non-negative, got {manifest.seed}")
-    keys = [_point_seed(manifest.seed, r) for r in rs]
-    shared = [r for r, key in zip(rs, keys) if keys.count(key) > 1]
+    keys = Counter(_point_seed(manifest.seed, r) for r in rs)
+    shared = [r for r in rs if keys[_point_seed(manifest.seed, r)] > 1]
     if shared:
         raise ManifestError(f"bond distances share one seed stream "
                             f"(R rounded to 1e-3): {shared}")

@@ -254,14 +254,14 @@ class SampledRun:
     alone, so one forward sweep runs each ansatz gate once over the (B, K)
     half-states of _table: a (B, 2, 2) rotation as one matmul per row, a
     shared gate as one np.dot, a join as a signed permutation.  Each pass of
-    PASS_ROWS rows, its index views, generators and job counts held by the
-    run, builds each job's state from its two half-states (a B job's word
-    gathered on the ancilla-1 one; products by +-1 or +-i are exact) as one
-    (2, k, 2^n) array, ancilla first, that the final H reads without a copy,
-    and draws each row in job order.  BLAS rounds a job's gate on its own
-    state (2^n wide) as every width that is a multiple of 4 (not 2 K on 2
-    qubits with K odd, hence K even), so each value and draw is bitwise that
-    of the job's circuit run alone.
+    PASS_ROWS rows builds each job's state from its two half-states as one
+    (2, k, 2^n) array, ancilla first, that the final H reads without a copy:
+    its zero row, and its word's signs times its one row permuted by the
+    word (exact products by +-1 or +-i), gathered at flat indices held by
+    the run with the pass's zero rows, words, generators and job counts; it
+    draws each row in job order.  By simulator's width rule (2 K wide per
+    row on 2 qubits, hence K even) each value and draw is bitwise that of
+    the job's circuit run alone.
     """
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
@@ -272,7 +272,7 @@ class SampledRun:
         ansatz, (labels, coeffs) = exact.ansatz, exact.columns
         self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
         self.table = _table(ansatz.descriptors, self.n, labels, rows, coeffs.tobytes())
-        phases, head, zero, one, words, *_, sizes = self.table
+        phases, head, zero, one, words, src, *_, sizes = self.table
         amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
         halves = [amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]] * rows
         self.halves = np.concatenate(halves).reshape((rows, head) + (2,) * self.n)
@@ -280,20 +280,21 @@ class SampledRun:
         self.rotations, self.shots, self.final = exact.rotations, shots, (hadamard(self.n),)
         rngs = None if shots is None else list(map(np.random.default_rng, seeds))
         ends, self.passes = np.cumsum([0, *sizes]).tolist(), []
-        for r in range(0, rows, PASS_ROWS):     # (zero, one, words, generators, sizes)
+        for r in range(0, rows, PASS_ROWS):     # (zero, flat, words, generators, sizes)
             ks, cut = slice(ends[r], ends[min(r + PASS_ROWS, rows)]), slice(r, r + PASS_ROWS)
-            self.passes.append((zero[ks], one[ks, None], words[ks], rngs and rngs[cut], sizes[cut]))
+            self.passes.append((zero[ks], one[ks, None] * 2 ** self.n + src[words[ks]], words[ks],
+                                rngs and rngs[cut], sizes[cut]))
 
     def __call__(self) -> tuple:
-        (*_, src, sign, entry, weight, sizes), t = self.table, self.halves
+        (*_, sign, entry, weight, sizes), t = self.table, self.halves
         n, gamma, rows = self.n, self.gamma, len(sizes)
         for source, step in self.steps:     # a join adds B_j, C_j: sigma_j of F0, F1[A phase]
             t = (np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1) if source is None
                  else apply_planned(t, source if isinstance(source, np.ndarray)
                                     else self.rotations[source], step))
         t, values = t.reshape(-1, 2 ** n), []
-        for zero, one, words, rngs, part in self.passes:
-            out = np.stack([t[zero], sign[words] * t[one, src[words]]]).reshape((2, -1) + (2,) * n)
+        for zero, flat, words, rngs, part in self.passes:
+            out = np.stack([t[zero], sign[words] * t.reshape(-1)[flat]]).reshape((2, -1) + (2,) * n)
             out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
             values.append(measure_z_expectation(out, self.shots, rngs, part))
         values = np.concatenate(values)

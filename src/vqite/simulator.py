@@ -11,12 +11,14 @@ gate kernel: gate_plan checks a gate's qubits and resolves its axis order,
 and apply_planned applies a matrix by that plan, as one np.dot over the
 stack, or per_state one matmul per state, which rounds each state as
 alone; a rotation may hold one (2, 2) matrix per row of a stack of B
-ansatz rows.  A gate leaves its input unchanged and writes only arrays of
-its own (a controlled gate its control-1 half of a copy).  apply_gate
-plans and applies one gate as one np.dot, and run_gates a list of them; a
-compiled circuit keeps its plans, copies the gates' results into one
-buffer, and can record the numpy calls of that sweep (call) so that a run
-repeats it at new matrices.
+ansatz rows.  The width rule, a fact of OpenBLAS zgemm (which rounds
+widths 1 and 2 unlike wider ones): the np.dot rounds each state as alone
+too if its 2^(n-1) amplitudes, halved by a control, are a multiple of 4.
+A gate leaves its input unchanged and writes only arrays of its own (a
+controlled gate its control-1 half of a copy).  apply_gate plans and
+applies one gate as one np.dot, run_gates a list of them; a compiled
+circuit keeps its plans, copies the gates' results into one buffer, and
+can record the numpy calls of that sweep (call) to repeat at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
 measure_z_expectation draws only from caller-supplied seeded generators.
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
@@ -180,11 +182,11 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     tensors t, shape (S,) + (2,)*n, as a transposed view: one np.dot of m
     with the target axis moved to the front and the rest flattened (bitwise
     the tensordot + moveaxis oracle), or per_state one matmul per state,
-    which gives each state its bytes alone; m is then (2, 2) or a (B, 2, 2)
-    stack, state s taking m[s % B].  t is left unchanged: a controlled gate
-    writes its control-1 half of a copy of t.  The numpy calls that move
-    values are recorded into `calls` (call), a copy as dst.__setitem__(..., src),
-    which runs in about half the time of np.copyto."""
+    which gives each state its bytes alone (as np.dot does under the width
+    rule); m is then (2, 2) or a (B, 2, 2) stack, state s taking m[s % B].
+    t is left unchanged: a controlled gate writes its control-1 half of a
+    copy of t.  The numpy calls that move values are recorded into `calls`
+    (call), a copy as dst.__setitem__(..., src), twice as fast as np.copyto."""
     control, order, inverse, per_state = plan
     whole, moves = t, []
     if control is not None:

@@ -18,6 +18,7 @@ Two tables ship with the package:
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -109,11 +110,11 @@ def parse_table(source) -> MoleculeTable:
 
 
 def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:
-    """Hamiltonian assembled from the row at bond distance r (exact match)."""
-    coeffs = next((c for d, c in table.rows if abs(d - r) < 1e-9), None)
-    if coeffs is None:
+    """Hamiltonian of the first row within 1e-9 of bond distance r (bisection)."""
+    k = bisect.bisect_left(table.rows, True, key=lambda row: row[0] - r > -1e-9)
+    if k == len(table.rows) or not abs(table.rows[k][0] - r) < 1e-9:
         raise ValueError(f"no row at R={r:g}")
-    return PauliHamiltonian(table.pauli_labels, coeffs, table.n_qubits)
+    return PauliHamiltonian(table.pauli_labels, table.rows[k][1], table.n_qubits)
 
 
 def load_table(path) -> MoleculeTable:

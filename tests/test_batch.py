@@ -7,15 +7,17 @@ oracle tests compare every record byte for byte; the property tests pin
 the facts themselves.
 """
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (apply, apply_word, forward_then_branches, per_state_gates, record_bytes,
-                      term_loop)
+from conftest import (apply, apply_word, forward_then_branches, golden_platform, per_state_gates,
+                      record_bytes, term_loop)
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
@@ -23,12 +25,14 @@ from vqite import ansatz as ansatz_module
 from vqite.ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
 from vqite.mclachlan import ExactRun, McLachlanSystem, solve_update
-from vqite.simulator import Gate, apply_gate, rotation_matrix
+from vqite.simulator import Gate, apply_gate, apply_planned, gate_plan, rotation_matrix
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
 THETA0 = {build_hardware_efficient: (0.5,) * 6, build_ucc_lih: (1.0, 1.0),
           build_ucc_h2: (2.0,)}
+GOLDEN = Path(__file__).resolve().parent / "golden" / "exact" / "manifest.json"
+RECORDED_PLATFORM = json.loads(GOLDEN.read_text())["platform"]
 
 
 def scan_rows(table, builder, cmf):
@@ -416,6 +420,50 @@ def test_per_state_gate_is_each_state_alone(case):
     for s, m in enumerate(mats):
         alone = apply_gate(t[s:s + 1], Gate(m, gate.target, gate.control))
         assert out[s].tobytes() == alone[0].tobytes(), s
+
+
+@st.composite
+def four_wide_cases(draw):
+    """(stack, gate): 1-64 states of 3 or 4 qubits, C-contiguous or a
+    transposed view, and a shared gate whose operand in each state is a
+    multiple of 4 amplitudes wide (2^(n-1), halved under a control)."""
+    n, states = draw(st.integers(3, 4)), draw(st.integers(1, 64))
+    order = draw(st.permutations(range(n + 1))) if draw(st.booleans()) else range(n + 1)
+    shape = tuple([((states,) + (2,) * n)[i] for i in order])
+    t = draw(arrays(complex, shape, elements=AMPLITUDE)).transpose(np.argsort(order))
+    m = draw(arrays(complex, (2, 2), elements=AMPLITUDE))
+    target = draw(st.integers(0, n - 1))
+    control = draw(st.sampled_from([None, *(c for c in range(n) if c != target and n == 4)]))
+    return t, Gate(m, target, control)
+
+
+@pytest.mark.skipif(golden_platform() != RECORDED_PLATFORM,
+                    reason="the width rule is a fact of the BLAS the goldens were recorded on")
+@PROPERTY
+@given(four_wide_cases())
+def test_shared_gate_is_per_state_when_four_wide(case):
+    # simulator's width rule: one np.dot over the stack gives each state the
+    # bytes of its own matmul when the state's operand is a multiple of 4
+    # wide.  OpenBLAS picks its zgemm kernels per CPU, so this holds for the
+    # BLAS of the goldens, not for the code on any BLAS: the contract that runs
+    # everywhere is test_compiled_sweep_is_per_gate_oracle.
+    t, gate = case
+    stacked = apply_planned(t, gate.matrix, gate_plan(gate, t.ndim - 1, per_state=False))
+    assert stacked.shape == t.shape
+    assert stacked.tobytes() == per_state_gates(t, [gate]).tobytes()
+
+
+@pytest.mark.parametrize("builder,per_state", [
+    (build_hardware_efficient, [True] * 7),
+    (build_ucc_h2, [True] * 7),
+    (build_ucc_lih, [False, False, True, True, True, False, False] * 2),
+], ids=["he", "ucc-h2", "ucc-lih"])
+def test_exact_program_stacks_four_wide_shared_gates(builder, per_state):
+    # On one stack axis, the rotations and every gate narrower than 4
+    # amplitudes per state (all of 2 qubits, a CNOT on 3) run per state, and
+    # UCC-LiH's 8 fixed one-qubit gates as one np.dot each.
+    ansatz = builder(np.zeros(len(THETA0[builder])))
+    assert [step[3] for source, step in ansatz._steps if source is not None] == per_state
 
 
 @st.composite

@@ -11,7 +11,7 @@ from vqite import (DensityMatrix, MoleculeTable, build_ucc_lih, cli, cmf_reduce,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, load_lih_table, run_qite,
                    to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, build_parser, discontinuity_rs,
-                       emit_outputs, main, run_scan)
+                       emit_outputs, main, run_scan, validate_manifest)
 from vqite.engine import QiteConfig
 
 
@@ -264,6 +264,18 @@ def test_main_shared_seed_key_exit_two(tmp_path, capsys):
     assert rc == 2
     assert "share one seed stream" in capsys.readouterr().err
     assert not (tmp_path / "d" / "curve.csv").exists()
+
+
+def test_manifest_lists_each_repeated_and_shared_row():
+    # A repeated R is listed once, in increasing order; R values that share a
+    # seed stream are listed each time, in selection order.
+    lih = load_lih_table()
+    with pytest.raises(ManifestError, match=r"more than once: \[1\.5, 2\.0\]$"):
+        validate_manifest(manifest(r_selection=(2.0, 1.5, 2.0, 1.5, 1.5, 0.5)), lih)
+    rows = tuple((r, dict(lih.rows)[1.0]) for r in (1.0001, 1.0004, 2.0, 3.0001, 3.0003))
+    with pytest.raises(ManifestError, match=r"\): \[1\.0001, 1\.0004, 3\.0001, 3\.0003\]$"):
+        validate_manifest(manifest(ansatz="ucc-lih", cmf=False, r_selection="all"),
+                          MoleculeTable("", 3, lih.pauli_labels, rows))
 
 
 def test_non_monotone_flag_exact_route_only(tmp_path, capsys):

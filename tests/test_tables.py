@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (check_gershgorin, coefficient, serialize_table, table_coefficient,
                       term_bytes)
 from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax, hamiltonian_at,
                    load_h2_synthetic_table, load_lih_table, load_table, parse_table,
                    to_dense_matrix)
-from vqite.tables import TableFormatError
+from vqite.tables import MoleculeTable, TableFormatError
 
 
 def test_bundle_shape(lih_table):
@@ -123,6 +124,54 @@ def test_hamiltonian_at_reads_each_row(lih_table):
         want = term_bytes(PauliHamiltonian.from_pairs(zip(coeffs, lih_table.pauli_labels)))
         for probe in (r, r - 5e-10, r + 5e-10):
             assert term_bytes(hamiltonian_at(lih_table, probe)) == want, probe
+
+
+def first_row_within(table, r):
+    """The row the lookup must find, by a scan: the first within 1e-9 of r."""
+    return next((k for k, (d, _) in enumerate(table.rows) if abs(d - r) < 1e-9), None)
+
+
+def found_row(table, r):
+    """The row hamiltonian_at reads, on a table whose row k holds k + 1.0."""
+    try:
+        return int(hamiltonian_at(table, r).coeffs[0]) - 1
+    except ValueError as exc:
+        assert str(exc) == f"no row at R={r:g}"
+        return None
+
+
+@pytest.mark.parametrize("probe,row", [
+    (0.1, 0), (0.1 - 9e-10, 0), (5.0, 49), (5.0 + 9e-10, 49), (1.5 + 9e-10, 14),
+    (0.15, None), (4.95, None), (0.1 - 1.1e-9, None), (5.0 + 1.1e-9, None),
+    (float("nan"), None), (float("inf"), None), (-float("inf"), None),
+], ids=["first", "first-9e-10", "last", "last+9e-10", "inner+9e-10", "between-first",
+        "between-last", "below-first", "above-last", "nan", "inf", "-inf"])
+def test_hamiltonian_at_row_lookup(lih_table, probe, row):
+    # The row within 1e-9 of R, found at either end and inside; R between two
+    # rows, beyond the ends or not a number names itself in the ValueError.
+    if row is None:
+        with pytest.raises(ValueError, match=r"^no row at R="):
+            hamiltonian_at(lih_table, probe)
+        return
+    r, coeffs = lih_table.rows[row]
+    want = PauliHamiltonian.from_pairs(zip(coeffs, lih_table.pauli_labels))
+    assert term_bytes(hamiltonian_at(lih_table, probe)) == term_bytes(want)
+    assert first_row_within(lih_table, probe) == row
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.floats(-2.0, 2.0),
+       st.lists(st.sampled_from([5e-10, 1e-9, 1.5e-9, 2e-9, 0.25]), max_size=6),
+       st.integers(0, 6), st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -2e-9]))
+def test_hamiltonian_at_is_first_row_within(start, gaps, at, offset):
+    # The bisection finds the row of the scan it replaced, the first within
+    # 1e-9, also where rows lie closer together than 2e-9.
+    distances = [start]
+    for gap in gaps:
+        distances.append(distances[-1] + gap)
+    table = MoleculeTable("", 1, ("Z",), tuple((d, (k + 1.0,)) for k, d in enumerate(distances)))
+    probe = distances[min(at, len(distances) - 1)] + offset
+    assert found_row(table, probe) == first_row_within(table, probe)
 
 
 def test_zero_coefficient_dropped_from_hamiltonian(lih_table):
