@@ -5,8 +5,9 @@ Subcommands:
     scan      potential-energy curve over selected bond distances
     point     one bond distance, summary printed
     spectrum  exact eigenvalues and the Gershgorin bound for one row
-    excited   Gershgorin lift of the (reduced) Hamiltonian, then a
-              ground-state run that lands on the first excited level
+    excited   Gershgorin lift of each row's (reduced) Hamiltonian, then a
+              ground-state run that lands on its first excited level; one
+              block per row, headed [R=<r>] when there are several
     validate  table lint
 
 Outputs are plain CSV (10 significant digits, Hartree throughout):
@@ -30,11 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ansatz
-from .cmf import cmf_reduce, cmf_reduce_rows
-from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite, run_qite_rows
-from .pauli import to_dense_matrix
-from .simulator import StateVector
-from .spectra import _lift, _spectrum, gershgorin_emax
+from .cmf import cmf_reduce_rows
+from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
+from .pauli import dense_matrices, term_columns, to_dense_matrix
+from .simulator import projectors
+from .spectra import _lift, exact_spectrum, gershgorin_emax, stacked_spectrum
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
                      load_lih_table, load_table)
 
@@ -87,6 +88,9 @@ class RunManifest:
     def resolved_theta0(self) -> tuple[float, ...]:
         return self.theta0 if self.theta0 is not None else ANSATZ_FAMILIES[self.ansatz].theta0
 
+    def point_seed(self, r: float) -> tuple[int, int]:   # the key of R's random stream
+        return (self.seed, int(round(r * 1000)))
+
 
 class CurvePoint(NamedTuple):
     r: float
@@ -95,6 +99,7 @@ class CurvePoint(NamedTuple):
     final_fidelity: float | None
     iterations_used: int
     flags: tuple[str, ...] = ()
+    e_max: float | None = None    # the Gershgorin bound of a lifted (excited) run
 
 
 def load_manifest_table(name: str) -> MoleculeTable:
@@ -128,18 +133,18 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
     else:
         if not manifest.r_selection:
             raise ManifestError("empty bond-distance selection")
-        known = table.bond_distances
-        missing = [r for r in manifest.r_selection if not any(abs(r - k) < 1e-9 for k in known)]
+        found = [table.rows_within(r) for r in manifest.r_selection]
+        missing = [r for r, rows in zip(manifest.r_selection, found) if not rows]
         if missing:
             raise ManifestError(f"bond distances not in table: {missing}")
-        rs = tuple(k for r in manifest.r_selection for k in known if abs(r - k) < 1e-9)
+        rs = tuple(table.rows[k][0] for rows in found for k in rows)
         repeated = sorted(k for k, count in Counter(rs).items() if count > 1)
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
     if manifest.seed < 0:
         raise ManifestError(f"--seed must be non-negative, got {manifest.seed}")
-    keys = Counter(_point_seed(manifest.seed, r) for r in rs)
-    shared = [r for r in rs if keys[_point_seed(manifest.seed, r)] > 1]
+    keys = Counter(manifest.point_seed(r) for r in rs)
+    shared = [r for r in rs if keys[manifest.point_seed(r)] > 1]
     if shared:
         raise ManifestError(f"bond distances share one seed stream "
                             f"(R rounded to 1e-3): {shared}")
@@ -165,37 +170,46 @@ def discontinuity_rs(table: MoleculeTable) -> set[float]:
             if step > DISCONTINUITY_JUMP}
 
 
-def _point_seed(seed: int, r: float):
-    return (seed, int(round(r * 1000)))
-
-
-def run_scan(manifest: RunManifest):
+def run_scan(manifest: RunManifest, lift: bool = False):
     """Execute the manifest; returns (points, trajectories, cmf records).
 
     Results are merged in bond-distance order, and every point's random
     stream is seeded from (seed, R).  One step runs all points at once:
     hamiltonian_at, the batched CMF reduction (cmf_reduce_rows) when --cmf is
-    set, then one run_qite_rows batch.  If the step raises, it runs again for
-    each point alone, and only the points that fail alone are recorded, with
-    an `error:<ExceptionType>` flag and their message on stderr.
+    set, then one run_qite_rows batch; `lift` (excited) reduces every 3-qubit
+    table and lifts each row's ground level first, its e_exact the first
+    excited level.  If the step raises, it runs again for each point alone,
+    and only the points that fail alone are recorded, with an
+    `error:<ExceptionType>` flag and their message on stderr.
     """
     table = load_manifest_table(manifest.table)
+    if lift:
+        manifest = replace(manifest, cmf=table.n_qubits == 3)
     rs = validate_manifest(manifest, table)
-    flagged = discontinuity_rs(table)
+    flagged = set() if lift else discontinuity_rs(table)   # excited prints no such flag
     builder = getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder)
 
-    def step(rows):  # (trajectory, cmf record) of each bond distance in rows
+    def step(rows):  # (trajectory, cmf record, (e_exact, e_max)) of each bond distance in rows
         hs = [hamiltonian_at(table, r) for r in rows]
+        effs = cmf_reduce_rows(hs) if manifest.cmf else [None] * len(rows)
+        runs = [h if e is None else e.h_eff for h, e in zip(hs, effs)]
+        maps = [e and EnergyMap.from_effective(e, h) for e, h in zip(effs, hs)]
+        dtaus, levels = [manifest.dtau] * len(rows), [None] * len(rows)
+        if lift:  # each row's ground level raised to its Gershgorin bound: H + (e_max - E_0) |g><g|
+            dense = dense_matrices(*term_columns(runs), runs[0].n_qubits)
+            vals, vecs, _ = stacked_spectrum(dense)
+            e_max = np.array([gershgorin_emax(m).e_max for m in dense])
+            runs = _lift(dense, projectors(vecs[:, :, 0]), e_max)   # |g| checked
+            maps, levels = None, list(zip(vals[:, 1].tolist(), e_max.tolist()))
+            # the lifted spectrum is denser: keep the row's 4-iteration step, --iters adds time
+            dtaus = [resolve_dtau(QiteConfig((0.0,), dtau=manifest.dtau), h) for h in hs]
         configs = [QiteConfig(initial_theta=manifest.resolved_theta0(),
-                              iterations=manifest.iterations, dtau=manifest.dtau,
+                              iterations=manifest.iterations, dtau=dtau,
                               route=manifest.route, shots=manifest.shots,
-                              seed=_point_seed(manifest.seed, r)) for r in rows]
-        if not manifest.cmf:
-            return [(t, None) for t in run_qite_rows(hs, builder, configs)]
-        effs = cmf_reduce_rows(hs)
-        trajs = run_qite_rows([e.h_eff for e in effs], builder, configs,
-                              [EnergyMap.from_effective(e, h) for e, h in zip(effs, hs)])
-        return [(t, (r, e.provenance)) for t, r, e in zip(trajs, rows, effs)]
+                              seed=manifest.point_seed(r)) for r, dtau in zip(rows, dtaus)]
+        trajs = run_qite_rows(runs, builder, configs, maps)
+        return [(t, e and (r, e.provenance), level or (t.exact_energy, None))
+                for t, r, e, level in zip(trajs, rows, effs, levels)]
 
     try:
         outcomes = step(rs)
@@ -215,7 +229,7 @@ def run_scan(manifest: RunManifest):
             results.append((CurvePoint(r, float("nan"), float("nan"), None,
                                        manifest.iterations, ("error:" + kind,)), None, None))
             continue
-        traj, record = outcome
+        traj, record, (e_exact, e_max) = outcome
         flags = tuple(flag for flag, hit in (
             ("stationary", traj.stationary),
             ("degenerate", traj.ground_degenerate),
@@ -223,9 +237,8 @@ def run_scan(manifest: RunManifest):
             ("bound-violation", traj.converged_energy < traj.exact_energy - 1e-9),
             ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
         ) if hit)
-        results.append((CurvePoint(r, traj.converged_energy, traj.exact_energy,
-                                   traj.final_fidelity, manifest.iterations, flags),
-                        traj, record))
+        results.append((CurvePoint(r, traj.converged_energy, e_exact, traj.final_fidelity,
+                                   manifest.iterations, flags, e_max), traj, record))
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}
@@ -329,11 +342,10 @@ def _parse_dtau(text: str):
 
 
 def _manifest_from_args(args) -> RunManifest:
-    """The manifest of a scan, point or excited invocation; point and excited
-    take exactly one bond distance."""
+    """The manifest of a scan, point or excited invocation; point takes one R."""
     route, shots = _parse_route(args.route)
     dtau, r_selection = _parse_dtau(args.dtau), _parse_r_selection(args.r_selection)
-    if args.command != "scan" and (r_selection == "all" or len(r_selection) != 1):
+    if args.command == "point" and (r_selection == "all" or len(r_selection) != 1):
         raise ManifestError(f"{args.command} takes exactly one bond distance via --r")
     values = dict(vars(args), route=route, shots=shots, dtau=dtau, r_selection=r_selection,
                   theta0=_parse_theta0(args.theta0))   # argparse's dests are the field names
@@ -372,9 +384,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    table = load_manifest_table(args.table)
-    dense = to_dense_matrix(hamiltonian_at(table, args.r))
-    spec, bound = _spectrum(dense), gershgorin_emax(dense)
+    h = hamiltonian_at(load_manifest_table(args.table), args.r)
+    spec, bound = exact_spectrum(h), gershgorin_emax(to_dense_matrix(h))
     print("eigenvalues:", " ".join(format_number(v) for v in spec.eigenvalues))
     print("degenerate levels:",
           ",".join(str(i) for i, f in enumerate(spec.degeneracy_flags) if f) or "none")
@@ -383,32 +394,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_excited(args) -> int:
-    manifest = _manifest_from_args(args)
-    table = load_manifest_table(manifest.table)
-    h = hamiltonian_at(table, manifest.r_selection[0])
-    manifest = replace(manifest, cmf=table.n_qubits == 3)
-    validate_manifest(manifest, table)
-    h_base = cmf_reduce(h).h_eff if manifest.cmf else h
-    dense = to_dense_matrix(h_base)
-    spec, bound = _spectrum(dense), gershgorin_emax(dense)
-    g = StateVector(spec.ground_state).amplitudes       # its norm checked: v v^dagger is valid
-    lifted = _lift(dense, np.outer(g, g.conj()), bound.e_max)
-    # The auto rule ties dtau to the iteration count, keeping the total
-    # imaginary time fixed; the lifted spectrum is denser than the original
-    # one, so the step size stays at the published 4-iteration rule while
-    # --iters extends the total evolution time.
-    dtau = resolve_dtau(QiteConfig((0.0,), iterations=4, dtau=manifest.dtau), h)
-    config = QiteConfig(manifest.resolved_theta0(), iterations=manifest.iterations, dtau=dtau,
-                        seed=manifest.seed)
-    traj = run_qite(lifted, getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder), config)
-    target = spec.eigenvalues[1]
-    print(f"gershgorin e_max = {format_number(bound.e_max)}")
-    print(f"first excited (oracle) = {format_number(target)}")
-    print(f"qite on lifted hamiltonian = {format_number(traj.converged_energy)}")
-    print(f"deviation = {format_number(abs(traj.converged_energy - target))}")
-    if traj.monotonicity_violations:
-        print("flags = non-monotone")
-    return 0
+    points = run_scan(_manifest_from_args(args), lift=True)[0]
+    for p in points:
+        if len(points) > 1:
+            print(f"[R={p.r:g}]")
+        if p.e_max is None:   # the row failed
+            print(f"flags = {p.flags[0]}")
+            continue
+        print(f"gershgorin e_max = {format_number(p.e_max)}")
+        print(f"first excited (oracle) = {format_number(p.e_exact)}")
+        print(f"qite on lifted hamiltonian = {format_number(p.e_qite)}")
+        print(f"deviation = {format_number(abs(p.e_qite - p.e_exact))}")
+        if "non-monotone" in p.flags:
+            print("flags = non-monotone")
+    return 1 if any(p.e_max is None for p in points) else 0
 
 
 def _cmd_validate(args) -> int:
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exc = sub.add_parser("excited", help="lift the ground level, then solve")
     p_exc.add_argument("--table", default="lih")
-    p_exc.add_argument("--r", dest="r_selection", required=True, help="one R value")
+    p_exc.add_argument("--r", dest="r_selection", required=True, help="comma list, or 'all'")
     p_exc.add_argument("--iters", dest="iterations", type=int, default=20)
     p_exc.add_argument("--dtau", default="auto",
                        help="'auto' (the 4-iteration rule) or a positive value")

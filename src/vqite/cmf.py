@@ -38,7 +38,7 @@ import numpy as np
 
 from .pauli import (PAULI_MATRICES, PauliHamiltonian, dense_matrices, partial_traces,
                     pauli_decompose, term_columns)
-from .simulator import DensityMatrix, check_unit
+from .simulator import DensityMatrix, projectors
 from .spectra import DEGENERACY_GAP, stacked_spectrum
 
 GRAM_RANK_TOL = 1e-8
@@ -61,13 +61,6 @@ class EffectiveHamiltonian(NamedTuple):
     h_eff: PauliHamiltonian
     basis_isometry: np.ndarray
     provenance: tuple[str, ...]
-
-
-def _projectors(v: np.ndarray) -> np.ndarray:
-    """np.outer(v, v.conj()) of each row of a (B, d) stack once each |v| is 1:
-    Hermitian and positive semidefinite as built, of trace |v|^2, a density."""
-    check_unit(v)
-    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
@@ -105,12 +98,12 @@ def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
     av = np.concatenate([a_vecs[:, :, 0], a_vecs[:, :, 1]])
-    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, _projectors(av), 0)
+    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, projectors(av), 0)
     bs = b_vecs.transpose(0, 3, 1, 2).reshape(4 * rows, 2)   # b_g(a_g), b_e(a_g), ...
 
     # Step 3: a conditioned on each b state, and its two lowest states.
     a_vals, a_vecs = conditioned(["h_a1(b_g(a_g))", "h_a1(b_e(a_g))", "h_a1(b_g(a_e))",
-                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, _projectors(bs), 1)
+                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, projectors(bs), 1)
 
     # Step 4 candidates: the np.kron of each b state with the lowest (primary)
     # and the second (secondary) a state of its own conditioned Hamiltonian.

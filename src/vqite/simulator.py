@@ -249,6 +249,13 @@ def check_unit(rows: np.ndarray) -> None:   # check_norms of rows summed as np.l
     check_norms(np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1)))
 
 
+def projectors(v: np.ndarray) -> np.ndarray:
+    """np.outer(v, v.conj()) of each row of a (B, d) stack once each |v| is 1:
+    Hermitian and positive semidefinite as built, of trace |v|^2, a density."""
+    check_unit(v)
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def measure_z_expectation(states: np.ndarray, shots: int | None = None,
                           rng=None, sizes=None) -> np.ndarray:
     """<Z> of the last qubit of each state of a stack (leading axis),

@@ -66,12 +66,7 @@ def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
     """Full dense eigen-decomposition of a Hamiltonian, phase-normalized, ascending."""
-    return _spectrum(to_dense_matrix(h))
-
-
-def _spectrum(m: np.ndarray) -> SpectrumResult:
-    """exact_spectrum of the Hamiltonian whose dense matrix is `m`."""
-    vals, vecs, flags = stacked_spectrum(m[None])
+    vals, vecs, flags = stacked_spectrum(to_dense_matrix(h)[None])
     return SpectrumResult(vals[0], vecs[0], tuple(flags[0].tolist()))
 
 
@@ -95,10 +90,10 @@ def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
     return _lift(to_dense_matrix(h), ground.elements, e_max)
 
 
-def _lift(h_dense: np.ndarray, ground: np.ndarray, e_max: float) -> PauliHamiltonian:
-    """lift_ground_state of the Hamiltonian whose dense matrix is `h_dense`, by
-    a density array `ground` valid as given (checked, or v v^dagger of a unit v)."""
-    e0 = float(np.trace(ground @ h_dense).real)
-    if not e_max >= e0:  # NaN fails too
+def _lift(h_dense: np.ndarray, ground: np.ndarray, e_max) -> PauliHamiltonian | list:
+    """lift_ground_state of each dense matrix of `h_dense` (one or a stack) by its
+    density array `ground`, valid as given (checked, or v v^dagger of a unit v)."""
+    e0 = np.trace(ground @ h_dense, axis1=-2, axis2=-1).real
+    if not np.all(e_max >= e0):  # NaN fails too
         raise ValueError(f"e_max {e_max} must be at least the current ground energy {e0}")
-    return pauli_decompose(h_dense + (e_max - e0) * ground)
+    return pauli_decompose(h_dense + (e_max - e0)[..., None, None] * ground)

@@ -47,6 +47,11 @@ class MoleculeTable:
     def bond_distances(self) -> tuple[float, ...]:
         return tuple([r for r, _ in self.rows])
 
+    def rows_within(self, r: float) -> range:
+        """Indices of all rows within 1e-9 of R = r (hamiltonian_at reads the first)."""
+        lo = bisect.bisect_left(self.rows, True, key=lambda x: x[0] - r > -1e-9)
+        return range(lo, bisect.bisect_left(self.rows, True, lo, key=lambda x: x[0] - r >= 1e-9))
+
 
 def parse_table(source) -> MoleculeTable:
     """Parse and validate a coefficient table from text or a stream."""

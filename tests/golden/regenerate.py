@@ -42,6 +42,7 @@ EXACT = {
     "h2-synthetic": ["scan", "--table", "h2-synthetic", "--ansatz", "ucc-h2", "--r", "all"],
     **{f"{cmd}-R{r}": [cmd, "--table", "lih", "--r", r]
        for cmd in ("excited", "spectrum") for r in ("0.5", "1.5", "3.0", "4.9")},
+    "excited-all": ["excited", "--table", "lih", "--r", "all"],
 }
 WRITES_FILES = ("scan", "point")
 

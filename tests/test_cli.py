@@ -8,8 +8,8 @@ import pytest
 
 from conftest import run_cli, serialize_table, term_bytes
 from vqite import (DensityMatrix, MoleculeTable, build_ucc_lih, cli, cmf_reduce, exact_spectrum,
-                   gershgorin_emax, hamiltonian_at, lift_ground_state, load_lih_table, run_qite,
-                   to_dense_matrix)
+                   gershgorin_emax, hamiltonian_at, lift_ground_state, load_lih_table,
+                   run_qite, run_qite_rows, to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, build_parser, discontinuity_rs,
                        emit_outputs, main, run_scan, validate_manifest)
 from vqite.engine import QiteConfig
@@ -165,13 +165,42 @@ def test_subcommand_option_sets():
                        "validate": {"--table"}}
 
 
-@pytest.mark.parametrize("command", ["point", "excited"])
+@pytest.mark.parametrize("command", ["point"])
 @pytest.mark.parametrize("r", ["1.4,1.5", "all"])
 def test_main_one_bond_distance_commands(command, r, capsys):
     assert main([command, "--table", "lih", "--r", r]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"manifest error: {command} takes exactly one bond distance via --r\n"
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore:energy rose")
+@pytest.mark.parametrize("r", ["all", "3.0,0.5,1.5"])
+def test_excited_blocks_equal_one_row_calls(r, lih_table):
+    # A multi-row excited call prints one block per row in R order, headed
+    # [R=<r>], and each block is what the one-row call of that R prints.
+    rs = lih_table.bond_distances if r == "all" else (0.5, 1.5, 3.0)
+    one_row = [run_cli(["excited", "--table", "lih", "--r", f"{x:g}"]) for x in rs]
+    assert {code for code, _, _ in one_row} == {0}
+    assert run_cli(["excited", "--table", "lih", "--r", r]) == (
+        0, "".join(f"[R={x:g}]\n{out}" for x, (_, out, _) in zip(rs, one_row)), {})
+
+
+@pytest.mark.filterwarnings("ignore:energy rose")
+def test_excited_flags_a_failing_row_and_prints_the_others(tmp_path, capsys):
+    # The R=1 row's single-Z coefficients average to 0, so its auto dtau fails
+    # and the batch with it; each row then runs alone, as in a scan, and only
+    # R=1 is flagged, its message on stderr and exit 1.
+    table = tmp_path / "mixed.csv"
+    table.write_text("R,ZI,IZ,XX\n0.5,0.4,-0.1,0.3\n1.0,1.0,-1.0,0.3\n1.5,0.2,0.3,0.1\n")
+    assert main(["excited", "--table", str(table), "--r", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("R=1: ValueError: single-qubit Z coefficients average to 0; "
+                            "use a fixed dtau instead\n")
+    (code_a, out_a, _), (code_b, out_b, _) = (
+        run_cli(["excited", "--table", str(table), "--r", x]) for x in ("0.5", "1.5"))
+    assert code_a == code_b == 0 and "first excited (oracle) = " in out_a + out_b
+    assert captured.out == f"[R=0.5]\n{out_a}[R=1]\nflags = error:ValueError\n[R=1.5]\n{out_b}"
 
 
 def test_main_excited_negative_seed_exit_two(capsys):
@@ -187,10 +216,11 @@ def test_main_excited_negative_seed_exit_two(capsys):
 @pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 4.9])
 def test_excited_lift_equals_public_lift(r, lih_table, monkeypatch):
     # excited lifts through the projector of its norm-checked ground vector;
-    # the Hamiltonian it runs on is lift_ground_state's with the checked
-    # DensityMatrix of that projector, term for term.
+    # the Hamiltonian the scan step runs is lift_ground_state's with the
+    # checked DensityMatrix of that projector, term for term.
     runs = []
-    monkeypatch.setattr(cli, "run_qite", lambda h, *args: runs.append(h) or run_qite(h, *args))
+    monkeypatch.setattr(cli, "run_qite_rows",
+                        lambda hs, *args: runs.extend(hs) or run_qite_rows(hs, *args))
     run_cli(["excited", "--table", "lih", "--r", str(r)])
     h_base = cmf_reduce(hamiltonian_at(lih_table, r)).h_eff
     g = exact_spectrum(h_base).ground_state
@@ -200,16 +230,19 @@ def test_excited_lift_equals_public_lift(r, lih_table, monkeypatch):
 
 
 def test_excited_refuses_non_unit_ground_vector(monkeypatch, capsys):
-    real = cli._spectrum
+    # The scan step's lift spectra give eigenvectors of norm 1 + 1e-6: the
+    # norm check refuses the row, which is flagged as a failing scan row is.
+    real = cli.stacked_spectrum
 
     def scaled(m):
-        spec = real(m)
-        return spec._replace(eigenstates=spec.eigenstates * (1 + 1e-6))
+        vals, vecs, flags = real(m)
+        return vals, vecs * (1 + 1e-6), flags
 
-    monkeypatch.setattr(cli, "_spectrum", scaled)
-    assert main(["excited", "--table", "lih", "--r", "1.5"]) == 2
+    monkeypatch.setattr(cli, "stacked_spectrum", scaled)
+    assert main(["excited", "--table", "lih", "--r", "1.5"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: state norm ") and captured.out == ""
+    assert captured.err.startswith("R=1.5: ValueError: state norm ")
+    assert captured.err.count("\n") == 1 and captured.out == "flags = error:ValueError\n"
 
 
 @pytest.mark.parametrize("argv", [["--table", "one_qubit.csv"], ["--iters", "0"]])
@@ -227,8 +260,8 @@ def test_auto_dtau_rejects_zero_mean_single_z(tmp_path, capsys):
     table = tmp_path / "zero.csv"
     table.write_text("R,ZI,IZ,XX\n0.5,1.0,-1.0,0.3\n")
     message = "single-qubit Z coefficients average to 0; use a fixed dtau instead"
-    assert main(["excited", "--table", str(table), "--r", "0.5"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["excited", "--table", str(table), "--r", "0.5"]) == 1
+    assert capsys.readouterr() == ("flags = error:ValueError\n", f"R=0.5: ValueError: {message}\n")
     assert main(["scan", "--table", str(table), "--ansatz", "he",
                  "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err == f"R=0.5: ValueError: {message}\n"
@@ -491,6 +524,9 @@ def test_scan_warnings_follow_row_order():
 
 @pytest.mark.parametrize("command", ["spectrum", "excited"])
 def test_main_missing_row_exit_two(command, capsys):
+    # spectrum looks its one row up; excited resolves its selection as a scan does
     rc = main([command, "--table", "lih", "--r", "1.55"])
     assert rc == 2
-    assert capsys.readouterr().err == "error: no row at R=1.55\n"
+    assert capsys.readouterr() == ("", {
+        "spectrum": "error: no row at R=1.55\n",
+        "excited": "manifest error: bond distances not in table: [1.55]\n"}[command])

@@ -164,14 +164,18 @@ def test_hamiltonian_at_row_lookup(lih_table, probe, row):
        st.lists(st.sampled_from([5e-10, 1e-9, 1.5e-9, 2e-9, 0.25]), max_size=6),
        st.integers(0, 6), st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -2e-9]))
 def test_hamiltonian_at_is_first_row_within(start, gaps, at, offset):
-    # The bisection finds the row of the scan it replaced, the first within
-    # 1e-9, also where rows lie closer together than 2e-9.
+    # The bisections find the rows of the scans they replaced: every row within
+    # 1e-9 (rows_within, which validate_manifest resolves a selection by) and
+    # the first of them (hamiltonian_at), also where rows lie closer together
+    # than 2e-9.
     distances = [start]
     for gap in gaps:
         distances.append(distances[-1] + gap)
     table = MoleculeTable("", 1, ("Z",), tuple((d, (k + 1.0,)) for k, d in enumerate(distances)))
     probe = distances[min(at, len(distances) - 1)] + offset
     assert found_row(table, probe) == first_row_within(table, probe)
+    assert list(table.rows_within(probe)) == [
+        k for k, d in enumerate(distances) if abs(probe - d) < 1e-9]
 
 
 def test_zero_coefficient_dropped_from_hamiltonian(lih_table):
