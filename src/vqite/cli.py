@@ -33,7 +33,7 @@ import numpy as np
 from . import ansatz
 from .cmf import cmf_reduce_rows
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
-from .pauli import dense_matrices, term_columns, to_dense_matrix
+from .pauli import dense_matrices, to_dense_matrix
 from .simulator import projectors
 from .spectra import _lift, exact_spectrum, gershgorin_emax, stacked_spectrum
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
@@ -113,7 +113,8 @@ def load_manifest_table(name: str) -> MoleculeTable:
         raise ManifestError(f"cannot read table: {exc}") from exc
 
 
-def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[float, ...]:
+def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> list[int]:
+    """The indices of the table rows the manifest selects, in selection order."""
     if manifest.ansatz not in ANSATZ_FAMILIES:
         raise ManifestError(f"unknown ansatz '{manifest.ansatz}'")
     family = ANSATZ_FAMILIES[manifest.ansatz]
@@ -129,18 +130,19 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
         raise ManifestError(f"theta0 needs {len(family.theta0)} values for {manifest.ansatz}, "
                             f"got {given}")
     if manifest.r_selection == "all":
-        rs = table.bond_distances
+        rows = list(range(len(table.rows)))
     else:
         if not manifest.r_selection:
             raise ManifestError("empty bond-distance selection")
         found = [table.rows_within(r) for r in manifest.r_selection]
-        missing = [r for r, rows in zip(manifest.r_selection, found) if not rows]
+        missing = [r for r, ks in zip(manifest.r_selection, found) if not ks]
         if missing:
             raise ManifestError(f"bond distances not in table: {missing}")
-        rs = tuple(table.rows[k][0] for rows in found for k in rows)
-        repeated = sorted(k for k, count in Counter(rs).items() if count > 1)
+        rows = [k for ks in found for k in ks]
+        repeated = sorted(table.rows[k][0] for k, count in Counter(rows).items() if count > 1)
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
+    rs = [table.rows[k][0] for k in rows]
     if manifest.seed < 0:
         raise ManifestError(f"--seed must be non-negative, got {manifest.seed}")
     keys = Counter(manifest.point_seed(r) for r in rs)
@@ -150,7 +152,7 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> tuple[floa
                             f"(R rounded to 1e-3): {shared}")
     if manifest.iterations < 1:
         raise ManifestError("iterations must be >= 1")
-    return rs
+    return rows
 
 
 def discontinuity_rs(table: MoleculeTable) -> set[float]:
@@ -165,7 +167,7 @@ def discontinuity_rs(table: MoleculeTable) -> set[float]:
     the spectrum.
     """
     cols = [j for j, lab in enumerate(table.pauli_labels) if set(lab) != {"I"}]
-    steps = np.abs(np.diff(np.array([c for _, c in table.rows])[:, cols], axis=0))
+    steps = np.abs(np.diff(table.coefficients[:, cols], axis=0))
     return {r for r, step in zip(table.bond_distances[1:], steps.max(axis=1, initial=0.0))
             if step > DISCONTINUITY_JUMP}
 
@@ -174,50 +176,49 @@ def run_scan(manifest: RunManifest, lift: bool = False):
     """Execute the manifest; returns (points, trajectories, cmf records).
 
     Results are merged in bond-distance order, and every point's random
-    stream is seeded from (seed, R).  One step runs all points at once:
-    hamiltonian_at, the batched CMF reduction (cmf_reduce_rows) when --cmf is
-    set, then one run_qite_rows batch; `lift` (excited) reduces every 3-qubit
-    table and lifts each row's ground level first, its e_exact the first
-    excited level.  If the step raises, it runs again for each point alone,
-    and only the points that fail alone are recorded, with an
+    stream is seeded from (seed, R).  One step runs all points at once, a
+    stack in and a stack out: the table's selected rows as one Hamiltonian
+    stack, the batched CMF reduction (cmf_reduce_rows) when --cmf is set,
+    then one run_qite_rows batch under one config; `lift` (excited) reduces
+    every 3-qubit table and lifts each row's ground level first, its e_exact
+    the first excited level.  If the step raises, it runs again for each
+    point alone, and only the points that fail alone are recorded, with an
     `error:<ExceptionType>` flag and their message on stderr.
     """
     table = load_manifest_table(manifest.table)
     if lift:
         manifest = replace(manifest, cmf=table.n_qubits == 3)
-    rs = validate_manifest(manifest, table)
+    rows = validate_manifest(manifest, table)
+    rs = [table.rows[k][0] for k in rows]
     flagged = set() if lift else discontinuity_rs(table)   # excited prints no such flag
     builder = getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder)
 
-    def step(rows):  # (trajectory, cmf record, (e_exact, e_max)) of each bond distance in rows
-        hs = [hamiltonian_at(table, r) for r in rows]
-        effs = cmf_reduce_rows(hs) if manifest.cmf else [None] * len(rows)
-        runs = [h if e is None else e.h_eff for h, e in zip(hs, effs)]
-        maps = [e and EnergyMap.from_effective(e, h) for e, h in zip(effs, hs)]
-        dtaus, levels = [manifest.dtau] * len(rows), [None] * len(rows)
+    def step(ks):  # (trajectory, cmf notes, (e_exact, e_max)) of each table row k in ks
+        h, dtau, levels = table.hamiltonians(ks), manifest.dtau, None
+        eff = cmf_reduce_rows(h) if manifest.cmf else None
+        run, energy_map = (h, None) if eff is None else (eff.h_eff, EnergyMap(eff, h))
         if lift:  # each row's ground level raised to its Gershgorin bound: H + (e_max - E_0) |g><g|
-            dense = dense_matrices(*term_columns(runs), runs[0].n_qubits)
+            dense = dense_matrices(run.words, run.coeffs, run.n_qubits)
             vals, vecs, _ = stacked_spectrum(dense)
             e_max = np.array([gershgorin_emax(m).e_max for m in dense])
-            runs = _lift(dense, projectors(vecs[:, :, 0]), e_max)   # |g| checked
-            maps, levels = None, list(zip(vals[:, 1].tolist(), e_max.tolist()))
+            run, energy_map = _lift(dense, projectors(vecs[:, :, 0]), e_max), None  # |g| checked
+            levels = zip(vals[:, 1].tolist(), e_max.tolist())
             # the lifted spectrum is denser: keep the row's 4-iteration step, --iters adds time
-            dtaus = [resolve_dtau(QiteConfig((0.0,), dtau=manifest.dtau), h) for h in hs]
-        configs = [QiteConfig(initial_theta=manifest.resolved_theta0(),
-                              iterations=manifest.iterations, dtau=dtau,
-                              route=manifest.route, shots=manifest.shots,
-                              seed=manifest.point_seed(r)) for r, dtau in zip(rows, dtaus)]
-        trajs = run_qite_rows(runs, builder, configs, maps)
-        return [(t, e and (r, e.provenance), level or (t.exact_energy, None))
-                for t, r, e, level in zip(trajs, rows, effs, levels)]
+            dtau = resolve_dtau(QiteConfig((0.0,), dtau=manifest.dtau), h)
+        config = QiteConfig(manifest.resolved_theta0(), manifest.iterations, dtau,
+                            manifest.route, manifest.shots, manifest.seed)
+        trajs = run_qite_rows(run, builder, config, energy_map,
+                              seeds=[manifest.point_seed(table.rows[k][0]) for k in ks])
+        return list(zip(trajs, eff.provenance if eff else [None] * len(ks),
+                        levels or [(t.exact_energy, None) for t in trajs]))
 
     try:
-        outcomes = step(rs)
+        outcomes = step(rows)
     except Exception:  # some point fails the batch: rerun each alone
         outcomes = []
-        for r in rs:
+        for k in rows:
             try:
-                outcomes += step([r])
+                outcomes += step([k])
             except Exception as exc:  # per-point failure: recorded, not fatal
                 outcomes.append(exc)
 
@@ -229,7 +230,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             results.append((CurvePoint(r, float("nan"), float("nan"), None,
                                        manifest.iterations, ("error:" + kind,)), None, None))
             continue
-        traj, record, (e_exact, e_max) = outcome
+        traj, notes, (e_exact, e_max) = outcome
         flags = tuple(flag for flag, hit in (
             ("stationary", traj.stationary),
             ("degenerate", traj.ground_degenerate),
@@ -238,7 +239,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
         ) if hit)
         results.append((CurvePoint(r, traj.converged_energy, e_exact, traj.final_fidelity,
-                                   manifest.iterations, flags, e_max), traj, record))
+                                   manifest.iterations, flags, e_max), traj, notes and (r, notes)))
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}

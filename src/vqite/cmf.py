@@ -20,14 +20,14 @@ The resulting 2-qubit effective Hamiltonian comes with the 8x4 isometry
 whose columns are the basis vectors; lifting a reduced state through it
 evaluates energies against the original Hamiltonian.
 
-All five steps run batched over the rows of a scan, one pass per step:
-steps 1-3 over the conditioning weights of every row (B, 2B and 4B: the
-checked seed, then v v^dagger of eigenvectors v whose norms each pass checks,
-densities as built), each partial trace one gather through a compiled trace
-plan and each spectrum one eigh of a stack; steps 4-5 over the candidates of
-every row, one Gram-Schmidt sweep and one Pauli expansion.  Each row equals
-its reduction alone, bit for bit.  cmf_reduce_rows is that batch; one failing
-row fails it, and a scan then reduces each row alone (cli.run_scan).
+All five steps run batched over the rows of a Hamiltonian stack, one pass
+per step: steps 1-3 over the conditioning weights of every row (B, 2B and
+4B: the checked seed, then v v^dagger of eigenvectors v whose norms each pass
+checks, densities as built), each partial trace one gather through a compiled
+trace plan and each spectrum one eigh of a stack; steps 4-5 over the
+candidates of every row, one Gram-Schmidt sweep and one Pauli expansion.
+cmf_reduce_rows is that batch, a stack in and a stacked reduction out; one
+failing row fails it, and a scan then reduces each row alone (cli.run_scan).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pauli import (PAULI_MATRICES, PauliHamiltonian, dense_matrices, partial_traces,
-                    pauli_decompose, term_columns)
+                    pauli_decompose)
 from .simulator import DensityMatrix, projectors
 from .spectra import DEGENERACY_GAP, stacked_spectrum
 
@@ -51,11 +51,11 @@ INITIAL_RHO_B = DensityMatrix(0.5 * (PAULI_MATRICES["I"] + PAULI_MATRICES["X"]))
 
 
 class EffectiveHamiltonian(NamedTuple):
-    """CMF-reduced Hamiltonian plus the basis back-map.
+    """CMF-reduced Hamiltonian plus the basis back-map, of one row or of B.
 
-    `basis_isometry` columns are the orthonormal effective basis vectors
-    in the original 8-dimensional space; `provenance` records the
-    selection steps as plain key=value lines.
+    `basis_isometry` columns are the orthonormal effective basis vectors in
+    the original 8-dimensional space, (8, 4) or (B, 8, 4); `provenance`
+    records the selection steps as plain key=value lines (a tuple per row).
     """
 
     h_eff: PauliHamiltonian
@@ -64,20 +64,19 @@ class EffectiveHamiltonian(NamedTuple):
 
 
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
-    """Run the layered reduction on one Hamiltonian."""
-    return cmf_reduce_rows([h])[0]
+    """Run the layered reduction on one Hamiltonian: cmf_reduce_rows of its one row."""
+    h_eff, iso, (notes,) = cmf_reduce_rows(h)
+    return EffectiveHamiltonian(PauliHamiltonian(h_eff.words, h_eff.coeffs[0], 2), iso[0], notes)
 
 
-def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
-    """Steps 1-5 run once for all rows; deterministic, and each row equals
-    cmf_reduce of that row alone bit for bit.  A failing row fails the batch."""
-    hs = list(hamiltonians)
-    if not hs:
-        return []
-    if any(h.n_qubits != 3 for h in hs):
+def cmf_reduce_rows(h: PauliHamiltonian) -> EffectiveHamiltonian:
+    """Steps 1-5 run once for every row of a stack (one Hamiltonian reads as
+    one row); each row equals cmf_reduce of that row alone bit for bit."""
+    if h.n_qubits != 3:
         raise ValueError("the one-layer reduction is defined for 3-qubit input")
-    labels, coeffs, rows = *term_columns(hs), len(hs)
-    notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in hs]
+    labels, coeffs = h.words, np.atleast_2d(h.coeffs)
+    rows = len(coeffs)
+    notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in range(rows)]
 
     def conditioned(tags, keep, rho, level):  # one pass; (tag, row, ...) spectra
         words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep, rho, 3)
@@ -113,7 +112,7 @@ def cmf_reduce_rows(hamiltonians) -> list[EffectiveHamiltonian]:
 
 
 def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
-                  notes: list[list[str]]) -> list[EffectiveHamiltonian]:
+                  notes: list[list[str]]) -> EffectiveHamiltonian:
     """Steps 4 and 5 for all rows: order, orthonormalize and project.
 
     `h_dense` stacks the (B, 8, 8) Hamiltonians, `cands` the (B, 2, 4, 8)
@@ -157,11 +156,11 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
         raise ValueError("candidate products span fewer than 4 dimensions")
 
     iso = iso[:, :, :4].copy()
-    h_effs = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
-    return [EffectiveHamiltonian(h, m, (*row, "gram_schmidt.candidates_used=4",
-                                        f"gram_schmidt.rank_deficient_dropped={n - 4}",
-                                        f"h_eff.terms={h.n_terms}"))
-            for h, m, row, n in zip(h_effs, iso, notes, used.tolist())]
+    h_eff = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
+    terms = np.count_nonzero(h_eff.coeffs, axis=1).tolist()   # each row's own
+    return EffectiveHamiltonian(h_eff, iso, tuple(
+        (*row, "gram_schmidt.candidates_used=4", f"gram_schmidt.rank_deficient_dropped={n - 4}",
+         f"h_eff.terms={t}") for row, n, t in zip(notes, used.tolist(), terms)))
 
 
 def _project(basis: list, size: np.ndarray, lo: int, w: np.ndarray) -> np.ndarray:

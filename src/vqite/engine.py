@@ -16,11 +16,12 @@ Fidelity is always measured against the exact-diagonalization ground
 state of the reporting Hamiltonian; if that ground state is degenerate
 the run switches to energy-only reporting.
 
-The loop runs B rows at once on both routes (run_qite_rows): a scan's
-bond distances or theta_scan's initial angles; run_qite is the one-row case.
-What does not depend on theta is made once per run: the row, qubit and
-dtau checks, the spectra, the reports' term columns, one circuit build,
-its ExactRun and on the shot route a SampledRun (mclachlan).  An exact
+The loop runs the B rows of a Hamiltonian stack at once on both routes,
+under one config (run_qite_rows): a scan's bond distances or theta_scan's
+initial angles; run_qite is the one-row case.  What does not depend on
+theta is made once per run: the row, qubit and dtau checks, the spectra,
+one circuit build, its ExactRun and on the shot route a SampledRun
+(mclachlan).  An exact
 iteration is one ExactRun call, whose pair product gives A, B, each state's
 norm and the energy of a row reported against its own Hamiltonian, and one
 stacked solve (solve_update); on the shot route A and B come from a
@@ -33,15 +34,15 @@ gate depending on theta, as a family build and its AnsatzCircuit copy do.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cmf import EffectiveHamiltonian
 from .mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
-from .pauli import PauliHamiltonian, dense_matrices, expectations, term_columns
-from .simulator import StateVector, rotation_matrix
+from .pauli import PauliHamiltonian, dense_matrices, expectations
+from .simulator import check_unit, rotation_matrix
 from .spectra import stacked_spectrum
 
 STATIONARY_TOL = 1e-10
@@ -50,19 +51,17 @@ DEFAULT_DTAU_C = 0.8
 ZERO_MEAN_TOL = 1e-12   # |h_z| up to this fraction of the largest |coefficient| reads as 0
 
 
-def average_z_coefficient(h: PauliHamiltonian) -> float:
-    """Mean single-Z coefficient, e.g. (h_ZII + h_IZI + h_IIZ) / 3.
+def average_z_coefficient(h: PauliHamiltonian):
+    """Mean single-Z coefficient, e.g. (h_ZII + h_IZI + h_IIZ) / 3, of each row.
 
-    The sum runs over the weight-one Z strings present in the Hamiltonian
-    and is divided by the qubit count.  Downstream, the absolute value
-    feeds the automatic time-step rule.
+    One masked row sum, in word order, over the weight-one Z strings present,
+    divided by the qubit count.  Downstream, the absolute value feeds the
+    automatic time-step rule.
     """
-    single_z = [c for c, w in zip(h.coeffs.tolist(), h.words) if w.replace("I", "") == "Z"]
-    if not single_z:
-        raise ValueError(
-            "Hamiltonian has no single-qubit Z term; use a fixed dtau instead"
-        )
-    return sum(single_z, 0.0) / h.n_qubits
+    single_z = [w.replace("I", "") == "Z" for w in h.words]
+    if not any(single_z):
+        raise ValueError("Hamiltonian has no single-qubit Z term; use a fixed dtau instead")
+    return np.add.accumulate(h.coeffs[..., single_z], axis=-1)[..., -1] / h.n_qubits
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class QiteConfig:
 
     initial_theta: tuple[float, ...]
     iterations: int = 4
-    dtau: float | str = "auto"       # "auto" -> DEFAULT_DTAU_C / (|h_z| * iterations)
+    dtau: float | str = "auto"       # "auto" -> DEFAULT_DTAU_C / (|h_z| * iterations), or per row
     route: str = "exact"             # "exact" | "hadamard"
     shots: int | None = None
     seed: int | None = None
@@ -112,7 +111,6 @@ class QiteRecord(NamedTuple):
 
 class QiteTrajectory(NamedTuple):
     records: tuple[QiteRecord, ...]
-    final_state: StateVector
     converged_energy: float
     exact_energy: float              # ground energy of the reporting Hamiltonian
     final_fidelity: float | None
@@ -123,16 +121,19 @@ class QiteTrajectory(NamedTuple):
     monotonicity_violations: tuple[int, ...] = ()
 
 
-def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian) -> float:
-    if config.dtau == "auto":
-        h_z = average_z_coefficient(h_for_rule)
-        if not abs(h_z) > ZERO_MEAN_TOL * float(np.abs(h_for_rule.coeffs).max()):
+def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian):
+    """config.dtau (one value, or one per row), or for "auto" the rule of the
+    module docstring, for each row of h_for_rule (a float for one row)."""
+    dtau = config.dtau
+    if isinstance(dtau, str):
+        h_z = np.abs(average_z_coefficient(h_for_rule))
+        if not (h_z > ZERO_MEAN_TOL * np.abs(h_for_rule.coeffs).max(axis=-1)).all():
             raise ValueError("single-qubit Z coefficients average to 0; use a fixed dtau instead")
-        return DEFAULT_DTAU_C / (abs(h_z) * config.iterations)
-    value = float(config.dtau)
-    if not 0 < value < np.inf:  # NaN fails too
+        dtau = DEFAULT_DTAU_C / (h_z * config.iterations)
+    dtau = np.full(h_for_rule.coeffs.shape[:-1], dtau, dtype=float)
+    if not ((0 < dtau) & (dtau < np.inf)).all():  # NaN fails too
         raise ValueError("fixed dtau must be positive and finite")
-    return value
+    return dtau if dtau.ndim else float(dtau)
 
 
 def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
@@ -144,17 +145,19 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     reporting.  The final record holds no A/B (nothing is estimated after
     the last update).  The builder (its circuit as the module docstring
     says) raises ValueError if initial_theta has the wrong length."""
-    return run_qite_rows([h_system], ansatz_builder, [config], [energy_map])[0]
+    return run_qite_rows(h_system, ansatz_builder, config, energy_map)[0]
 
 
-def run_qite_rows(h_systems, ansatz_builder, configs,
-                  energy_maps=None) -> list[QiteTrajectory]:
-    """run_qite for B rows as one loop over a (B, gamma) angle array.
+def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
+                  energy_map: EnergyMap | None = None, theta=None,
+                  seeds=None) -> list[QiteTrajectory]:
+    """run_qite for the B rows of a stack (one Hamiltonian reads as one row)
+    as one loop over a (B, gamma) angle array.
 
-    Row b runs configs[b] against h_systems[b] and reports through
-    energy_maps[b] (None for every row: against h_systems[b]).  The rows
-    share the ansatz, the qubit counts, the iteration count, the route and
-    the shot count.  The builder runs once, at the initial angles; a circuit
+    Every row runs `config` against its row of h_system and reports through
+    that of `energy_map` (None: against h_system), from its row of `theta`
+    (default config.initial_theta) and its seed of `seeds` (default
+    config.seed).  The builder runs once, at the initial angles; a circuit
     off theta (module docstring) is refused (ValueError), and so is a shot
     count below 1, before the loop.  Each iteration takes the states of all
     rows from the run's ExactRun, A and B from it or from its SampledRun
@@ -162,35 +165,27 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
     with one stacked eigh (solve_update).  Each row's records are bitwise
     those of the row run alone; its warnings follow the loop, row by row.
     """
-    maps = list(energy_maps or [None] * len(configs))
-    if not len(h_systems) == len(configs) == len(maps):
-        raise ValueError(f"{len(h_systems)} Hamiltonians, {len(configs)} configs and "
-                         f"{len(maps)} energy maps: one of each per row")
-    if not configs:
-        return []
-    if len({(c.iterations, c.route, c.shots, m is None) for c, m in zip(configs, maps)}) > 1:
-        raise ValueError("rows of one run share iterations, route, shots and reduction")
-    cfg, reports = configs[0], [h if m is None else m.h_original for h, m in zip(h_systems, maps)]
-    dtau = np.array([resolve_dtau(c, h) for c, h in zip(configs, reports)])
-    labels, coeffs = term_columns(reports)
-    exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, reports[0].n_qubits))
+    report = h_system if energy_map is None else energy_map.h_original
+    labels, coeffs = report.words, np.atleast_2d(report.coeffs)
+    dtau = np.atleast_1d(resolve_dtau(config, report))
+    exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, report.n_qubits))
     # each ground state as the strided column of its eigenvector matrix, which
     # BLAS accumulates unlike a contiguous copy
     ground = vecs.conj()[:, None, :, 0]
-    iso = None if maps[0] is None else np.array([m.effective.basis_isometry for m in maps])
-    theta = np.array([c.initial_theta for c in configs])
+    iso = None if energy_map is None else energy_map.effective.basis_isometry
+    theta = np.array([config.initial_theta] * len(coeffs)) if theta is None else theta
     circuit = ansatz_builder(theta)     # the family's program, its arity checked once
     if not np.array_equal(circuit._rotations,   # iterations rewrite only this stack
                           rotation_matrix(circuit._axes, theta).swapaxes(-3, 0)):
         raise ValueError("the builder's circuit must carry each parameter in a rotated "
                          "gate about its descriptor's axis")
-    run = ExactRun(circuit, h_systems)
-    sampled, own = cfg.route == "hadamard", iso is None and cfg.route == "exact"
-    estimate = SampledRun(run, cfg.shots, [c.seed for c in configs]) if sampled else None
-    steps, none = [], [None] * len(configs)   # per iteration: theta, energy, overlap, A, B
+    run = ExactRun(circuit, h_system)
+    sampled, own = config.route == "hadamard", iso is None and config.route == "exact"
+    estimate = sampled and SampledRun(run, config.shots, seeds or [config.seed] * len(coeffs))
+    steps, none = [], [None] * len(coeffs)   # per iteration: theta, energy, overlap, A, B
 
-    for it in range(cfg.iterations + 1):
-        last = it == cfg.iterations
+    for it in range(config.iterations + 1):
+        last = it == config.iterations
         states, a, b, energies = run(theta, not (sampled or last))
         if sampled and not last:
             _, a, b = estimate()
@@ -200,11 +195,12 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
         if last:
             break
         steps[-1][3:] = a, b
-        delta, flat = solve_update(McLachlanSystem(a, b, cfg.route, cfg.shots), dtau)
+        delta, flat = solve_update(McLachlanSystem(a, b, config.route, config.shots), dtau)
         if it == 0:
             stationary = flat | (np.abs(delta).max(axis=1) < STATIONARY_TOL)
         theta = theta + delta
 
+    check_unit(psi)
     trajectories = []
     for b, degenerate in enumerate(flags[:, 0].tolist()):
         if degenerate:
@@ -214,14 +210,14 @@ def run_qite_rows(h_systems, ansatz_builder, configs,
             energy = float(energy[b])
             if records and energy > records[-1].energy + MONOTONICITY_TOL:
                 violations.append(it)
-                if cfg.route == "exact":
+                if config.route == "exact":
                     warnings.warn(f"energy rose by {energy - records[-1].energy:.3e} "
                                   f"at iteration {it}")
             fid = None if degenerate else abs(complex(overlap[b])) ** 2
             records.append(QiteRecord(it, th[b], a[b], b_vector[b], energy, fid))
         trajectories.append(QiteTrajectory(
-            tuple(records), StateVector(psi[b]), energy, float(exact[b, 0]), fid,
-            bool(stationary[b]), degenerate, float(dtau[b]), cfg.iterations,
+            tuple(records), energy, float(exact[b, 0]), fid,
+            bool(stationary[b]), degenerate, float(dtau[b]), config.iterations,
             tuple(violations)))
     return trajectories
 
@@ -234,12 +230,11 @@ class ScanPoint(NamedTuple):
 
 
 def theta_scan(h: PauliHamiltonian, ansatz_builder, theta_grid,
-               config: QiteConfig, energy_map: EnergyMap | None = None) -> list[ScanPoint]:
-    """run_qite over a grid of initial angles for a one-parameter ansatz, as
-    one run_qite_rows call; the builder raises ValueError on any other."""
-    grid = [float(t) for t in theta_grid]
-    trajectories = run_qite_rows([h] * len(grid), ansatz_builder,
-                                 [replace(config, initial_theta=(t,)) for t in grid],
-                                 [energy_map] * len(grid))
+               config: QiteConfig) -> list[ScanPoint]:
+    """run_qite over a grid of initial angles for a one-parameter ansatz, as one
+    run_qite_rows call on h per angle; the builder raises ValueError on any other."""
+    grid = np.array([float(t) for t in theta_grid])
+    rows = PauliHamiltonian(h.words, np.tile(h.coeffs, (len(grid), 1)), h.n_qubits)
+    trajectories = run_qite_rows(rows, ansatz_builder, config, theta=grid[:, None])
     return [ScanPoint(t, traj.converged_energy, traj.final_fidelity, traj.stationary)
-            for t, traj in zip(grid, trajectories)]
+            for t, traj in zip(grid.tolist(), trajectories)]

@@ -1,8 +1,8 @@
 """Estimation of the McLachlan linear system A theta-dot = B.
 
 Two interchangeable routes are provided, each a run object made once per
-run over B fixed Hamiltonians.  The exact route (ExactRun) evaluates the
-defining inner products directly on statevectors:
+run over a stack of B Hamiltonian rows.  The exact route (ExactRun)
+evaluates the defining inner products directly on statevectors:
 
     A_ij = Re <d_i psi | d_j psi>
     B_i  = -Re <d_i psi | H | psi>
@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
-from .pauli import (PauliHamiltonian, _term_stack, apply_sums, real_part, term_columns,
-                    weighted_terms)
+from .pauli import PauliHamiltonian, _term_stack, apply_sums, real_part, weighted_terms
 from .simulator import (Gate, StateVector, apply_planned, check_norms, controlled_pauli,
                         hadamard, measure_z_expectation, rotation_matrix, run_gates, x)
 
@@ -68,31 +67,31 @@ class HadamardJob(NamedTuple):
     destination: tuple              # ("A", i, j) with i <= j, or ("B", i)
 
 
-def compute_exact(ansatz: AnsatzCircuit, h) -> McLachlanSystem:
+def compute_exact(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> McLachlanSystem:
     """A and B by direct statevector inner products (ExactRun), for a circuit
-    at one angle vector and its Hamiltonian, or at B angle rows and B
-    Hamiltonians (A and B stacked)."""
+    at one angle vector and its Hamiltonian, or at B angle rows and a stack
+    of B rows (A and B stacked)."""
     batch = ansatz.parameters.ndim == 2
-    _, a, b, _ = ExactRun(ansatz, h if batch else [h])()
+    _, a, b, _ = ExactRun(ansatz, h)()
     return McLachlanSystem(a if batch else a[0], b if batch else b[0])
 
 
 class ExactRun:
-    """The exact route over B fixed Hamiltonians, made once per run: the row
-    checks, their term columns and weighted terms, the pair indices and one
-    buffer.  A call at (B, gamma) angles, or (gamma,) for one row (else
-    ValueError), is the circuit's rotation stack rewritten, one sweep into the
-    buffer (the first call in each mode records its numpy calls, later ones
-    repeat them), one H|psi> gather and one pair product of (1, L) @ (L, 1)
-    matmuls, bitwise np.vdot, whose <psi|psi> checks each norm: (states, A, B,
-    energies <psi|H|psi> as real_part), or without `system` the states alone,
-    norm-checked as np.linalg.norm, as views of the buffer until the next call."""
+    """The exact route over a stack of B Hamiltonian rows, made once per run:
+    the row checks, the stack's words and (B, L) coefficients, their weighted
+    terms, the pair indices and one buffer.  A call at (B, gamma) angles, or
+    (gamma,) for one row (else ValueError), is the circuit's rotation stack
+    rewritten, one sweep into the buffer (the first call in each mode records
+    its numpy calls, later ones repeat them), one H|psi> gather and one pair
+    product of (1, L) @ (L, 1) matmuls, bitwise np.vdot, whose <psi|psi>
+    checks each norm: (states, A, B, energies <psi|H|psi> as real_part), or
+    without `system` the states alone, norm-checked as np.linalg.norm, as
+    views of the buffer until the next call."""
 
-    def __init__(self, ansatz: AnsatzCircuit, hs) -> None:
-        _check_rows(ansatz, hs := list(hs))
-        n, gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(hs)
+    def __init__(self, ansatz: AnsatzCircuit, h: PauliHamiltonian) -> None:
+        self.columns = h.words, _check_rows(ansatz, h)
+        n, gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(self.columns[1])
         self.ansatz, self.pairs, self.programs = ansatz, _pairs(gamma), {}
-        self.columns = term_columns(hs)
         self.terms = weighted_terms(*self.columns, n)
         self.stack = np.empty(((gamma + 2) * rows, 2 ** n), dtype=complex)
         self.kets = self.stack.reshape(gamma + 2, rows, -1)   # psi, each d_i, H|psi>
@@ -148,12 +147,14 @@ def _layout(gamma: int, coeffs: list[float]) -> list:
     return jobs + [(l, *sums[l + 1], ("B", i)) for i in range(gamma) for l in range(len(coeffs))]
 
 
-def _check_rows(ansatz: AnsatzCircuit, hs) -> None:
-    rows = len(ansatz.parameters) if ansatz.parameters.ndim == 2 else 1
-    if len(hs) != rows:
-        raise ValueError(f"{rows} angle rows but {len(hs)} Hamiltonians")
-    if any(h.n_qubits != ansatz.n_system_qubits for h in hs):
+def _check_rows(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> np.ndarray:
+    """h's (B, L) coefficients, B the circuit's angle rows, else ValueError."""
+    rows, coeffs = len(np.atleast_2d(ansatz.parameters)), np.atleast_2d(h.coeffs)
+    if len(coeffs) != rows:
+        raise ValueError(f"{rows} angle rows but {len(coeffs)} Hamiltonians")
+    if h.n_qubits != ansatz.n_system_qubits:
         raise ValueError("ansatz and Hamiltonian qubit counts disagree")
+    return coeffs
 
 
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
@@ -162,7 +163,7 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     cut at the insertion points p_i, A(i, j) as g[:p_i] + anti_i + g[p_i:p_j]
     + ctrl_j + g[p_j:] + final and B(i, l) as g[:p_i] + anti_i + g[p_i:] +
     c-h_l + final, c-h_l the l-th Hamiltonian word controlled on the ancilla."""
-    _check_rows(ansatz, [h])
+    _check_rows(ansatz, h)
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
     ctrl = [tuple(controlled_pauli(n, range(n), d.sigma.letters)) for d in descs]
     anti, final = [(x(n), *c, x(n)) for c in ctrl], (hadamard(n),)
@@ -178,8 +179,8 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
 
 @lru_cache(maxsize=2)
 def _table(descriptors, n: int, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
-    """The Hadamard jobs of B rows whose Hamiltonians have the (B, L)
-    coefficients `coeff_bytes` over the union words `labels` (term_columns),
+    """The Hadamard jobs of B rows whose Hamiltonian stack has the (B, L)
+    coefficients `coeff_bytes` over the words `labels`,
     compiled for SampledRun from these values and the ansatz family alone:
     (phases, head, zero, one, words, src, sign, entry, weight, sizes), a
     row's terms its nonzero coefficients.
@@ -231,13 +232,13 @@ def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
 def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
                     seed=None) -> McLachlanSystem:
     """A and B from the Hadamard-test circuits, as one SampledRun call, for
-    one angle vector and Hamiltonian or for B rows (A and B stacked).
+    one angle vector and Hamiltonian or for B rows and a stack (A and B stacked).
     shots=None evaluates every circuit analytically (the exact-mode switch);
     otherwise each ancilla expectation is a binomial estimate with the given
     shot count, drawn from `seed` (ValueError if missing): an integer seed or
     a numpy Generator, then drawn from in place, one per row for a batch."""
     batch = ansatz.parameters.ndim == 2
-    run = ExactRun(ansatz, h if batch else [h])
+    run = ExactRun(ansatz, h)
     _, a, b = SampledRun(run, shots, seed if batch and seed is not None else [seed])()
     return McLachlanSystem(a if batch else a[0], b if batch else b[0], "hadamard", shots)
 
@@ -245,8 +246,8 @@ def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
 class SampledRun:
     """The Hadamard route of an ExactRun's rows, made once per run from it:
     the job table (_table), the rows' starting half-states, the sweep steps
-    and one Generator per row from `seeds` (ValueError if shots < 1, or on
-    a missing seed in shot mode).  A call reads the ExactRun's rotation
+    and one Generator per row from `seeds` (ValueError if shots < 1, or in
+    shot mode unless each row has a seed).  A call reads the ExactRun's rotation
     stack as its last call left it and returns (ancilla <Z> of every job,
     A, B), A and B adding the weighted values from 0.0 in job order.
 
@@ -265,12 +266,12 @@ class SampledRun:
     """
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
-        if shots is not None and shots < 1:
-            raise ValueError("shots must be >= 1 (or None for exact mode)")
-        if shots is not None and any(s is None for s in seeds):
-            raise ValueError("shot mode needs a seed or generator for every row")
         ansatz, (labels, coeffs) = exact.ansatz, exact.columns
         self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
+        if shots is not None and shots < 1:
+            raise ValueError("shots must be >= 1 (or None for exact mode)")
+        if shots is not None and (len(seeds) != rows or any(s is None for s in seeds)):
+            raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
         self.table = _table(ansatz.descriptors, self.n, labels, rows, coeffs.tobytes())
         phases, head, zero, one, words, src, *_, sizes = self.table
         amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)

@@ -14,10 +14,10 @@ traces, isometry back-maps) relies on this single ordering convention, so
 it is defined here and nowhere else.
 
 A Hamiltonian is one thing: n_qubits, a sorted tuple of distinct words and
-a read-only float64 array of their coefficients, brought to that canonical
-form by its constructor alone.  Every kernel reads words and (B, L)
-coefficient rows; term_columns joins the rows of B Hamiltonians over the
-union of their words, with 0.0 for a word a row lacks.
+a read-only float64 array of their coefficients, (L,) for one sum and (B, L)
+for a stack of B rows (a scan's table rows, their reductions or lifts),
+brought to that canonical form by its constructor alone.  Every kernel
+reads words and (B, L) coefficient rows.
 
 A word is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
 memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import compress, product
 
 import numpy as np
 
@@ -124,13 +124,15 @@ def _merge_plan(words: tuple[str, ...], n_qubits: int) -> tuple[tuple[str, ...],
 
 
 class PauliHamiltonian:
-    """Weighted sum of Pauli strings, H = sum_l coeffs[l] * words[l].
+    """Weighted sum of Pauli strings, H = sum_l coeffs[l] * words[l], or a stack
+    of B such sums, row b of (B, L) coeffs.
 
     Built in canonical form, by this constructor alone: every word checked,
     duplicate words merged by adding their coefficients from 0.0 in input
-    order, terms with |coefficient| <= 1e-14 dropped, and the remaining
-    words sorted (I < X < Y < Z), with a read-only float64 array of their
-    coefficients.  n_qubits defaults to the width of the first word.
+    order, words with |coefficient| <= 1e-14 in every row dropped (smaller
+    entries of the rest set to 0.0), and the remaining words sorted
+    (I < X < Y < Z), with a read-only float64 array of their coefficients.
+    n_qubits defaults to the width of the first word.
     """
 
     __slots__ = ("n_qubits", "words", "coeffs")
@@ -141,35 +143,24 @@ class PauliHamiltonian:
         if self.n_qubits <= 0:
             raise ValueError("empty Hamiltonian needs an explicit n_qubits")
         distinct, index = _merge_plan(words, self.n_qubits)
-        c = np.asarray(coeffs, dtype=float).reshape(len(words))
-        if not np.isfinite(c).all():
-            k = int(np.isfinite(c).argmin())
-            raise ValueError(f"term '{words[k]}' has non-finite coefficient {c[k]}")
-        merged = np.bincount(index, weights=c, minlength=len(distinct))
-        keep = np.abs(merged) > COEFF_DROP_TOL
-        self.words, self.coeffs = tuple(compress(distinct, keep.tolist())), read_only(merged[keep])
-
-    @classmethod
-    def from_pairs(cls, pairs, n_qubits: int | None = None) -> "PauliHamiltonian":
-        """Build from (coefficient, letters) pairs."""
-        pairs = list(pairs)
-        return cls([w for _, w in pairs], [c for c, _ in pairs], n_qubits)
+        c = np.asarray(coeffs, dtype=float)
+        rows = c.reshape(len(c) if c.ndim == 2 else 1, len(words))
+        if not np.isfinite(rows).all():
+            b, k = np.argwhere(~np.isfinite(rows))[0]
+            raise ValueError(f"term '{words[k]}' has non-finite coefficient {rows[b, k]}")
+        # one bincount over every row, row b's bins from b * len(distinct) on
+        size = (len(rows), len(distinct))
+        merged = np.bincount((index + size[1] * np.arange(size[0])[:, None]).ravel(),
+                             rows.ravel(), size[0] * size[1]).reshape(size)
+        big = np.abs(merged) > COEFF_DROP_TOL
+        keep = big.any(axis=0)
+        merged = np.where(big, merged, 0.0)[:, keep]
+        self.words = tuple(compress(distinct, keep.tolist()))
+        self.coeffs = read_only(merged if c.ndim == 2 else merged[0])
 
     @property
     def n_terms(self) -> int:
         return len(self.words)
-
-
-def term_columns(hamiltonians) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted union of the words of B Hamiltonians and their (B, L)
-    coefficients, 0.0 where a Hamiltonian lacks the word: the merge plan of
-    all their words gives each coefficient its column."""
-    hs = list(hamiltonians)
-    labels, column = _merge_plan(tuple(chain.from_iterable([h.words for h in hs])), hs[0].n_qubits)
-    coeffs = np.zeros((len(hs), len(labels)))
-    coeffs[np.arange(len(hs)).repeat([h.n_terms for h in hs]), column] = np.concatenate(
-        [h.coeffs for h in hs])
-    return labels, coeffs
 
 
 def weighted_terms(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> tuple:
@@ -305,11 +296,11 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
     return PauliHamiltonian(words, coeffs[0], len(keep))
 
 
-def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
+def pauli_decompose(m: np.ndarray) -> PauliHamiltonian:
     """Expand a Hermitian 2^k x 2^k matrix, or a (B, 2^k, 2^k) stack, in the Pauli basis.
 
-    Coefficients are h_l = Tr(sigma_l m) / 2^k, a list of B Hamiltonians for a
-    stack; the round trip through to_dense_matrix reproduces m to the same tolerance.
+    Coefficients are h_l = Tr(sigma_l m) / 2^k, (B, L) for a stack; the round
+    trip through to_dense_matrix reproduces m to the same tolerance.
     """
     m = np.asarray(m, dtype=complex)
     dim = m.shape[-1]
@@ -322,6 +313,4 @@ def pauli_decompose(m: np.ndarray) -> PauliHamiltonian | list[PauliHamiltonian]:
     labels = tuple(map("".join, product(PAULI_LETTERS, repeat=k)))
     src, phase = _term_stack(labels, k)
     # h_l = Tr(sigma_l m) / 2^k = sum_j phase_l[j] m[src_l[j], j] / 2^k, one row per word
-    coeffs = _row_sum(phase * m[..., src, np.arange(dim)]).real / dim
-    hs = [PauliHamiltonian(labels, c, k) for c in coeffs.reshape(-1, len(labels))]
-    return hs if m.ndim == 3 else hs[0]
+    return PauliHamiltonian(labels, _row_sum(phase * m[..., src, np.arange(dim)]).real / dim, k)

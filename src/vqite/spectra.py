@@ -90,9 +90,10 @@ def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
     return _lift(to_dense_matrix(h), ground.elements, e_max)
 
 
-def _lift(h_dense: np.ndarray, ground: np.ndarray, e_max) -> PauliHamiltonian | list:
-    """lift_ground_state of each dense matrix of `h_dense` (one or a stack) by its
-    density array `ground`, valid as given (checked, or v v^dagger of a unit v)."""
+def _lift(h_dense: np.ndarray, ground: np.ndarray, e_max) -> PauliHamiltonian:
+    """lift_ground_state of each dense matrix of `h_dense` (one, or a stack
+    lifted to one stacked Hamiltonian) by its density array `ground`, valid as
+    given (checked, or v v^dagger of a unit v)."""
     e0 = np.trace(ground @ h_dense, axis1=-2, axis2=-1).real
     if not np.all(e_max >= e0):  # NaN fails too
         raise ValueError(f"e_max {e_max} must be at least the current ground energy {e0}")

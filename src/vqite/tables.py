@@ -22,10 +22,12 @@ import bisect
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
-from .pauli import PauliHamiltonian, PauliString
+import numpy as np
+
+from .pauli import PauliHamiltonian, PauliString, read_only
 
 
 class TableFormatError(ValueError):
@@ -51,6 +53,15 @@ class MoleculeTable:
         """Indices of all rows within 1e-9 of R = r (hamiltonian_at reads the first)."""
         lo = bisect.bisect_left(self.rows, True, key=lambda x: x[0] - r > -1e-9)
         return range(lo, bisect.bisect_left(self.rows, True, lo, key=lambda x: x[0] - r >= 1e-9))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The (rows, labels) coefficient array, made once per table."""
+        return read_only(np.array([c for _, c in self.rows], dtype=float))
+
+    def hamiltonians(self, rows) -> PauliHamiltonian:
+        """The rows at indices `rows`, in that order, as one (B, L) stack."""
+        return PauliHamiltonian(self.pauli_labels, self.coefficients[list(rows)], self.n_qubits)
 
 
 def parse_table(source) -> MoleculeTable:
@@ -119,7 +130,7 @@ def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:
     k = bisect.bisect_left(table.rows, True, key=lambda row: row[0] - r > -1e-9)
     if k == len(table.rows) or not abs(table.rows[k][0] - r) < 1e-9:
         raise ValueError(f"no row at R={r:g}")
-    return PauliHamiltonian(table.pauli_labels, table.rows[k][1], table.n_qubits)
+    return PauliHamiltonian(table.pauli_labels, table.coefficients[k], table.n_qubits)
 
 
 def load_table(path) -> MoleculeTable:

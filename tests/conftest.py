@@ -2,7 +2,7 @@ import contextlib
 import ctypes
 import hashlib
 import io
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from vqite import (PauliHamiltonian, PauliString, build_hadamard_circuits, hamiltonian_at,
                    load_h2_synthetic_table, load_lih_table)
 from vqite.mclachlan import McLachlanSystem
-from vqite.pauli import _signed_permutation, apply_sums
+from vqite.pauli import _merge_plan, _signed_permutation, apply_sums
 
 
 @pytest.fixture(scope="session")
@@ -133,6 +133,36 @@ def coefficient(h, letters):
     return float(h.coeffs[h.words.index(letters)]) if letters in h.words else 0.0
 
 
+def from_pairs(pairs, n_qubits=None):
+    """A PauliHamiltonian from (coefficient, letters) pairs."""
+    pairs = list(pairs)
+    return PauliHamiltonian([w for _, w in pairs], [c for c, _ in pairs], n_qubits)
+
+
+def term_columns(hamiltonians):
+    """The sorted union of the words of B Hamiltonians and their (B, L)
+    coefficients, 0.0 where a Hamiltonian lacks the word: the merge plan of
+    all their words gives each coefficient its column.  The oracle of the
+    stacked PauliHamiltonian constructor."""
+    hs = list(hamiltonians)
+    labels, column = _merge_plan(tuple(chain.from_iterable([h.words for h in hs])), hs[0].n_qubits)
+    coeffs = np.zeros((len(hs), len(labels)))
+    coeffs[np.arange(len(hs)).repeat([h.n_terms for h in hs]), column] = np.concatenate(
+        [h.coeffs for h in hs])
+    return labels, coeffs
+
+
+def stacked(hamiltonians):
+    """One-row Hamiltonians joined into one stack over the union of their words."""
+    hs = list(hamiltonians)
+    return PauliHamiltonian(*term_columns(hs), hs[0].n_qubits)
+
+
+def row_views(h):
+    """The one-row Hamiltonians of the rows of a stack."""
+    return [PauliHamiltonian(h.words, c, h.n_qubits) for c in h.coeffs]
+
+
 def canonical_oracle(pairs, n_qubits=0):
     """The canonical form of (coefficient, letters) pairs by a dict merge, the
     reference for PauliHamiltonian's constructor: (words, coefficients) with
@@ -181,7 +211,7 @@ def record_bytes(traj):
     return ([(rec.iteration, raw(rec.theta), raw(rec.a_matrix), raw(rec.b_vector),
               raw(rec.energy), raw(rec.fidelity)) for rec in traj.records],
             traj.stationary, traj.ground_degenerate, traj.monotonicity_violations,
-            raw(traj.exact_energy), traj.final_state.amplitudes.tobytes())
+            raw(traj.exact_energy))
 
 
 # Oracles in the dense matrix-product form the signed-permutation kernel
@@ -204,7 +234,7 @@ def partial_trace_oracle(h, keep, rho):
         sigma = pauli_kron("".join(word[q] for q in comp))
         scalar = complex(np.trace(rho @ sigma))
         pairs.append((c * scalar.real, "".join(word[q] for q in keep)))
-    return PauliHamiltonian.from_pairs(pairs, n_qubits=len(keep))
+    return from_pairs(pairs, n_qubits=len(keep))
 
 
 def decompose_oracle(m):
@@ -215,7 +245,7 @@ def decompose_oracle(m):
     for letters in map("".join, product("IXYZ", repeat=k)):
         coeff = complex(np.trace(pauli_kron(letters) @ m)) / dim
         pairs.append((coeff.real, letters))
-    return PauliHamiltonian.from_pairs(pairs, n_qubits=k)
+    return from_pairs(pairs, n_qubits=k)
 
 
 def spectrum_oracle(m):
@@ -418,14 +448,20 @@ def reduction_bytes(iso, h_eff, provenance):
     return iso.tobytes(), term_bytes(h_eff), provenance
 
 
+def reduction_rows(eff):
+    """reduction_bytes of each row of a stacked reduction, its h_eff row as
+    the one Hamiltonian the constructor makes of it."""
+    return [reduction_bytes(iso, h, notes) for iso, h, notes in
+            zip(eff.basis_isometry, row_views(eff.h_eff), eff.provenance, strict=True)]
+
+
 def per_stage_cmf(hs):
     """The batched reduction of every row of hs with steps 1-3 as seven
     passes, one per conditioned Hamiltonian (the form the stacked stages
-    replaced), and the step 4 candidates built by np.kron per row: a list of
-    EffectiveHamiltonian, one per row."""
+    replaced), and the step 4 candidates built by np.kron per row: one
+    stacked EffectiveHamiltonian."""
     from vqite.cmf import INITIAL_RHO_B, _select_basis
-    from vqite.pauli import (check_density, dense_matrices, partial_traces,
-                             term_columns)
+    from vqite.pauli import check_density, dense_matrices, partial_traces
     from vqite.spectra import DEGENERACY_GAP, stacked_spectrum
 
     labels, coeffs = term_columns(hs)

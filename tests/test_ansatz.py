@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import circuit_unitary, pauli_kron
-from vqite import (PauliHamiltonian, StateVector, basis_state,
-                   build_hardware_efficient, build_ucc_h2, build_ucc_lih,
+from conftest import circuit_unitary, from_pairs, pauli_kron
+from vqite import (StateVector, basis_state, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    run_circuit, to_dense_matrix)
 from vqite.ansatz import (DERIVATIVE_PREFACTOR, AnsatzCircuit,
                           DerivativeDescriptor)
@@ -23,7 +22,7 @@ from vqite.simulator import cnot, rx, ry, rz
 
 
 def pauli_dense(letters):
-    return to_dense_matrix(PauliHamiltonian.from_pairs([(1.0, letters)]))
+    return to_dense_matrix(from_pairs([(1.0, letters)]))
 
 
 def global_phase_distance(u, v):

@@ -9,6 +9,7 @@ the facts themselves.
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (apply, apply_word, forward_then_branches, golden_platform, per_state_gates,
-                      record_bytes, term_loop)
+from conftest import (apply, apply_word, forward_then_branches, from_pairs, golden_platform,
+                      per_state_gates, record_bytes, stacked, term_loop)
 from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
                    cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
@@ -35,15 +36,35 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "exact" / "manifest.json"
 RECORDED_PLATFORM = json.loads(GOLDEN.read_text())["platform"]
 
 
-def scan_rows(table, builder, cmf):
-    """(h_systems, configs, energy maps) of every row of a table, seeded as a scan."""
-    hs = [hamiltonian_at(table, r) for r in table.bond_distances]
-    configs = [QiteConfig(THETA0[builder], seed=(0, int(round(r * 1000))))
-               for r in table.bond_distances]
+def scan_rows(table, builder, cmf, rows=slice(None)):
+    """(h_system stack, config, energy map, seeds) of the table rows at
+    indices `rows`, run as a scan runs them."""
+    ks = range(len(table.rows))[rows]
+    h = table.hamiltonians(ks)
+    config = QiteConfig(THETA0[builder], seed=0)
+    seeds = [(0, int(round(table.rows[k][0] * 1000))) for k in ks]
     if not cmf:
-        return hs, configs, [None] * len(hs)
-    effs = cmf_reduce_rows(hs)
-    return [e.h_eff for e in effs], configs, [EnergyMap(e, h) for e, h in zip(effs, hs)]
+        return h, config, None, seeds
+    eff = cmf_reduce_rows(h)
+    return eff.h_eff, config, EnergyMap(eff, h), seeds
+
+
+def one_row(table, k, cmf):
+    """(h_system, energy map) of table row k alone, through the one-row views."""
+    h = hamiltonian_at(table, table.rows[k][0])
+    if not cmf:
+        return h, None
+    eff = cmf_reduce(h)
+    return eff.h_eff, EnergyMap.from_effective(eff, h)
+
+
+def final_state(builder, traj, energy_map):
+    """The reported state at a trajectory's last angles, lifted as run_qite_rows
+    lifts it (one (8, 4) @ (4, 1))."""
+    psi = builder(traj.records[-1].theta).state().amplitudes
+    if energy_map is None:
+        return psi
+    return (energy_map.effective.basis_isometry @ psi[:, None])[:, 0]
 
 
 @pytest.mark.parametrize("table,builder,cmf", [
@@ -52,15 +73,17 @@ def scan_rows(table, builder, cmf):
     ("h2", build_ucc_h2, False),
 ], ids=["cmf-he", "ucc-lih", "h2-synthetic"])
 def test_batched_rows_equal_one_row_runs(table, builder, cmf, lih_table, h2_table):
-    hs, configs, maps = scan_rows(lih_table if table == "lih" else h2_table, builder, cmf)
-    batched = run_qite_rows(hs, builder, configs, maps)
-    assert len(batched) == len(hs)
-    for h, config, energy_map, traj in zip(hs, configs, maps, batched):
-        alone = run_qite(h, builder, config, energy_map)
+    table = lih_table if table == "lih" else h2_table
+    h, config, energy_map, seeds = scan_rows(table, builder, cmf)
+    batched = run_qite_rows(h, builder, config, energy_map, seeds=seeds)
+    assert len(batched) == len(table.rows)
+    for k, (seed, traj) in enumerate(zip(seeds, batched)):
+        h_row, row_map = one_row(table, k, cmf)
+        alone = run_qite(h_row, builder, replace(config, seed=seed), row_map)
         assert record_bytes(traj) == record_bytes(alone)
         # the final energy and fidelity as one state's np.vdot forms give them
-        h_report = h if energy_map is None else energy_map.h_original
-        psi = traj.final_state.amplitudes
+        h_report = h_row if row_map is None else row_map.h_original
+        psi = final_state(builder, traj, row_map)
         assert traj.converged_energy == np.vdot(psi, term_loop(h_report, psi)).real
         ground = exact_spectrum(h_report).ground_state
         assert traj.final_fidelity == float(abs(np.vdot(ground, psi)) ** 2)
@@ -68,13 +91,14 @@ def test_batched_rows_equal_one_row_runs(table, builder, cmf, lih_table, h2_tabl
 
 def test_batched_shot_rows_equal_one_row_runs(lih_table):
     # Each row draws from its own (seed, R) generator, in job order.
-    hs, configs, maps = scan_rows(lih_table, build_ucc_lih, False)
     rows = slice(0, 50, 7)
-    configs = [QiteConfig(c.initial_theta, route="hadamard", shots=1000, seed=c.seed)
-               for c in configs[rows]]
-    batched = run_qite_rows(hs[rows], build_ucc_lih, configs)
-    for h, config, traj in zip(hs[rows], configs, batched):
-        assert record_bytes(traj) == record_bytes(run_qite(h, build_ucc_lih, config))
+    h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, rows)
+    config = replace(config, route="hadamard", shots=1000)
+    batched = run_qite_rows(h, build_ucc_lih, config, seeds=seeds)
+    for k, seed, traj in zip(range(50)[rows], seeds, batched):
+        alone = run_qite(one_row(lih_table, k, False)[0], build_ucc_lih,
+                         replace(config, seed=seed))
+        assert record_bytes(traj) == record_bytes(alone)
 
 
 @pytest.mark.parametrize("builder,cmf,rows,shots", [
@@ -87,14 +111,13 @@ def test_shot_run_reads_the_live_rotation_stack(builder, cmf, rows, shots, lih_t
     # ExactRun call wrote it: at every iteration A and B are bitwise those of
     # compute_sampled on a build at that iteration's angles, drawn from twin
     # generators that each step leaves in the same state.
-    hs, configs, maps = (x[rows] for x in scan_rows(lih_table, builder, cmf))
-    configs = [QiteConfig(c.initial_theta, route="hadamard", shots=shots, seed=c.seed)
-               for c in configs]
-    trajs = run_qite_rows(hs, builder, configs, maps)
-    twins = [np.random.default_rng(c.seed) for c in configs]
-    for it in range(configs[0].iterations):
+    h, config, energy_map, seeds = scan_rows(lih_table, builder, cmf, rows)
+    config = replace(config, route="hadamard", shots=shots)
+    trajs = run_qite_rows(h, builder, config, energy_map, seeds=seeds)
+    twins = [np.random.default_rng(s) for s in seeds]
+    for it in range(config.iterations):
         theta = np.array([traj.records[it].theta for traj in trajs])
-        want = compute_sampled(builder(theta), hs, shots, twins)
+        want = compute_sampled(builder(theta), h, shots, twins)
         for b, traj in enumerate(trajs):
             assert traj.records[it].a_matrix.tobytes() == want.a_matrix[b].tobytes(), (it, b)
             assert traj.records[it].b_vector.tobytes() == want.b_vector[b].tobytes(), (it, b)
@@ -154,21 +177,25 @@ def test_loop_is_unfused_reference(case, lih_table, h2_r07):
     # of the H2 UCC circuit that holds theta = pi, stationary at iteration 0.
     builder = {"ucc-lih-50-rows": build_ucc_lih, "ucc-h2-theta-scan": build_ucc_h2}.get(
         case, build_hardware_efficient)
-    if case.startswith("excited-R"):
-        lifted, config = lifted_row(lih_table, float(case[len("excited-R"):]))
-        hs, configs, maps = [lifted], [config], [None]
-    elif case == "ucc-h2-theta-scan":
-        grid = [0.5, 2.0, np.pi, 4.5]
-        hs, maps = [h2_r07] * len(grid), [None] * len(grid)
-        configs = [QiteConfig((t,), iterations=4) for t in grid]
-    else:
-        hs, configs, maps = scan_rows(lih_table, builder, case == "cmf-he-50-rows")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trajectories = run_qite_rows(hs, builder, configs, maps)
+        if case.startswith("excited-R"):
+            lifted, config = lifted_row(lih_table, float(case[len("excited-R"):]))
+            trajectories = run_qite_rows(lifted, builder, config)
+            rows = [(lifted, None, config)]
+        elif case == "ucc-h2-theta-scan":
+            grid, config = [0.5, 2.0, np.pi, 4.5], QiteConfig((0.0,), iterations=4)
+            trajectories = run_qite_rows(stacked([h2_r07] * len(grid)), builder, config,
+                                         theta=np.array(grid)[:, None])
+            rows = [(h2_r07, None, replace(config, initial_theta=(t,))) for t in grid]
+        else:
+            cmf = case == "cmf-he-50-rows"
+            h, config, energy_map, seeds = scan_rows(lih_table, builder, cmf)
+            trajectories = run_qite_rows(h, builder, config, energy_map, seeds=seeds)
+            rows = [(*one_row(lih_table, k, cmf), config) for k in range(len(seeds))]
     if case == "ucc-h2-theta-scan":
         assert [t.stationary for t in trajectories] == [False, False, True, False]
-    for h, config, energy_map, traj in zip(hs, configs, maps, trajectories):
+    for (h, energy_map, config), traj in zip(rows, trajectories, strict=True):
         want = unfused_records(h, builder, config, energy_map)
         got = [(r.iteration, r.theta, r.a_matrix, r.b_vector, r.energy, r.fidelity)
                for r in traj.records]
@@ -178,40 +205,47 @@ def test_loop_is_unfused_reference(case, lih_table, h2_r07):
                    [None if x is None else np.asarray(x).tobytes() for x in w], g[0]
 
 
-ONE = QiteConfig((1.0, 1.0))
+ONE = QiteConfig((1.0, 1.0), route="hadamard", shots=100, seed=1)
 TWO_ROWS = np.ones((2, 2))
 
 
+def reduced_rows_with_one_row_map(h):
+    """run_qite_rows on two reduced rows of h, reported through a map of one row."""
+    eff = cmf_reduce(h)
+    return run_qite_rows(stacked([eff.h_eff] * 2), build_hardware_efficient,
+                         QiteConfig((0.5,) * 6), EnergyMap.from_effective(eff, h))
+
+
 @pytest.mark.parametrize("call,message", [
-    (lambda h: run_qite_rows([h, h], build_ucc_lih, [ONE]),
-     "2 Hamiltonians, 1 configs and 1 energy maps"),
-    (lambda h: run_qite_rows([h], build_ucc_lih, [ONE, ONE]),
-     "1 Hamiltonians, 2 configs and 2 energy maps"),
-    (lambda h: run_qite_rows([h, h], build_ucc_lih, [ONE, ONE], [None]),
-     "2 Hamiltonians, 2 configs and 1 energy maps"),
-    (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), [h]), "2 angle rows but 1 Hamiltonians"),
-    (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), [h] * 3), "2 angle rows but 3 Hamiltonians"),
-    (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), [h], None),
-     "2 angle rows but 1 Hamiltonians"),
-    (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), [h] * 3, 100, [1, 2, 3]),
+    (lambda h: run_qite_rows(stacked([h, h]), build_ucc_lih, ONE, theta=np.ones((3, 2))),
+     "3 angle rows but 2 Hamiltonians"),
+    (lambda h: run_qite_rows(stacked([h, h]), build_ucc_lih, ONE, seeds=[1]),
+     "a seed or generator for each of the 2 rows"),
+    (reduced_rows_with_one_row_map, "1 angle rows but 2 Hamiltonians"),
+    (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), h), "2 angle rows but 1 Hamiltonians"),
+    (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), stacked([h] * 3)),
      "2 angle rows but 3 Hamiltonians"),
-], ids=["run-hamiltonians", "run-configs", "run-energy-maps", "exact-1", "exact-3",
+    (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), h, None),
+     "2 angle rows but 1 Hamiltonians"),
+    (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), stacked([h] * 3), 100, [1, 2, 3]),
+     "2 angle rows but 3 Hamiltonians"),
+], ids=["run-hamiltonians", "run-seeds", "run-energy-maps", "exact-1", "exact-3",
         "sampled-1", "sampled-3"])
 def test_row_counts_must_agree(call, message, lih_r15):
-    # One Hamiltonian, config and energy map per angle row, or a ValueError
-    # that names the counts before any work starts (not a row dropped by zip
-    # or a numpy broadcast error deep inside).
+    # One Hamiltonian row, initial angle row and seed per row of the run, or
+    # a ValueError that names the counts before any work starts (not a row
+    # dropped by zip or a numpy broadcast error deep inside).
     with pytest.raises(ValueError, match=message):
         call(lih_r15)
 
 
 def constructor_copy(table, builder, rows, rng):
-    """(Hamiltonians, build, copy): `rows` rows of a table, taken in turn,
-    a build at `rows` rows of random angles and its copy made by the
+    """(Hamiltonian stack, build, copy): `rows` rows of a table, taken in
+    turn, a build at `rows` rows of random angles and its copy made by the
     AnsatzCircuit constructor from the build's gates."""
-    hs = scan_rows(table, builder, False)[0]
+    h = table.hamiltonians([b % len(table.rows) for b in range(rows)])
     build = builder(rng.uniform(-np.pi, np.pi, size=(rows, len(THETA0[builder]))))
-    return [hs[b % len(hs)] for b in range(rows)], build, AnsatzCircuit(
+    return h, build, AnsatzCircuit(
         build.gates, build.parameters, build.descriptors, build.reference_state,
         build.n_system_qubits)
 
@@ -223,8 +257,7 @@ def test_circuit_made_by_its_constructor(lih_table, h2_table, rng):
     # rotation stack is not rotation_matrix of theta: a copy of a one-vector
     # build, whose stack has no axis for the run's row, and a build at twice
     # the angles.
-    from vqite import PauliHamiltonian
-    h = PauliHamiltonian.from_pairs([(1.0, "ZI"), (0.5, "XX")])
+    h = from_pairs([(1.0, "ZI"), (0.5, "XX")])
     build = build_hardware_efficient(np.full(6, 0.3))
     fixed = AnsatzCircuit(build.gates, build.parameters, build.descriptors,
                           build.reference_state, 2)
@@ -233,8 +266,9 @@ def test_circuit_made_by_its_constructor(lih_table, h2_table, rng):
     assert got.b_vector.tobytes() == want.b_vector.tobytes()
     for builder, table in [(build_hardware_efficient, h2_table), (build_ucc_lih, lih_table)]:
         for rows, shots in [(1, None), (1, 1000), (50, None), (50, 1000)]:
-            hs, built, copy = constructor_copy(table, builder, rows, rng)
-            got, want = (compute_sampled(c, hs, shots, list(range(rows))) for c in (copy, built))
+            h_rows, built, copy = constructor_copy(table, builder, rows, rng)
+            got, want = (compute_sampled(c, h_rows, shots, list(range(rows)))
+                         for c in (copy, built))
             assert got.a_matrix.tobytes() == want.a_matrix.tobytes()
             assert got.b_vector.tobytes() == want.b_vector.tobytes()
     with pytest.raises(ValueError, match="rotated gate"):
@@ -251,9 +285,9 @@ def test_constructor_copy_runs_at_new_angles(builder, rows, lih_table, h2_table,
     # An ExactRun of a constructor-made copy rewrites the copy's rotation
     # stack, so at new angles it gives every byte of the build at those angles.
     table = lih_table if builder is build_ucc_lih else h2_table
-    hs, build, copy = constructor_copy(table, builder, rows, rng)
+    h, build, copy = constructor_copy(table, builder, rows, rng)
     theta = rng.uniform(-np.pi, np.pi, size=build.parameters.shape)
-    got, want = ExactRun(copy, hs)(theta), ExactRun(builder(theta), hs)()
+    got, want = ExactRun(copy, h)(theta), ExactRun(builder(theta), h)()
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
@@ -273,15 +307,15 @@ def vdot_system(ansatz, h):
 @pytest.mark.parametrize("builder,cmf", [(build_hardware_efficient, True),
                                          (build_ucc_lih, False)], ids=["cmf-he", "ucc-lih"])
 def test_batched_exact_system_is_vdot_loop(builder, cmf, lih_table, rng):
-    hs, _, _ = scan_rows(lih_table, builder, cmf)
-    theta = rng.uniform(-np.pi, np.pi, size=(len(hs), len(THETA0[builder])))
+    h = scan_rows(lih_table, builder, cmf)[0]
+    theta = rng.uniform(-np.pi, np.pi, size=(len(h.coeffs), len(THETA0[builder])))
     batch = builder(theta)
-    system = compute_exact(batch, hs)
-    assert system.a_matrix.shape == (len(hs),) + (theta.shape[1],) * 2
-    for b, h in enumerate(hs):
+    system = compute_exact(batch, h)
+    assert system.a_matrix.shape == (len(h.coeffs),) + (theta.shape[1],) * 2
+    for b in range(len(h.coeffs)):
         one = builder(theta[b])
         assert batch.states()[b].tobytes() == one.state().amplitudes.tobytes()
-        a, bv = vdot_system(one, h)
+        a, bv = vdot_system(one, one_row(lih_table, b, cmf)[0])
         assert system.a_matrix[b].tobytes() == a.tobytes()
         assert system.b_vector[b].tobytes() == bv.tobytes()
 
@@ -376,9 +410,9 @@ def test_exact_iteration_applies_each_gate_once(rows, lih_table, monkeypatch):
     # An exact HE iteration applies each of the 7 gates once, to the B
     # forward rows and the branches joined before it; the final iteration,
     # which needs only the states, applies them to the B rows alone.
-    hs, configs, maps = scan_rows(lih_table, build_hardware_efficient, True)
+    h, config, energy_map, _ = scan_rows(lih_table, build_hardware_efficient, True, slice(rows))
     calls = recorded_gates(monkeypatch, lambda: run_qite_rows(
-        hs[:rows], build_hardware_efficient, configs[:rows], maps[:rows]))
+        h, build_hardware_efficient, config, energy_map))
     # branches join after gates 0, 1, 3, 4, 5 and 6 (none after the CNOT)
     sweep = [(3, rows * k) for k in (1, 2, 3, 3, 4, 5, 6)]
     assert calls == sweep * 4 + [(3, rows)] * 7
@@ -387,10 +421,10 @@ def test_exact_iteration_applies_each_gate_once(rows, lih_table, monkeypatch):
 def test_shot_route_states_apply_no_branch(lih_table, monkeypatch):
     # On the shot route the ansatz gates run on the B forward rows only (the
     # branches live in the Hadamard sweep, one qubit wider), once per iteration.
-    hs, configs, _ = scan_rows(lih_table, build_ucc_lih, False)
-    configs = [QiteConfig(c.initial_theta, route="hadamard", shots=1000, seed=c.seed)
-               for c in configs[:7]]
-    calls = recorded_gates(monkeypatch, lambda: run_qite_rows(hs[:7], build_ucc_lih, configs))
+    h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, slice(7))
+    config = replace(config, route="hadamard", shots=1000)
+    calls = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config,
+                                                              seeds=seeds))
     assert [c for c in calls if c[0] == 4] == [(4, 7)] * (14 * 5)
 
 

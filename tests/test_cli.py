@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import run_cli, serialize_table, term_bytes
+from conftest import row_views, run_cli, serialize_table, term_bytes
 from vqite import (DensityMatrix, MoleculeTable, build_ucc_lih, cli, cmf_reduce, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, load_lih_table,
                    run_qite, run_qite_rows, to_dense_matrix)
@@ -219,8 +219,8 @@ def test_excited_lift_equals_public_lift(r, lih_table, monkeypatch):
     # the Hamiltonian the scan step runs is lift_ground_state's with the
     # checked DensityMatrix of that projector, term for term.
     runs = []
-    monkeypatch.setattr(cli, "run_qite_rows",
-                        lambda hs, *args: runs.extend(hs) or run_qite_rows(hs, *args))
+    monkeypatch.setattr(cli, "run_qite_rows", lambda h, *args, **kwargs:
+                        runs.extend(row_views(h)) or run_qite_rows(h, *args, **kwargs))
     run_cli(["excited", "--table", "lih", "--r", str(r)])
     h_base = cmf_reduce(hamiltonian_at(lih_table, r)).h_eff
     g = exact_spectrum(h_base).ground_state
@@ -431,15 +431,13 @@ def test_failing_reduction_flags_only_its_row(stage, tmp_path, monkeypatch, caps
 def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
     """`real`, raising `error` whenever its batch holds the row of R = r."""
     h = hamiltonian_at(load_lih_table(), r)
-    if stage == "ExactRun":                  # the rows' reduced Hamiltonians
-        target = cmf_reduce(h).h_eff
-        hit = lambda args: any(x.words == target.words and np.array_equal(x.coeffs, target.coeffs)
-                               for x in args[1])
-    elif stage == "SampledRun":              # the same, as its ExactRun's term columns
-        target = cmf_reduce(h).h_eff
+    if stage in ("ExactRun", "SampledRun"):  # a row of the reduced Hamiltonians' stack, as
+        target = cmf_reduce(h).h_eff          # ExactRun takes it or as its ExactRun's columns
         terms = dict(zip(target.words, target.coeffs.tolist()))
-        hit = lambda args: any({w: v for w, v in zip(args[0].columns[0], c.tolist()) if v} == terms
-                               for c in args[0].columns[1])
+        columns = ((lambda args: (args[1].words, args[1].coeffs)) if stage == "ExactRun"
+                   else (lambda args: args[0].columns))
+        hit = lambda args: any({w: v for w, v in zip(columns(args)[0], c.tolist()) if v} == terms
+                               for c in columns(args)[1])
     else:                                    # a row of the (B, L) report coefficients
         target = h.coeffs
         hit = lambda args: any(np.array_equal(c[c != 0], target) for c in args[1])

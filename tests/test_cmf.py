@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import cmf_oracle, per_stage_cmf, random_state, reduction_bytes
-from vqite import (PauliHamiltonian, cmf, cmf_reduce, cmf_reduce_rows, exact_spectrum,
-                   hamiltonian_at, lift_amplitudes, to_dense_matrix)
+from conftest import (cmf_oracle, from_pairs, per_stage_cmf, random_state, reduction_bytes,
+                      reduction_rows, stacked)
+from vqite import (cmf, cmf_reduce, cmf_reduce_rows, exact_spectrum, hamiltonian_at,
+                   lift_amplitudes, to_dense_matrix)
 from vqite.cmf import INITIAL_RHO_B
 
 
@@ -15,7 +16,7 @@ def test_default_seed_state_is_plus_x():
 
 
 # H = H_a x I_b + h_x I_a x X_b, whose candidates are rank-deficient.
-PRODUCT = PauliHamiltonian.from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
+PRODUCT = from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
 
 
 def test_product_hamiltonian_is_exact():
@@ -101,7 +102,7 @@ def test_provenance_records_selection(lih_r15):
 
 
 def test_reduce_rejects_wrong_size():
-    h = PauliHamiltonian.from_pairs([(1.0, "ZZ")])
+    h = from_pairs([(1.0, "ZZ")])
     with pytest.raises(ValueError):
         cmf_reduce(h)
 
@@ -138,14 +139,13 @@ def test_batched_rows_equal_per_row_oracle_bitwise(lih_oracle):
     # All 50 rows in one batch, including the 11-term rows R = 4.9 and 5.0.
     hs = [h for h, _ in lih_oracle.values()]
     assert {h.n_terms for h in hs} == {11, 13}
-    effs = cmf_reduce_rows(hs)
-    assert len(effs) == len(hs) and cmf_reduce_rows([]) == []
-    for (r, (_, want)), eff in zip(lih_oracle.items(), effs):
-        assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
+    rows = reduction_rows(cmf_reduce_rows(stacked(hs)))
+    for (r, (_, want)), got in zip(lih_oracle.items(), rows, strict=True):
+        assert got == want, r
 
 
 # H on subsystem a alone: the b states, and so the candidates' energies, tie.
-TIED = PauliHamiltonian.from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
+TIED = from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
 
 
 def test_one_row_reductions_equal_oracle_bitwise(lih_oracle):
@@ -167,12 +167,12 @@ def test_stacked_stages_equal_per_stage_form(rows, lih_table, monkeypatch):
     hs = [hamiltonian_at(lih_table, r) for r in rs]
     real, sizes = cmf.stacked_spectrum, []
     monkeypatch.setattr(cmf, "stacked_spectrum", lambda m: sizes.append(len(m)) or real(m))
-    effs = cmf_reduce_rows(hs)
+    eff = cmf_reduce_rows(stacked(hs))
     monkeypatch.undo()
     assert sizes == [rows, 2 * rows, 4 * rows]
-    for b, (got, want) in enumerate(zip(effs, per_stage_cmf(hs))):
-        assert (reduction_bytes(got.basis_isometry, got.h_eff, got.provenance)
-                == reduction_bytes(want.basis_isometry, want.h_eff, want.provenance)), rs[b]
+    got, want = reduction_rows(eff), reduction_rows(per_stage_cmf(hs))
+    for b, r in enumerate(rs):
+        assert got[b] == want[b], r
 
 
 def test_mixed_batch_selects_bases_in_one_pass(lih_table, monkeypatch):
@@ -184,12 +184,26 @@ def test_mixed_batch_selects_bases_in_one_pass(lih_table, monkeypatch):
     assert [h.n_terms for h in hs] == [13, 11, 4, 13, 11]
     real, sizes = cmf.pauli_decompose, []
     monkeypatch.setattr(cmf, "pauli_decompose", lambda m: sizes.append(len(m)) or real(m))
-    effs = cmf_reduce_rows(hs)
+    eff = cmf_reduce_rows(stacked(hs))
     monkeypatch.undo()
     assert sizes == [len(hs)]
-    dropped = [next(n for n in eff.provenance if n.startswith("gram_schmidt.rank_deficient"))
-               for eff in effs]
+    dropped = [next(n for n in notes if n.startswith("gram_schmidt.rank_deficient"))
+               for notes in eff.provenance]
     assert [n.rsplit("=", 1)[1] for n in dropped] == ["0", "0", "3", "0", "0"]
-    for h, eff in zip(hs, effs):
-        assert (reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance)
-                == reduction_bytes(*cmf_oracle(h))), h
+    for h, got in zip(hs, reduction_rows(eff), strict=True):
+        assert got == reduction_bytes(*cmf_oracle(h)), h
+
+
+def test_stacked_reduction_notes_each_row_term_count(lih_table):
+    # One stack of rows whose reductions keep 10, 3 and 2 terms: h_eff is one
+    # (3, 10) stack, 0.0 where a row lacks a word, and each row's provenance,
+    # its own h_eff.terms count included, is that of cmf_reduce of the row alone.
+    hs = [hamiltonian_at(lih_table, 1.5), PRODUCT, TIED]
+    eff, alone = cmf_reduce_rows(stacked(hs)), [cmf_reduce(h) for h in hs]
+    assert [e.h_eff.n_terms for e in alone] == [10, 3, 2]
+    assert eff.h_eff.coeffs.shape == (3, 10) and eff.basis_isometry.shape == (3, 8, 4)
+    assert eff.provenance == tuple(e.provenance for e in alone)
+    assert [n[-1] for n in eff.provenance] == ["h_eff.terms=10", "h_eff.terms=3",
+                                               "h_eff.terms=2"]
+    assert reduction_rows(eff) == [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance)
+                                   for e in alone]

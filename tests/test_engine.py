@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import record_bytes
+from conftest import from_pairs, record_bytes, stacked
 from vqite import (PauliHamiltonian, QiteConfig,
                    average_z_coefficient, build_hardware_efficient,
                    build_ucc_h2, build_ucc_lih, cmf_reduce, exact_spectrum,
-                   hamiltonian_at, run_qite, theta_scan, to_dense_matrix)
+                   run_qite, theta_scan, to_dense_matrix)
 from vqite.engine import EnergyMap, resolve_dtau, run_qite_rows
 from vqite.mclachlan import ExactRun
 from vqite.pauli import expectations
@@ -22,7 +22,7 @@ def config(theta0, **kwargs):
 
 
 def test_average_z_two_qubit():
-    h = PauliHamiltonian.from_pairs([(0.2, "ZI"), (0.4, "IZ"), (0.9, "XX")])
+    h = from_pairs([(0.2, "ZI"), (0.4, "IZ"), (0.9, "XX")])
     assert average_z_coefficient(h) == pytest.approx(0.3)
 
 
@@ -32,7 +32,7 @@ def test_average_z_lih_row(lih_r15):
 
 
 def test_average_z_requires_single_z_terms():
-    h = PauliHamiltonian.from_pairs([(1.0, "XX"), (0.5, "ZZ")])
+    h = from_pairs([(1.0, "XX"), (0.5, "ZZ")])
     with pytest.raises(ValueError, match="fixed dtau"):
         average_z_coefficient(h)
 
@@ -70,7 +70,6 @@ def test_trajectory_shape(h2_r07):
         assert rec.a_matrix is not None and rec.b_vector is not None
     last = traj.records[-1]
     assert last.a_matrix is None and last.b_vector is None
-    assert traj.final_state.n_qubits == 2
     assert not traj.stationary
 
 
@@ -88,7 +87,6 @@ def test_cmf_he_converges_with_energy_map(lih_r15):
                     energy_map=EnergyMap.from_effective(eff, lih_r15))
     assert traj.final_fidelity >= 0.98
     assert abs(traj.converged_energy - exact_spectrum(lih_r15).ground_energy) < 1e-2
-    assert traj.final_state.n_qubits == 3
     # dtau comes from the original Hamiltonian's single-Z mean
     assert traj.dtau == pytest.approx(resolve_dtau(config([0.0]), lih_r15))
 
@@ -113,8 +111,8 @@ def test_record_energies_are_expectations_of_record_states(case, lih_r15, h2_r07
         "ucc-lih": (build_ucc_lih, lih_r15, [[1.0, 1.0]]),
         "theta-scan": (build_ucc_h2, h2_r07, [[t] for t in np.linspace(0.1, 6.0, 7)]),
     }[case]
-    trajectories = run_qite_rows([h] * len(thetas), builder,
-                                 [config(t, iterations=6, dtau=0.2) for t in thetas])
+    trajectories = run_qite_rows(stacked([h] * len(thetas)), builder,
+                                 config(thetas[0], iterations=6, dtau=0.2), theta=np.array(thetas))
     for traj in trajectories:
         for rec in traj.records:
             state = builder(rec.theta).state().amplitudes[None]
@@ -182,14 +180,15 @@ def test_builder_runs_once_per_run(lih_table, lih_r15, route, shots):
     # builder stuck at the initial angles (which the check at theta0 cannot
     # tell from the family build) runs as the family build, byte for byte,
     # without shots to the energies of the family's LiH R = 1.5 run.
-    hs, calls = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances], []
+    calls = []
     def counted(theta):
         calls.append(np.shape(theta))
         return build_ucc_lih(theta)
     for rows in (1, 50):
         calls.clear()
-        run_qite_rows(hs[:rows], counted, [QiteConfig((1.0, 1.0), route=route, shots=shots,
-                                                      seed=b) for b in range(rows)])
+        run_qite_rows(lih_table.hamiltonians(range(rows)), counted,
+                      QiteConfig((1.0, 1.0), route=route, shots=shots, seed=0),
+                      seeds=list(range(rows)))
         assert calls == [(rows, 2)]
     config = QiteConfig((1.0, 1.0), route=route, shots=shots, seed=1)
     stuck = run_qite(lih_r15, lambda t: build_ucc_lih(np.ones_like(t)), config)
@@ -211,7 +210,7 @@ def test_shot_count_refused_before_the_loop(lih_r15, monkeypatch, shots):
     with pytest.raises(ValueError, match="shots must be >= 1"):
         run_qite(lih_r15, build_ucc_lih, config)
     with pytest.raises(ValueError, match="shots must be >= 1"):
-        run_qite_rows([lih_r15] * 2, build_ucc_lih, [config] * 2)
+        run_qite_rows(stacked([lih_r15] * 2), build_ucc_lih, config)
 
 
 def test_hadamard_route_reproducible(h2_r07):
@@ -225,7 +224,7 @@ def test_hadamard_route_reproducible(h2_r07):
 
 def test_degenerate_ground_disables_fidelity():
     # Z on q0 alone: both |1x> states share the ground energy.
-    h = PauliHamiltonian.from_pairs([(1.0, "ZI")])
+    h = from_pairs([(1.0, "ZI")])
     assert exact_spectrum(h).ground_degenerate
     with pytest.warns(UserWarning, match="degenerate"):
         traj = run_qite(h, build_ucc_h2, config([1.0], iterations=2))

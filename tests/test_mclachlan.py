@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply, apply_word, assemble_system, sampled_oracle, scratch_z
+from conftest import (apply, apply_word, assemble_system, from_pairs, row_views, sampled_oracle,
+                      scratch_z, stacked)
 from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
@@ -96,7 +97,7 @@ def test_b_scales_with_hamiltonian(h2_r07):
     ansatz = build_ucc_h2(1.3)
     base = compute_exact(ansatz, h2_r07)
     pairs = [(2.5 * c, word) for c, word in zip(h2_r07.coeffs.tolist(), h2_r07.words)]
-    scaled = compute_exact(ansatz, PauliHamiltonian.from_pairs(pairs))
+    scaled = compute_exact(ansatz, from_pairs(pairs))
     assert np.max(np.abs(scaled.b_vector - 2.5 * base.b_vector)) < 1e-10
     assert np.max(np.abs(scaled.a_matrix - base.a_matrix)) < 1e-10
 
@@ -109,13 +110,13 @@ def test_dimension_mismatch_rejected(lih_r15):
 def test_exact_run_checks_angle_shape(lih_r15):
     # A one-row run takes (gamma,) or (1, gamma) angles, a B-row run (B,
     # gamma); any other shape is refused with both shapes named.
-    run = mclachlan.ExactRun(build_ucc_lih([0.3, 0.4]), [lih_r15])
-    want = [a.copy() for a in mclachlan.ExactRun(build_ucc_lih([0.3, 0.3]), [lih_r15])()]
+    run = mclachlan.ExactRun(build_ucc_lih([0.3, 0.4]), lih_r15)
+    want = [a.copy() for a in mclachlan.ExactRun(build_ucc_lih([0.3, 0.3]), lih_r15)()]
     for theta in (np.array([[0.3, 0.3]]), np.array([0.3, 0.3])):
         assert [a.tobytes() for a in run(theta)] == [a.tobytes() for a in want]
     with pytest.raises(ValueError, match=r"angles of shape \(3,\), not \(1, 2\)"):
         run(np.array([0.3, 0.3, 0.3]))
-    rows = mclachlan.ExactRun(build_ucc_lih(np.full((2, 2), 0.3)), [lih_r15] * 2)
+    rows = mclachlan.ExactRun(build_ucc_lih(np.full((2, 2), 0.3)), stacked([lih_r15] * 2))
     with pytest.raises(ValueError, match=r"angles of shape \(2,\), not \(2, 2\)"):
         rows(np.array([0.3, 0.3]))
 
@@ -128,7 +129,7 @@ def test_exact_run_checks_each_norm(lih_r15, system):
     # np.linalg.norm, when it records its sweep and when it repeats it: a row
     # at a NaN angle, and a circuit whose CNOT is scaled by 1 + 1e-6, fail.
     theta = np.full((2, 6), 0.3)
-    hs = [e.h_eff for e in cmf_reduce_rows([lih_r15] * 2)]
+    hs = cmf_reduce_rows(stacked([lih_r15] * 2)).h_eff
     good = build_hardware_efficient(theta)
     gates = list(good.gates)
     gates[2] = Gate(PAULI_MATRICES["X"] * (1 + 1e-6), gates[2].target, gates[2].control)
@@ -221,7 +222,7 @@ def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
     for batch in (rows[:1], rows):
         ansatz = builder(np.array([theta for theta, _ in batch]))
         hs = [h for _, h in batch]
-        values = SampledRun(ExactRun(ansatz, hs), None, [None])()[0]
+        values = SampledRun(ExactRun(ansatz, stacked(hs)), None, [None])()[0]
         branches, psi = ansatz.derivatives / DERIVATIVE_PREFACTOR, ansatz.states()
         expected = []
         for b, (theta, h) in enumerate(batch):
@@ -292,7 +293,7 @@ def test_prefix_memo_bitwise_equals_scratch(lih_r15, h2_r07, rng):
     # The sweep runs each ansatz gate once over all branches; each job's
     # value is still that of its circuit run alone.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
-        values = SampledRun(ExactRun(ansatz, [h]), None, [None])()[0]
+        values = SampledRun(ExactRun(ansatz, h), None, [None])()[0]
         circuits = build_hadamard_circuits(ansatz, h)
         assert len(values) == len(circuits)
         for z, job in zip(values, circuits):
@@ -336,8 +337,8 @@ def table_cases(lih_table, h2_table):
     draw = np.random.default_rng(12)
     lih = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
     cases = [(build_ucc_lih(draw.uniform(-np.pi, np.pi, 2)), h) for h in lih]
-    cases += [(build_hardware_efficient(draw.uniform(-np.pi, np.pi, 6)), e.h_eff)
-              for e in cmf_reduce_rows(lih)]
+    cases += [(build_hardware_efficient(draw.uniform(-np.pi, np.pi, 6)), h_eff)
+              for h_eff in row_views(cmf_reduce_rows(stacked(lih)).h_eff)]
     cases += [(build_ucc_h2(draw.uniform(-np.pi, np.pi, 1)), hamiltonian_at(h2_table, r))
               for r in h2_table.bond_distances]
     return cases
@@ -375,7 +376,7 @@ def test_sampled_is_per_job_oracle_on_random_hamiltonians(case):
     # Single-sign coefficients give one B phase, mixed signs two.
     family, pairs, theta, shots, seed = case
     builder, n, _ = FAMILIES[family]
-    h = PauliHamiltonian.from_pairs(pairs, n_qubits=n)
+    h = from_pairs(pairs, n_qubits=n)
     assert oracle_agrees(builder(theta), h, [shots], seed)
 
 
@@ -389,7 +390,7 @@ def rows_agree(builder, theta, hs, shots_list, seeds):
             for b, (t, h) in enumerate(zip(theta, hs))]
     for k, shots in enumerate(shots_list):
         gens = [np.random.default_rng(s) for s in seeds]
-        got = compute_sampled(builder(np.array(theta)), hs, shots, gens)
+        got = compute_sampled(builder(np.array(theta)), stacked(hs), shots, gens)
         for b, (gen, twin) in enumerate(zip(gens, twins[k])):
             if not (got.a_matrix[b].tobytes() == want[b][k].a_matrix.tobytes()
                     and got.b_vector[b].tobytes() == want[b][k].b_vector.tobytes()
@@ -440,7 +441,7 @@ def batched_cases(draw):
 def test_batched_sampled_is_per_row_oracle_on_random_hamiltonians(case):
     family, rows, theta, shots, seed = case
     builder, n, _ = FAMILIES[family]
-    hs = [PauliHamiltonian.from_pairs(pairs, n_qubits=n) for pairs in rows]
+    hs = [from_pairs(pairs, n_qubits=n) for pairs in rows]
     assert rows_agree(builder, theta, hs, [shots], range(seed, seed + len(hs)))
 
 
@@ -456,7 +457,7 @@ def grid_hamiltonians(n, phases, rows):
         terms = 0 if phases == 1 else 1 + (phases == 3) + b % 2
         pairs = [(-(1.0 + 0.5 * k) * (-1.0) ** (k * (phases == 3)), GRID_WORDS[n][(b + k) % 5])
                  for k in range(terms)]
-        hs.append(PauliHamiltonian.from_pairs(pairs, n_qubits=n))
+        hs.append(from_pairs(pairs, n_qubits=n))
     return hs
 
 
@@ -471,7 +472,7 @@ def test_sampled_is_per_job_oracle_on_grid(family, phases):
     # them; so do the multi-pass batches at 2 phases.
     builder, n, gamma = FAMILIES[family]
     h = grid_hamiltonians(n, phases, 1)[0]
-    assert len(SampledRun(ExactRun(builder(np.ones(gamma)), [h]), None, [None]).table[0]) == phases
+    assert len(SampledRun(ExactRun(builder(np.ones(gamma)), h), None, [None]).table[0]) == phases
     assert oracle_agrees(builder(np.ones(gamma)), h, [None, 10_000], 5)
     for rows in (*range(1, 6), PASS_ROWS + 1, 2 * PASS_ROWS + 1):
         theta = 1.0 - 0.6 * np.arange(rows)[:, None] + 0.3 * np.arange(gamma)
@@ -485,7 +486,6 @@ def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
     # are signed permutations, not gates, and the closing H runs once per
     # pass of PASS_ROWS rows.  The 50 LiH rows (3 ancilla phases, gamma = 2)
     # end with B (1 + 3 + 2 gamma) = 400 half-states of 8 amplitudes.
-    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
     planned, real = mclachlan.apply_planned, simulator.apply_gate
     for rows in (1, 50):
         swept, closing = [], []
@@ -494,7 +494,7 @@ def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
         monkeypatch.setattr(simulator, "apply_gate",
                             lambda t, g, *kernel: closing.append(g) or real(t, g, *kernel))
         ansatz = build_ucc_lih(np.ones((rows, 2)))
-        compute_sampled(ansatz, hs[:rows], 10_000, list(range(rows)))
+        compute_sampled(ansatz, lih_table.hamiltonians(range(rows)), 10_000, list(range(rows)))
         monkeypatch.undo()
         assert len(swept) == len(ansatz.gates) == 14
         assert all(np.array_equal(m, g.matrix) for (m, _), g in zip(swept, ansatz.gates))
@@ -511,19 +511,17 @@ def test_sampled_table_is_keyed_on_values(lih_table):
     from vqite.mclachlan import _table
 
     def rows():
-        return [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
+        return lih_table.hamiltonians(range(50))
 
     ansatz, first, second = build_ucc_lih(np.ones((50, 2))), rows(), rows()
-    assert all(a is not b for a, b in zip(first, second))
+    assert first is not second and first.coeffs is not second.coeffs
     _table.cache_clear()
-    for hs in (first, second):
-        compute_sampled(ansatz, hs, None)
+    for h in (first, second):
+        compute_sampled(ansatz, h, None)
     assert (_table.cache_info().misses, _table.cache_info().hits) == (1, 1)
-    h = second[7]
-    moved = h.coeffs.copy()
-    moved[3] = np.nextafter(moved[3], np.inf)
-    second[7] = PauliHamiltonian(h.words, moved, h.n_qubits)
-    compute_sampled(ansatz, second, None)
+    moved = second.coeffs.copy()
+    moved[7, 3] = np.nextafter(moved[7, 3], np.inf)
+    compute_sampled(ansatz, PauliHamiltonian(second.words, moved, 3), None)
     assert (_table.cache_info().misses, _table.cache_info().hits) == (2, 1)
 
 
@@ -545,9 +543,9 @@ def test_sampled_rejects_missing_seed(h2_r07):
     with pytest.raises(ValueError, match="seed"):
         compute_sampled(build_ucc_h2(0.9), h2_r07, shots=100)
     with pytest.raises(ValueError, match="seed"):
-        compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), [h2_r07] * 2, 100, [1, None])
+        compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), stacked([h2_r07] * 2), 100, [1, None])
     with pytest.raises(ValueError, match="seed"):
-        compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), [h2_r07] * 2, 100)
+        compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), stacked([h2_r07] * 2), 100)
     compute_sampled(build_ucc_h2(0.9), h2_r07, shots=None)
 
 

@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (apply, apply_word, coefficient, pauli_kron, random_hamiltonian_pairs,
-                      random_state, term_loop)
+from conftest import (apply, apply_word, coefficient, from_pairs, pauli_kron,
+                      random_hamiltonian_pairs, random_state, term_loop)
 from vqite import (PauliHamiltonian, StateVector, basis_state,
                    expectation, hamiltonian_at, pauli_decompose, to_dense_matrix,
                    weighted_partial_trace)
@@ -15,19 +15,19 @@ from vqite.simulator import DensityMatrix
 
 
 def test_single_z_matrix():
-    h = PauliHamiltonian.from_pairs([(1.0, "Z")])
+    h = from_pairs([(1.0, "Z")])
     assert np.allclose(to_dense_matrix(h), np.diag([1.0, -1.0]))
 
 
 def test_all_identity_string():
     for n in (1, 2, 3):
-        h = PauliHamiltonian.from_pairs([(1.0, "I" * n)])
+        h = from_pairs([(1.0, "I" * n)])
         assert np.array_equal(to_dense_matrix(h), np.eye(2 ** n))
 
 
 def test_xi_matrix_convention():
     # Leftmost letter acts on q0 = most significant bit: X (x) I.
-    h = PauliHamiltonian.from_pairs([(1.0, "XI")])
+    h = from_pairs([(1.0, "XI")])
     x = np.array([[0, 1], [1, 0]])
     assert np.allclose(to_dense_matrix(h), np.kron(x, np.eye(2)))
 
@@ -40,7 +40,7 @@ def test_lih_row_dense_is_hermitian_with_oracle_ground(lih_r15):
 
 
 def test_dimension_cap():
-    h = PauliHamiltonian.from_pairs([(1.0, "I" * 13)])
+    h = from_pairs([(1.0, "I" * 13)])
     with pytest.raises(DimensionCapError):
         to_dense_matrix(h)
 
@@ -50,7 +50,7 @@ def test_every_word_up_to_four_qubits_matches_kronecker(rng):
         psi = random_state(rng, n)
         for word in map("".join, product("IXYZ", repeat=n)):
             oracle = pauli_kron(word)
-            dense = to_dense_matrix(PauliHamiltonian.from_pairs([(1.0, word)]))
+            dense = to_dense_matrix(from_pairs([(1.0, word)]))
             assert np.array_equal(dense, oracle), word
             assert np.array_equal(apply_word(word, psi), oracle @ psi), word
 
@@ -62,7 +62,7 @@ def test_memoized_permutation_is_read_only():
         src[0] = 1
     with pytest.raises(ValueError):
         phase[0] = 1.0
-    dense = to_dense_matrix(PauliHamiltonian.from_pairs([(1.0, "XYZI")]))
+    dense = to_dense_matrix(from_pairs([(1.0, "XYZI")]))
     assert np.array_equal(dense, pauli_kron("XYZI"))
 
 
@@ -76,12 +76,12 @@ def test_apply_equals_term_loop_on_table_rows(lih_table, rng):
 
 
 def test_expectation_z_eigenstate():
-    h = PauliHamiltonian.from_pairs([(1.0, "Z")])
+    h = from_pairs([(1.0, "Z")])
     assert expectation(h, basis_state("0")) == pytest.approx(1.0)
 
 
 def test_expectation_orthogonal():
-    h = PauliHamiltonian.from_pairs([(1.0, "X")])
+    h = from_pairs([(1.0, "X")])
     assert expectation(h, basis_state("0")) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -97,7 +97,7 @@ def test_expectation_hartree_fock_lih(lih_r15):
 
 
 def test_expectation_dimension_mismatch():
-    h = PauliHamiltonian.from_pairs([(1.0, "ZZ")])
+    h = from_pairs([(1.0, "ZZ")])
     with pytest.raises(ValueError):
         expectation(h, basis_state("0"))
 
@@ -107,14 +107,14 @@ def plus_x_weight():
 
 
 def test_weighted_partial_trace_zx():
-    h = PauliHamiltonian.from_pairs([(1.0, "ZX")])
+    h = from_pairs([(1.0, "ZX")])
     reduced = weighted_partial_trace(h, {0}, plus_x_weight())
     assert reduced.n_qubits == 1
     assert coefficient(reduced, "Z") == pytest.approx(1.0)
 
 
 def test_weighted_partial_trace_zz_vanishes():
-    h = PauliHamiltonian.from_pairs([(1.0, "ZZ")])
+    h = from_pairs([(1.0, "ZZ")])
     reduced = weighted_partial_trace(h, {0}, plus_x_weight())
     assert reduced.n_terms == 0
 
@@ -130,7 +130,7 @@ def test_weighted_partial_trace_lih_matches_dense(lih_r15):
 
 def test_weighted_partial_trace_random_matches_dense(rng):
     for _ in range(10):
-        h = PauliHamiltonian.from_pairs(random_hamiltonian_pairs(rng, 3, 6),
+        h = from_pairs(random_hamiltonian_pairs(rng, 3, 6),
                                         n_qubits=3)
         amps = random_state(rng, 1)
         rho = DensityMatrix(np.outer(amps, amps.conj()))
@@ -150,7 +150,7 @@ def test_weighted_partial_trace_bad_partition(lih_r15):
 @pytest.mark.parametrize("weight", [np.array([[1, 1], [0, 0]]),
                                     np.array([[0.5, np.nan], [np.nan, 0.5]])])
 def test_weighted_partial_trace_checks_raw_weight(weight):
-    h = PauliHamiltonian.from_pairs([(1.0, "ZX"), (0.5, "XZ")])
+    h = from_pairs([(1.0, "ZX"), (0.5, "XZ")])
     with pytest.raises(ValueError, match="density matrix"):
         weighted_partial_trace(h, {0}, weight)
 
@@ -182,7 +182,7 @@ def test_pauli_decompose_rejects_bad_shapes(shape):
 
 def test_decompose_round_trip_random(rng):
     for n in (1, 2, 3, 4):
-        h = PauliHamiltonian.from_pairs(random_hamiltonian_pairs(rng, n, 8),
+        h = from_pairs(random_hamiltonian_pairs(rng, n, 8),
                                         n_qubits=n)
         back = pauli_decompose(to_dense_matrix(h))
         assert back.n_qubits == n
@@ -195,19 +195,19 @@ def test_expectation_linearity(rng):
     amps = random_state(rng, 2)
     sv = StateVector(amps)
     pairs = random_hamiltonian_pairs(rng, 2, 5)
-    total = PauliHamiltonian.from_pairs(pairs, n_qubits=2)
+    total = from_pairs(pairs, n_qubits=2)
     split = sum(
-        expectation(PauliHamiltonian.from_pairs([p], n_qubits=2), sv) for p in pairs
+        expectation(from_pairs([p], n_qubits=2), sv) for p in pairs
     )
     assert expectation(total, sv) == pytest.approx(split, abs=1e-10)
 
 
 def test_canonicalization_merges_and_drops():
-    h = PauliHamiltonian.from_pairs([(0.5, "ZI"), (0.25, "ZI"), (1e-16, "XX")])
+    h = from_pairs([(0.5, "ZI"), (0.25, "ZI"), (1e-16, "XX")])
     assert h.n_terms == 1
     assert coefficient(h, "ZI") == pytest.approx(0.75)
 
 
 def test_mixed_qubit_counts_rejected():
     with pytest.raises(ValueError):
-        PauliHamiltonian.from_pairs([(1.0, "Z"), (1.0, "ZZ")])
+        from_pairs([(1.0, "Z"), (1.0, "ZZ")])

@@ -6,13 +6,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (apply, apply_word, canonical_oracle, circuit_unitary, cmf_oracle,
-                      coefficient, decompose_oracle, dense_oracle, embed, partial_trace_oracle,
-                      pauli_kron, reduction_bytes, tensordot_gate, term_bytes,
-                      term_loop)
+from conftest import (apply, apply_word, canonical_oracle, circuit_unitary, cmf_oracle, coefficient,
+                      decompose_oracle, dense_oracle, embed, from_pairs, partial_trace_oracle,
+                      pauli_kron, reduction_bytes, reduction_rows, row_views, stacked,
+                      tensordot_gate, term_bytes, term_columns, term_loop)
 from vqite import (PauliHamiltonian, StateVector, cmf_reduce_rows,
                    pauli_decompose, run_circuit, to_dense_matrix, weighted_partial_trace)
-from vqite.pauli import PAULI_MATRICES, term_columns
+from vqite.pauli import PAULI_MATRICES
 from vqite.simulator import (Gate, apply_gate, cnot, controlled_pauli,
                              cz, hadamard, rx, ry, rz, x, y, z)
 
@@ -33,7 +33,7 @@ def vectors(n):
 @st.composite
 def hamiltonians(draw, n_qubits):
     pairs = draw(st.lists(st.tuples(COEFF, words(n_qubits)), max_size=8))
-    return PauliHamiltonian.from_pairs(pairs, n_qubits=n_qubits)
+    return from_pairs(pairs, n_qubits=n_qubits)
 
 
 @PROPERTY
@@ -42,7 +42,7 @@ def test_string_apply_matches_matrix(case):
     # Every entry is an amplitude times 0, +-1 or +-i, so equality is exact.
     word, psi = case
     oracle = pauli_kron(word)
-    assert np.array_equal(to_dense_matrix(PauliHamiltonian.from_pairs([(1.0, word)])), oracle)
+    assert np.array_equal(to_dense_matrix(from_pairs([(1.0, word)])), oracle)
     assert np.array_equal(apply_word(word, psi), oracle @ psi)
 
 
@@ -56,7 +56,7 @@ def canonical(build, pairs, n_qubits):
 
 
 def hamiltonian_terms(pairs, n_qubits):
-    h = PauliHamiltonian.from_pairs(pairs, n_qubits=n_qubits)
+    h = from_pairs(pairs, n_qubits=n_qubits)
     return h.words, h.coeffs
 
 
@@ -85,9 +85,24 @@ def test_canonical_form_is_dict_merge(n, data):
 
 
 @PROPERTY
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(hamiltonians(n), min_size=1, max_size=4)))
-def test_term_columns_is_union_loop(hs):
-    # each row's coefficients written at its word's column of the sorted union
+@given(st.integers(1, 3), st.data())
+def test_term_columns_is_union_loop(n, data):
+    # The stacked constructor (B rows of coefficients over one word tuple)
+    # equals the B one-row constructors joined by term_columns, bit for bit:
+    # with duplicate words, entries <= 1e-14 (0.0 and -0.0 among them) in some
+    # rows only, and a column tiny in every row; the one-row view of each
+    # stack row is the constructor of that row alone.  term_columns writes
+    # each row's coefficients at its word's column of the sorted union.
+    tiny = st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 5e-15])
+    letters = data.draw(st.lists(words(n), max_size=8))
+    letters += data.draw(st.lists(st.sampled_from(letters), max_size=3)) if letters else []
+    rows = data.draw(st.integers(1, 4))
+    coeffs = data.draw(arrays(float, (rows, len(letters)), elements=st.one_of(COEFF, tiny)))
+    if data.draw(st.booleans()):            # a word tiny in every row
+        letters.append(data.draw(words(n)))
+        coeffs = np.column_stack([coeffs, data.draw(arrays(float, rows, elements=tiny))])
+    stack, hs = PauliHamiltonian(letters, coeffs, n), [PauliHamiltonian(letters, c, n)
+                                                       for c in coeffs]
     labels = tuple(sorted({w for h in hs for w in h.words}))
     oracle = np.zeros((len(hs), len(labels)))
     for b, h in enumerate(hs):
@@ -95,6 +110,9 @@ def test_term_columns_is_union_loop(hs):
             oracle[b, labels.index(w)] = c
     got_labels, got = term_columns(hs)
     assert got_labels == labels and got.tobytes() == oracle.tobytes()
+    assert stack.words == labels and stack.coeffs.tobytes() == oracle.tobytes()
+    for c, h in zip(stack.coeffs, hs, strict=True):
+        assert term_bytes(PauliHamiltonian(stack.words, c, n)) == term_bytes(h)
 
 
 @PROPERTY
@@ -155,7 +173,7 @@ def test_decompose_is_matrix_product_bitwise(a):
     assert term_bytes(pauli_decompose(m)) == term_bytes(decompose_oracle(m))
     # a stack expands each of its matrices as that matrix alone
     stack = np.stack([m, m.T, 2.0 * m])
-    assert [term_bytes(h) for h in pauli_decompose(stack)] == [
+    assert [term_bytes(h) for h in row_views(pauli_decompose(stack))] == [
         term_bytes(pauli_decompose(x)) for x in stack]
 
 
@@ -171,7 +189,7 @@ def reduction_batches(draw):
                                        st.one_of(st.sampled_from(pool), words(3))]))
         letters = draw(st.lists(source, min_size=size, max_size=size))
         coeffs = draw(st.lists(COEFF, min_size=size, max_size=size))
-        batch.append(PauliHamiltonian.from_pairs(zip(coeffs, letters), n_qubits=3))
+        batch.append(from_pairs(zip(coeffs, letters), n_qubits=3))
     return batch
 
 
@@ -179,8 +197,7 @@ def reduction_batches(draw):
 @given(reduction_batches())
 def test_batched_reduction_is_per_row_oracle_bitwise(batch):
     expected = [reduction_bytes(*cmf_oracle(h)) for h in batch]
-    effs = cmf_reduce_rows(batch)
-    assert [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance) for e in effs] == expected
+    assert reduction_rows(cmf_reduce_rows(stacked(batch))) == expected
 
 
 @st.composite

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (check_norms_before, outcome, pauli_decompose_before, real_part_before,
-                      reduction_bytes, select_basis_before, term_bytes)
-from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_lih, cmf,
-                   cmf_reduce, cmf_reduce_rows, hamiltonian_at, mclachlan, pauli, simulator,
-                   to_dense_matrix)
+from conftest import (check_norms_before, from_pairs, outcome, pauli_decompose_before,
+                      real_part_before, reduction_bytes, reduction_rows, row_views,
+                      select_basis_before, stacked, term_bytes)
+from vqite import (build_hardware_efficient, build_ucc_lih, cmf, cmf_reduce, cmf_reduce_rows,
+                   hamiltonian_at, mclachlan, pauli, simulator, to_dense_matrix)
 from vqite.engine import EnergyMap, QiteConfig, run_qite_rows
 from vqite.mclachlan import ExactRun
 from vqite.simulator import check_norms
@@ -22,11 +22,14 @@ from vqite.simulator import check_norms
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
 # H = H_a x I_b + h_x I_a x X_b (rank-deficient candidates) and H on a alone (tied ones)
-PRODUCT = PauliHamiltonian.from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
-TIED = PauliHamiltonian.from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
+PRODUCT = from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
+TIED = from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
 
 
 def basis_bytes(effs):
+    """reduction_bytes of each row of a stacked reduction or of a list of one-row ones."""
+    if not isinstance(effs, list):
+        return reduction_rows(effs)
     return [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance) for e in effs]
 
 
@@ -39,7 +42,7 @@ def selections(hs):
         return real(*args)
     cmf._select_basis = spy
     try:
-        cmf_reduce_rows(hs)
+        cmf_reduce_rows(stacked(hs))
     finally:
         cmf._select_basis = real
     return seen[0]
@@ -102,7 +105,8 @@ def decompositions(m):
     """term_bytes of pauli_decompose and of its pre-change form, or the refusals."""
     def expand(decompose):
         hs = decompose(m)
-        return [term_bytes(h) for h in (hs if isinstance(hs, list) else [hs])]
+        hs = hs if isinstance(hs, list) else row_views(hs) if hs.coeffs.ndim == 2 else [hs]
+        return [term_bytes(h) for h in hs]
     return outcome(expand, pauli.pauli_decompose), outcome(expand, pauli_decompose_before)
 
 
@@ -110,12 +114,12 @@ def test_decompose_is_pre_change_form_on_lih_rows(lih_table):
     # The reduced Hamiltonians as projected and the lifted ones of `excited`,
     # each alone and stacked, and the rows' own 8 x 8 matrices.
     hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
-    effs = cmf_reduce_rows(hs)
-    projected = np.array([e.basis_isometry.conj().T @ to_dense_matrix(h) @ e.basis_isometry
-                          for e, h in zip(effs, hs)])
+    eff = cmf_reduce_rows(stacked(hs))
+    projected = np.array([iso.conj().T @ to_dense_matrix(h) @ iso
+                          for iso, h in zip(eff.basis_isometry, hs)])
     lifted = []
-    for e in effs:
-        dense = to_dense_matrix(e.h_eff)
+    for h_eff in row_views(eff.h_eff):
+        dense = to_dense_matrix(h_eff)
         vals, vecs = np.linalg.eigh(dense)
         g = vecs[:, 0]
         lifted.append(dense + (vals[-1] + 1.0 - vals[0]) * np.outer(g, g.conj()))
@@ -169,17 +173,18 @@ def test_checks_are_pre_change_form_on_lih_runs(lih_table, monkeypatch):
     # Every norm and expectation a 50-row CMF + HE scan, a 50-row UCC-LiH
     # scan and one `excited` reduction check, checked again by the old forms.
     norms, values = [], []
-    spied(monkeypatch, simulator, "check_norms", norms)
+    for module in (simulator, mclachlan):   # the states' checks, and ExactRun's own
+        spied(monkeypatch, module, "check_norms", norms)
     for module in (pauli, mclachlan):    # expectations, and ExactRun's pair product
         spied(monkeypatch, module, "real_part", values)
-    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
-    effs = cmf_reduce_rows(hs)
+    h = lih_table.hamiltonians(range(50))
+    eff = cmf_reduce_rows(h)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_qite_rows([e.h_eff for e in effs], build_hardware_efficient,
-                      [QiteConfig((0.5,) * 6)] * 50, [EnergyMap(e, h) for e, h in zip(effs, hs)])
-        run_qite_rows(hs, build_ucc_lih, [QiteConfig((1.0, 1.0))] * 50)
-    cmf_reduce(hs[10])
+        run_qite_rows(eff.h_eff, build_hardware_efficient, QiteConfig((0.5,) * 6),
+                      EnergyMap(eff, h))
+        run_qite_rows(h, build_ucc_lih, QiteConfig((1.0, 1.0)))
+    cmf_reduce(hamiltonian_at(lih_table, lih_table.rows[10][0]))
     monkeypatch.undo()
     assert len(norms) > 10 and len(values) > 10
     for n in norms:
@@ -218,11 +223,11 @@ def test_real_part_is_pre_change_form(value):
 def test_recorded_copies_are_copyto(builder, rows, lih_table, rng):
     # A recorded sweep copies by dst.__setitem__(..., src); replaying it with
     # each copy made by np.copyto(dst, src) instead leaves every byte as it is.
-    hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances][:rows]
+    h = lih_table.hamiltonians(range(rows))
     if builder is build_hardware_efficient:
-        hs = [e.h_eff for e in cmf_reduce_rows(hs)]
+        h = cmf_reduce_rows(h).h_eff
     gamma = 6 if builder is build_hardware_efficient else 2
-    run = ExactRun(builder(rng.uniform(-np.pi, np.pi, (rows, gamma))), hs)
+    run = ExactRun(builder(rng.uniform(-np.pi, np.pi, (rows, gamma))), h)
     for system in (True, False):
         run(rng.uniform(-np.pi, np.pi, (rows, gamma)), system)
         program = run.programs[system]

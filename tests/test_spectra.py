@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import (check_gershgorin, coefficient, gershgorin_oracle, random_hamiltonian_pairs,
-                      spectrum_oracle)
-from vqite import (DensityMatrix, PauliHamiltonian, cmf_reduce, exact_spectrum,
-                   gershgorin_emax, hamiltonian_at, lift_ground_state, pauli_decompose,
-                   to_dense_matrix)
+from conftest import (check_gershgorin, coefficient, from_pairs, gershgorin_oracle,
+                      random_hamiltonian_pairs, spectrum_oracle)
+from vqite import (DensityMatrix, cmf_reduce, exact_spectrum, gershgorin_emax, hamiltonian_at,
+                   lift_ground_state, pauli_decompose, to_dense_matrix)
 from vqite.mclachlan import McLachlanSystem, solve_update
 from vqite.pauli import DimensionCapError
 from vqite.spectra import stacked_spectrum
@@ -20,12 +19,12 @@ def projector(vec):
 
 
 def test_spectrum_of_z():
-    spec = exact_spectrum(PauliHamiltonian.from_pairs([(1.0, "Z")]))
+    spec = exact_spectrum(from_pairs([(1.0, "Z")]))
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
 
 
 def test_spectrum_of_x_eigenstates():
-    spec = exact_spectrum(PauliHamiltonian.from_pairs([(1.0, "X")]))
+    spec = exact_spectrum(from_pairs([(1.0, "X")]))
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -46,16 +45,16 @@ def test_spectrum_residuals_and_lih_reference(lih_r15):
 
 def test_spectrum_size_cap():
     with pytest.raises(DimensionCapError):
-        exact_spectrum(PauliHamiltonian.from_pairs([(1.0, "Z" * 13)]))
+        exact_spectrum(from_pairs([(1.0, "Z" * 13)]))
 
 
 def test_stacked_spectrum_is_exact_spectrum_per_matrix(lih_table, rng):
     # ZI + IZ has the degenerate middle pair 0, 0; 11- and 13-term rows of the
     # table, their reductions and random sums fill the rest of the stacks.
     rows = [hamiltonian_at(lih_table, r) for r in (0.5, 1.5, 3.0, 4.9, 5.0)]
-    stacks = [rows, [PauliHamiltonian.from_pairs([(1.0, "ZI"), (1.0, "IZ")])]
+    stacks = [rows, [from_pairs([(1.0, "ZI"), (1.0, "IZ")])]
               + [cmf_reduce(h).h_eff for h in rows]
-              + [PauliHamiltonian.from_pairs(random_hamiltonian_pairs(rng, 2, 6), n_qubits=2)
+              + [from_pairs(random_hamiltonian_pairs(rng, 2, 6), n_qubits=2)
                  for _ in range(3)]]
     degenerate = 0
     for hs in stacks:
@@ -128,7 +127,7 @@ def test_gershgorin_rejects_non_hermitian():
 
 
 def test_lift_z_collapses_to_identity():
-    h = PauliHamiltonian.from_pairs([(1.0, "Z")])
+    h = from_pairs([(1.0, "Z")])
     lifted = lift_ground_state(h, projector(np.array([0.0, 1.0])), e_max=1.0)
     assert lifted.n_terms == 1
     assert coefficient(lifted, "I") == pytest.approx(1.0)
@@ -177,7 +176,7 @@ def test_lift_rejects_low_e_max(lih_r15):
 def test_lift_refuses_non_psd_density():
     # lift_ground_state keeps the full density check on what a caller gives.
     with pytest.raises(ValueError, match="eigenvalue below"):
-        lift_ground_state(PauliHamiltonian.from_pairs([(1.0, "Z")]),
+        lift_ground_state(from_pairs([(1.0, "Z")]),
                           DensityMatrix(np.diag([1.5, -0.5])), e_max=2.0)
 
 
@@ -186,7 +185,7 @@ def test_lift_refuses_non_psd_density():
     (lambda: pauli_decompose(np.array([[NAN, 0.0], [0.0, 1.0]])), "not Hermitian"),
     (lambda: solve_update(McLachlanSystem(np.eye(1), np.ones(1), route="exact"), NAN),
      "dtau"),
-    (lambda: lift_ground_state(PauliHamiltonian.from_pairs([(1.0, "Z")]),
+    (lambda: lift_ground_state(from_pairs([(1.0, "Z")]),
                                projector(np.array([0.0, 1.0])), e_max=NAN), "e_max"),
 ], ids=["gershgorin_emax", "pauli_decompose", "solve_update", "lift_ground_state"])
 def test_numeric_guards_reject_nan(call, match):

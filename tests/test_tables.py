@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (check_gershgorin, coefficient, serialize_table, table_coefficient,
+from conftest import (check_gershgorin, coefficient, from_pairs, serialize_table, table_coefficient,
                       term_bytes)
-from vqite import (PauliHamiltonian, exact_spectrum, gershgorin_emax, hamiltonian_at,
-                   load_h2_synthetic_table, load_lih_table, load_table, parse_table,
-                   to_dense_matrix)
+from vqite import (exact_spectrum, gershgorin_emax, hamiltonian_at, load_h2_synthetic_table,
+                   load_lih_table, load_table, parse_table, to_dense_matrix)
 from vqite.tables import MoleculeTable, TableFormatError
 
 
@@ -80,7 +79,7 @@ def test_parse_reports_repeated_label():
 @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
 def test_hamiltonian_rejects_non_finite_coefficient(coeff):
     with pytest.raises(ValueError, match="'IZ' has non-finite coefficient"):
-        PauliHamiltonian.from_pairs([(1.0, "ZI"), (coeff, "IZ")])
+        from_pairs([(1.0, "ZI"), (coeff, "IZ")])
 
 
 def test_parse_requires_r_header():
@@ -121,7 +120,7 @@ def test_hamiltonian_at_exact_match(lih_table):
 def test_hamiltonian_at_reads_each_row(lih_table):
     # Each row, also looked up up to 1e-9 away, gives its own coefficients.
     for r, coeffs in lih_table.rows:
-        want = term_bytes(PauliHamiltonian.from_pairs(zip(coeffs, lih_table.pauli_labels)))
+        want = term_bytes(from_pairs(zip(coeffs, lih_table.pauli_labels)))
         for probe in (r, r - 5e-10, r + 5e-10):
             assert term_bytes(hamiltonian_at(lih_table, probe)) == want, probe
 
@@ -154,7 +153,7 @@ def test_hamiltonian_at_row_lookup(lih_table, probe, row):
             hamiltonian_at(lih_table, probe)
         return
     r, coeffs = lih_table.rows[row]
-    want = PauliHamiltonian.from_pairs(zip(coeffs, lih_table.pauli_labels))
+    want = from_pairs(zip(coeffs, lih_table.pauli_labels))
     assert term_bytes(hamiltonian_at(lih_table, probe)) == term_bytes(want)
     assert first_row_within(lih_table, probe) == row
 
