@@ -9,7 +9,7 @@ dense exact diagonalization.
 from .ansatz import (AnsatzCircuit, DerivativeDescriptor,
                      build_hardware_efficient, build_ucc_h2, build_ucc_lih)
 from .cmf import EffectiveHamiltonian, cmf_reduce, cmf_reduce_rows, lift_amplitudes
-from .engine import (EnergyMap, QiteConfig, QiteTrajectory,
+from .engine import (EnergyMap, QiteConfig, QiteRun, QiteTrajectory,
                      average_z_coefficient, run_qite, run_qite_rows, theta_scan)
 from .mclachlan import (HadamardTestCircuit, McLachlanSystem,
                         build_hadamard_circuits, compute_exact,

@@ -183,7 +183,9 @@ def run_scan(manifest: RunManifest, lift: bool = False):
     every 3-qubit table and lifts each row's ground level first, its e_exact
     the first excited level.  If the step raises, it runs again for each
     point alone, and only the points that fail alone are recorded, with an
-    `error:<ExceptionType>` flag and their message on stderr.
+    `error:<ExceptionType>` flag and their message on stderr.  A point reads
+    its row's summary from the stacked result; its trajectory makes the
+    records only when read (emit_outputs with --trace).
     """
     table = load_manifest_table(manifest.table)
     if lift:
@@ -200,15 +202,15 @@ def run_scan(manifest: RunManifest, lift: bool = False):
         if lift:  # each row's ground level raised to its Gershgorin bound: H + (e_max - E_0) |g><g|
             dense = dense_matrices(run.words, run.coeffs, run.n_qubits)
             vals, vecs, _ = stacked_spectrum(dense)
-            e_max = np.array([gershgorin_emax(m).e_max for m in dense])
+            e_max = gershgorin_emax(dense).e_max
             run, energy_map = _lift(dense, projectors(vecs[:, :, 0]), e_max), None  # |g| checked
             levels = zip(vals[:, 1].tolist(), e_max.tolist())
             # the lifted spectrum is denser: keep the row's 4-iteration step, --iters adds time
             dtau = resolve_dtau(QiteConfig((0.0,), dtau=manifest.dtau), h)
         config = QiteConfig(manifest.resolved_theta0(), manifest.iterations, dtau,
                             manifest.route, manifest.shots, manifest.seed)
-        trajs = run_qite_rows(run, builder, config, energy_map,
-                              seeds=[manifest.point_seed(table.rows[k][0]) for k in ks])
+        trajs = run_qite_rows(run, builder, config, energy_map, seeds=[
+            manifest.point_seed(table.rows[k][0]) for k in ks]).trajectories()
         return list(zip(trajs, eff.provenance if eff else [None] * len(ks),
                         levels or [(t.exact_energy, None) for t in trajs]))
 
@@ -276,11 +278,11 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
 
     if manifest.trace:
         for r, traj in sorted(trajectories.items()):
-            gamma = traj.records[0].theta.size
-            header = ["iter"] + [f"theta_{k + 1}" for k in range(gamma)]
+            records = traj.records    # made here, once
+            header = ["iter"] + [f"theta_{k + 1}" for k in range(records[0].theta.size)]
             header += ["energy", "fidelity"]
             rows = [",".join(header)]
-            for rec in traj.records:
+            for rec in records:
                 cells = [str(rec.iteration)]
                 cells += [format_number(t) for t in rec.theta]
                 cells += [format_number(rec.energy), format_number(rec.fidelity)]

@@ -78,12 +78,13 @@ def cmf_reduce_rows(h: PauliHamiltonian) -> EffectiveHamiltonian:
     rows = len(coeffs)
     notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in range(rows)]
 
-    def conditioned(tags, keep, rho, level):  # one pass; (tag, row, ...) spectra
-        words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep, rho, 3)
+    def conditioned(tags, keep, rho):  # one pass; (tag, row, ...) spectra
+        words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep, rho)
         vals, vecs, flags = (a.reshape(len(tags), rows, *a.shape[1:]) for a in
                              stacked_spectrum(dense_matrices(words, reduced, len(keep))))
+        level = int(keep == SUBSYSTEM_A)   # a (steps 1 and 3) notes level 1, b (step 2) level 0
         lows, ties = vals[..., :2].tolist(), flags[..., level].tolist()
-        for tag, v, f in zip(tags, lows, ties):  # steps 1 and 3 note level 1, step 2 level 0
+        for tag, v, f in zip(tags, lows, ties):
             for row, (lo, hi), flag in zip(notes, v, f):
                 if flag:
                     row.append(f"{tag}.tie_break=eigh-order"
@@ -93,16 +94,16 @@ def cmf_reduce_rows(h: PauliHamiltonian) -> EffectiveHamiltonian:
 
     # Step 1: seed reduction and the two lowest a states.
     seed = INITIAL_RHO_B.elements[None].repeat(rows, axis=0)
-    a_vecs = conditioned(["h_a0"], SUBSYSTEM_A, seed, 1)[1][0]
+    a_vecs = conditioned(["h_a0"], SUBSYSTEM_A, seed)[1][0]
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
     av = np.concatenate([a_vecs[:, :, 0], a_vecs[:, :, 1]])
-    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, projectors(av), 0)
+    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, projectors(av))
     bs = b_vecs.transpose(0, 3, 1, 2).reshape(4 * rows, 2)   # b_g(a_g), b_e(a_g), ...
 
     # Step 3: a conditioned on each b state, and its two lowest states.
     a_vals, a_vecs = conditioned(["h_a1(b_g(a_g))", "h_a1(b_e(a_g))", "h_a1(b_g(a_e))",
-                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, projectors(bs), 1)
+                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, projectors(bs))
 
     # Step 4 candidates: the np.kron of each b state with the lowest (primary)
     # and the second (secondary) a state of its own conditioned Hamiltonian.

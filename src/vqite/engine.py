@@ -29,6 +29,8 @@ SampledRun call, which reads the rotation stack the ExactRun call wrote.
 Iterations rewrite only that stack, so the builder's circuit must hold
 rotation_matrix of theta about its descriptors' axes there and no other
 gate depending on theta, as a family build and its AnsatzCircuit copy do.
+A run's result stays stacked over (iteration, row) (QiteRun); a row's
+QiteTrajectory is a view of it that makes its QiteRecords only when read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .cmf import EffectiveHamiltonian
 from .mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
-from .pauli import PauliHamiltonian, dense_matrices, expectations
+from .pauli import PauliHamiltonian, dense_matrices, expectations, weighted_terms
 from .simulator import check_unit, rotation_matrix
 from .spectra import stacked_spectrum
 
@@ -110,15 +112,46 @@ class QiteRecord(NamedTuple):
 
 
 class QiteTrajectory(NamedTuple):
-    records: tuple[QiteRecord, ...]
+    """One row of a QiteRun: its summary, and its records, built when read."""
+
     converged_energy: float
     exact_energy: float              # ground energy of the reporting Hamiltonian
     final_fidelity: float | None
     stationary: bool
     ground_degenerate: bool
     dtau: float
+    monotonicity_violations: tuple[int, ...]
     iterations: int
-    monotonicity_violations: tuple[int, ...] = ()
+    run: QiteRun
+    row: int
+
+    @property
+    def records(self) -> tuple[QiteRecord, ...]:
+        """Each iteration's record; the last holds no A/B."""
+        run, b = self.run, self.row
+        fidelity = [None if self.ground_degenerate else abs(c) ** 2
+                    for c in run.overlap[:, b].tolist()]
+        return tuple(map(QiteRecord, range(self.iterations + 1), run.theta[:, b],
+                         [*run.a_matrix[:, b], None], [*run.b_vector[:, b], None],
+                         run.energy[:, b].tolist(), fidelity))
+
+
+class QiteRun(NamedTuple):
+    """run_qite_rows' stacks over (iteration, row): angles (l + 1, B, gamma),
+    reported energies and ground overlaps <g|psi> (l + 1, B), A and B of the
+    l estimated iterations (l, B, ...); each row's QiteTrajectory fields up
+    to `iterations`."""
+
+    theta: np.ndarray
+    energy: np.ndarray
+    overlap: np.ndarray
+    a_matrix: np.ndarray
+    b_vector: np.ndarray
+    rows: list[tuple]
+
+    def trajectories(self) -> list[QiteTrajectory]:
+        """Each row's QiteTrajectory; no record is built until one is read."""
+        return [QiteTrajectory(*summary, self, row) for row, summary in enumerate(self.rows)]
 
 
 def resolve_dtau(config: QiteConfig, h_for_rule: PauliHamiltonian):
@@ -145,12 +178,12 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     reporting.  The final record holds no A/B (nothing is estimated after
     the last update).  The builder (its circuit as the module docstring
     says) raises ValueError if initial_theta has the wrong length."""
-    return run_qite_rows(h_system, ansatz_builder, config, energy_map)[0]
+    return run_qite_rows(h_system, ansatz_builder, config, energy_map).trajectories()[0]
 
 
 def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
                   energy_map: EnergyMap | None = None, theta=None,
-                  seeds=None) -> list[QiteTrajectory]:
+                  seeds=None) -> QiteRun:
     """run_qite for the B rows of a stack (one Hamiltonian reads as one row)
     as one loop over a (B, gamma) angle array.
 
@@ -162,7 +195,8 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     count below 1, before the loop.  Each iteration takes the states of all
     rows from the run's ExactRun, A and B from it or from its SampledRun
     (each row drawing from its own seeded generator) and solves every update
-    with one stacked eigh (solve_update).  Each row's records are bitwise
+    with one stacked eigh (solve_update).  It returns what the loop kept as
+    one QiteRun and makes no QiteRecord.  Each row's records are bitwise
     those of the row run alone; its warnings follow the loop, row by row.
     """
     report = h_system if energy_map is None else energy_map.h_original
@@ -180,9 +214,11 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
         raise ValueError("the builder's circuit must carry each parameter in a rotated "
                          "gate about its descriptor's axis")
     run = ExactRun(circuit, h_system)
+    # the weighted terms of every reported energy: the run's own without a reduction
+    terms = run.terms if iso is None else weighted_terms(labels, coeffs, report.n_qubits)
     sampled, own = config.route == "hadamard", iso is None and config.route == "exact"
     estimate = sampled and SampledRun(run, config.shots, seeds or [config.seed] * len(coeffs))
-    steps, none = [], [None] * len(coeffs)   # per iteration: theta, energy, overlap, A, B
+    steps = []   # per iteration: theta, energy, overlap, A, B (None after the last update)
 
     for it in range(config.iterations + 1):
         last = it == config.iterations
@@ -190,36 +226,35 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
         if sampled and not last:
             _, a, b = estimate()
         psi = states if iso is None else (iso @ states[:, :, None])[:, :, 0]
-        energy = energies if own and not last else expectations(labels, coeffs, psi)
-        steps.append([theta, energy, (ground @ psi[:, :, None])[:, 0, 0], none, none])
+        energy = energies if own and not last else expectations(labels, coeffs, psi, terms)
+        steps.append((theta, energy, (ground @ psi[:, :, None])[:, 0, 0], a, b))
         if last:
             break
-        steps[-1][3:] = a, b
         delta, flat = solve_update(McLachlanSystem(a, b, config.route, config.shots), dtau)
         if it == 0:
             stationary = flat | (np.abs(delta).max(axis=1) < STATIONARY_TOL)
         theta = theta + delta
 
     check_unit(psi)
-    trajectories = []
-    for b, degenerate in enumerate(flags[:, 0].tolist()):
-        if degenerate:
+    theta, energy, overlap, a, b = zip(*steps)
+    energy, overlap, degenerate = np.array(energy), np.array(overlap), flags[:, 0]
+    violations = [[] for _ in dtau]
+    # (row, 0) of a degenerate row, (row, it) of each rise, row by row as the loop went
+    events = np.concatenate([degenerate[None], energy[1:] > energy[:-1] + MONOTONICITY_TOL])
+    for row, it in zip(*(k.tolist() for k in events.T.nonzero())):
+        if not it:
             warnings.warn("degenerate ground state: fidelity reporting disabled")
-        records, violations = [], []
-        for it, (th, energy, overlap, a, b_vector) in enumerate(steps):
-            energy = float(energy[b])
-            if records and energy > records[-1].energy + MONOTONICITY_TOL:
-                violations.append(it)
-                if config.route == "exact":
-                    warnings.warn(f"energy rose by {energy - records[-1].energy:.3e} "
-                                  f"at iteration {it}")
-            fid = None if degenerate else abs(complex(overlap[b])) ** 2
-            records.append(QiteRecord(it, th[b], a[b], b_vector[b], energy, fid))
-        trajectories.append(QiteTrajectory(
-            tuple(records), energy, float(exact[b, 0]), fid,
-            bool(stationary[b]), degenerate, float(dtau[b]), config.iterations,
-            tuple(violations)))
-    return trajectories
+            continue
+        violations[row].append(it)
+        if config.route == "exact":
+            warnings.warn(f"energy rose by {energy[it, row] - energy[it - 1, row]:.3e} "
+                          f"at iteration {it}")
+    fidelity = [None if d else abs(c) ** 2
+                for d, c in zip(degenerate.tolist(), overlap[-1].tolist())]
+    rows = list(zip(energy[-1].tolist(), exact[:, 0].tolist(), fidelity, stationary.tolist(),
+                    degenerate.tolist(), dtau.tolist(), map(tuple, violations),
+                    [config.iterations] * len(dtau)))
+    return QiteRun(np.array(theta), energy, overlap, np.array(a[:-1]), np.array(b[:-1]), rows)
 
 
 class ScanPoint(NamedTuple):
@@ -235,6 +270,6 @@ def theta_scan(h: PauliHamiltonian, ansatz_builder, theta_grid,
     run_qite_rows call on h per angle; the builder raises ValueError on any other."""
     grid = np.array([float(t) for t in theta_grid])
     rows = PauliHamiltonian(h.words, np.tile(h.coeffs, (len(grid), 1)), h.n_qubits)
-    trajectories = run_qite_rows(rows, ansatz_builder, config, theta=grid[:, None])
+    trajectories = run_qite_rows(rows, ansatz_builder, config, theta=grid[:, None]).trajectories()
     return [ScanPoint(t, traj.converged_energy, traj.final_fidelity, traj.stationary)
             for t, traj in zip(grid.tolist(), trajectories)]

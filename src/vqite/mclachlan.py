@@ -115,7 +115,7 @@ class ExactRun:
             check_norms(np.linalg.norm(kets[0], axis=1))
             return kets[0], None, None, None
         np.multiply(DERIVATIVE_PREFACTOR, kets[1:-1], out=kets[1:-1])   # branch i -> d_i
-        apply_sums(*self.columns, kets[0], self.terms, kets[-1])
+        apply_sums(self.terms, kets[0], kets[-1])
         # v[b, k] = <d_i|d_j> of the k-th pair i <= j, then <d_i|H|psi>, <psi|H|psi>
         # and <psi|psi>, of row b; take makes A and B C-contiguous, as BLAS must read them
         v = (kets[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].T
@@ -178,7 +178,7 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
 
 
 @lru_cache(maxsize=2)
-def _table(descriptors, n: int, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
+def _table(descriptors, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
     """The Hadamard jobs of B rows whose Hamiltonian stack has the (B, L)
     coefficients `coeff_bytes` over the words `labels`,
     compiled for SampledRun from these values and the ansatz family alone:
@@ -197,6 +197,7 @@ def _table(descriptors, n: int, labels: tuple[str, ...], rows: int, coeff_bytes:
     entry[k] of A (B, gamma, gamma) then B (B, gamma), flattened.  sizes:
     each row's job count."""
     gamma, coeffs = len(descriptors), np.frombuffer(coeff_bytes).reshape(rows, len(labels))
+    n = len(descriptors[0].sigma.letters)   # the qubits of each full-width descriptor word
     kept = [np.flatnonzero(c).tolist() for c in coeffs]
     jobs = [_layout(gamma, c[k].tolist()) for c, k in zip(coeffs, kept)]
     phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
@@ -272,7 +273,7 @@ class SampledRun:
             raise ValueError("shots must be >= 1 (or None for exact mode)")
         if shots is not None and (len(seeds) != rows or any(s is None for s in seeds)):
             raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
-        self.table = _table(ansatz.descriptors, self.n, labels, rows, coeffs.tobytes())
+        self.table = _table(ansatz.descriptors, labels, rows, coeffs.tobytes())
         phases, head, zero, one, words, src, *_, sizes = self.table
         amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
         halves = [amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]] * rows
@@ -299,8 +300,8 @@ class SampledRun:
             out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
             values.append(measure_z_expectation(out, self.shots, rngs, part))
         values = np.concatenate(values)
-        ab, cut = np.zeros(rows * (gamma + 1) * gamma), rows * gamma * gamma
-        np.add.at(ab, entry, weight * values)
+        cut = rows * gamma * gamma
+        ab = np.bincount(entry, weight * values, cut + rows * gamma)
         a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)
         a[:, j, i] = a[:, i, j]
         return values, a, ab[cut:].reshape(-1, gamma)

@@ -26,7 +26,11 @@ exact, so one gather and one multiply give the values of the Kronecker
 product.  A word tuple is stacked once; H|psi> is one gather, multiply and
 sum over the terms, and the dense matrices of B sums over one word tuple are
 the stacked entries added into zeros, in the order and from the zero of a
-term loop.  Traces read the one entry per row:
+term loop.  Each scatter of a Pauli sum (dense matrices, partial traces,
+SampledRun's A and B) is one np.bincount of weights in term order: it adds
+into 0.0 bins in index order, so each entry sums its terms as a term loop
+does (a complex one as its real and its imaginary part, each a bin of its
+own).  Traces read the one entry per row:
 Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]] and
 Tr(sigma m) = sum_j phase[j] m[src[j], j], summed like the diagonal of the
 matrix product, so they equal the dense forms bit for bit; partial traces
@@ -170,14 +174,23 @@ def weighted_terms(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -
     return src, coeffs[:, :, None] * phase
 
 
+@functools.lru_cache(maxsize=256)
+def _dense_index(labels: tuple[str, ...], n_qubits: int, rows: int) -> np.ndarray:
+    """Where dense_matrices adds the real, then the imaginary part of each
+    weighted_terms entry: (row, j, src_l[j]) in the float view of the stack."""
+    src, dim = _term_stack(labels, n_qubits)[0], 2 ** n_qubits
+    flat = (np.arange(rows)[:, None, None] * dim + np.arange(dim)) * dim + src
+    return read_only((2 * flat[..., None] + np.arange(2)).ravel())
+
+
 def dense_matrices(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> np.ndarray:
     """(B, 2^n, 2^n) dense matrices of the Pauli sums coeffs[b] over `labels`
     (n <= 12): entry l of row j added at column src_l[j], in term order."""
     _check_dense_cap(n_qubits)
-    src, terms = weighted_terms(labels, coeffs, n_qubits)
-    out = np.zeros((len(coeffs), src.shape[1], src.shape[1]), dtype=complex)
-    np.add.at(out, (slice(None), np.arange(src.shape[1]), src), terms)
-    return out
+    terms, dim = weighted_terms(labels, coeffs, n_qubits)[1], 2 ** n_qubits
+    out = np.bincount(_dense_index(labels, n_qubits, len(coeffs)), terms.view(float).ravel(),
+                      2 * len(coeffs) * dim * dim)
+    return out.view(complex).reshape(len(coeffs), dim, dim)
 
 
 def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
@@ -185,20 +198,21 @@ def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     return dense_matrices(h.words, h.coeffs[None], h.n_qubits)[0]
 
 
-def apply_sums(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray,
-               terms=None, out=None) -> np.ndarray:
-    """H_b |psi_b> for the Pauli sums H_b = coeffs[b] over `labels` and the
-    rows of a (B, 2^n) stack: one gather, multiply and sum, adding the terms
-    in order from zero (into `out`); a word a row lacks weighs 0.0 and moves
-    no bit.  A run passes the weighted_terms it made once as `terms`."""
-    src, weighted = terms or weighted_terms(labels, coeffs, psi.shape[-1].bit_length() - 1)
-    return np.multiply(weighted, psi[:, src], out=None if terms else weighted).sum(
-        axis=1, initial=0, out=out)
+def apply_sums(terms: tuple, psi: np.ndarray, out=None) -> np.ndarray:
+    """H_b |psi_b> for the Pauli sums H_b whose weighted_terms are `terms` and
+    the rows of a (B, 2^n) stack: one gather, multiply and sum, adding the
+    terms in order from zero (into `out`); a word a row lacks weighs 0.0 and
+    moves no bit."""
+    src, weighted = terms
+    return np.multiply(weighted, psi[:, src]).sum(axis=1, initial=0, out=out)
 
 
-def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """real_part of <psi_b|H_b|psi_b> of each row (apply_sums), a (1, L) @ (L, 1) matmul each."""
-    h_psi = apply_sums(labels, coeffs, psi)
+def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray,
+                 terms=None) -> np.ndarray:
+    """real_part of <psi_b|H_b|psi_b> of each row (apply_sums of `terms`,
+    weighted_terms made once by a run, or here), a (1, L) @ (L, 1) matmul each."""
+    terms = terms or weighted_terms(labels, coeffs, psi.shape[-1].bit_length() - 1)
+    h_psi = apply_sums(terms, psi)
     return real_part((psi.conj()[:, None, :] @ h_psi[:, :, None])[:, 0, 0])
 
 
@@ -236,14 +250,16 @@ def check_density(m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _trace_plan(labels: tuple[str, ...], keep: tuple[int, ...], n_qubits: int):
+def _trace_plan(labels: tuple[str, ...], keep: tuple[int, ...], n_qubits: int, rows: int):
     """Per term the flat index of rho[j, src[j]] and the phase[src[j]] of its
-    complement word, the sorted reduced words, and the one each term lands on."""
+    complement word, the sorted reduced words, and for `rows` rows the bin each
+    term lands on, row b's from b * len(words) on."""
     comp = [q for q in range(n_qubits) if q not in keep]
     src, phase = _term_stack(tuple(["".join(w[q] for q in comp) for w in labels]), len(comp))
-    reduced = tuple(["".join(w[q] for q in keep) for w in labels])
+    words, index = _merge_plan(tuple(["".join(w[q] for q in keep) for w in labels]), len(keep))
     return (read_only(src + src.shape[1] * np.arange(src.shape[1])),
-            read_only(np.take_along_axis(phase, src, axis=-1)), *_merge_plan(reduced, len(keep)))
+            read_only(np.take_along_axis(phase, src, axis=-1)), words,
+            read_only((index + len(words) * np.arange(rows)[:, None]).ravel()))
 
 
 def _row_sum(p: np.ndarray) -> np.ndarray:
@@ -259,16 +275,16 @@ def _row_sum(p: np.ndarray) -> np.ndarray:
 
 
 def partial_traces(labels: tuple[str, ...], coeffs: np.ndarray, keep: tuple[int, ...],
-                   rho: np.ndarray, n_qubits: int) -> tuple[tuple[str, ...], np.ndarray]:
+                   rho: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """Reduced words and (B, L') coefficients of Tr_b((I_a x rho[b]) H_b) for
-    the Pauli sums H_b = coeffs[b] over `labels` and a checked (B, d_b, d_b)
-    weight stack.  Coefficients merge from 0.0 in term order, and those with
-    |c| <= 1e-14, which a PauliHamiltonian drops, are exact zeros."""
-    flat, phase, words, index = _trace_plan(labels, keep, n_qubits)
+    the Pauli sums H_b = coeffs[b] over `labels`, a the qubits `keep`, and a
+    checked (B, d_b, d_b) weight stack.  Coefficients merge from 0.0 in term
+    order; those with |c| <= 1e-14, which a PauliHamiltonian drops, are 0.0."""
+    n_qubits, size = len(keep) + len(rho[0]).bit_length() - 1, len(rho)
+    flat, phase, words, bins = _trace_plan(labels, keep, n_qubits, size)
     # Tr(rho sigma) = sum_j rho[j, src[j]] phase[src[j]], real for Hermitian rho.
-    scalars = _row_sum(rho.reshape(len(rho), -1)[:, flat] * phase).real
-    out = np.zeros((len(rho), len(words)))
-    np.add.at(out, (slice(None), index), coeffs * scalars)
+    scalars = _row_sum(rho.reshape(size, -1)[:, flat] * phase).real
+    out = np.bincount(bins, (coeffs * scalars).ravel(), size * len(words)).reshape(size, -1)
     return words, np.where(np.abs(out) <= COEFF_DROP_TOL, 0.0, out)
 
 
@@ -291,8 +307,7 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
         raise ValueError(
             f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} on complement"
         )
-    words, coeffs = partial_traces(h.words, h.coeffs[None], tuple(keep),
-                                   check_density(rho)[None], h.n_qubits)
+    words, coeffs = partial_traces(h.words, h.coeffs[None], tuple(keep), check_density(rho)[None])
     return PauliHamiltonian(words, coeffs[0], len(keep))
 
 

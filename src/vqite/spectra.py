@@ -43,7 +43,7 @@ class SpectrumResult(NamedTuple):
 class GershgorinBound(NamedTuple):
     """The upper bound on a Hermitian matrix's spectrum that its row discs give."""
 
-    e_max: float
+    e_max: float                     # (B,) for a stack of matrices
 
 
 def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,12 +71,14 @@ def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
 
 
 def gershgorin_emax(h_dense: np.ndarray) -> GershgorinBound:
-    """Disc bound from matrix rows: center H_ii, radius sum_{j!=i} |H_ij|."""
+    """Disc bound from matrix rows: center H_ii, radius sum_{j!=i} |H_ij|; of
+    a Hermitian matrix, or one per matrix of a (B, k, k) stack (e_max (B,))."""
     m = np.asarray(h_dense, dtype=complex)
-    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL:  # NaN fails too
         raise ValueError("Gershgorin bound expects a Hermitian matrix")
     a = np.abs(m)   # each row's |entries| summed as np.sum of the row, less |H_ii|
-    return GershgorinBound(float((m.diagonal().real + (a.sum(axis=1) - a.diagonal())).max()))
+    e_max = (m.diagonal(0, -2, -1).real + (a.sum(axis=-1) - a.diagonal(0, -2, -1))).max(axis=-1)
+    return GershgorinBound(e_max if e_max.ndim else float(e_max))
 
 
 def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,

@@ -11,7 +11,7 @@ import pytest
 from vqite import (PauliHamiltonian, PauliString, build_hadamard_circuits, hamiltonian_at,
                    load_h2_synthetic_table, load_lih_table)
 from vqite.mclachlan import McLachlanSystem
-from vqite.pauli import _merge_plan, _signed_permutation, apply_sums
+from vqite.pauli import _merge_plan, _signed_permutation, apply_sums, weighted_terms
 
 
 @pytest.fixture(scope="session")
@@ -117,7 +117,7 @@ def apply_word(letters, amplitudes):
 def apply(h, amplitudes):
     """H |psi>, as apply_sums of one row."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(1, 2 ** h.n_qubits)
-    return apply_sums(h.words, h.coeffs[None], psi)[0]
+    return apply_sums(weighted_terms(h.words, h.coeffs[None], h.n_qubits), psi)[0]
 
 
 def term_loop(h, psi):
@@ -364,6 +364,41 @@ def real_part_before(value):
     return value.real
 
 
+def dense_matrices_add_at(labels, coeffs, n_qubits):
+    """pauli.dense_matrices as np.add.at of the weighted terms into complex
+    zeros, the form one np.bincount replaced."""
+    src, terms = weighted_terms(labels, coeffs, n_qubits)
+    out = np.zeros((len(coeffs), src.shape[1], src.shape[1]), dtype=complex)
+    np.add.at(out, (slice(None), np.arange(src.shape[1]), src), terms)
+    return out
+
+
+def partial_traces_add_at(labels, coeffs, keep, rho):
+    """pauli.partial_traces with its coefficients merged by np.add.at into zeros."""
+    from vqite.pauli import COEFF_DROP_TOL, _row_sum, _trace_plan
+
+    flat, phase, words, _ = _trace_plan(labels, keep, len(keep) + len(rho[0]).bit_length() - 1, 1)
+    index = _merge_plan(tuple("".join(w[q] for q in keep) for w in labels), len(keep))[1]
+    scalars = _row_sum(rho.reshape(len(rho), -1)[:, flat] * phase).real
+    out = np.zeros((len(rho), len(words)))
+    np.add.at(out, (slice(None), index), coeffs * scalars)
+    return words, np.where(np.abs(out) <= COEFF_DROP_TOL, 0.0, out)
+
+
+def sampled_ab_add_at(run, values):
+    """A and B of a SampledRun call from its job values, added by np.add.at
+    into zeros at the job table's entries."""
+    from vqite.mclachlan import _pairs
+
+    *_, entry, weight, sizes = run.table
+    rows, gamma = len(sizes), run.gamma
+    ab, cut = np.zeros(rows * (gamma + 1) * gamma), rows * gamma * gamma
+    np.add.at(ab, entry, weight * values)
+    a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)
+    a[:, j, i] = a[:, i, j]
+    return a, ab[cut:].reshape(-1, gamma)
+
+
 def outcome(function, *args):
     """(exception type and message, or None; the result) of function(*args)."""
     try:
@@ -468,7 +503,7 @@ def per_stage_cmf(hs):
     stages = []
 
     def conditioned(tag, keep, rho, level):
-        words, reduced = partial_traces(labels, coeffs, keep, check_density(rho), 3)
+        words, reduced = partial_traces(labels, coeffs, keep, check_density(rho))
         vals, vecs, flags = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
         stages.append((tag, vals, flags, level))
         return vals, vecs

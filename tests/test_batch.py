@@ -75,7 +75,7 @@ def final_state(builder, traj, energy_map):
 def test_batched_rows_equal_one_row_runs(table, builder, cmf, lih_table, h2_table):
     table = lih_table if table == "lih" else h2_table
     h, config, energy_map, seeds = scan_rows(table, builder, cmf)
-    batched = run_qite_rows(h, builder, config, energy_map, seeds=seeds)
+    batched = run_qite_rows(h, builder, config, energy_map, seeds=seeds).trajectories()
     assert len(batched) == len(table.rows)
     for k, (seed, traj) in enumerate(zip(seeds, batched)):
         h_row, row_map = one_row(table, k, cmf)
@@ -94,7 +94,7 @@ def test_batched_shot_rows_equal_one_row_runs(lih_table):
     rows = slice(0, 50, 7)
     h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, rows)
     config = replace(config, route="hadamard", shots=1000)
-    batched = run_qite_rows(h, build_ucc_lih, config, seeds=seeds)
+    batched = run_qite_rows(h, build_ucc_lih, config, seeds=seeds).trajectories()
     for k, seed, traj in zip(range(50)[rows], seeds, batched):
         alone = run_qite(one_row(lih_table, k, False)[0], build_ucc_lih,
                          replace(config, seed=seed))
@@ -113,7 +113,7 @@ def test_shot_run_reads_the_live_rotation_stack(builder, cmf, rows, shots, lih_t
     # generators that each step leaves in the same state.
     h, config, energy_map, seeds = scan_rows(lih_table, builder, cmf, rows)
     config = replace(config, route="hadamard", shots=shots)
-    trajs = run_qite_rows(h, builder, config, energy_map, seeds=seeds)
+    trajs = run_qite_rows(h, builder, config, energy_map, seeds=seeds).trajectories()
     twins = [np.random.default_rng(s) for s in seeds]
     for it in range(config.iterations):
         theta = np.array([traj.records[it].theta for traj in trajs])
@@ -181,17 +181,18 @@ def test_loop_is_unfused_reference(case, lih_table, h2_r07):
         warnings.simplefilter("ignore")
         if case.startswith("excited-R"):
             lifted, config = lifted_row(lih_table, float(case[len("excited-R"):]))
-            trajectories = run_qite_rows(lifted, builder, config)
+            trajectories = run_qite_rows(lifted, builder, config).trajectories()
             rows = [(lifted, None, config)]
         elif case == "ucc-h2-theta-scan":
             grid, config = [0.5, 2.0, np.pi, 4.5], QiteConfig((0.0,), iterations=4)
             trajectories = run_qite_rows(stacked([h2_r07] * len(grid)), builder, config,
-                                         theta=np.array(grid)[:, None])
+                                         theta=np.array(grid)[:, None]).trajectories()
             rows = [(h2_r07, None, replace(config, initial_theta=(t,))) for t in grid]
         else:
             cmf = case == "cmf-he-50-rows"
             h, config, energy_map, seeds = scan_rows(lih_table, builder, cmf)
-            trajectories = run_qite_rows(h, builder, config, energy_map, seeds=seeds)
+            trajectories = run_qite_rows(h, builder, config, energy_map,
+                                         seeds=seeds).trajectories()
             rows = [(*one_row(lih_table, k, cmf), config) for k in range(len(seeds))]
     if case == "ucc-h2-theta-scan":
         assert [t.stationary for t in trajectories] == [False, False, True, False]
@@ -203,6 +204,38 @@ def test_loop_is_unfused_reference(case, lih_table, h2_r07):
         for g, w in zip(got, want):
             assert [None if x is None else np.asarray(x).tobytes() for x in g] == \
                    [None if x is None else np.asarray(x).tobytes() for x in w], g[0]
+
+
+def caught(function):
+    """function()'s result and the text of each warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = function()
+    return result, [str(w.message) for w in seen]
+
+
+def test_row_views_equal_rows_run_alone(lih_table):
+    # The stacked result read row by row: every record byte, the summary and
+    # the warnings of each row equal run_qite of that row alone, and the run
+    # warns for its rows in row order.  The rows are lifted `excited` rows
+    # (their energies rise at iterations 5 to 12) and, between them, a
+    # degenerate row whose energy also rises: its degeneracy warning comes
+    # before its rises.
+    rows = [lifted_row(lih_table, r) for r in (0.1, 0.4, 0.5)]
+    rows.insert(1, (from_pairs([(1.0, "ZI"), (0.3, "XX")]), replace(rows[0][1], dtau=1.5)))
+    config = replace(rows[0][1], dtau=np.array([c.dtau for _, c in rows]))
+    run, warned = caught(lambda: run_qite_rows(stacked([h for h, _ in rows]),
+                                               build_hardware_efficient, config))
+    alone = [caught(lambda: run_qite(h, build_hardware_efficient, c)) for h, c in rows]
+    assert warned == [w for _, row_warned in alone for w in row_warned]
+    degenerate = alone[1][1]
+    assert degenerate[0] == "degenerate ground state: fidelity reporting disabled"
+    assert len(degenerate) > 1 and warned.count(degenerate[0]) == 1
+    assert sum(w.startswith("energy rose by") for w in warned) == len(warned) - 1 > 10
+    for traj, (want, _) in zip(run.trajectories(), alone, strict=True):
+        assert record_bytes(traj) == record_bytes(want)
+        assert traj[:-2] == want[:-2]      # the summary: every field but the run's view
+        assert [r.fidelity for r in traj.records] == [r.fidelity for r in want.records]
 
 
 ONE = QiteConfig((1.0, 1.0), route="hadamard", shots=100, seed=1)

@@ -1,18 +1,22 @@
 """CLI surface: manifests, outputs, determinism, exit codes."""
 
 import argparse
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import row_views, run_cli, serialize_table, term_bytes
+from conftest import golden_platform, row_views, run_cli, serialize_table, term_bytes
 from vqite import (DensityMatrix, MoleculeTable, build_ucc_lih, cli, cmf_reduce, exact_spectrum,
                    gershgorin_emax, hamiltonian_at, lift_ground_state, load_lih_table,
                    run_qite, run_qite_rows, to_dense_matrix)
 from vqite.cli import (ManifestError, RunManifest, build_parser, discontinuity_rs,
                        emit_outputs, main, run_scan, validate_manifest)
 from vqite.engine import QiteConfig
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "exact"
 
 
 def manifest(**kwargs):
@@ -51,6 +55,27 @@ def test_scan_deterministic_bytes(tmp_path):
     for name in ("curve.csv", "trace_R1.4.csv", "trace_R1.5.csv",
                  "manifest.echo", "cmf_selection.txt"):
         assert read(out_a / name) == read(out_b / name), name
+
+
+def test_scan_makes_records_only_for_traces(tmp_path, monkeypatch):
+    # A scan without --trace makes no QiteRecord: its points read the run's
+    # stacked result.  With --trace each row's 5 records are made for its
+    # file, the curve is the same, and every file is the recorded golden's.
+    import vqite.engine as engine_mod
+    made, record = [], engine_mod.QiteRecord
+    monkeypatch.setattr(engine_mod, "QiteRecord", lambda *args: made.append(1) or record(*args))
+    argv = ["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "all"]
+    plain = run_cli(argv, tmp_path / "plain")
+    assert made == []
+    traced = run_cli(argv + ["--trace"], tmp_path / "traced")
+    assert len(made) == 50 * 5
+    assert plain[:2] == traced[:2]
+    for name in ("curve.csv", "cmf_selection.txt"):
+        assert plain[2][name] == traced[2][name]
+    golden = json.loads((GOLDEN / "manifest.json").read_text())
+    if golden_platform() == golden["platform"]:
+        files = next(run["files"] for run in golden["runs"] if run["name"] == "cmf-he-trace")
+        assert {k: v for k, v in traced[2].items() if k != "curve.csv"} == files
 
 
 def test_point_matches_engine(lih_r15):

@@ -112,7 +112,8 @@ def test_record_energies_are_expectations_of_record_states(case, lih_r15, h2_r07
         "theta-scan": (build_ucc_h2, h2_r07, [[t] for t in np.linspace(0.1, 6.0, 7)]),
     }[case]
     trajectories = run_qite_rows(stacked([h] * len(thetas)), builder,
-                                 config(thetas[0], iterations=6, dtau=0.2), theta=np.array(thetas))
+                                 config(thetas[0], iterations=6, dtau=0.2),
+                                 theta=np.array(thetas)).trajectories()
     for traj in trajectories:
         for rec in traj.records:
             state = builder(rec.theta).state().amplitudes[None]

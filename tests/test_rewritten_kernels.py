@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (check_norms_before, from_pairs, outcome, pauli_decompose_before,
-                      real_part_before, reduction_bytes, reduction_rows, row_views,
+from conftest import (check_norms_before, dense_matrices_add_at, from_pairs, outcome,
+                      partial_traces_add_at, pauli_decompose_before, real_part_before,
+                      reduction_bytes, reduction_rows, row_views, sampled_ab_add_at,
                       select_basis_before, stacked, term_bytes)
-from vqite import (build_hardware_efficient, build_ucc_lih, cmf, cmf_reduce, cmf_reduce_rows,
-                   hamiltonian_at, mclachlan, pauli, simulator, to_dense_matrix)
+from vqite import (PauliHamiltonian, build_hardware_efficient, build_ucc_h2, build_ucc_lih, cmf,
+                   cmf_reduce, cmf_reduce_rows, hamiltonian_at, mclachlan, pauli, simulator,
+                   to_dense_matrix)
 from vqite.engine import EnergyMap, QiteConfig, run_qite_rows
-from vqite.mclachlan import ExactRun
-from vqite.simulator import check_norms
+from vqite.mclachlan import ExactRun, SampledRun
+from vqite.simulator import check_norms, projectors
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 AMPLITUDE = st.complex_numbers(max_magnitude=1.0)
@@ -244,3 +246,61 @@ def test_recorded_copies_are_copyto(builder, rows, lih_table, rng):
             else:
                 function(*args)
         assert run.stack.tobytes() == replayed
+
+
+# The Pauli scatters as one np.bincount, held to the np.add.at forms they
+# replaced (conftest): B in {1, 2, 50} rows, repeated words, and entries of
+# +-0.0 and +-1e-14 among ordinary ones.
+SCATTER_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1e-14, -1e-14]), st.floats(-2.0, 2.0))
+ROWS = st.sampled_from([1, 2, 50])
+
+
+@st.composite
+def term_rows(draw, n_qubits):
+    """(labels, (B, L) coefficients): words drawn with repeats from a few."""
+    few = draw(st.lists(st.text("IXYZ", min_size=n_qubits, max_size=n_qubits),
+                        min_size=1, max_size=5))
+    labels = tuple(draw(st.lists(st.sampled_from(few), min_size=1, max_size=9)))
+    return labels, draw(arrays(float, (draw(ROWS), len(labels)), elements=SCATTER_COEFF))
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_rows(n))))
+def test_dense_matrices_bincount_is_add_at(case):
+    n, (labels, coeffs) = case
+    assert (pauli.dense_matrices(labels, coeffs, n).tobytes()
+            == dense_matrices_add_at(labels, coeffs, n).tobytes())
+
+
+@PROPERTY
+@given(term_rows(3), st.sampled_from([(0, 1), (2,), (0,), (1, 2), (0, 2), (1,)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_partial_traces_bincount_is_add_at(case, keep, seed):
+    labels, coeffs = case
+    v = np.random.default_rng(seed).normal(size=(len(coeffs), 2 ** (3 - len(keep)), 2))
+    v = v.view(complex)[..., 0]
+    rho = projectors(v / np.linalg.norm(v, axis=1, keepdims=True))
+    got, want = (f(labels, coeffs, keep, rho) for f in
+                 (pauli.partial_traces, partial_traces_add_at))
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@PROPERTY
+@given(ROWS, st.sampled_from([build_hardware_efficient, build_ucc_h2]),
+       st.lists(st.tuples(st.text("IXYZ", min_size=2, max_size=2), SCATTER_COEFF),
+                min_size=1, max_size=12),
+       st.sampled_from([None, 100]), st.integers(0, 2 ** 32 - 1))
+def test_sampled_run_bincount_is_add_at(rows, builder, pairs, shots, seed):
+    # The Hamiltonian stack as a run receives it: repeated words merged,
+    # entries of +-1e-14 set to 0.0 by the constructor.
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([-1.0, 0.0, 1.0, 0.3, 1e-15], size=(rows, len(pairs)))
+    h = PauliHamiltonian([w for w, _ in pairs], scale * [c for _, c in pairs], 2)
+    gamma = 6 if builder is build_hardware_efficient else 1
+    run = SampledRun(ExactRun(builder(rng.uniform(-np.pi, np.pi, (rows, gamma))), h), shots,
+                     [(seed, b) for b in range(rows)])
+    values, a, b = run()
+    want_a, want_b = sampled_ab_add_at(run, values)
+    assert a.tobytes() == want_a.tobytes()
+    assert b.tobytes() == want_b.tobytes()

@@ -107,7 +107,8 @@ def test_gershgorin_permutation_invariant(rng):
 def test_gershgorin_is_row_loop_oracle_bitwise(rng, lih_table):
     # Seeded Hermitian matrices of every size 1-16, real and complex, at
     # scales 1e-6 to 1e4 overall and per row and column, then every LiH row
-    # and its CMF h_eff: the one vectorized bound is the row loop's, bit for bit.
+    # and its CMF h_eff: the one vectorized bound is the row loop's, bit for bit,
+    # of each matrix alone and of each matrix in a stack of its size.
     cases = []
     for n in range(1, 17):
         for k in range(24):
@@ -119,11 +120,17 @@ def test_gershgorin_is_row_loop_oracle_bitwise(rng, lih_table):
         cases += [to_dense_matrix(h), to_dense_matrix(cmf_reduce(h).h_eff)]
     for m in cases:
         assert gershgorin_emax(m).e_max.hex() == gershgorin_oracle(m).hex()
+    for n in {len(m) for m in cases}:
+        stack = np.array([m for m in cases if len(m) == n], dtype=complex)
+        assert ([v.hex() for v in gershgorin_emax(stack).e_max.tolist()]
+                == [gershgorin_oracle(m).hex() for m in stack])
 
 
 def test_gershgorin_rejects_non_hermitian():
     with pytest.raises(ValueError):
         gershgorin_emax(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError):     # one such matrix in a stack
+        gershgorin_emax(np.array([np.eye(2), [[0.0, 1.0], [2.0, 0.0]], np.eye(2)]))
 
 
 def test_lift_z_collapses_to_identity():
