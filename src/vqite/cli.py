@@ -24,7 +24,6 @@ import argparse
 import functools
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,8 +59,7 @@ class ManifestError(ValueError):
     """Configuration problem; aborts before any work starts (exit 2)."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Resolved configuration of one scan invocation."""
 
     table: str = "lih"
@@ -80,7 +78,7 @@ class RunManifest:
     def echo_lines(self, resolved_rs) -> list[str]:
         """`name = value` per field in order, out_dir left out, with the
         resolved bond distances as `r` and the resolved theta0."""
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        values = {k: v for k, v in zip(self._fields, self) if k != "out_dir"}
         values["r_selection"] = ",".join("%g" % r for r in resolved_rs)
         values["theta0"] = ",".join("%g" % t for t in self.resolved_theta0())
         return [f"{'r' if k == 'r_selection' else k} = {v}" for k, v in values.items()]
@@ -189,7 +187,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
     """
     table = load_manifest_table(manifest.table)
     if lift:
-        manifest = replace(manifest, cmf=table.n_qubits == 3)
+        manifest = manifest._replace(cmf=table.n_qubits == 3)
     rows = validate_manifest(manifest, table)
     rs = [table.rows[k][0] for k in rows]
     flagged = set() if lift else discontinuity_rs(table)   # excited prints no such flag
@@ -352,7 +350,7 @@ def _manifest_from_args(args) -> RunManifest:
         raise ManifestError(f"{args.command} takes exactly one bond distance via --r")
     values = dict(vars(args), route=route, shots=shots, dtau=dtau, r_selection=r_selection,
                   theta0=_parse_theta0(args.theta0))   # argparse's dests are the field names
-    return RunManifest(**{f.name: values[f.name] for f in fields(RunManifest)})
+    return RunManifest(**{k: values[k] for k in RunManifest._fields})
 
 
 def _add_run_flags(p, default_r):

@@ -36,14 +36,13 @@ QiteTrajectory is a view of it that makes its QiteRecords only when read.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cmf import EffectiveHamiltonian
 from .mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
-from .pauli import PauliHamiltonian, dense_matrices, expectations, weighted_terms
+from .pauli import Frozen, PauliHamiltonian, dense_matrices, expectations, weighted_terms
 from .simulator import check_unit, rotation_matrix
 from .spectra import stacked_spectrum
 
@@ -66,20 +65,14 @@ def average_z_coefficient(h: PauliHamiltonian):
     return np.add.accumulate(h.coeffs[..., single_z], axis=-1)[..., -1] / h.n_qubits
 
 
-@dataclass(frozen=True)
-class QiteConfig:
-    """Loop settings: iterations, time-step rule, estimation route."""
+class QiteConfig(Frozen):
+    """Loop settings: iterations, route ("exact" or "hadamard") and dtau: a value,
+    one value per row, or "auto" for DEFAULT_DTAU_C / (|h_z| * iterations)."""
 
-    initial_theta: tuple[float, ...]
-    iterations: int = 4
-    dtau: float | str = "auto"       # "auto" -> DEFAULT_DTAU_C / (|h_z| * iterations), or per row
-    route: str = "exact"             # "exact" | "hadamard"
-    shots: int | None = None
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "initial_theta",
-                           tuple(float(v) for v in np.atleast_1d(self.initial_theta)))
+    def __init__(self, initial_theta, iterations: int = 4, dtau: float | str = "auto",
+                 route: str = "exact", shots: int | None = None, seed: int | None = None) -> None:
+        vars(self).update(initial_theta=tuple(float(v) for v in np.atleast_1d(initial_theta)),
+                          iterations=iterations, dtau=dtau, route=route, shots=shots, seed=seed)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.route not in ("exact", "hadamard"):
@@ -112,7 +105,7 @@ class QiteRecord(NamedTuple):
 
 
 class QiteTrajectory(NamedTuple):
-    """One row of a QiteRun: its summary, and its records, built when read."""
+    """One row of a QiteRun: its summary, and its records, built when read; == is bitwise."""
 
     converged_energy: float
     exact_energy: float              # ground energy of the reporting Hamiltonian
@@ -134,6 +127,19 @@ class QiteTrajectory(NamedTuple):
         return tuple(map(QiteRecord, range(self.iterations + 1), run.theta[:, b],
                          [*run.a_matrix[:, b], None], [*run.b_vector[:, b], None],
                          run.energy[:, b].tolist(), fidelity))
+
+    def _bits(self) -> list:   # every value of the summary and the records as float64 bytes
+        return [None if v is None else np.asarray(v, dtype=float).tobytes()
+                for v in (*self[:-2], *(v for record in self.records for v in record))]
+
+    def __eq__(self, other):
+        return isinstance(other, QiteTrajectory) and self._bits() == other._bits()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __repr__(self):
+        return f"QiteTrajectory(row {self.row}: {dict(zip(self._fields, self[:-2]))})"
 
 
 class QiteRun(NamedTuple):

@@ -40,7 +40,6 @@ gather through a plan compiled once per word tuple and subsystem.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import compress, product
 
 import numpy as np
@@ -98,18 +97,35 @@ def _check_dense_cap(n_qubits: int) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class PauliString:
-    """A fixed-length word over {I, X, Y, Z}, one letter per qubit."""
+class Frozen:
+    """Base of the read-only records: __init__ sets each field, and nothing after it."""
 
-    letters: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class PauliString(Frozen):
+    """A fixed-length word over {I, X, Y, Z}, one letter per qubit; equal by letters."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: str) -> None:
+        if not letters:
             raise ValueError("Pauli string must have at least one letter")
-        bad = set(self.letters) - set(PAULI_LETTERS)
+        bad = set(letters) - set(PAULI_LETTERS)
         if bad:
-            raise ValueError(f"invalid Pauli letters {sorted(bad)} in '{self.letters}'")
+            raise ValueError(f"invalid Pauli letters {sorted(bad)} in '{letters}'")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        return isinstance(other, PauliString) and self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
 
     @property
     def n_qubits(self) -> int:

@@ -26,26 +26,24 @@ DensityMatrix holds the mixed states of the CMF reduction and the lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .pauli import NORM_TOL, PAULI_MATRICES, PauliString, check_density, read_only
+from .pauli import NORM_TOL, PAULI_MATRICES, Frozen, PauliString, check_density, read_only
 
 HADAMARD = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 EYE = read_only(np.eye(2))
 
 
-@dataclass(frozen=True, slots=True)
-class StateVector:
+class StateVector(Frozen):
     """Normalized pure state on n qubits."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes) -> None:
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size & (amps.size - 1) or amps.size < 2:
             raise ValueError(f"amplitude vector length {amps.size} is not 2^n")
         check_norms(np.linalg.norm(amps))
@@ -56,14 +54,13 @@ class StateVector:
         return self.amplitudes.size.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Hermitian, unit-trace, positive-semidefinite state on n qubits."""
 
-    elements: np.ndarray
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.elements, dtype=complex)
+    def __init__(self, elements) -> None:
+        m = np.asarray(elements, dtype=complex)
         if m.ndim != 2:
             raise ValueError(f"density matrix shape {m.shape} is not square 2^n")
         object.__setattr__(self, "elements", check_density(m))
@@ -83,20 +80,19 @@ def basis_state(bits) -> StateVector:
     return StateVector(amps)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Gate:
+class Gate(Frozen):
     """A 2x2 unitary on qubit `target`, applied only on the control=|1>
     branch when `control` is set.  The matrix is made read-only, as gates
-    share their matrices across circuits."""
+    share their matrices across circuits; a gate equals only itself."""
 
-    matrix: np.ndarray
-    target: int
-    control: int | None = None
+    __slots__ = ("matrix", "target", "control")
 
-    def __post_init__(self) -> None:
-        if self.control == self.target:
-            raise ValueError(f"gate control and target are both qubit {self.target}")
-        read_only(self.matrix)
+    def __init__(self, matrix: np.ndarray, target: int, control: int | None = None) -> None:
+        if control == target:
+            raise ValueError(f"gate control and target are both qubit {target}")
+        object.__setattr__(self, "matrix", read_only(matrix))
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "control", control)
 
 
 def rotation_matrix(axis, angle, out=None) -> np.ndarray:

@@ -21,13 +21,12 @@ from __future__ import annotations
 import bisect
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, read_only
+from .pauli import Frozen, PauliHamiltonian, PauliString, read_only
 
 
 class TableFormatError(ValueError):
@@ -38,12 +37,22 @@ class TableFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class MoleculeTable:
-    molecule_name: str
-    n_qubits: int
-    pauli_labels: tuple[str, ...]
-    rows: tuple[tuple[float, tuple[float, ...]], ...]
+class MoleculeTable(Frozen):
+    """A parsed table, equal to (and hashed as) any other of the same fields."""
+
+    def __init__(self, molecule_name: str, n_qubits: int, pauli_labels: tuple[str, ...],
+                 rows: tuple[tuple[float, tuple[float, ...]], ...]) -> None:
+        vars(self).update(molecule_name=molecule_name, n_qubits=n_qubits,
+                          pauli_labels=pauli_labels, rows=rows)
+
+    def _key(self) -> tuple:
+        return self.molecule_name, self.n_qubits, self.pauli_labels, self.rows
+
+    def __eq__(self, other):
+        return isinstance(other, MoleculeTable) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def bond_distances(self) -> tuple[float, ...]:

@@ -204,16 +204,6 @@ def term_bytes(h):
     return [(c.hex(), word) for c, word in zip(h.coeffs.tolist(), h.words)]
 
 
-def record_bytes(traj):
-    """The bytes of a QITE trajectory's records and flags."""
-    def raw(x):
-        return None if x is None else np.asarray(x, dtype=float).tobytes()
-    return ([(rec.iteration, raw(rec.theta), raw(rec.a_matrix), raw(rec.b_vector),
-              raw(rec.energy), raw(rec.fidelity)) for rec in traj.records],
-            traj.stationary, traj.ground_degenerate, traj.monotonicity_violations,
-            raw(traj.exact_energy))
-
-
 # Oracles in the dense matrix-product form the signed-permutation kernel
 # replaced; the kernel must match them bit for bit.
 

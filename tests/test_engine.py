@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import from_pairs, record_bytes, stacked
+from conftest import from_pairs, stacked
 from vqite import (PauliHamiltonian, QiteConfig,
                    average_z_coefficient, build_hardware_efficient,
                    build_ucc_h2, build_ucc_lih, cmf_reduce, exact_spectrum,
@@ -61,6 +61,23 @@ def test_h2_fidelity_rises(h2_r07):
     assert fids[-1] >= 0.99
     assert traj.converged_energy == pytest.approx(
         exact_spectrum(h2_r07).ground_energy, abs=1e-2)
+
+
+def test_trajectories_of_two_runs_compare_bit_for_bit(h2_r07):
+    # == reads the summaries and records, not the runs' stacks, so it gives
+    # a bool: True for a repeated run, False for another dtau or for one
+    # trajectory's summary over another's records.
+    def run(dtau):
+        return run_qite(h2_r07, build_ucc_h2, config([2.0], iterations=4, dtau=dtau))
+    a, again, other = run(0.3), run(0.3), run(0.31)
+    assert a.run is not again.run
+    assert (a == again) is True and (a != again) is False
+    assert (a == other) is False and (a != other) is True
+    assert a._replace(run=other.run) != a != a._replace(dtau=0.31)
+    assert a != tuple(a)
+    text, energy = repr(a), a.converged_energy
+    assert text.startswith(f"QiteTrajectory(row 0: {{'converged_energy': {energy!r}, ")
+    assert text.endswith(", 'iterations': 4})") and "array" not in text
 
 
 def test_trajectory_shape(h2_r07):
@@ -193,7 +210,7 @@ def test_builder_runs_once_per_run(lih_table, lih_r15, route, shots):
         assert calls == [(rows, 2)]
     config = QiteConfig((1.0, 1.0), route=route, shots=shots, seed=1)
     stuck = run_qite(lih_r15, lambda t: build_ucc_lih(np.ones_like(t)), config)
-    assert record_bytes(stuck) == record_bytes(run_qite(lih_r15, build_ucc_lih, config))
+    assert stuck == run_qite(lih_r15, build_ucc_lih, config)
     if shots is None:
         assert [round(r.energy, 4) for r in stuck.records] == [-7.6025, -7.9480, -7.9541,
                                                                -7.9544, -7.9544]
