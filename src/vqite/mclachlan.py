@@ -29,8 +29,9 @@ import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
 from .pauli import PauliHamiltonian, _term_stack, apply_sums, real_part, weighted_terms
-from .simulator import (Gate, StateVector, apply_planned, check_norms, controlled_pauli,
-                        hadamard, measure_z_expectation, rotation_matrix, run_gates, x)
+from .simulator import (Gate, StateVector, apply_planned, check_norms, check_shots,
+                        controlled_pauli, hadamard, measure_z_expectation, rotation_matrix,
+                        run_gates, sample_z, x, z_marginals)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3              # looser: shot noise inflates the small eigenvalues
@@ -245,61 +246,62 @@ def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
 
 
 class SampledRun:
-    """The Hadamard route of an ExactRun's rows, made once per run from it:
-    the job table (_table), the rows' starting half-states, the sweep steps
-    and one Generator per row from `seeds` (ValueError if shots < 1, or in
-    shot mode unless each row has a seed).  A call reads the ExactRun's rotation
-    stack as its last call left it and returns (ancilla <Z> of every job,
-    A, B), A and B adding the weighted values from 0.0 in job order.
+    """The Hadamard route of an ExactRun's rows, made once per run from it: the
+    job table (_table), the rows' starting half-states, the sweep steps, one
+    Generator per row from `seeds` (ValueError unless check_shots passes and
+    shot mode has a seed for each row) and a pass buffer.  A call reads the
+    ExactRun's rotation stack as its last call left it and returns (ancilla <Z>
+    of every job, A, B), A and B adding the weighted values from 0.0 in job order.
 
     Until the closing H the ansatz acts on each ancilla branch of a test
     alone, so one forward sweep runs each ansatz gate once over the (B, K)
     half-states of _table: a (B, 2, 2) rotation as one matmul per row, a
     shared gate as one np.dot, a join as a signed permutation.  Each pass of
-    PASS_ROWS rows builds each job's state from its two half-states as one
+    PASS_ROWS rows gathers its jobs' states into the buffer as one contiguous
     (2, k, 2^n) array, ancilla first, that the final H reads without a copy:
-    its zero row, and its word's signs times its one row permuted by the
-    word (exact products by +-1 or +-i), gathered at flat indices held by
-    the run with the pass's zero rows, words, generators and job counts; it
-    draws each row in job order.  By simulator's width rule (2 K wide per
-    row on 2 qubits, hence K even) each value and draw is bitwise that of
-    the job's circuit run alone.
+    a job's zero row, and its word's signs times its one row permuted by the
+    word (exact products by +-1 or +-i, at flat indices made once per run);
+    it writes their z_marginals into one (2, jobs) array.  Then one sample_z
+    checks every norm before any row's generator draws its jobs in job order.
+    By simulator's width rule (2 K wide per row on 2 qubits, hence K even)
+    each value and draw is bitwise that of the job's circuit run alone.
     """
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
         ansatz, (labels, coeffs) = exact.ansatz, exact.columns
         self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
-        if shots is not None and shots < 1:
-            raise ValueError("shots must be >= 1 (or None for exact mode)")
-        if shots is not None and (len(seeds) != rows or any(s is None for s in seeds)):
+        check_shots(shots)
+        if shots is not None and (np.shape(seeds)[:1] != (rows,) or any(s is None for s in seeds)):
             raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
         self.table = _table(ansatz.descriptors, labels, rows, coeffs.tobytes())
-        phases, head, zero, one, words, src, *_, sizes = self.table
+        phases, head, _, one, words, src, *_, sizes = self.table
         amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
         halves = [amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]] * rows
         self.halves = np.concatenate(halves).reshape((rows, head) + (2,) * self.n)
         self.steps = _program(ansatz._fixed, ansatz.descriptors, self.n, 2)
         self.rotations, self.shots, self.final = exact.rotations, shots, (hadamard(self.n),)
-        rngs = None if shots is None else list(map(np.random.default_rng, seeds))
+        self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
         ends, self.passes = np.cumsum([0, *sizes]).tolist(), []
-        for r in range(0, rows, PASS_ROWS):     # (zero, flat, words, generators, sizes)
-            ks, cut = slice(ends[r], ends[min(r + PASS_ROWS, rows)]), slice(r, r + PASS_ROWS)
-            self.passes.append((zero[ks], one[ks, None] * 2 ** self.n + src[words[ks]], words[ks],
-                                rngs and rngs[cut], sizes[cut]))
+        for r in range(0, rows, PASS_ROWS):     # (jobs, flat, words)
+            ks = slice(ends[r], ends[min(r + PASS_ROWS, rows)])
+            self.passes.append((ks, one[ks, None] * 2 ** self.n + src[words[ks]], words[ks]))
+        self.buffer = np.empty(2 * max(len(p[2]) for p in self.passes) << self.n, dtype=complex)
 
     def __call__(self) -> tuple:
-        (*_, sign, entry, weight, sizes), t = self.table, self.halves
+        (_, _, zero, *_, sign, entry, weight, sizes), t = self.table, self.halves
         n, gamma, rows = self.n, self.gamma, len(sizes)
         for source, step in self.steps:     # a join adds B_j, C_j: sigma_j of F0, F1[A phase]
             t = (np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1) if source is None
                  else apply_planned(t, source if isinstance(source, np.ndarray)
                                     else self.rotations[source], step))
-        t, values = t.reshape(-1, 2 ** n), []
-        for zero, flat, words, rngs, part in self.passes:
-            out = np.stack([t[zero], sign[words] * t.reshape(-1)[flat]]).reshape((2, -1) + (2,) * n)
+        t, marg = t.reshape(-1, 2 ** n), np.empty((2, len(entry)))
+        for jobs, flat, words in self.passes:   # the pass's job states, ancilla first
+            out = self.buffer[:2 * len(words) << n].reshape((2, -1) + (2,) * n)
+            np.take(t, zero[jobs], axis=0, out=out[0].reshape(-1, 2 ** n))
+            np.multiply(sign[words], t.reshape(-1)[flat], out=out[1].reshape(-1, 2 ** n))
             out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
-            values.append(measure_z_expectation(out, self.shots, rngs, part))
-        values = np.concatenate(values)
+            marg[:, jobs] = z_marginals(out)
+        values = sample_z(marg, self.shots, self.rngs, sizes)
         cut = rows * gamma * gamma
         ab = np.bincount(entry, weight * values, cut + rows * gamma)
         a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)

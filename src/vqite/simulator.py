@@ -20,7 +20,7 @@ applies one gate as one np.dot, run_gates a list of them; a compiled
 circuit keeps its plans, copies the gates' results into one buffer, and
 can record the numpy calls of that sweep (call) to repeat at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
-measure_z_expectation draws only from caller-supplied seeded generators.
+measure_z_expectation (z_marginals, then sample_z) draws only from caller-supplied seeds.
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -252,34 +252,42 @@ def projectors(v: np.ndarray) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-def measure_z_expectation(states: np.ndarray, shots: int | None = None,
-                          rng=None, sizes=None) -> np.ndarray:
-    """<Z> of the last qubit of each state of a stack (leading axis),
-    analytically (shots=None) or from a binomial sample, after checking each
-    norm.  Each branch adds its |amplitude|^2 in index order, read in the
-    stack's own layout (no copy of a run_gates view, as of a SampledRun pass
-    built ancilla first).  Shot mode draws count ~ Binomial(shots, (1+<Z>)/2)
-    per state in stack order, in one call equal to one draw per state in turn,
-    and returns 2*count/shots - 1.  `rng` is a Generator or a seed, or with
-    `sizes` a list of one per size, the r-th drawing for the next sizes[r]
-    states (ValueError unless they are >= 0 and add up to the stack).
-    """
-    if shots is not None and not (shots > 0 and rng is not None):
-        raise ValueError("shot mode needs a positive shot count and a seed or generator")
+def check_shots(shots) -> None:   # None is exact mode; a bool is no shot count
+    if shots is not None and not (isinstance(shots, (int, np.integer)) and shots >= 1
+                                  and not isinstance(shots, bool)):
+        raise ValueError(f"shots must be >= 1 (or None for exact mode) and an int, not {shots!r}")
+
+
+def z_marginals(states: np.ndarray) -> np.ndarray:
+    """(2, S) probabilities of the last qubit's 0 and 1 in each state of a stack, each
+    the |amplitude|^2 added in index order in the stack's own layout (no copy)."""
+    return np.add.accumulate(np.abs(states.reshape(len(states), -1, 2)) ** 2, axis=1)[:, -1].T
+
+
+def sample_z(marg: np.ndarray, shots: int | None = None, rng=None, sizes=None) -> np.ndarray:
+    """<Z> of each state from its z_marginals, norms checked: marg[0] - marg[1], or
+    2*count/shots - 1, count ~ Binomial(shots, (1+<Z>)/2) per state in stack order by
+    one call per generator: `rng` (a Generator or seed), or with `sizes` the r-th of a
+    list for the next sizes[r] >= 0 states.  ValueErrors come before any draw."""
+    check_shots(shots)
+    if shots is not None and rng is None:
+        raise ValueError("shot mode needs a seed or generator")
     if shots and sizes is not None and not (isinstance(rng, (list, tuple))
                                             and len(rng) == len(sizes)):
         raise ValueError("with sizes, rng must be a list of one generator per size")
-    if shots and sizes is not None and (min(sizes, default=0) < 0 or sum(sizes) != len(states)):
+    if shots and sizes is not None and (min(sizes, default=0) < 0 or sum(sizes) != marg.shape[1]):
         raise ValueError(f"sizes {sizes} must be non-negative and add up to the stack")
-    halves = states.reshape(len(states), -1, 2).transpose(2, 0, 1)   # (2, S, 2^(N-1))
-    marg = np.add.accumulate(np.abs(halves) ** 2, axis=2)[:, :, -1]   # in index order
     check_norms(np.sqrt(marg[0] + marg[1]))
     exact = marg[0] - marg[1]
     if shots is None:
         return exact
     p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-    rngs, sizes = ([rng], [len(p)]) if sizes is None else (rng, sizes)
-    ends = [0, *accumulate(sizes)]
-    counts = np.concatenate([np.random.default_rng(g).binomial(shots, p[a:b])
-                             for g, a, b in zip(rngs, ends, ends[1:])])
+    ends = [0, *accumulate([len(p)] if sizes is None else sizes)]
+    counts = np.concatenate([np.random.default_rng(g).binomial(shots, p[a:b]) for g, a, b
+                             in zip([rng] if sizes is None else rng, ends, ends[1:])])
     return 2.0 * counts / shots - 1.0
+
+
+def measure_z_expectation(states, shots: int | None = None, rng=None, sizes=None) -> np.ndarray:
+    """<Z> of the last qubit of each state of a stack: sample_z of its z_marginals."""
+    return sample_z(z_marginals(states), shots, rng, sizes)

@@ -503,6 +503,41 @@ def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
     assert swept[-1][1] == (50, 1 + 3 + 2 * 2, 2, 2, 2)     # 400 half-states
 
 
+@pytest.fixture(scope="module")
+def shot_batches(lih_table):
+    """(ansatz, h, shots) of the 50-row UCC-LiH batch and of HE on the 50
+    CMF h_eff rows, at random angles."""
+    draw, hs = np.random.default_rng(35), lih_table.hamiltonians(range(50))
+    return [(build_ucc_lih(draw.uniform(-np.pi, np.pi, (50, 2))), hs, 10_000),
+            (build_hardware_efficient(draw.uniform(-np.pi, np.pi, (50, 6))),
+             cmf_reduce_rows(hs).h_eff, 1000)]
+
+
+def test_sampled_values_do_not_depend_on_the_pass_size(shot_batches, monkeypatch):
+    # Each row draws from its own generator whichever pass measures its
+    # jobs, so the values, A and B keep every byte when the passes hold 1,
+    # 3, 8 or all 50 rows.
+    for ansatz, h, shots in shot_batches:
+        got = []
+        for rows in (1, 3, 8, 64):
+            monkeypatch.setattr(mclachlan, "PASS_ROWS", rows)
+            got.append([x.tobytes() for x in SampledRun(ExactRun(ansatz, h), shots, range(50))()])
+        assert got[1:] == got[:1] * 3
+
+
+def test_sampled_norm_failure_draws_nothing(shot_batches):
+    # The norms of all jobs are checked once, after the last pass and
+    # before any row draws: a failing job of the last row leaves every
+    # generator as it was, those of rows measured in earlier passes too.
+    ansatz, h, shots = shot_batches[0]
+    gens, twins = ([np.random.default_rng(s) for s in range(50)] for _ in range(2))
+    run = SampledRun(ExactRun(ansatz, h), shots, gens)
+    run.halves[-1] *= 1.001
+    with pytest.raises(ValueError, match="norm"):
+        run()
+    assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+
+
 def test_sampled_table_is_keyed_on_values(lih_table):
     # The compiled jobs of a batch are found again for equal Hamiltonians
     # built anew, as a repeated invocation in one process builds them (and a
@@ -547,6 +582,23 @@ def test_sampled_rejects_missing_seed(h2_r07):
     with pytest.raises(ValueError, match="seed"):
         compute_sampled(build_ucc_h2(np.full((2, 1), 0.9)), stacked([h2_r07] * 2), 100)
     compute_sampled(build_ucc_h2(0.9), h2_r07, shots=None)
+
+
+def test_sampled_refuses_one_seed_for_a_batch(h2_r07):
+    # A batch needs a seed or generator per row: one integer or Generator
+    # for all rows is the documented ValueError, not a TypeError from len().
+    ansatz, hs = build_ucc_h2(np.full((2, 1), 0.9)), stacked([h2_r07] * 2)
+    for seed in (3, np.random.default_rng(3)):
+        with pytest.raises(ValueError, match="a seed or generator for each of the 2 rows"):
+            compute_sampled(ansatz, hs, 100, seed)
+        with pytest.raises(ValueError, match="a seed or generator for each of the 2 rows"):
+            SampledRun(ExactRun(ansatz, hs), 100, seed)
+
+
+@pytest.mark.parametrize("shots", [2.5, True])
+def test_sampled_refuses_shots_that_are_not_an_int(h2_r07, shots):
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        compute_sampled(build_ucc_h2(0.9), h2_r07, shots, 1)
 
 
 # --- solver ---

@@ -212,6 +212,18 @@ def test_measure_z_names_bad_sizes_and_generators(rng):
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
 
 
+@pytest.mark.parametrize("shots", [2.5, 2.0, True, False, np.float64(10.0), "10"])
+def test_measure_z_refuses_shots_that_are_not_an_int(shots):
+    # binomial would draw from int(shots) trials while the estimate divides
+    # by shots: 2.5 shots of an exact <Z> = +1 read 0.6.  A bool is no shot
+    # count either.  The check comes before any draw.
+    gen, twin = np.random.default_rng(1), np.random.default_rng(1)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        z_of(basis_state("00"), shots=shots, rng=gen)
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert z_of(basis_state("00"), shots=np.int64(3), rng=gen) == 1.0
+
+
 def index_order_z(amps):
     """Ancilla <Z> of one state: np.abs(amps) ** 2 of its contiguous
     amplitudes, each ancilla branch added from 0.0 in index order."""
