@@ -281,11 +281,10 @@ class SampledRun:
         self.steps = _program(ansatz._fixed, ansatz.descriptors, self.n, 2)
         self.rotations, self.shots, self.final = exact.rotations, shots, (hadamard(self.n),)
         self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
-        ends, self.passes = np.cumsum([0, *sizes]).tolist(), []
-        for r in range(0, rows, PASS_ROWS):     # (jobs, flat, words)
-            ks = slice(ends[r], ends[min(r + PASS_ROWS, rows)])
-            self.passes.append((ks, one[ks, None] * 2 ** self.n + src[words[ks]], words[ks]))
-        self.buffer = np.empty(2 * max(len(p[2]) for p in self.passes) << self.n, dtype=complex)
+        ends = np.cumsum([0, *sizes]).tolist()
+        ks = [slice(ends[r], ends[min(r + PASS_ROWS, rows)]) for r in range(0, rows, PASS_ROWS)]
+        self.passes = [(k, one[k, None] * 2 ** self.n + src[words[k]], words[k]) for k in ks]
+        self.buffer = np.empty(2 * max(k.stop - k.start for k in ks) << self.n, dtype=complex)
 
     def __call__(self) -> tuple:
         (_, _, zero, *_, sign, entry, weight, sizes), t = self.table, self.halves
@@ -297,8 +296,8 @@ class SampledRun:
         t, marg = t.reshape(-1, 2 ** n), np.empty((2, len(entry)))
         for jobs, flat, words in self.passes:   # the pass's job states, ancilla first
             out = self.buffer[:2 * len(words) << n].reshape((2, -1) + (2,) * n)
-            np.take(t, zero[jobs], axis=0, out=out[0].reshape(-1, 2 ** n))
-            np.multiply(sign[words], t.reshape(-1)[flat], out=out[1].reshape(-1, 2 ** n))
+            t.take(zero[jobs], axis=0, out=out[0].reshape(-1, 2 ** n))
+            np.multiply(sign.take(words, axis=0), t.take(flat), out=out[1].reshape(-1, 2 ** n))
             out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
             marg[:, jobs] = z_marginals(out)
         values = sample_z(marg, self.shots, self.rngs, sizes)

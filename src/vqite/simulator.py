@@ -261,7 +261,8 @@ def check_shots(shots) -> None:   # None is exact mode; a bool is no shot count
 def z_marginals(states: np.ndarray) -> np.ndarray:
     """(2, S) probabilities of the last qubit's 0 and 1 in each state of a stack, each
     the |amplitude|^2 added in index order in the stack's own layout (no copy)."""
-    return np.add.accumulate(np.abs(states.reshape(len(states), -1, 2)) ** 2, axis=1)[:, -1].T
+    p = np.abs(states.reshape(len(states), -1, 2)).transpose(1, 2, 0) ** 2   # (2^(N-1), 2, S)
+    return sum(p[1:], p[0])     # a left fold: one vector add per amplitude pair
 
 
 def sample_z(marg: np.ndarray, shots: int | None = None, rng=None, sizes=None) -> np.ndarray:
