@@ -249,22 +249,22 @@ class SampledRun:
     """The Hadamard route of an ExactRun's rows, made once per run from it: the
     job table (_table), the rows' starting half-states, the sweep steps, one
     Generator per row from `seeds` (ValueError unless check_shots passes and
-    shot mode has a seed for each row) and a pass buffer.  A call reads the
-    ExactRun's rotation stack as its last call left it and returns (ancilla <Z>
-    of every job, A, B), A and B adding the weighted values from 0.0 in job order.
+    shot mode has a seed for each row).  A call reads the ExactRun's rotation
+    stack as its last call left it and returns (ancilla <Z> of every job, A,
+    B), A and B adding the weighted values from 0.0 in job order.
 
     Until the closing H the ansatz acts on each ancilla branch of a test
     alone, so one forward sweep runs each ansatz gate once over the (B, K)
     half-states of _table: a (B, 2, 2) rotation as one matmul per row, a
     shared gate as one np.dot, a join as a signed permutation.  Each pass of
-    PASS_ROWS rows gathers its jobs' states into the buffer as one contiguous
-    (2, k, 2^n) array, ancilla first, that the final H reads without a copy:
-    a job's zero row, and its word's signs times its one row permuted by the
-    word (exact products by +-1 or +-i, at flat indices made once per run);
-    it writes their z_marginals into one (2, jobs) array.  Then one sample_z
-    checks every norm before any row's generator draws its jobs in job order.
-    By simulator's width rule (2 K wide per row on 2 qubits, hence K even)
-    each value and draw is bitwise that of the job's circuit run alone.
+    PASS_ROWS rows gathers its jobs' states into the call's buffer (sized for
+    the largest pass) as one contiguous (2, k, 2^n) array, ancilla first, that
+    the final H reads without a copy: a job's zero row, and its word's signs
+    times its one row permuted by the word (exact products by +-1 or +-i),
+    and writes their z_marginals into one (2, jobs) array.  Then sample_z
+    checks every norm before each row draws its jobs in job order.  By the
+    width rule of simulator (2 K wide per row on 2 qubits, hence K even) each
+    value and draw is bitwise that of the job's circuit run alone.
     """
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
@@ -284,7 +284,6 @@ class SampledRun:
         ends = np.cumsum([0, *sizes]).tolist()
         ks = [slice(ends[r], ends[min(r + PASS_ROWS, rows)]) for r in range(0, rows, PASS_ROWS)]
         self.passes = [(k, one[k, None] * 2 ** self.n + src[words[k]], words[k]) for k in ks]
-        self.buffer = np.empty(2 * max(k.stop - k.start for k in ks) << self.n, dtype=complex)
 
     def __call__(self) -> tuple:
         (_, _, zero, *_, sign, entry, weight, sizes), t = self.table, self.halves
@@ -294,8 +293,9 @@ class SampledRun:
                  else apply_planned(t, source if isinstance(source, np.ndarray)
                                     else self.rotations[source], step))
         t, marg = t.reshape(-1, 2 ** n), np.empty((2, len(entry)))
+        buffer = np.empty(2 * max(len(w) for *_, w in self.passes) << n, dtype=complex)
         for jobs, flat, words in self.passes:   # the pass's job states, ancilla first
-            out = self.buffer[:2 * len(words) << n].reshape((2, -1) + (2,) * n)
+            out = buffer[:2 * len(words) << n].reshape((2, -1) + (2,) * n)
             t.take(zero[jobs], axis=0, out=out[0].reshape(-1, 2 ** n))
             np.multiply(sign.take(words, axis=0), t.take(flat), out=out[1].reshape(-1, 2 ** n))
             out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
