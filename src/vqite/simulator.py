@@ -262,7 +262,7 @@ def z_marginals(states: np.ndarray) -> np.ndarray:
     """(2, S) probabilities of the last qubit's 0 and 1 in each state of a stack, each
     the |amplitude|^2 added in index order in the stack's own layout (no copy)."""
     p = np.abs(states.reshape(len(states), -1, 2)).transpose(1, 2, 0) ** 2   # (2^(N-1), 2, S)
-    return sum(p[1:], p[0])     # a left fold: one vector add per amplitude pair
+    return sum(p[1:], p[0])     # left to right over the stack, not pairwise as .sum adds
 
 
 def sample_z(marg: np.ndarray, shots: int | None = None, rng=None, sizes=None) -> np.ndarray:
