@@ -175,5 +175,5 @@ def _project(basis: list, size: np.ndarray, lo: int, w: np.ndarray) -> np.ndarra
 
 
 def lift_amplitudes(eff: EffectiveHamiltonian, amplitudes: np.ndarray) -> np.ndarray:
-    """Map reduced 2-qubit amplitudes into the original 3-qubit space."""
-    return eff.basis_isometry @ np.asarray(amplitudes, dtype=complex)
+    """Lift reduced 2-qubit amplitudes, (4,) or a stack's (B, 4) rows, into the 3-qubit space."""
+    return (eff.basis_isometry @ np.asarray(amplitudes, dtype=complex)[..., None])[..., 0]

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cmf import EffectiveHamiltonian
+from .cmf import EffectiveHamiltonian, lift_amplitudes
 from .mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
 from .pauli import Frozen, PauliHamiltonian, dense_matrices, expectations, weighted_terms
 from .simulator import check_unit, rotation_matrix
@@ -212,7 +212,7 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     # each ground state as the strided column of its eigenvector matrix, which
     # BLAS accumulates unlike a contiguous copy
     ground = vecs.conj()[:, None, :, 0]
-    iso = None if energy_map is None else energy_map.effective.basis_isometry
+    eff = None if energy_map is None else energy_map.effective
     theta = np.array([config.initial_theta] * len(coeffs)) if theta is None else theta
     circuit = ansatz_builder(theta)     # the family's program, its arity checked once
     if not np.array_equal(circuit._rotations,   # iterations rewrite only this stack
@@ -221,8 +221,8 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
                          "gate about its descriptor's axis")
     run = ExactRun(circuit, h_system)
     # the weighted terms of every reported energy: the run's own without a reduction
-    terms = run.terms if iso is None else weighted_terms(labels, coeffs, report.n_qubits)
-    sampled, own = config.route == "hadamard", iso is None and config.route == "exact"
+    terms = run.terms if eff is None else weighted_terms(labels, coeffs, report.n_qubits)
+    sampled, own = config.route == "hadamard", eff is None and config.route == "exact"
     estimate = sampled and SampledRun(run, config.shots, seeds or [config.seed] * len(coeffs))
     steps = []   # per iteration: theta, energy, overlap, A, B (None after the last update)
 
@@ -231,7 +231,7 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
         states, a, b, energies = run(theta, not (sampled or last))
         if sampled and not last:
             _, a, b = estimate()
-        psi = states if iso is None else (iso @ states[:, :, None])[:, :, 0]
+        psi = states if eff is None else lift_amplitudes(eff, states)
         energy = energies if own and not last else expectations(labels, coeffs, psi, terms)
         steps.append((theta, energy, (ground @ psi[:, :, None])[:, 0, 0], a, b))
         if last:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
 from .pauli import PauliHamiltonian, _term_stack, apply_sums, real_part, weighted_terms
-from .simulator import (Gate, StateVector, apply_planned, check_norms, check_shots,
+from .simulator import (Gate, StateVector, apply_planned, check_norms, check_shots, check_unit,
                         controlled_pauli, hadamard, measure_z_expectation, rotation_matrix,
                         run_gates, sample_z, x, z_marginals)
 
@@ -86,7 +86,7 @@ class ExactRun:
     its numpy calls, later ones repeat them), one H|psi> gather and one pair
     product of (1, L) @ (L, 1) matmuls, bitwise np.vdot, whose <psi|psi>
     checks each norm: (states, A, B, energies <psi|H|psi> as real_part), or
-    without `system` the states alone, norm-checked as np.linalg.norm, as
+    without `system` the states alone, norm-checked by check_unit, as
     views of the buffer until the next call."""
 
     def __init__(self, ansatz: AnsatzCircuit, h: PauliHamiltonian) -> None:
@@ -113,7 +113,7 @@ class ExactRun:
                               self.programs.setdefault(system, []))
         kets, (bra, ket, a_cols, b_cols, *_) = self.kets, self.pairs
         if not system:
-            check_norms(np.linalg.norm(kets[0], axis=1))
+            check_unit(kets[0])
             return kets[0], None, None, None
         np.multiply(DERIVATIVE_PREFACTOR, kets[1:-1], out=kets[1:-1])   # branch i -> d_i
         apply_sums(self.terms, kets[0], kets[-1])
@@ -220,7 +220,7 @@ def _start(ref: StateVector, phases) -> np.ndarray:
     """ref (x) (|0> + e^{i phi} |1>)/sqrt(2) per phase, a norm-checked tensor stack."""
     amps = np.stack([ref.amplitudes[:, None] * (np.array([1.0, np.exp(1j * phi)], dtype=complex)
                                                 / np.sqrt(2.0)) for phi in phases])
-    check_norms(np.linalg.norm(amps.reshape(len(phases), -1), axis=1))
+    check_unit(amps.reshape(len(phases), -1))
     return amps.reshape((len(phases),) + (2,) * (ref.n_qubits + 1))
 
 
@@ -308,18 +308,13 @@ class SampledRun:
         return values, a, ab[cut:].reshape(-1, gamma)
 
 
-class UpdateResult(NamedTuple):
-    delta_theta: np.ndarray
-    stationary: bool
-
-
-def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
-    """delta theta = dtau * pinv(A) B via eigen-decomposition, for one system
-    or a stack (A of shape (..., gamma, gamma), dtau a scalar or one per
-    system): one stacked eigh, bitwise per system.  Eigenvalues below the
-    route's relative cutoff times the max eigenvalue are dropped; if the
-    whole spectrum sits below the absolute floor the update is zero and the
-    result is flagged stationary.  For a 1x1 system this is (B/A) * dtau.
+def solve_update(sys: McLachlanSystem, dtau) -> tuple[np.ndarray, np.ndarray]:
+    """(delta theta, stationary), delta theta = dtau * pinv(A) B by eigen-
+    decomposition, of one system or a stack (A (..., gamma, gamma), dtau a
+    scalar or one per system): one stacked eigh, bitwise per system.
+    Eigenvalues below the route's relative cutoff times the max eigenvalue
+    are dropped; if the whole spectrum sits below the absolute floor the
+    update is zero and flagged stationary.  For a 1x1 system: (B/A) dtau.
     """
     dtau = np.asarray(dtau, dtype=float)
     if not all(0 < t < np.inf for t in dtau.ravel().tolist()):  # NaN fails too
@@ -333,4 +328,4 @@ def solve_update(sys: McLachlanSystem, dtau) -> UpdateResult:
     delta = dtau[..., None] * (vec @ coef)[..., 0]
     stationary = lam_max[..., 0] < ABS_EIG_FLOOR
     delta[stationary] = 0.0
-    return UpdateResult(delta, stationary)
+    return delta, stationary

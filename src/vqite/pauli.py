@@ -178,10 +178,6 @@ class PauliHamiltonian:
         self.words = tuple(compress(distinct, keep.tolist()))
         self.coeffs = read_only(merged if c.ndim == 2 else merged[0])
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.words)
-
 
 def weighted_terms(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> tuple:
     """(src, coeffs[b, l] phase_l[j]) of the Pauli sums coeffs[b] over `labels`:

@@ -46,7 +46,7 @@ class StateVector(Frozen):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size & (amps.size - 1) or amps.size < 2:
             raise ValueError(f"amplitude vector length {amps.size} is not 2^n")
-        check_norms(np.linalg.norm(amps))
+        check_unit(amps[None])
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -64,10 +64,6 @@ class DensityMatrix(Frozen):
         if m.ndim != 2:
             raise ValueError(f"density matrix shape {m.shape} is not square 2^n")
         object.__setattr__(self, "elements", check_density(m))
-
-    @property
-    def n_qubits(self) -> int:
-        return self.elements.shape[0].bit_length() - 1
 
 
 def basis_state(bits) -> StateVector:

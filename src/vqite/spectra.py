@@ -35,10 +35,6 @@ class SpectrumResult(NamedTuple):
     def ground_state(self) -> np.ndarray:
         return self.eigenstates[:, 0]
 
-    @property
-    def ground_degenerate(self) -> bool:
-        return self.degeneracy_flags[0]
-
 
 class GershgorinBound(NamedTuple):
     """The upper bound on a Hermitian matrix's spectrum that its row discs give."""

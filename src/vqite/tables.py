@@ -135,11 +135,10 @@ def parse_table(source) -> MoleculeTable:
 
 
 def hamiltonian_at(table: MoleculeTable, r: float) -> PauliHamiltonian:
-    """Hamiltonian of the first row within 1e-9 of bond distance r (bisection)."""
-    k = bisect.bisect_left(table.rows, True, key=lambda row: row[0] - r > -1e-9)
-    if k == len(table.rows) or not abs(table.rows[k][0] - r) < 1e-9:
+    """Hamiltonian of the first row within 1e-9 of bond distance r (rows_within)."""
+    if not (rows := table.rows_within(r)):
         raise ValueError(f"no row at R={r:g}")
-    return PauliHamiltonian(table.pauli_labels, table.coefficients[k], table.n_qubits)
+    return PauliHamiltonian(table.pauli_labels, table.coefficients[rows[0]], table.n_qubits)
 
 
 def load_table(path) -> MoleculeTable:

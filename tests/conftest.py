@@ -147,7 +147,7 @@ def term_columns(hamiltonians):
     hs = list(hamiltonians)
     labels, column = _merge_plan(tuple(chain.from_iterable([h.words for h in hs])), hs[0].n_qubits)
     coeffs = np.zeros((len(hs), len(labels)))
-    coeffs[np.arange(len(hs)).repeat([h.n_terms for h in hs]), column] = np.concatenate(
+    coeffs[np.arange(len(hs)).repeat([len(h.words) for h in hs]), column] = np.concatenate(
         [h.coeffs for h in hs])
     return labels, coeffs
 
@@ -315,7 +315,7 @@ def select_basis_before(h_dense, cands, second, notes):
     h_effs = pauli_decompose_before(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
     return [EffectiveHamiltonian(h, m, (*row, "gram_schmidt.candidates_used=4",
                                         f"gram_schmidt.rank_deficient_dropped={n - 4}",
-                                        f"h_eff.terms={h.n_terms}"))
+                                        f"h_eff.terms={len(h.words)}"))
             for h, m, row, n in zip(h_effs, iso, notes, used.tolist())]
 
 
@@ -464,7 +464,7 @@ def cmf_oracle(h):
               f"gram_schmidt.rank_deficient_dropped={dropped}"]
     iso = np.column_stack(basis)
     h_eff = pauli_decompose(iso.conj().T @ h_dense @ iso)
-    notes.append(f"h_eff.terms={h_eff.n_terms}")
+    notes.append(f"h_eff.terms={len(h_eff.words)}")
     return iso, h_eff, tuple(notes)
 
 

@@ -49,7 +49,6 @@ def test_lih_r15_ground_state_quality(lih_r15):
 
 
 def test_spectral_containment_all_rows(lih_table):
-    from vqite import hamiltonian_at
     for r in lih_table.bond_distances:
         h = hamiltonian_at(lih_table, r)
         full = np.linalg.eigvalsh(to_dense_matrix(h))
@@ -138,7 +137,7 @@ def lih_oracle(lih_table):
 def test_batched_rows_equal_per_row_oracle_bitwise(lih_oracle):
     # All 50 rows in one batch, including the 11-term rows R = 4.9 and 5.0.
     hs = [h for h, _ in lih_oracle.values()]
-    assert {h.n_terms for h in hs} == {11, 13}
+    assert {len(h.words) for h in hs} == {11, 13}
     rows = reduction_rows(cmf_reduce_rows(stacked(hs)))
     for (r, (_, want)), got in zip(lih_oracle.items(), rows, strict=True):
         assert got == want, r
@@ -148,15 +147,21 @@ def test_batched_rows_equal_per_row_oracle_bitwise(lih_oracle):
 TIED = from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
 
 
-def test_one_row_reductions_equal_oracle_bitwise(lih_oracle):
+def test_one_row_reductions_equal_oracle_bitwise(lih_oracle, rng):
     # The one-row reduction that every `excited` call runs, of each LiH row,
     # of PRODUCT, whose candidates take the rank-deficient fallback, and of
-    # TIED, whose candidates are ordered on their coefficients.
-    cases = [(r, h, want) for r, (h, want) in lih_oracle.items()]
+    # TIED, whose candidates are ordered on their coefficients.  A LiH row's
+    # lift of a random state through it is that row's lift through the 50-row
+    # stacked reduction, as run_qite_rows lifts a scan's states, byte for byte.
+    cases, effs = [(r, h, want) for r, (h, want) in lih_oracle.items()], {}
     for r, h, want in cases + [(name, h, reduction_bytes(*cmf_oracle(h)))
                                for name, h in (("PRODUCT", PRODUCT), ("TIED", TIED))]:
-        eff = cmf_reduce(h)
+        effs[r] = eff = cmf_reduce(h)
         assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
+    amps = np.array([random_state(rng, 2) for _ in lih_oracle])
+    lifted = lift_amplitudes(cmf_reduce_rows(stacked([h for _, h, _ in cases])), amps)
+    for r, a, got in zip(lih_oracle, amps, lifted, strict=True):
+        assert got.tobytes() == lift_amplitudes(effs[r], a).tobytes(), r
 
 
 @pytest.mark.parametrize("rows", [1, 50])
@@ -181,7 +186,7 @@ def test_mixed_batch_selects_bases_in_one_pass(lih_table, monkeypatch):
     # one Pauli expansion of all rows, and every row keeps its oracle bytes.
     hs = [hamiltonian_at(lih_table, r) for r in (0.5, 4.9, 1.5, 5.0)]
     hs.insert(2, PRODUCT)
-    assert [h.n_terms for h in hs] == [13, 11, 4, 13, 11]
+    assert [len(h.words) for h in hs] == [13, 11, 4, 13, 11]
     real, sizes = cmf.pauli_decompose, []
     monkeypatch.setattr(cmf, "pauli_decompose", lambda m: sizes.append(len(m)) or real(m))
     eff = cmf_reduce_rows(stacked(hs))
@@ -200,7 +205,7 @@ def test_stacked_reduction_notes_each_row_term_count(lih_table):
     # its own h_eff.terms count included, is that of cmf_reduce of the row alone.
     hs = [hamiltonian_at(lih_table, 1.5), PRODUCT, TIED]
     eff, alone = cmf_reduce_rows(stacked(hs)), [cmf_reduce(h) for h in hs]
-    assert [e.h_eff.n_terms for e in alone] == [10, 3, 2]
+    assert [len(e.h_eff.words) for e in alone] == [10, 3, 2]
     assert eff.h_eff.coeffs.shape == (3, 10) and eff.basis_isometry.shape == (3, 8, 4)
     assert eff.provenance == tuple(e.provenance for e in alone)
     assert [n[-1] for n in eff.provenance] == ["h_eff.terms=10", "h_eff.terms=3",

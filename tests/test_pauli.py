@@ -116,7 +116,7 @@ def test_weighted_partial_trace_zx():
 def test_weighted_partial_trace_zz_vanishes():
     h = from_pairs([(1.0, "ZZ")])
     reduced = weighted_partial_trace(h, {0}, plus_x_weight())
-    assert reduced.n_terms == 0
+    assert len(reduced.words) == 0
 
 
 def test_weighted_partial_trace_lih_matches_dense(lih_r15):
@@ -157,13 +157,13 @@ def test_weighted_partial_trace_checks_raw_weight(weight):
 
 def test_pauli_decompose_identity():
     h = pauli_decompose(np.eye(4))
-    assert h.n_terms == 1
+    assert len(h.words) == 1
     assert coefficient(h, "II") == pytest.approx(1.0)
 
 
 def test_pauli_decompose_diag_z():
     h = pauli_decompose(np.diag([1.0, -1.0]))
-    assert h.n_terms == 1
+    assert len(h.words) == 1
     assert coefficient(h, "Z") == pytest.approx(1.0)
 
 
@@ -204,7 +204,7 @@ def test_expectation_linearity(rng):
 
 def test_canonicalization_merges_and_drops():
     h = from_pairs([(0.5, "ZI"), (0.25, "ZI"), (1e-16, "XX")])
-    assert h.n_terms == 1
+    assert len(h.words) == 1
     assert coefficient(h, "ZI") == pytest.approx(0.75)
 
 

@@ -287,7 +287,7 @@ def test_gate_range_checked_on_stacks(monkeypatch, gate):
 def test_density_matrix_validation(rng):
     amps = random_state(rng, 2)
     rho = DensityMatrix(np.outer(amps, amps.conj()))
-    assert rho.n_qubits == 2
+    assert rho.elements.shape == (4, 4)
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4))           # trace 4
     with pytest.raises(ValueError):

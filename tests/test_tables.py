@@ -111,7 +111,7 @@ def test_bundled_tables_parsed_once(tmp_path):
 
 def test_hamiltonian_at_exact_match(lih_table):
     h = hamiltonian_at(lih_table, 1.5)
-    assert h.n_terms == 13
+    assert len(h.words) == 13
     assert coefficient(h, "III") == pytest.approx(-7.0632)
     with pytest.raises(ValueError, match="no row at R=1.49"):
         hamiltonian_at(lih_table, 1.49)
@@ -189,7 +189,7 @@ def test_synthetic_h2_properties(h2_table, h2_r07):
     assert {"ZI", "IZ", "ZZ", "XX"} <= set(h2_table.pauli_labels)
     spec = exact_spectrum(h2_r07)
     # |10> is the exact, non-degenerate ground state by construction.
-    assert not spec.ground_degenerate
+    assert not spec.degeneracy_flags[0]
     assert abs(spec.ground_state[2]) == pytest.approx(1.0, abs=1e-12)
 
 
