@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ansatz
-from .cmf import cmf_reduce_rows
+from .cmf import cmf_reduce_rows, selection_notes
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
 from .pauli import dense_matrices, to_dense_matrix
 from .simulator import projectors
@@ -183,7 +183,9 @@ def run_scan(manifest: RunManifest, lift: bool = False):
     point alone, and only the points that fail alone are recorded, with an
     `error:<ExceptionType>` flag and their message on stderr.  A point reads
     its row's summary from the stacked result; its trajectory makes the
-    records only when read (emit_outputs with --trace).
+    records only when read (emit_outputs with --trace), and its cmf record,
+    (R, reduction, the row's index in it), the selection text only when
+    written (emit_outputs with --out).
     """
     table = load_manifest_table(manifest.table)
     if lift:
@@ -193,13 +195,13 @@ def run_scan(manifest: RunManifest, lift: bool = False):
     flagged = set() if lift else discontinuity_rs(table)   # excited prints no such flag
     builder = getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder)
 
-    def step(ks):  # (trajectory, cmf notes, (e_exact, e_max)) of each table row k in ks
+    def step(ks):  # (trajectory, (reduction, index), (e_exact, e_max)) of each table row k in ks
         h, dtau, levels = table.hamiltonians(ks), manifest.dtau, None
         eff = cmf_reduce_rows(h) if manifest.cmf else None
         run, energy_map = (h, None) if eff is None else (eff.h_eff, EnergyMap(eff, h))
         if lift:  # each row's ground level raised to its Gershgorin bound: H + (e_max - E_0) |g><g|
             dense = dense_matrices(run.words, run.coeffs, run.n_qubits)
-            vals, vecs, _ = stacked_spectrum(dense)
+            vals, vecs = stacked_spectrum(dense)
             e_max = gershgorin_emax(dense).e_max
             run, energy_map = _lift(dense, projectors(vecs[:, :, 0]), e_max), None  # |g| checked
             levels = zip(vals[:, 1].tolist(), e_max.tolist())
@@ -209,7 +211,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
                             manifest.route, manifest.shots, manifest.seed)
         trajs = run_qite_rows(run, builder, config, energy_map, seeds=[
             manifest.point_seed(table.rows[k][0]) for k in ks]).trajectories()
-        return list(zip(trajs, eff.provenance if eff else [None] * len(ks),
+        return list(zip(trajs, [(eff, b) for b in range(len(ks))] if eff else [None] * len(ks),
                         levels or [(t.exact_energy, None) for t in trajs]))
 
     try:
@@ -230,7 +232,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             results.append((CurvePoint(r, float("nan"), float("nan"), None,
                                        manifest.iterations, ("error:" + kind,)), None, None))
             continue
-        traj, notes, (e_exact, e_max) = outcome
+        traj, cmf, (e_exact, e_max) = outcome
         flags = tuple(flag for flag, hit in (
             ("stationary", traj.stationary),
             ("degenerate", traj.ground_degenerate),
@@ -239,7 +241,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
         ) if hit)
         results.append((CurvePoint(r, traj.converged_energy, e_exact, traj.final_fidelity,
-                                   manifest.iterations, flags, e_max), traj, notes and (r, notes)))
+                                   manifest.iterations, flags, e_max), traj, cmf and (r, *cmf)))
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}
@@ -253,7 +255,8 @@ def format_number(v) -> str:
 
 def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
                  cmf_records=()) -> list[Path]:
-    """Write curve.csv, optional traces, manifest.echo and CMF records."""
+    """Write curve.csv, optional traces, manifest.echo and the CMF records'
+    selection notes (cmf.selection_notes, once per reduction)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -288,11 +291,11 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
             write("trace_R%g.csv" % r, rows)
 
     if cmf_records:
-        lines = []
-        for r, notes in cmf_records:
-            lines.append(f"[R={r:g}]")
-            lines.extend(notes)
-            lines.append("")
+        lines, notes = [], {}      # each reduction's rows, formatted once
+        for r, eff, b in cmf_records:
+            if id(eff) not in notes:
+                notes[id(eff)] = selection_notes(eff)
+            lines += (f"[R={r:g}]", *notes[id(eff)][b], "")
         write("cmf_selection.txt", lines[:-1])     # no blank line after the last record
 
     write("manifest.echo", manifest.echo_lines([p.r for p in points]))

@@ -28,6 +28,9 @@ trace plan and each spectrum one eigh of a stack; steps 4-5 over the
 candidates of every row, one Gram-Schmidt sweep and one Pauli expansion.
 cmf_reduce_rows is that batch, a stack in and a stacked reduction out; one
 failing row fails it, and a scan then reduces each row alone (cli.run_scan).
+A reduction keeps what the steps decide as arrays (its `selection` record);
+selection_notes formats them as the key=value notes of cmf_selection.txt,
+which only the writer of that file calls.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from .pauli import (PAULI_MATRICES, PauliHamiltonian, dense_matrices, partial_traces,
                     pauli_decompose)
 from .simulator import DensityMatrix, projectors
-from .spectra import DEGENERACY_GAP, stacked_spectrum
+from .spectra import DEGENERACY_GAP, gap_flags, stacked_spectrum
 
 GRAM_RANK_TOL = 1e-8
 
@@ -50,23 +53,32 @@ SUBSYSTEM_B = (2,)
 INITIAL_RHO_B = DensityMatrix(0.5 * (PAULI_MATRICES["I"] + PAULI_MATRICES["X"]))
 
 
+# Steps 1-3 as passes: the tags of each pass's conditioned Hamiltonians, and its kept side.
+PASSES = ((("h_a0",), SUBSYSTEM_A),
+          (("h_b(a_g)", "h_b(a_e)"), SUBSYSTEM_B),
+          (("h_a1(b_g(a_g))", "h_a1(b_e(a_g))", "h_a1(b_g(a_e))", "h_a1(b_e(a_e))"), SUBSYSTEM_A))
+
+
 class EffectiveHamiltonian(NamedTuple):
     """CMF-reduced Hamiltonian plus the basis back-map, of one row or of B.
 
     `basis_isometry` columns are the orthonormal effective basis vectors in
-    the original 8-dimensional space, (8, 4) or (B, 8, 4); `provenance`
-    records the selection steps as plain key=value lines (a tuple per row).
+    the original 8-dimensional space, (8, 4) or (B, 8, 4); `selection`
+    records what the steps decided, as arrays of the stack reduced (of one
+    row for cmf_reduce): each pass of PASSES as its (tags, B, k) eigenvalue
+    stack, and each row's count of candidates used (B,).  selection_notes
+    formats it.
     """
 
     h_eff: PauliHamiltonian
     basis_isometry: np.ndarray
-    provenance: tuple[str, ...]
+    selection: tuple[tuple[np.ndarray, ...], np.ndarray]
 
 
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
     """Run the layered reduction on one Hamiltonian: cmf_reduce_rows of its one row."""
-    h_eff, iso, (notes,) = cmf_reduce_rows(h)
-    return EffectiveHamiltonian(PauliHamiltonian(h_eff.words, h_eff.coeffs[0], 2), iso[0], notes)
+    h_eff, iso, record = cmf_reduce_rows(h)
+    return EffectiveHamiltonian(PauliHamiltonian(h_eff.words, h_eff.coeffs[0], 2), iso[0], record)
 
 
 def cmf_reduce_rows(h: PauliHamiltonian) -> EffectiveHamiltonian:
@@ -75,51 +87,67 @@ def cmf_reduce_rows(h: PauliHamiltonian) -> EffectiveHamiltonian:
     if h.n_qubits != 3:
         raise ValueError("the one-layer reduction is defined for 3-qubit input")
     labels, coeffs = h.words, np.atleast_2d(h.coeffs)
-    rows = len(coeffs)
-    notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in range(rows)]
+    rows, eigenvalues = len(coeffs), []
 
-    def conditioned(tags, keep, rho):  # one pass; (tag, row, ...) spectra
+    def conditioned(tags, keep, rho):  # one pass of PASSES; (tag, row, ...) spectra
         words, reduced = partial_traces(labels, np.concatenate([coeffs] * len(tags)), keep, rho)
-        vals, vecs, flags = (a.reshape(len(tags), rows, *a.shape[1:]) for a in
-                             stacked_spectrum(dense_matrices(words, reduced, len(keep))))
-        level = int(keep == SUBSYSTEM_A)   # a (steps 1 and 3) notes level 1, b (step 2) level 0
-        lows, ties = vals[..., :2].tolist(), flags[..., level].tolist()
-        for tag, v, f in zip(tags, lows, ties):
-            for row, (lo, hi), flag in zip(notes, v, f):
-                if flag:
-                    row.append(f"{tag}.tie_break=eigh-order"
-                               + (f" (gap below {DEGENERACY_GAP})" if level else ""))
-                row.append(f"{tag}.{'lowest' if level else 'eigenvalues'}={lo:.12g},{hi:.12g}")
+        vals, vecs = (a.reshape(len(tags), rows, *a.shape[1:]) for a in
+                      stacked_spectrum(dense_matrices(words, reduced, len(keep))))
+        eigenvalues.append(vals)
         return vals, vecs
 
     # Step 1: seed reduction and the two lowest a states.
-    seed = INITIAL_RHO_B.elements[None].repeat(rows, axis=0)
-    a_vecs = conditioned(["h_a0"], SUBSYSTEM_A, seed)[1][0]
+    a_vecs = conditioned(*PASSES[0], INITIAL_RHO_B.elements[None].repeat(rows, axis=0))[1][0]
 
     # Step 2: b conditioned on each a state (ground, excited per a state).
     av = np.concatenate([a_vecs[:, :, 0], a_vecs[:, :, 1]])
-    _, b_vecs = conditioned(["h_b(a_g)", "h_b(a_e)"], SUBSYSTEM_B, projectors(av))
+    _, b_vecs = conditioned(*PASSES[1], projectors(av))
     bs = b_vecs.transpose(0, 3, 1, 2).reshape(4 * rows, 2)   # b_g(a_g), b_e(a_g), ...
 
     # Step 3: a conditioned on each b state, and its two lowest states.
-    a_vals, a_vecs = conditioned(["h_a1(b_g(a_g))", "h_a1(b_e(a_g))", "h_a1(b_g(a_e))",
-                                  "h_a1(b_e(a_e))"], SUBSYSTEM_A, projectors(bs))
+    a_vals, a_vecs = conditioned(*PASSES[2], projectors(bs))
 
     # Step 4 candidates: the np.kron of each b state with the lowest (primary)
     # and the second (secondary) a state of its own conditioned Hamiltonian.
     bs = bs.reshape(4, rows, 2).swapaxes(0, 1)[:, None, :, None]
     cands = (a_vecs[..., :2].transpose(1, 3, 0, 2)[..., None] * bs).reshape(rows, 2, 4, 8)
-    return _select_basis(dense_matrices(labels, coeffs, 3), cands, a_vals[:, :, 1].T, notes)
+    return _select_basis(dense_matrices(labels, coeffs, 3), cands, a_vals[:, :, 1].T,
+                         tuple(eigenvalues))
+
+
+def selection_notes(eff: EffectiveHamiltonian) -> tuple[tuple[str, ...], ...]:
+    """The selection steps of each row of a reduction as plain key=value lines,
+    a tuple per row: each pass's two lowest eigenvalues, after a tie-break
+    note where gap_flags marks the level read (an a spectrum's second, a b
+    one's first), then the Gram-Schmidt counts and the row's own term count."""
+    eigenvalues, used = eff.selection
+    notes = [[f"partition.a={SUBSYSTEM_A}", f"partition.b={SUBSYSTEM_B}"] for _ in used]
+    for (tags, keep), vals in zip(PASSES, eigenvalues):
+        level = int(keep == SUBSYSTEM_A)   # a (steps 1 and 3) notes level 1, b (step 2) level 0
+        key, tie = ("lowest", f" (gap below {DEGENERACY_GAP})") if level else ("eigenvalues", "")
+        # the two lowest of every (tag, row) in one % and one tolist, a line each
+        template = "".join(f"{tag}.{key}=%.12g,%.12g\n" * len(notes) for tag in tags)
+        lines = iter((template % tuple(vals[..., :2].ravel().tolist())).split("\n"))
+        for tag, ties in zip(tags, gap_flags(vals)[..., level].tolist()):
+            for row, line, flag in zip(notes, lines, ties):   # notes first: takes B lines
+                if flag:
+                    row.append(f"{tag}.tie_break=eigh-order{tie}")
+                row.append(line)
+    terms = np.count_nonzero(np.atleast_2d(eff.h_eff.coeffs), axis=1).tolist()   # each row's own
+    return tuple((*row, "gram_schmidt.candidates_used=4",
+                  f"gram_schmidt.rank_deficient_dropped={n - 4}", f"h_eff.terms={t}")
+                 for row, n, t in zip(notes, used.tolist(), terms))
 
 
 def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
-                  notes: list[list[str]]) -> EffectiveHamiltonian:
+                  eigenvalues: tuple[np.ndarray, ...]) -> EffectiveHamiltonian:
     """Steps 4 and 5 for all rows: order, orthonormalize and project.
 
     `h_dense` stacks the (B, 8, 8) Hamiltonians, `cands` the (B, 2, 4, 8)
     primary and secondary candidates, taken by ascending mean energy <v|H|v>
     and (B, 4) `second` eigenvalue, ties broken as sorted() breaks them on
-    the coefficients rounded to 12 decimals; notes[b] gets row b's counts."""
+    the coefficients rounded to 12 decimals; the record keeps `eigenvalues`,
+    each pass's stack, and each row's count of candidates used."""
     rows, each = len(cands), np.arange(len(cands))
     v = cands[:, 0, :, :, None]     # <v|H|v>: (8, 8) @ (8, 1), then (1, 8) @ (8, 1)
     energy = (v.conj().swapaxes(-1, -2) @ (h_dense[:, None] @ v))[..., 0, 0].real
@@ -158,10 +186,7 @@ def _select_basis(h_dense: np.ndarray, cands: np.ndarray, second: np.ndarray,
 
     iso = iso[:, :, :4].copy()
     h_eff = pauli_decompose(iso.conj().swapaxes(-1, -2) @ h_dense @ iso)
-    terms = np.count_nonzero(h_eff.coeffs, axis=1).tolist()   # each row's own
-    return EffectiveHamiltonian(h_eff, iso, tuple(
-        (*row, "gram_schmidt.candidates_used=4", f"gram_schmidt.rank_deficient_dropped={n - 4}",
-         f"h_eff.terms={t}") for row, n, t in zip(notes, used.tolist(), terms)))
+    return EffectiveHamiltonian(h_eff, iso, (eigenvalues, used))
 
 
 def _project(basis: list, size: np.ndarray, lo: int, w: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .cmf import EffectiveHamiltonian, lift_amplitudes
 from .mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
 from .pauli import Frozen, PauliHamiltonian, dense_matrices, expectations, weighted_terms
 from .simulator import check_unit, rotation_matrix
-from .spectra import stacked_spectrum
+from .spectra import gap_flags, stacked_spectrum
 
 STATIONARY_TOL = 1e-10
 MONOTONICITY_TOL = 1e-6
@@ -208,7 +208,7 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     report = h_system if energy_map is None else energy_map.h_original
     labels, coeffs = report.words, np.atleast_2d(report.coeffs)
     dtau = np.atleast_1d(resolve_dtau(config, report))
-    exact, vecs, flags = stacked_spectrum(dense_matrices(labels, coeffs, report.n_qubits))
+    exact, vecs = stacked_spectrum(dense_matrices(labels, coeffs, report.n_qubits))
     # each ground state as the strided column of its eigenvector matrix, which
     # BLAS accumulates unlike a contiguous copy
     ground = vecs.conj()[:, None, :, 0]
@@ -243,7 +243,7 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
 
     check_unit(psi)
     theta, energy, overlap, a, b = zip(*steps)
-    energy, overlap, degenerate = np.array(energy), np.array(overlap), flags[:, 0]
+    energy, overlap, degenerate = np.array(energy), np.array(overlap), gap_flags(exact)[:, 0]
     violations = [[] for _ in dtau]
     # (row, 0) of a degenerate row, (row, it) of each rise, row by row as the loop went
     events = np.concatenate([degenerate[None], energy[1:] > energy[:-1] + MONOTONICITY_TOL])

@@ -22,6 +22,7 @@ agree to machine precision; with shots they agree statistically.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -271,7 +272,9 @@ class SampledRun:
         ansatz, (labels, coeffs) = exact.ansatz, exact.columns
         self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
         check_shots(shots)
-        if shots is not None and (np.shape(seeds)[:1] != (rows,) or any(s is None for s in seeds)):
+        # len(), as per-row seeds of unequal lengths do not stack; an int or a Generator is one seed
+        count = len(seeds) if isinstance(seeds, Sized) and getattr(seeds, "ndim", 1) else None
+        if shots is not None and (count != rows or any(s is None for s in seeds)):
             raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
         self.table = _table(ansatz.descriptors, labels, rows, coeffs.tobytes())
         phases, head, _, one, words, src, *_, sizes = self.table

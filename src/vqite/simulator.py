@@ -280,7 +280,8 @@ def sample_z(marg: np.ndarray, shots: int | None = None, rng=None, sizes=None) -
         return exact
     p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
     ends = [0, *accumulate([len(p)] if sizes is None else sizes)]
-    counts = np.concatenate([np.random.default_rng(g).binomial(shots, p[a:b]) for g, a, b
+    n = np.full(len(p), shots)   # the int's draws, with less argument checking per call
+    counts = np.concatenate([np.random.default_rng(g).binomial(n[a:b], p[a:b]) for g, a, b
                              in zip([rng] if sizes is None else rng, ends, ends[1:])])
     return 2.0 * counts / shots - 1.0
 

@@ -42,28 +42,32 @@ class GershgorinBound(NamedTuple):
     e_max: float                     # (B,) for a stack of matrices
 
 
-def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending eigenvalues, eigenvectors and degeneracy flags of each
-    Hermitian matrix in a (B, k, k) stack.  Each eigenvector is scaled so its
-    largest-magnitude component is real and positive; a level is degenerate
-    when a neighbour lies within DEGENERACY_GAP."""
+def stacked_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of each Hermitian matrix in a
+    (B, k, k) stack.  Each eigenvector is scaled so its largest-magnitude
+    component is real and positive; gap_flags reads the values' degeneracies."""
     vals, vecs = np.linalg.eigh(m)
     pivot = vecs[np.arange(len(vecs))[:, None], np.abs(vecs).argmax(axis=-2),
                  np.arange(vecs.shape[-1])][:, None]
     # hypot is the scalar abs(pivot), which rounds unlike np.abs on an array;
     # the largest component of a unit vector is never 0
-    vecs = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+    return vals, vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+
+
+def gap_flags(vals: np.ndarray) -> np.ndarray:
+    """Each level of ascending eigenvalues (..., k) that a neighbour lies
+    within DEGENERACY_GAP of: a bool array of the same shape."""
     # np.minimum of floats, not | of bools: a bool loop faults in numpy code
     # pages nothing else here runs, which shows in peak RSS
-    gaps = np.full((len(vals), vals.shape[1] + 1), np.inf)
-    np.subtract(vals[:, 1:], vals[:, :-1], out=gaps[:, 1:-1])
-    return vals, vecs, np.minimum(gaps[:, :-1], gaps[:, 1:]) < DEGENERACY_GAP
+    gaps = np.full((*vals.shape[:-1], vals.shape[-1] + 1), np.inf)
+    np.subtract(vals[..., 1:], vals[..., :-1], out=gaps[..., 1:-1])
+    return np.minimum(gaps[..., :-1], gaps[..., 1:]) < DEGENERACY_GAP
 
 
 def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
     """Full dense eigen-decomposition of a Hamiltonian, phase-normalized, ascending."""
-    vals, vecs, flags = stacked_spectrum(to_dense_matrix(h)[None])
-    return SpectrumResult(vals[0], vecs[0], tuple(flags[0].tolist()))
+    vals, vecs = stacked_spectrum(to_dense_matrix(h)[None])
+    return SpectrumResult(vals[0], vecs[0], tuple(gap_flags(vals[0]).tolist()))
 
 
 def gershgorin_emax(h_dense: np.ndarray) -> GershgorinBound:

@@ -406,7 +406,8 @@ def coeff_key(vec):
 def cmf_oracle(h):
     """The one-layer CMF reduction of one Hamiltonian, stage by stage on its
     own, from dense_oracle, partial_trace_oracle and spectrum_oracle:
-    (isometry, h_eff, provenance) as the batched reduction must give them."""
+    (isometry, h_eff, selection notes) as the batched reduction must give
+    them, the notes written line by line in the form cmf_selection.txt holds."""
     from vqite.cmf import GRAM_RANK_TOL, INITIAL_RHO_B
     from vqite.simulator import DensityMatrix
     from vqite import pauli_decompose
@@ -468,62 +469,60 @@ def cmf_oracle(h):
     return iso, h_eff, tuple(notes)
 
 
-def reduction_bytes(iso, h_eff, provenance):
-    """A reduction as bytes: isometry tobytes(), h_eff term_bytes, provenance."""
-    return iso.tobytes(), term_bytes(h_eff), provenance
+def reduction_bytes(iso, h_eff, notes):
+    """A reduction as bytes: isometry tobytes(), h_eff term_bytes, selection notes."""
+    return iso.tobytes(), term_bytes(h_eff), notes
 
 
 def reduction_rows(eff):
-    """reduction_bytes of each row of a stacked reduction, its h_eff row as
-    the one Hamiltonian the constructor makes of it."""
+    """reduction_bytes of each row of a stacked reduction (of the one row of
+    cmf_reduce's), its h_eff row as the one Hamiltonian the constructor makes
+    of it and its notes as cmf.selection_notes formats them."""
+    from vqite.cmf import selection_notes
+
+    if eff.basis_isometry.ndim == 2:
+        return [reduction_bytes(eff.basis_isometry, eff.h_eff, *selection_notes(eff))]
     return [reduction_bytes(iso, h, notes) for iso, h, notes in
-            zip(eff.basis_isometry, row_views(eff.h_eff), eff.provenance, strict=True)]
+            zip(eff.basis_isometry, row_views(eff.h_eff), selection_notes(eff), strict=True)]
 
 
 def per_stage_cmf(hs):
     """The batched reduction of every row of hs with steps 1-3 as seven
     passes, one per conditioned Hamiltonian (the form the stacked stages
     replaced), and the step 4 candidates built by np.kron per row: one
-    stacked EffectiveHamiltonian."""
+    stacked EffectiveHamiltonian, its record's pass stacks stacked from the
+    seven passes' eigenvalues."""
     from vqite.cmf import INITIAL_RHO_B, _select_basis
     from vqite.pauli import check_density, dense_matrices, partial_traces
-    from vqite.spectra import DEGENERACY_GAP, stacked_spectrum
+    from vqite.spectra import stacked_spectrum
 
     labels, coeffs = term_columns(hs)
     stages = []
 
-    def conditioned(tag, keep, rho, level):
+    def conditioned(keep, rho):
         words, reduced = partial_traces(labels, coeffs, keep, check_density(rho))
-        vals, vecs, flags = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
-        stages.append((tag, vals, flags, level))
+        vals, vecs = stacked_spectrum(dense_matrices(words, reduced, len(keep)))
+        stages.append(vals)
         return vals, vecs
 
     def outer(v):
         return v[:, :, None] * v.conj()[:, None, :]
 
     seed = np.broadcast_to(INITIAL_RHO_B.elements, (len(hs), 2, 2))
-    _, a_vecs = conditioned("h_a0", (0, 1), seed, 1)
+    _, a_vecs = conditioned((0, 1), seed)
     b_states = []
-    for tag, av in (("a_g", a_vecs[:, :, 0]), ("a_e", a_vecs[:, :, 1])):
-        _, vecs = conditioned(f"h_b({tag})", (2,), outer(av), 0)
+    for av in (a_vecs[:, :, 0], a_vecs[:, :, 1]):
+        _, vecs = conditioned((2,), outer(av))
         b_states += [vecs[:, :, 0], vecs[:, :, 1]]
     pairs = []
-    for tag, bv in zip(("b_g(a_g)", "b_e(a_g)", "b_g(a_e)", "b_e(a_e)"), b_states):
-        vals, vecs = conditioned(f"h_a1({tag})", (0, 1), outer(bv), 1)
+    for bv in b_states:
+        vals, vecs = conditioned((0, 1), outer(bv))
         pairs.append((vecs, bv, vals))
-    notes = []
-    for b in range(len(hs)):
-        notes.append(["partition.a=(0, 1)", "partition.b=(2,)"])
-        for tag, vals, flags, level in stages:
-            if flags[b, level]:
-                notes[b].append(f"{tag}.tie_break=eigh-order"
-                                + (f" (gap below {DEGENERACY_GAP})" if level else ""))
-            notes[b].append(f"{tag}.{'lowest' if level else 'eigenvalues'}="
-                            f"{float(vals[b, 0]):.12g},{float(vals[b, 1]):.12g}")
+    eigenvalues = tuple(np.stack(stages[a:b]) for a, b in ((0, 1), (1, 3), (3, 7)))
     cands = np.array([[[np.kron(a[b, :, k], bv[b]) for a, bv, _ in pairs] for k in (0, 1)]
                       for b in range(len(hs))])
     second = np.array([[v[b, 1] for _, _, v in pairs] for b in range(len(hs))])
-    return _select_basis(dense_matrices(labels, coeffs, 3), cands, second, notes)
+    return _select_basis(dense_matrices(labels, coeffs, 3), cands, second, eigenvalues)
 
 
 def per_state_gates(t, gates):

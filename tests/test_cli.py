@@ -78,6 +78,41 @@ def test_scan_makes_records_only_for_traces(tmp_path, monkeypatch):
         assert {k: v for k, v in traced[2].items() if k != "curve.csv"} == files
 
 
+def test_selection_text_is_made_only_where_written(tmp_path, monkeypatch):
+    # excited and a CMF scan without --out never format the selection notes;
+    # a scan with --out formats each reduction once, the batch's, or each
+    # row's own when the batch fails and the rows run alone, to the same file.
+    from vqite import cmf
+
+    class Formatted(Exception):
+        pass
+
+    def refuse(eff):
+        raise Formatted
+    real, calls = cli.selection_notes, []
+    monkeypatch.setattr(cmf, "selection_notes", refuse)
+    monkeypatch.setattr(cli, "selection_notes", refuse)
+    argv = ["--table", "lih", "--r", "1.4,1.5,3.0"]
+    assert main(["excited", *argv]) == 0
+    assert main(["scan", "--cmf", *argv]) == 0
+    with pytest.raises(Formatted):
+        main(["scan", "--cmf", *argv, "--out", str(tmp_path / "refused")])
+    monkeypatch.setattr(cli, "selection_notes", lambda eff: calls.append(1) or real(eff))
+    batch = run_cli(["scan", "--cmf", *argv], tmp_path / "batch")
+    assert calls == [1]
+    run_rows = cli.run_qite_rows
+
+    def one_row_only(h, *args, **kwargs):
+        if h.coeffs.ndim == 2 and len(h.coeffs) > 1:
+            raise ArithmeticError("batch refused")
+        return run_rows(h, *args, **kwargs)
+    monkeypatch.setattr(cli, "run_qite_rows", one_row_only)
+    alone = run_cli(["scan", "--cmf", *argv], tmp_path / "alone")
+    assert calls == [1] * 4
+    assert alone[2]["cmf_selection.txt"] == batch[2]["cmf_selection.txt"]
+    assert (tmp_path / "alone" / "cmf_selection.txt").read_text().count("[R=") == 3
+
+
 def test_point_matches_engine(lih_r15):
     m = manifest(ansatz="ucc-lih", cmf=False, r_selection=(1.5,))
     points, trajectories, _ = run_scan(m)
@@ -260,8 +295,8 @@ def test_excited_refuses_non_unit_ground_vector(monkeypatch, capsys):
     real = cli.stacked_spectrum
 
     def scaled(m):
-        vals, vecs, flags = real(m)
-        return vals, vecs * (1 + 1e-6), flags
+        vals, vecs = real(m)
+        return vals, vecs * (1 + 1e-6)
 
     monkeypatch.setattr(cli, "stacked_spectrum", scaled)
     assert main(["excited", "--table", "lih", "--r", "1.5"]) == 1

@@ -7,7 +7,7 @@ from conftest import (cmf_oracle, from_pairs, per_stage_cmf, random_state, reduc
                       reduction_rows, stacked)
 from vqite import (cmf, cmf_reduce, cmf_reduce_rows, exact_spectrum, hamiltonian_at,
                    lift_amplitudes, to_dense_matrix)
-from vqite.cmf import INITIAL_RHO_B
+from vqite.cmf import INITIAL_RHO_B, selection_notes
 
 
 def test_default_seed_state_is_plus_x():
@@ -87,7 +87,8 @@ def test_energy_consistency_random_states(lih_r15, rng):
 def test_determinism_bit_identical(lih_r15):
     a = cmf_reduce(lih_r15)
     b = cmf_reduce(lih_r15)
-    assert a.provenance == b.provenance
+    assert selection_notes(a) == selection_notes(b)
+    assert [v.tobytes() for v in a.selection[0]] == [v.tobytes() for v in b.selection[0]]
     assert np.array_equal(a.basis_isometry, b.basis_isometry)
     assert a.h_eff.words == b.h_eff.words
     assert a.h_eff.coeffs.tobytes() == b.h_eff.coeffs.tobytes()
@@ -95,7 +96,7 @@ def test_determinism_bit_identical(lih_r15):
 
 def test_provenance_records_selection(lih_r15):
     eff = cmf_reduce(lih_r15)
-    text = "\n".join(eff.provenance)
+    text = "\n".join(*selection_notes(eff))
     assert "h_a0.lowest=" in text
     assert "gram_schmidt.candidates_used=" in text
 
@@ -114,12 +115,12 @@ def test_non_unit_eigenvector_is_refused(lih_r15, stage, monkeypatch):
     real, calls = cmf.stacked_spectrum, []
 
     def scaled(m):
-        vals, vecs, flags = real(m)
+        vals, vecs = real(m)
         if len(calls) == stage:
             vecs = vecs.copy()
             vecs[0, :, 0] *= 1 + 1e-6
         calls.append(len(m))
-        return vals, vecs, flags
+        return vals, vecs
 
     monkeypatch.setattr(cmf, "stacked_spectrum", scaled)
     with pytest.raises(ValueError, match="state norm"):
@@ -135,7 +136,8 @@ def lih_oracle(lih_table):
 
 
 def test_batched_rows_equal_per_row_oracle_bitwise(lih_oracle):
-    # All 50 rows in one batch, including the 11-term rows R = 4.9 and 5.0.
+    # All 50 rows in one batch, including the 11-term rows R = 4.9 and 5.0;
+    # selection_notes writes each row's notes as the oracle writes them.
     hs = [h for h, _ in lih_oracle.values()]
     assert {len(h.words) for h in hs} == {11, 13}
     rows = reduction_rows(cmf_reduce_rows(stacked(hs)))
@@ -157,7 +159,7 @@ def test_one_row_reductions_equal_oracle_bitwise(lih_oracle, rng):
     for r, h, want in cases + [(name, h, reduction_bytes(*cmf_oracle(h)))
                                for name, h in (("PRODUCT", PRODUCT), ("TIED", TIED))]:
         effs[r] = eff = cmf_reduce(h)
-        assert reduction_bytes(eff.basis_isometry, eff.h_eff, eff.provenance) == want, r
+        assert reduction_rows(eff) == [want], r
     amps = np.array([random_state(rng, 2) for _ in lih_oracle])
     lifted = lift_amplitudes(cmf_reduce_rows(stacked([h for _, h, _ in cases])), amps)
     for r, a, got in zip(lih_oracle, amps, lifted, strict=True):
@@ -175,7 +177,10 @@ def test_stacked_stages_equal_per_stage_form(rows, lih_table, monkeypatch):
     eff = cmf_reduce_rows(stacked(hs))
     monkeypatch.undo()
     assert sizes == [rows, 2 * rows, 4 * rows]
-    got, want = reduction_rows(eff), reduction_rows(per_stage_cmf(hs))
+    per_stage = per_stage_cmf(hs)
+    assert [v.tobytes() for v in eff.selection[0]] == [
+        v.tobytes() for v in per_stage.selection[0]]
+    got, want = reduction_rows(eff), reduction_rows(per_stage)
     for b, r in enumerate(rs):
         assert got[b] == want[b], r
 
@@ -192,8 +197,9 @@ def test_mixed_batch_selects_bases_in_one_pass(lih_table, monkeypatch):
     eff = cmf_reduce_rows(stacked(hs))
     monkeypatch.undo()
     assert sizes == [len(hs)]
+    assert eff.selection[1].tolist() == [4, 4, 7, 4, 4]
     dropped = [next(n for n in notes if n.startswith("gram_schmidt.rank_deficient"))
-               for notes in eff.provenance]
+               for notes in selection_notes(eff)]
     assert [n.rsplit("=", 1)[1] for n in dropped] == ["0", "0", "3", "0", "0"]
     for h, got in zip(hs, reduction_rows(eff), strict=True):
         assert got == reduction_bytes(*cmf_oracle(h)), h
@@ -201,14 +207,13 @@ def test_mixed_batch_selects_bases_in_one_pass(lih_table, monkeypatch):
 
 def test_stacked_reduction_notes_each_row_term_count(lih_table):
     # One stack of rows whose reductions keep 10, 3 and 2 terms: h_eff is one
-    # (3, 10) stack, 0.0 where a row lacks a word, and each row's provenance,
-    # its own h_eff.terms count included, is that of cmf_reduce of the row alone.
+    # (3, 10) stack, 0.0 where a row lacks a word, and each row's notes, its
+    # own h_eff.terms count included, are those of cmf_reduce of the row alone.
     hs = [hamiltonian_at(lih_table, 1.5), PRODUCT, TIED]
     eff, alone = cmf_reduce_rows(stacked(hs)), [cmf_reduce(h) for h in hs]
     assert [len(e.h_eff.words) for e in alone] == [10, 3, 2]
     assert eff.h_eff.coeffs.shape == (3, 10) and eff.basis_isometry.shape == (3, 8, 4)
-    assert eff.provenance == tuple(e.provenance for e in alone)
-    assert [n[-1] for n in eff.provenance] == ["h_eff.terms=10", "h_eff.terms=3",
-                                               "h_eff.terms=2"]
-    assert reduction_rows(eff) == [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance)
-                                   for e in alone]
+    assert selection_notes(eff) == tuple(notes for e in alone for notes in selection_notes(e))
+    assert [n[-1] for n in selection_notes(eff)] == ["h_eff.terms=10", "h_eff.terms=3",
+                                                     "h_eff.terms=2"]
+    assert reduction_rows(eff) == [row for e in alone for row in reduction_rows(e)]

@@ -595,6 +595,20 @@ def test_sampled_refuses_one_seed_for_a_batch(h2_r07):
             SampledRun(ExactRun(ansatz, hs), 100, seed)
 
 
+def test_sampled_counts_per_row_seeds_that_do_not_stack(shot_batches):
+    # Per-row seeds of unequal lengths are counted, not stacked: row 0 draws
+    # from default_rng((17,)) and row r from default_rng((1, r)), as a run on
+    # those generators draws.  49 seeds for 50 rows are still refused.
+    ansatz, h, shots = shot_batches[0]
+    seeds = [(17,)] + [(1, r) for r in range(1, 50)]
+    run = ExactRun(ansatz, h)
+    got = SampledRun(run, shots, seeds)()
+    want = SampledRun(run, shots, [np.random.default_rng(s) for s in seeds])()
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    with pytest.raises(ValueError, match="a seed or generator for each of the 50 rows"):
+        SampledRun(run, shots, seeds[1:])
+
+
 @pytest.mark.parametrize("shots", [2.5, True])
 def test_sampled_refuses_shots_that_are_not_an_int(h2_r07, shots):
     with pytest.raises(ValueError, match="shots must be >= 1"):

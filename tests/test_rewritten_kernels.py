@@ -28,13 +28,6 @@ PRODUCT = from_pairs([(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (0.25, "IIX")])
 TIED = from_pairs([(0.5, "ZII"), (1.0, "IZI"), (1.5, "XII")])
 
 
-def basis_bytes(effs):
-    """reduction_bytes of each row of a stacked reduction or of a list of one-row ones."""
-    if not isinstance(effs, list):
-        return reduction_rows(effs)
-    return [reduction_bytes(e.basis_isometry, e.h_eff, e.provenance) for e in effs]
-
-
 def selections(hs):
     """The _select_basis arguments of one cmf_reduce_rows call on hs."""
     real, seen = cmf._select_basis, []
@@ -50,13 +43,19 @@ def selections(hs):
     return seen[0]
 
 
-def same_selection(h_dense, cands, second, rows):
-    """_select_basis and its pre-change form on fresh notes: equal bytes, or
-    the same refusal."""
-    def notes():
-        return [[f"row={b}"] for b in range(rows)]
-    got = outcome(lambda: basis_bytes(cmf._select_basis(h_dense, cands, second, notes())))
-    want = outcome(lambda: basis_bytes(select_basis_before(h_dense, cands, second, notes())))
+def same_selection(h_dense, cands, second, eigenvalues=None):
+    """_select_basis and its pre-change form: equal bytes and equal notes
+    after the pass notes (the Gram-Schmidt counts and the term count), or the
+    same refusal.  `eigenvalues`: the record's pass stacks, by default zeros
+    shaped as a reduction's."""
+    rows = len(cands)
+    if eigenvalues is None:
+        eigenvalues = tuple(np.zeros((t, rows, k)) for t, k in ((1, 4), (2, 2), (4, 4)))
+    got = outcome(lambda: [(iso, h, notes[-3:]) for iso, h, notes in reduction_rows(
+        cmf._select_basis(h_dense, cands, second, eigenvalues))])
+    fresh = [[] for _ in range(rows)]
+    want = outcome(lambda: [reduction_bytes(e.basis_isometry, e.h_eff, e.selection)
+                            for e in select_basis_before(h_dense, cands, second, fresh)])
     return got == want
 
 
@@ -66,8 +65,7 @@ def test_select_basis_is_pre_change_form_on_lih_rows(lih_table):
     hs = [hamiltonian_at(lih_table, r) for r in lih_table.bond_distances]
     cases = [hs] + [[h] for h in hs] + [[PRODUCT], [TIED], [PRODUCT, TIED, hs[0]]]
     for batch in cases:
-        h_dense, cands, second, _ = selections(batch)
-        assert same_selection(h_dense, cands, second, len(batch)), len(batch)
+        assert same_selection(*selections(batch)), len(batch)
 
 
 def unit(v):
@@ -100,7 +98,7 @@ def candidate_stacks(draw):
 @given(candidate_stacks())
 def test_select_basis_is_pre_change_form_on_drawn_stacks(case):
     h_dense, cands, second = case
-    assert same_selection(h_dense, cands, second, len(cands))
+    assert same_selection(h_dense, cands, second)
 
 
 def decompositions(m):

@@ -185,6 +185,23 @@ def test_measure_z_rows_draw_from_their_own_generators(rng):
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
 
 
+@pytest.mark.parametrize("shots", [1, 7, 10_000])
+def test_sample_z_count_array_draws_as_the_int_count(shots):
+    # sample_z hands each generator its slice of one count array; numpy
+    # draws what an int count draws, in the same order: p = 0 and p = 1,
+    # p > 0.5 (drawn as 1 - p), small n*p (inversion) and, at 10,000 shots,
+    # n*p > 30 (BTPE), over rows of 3, 0 and 4 states.
+    p = np.array([0.0, 1.0, 0.8, 0.99, 0.001, 0.3, 0.5])
+    marg, sizes, seeds = np.stack([p, 1.0 - p]), [3, 0, 4], [(5, 1), (5, 2), (5, 3)]
+    gens, twins = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+    got = simulator.sample_z(marg, shots, gens, sizes)
+    q = np.clip((1.0 + (marg[0] - marg[1])) / 2.0, 0.0, 1.0)
+    counts = [t.binomial(shots, q[a:b]) for t, a, b in zip(twins, (0, 3, 3), (3, 3, 7))]
+    assert got.tobytes() == (2.0 * np.concatenate(counts) / shots - 1.0).tobytes()
+    assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+    assert shots < 10_000 or (shots * np.minimum(q, 1 - q) > 30).any()
+
+
 def test_measure_z_rejects_sizes_unlike_the_stack(rng):
     # With sizes, each generator draws for its own states: a generator count
     # other than len(sizes), or sizes not adding up to the stack, would leave
