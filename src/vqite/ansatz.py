@@ -43,7 +43,7 @@ import numpy as np
 
 from .pauli import PAULI_MATRICES, PauliString, _signed_permutation, read_only
 from .simulator import (Gate, StateVector, apply_planned, basis_state, call, check_unit,
-                        cnot, gate_plan, rotation_matrix, rx, ry)
+                        cnot, dot_rounds_apart, gate_plan, rotation_matrix, rx, ry)
 
 
 DERIVATIVE_PREFACTOR = -0.5j
@@ -157,13 +157,13 @@ def _program(gates, descriptors, n: int, axes: int = 1) -> list:
     the gate before descriptor i's insertion point, i) and gate_plan, each
     after a join (None, sigma_i as (src, phase)) per descriptor there.  A
     rotation runs per state (one stack axis) or per row (two, (B rows, K
-    states)), a shared gate as one np.dot, but per state on one axis if its
-    2^(n-1) amplitudes, halved by a control, are under 4 (the width rule)."""
+    states)), a shared gate as one np.dot, but per state on one axis where
+    the width rule (dot_rounds_apart) holds."""
     slots, steps = {d.insertion_point - 1: i for i, d in enumerate(descriptors)}, []
     for k, gate in enumerate((*gates, None)):
         steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]
         if gate is not None:
-            per_state = k in slots or axes == 1 and n - (gate.control is not None) < 3
+            per_state = k in slots or axes == 1 and dot_rounds_apart(n, gate.control is not None)
             steps.append((slots.get(k, gate.matrix), gate_plan(gate, n, per_state, axes)))
     return steps
 

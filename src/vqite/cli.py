@@ -33,7 +33,7 @@ from . import ansatz
 from .cmf import cmf_reduce_rows, selection_notes
 from .engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
 from .pauli import dense_matrices, to_dense_matrix
-from .simulator import projectors
+from .simulator import check_shots, projectors
 from .spectra import _lift, exact_spectrum, gershgorin_emax, stacked_spectrum
 from .tables import (MoleculeTable, hamiltonian_at, load_h2_synthetic_table,
                      load_lih_table, load_table)
@@ -95,7 +95,6 @@ class CurvePoint(NamedTuple):
     e_qite: float
     e_exact: float
     final_fidelity: float | None
-    iterations_used: int
     flags: tuple[str, ...] = ()
     e_max: float | None = None    # the Gershgorin bound of a lifted (excited) run
 
@@ -229,8 +228,8 @@ def run_scan(manifest: RunManifest, lift: bool = False):
         if isinstance(outcome, Exception):
             kind = type(outcome).__name__
             print(f"R={r:g}: {kind}: {outcome}", file=sys.stderr)
-            results.append((CurvePoint(r, float("nan"), float("nan"), None,
-                                       manifest.iterations, ("error:" + kind,)), None, None))
+            results.append((CurvePoint(r, float("nan"), float("nan"), None, ("error:" + kind,)),
+                            None, None))
             continue
         traj, cmf, (e_exact, e_max) = outcome
         flags = tuple(flag for flag, hit in (
@@ -241,7 +240,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
         ) if hit)
         results.append((CurvePoint(r, traj.converged_energy, e_exact, traj.final_fidelity,
-                                   manifest.iterations, flags, e_max), traj, cmf and (r, *cmf)))
+                                   flags, e_max), traj, cmf and (r, *cmf)))
     results.sort(key=lambda item: item[0].r)
     points = [p for p, _, _ in results]
     trajectories = {p.r: t for p, t, _ in results if t is not None}
@@ -267,14 +266,9 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
 
     lines = ["R,e_qite,e_exact,fidelity,iterations,flags"]
     for p in points:
-        lines.append(",".join([
-            "%g" % p.r,
-            format_number(p.e_qite),
-            format_number(p.e_exact),
-            format_number(p.final_fidelity),
-            str(p.iterations_used),
-            ";".join(p.flags),
-        ]))
+        lines.append(",".join(["%g" % p.r, format_number(p.e_qite), format_number(p.e_exact),
+                               format_number(p.final_fidelity), str(manifest.iterations),
+                               ";".join(p.flags)]))
     write("curve.csv", lines)
 
     if manifest.trace:
@@ -306,8 +300,8 @@ def _convert(flag: str, text: str, convert=float):
     """convert(text), its ValueError raised as a ManifestError."""
     try:
         return convert(text)
-    except ValueError:
-        raise ManifestError(f"bad {flag} value '{text}'") from None
+    except ValueError as exc:
+        raise ManifestError(f"bad {flag} value '{text}': {exc}") from None
 
 
 def _parse_r_selection(text: str):
@@ -321,10 +315,7 @@ def _parse_route(text: str) -> tuple[str, int | None]:
         return "exact", None
     if not text.startswith("shots:"):
         raise ManifestError(f"bad --route value '{text}' (use exact or shots:N)")
-    shots = _convert("--route", text, lambda t: int(t.split(":", 1)[1]))
-    if shots < 1:
-        raise ManifestError("shot count must be >= 1")
-    return "hadamard", shots
+    return "hadamard", _convert("--route", text, lambda t: check_shots(int(t.split(":", 1)[1])))
 
 
 def _parse_theta0(text: str | None):
@@ -348,6 +339,10 @@ def _parse_dtau(text: str):
 def _manifest_from_args(args) -> RunManifest:
     """The manifest of a scan, point or excited invocation; point takes one R."""
     route, shots = _parse_route(args.route)
+    if args.out_dir:   # the nearest path that exists must be a directory, to make it under
+        out = Path(args.out_dir)
+        if not next((p for p in (out, *out.parents) if p.exists()), out).is_dir():
+            raise ManifestError(f"--out {out} is a file or lies under one; it must name a directory")
     dtau, r_selection = _parse_dtau(args.dtau), _parse_r_selection(args.r_selection)
     if args.command == "point" and (r_selection == "all" or len(r_selection) != 1):
         raise ManifestError(f"{args.command} takes exactly one bond distance via --r")

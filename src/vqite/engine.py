@@ -198,7 +198,7 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     (default config.initial_theta) and its seed of `seeds` (default
     config.seed).  The builder runs once, at the initial angles; a circuit
     off theta (module docstring) is refused (ValueError), and so is a shot
-    count other than an int >= 1, before the loop.  Each iteration takes the
+    count check_shots refuses, before the loop.  Each iteration takes the
     states of all rows from the run's ExactRun, A and B from it or its SampledRun
     (each row drawing from its own seeded generator) and solves every update
     with one stacked eigh (solve_update).  It returns what the loop kept as

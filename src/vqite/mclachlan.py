@@ -31,8 +31,8 @@ import numpy as np
 from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
 from .pauli import PauliHamiltonian, _term_stack, apply_sums, real_part, weighted_terms
 from .simulator import (Gate, StateVector, apply_planned, check_norms, check_shots, check_unit,
-                        controlled_pauli, hadamard, measure_z_expectation, rotation_matrix,
-                        run_gates, sample_z, x, z_marginals)
+                        controlled_pauli, dot_rounds_apart, hadamard, measure_z_expectation,
+                        rotation_matrix, run_gates, sample_z, x, z_marginals)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3              # looser: shot noise inflates the small eigenvalues
@@ -81,14 +81,14 @@ def compute_exact(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> McLachlanSystem
 class ExactRun:
     """The exact route over a stack of B Hamiltonian rows, made once per run:
     the row checks, the stack's words and (B, L) coefficients, their weighted
-    terms, the pair indices and one buffer.  A call at (B, gamma) angles, or
-    (gamma,) for one row (else ValueError), is the circuit's rotation stack
-    rewritten, one sweep into the buffer (the first call in each mode records
-    its numpy calls, later ones repeat them), one H|psi> gather and one pair
-    product of (1, L) @ (L, 1) matmuls, bitwise np.vdot, whose <psi|psi>
-    checks each norm: (states, A, B, energies <psi|H|psi> as real_part), or
-    without `system` the states alone, norm-checked by check_unit, as
-    views of the buffer until the next call."""
+    terms, the pair indices and one buffer.  A call is the circuit's rotation
+    stack rewritten at `theta`, (B, gamma) angles (else ValueError; None keeps
+    the stack), one sweep into the buffer (the first call in each mode
+    records its numpy calls, later ones repeat them), one H|psi> gather and
+    one pair product of (1, L) @ (L, 1) matmuls, bitwise np.vdot, whose
+    <psi|psi> checks each norm: (states, A, B, energies <psi|H|psi> as
+    real_part), or without `system` the states alone, norm-checked by
+    check_unit, as views of the buffer until the next call."""
 
     def __init__(self, ansatz: AnsatzCircuit, h: PauliHamiltonian) -> None:
         self.columns = h.words, _check_rows(ansatz, h)
@@ -99,12 +99,11 @@ class ExactRun:
         self.kets = self.stack.reshape(gamma + 2, rows, -1)   # psi, each d_i, H|psi>
         self.rotations = np.array(ansatz._rotations)   # (gamma, [B,] 2, 2), rewritten by calls
         self.angles = self.rotations.swapaxes(0, -3).reshape(rows, gamma, 2, 2)   # a view
-        self.shapes = ((rows, gamma),) + ((gamma,),) * (rows == 1)   # the angles a call takes
 
     def __call__(self, theta=None, system: bool = True) -> tuple:
         if theta is not None:   # new angles of the circuit's rotations
-            if np.shape(theta) not in self.shapes:
-                raise ValueError(f"angles of shape {np.shape(theta)}, not {self.shapes[0]}")
+            if np.shape(theta) != self.angles.shape[:2]:
+                raise ValueError(f"angles of shape {np.shape(theta)}, not {self.angles.shape[:2]}")
             rotation_matrix(self.ansatz._axes, theta, self.angles)
         if system in self.programs:
             for function, args in self.programs[system]:
@@ -204,7 +203,7 @@ def _table(descriptors, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) 
     jobs = [_layout(gamma, c[k].tolist()) for c, k in zip(coeffs, kept)]
     phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
     head = 1 + len(phases)
-    head += head % 2 * (n < 3)      # K even: see SampledRun
+    head += head % 2 * dot_rounds_apart(n, False)     # K even: see SampledRun
     cols, width = [], head + 2 * gamma
     for b, (k, row) in enumerate(zip(kept, jobs)):
         cols += [(b * width + head + 2 * i,

@@ -11,16 +11,15 @@ gate kernel: gate_plan checks a gate's qubits and resolves its axis order,
 and apply_planned applies a matrix by that plan, as one np.dot over the
 stack, or per_state one matmul per state, which rounds each state as
 alone; a rotation may hold one (2, 2) matrix per row of a stack of B
-ansatz rows.  The width rule, a fact of OpenBLAS zgemm (which rounds
-widths 1 and 2 unlike wider ones): the np.dot rounds each state as alone
-too if its 2^(n-1) amplitudes, halved by a control, are a multiple of 4.
-A gate leaves its input unchanged and writes only arrays of its own (a
-controlled gate its control-1 half of a copy).  apply_gate plans and
-applies one gate as one np.dot, run_gates a list of them; a compiled
-circuit keeps its plans, copies the gates' results into one buffer, and
-can record the numpy calls of that sweep (call) to repeat at new matrices.
+ansatz rows.  The np.dot rounds each state as alone too unless the width
+rule (dot_rounds_apart) holds.  A gate leaves its input unchanged and
+writes only arrays of its own (a controlled gate its control-1 half of a
+copy).  apply_gate plans and applies one gate as one np.dot, run_gates a
+list of them; a compiled circuit keeps its plans, copies the gates'
+results into one buffer, and can record the numpy calls of that sweep
+(call) to repeat at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
-measure_z_expectation (z_marginals, then sample_z) draws only from caller-supplied seeds.
+sample_z draws only from caller-supplied seeds, one per group of states.
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -154,6 +153,13 @@ def _axis_plan(ndim: int, q: int, lead: int) -> tuple[tuple[int, ...], tuple[int
     return order, tuple([order.index(k) for k in range(ndim)])
 
 
+def dot_rounds_apart(n: int, controlled: bool) -> bool:
+    """The width rule, a fact of OpenBLAS zgemm (which rounds widths 1 and 2 unlike
+    wider ones): a gate's shared np.dot over a stack of n-qubit states rounds a state
+    unlike the state alone while its 2^(n-1) amplitudes, halved by a control, are under 4."""
+    return 2 ** (n - 1 - controlled) < 4
+
+
 def gate_plan(gate: Gate, n: int, per_state: bool = True, axes: int = 1) -> tuple:
     """(control-1 index or None, axis order, inverse, per_state) of a gate on
     a stack of n-qubit tensors with `axes` stack axes, for apply_planned.
@@ -248,10 +254,11 @@ def projectors(v: np.ndarray) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-def check_shots(shots) -> None:   # None is exact mode; a bool is no shot count
-    if shots is not None and not (isinstance(shots, (int, np.integer)) and shots >= 1
+def check_shots(shots):   # shots, else ValueError; None is exact mode, int64 a binomial's count
+    if shots is not None and not (isinstance(shots, (int, np.integer)) and 1 <= shots < 2 ** 63
                                   and not isinstance(shots, bool)):
-        raise ValueError(f"shots must be >= 1 (or None for exact mode) and an int, not {shots!r}")
+        raise ValueError(f"shots must be >= 1 and < 2**63 and an int (or None), not {shots!r}")
+    return shots
 
 
 def z_marginals(states: np.ndarray) -> np.ndarray:
@@ -261,31 +268,29 @@ def z_marginals(states: np.ndarray) -> np.ndarray:
     return sum(p[1:], p[0])     # left to right over the stack, not pairwise as .sum adds
 
 
-def sample_z(marg: np.ndarray, shots: int | None = None, rng=None, sizes=None) -> np.ndarray:
+def sample_z(marg: np.ndarray, shots: int | None, rngs, sizes) -> np.ndarray:
     """<Z> of each state from its z_marginals, norms checked: marg[0] - marg[1], or
-    2*count/shots - 1, count ~ Binomial(shots, (1+<Z>)/2) per state in stack order by
-    one call per generator: `rng` (a Generator or seed), or with `sizes` the r-th of a
-    list for the next sizes[r] >= 0 states.  ValueErrors come before any draw."""
+    2*count/shots - 1, count ~ Binomial(shots, (1+<Z>)/2) per state in stack order,
+    generator rngs[r] (a Generator or seed) drawing for the next sizes[r] >= 0 states
+    in one call.  ValueErrors come before any draw."""
     check_shots(shots)
-    if shots is not None and rng is None:
-        raise ValueError("shot mode needs a seed or generator")
-    if shots and sizes is not None and not (isinstance(rng, (list, tuple))
-                                            and len(rng) == len(sizes)):
-        raise ValueError("with sizes, rng must be a list of one generator per size")
-    if shots and sizes is not None and (min(sizes, default=0) < 0 or sum(sizes) != marg.shape[1]):
+    if shots is not None and not (isinstance(rngs, (list, tuple)) and len(rngs) == len(sizes)
+                                  and all(g is not None for g in rngs)):
+        raise ValueError("shot mode needs rngs: one seed or generator for each of the sizes")
+    if shots is not None and (min(sizes, default=0) < 0 or sum(sizes) != marg.shape[1]):
         raise ValueError(f"sizes {sizes} must be non-negative and add up to the stack")
     check_norms(np.sqrt(marg[0] + marg[1]))
     exact = marg[0] - marg[1]
     if shots is None:
         return exact
     p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-    ends = [0, *accumulate([len(p)] if sizes is None else sizes)]
+    ends = [0, *accumulate(sizes)]
     n = np.full(len(p), shots)   # the int's draws, with less argument checking per call
-    counts = np.concatenate([np.random.default_rng(g).binomial(n[a:b], p[a:b]) for g, a, b
-                             in zip([rng] if sizes is None else rng, ends, ends[1:])])
+    counts = np.concatenate([np.random.default_rng(g).binomial(n[a:b], p[a:b])
+                             for g, a, b in zip(rngs, ends, ends[1:])])
     return 2.0 * counts / shots - 1.0
 
 
-def measure_z_expectation(states, shots: int | None = None, rng=None, sizes=None) -> np.ndarray:
-    """<Z> of the last qubit of each state of a stack: sample_z of its z_marginals."""
-    return sample_z(z_marginals(states), shots, rng, sizes)
+def measure_z_expectation(states, shots: int | None = None, rng=None) -> np.ndarray:
+    """<Z> of the last qubit of each state: sample_z of its z_marginals, one group, `rng`'s."""
+    return sample_z(z_marginals(states), shots, [rng], [len(states)])

@@ -209,6 +209,52 @@ def test_main_negative_seed_exit_two(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def refuse_work(monkeypatch):
+    """Make run_scan, where a run's work begins, fail the test if reached."""
+    def work_started(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(cli, "run_scan", work_started)
+
+
+@pytest.mark.parametrize("command", ["scan", "point"])
+@pytest.mark.parametrize("shots", [0, -3, 2 ** 63, 2 ** 64])
+def test_main_shot_count_outside_int64_exit_two(tmp_path, capsys, monkeypatch, command, shots):
+    # check_shots is the CLI's shot-count rule: a count below 1, or beyond
+    # the int64 count that a binomial draw takes, is a manifest error before
+    # any work, with nothing written.
+    refuse_work(monkeypatch)
+    assert main([command, "--table", "lih", "--ansatz", "ucc-lih", "--r", "1.5", "--route",
+                 f"shots:{shots}", "--out", str(tmp_path / "d")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"manifest error: bad --route value 'shots:{shots}': shots must be "
+                            f">= 1 and < 2**63 and an int (or None), not {shots}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "d").exists()
+
+
+def test_largest_int64_shot_count_is_accepted():
+    assert cli._parse_route(f"shots:{2 ** 63 - 1}") == ("hadamard", 2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("command", ["scan", "point"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_main_out_naming_a_file_exit_two(tmp_path, capsys, monkeypatch, command, under):
+    # --out must name a directory: an existing file, or a path under one,
+    # is a manifest error before any work, with no traceback and nothing
+    # written; the file is left as it was.
+    refuse_work(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "d" if under else taken
+    assert main([command, "--table", "lih", "--ansatz", "ucc-lih", "--r", "1.5",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"manifest error: --out {out} is a file or lies under one; "
+                            "it must name a directory\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+
 RUN_FLAGS = {"--table", "--ansatz", "--cmf", "--r", "--iters", "--dtau", "--route", "--seed",
              "--theta0", "--out", "--trace"}
 

@@ -108,14 +108,14 @@ def test_dimension_mismatch_rejected(lih_r15):
 
 
 def test_exact_run_checks_angle_shape(lih_r15):
-    # A one-row run takes (gamma,) or (1, gamma) angles, a B-row run (B,
-    # gamma); any other shape is refused with both shapes named.
+    # A run of B rows takes (B, gamma) angles, one row too: a (gamma,) vector
+    # or any other shape is refused with both shapes named.
     run = mclachlan.ExactRun(build_ucc_lih([0.3, 0.4]), lih_r15)
     want = [a.copy() for a in mclachlan.ExactRun(build_ucc_lih([0.3, 0.3]), lih_r15)()]
-    for theta in (np.array([[0.3, 0.3]]), np.array([0.3, 0.3])):
-        assert [a.tobytes() for a in run(theta)] == [a.tobytes() for a in want]
-    with pytest.raises(ValueError, match=r"angles of shape \(3,\), not \(1, 2\)"):
-        run(np.array([0.3, 0.3, 0.3]))
+    assert [a.tobytes() for a in run(np.array([[0.3, 0.3]]))] == [a.tobytes() for a in want]
+    for theta in (np.array([0.3, 0.3]), np.array([0.3, 0.3, 0.3])):
+        with pytest.raises(ValueError, match=rf"angles of shape \({len(theta)},\), not \(1, 2\)"):
+            run(theta)
     rows = mclachlan.ExactRun(build_ucc_lih(np.full((2, 2), 0.3)), stacked([lih_r15] * 2))
     with pytest.raises(ValueError, match=r"angles of shape \(2,\), not \(2, 2\)"):
         rows(np.array([0.3, 0.3]))
@@ -613,6 +613,15 @@ def test_sampled_counts_per_row_seeds_that_do_not_stack(shot_batches):
 def test_sampled_refuses_shots_that_are_not_an_int(h2_r07, shots):
     with pytest.raises(ValueError, match="shots must be >= 1"):
         compute_sampled(build_ucc_h2(0.9), h2_r07, shots, 1)
+
+
+def test_sampled_shot_count_ends_at_the_int64_count(h2_r07):
+    # A binomial draw takes an int64 count: 2^63 shots are refused before
+    # any draw, not failed by numpy's cast; 2^63 - 1 is drawn.
+    with pytest.raises(ValueError, match=r"shots must be >= 1 and < 2\*\*63"):
+        compute_sampled(build_ucc_h2(0.9), h2_r07, 2 ** 63, 1)
+    system = compute_sampled(build_ucc_h2(0.9), h2_r07, 2 ** 63 - 1, 1)
+    assert system.shots == 2 ** 63 - 1 and np.isfinite(system.b_vector).all()
 
 
 # --- solver ---

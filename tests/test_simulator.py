@@ -10,7 +10,7 @@ from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectatio
 from vqite.pauli import PAULI_MATRICES
 from vqite import simulator
 from vqite.simulator import (HADAMARD, Gate, cnot, controlled_pauli, cz, gate_plan,
-                             hadamard, run_gates, rx, ry, rz, x, y, z)
+                             hadamard, run_gates, rx, ry, rz, x, y, z, z_marginals)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
@@ -177,7 +177,7 @@ def test_measure_z_rows_draw_from_their_own_generators(rng):
     sizes, seeds = [4, 1, 4], [11, 12, 13]
     gens = [np.random.default_rng(s) for s in seeds]
     twins = [np.random.default_rng(s) for s in seeds]
-    got = measure_z_expectation(stack, 1000, gens, sizes)
+    got = simulator.sample_z(z_marginals(stack), 1000, gens, sizes)
     bounds = np.cumsum([0, *sizes])
     want = np.concatenate([measure_z_expectation(stack[a:b], 1000, twin)
                            for a, b, twin in zip(bounds, bounds[1:], twins)])
@@ -209,10 +209,10 @@ def test_measure_z_rejects_sizes_unlike_the_stack(rng):
     stack = np.array([random_state(rng, 3) for _ in range(5)])
     gens = [np.random.default_rng(s) for s in (1, 2)]
     with pytest.raises(ValueError, match="sizes"):
-        measure_z_expectation(stack, 100, gens[:1], [2, 3])
+        simulator.sample_z(z_marginals(stack), 100, gens[:1], [2, 3])
     with pytest.raises(ValueError, match="sizes"):
-        measure_z_expectation(stack, 100, gens, [2, 2])
-    assert len(measure_z_expectation(stack, 100, gens, [2, 3])) == 5
+        simulator.sample_z(z_marginals(stack), 100, gens, [2, 2])
+    assert len(simulator.sample_z(z_marginals(stack), 100, gens, [2, 3])) == 5
 
 
 def test_measure_z_names_bad_sizes_and_generators(rng):
@@ -223,9 +223,9 @@ def test_measure_z_names_bad_sizes_and_generators(rng):
     stack = np.array([random_state(rng, 3) for _ in range(5)])
     gens, twins = ([np.random.default_rng(s) for s in (1, 2)] for _ in range(2))
     with pytest.raises(ValueError, match=r"sizes \[6, -1\] must be non-negative"):
-        measure_z_expectation(stack, 100, gens, [6, -1])
-    with pytest.raises(ValueError, match="rng must be a list of one generator per size"):
-        measure_z_expectation(stack, 100, 7, [2, 3])
+        simulator.sample_z(z_marginals(stack), 100, gens, [6, -1])
+    with pytest.raises(ValueError, match="one seed or generator for each of the sizes"):
+        simulator.sample_z(z_marginals(stack), 100, 7, [2, 3])
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
 
 
