@@ -70,11 +70,10 @@ class AnsatzCircuit:
 
     def __init__(self, gates: tuple[Gate, ...], parameters,
                  descriptors: tuple[DerivativeDescriptor, ...],
-                 reference_state: StateVector, n_system_qubits: int) -> None:
+                 reference_state: StateVector) -> None:
         theta = np.asarray(parameters, dtype=float)
         self.parameters = theta if theta.ndim == 2 else theta.reshape(-1)
         self.descriptors, self.reference_state = descriptors, reference_state
-        self.n_system_qubits = n_system_qubits
         if len(descriptors) != self.n_parameters:
             raise ValueError("one derivative descriptor per parameter required")
         points = [0, *(d.insertion_point for d in descriptors), len(gates) + 1]
@@ -85,6 +84,10 @@ class AnsatzCircuit:
         self._axes = read_only(np.array([PAULI_MATRICES[d.sigma.letters[g.target]] for g, d
                                          in zip(rotated, descriptors)]).reshape(-1, 2, 2))
         self._steps = _program(self._fixed, tuple(descriptors), reference_state.n_qubits)
+
+    @property
+    def n_system_qubits(self) -> int:
+        return self.reference_state.n_qubits
 
     @property
     def n_parameters(self) -> int:
@@ -202,7 +205,7 @@ def _template(family: str) -> tuple:
     gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
                   for s in slots)
     reference = StateVector(read_only(basis_state(bits).amplitudes))
-    return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference, len(bits)))
+    return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference))
 
 
 def _build(family: str, theta) -> AnsatzCircuit:

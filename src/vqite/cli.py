@@ -149,6 +149,8 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> list[int]:
                             f"(R rounded to 1e-3): {shared}")
     if manifest.iterations < 1:
         raise ManifestError("iterations must be >= 1")
+    if manifest.route != ("exact" if manifest.shots is None else "hadamard"):
+        raise ManifestError(f"route '{manifest.route}' disagrees with shots={manifest.shots}")
     return rows
 
 
@@ -207,7 +209,7 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             # the lifted spectrum is denser: keep the row's 4-iteration step, --iters adds time
             dtau = resolve_dtau(QiteConfig((0.0,), dtau=manifest.dtau), h)
         config = QiteConfig(manifest.resolved_theta0(), manifest.iterations, dtau,
-                            manifest.route, manifest.shots, manifest.seed)
+                            manifest.shots, manifest.seed)
         trajs = run_qite_rows(run, builder, config, energy_map, seeds=[
             manifest.point_seed(table.rows[k][0]) for k in ks]).trajectories()
         return list(zip(trajs, [(eff, b) for b in range(len(ks))] if eff else [None] * len(ks),
@@ -351,20 +353,18 @@ def _manifest_from_args(args) -> RunManifest:
     return RunManifest(**{k: values[k] for k in RunManifest._fields})
 
 
-def _add_run_flags(p, default_r):
-    p.add_argument("--table", default="lih",
-                   help="table path, or bundled name: lih, h2-synthetic")
-    p.add_argument("--ansatz", default="he", choices=sorted(ANSATZ_FAMILIES))
+def _add_run_flags(p):
+    p.add_argument("--table", help="table path, or bundled name: lih, h2-synthetic")
+    p.add_argument("--ansatz", choices=sorted(ANSATZ_FAMILIES))
     p.add_argument("--cmf", action="store_true",
                    help="reduce 3-qubit rows to 2 qubits before the run")
-    p.add_argument("--r", dest="r_selection", default=default_r,
-                   help="comma list of R values, or 'all'")
-    p.add_argument("--iters", dest="iterations", type=int, default=4)
-    p.add_argument("--dtau", default="auto", help="'auto' or a positive value")
-    p.add_argument("--route", default="exact", help="exact or shots:N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theta0", default=None, help="comma list of initial angles")
-    p.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    p.add_argument("--r", dest="r_selection", help="comma list of R values, or 'all'")
+    p.add_argument("--iters", dest="iterations", type=int)
+    p.add_argument("--dtau", help="'auto' or a positive value")
+    p.add_argument("--route", help="exact or shots:N")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--theta0", help="comma list of initial angles")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--trace", action="store_true",
                    help="write per-iteration trace files")
 
@@ -432,12 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="potential-energy curve")
-    _add_run_flags(p_scan, default_r="all")
-    p_scan.set_defaults(func=_cmd_scan)
-
+    _add_run_flags(p_scan)
     p_point = sub.add_parser("point", help="single bond distance")
-    _add_run_flags(p_point, default_r="1.5")
-    p_point.set_defaults(func=_cmd_scan)
+    _add_run_flags(p_point)
 
     p_spec = sub.add_parser("spectrum", help="exact spectrum of one row")
     p_spec.add_argument("--table", default="lih")
@@ -445,14 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_exc = sub.add_parser("excited", help="lift the ground level, then solve")
-    p_exc.add_argument("--table", default="lih")
+    p_exc.add_argument("--table")
     p_exc.add_argument("--r", dest="r_selection", required=True, help="comma list, or 'all'")
-    p_exc.add_argument("--iters", dest="iterations", type=int, default=20)
-    p_exc.add_argument("--dtau", default="auto",
-                       help="'auto' (the 4-iteration rule) or a positive value")
-    p_exc.add_argument("--seed", type=int, default=0)
-    p_exc.set_defaults(func=_cmd_excited, ansatz="he", cmf=False, route="exact", theta0=None,
-                       out_dir=None, trace=False)
+    p_exc.add_argument("--iters", dest="iterations", type=int)
+    p_exc.add_argument("--dtau", help="'auto' (the 4-iteration rule) or a positive value")
+    p_exc.add_argument("--seed", type=int)
+    # each run default is RunManifest's; a parser's defaults override its arguments'
+    for p, func, own in ((p_scan, _cmd_scan, {}), (p_point, _cmd_scan, {"r_selection": "1.5"}),
+                         (p_exc, _cmd_excited, {"iterations": 20})):
+        p.set_defaults(**{**RunManifest._field_defaults, **own}, func=func)
 
     p_val = sub.add_parser("validate", help="table lint")
     p_val.add_argument("--table", required=True)

@@ -77,6 +77,7 @@ class EffectiveHamiltonian(NamedTuple):
 
 def cmf_reduce(h: PauliHamiltonian) -> EffectiveHamiltonian:
     """Run the layered reduction on one Hamiltonian: cmf_reduce_rows of its one row."""
+    h.one_row("cmf_reduce_rows")
     h_eff, iso, record = cmf_reduce_rows(h)
     return EffectiveHamiltonian(PauliHamiltonian(h_eff.words, h_eff.coeffs[0], 2), iso[0], record)
 

@@ -66,20 +66,18 @@ def average_z_coefficient(h: PauliHamiltonian):
 
 
 class QiteConfig(Frozen):
-    """Loop settings: iterations, route ("exact" or "hadamard") and dtau: a value,
-    one value per row, or "auto" for DEFAULT_DTAU_C / (|h_z| * iterations)."""
+    """Loop settings: iterations, dtau (a value, one per row, or "auto" for DEFAULT_DTAU_C
+    / (|h_z| * iterations)) and shots: None runs the exact route, a count the Hadamard one."""
 
     def __init__(self, initial_theta, iterations: int = 4, dtau: float | str = "auto",
-                 route: str = "exact", shots: int | None = None, seed: int | None = None) -> None:
+                 shots: int | None = None, seed: int | None = None) -> None:
         vars(self).update(initial_theta=tuple(float(v) for v in np.atleast_1d(initial_theta)),
-                          iterations=iterations, dtau=dtau, route=route, shots=shots, seed=seed)
+                          iterations=iterations, dtau=dtau, shots=shots, seed=seed)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.route not in ("exact", "hadamard"):
-            raise ValueError(f"unknown route '{self.route}'")
         if isinstance(self.dtau, str) and self.dtau != "auto":
             raise ValueError("dtau must be a positive number or 'auto'")
-        if self.route == "hadamard" and self.shots is not None and self.seed is None:
+        if self.shots is not None and self.seed is None:
             raise ValueError("shot mode needs a seed, so that a run is reproducible")
 
 
@@ -183,7 +181,9 @@ def run_qite(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig,
     `energy_map` carries the reduction and original Hamiltonian used for
     reporting.  The final record holds no A/B (nothing is estimated after
     the last update).  The builder (its circuit as the module docstring
-    says) raises ValueError if initial_theta has the wrong length."""
+    says) raises ValueError if initial_theta has the wrong length, and so
+    does a stack of more rows (run_qite_rows runs one)."""
+    h_system.one_row("run_qite_rows")
     return run_qite_rows(h_system, ansatz_builder, config, energy_map).trajectories()[0]
 
 
@@ -197,15 +197,23 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     that of `energy_map` (None: against h_system), from its row of `theta`
     (default config.initial_theta) and its seed of `seeds` (default
     config.seed).  The builder runs once, at the initial angles; a circuit
-    off theta (module docstring) is refused (ValueError), and so is a shot
-    count check_shots refuses, before the loop.  Each iteration takes the
-    states of all rows from the run's ExactRun, A and B from it or its SampledRun
-    (each row drawing from its own seeded generator) and solves every update
+    off theta (module docstring) is refused (ValueError), and so are a shot
+    count check_shots refuses and an energy map whose reduction or original
+    Hamiltonian has another row count than h_system, before the loop.  Each
+    iteration takes the states of all rows from the run's ExactRun, A and B
+    from it or its SampledRun (each row drawing from its own seeded
+    generator) and solves every update
     with one stacked eigh (solve_update).  It returns what the loop kept as
     one QiteRun and makes no QiteRecord.  Each row's records are bitwise
     those of the row run alone; its warnings follow the loop, row by row.
     """
     report = h_system if energy_map is None else energy_map.h_original
+    if energy_map is not None:   # lift_amplitudes would broadcast one row's isometry
+        rows = [len(np.atleast_2d(h.coeffs))
+                for h in (h_system, energy_map.effective.h_eff, report)]
+        if len(set(rows)) > 1:
+            raise ValueError(f"h_system has {rows[0]} rows, the energy map's reduction "
+                             f"{rows[1]} and its original Hamiltonian {rows[2]}")
     labels, coeffs = report.words, np.atleast_2d(report.coeffs)
     dtau = np.atleast_1d(resolve_dtau(config, report))
     exact, vecs = stacked_spectrum(dense_matrices(labels, coeffs, report.n_qubits))
@@ -222,7 +230,8 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     run = ExactRun(circuit, h_system)
     # the weighted terms of every reported energy: the run's own without a reduction
     terms = run.terms if eff is None else weighted_terms(labels, coeffs, report.n_qubits)
-    sampled, own = config.route == "hadamard", eff is None and config.route == "exact"
+    sampled = config.shots is not None
+    route, own = ("hadamard" if sampled else "exact"), eff is None and not sampled
     estimate = sampled and SampledRun(run, config.shots, seeds or [config.seed] * len(coeffs))
     steps = []   # per iteration: theta, energy, overlap, A, B (None after the last update)
 
@@ -232,11 +241,11 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
         if sampled and not last:
             _, a, b = estimate()
         psi = states if eff is None else lift_amplitudes(eff, states)
-        energy = energies if own and not last else expectations(labels, coeffs, psi, terms)
+        energy = energies if own and not last else expectations(terms, psi)
         steps.append((theta, energy, (ground @ psi[:, :, None])[:, 0, 0], a, b))
         if last:
             break
-        delta, flat = solve_update(McLachlanSystem(a, b, config.route, config.shots), dtau)
+        delta, flat = solve_update(McLachlanSystem(a, b, route, config.shots), dtau)
         if it == 0:
             stationary = flat | (np.abs(delta).max(axis=1) < STATIONARY_TOL)
         theta = theta + delta
@@ -252,7 +261,7 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
             warnings.warn("degenerate ground state: fidelity reporting disabled")
             continue
         violations[row].append(it)
-        if config.route == "exact":
+        if not sampled:
             warnings.warn(f"energy rose by {energy[it, row] - energy[it - 1, row]:.3e} "
                           f"at iteration {it}")
     fidelity = [None if d else abs(c) ** 2
@@ -275,7 +284,8 @@ def theta_scan(h: PauliHamiltonian, ansatz_builder, theta_grid,
     """run_qite over a grid of initial angles for a one-parameter ansatz, as one
     run_qite_rows call on h per angle; the builder raises ValueError on any other."""
     grid = np.array([float(t) for t in theta_grid])
-    rows = PauliHamiltonian(h.words, np.tile(h.coeffs, (len(grid), 1)), h.n_qubits)
+    rows = PauliHamiltonian(h.words, np.tile(h.one_row("run_qite_rows"), (len(grid), 1)),
+                            h.n_qubits)
     trajectories = run_qite_rows(rows, ansatz_builder, config, theta=grid[:, None]).trajectories()
     return [ScanPoint(t, traj.converged_energy, traj.final_fidelity, traj.stationary)
             for t, traj in zip(grid.tolist(), trajectories)]

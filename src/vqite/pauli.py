@@ -178,6 +178,14 @@ class PauliHamiltonian:
         self.words = tuple(compress(distinct, keep.tolist()))
         self.coeffs = read_only(merged if c.ndim == 2 else merged[0])
 
+    def one_row(self, batched: str) -> np.ndarray:
+        """The (1, L) coefficients of one sum or one-row stack; a stack of more
+        rows raises ValueError naming `batched`, the function that takes it."""
+        rows = np.atleast_2d(self.coeffs)
+        if len(rows) != 1:
+            raise ValueError(f"a stack of {len(rows)} Hamiltonians: use {batched} for a stack")
+        return rows
+
 
 def weighted_terms(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -> tuple:
     """(src, coeffs[b, l] phase_l[j]) of the Pauli sums coeffs[b] over `labels`:
@@ -207,7 +215,7 @@ def dense_matrices(labels: tuple[str, ...], coeffs: np.ndarray, n_qubits: int) -
 
 def to_dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Hamiltonian (n <= 12)."""
-    return dense_matrices(h.words, h.coeffs[None], h.n_qubits)[0]
+    return dense_matrices(h.words, h.one_row("dense_matrices"), h.n_qubits)[0]
 
 
 def apply_sums(terms: tuple, psi: np.ndarray, out=None) -> np.ndarray:
@@ -219,11 +227,9 @@ def apply_sums(terms: tuple, psi: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(weighted, psi[:, src]).sum(axis=1, initial=0, out=out)
 
 
-def expectations(labels: tuple[str, ...], coeffs: np.ndarray, psi: np.ndarray,
-                 terms=None) -> np.ndarray:
-    """real_part of <psi_b|H_b|psi_b> of each row (apply_sums of `terms`,
-    weighted_terms made once by a run, or here), a (1, L) @ (L, 1) matmul each."""
-    terms = terms or weighted_terms(labels, coeffs, psi.shape[-1].bit_length() - 1)
+def expectations(terms: tuple, psi: np.ndarray) -> np.ndarray:
+    """real_part of <psi_b|H_b|psi_b> of each row, H_b|psi_b> apply_sums of the
+    sums' weighted_terms `terms`, a (1, L) @ (L, 1) matmul each."""
     h_psi = apply_sums(terms, psi)
     return real_part((psi.conj()[:, None, :] @ h_psi[:, :, None])[:, 0, 0])
 
@@ -238,10 +244,10 @@ def real_part(value: np.ndarray) -> np.ndarray:
 
 def expectation(h: PauliHamiltonian, state) -> float:
     """<psi|H|psi> for a statevector, as expectations of one row."""
-    amps = state.amplitudes
+    coeffs, amps = h.one_row("expectations"), state.amplitudes
     if amps.size != 2 ** h.n_qubits:
         raise ValueError("state and Hamiltonian dimensions disagree")
-    return float(expectations(h.words, h.coeffs[None], amps[None])[0])
+    return float(expectations(weighted_terms(h.words, coeffs, h.n_qubits), amps[None])[0])
 
 
 def check_density(m) -> np.ndarray:
@@ -308,7 +314,7 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
     matrix on the complement qubits (sorted order, same bit convention); a
     raw array gets the checks of a DensityMatrix.
     """
-    keep = sorted(set(subsystem))
+    coeffs, keep = h.one_row("partial_traces"), sorted(set(subsystem))
     if any(q < 0 or q >= h.n_qubits for q in keep) or not keep:
         raise ValueError(f"subsystem {subsystem} malformed for {h.n_qubits} qubits")
     comp = [q for q in range(h.n_qubits) if q not in keep]
@@ -319,7 +325,7 @@ def weighted_partial_trace(h: PauliHamiltonian, subsystem, weight) -> PauliHamil
         raise ValueError(
             f"weight has shape {rho.shape}, expected dim {2 ** len(comp)} on complement"
         )
-    words, coeffs = partial_traces(h.words, h.coeffs[None], tuple(keep), check_density(rho)[None])
+    words, coeffs = partial_traces(h.words, coeffs, tuple(keep), check_density(rho)[None])
     return PauliHamiltonian(words, coeffs[0], len(keep))
 
 

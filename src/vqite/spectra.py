@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import (HERMITIAN_TOL, PauliHamiltonian, pauli_decompose,
-                    to_dense_matrix)
+from .pauli import HERMITIAN_TOL, PauliHamiltonian, dense_matrices, pauli_decompose
 from .simulator import DensityMatrix
 
 DEGENERACY_GAP = 1e-9
@@ -66,7 +65,8 @@ def gap_flags(vals: np.ndarray) -> np.ndarray:
 
 def exact_spectrum(h: PauliHamiltonian) -> SpectrumResult:
     """Full dense eigen-decomposition of a Hamiltonian, phase-normalized, ascending."""
-    vals, vecs = stacked_spectrum(to_dense_matrix(h)[None])
+    vals, vecs = stacked_spectrum(dense_matrices(h.words, h.one_row("stacked_spectrum"),
+                                                 h.n_qubits))
     return SpectrumResult(vals[0], vecs[0], tuple(gap_flags(vals[0]).tolist()))
 
 
@@ -89,7 +89,8 @@ def lift_ground_state(h: PauliHamiltonian, ground: DensityMatrix,
     state of H' is the first excited state of H.  `ground` may be mixed
     (it typically comes out of a QITE run); E_0 = Tr(ground H).
     """
-    return _lift(to_dense_matrix(h), ground.elements, e_max)
+    dense = dense_matrices(h.words, h.one_row("_lift"), h.n_qubits)[0]
+    return _lift(dense, ground.elements, e_max)
 
 
 def _lift(h_dense: np.ndarray, ground: np.ndarray, e_max) -> PauliHamiltonian:

@@ -560,6 +560,15 @@ def forward_then_branches(ansatz):
             DERIVATIVE_PREFACTOR * stack.reshape(ansatz.n_parameters, rows, -1))
 
 
+def analytic_shot_route(monkeypatch):
+    """Make a run's SampledRun evaluate every circuit at shots=None, so that a
+    loop given a shot count takes A and B from the analytic Hadamard tests."""
+    import vqite.engine
+    from vqite.mclachlan import SampledRun
+    monkeypatch.setattr(vqite.engine, "SampledRun",
+                        lambda run, shots, seeds: SampledRun(run, None, seeds))
+
+
 # The per-job Hadamard route the stacked pass replaced: each test circuit
 # on its own unstacked tensor, measured one by one with scalar draws.
 

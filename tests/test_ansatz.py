@@ -129,9 +129,9 @@ def test_insertion_points_must_be_ordered_and_in_range():
     for descs in ((d1, d0), (d0, past_end), (DerivativeDescriptor(-1, d0.sigma), d1),
                   (DerivativeDescriptor(0, d0.sigma), d1), (d0, d0._replace(sigma=d1.sigma))):
         with pytest.raises(ValueError, match="insertion points"):
-            AnsatzCircuit(a.gates, a.parameters, descs, a.reference_state, 3)
+            AnsatzCircuit(a.gates, a.parameters, descs, a.reference_state)
     at_end = DerivativeDescriptor(len(a.gates), d1.sigma)
-    AnsatzCircuit(a.gates, a.parameters, (d0, at_end), a.reference_state, 3)
+    AnsatzCircuit(a.gates, a.parameters, (d0, at_end), a.reference_state)
 
 
 # --- hardware-efficient ---

@@ -8,6 +8,7 @@ the facts themselves.
 """
 
 import json
+import pickle
 import warnings
 from pathlib import Path
 
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (apply, apply_word, forward_then_branches, from_pairs, golden_platform,
-                      per_state_gates, stacked, term_loop)
-from vqite import (DensityMatrix, build_hardware_efficient, build_ucc_h2, build_ucc_lih,
-                   cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled, exact_spectrum,
-                   gershgorin_emax, hamiltonian_at, lift_ground_state, run_qite, to_dense_matrix)
-from vqite import ansatz as ansatz_module
+from conftest import (analytic_shot_route, apply, apply_word, forward_then_branches, from_pairs,
+                      golden_platform, per_state_gates, stacked, term_loop)
+from vqite import (DensityMatrix, basis_state, build_hardware_efficient, build_ucc_h2,
+                   build_ucc_lih, cmf_reduce, cmf_reduce_rows, compute_exact, compute_sampled,
+                   exact_spectrum, expectation, gershgorin_emax, hamiltonian_at,
+                   lift_ground_state, load_lih_table, run_qite, theta_scan, to_dense_matrix,
+                   weighted_partial_trace)
+from vqite import ansatz as ansatz_module, cmf, engine, pauli, spectra
 from vqite.ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
 from vqite.mclachlan import ExactRun, McLachlanSystem, solve_update
@@ -92,7 +95,7 @@ def test_batched_shot_rows_equal_one_row_runs(lih_table):
     # Each row draws from its own (seed, R) generator, in job order.
     rows = slice(0, 50, 7)
     h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, rows)
-    config = QiteConfig(**dict(vars(config), route="hadamard", shots=1000))
+    config = QiteConfig(**dict(vars(config), shots=1000))
     batched = run_qite_rows(h, build_ucc_lih, config, seeds=seeds).trajectories()
     for k, seed, traj in zip(range(50)[rows], seeds, batched):
         alone = run_qite(one_row(lih_table, k, False)[0], build_ucc_lih,
@@ -105,13 +108,17 @@ def test_batched_shot_rows_equal_one_row_runs(lih_table):
     (build_hardware_efficient, True, slice(0, 50, 17), 1000),
     (build_hardware_efficient, True, slice(0, 50, 17), None),
 ], ids=["ucc-lih-50-rows", "cmf-he-3-rows-shots", "cmf-he-3-rows-analytic"])
-def test_shot_run_reads_the_live_rotation_stack(builder, cmf, rows, shots, lih_table):
+def test_shot_run_reads_the_live_rotation_stack(builder, cmf, rows, shots, lih_table,
+                                                monkeypatch):
     # The run's one SampledRun reads the rotation stack as the iteration's
     # ExactRun call wrote it: at every iteration A and B are bitwise those of
     # compute_sampled on a build at that iteration's angles, drawn from twin
-    # generators that each step leaves in the same state.
+    # generators that each step leaves in the same state.  The analytic case
+    # runs the shot-route loop with its SampledRun made at shots=None.
     h, config, energy_map, seeds = scan_rows(lih_table, builder, cmf, rows)
-    config = QiteConfig(**dict(vars(config), route="hadamard", shots=shots))
+    if shots is None:
+        analytic_shot_route(monkeypatch)
+    config = QiteConfig(**dict(vars(config), shots=shots or 1000))
     trajs = run_qite_rows(h, builder, config, energy_map, seeds=seeds).trajectories()
     twins = [np.random.default_rng(s) for s in seeds]
     for it in range(config.iterations):
@@ -238,7 +245,7 @@ def test_row_views_equal_rows_run_alone(lih_table):
         assert [r.fidelity for r in traj.records] == [r.fidelity for r in want.records]
 
 
-ONE = QiteConfig((1.0, 1.0), route="hadamard", shots=100, seed=1)
+ONE = QiteConfig((1.0, 1.0), shots=100, seed=1)
 TWO_ROWS = np.ones((2, 2))
 
 
@@ -254,7 +261,12 @@ def reduced_rows_with_one_row_map(h):
      "3 angle rows but 2 Hamiltonians"),
     (lambda h: run_qite_rows(stacked([h, h]), build_ucc_lih, ONE, seeds=[1]),
      "a seed or generator for each of the 2 rows"),
-    (reduced_rows_with_one_row_map, "1 angle rows but 2 Hamiltonians"),
+    (reduced_rows_with_one_row_map,
+     "h_system has 2 rows, the energy map's reduction 1 and its original Hamiltonian 1"),
+    (lambda h: map_rows([10], [10, 30]),
+     "h_system has 2 rows, the energy map's reduction 1 and its original Hamiltonian 2"),
+    (lambda h: map_rows([10, 30], [10]),
+     "h_system has 2 rows, the energy map's reduction 2 and its original Hamiltonian 1"),
     (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), h), "2 angle rows but 1 Hamiltonians"),
     (lambda h: compute_exact(build_ucc_lih(TWO_ROWS), stacked([h] * 3)),
      "2 angle rows but 3 Hamiltonians"),
@@ -262,14 +274,60 @@ def reduced_rows_with_one_row_map(h):
      "2 angle rows but 1 Hamiltonians"),
     (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), stacked([h] * 3), 100, [1, 2, 3]),
      "2 angle rows but 3 Hamiltonians"),
-], ids=["run-hamiltonians", "run-seeds", "run-energy-maps", "exact-1", "exact-3",
+], ids=["run-hamiltonians", "run-seeds", "run-energy-maps", "run-map-reduction",
+        "run-map-original", "exact-1", "exact-3",
         "sampled-1", "sampled-3"])
 def test_row_counts_must_agree(call, message, lih_r15):
-    # One Hamiltonian row, initial angle row and seed per row of the run, or
-    # a ValueError that names the counts before any work starts (not a row
-    # dropped by zip or a numpy broadcast error deep inside).
+    # One Hamiltonian row, initial angle row, seed and energy-map row per row
+    # of the run, or a ValueError that names the counts before any work starts
+    # (not a row dropped by zip, a numpy broadcast error deep inside, or every
+    # row reported through row 0's isometry).
     with pytest.raises(ValueError, match=message):
         call(lih_r15)
+
+
+def work_started(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+GROUND_100 = DensityMatrix(np.outer(basis_state("100").amplitudes, basis_state("100").amplitudes))
+
+
+@pytest.mark.parametrize("call,module,batched,table", [
+    (cmf_reduce, cmf, "cmf_reduce_rows", "lih_table"),
+    (lambda h: run_qite(h, build_ucc_lih, QiteConfig((1.0, 1.0))), engine, "run_qite_rows",
+     "lih_table"),
+    (lambda h: theta_scan(h, build_ucc_h2, [0.5, 2.0], QiteConfig((0.0,))), engine,
+     "run_qite_rows", "h2_table"),
+    (exact_spectrum, spectra, "stacked_spectrum", "lih_table"),
+    (to_dense_matrix, pauli, "dense_matrices", "lih_table"),
+    (lambda h: expectation(h, basis_state("100")), pauli, "expectations", "lih_table"),
+    (lambda h: lift_ground_state(h, GROUND_100, 10.0), spectra, "_lift", "lih_table"),
+    (lambda h: weighted_partial_trace(h, (0, 1), np.eye(2) / 2), pauli, "partial_traces",
+     "lih_table"),
+], ids=["cmf_reduce", "run_qite", "theta_scan", "exact_spectrum", "to_dense_matrix",
+        "expectation", "lift_ground_state", "weighted_partial_trace"])
+def test_one_row_functions_refuse_a_stack(call, module, batched, table, request, monkeypatch):
+    # A function of one Hamiltonian takes a single sum, or a one-row stack to
+    # the same bytes; a stack of two rows raises a ValueError that names the
+    # batched function, before that function runs (not row 0's result, nor a
+    # numpy broadcast error).
+    table = request.getfixturevalue(table)
+    one, row = table.hamiltonians([1]), hamiltonian_at(table, table.rows[1][0])
+    assert pickle.dumps(call(one)) == pickle.dumps(call(row))
+    monkeypatch.setattr(module, batched, work_started)
+    with pytest.raises(ValueError, match=f"a stack of 2 Hamiltonians: use {batched} for a stack"):
+        call(table.hamiltonians([1, 2]))
+
+
+def map_rows(reduced, original):
+    """run_qite_rows on the reductions of LiH rows 10 and 30, reported through
+    a map that reduces the rows `reduced` of the rows `original`."""
+    table = load_lih_table()
+    return run_qite_rows(cmf_reduce_rows(table.hamiltonians([10, 30])).h_eff,
+                         build_hardware_efficient, QiteConfig((0.5,) * 6),
+                         EnergyMap(cmf_reduce_rows(table.hamiltonians(reduced)),
+                                   table.hamiltonians(original)))
 
 
 def constructor_copy(table, builder, rows, rng):
@@ -279,8 +337,7 @@ def constructor_copy(table, builder, rows, rng):
     h = table.hamiltonians([b % len(table.rows) for b in range(rows)])
     build = builder(rng.uniform(-np.pi, np.pi, size=(rows, len(THETA0[builder]))))
     return h, build, AnsatzCircuit(
-        build.gates, build.parameters, build.descriptors, build.reference_state,
-        build.n_system_qubits)
+        build.gates, build.parameters, build.descriptors, build.reference_state)
 
 
 def test_circuit_made_by_its_constructor(lih_table, h2_table, rng):
@@ -293,7 +350,7 @@ def test_circuit_made_by_its_constructor(lih_table, h2_table, rng):
     h = from_pairs([(1.0, "ZI"), (0.5, "XX")])
     build = build_hardware_efficient(np.full(6, 0.3))
     fixed = AnsatzCircuit(build.gates, build.parameters, build.descriptors,
-                          build.reference_state, 2)
+                          build.reference_state)
     got, want = compute_exact(fixed, h), compute_exact(build, h)
     assert got.a_matrix.tobytes() == want.a_matrix.tobytes()
     assert got.b_vector.tobytes() == want.b_vector.tobytes()
@@ -306,7 +363,7 @@ def test_circuit_made_by_its_constructor(lih_table, h2_table, rng):
             assert got.b_vector.tobytes() == want.b_vector.tobytes()
     with pytest.raises(ValueError, match="rotated gate"):
         run_qite(h, lambda t: AnsatzCircuit(build.gates, t, build.descriptors,
-                                            build.reference_state, 2), QiteConfig((0.3,) * 6))
+                                            build.reference_state), QiteConfig((0.3,) * 6))
     with pytest.raises(ValueError, match="rotated gate"):
         run_qite(h, lambda t: build_hardware_efficient(2 * np.asarray(t)), QiteConfig((0.3,) * 6))
 
@@ -455,7 +512,7 @@ def test_shot_route_states_apply_no_branch(lih_table, monkeypatch):
     # On the shot route the ansatz gates run on the B forward rows only (the
     # branches live in the Hadamard sweep, one qubit wider), once per iteration.
     h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, slice(7))
-    config = QiteConfig(**dict(vars(config), route="hadamard", shots=1000))
+    config = QiteConfig(**dict(vars(config), shots=1000))
     calls = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config,
                                                               seeds=seeds))
     assert [c for c in calls if c[0] == 4] == [(4, 7)] * (14 * 5)

@@ -15,6 +15,7 @@ from vqite import (DensityMatrix, MoleculeTable, build_ucc_lih, cli, cmf_reduce,
 from vqite.cli import (ManifestError, RunManifest, build_parser, discontinuity_rs,
                        emit_outputs, main, run_scan, validate_manifest)
 from vqite.engine import QiteConfig
+from vqite.pauli import weighted_terms
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "exact"
 
@@ -269,6 +270,36 @@ def test_subcommand_option_sets():
     assert options == {"scan": RUN_FLAGS, "point": RUN_FLAGS, "spectrum": {"--table", "--r"},
                        "excited": {"--table", "--r", "--iters", "--dtau", "--seed"},
                        "validate": {"--table"}}
+
+
+@pytest.mark.parametrize("argv,own", [
+    (["scan"], {}),
+    (["point"], {"r_selection": "1.5"}),
+    (["excited", "--r", "all"], {"iterations": 20}),
+])
+def test_run_subcommand_defaults_are_the_manifests(argv, own):
+    # scan, point and excited take every default from RunManifest, but for
+    # point's bond distance and excited's iteration count.
+    args = build_parser().parse_args(argv)
+    assert {k: getattr(args, k) for k in RunManifest._fields} == {**RunManifest._field_defaults,
+                                                                  **own}
+    for command, iterations in (("point", 4), ("excited", 20)):
+        args = build_parser().parse_args([command, "--r", "1.5"])
+        assert cli._manifest_from_args(args) == RunManifest(r_selection=(1.5,),
+                                                            iterations=iterations)
+
+
+@pytest.mark.parametrize("route,shots", [("exact", 5), ("hadamard", None)])
+def test_manifest_route_must_match_shots(route, shots, monkeypatch, capsys):
+    # The shot count sets the route: a manifest whose route says otherwise is
+    # refused before any work, not run on the route its shots imply.
+    message = f"route '{route}' disagrees with shots={shots}"
+    with pytest.raises(ManifestError, match=message):
+        run_scan(RunManifest(ansatz="ucc-lih", r_selection=(1.5,), route=route, shots=shots))
+    monkeypatch.setattr(cli, "_parse_route", lambda text: (route, shots))
+    assert main(["point", "--ansatz", "ucc-lih", "--r", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"manifest error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["point"])
@@ -544,9 +575,9 @@ def _failing_qite(stage, real, r=1.5, error=ArithmeticError):
                    else (lambda args: args[0].columns))
         hit = lambda args: any({w: v for w, v in zip(columns(args)[0], c.tolist()) if v} == terms
                                for c in columns(args)[1])
-    else:                                    # a row of the (B, L) report coefficients
-        target = h.coeffs
-        hit = lambda args: any(np.array_equal(c[c != 0], target) for c in args[1])
+    else:                                    # a row of the report's (B, L, 2^n) weighted terms
+        target = weighted_terms(h.words, h.coeffs[None], h.n_qubits)[1][0]
+        hit = lambda args: any(np.array_equal(w[w.any(axis=1)], target) for w in args[0][1])
 
     def stage_fn(*args):
         if hit(args):

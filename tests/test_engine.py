@@ -5,14 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from conftest import from_pairs, stacked
+from conftest import analytic_shot_route, from_pairs, stacked
 from vqite import (PauliHamiltonian, QiteConfig,
                    average_z_coefficient, build_hardware_efficient,
                    build_ucc_h2, build_ucc_lih, cmf_reduce, exact_spectrum,
                    run_qite, theta_scan, to_dense_matrix)
 from vqite.engine import EnergyMap, resolve_dtau, run_qite_rows
 from vqite.mclachlan import ExactRun
-from vqite.pauli import expectations
+from vqite.pauli import expectations, weighted_terms
 
 H2_TABLE_ENV = "VQITE_H2_TABLE"
 
@@ -134,7 +134,7 @@ def test_record_energies_are_expectations_of_record_states(case, lih_r15, h2_r07
     for traj in trajectories:
         for rec in traj.records:
             state = builder(rec.theta).state().amplitudes[None]
-            want = expectations(h.words, h.coeffs[None], state)[0]
+            want = expectations(weighted_terms(h.words, h.coeffs[None], h.n_qubits), state)[0]
             assert rec.energy.hex() == want.hex(), (case, rec.iteration)
 
 
@@ -172,43 +172,57 @@ def test_stationary_flag_at_pi(h2_r07):
     assert abs(traj.converged_energy - exact_spectrum(h2_r07).ground_energy) > 0.1
 
 
-def test_hadamard_exact_mode_run_matches_exact_route(lih_r15):
-    a = run_qite(lih_r15, build_ucc_lih, config([1.0, 1.0], iterations=3))
-    b = run_qite(lih_r15, build_ucc_lih,
-                 config([1.0, 1.0], iterations=3, route="hadamard", shots=None))
-    for ra, rb in zip(a.records, b.records):
-        assert np.max(np.abs(ra.theta - rb.theta)) < 1e-9
-    assert a.converged_energy == pytest.approx(b.converged_energy, abs=1e-9)
+def test_hadamard_exact_mode_run_matches_exact_route(lih_r15, monkeypatch):
+    # The shot-route loop, its SampledRun made at shots=None, takes the exact
+    # loop's steps, on UCC-LiH and on CMF + HE: the loop wires its SampledRun
+    # to the live angles.
+    eff = cmf_reduce(lih_r15)
+    cases = [(lih_r15, build_ucc_lih, [1.0, 1.0], None),
+             (eff.h_eff, build_hardware_efficient, [0.5] * 6,
+              EnergyMap.from_effective(eff, lih_r15))]
+    exact = [run_qite(h, builder, config(theta0, iterations=3), energy_map)
+             for h, builder, theta0, energy_map in cases]
+    analytic_shot_route(monkeypatch)
+    for a, (h, builder, theta0, energy_map) in zip(exact, cases):
+        b = run_qite(h, builder, config(theta0, iterations=3, shots=1000, seed=1), energy_map)
+        for ra, rb in zip(a.records, b.records):
+            assert np.max(np.abs(ra.theta - rb.theta)) < 1e-9
+        assert a.converged_energy == pytest.approx(b.converged_energy, abs=1e-9)
 
 
 def test_shot_route_needs_seed(lih_r15):
-    # Without a seed every run would draw from OS entropy; the analytic
-    # hadamard mode (shots=None) and the exact route stay seedless.
+    # Without a seed every run would draw from OS entropy; a shot count sets
+    # the shot route, and the exact route stays seedless.
     with pytest.raises(ValueError, match="seed"):
-        config([1.0, 1.0], route="hadamard", shots=1000)
-    config([1.0, 1.0], route="hadamard", shots=None)
-    config([1.0, 1.0], shots=1000)
+        config([1.0, 1.0], shots=1000)
+    config([1.0, 1.0])
+    config([1.0, 1.0], shots=1000, seed=0)
 
 
 @pytest.mark.parametrize("route,shots", [("exact", None), ("hadamard", None),
                                          ("hadamard", 1000)])
-def test_builder_runs_once_per_run(lih_table, lih_r15, route, shots):
+def test_builder_runs_once_per_run(lih_table, lih_r15, route, shots, monkeypatch):
     # A run builds its circuit once, at the initial angles, for one row or
     # fifty; its iterations rewrite that circuit's rotation stack.  So a
     # builder stuck at the initial angles (which the check at theta0 cannot
     # tell from the family build) runs as the family build, byte for byte,
-    # without shots to the energies of the family's LiH R = 1.5 run.
+    # without shots to the energies of the family's LiH R = 1.5 run.  The
+    # hadamard route without shots is the shot-route loop with its SampledRun
+    # made at shots=None.
     calls = []
     def counted(theta):
         calls.append(np.shape(theta))
         return build_ucc_lih(theta)
+    if route == "hadamard" and shots is None:
+        analytic_shot_route(monkeypatch)
+    loop_shots = 1000 if route == "hadamard" else None
     for rows in (1, 50):
         calls.clear()
         run_qite_rows(lih_table.hamiltonians(range(rows)), counted,
-                      QiteConfig((1.0, 1.0), route=route, shots=shots, seed=0),
+                      QiteConfig((1.0, 1.0), shots=loop_shots, seed=0),
                       seeds=list(range(rows)))
         assert calls == [(rows, 2)]
-    config = QiteConfig((1.0, 1.0), route=route, shots=shots, seed=1)
+    config = QiteConfig((1.0, 1.0), shots=loop_shots, seed=1)
     stuck = run_qite(lih_r15, lambda t: build_ucc_lih(np.ones_like(t)), config)
     assert stuck == run_qite(lih_r15, build_ucc_lih, config)
     if shots is None:
@@ -224,7 +238,7 @@ def test_shot_count_refused_before_the_loop(lih_r15, monkeypatch, shots):
     def loop_started(*args):
         raise AssertionError("the loop started")
     monkeypatch.setattr(ExactRun, "__call__", loop_started)
-    config = QiteConfig((1.0, 1.0), route="hadamard", shots=shots, seed=1)
+    config = QiteConfig((1.0, 1.0), shots=shots, seed=1)
     with pytest.raises(ValueError, match="shots must be >= 1"):
         run_qite(lih_r15, build_ucc_lih, config)
     with pytest.raises(ValueError, match="shots must be >= 1"):
@@ -232,7 +246,7 @@ def test_shot_count_refused_before_the_loop(lih_r15, monkeypatch, shots):
 
 
 def test_hadamard_route_reproducible(h2_r07):
-    kwargs = dict(iterations=2, route="hadamard", shots=2000, seed=5)
+    kwargs = dict(iterations=2, shots=2000, seed=5)
     a = run_qite(h2_r07, build_ucc_h2, config([2.0], **kwargs))
     b = run_qite(h2_r07, build_ucc_h2, config([2.0], **kwargs))
     assert a.converged_energy == b.converged_energy

@@ -133,7 +133,7 @@ def test_exact_run_checks_each_norm(lih_r15, system):
     good = build_hardware_efficient(theta)
     gates = list(good.gates)
     gates[2] = Gate(PAULI_MATRICES["X"] * (1 + 1e-6), gates[2].target, gates[2].control)
-    scaled = AnsatzCircuit(tuple(gates), theta, good.descriptors, good.reference_state, 2)
+    scaled = AnsatzCircuit(tuple(gates), theta, good.descriptors, good.reference_state)
     nan = np.array([theta[0], [np.nan] + [0.3] * 5])
     for circuit, angles, message in ((good, nan, "state norm nan"),
                                      (scaled, theta, r"state norm 1\.00000")):

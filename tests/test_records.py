@@ -15,9 +15,8 @@ TABLE_TEXT = "# molecule: toy\nR,ZI,XX\n0.5,-1.0,0.25\n1.0,-0.5,0.125\n"
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"iterations": 0}, "iterations must be >= 1"),
-    ({"route": "sampled"}, "unknown route 'sampled'"),
     ({"dtau": "fixed"}, "dtau must be a positive number or 'auto'"),
-    ({"route": "hadamard", "shots": 100}, "shot mode needs a seed"),
+    ({"shots": 100}, "shot mode needs a seed"),
 ])
 def test_qite_config_checks(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -25,12 +24,11 @@ def test_qite_config_checks(kwargs, message):
 
 
 def test_qite_config_normalizes_angles():
-    config = QiteConfig(np.array([1, 2]), 3, 0.25, "hadamard", 100, 7)
+    config = QiteConfig(np.array([1, 2]), 3, 0.25, 100, 7)
     assert config.initial_theta == (1.0, 2.0) and type(config.initial_theta[0]) is float
-    assert (config.iterations, config.dtau, config.route, config.shots, config.seed) == (
-        3, 0.25, "hadamard", 100, 7)
+    assert (config.iterations, config.dtau, config.shots, config.seed) == (3, 0.25, 100, 7)
     assert QiteConfig(0.5).initial_theta == (0.5,)
-    assert QiteConfig((0.5,), route="hadamard").seed is None      # exact A and B need no seed
+    assert QiteConfig((0.5,)).seed is None      # exact A and B need no seed
 
 
 @pytest.mark.parametrize("letters, message", [
