@@ -111,7 +111,8 @@ def load_manifest_table(name: str) -> MoleculeTable:
 
 
 def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> list[int]:
-    """The indices of the table rows the manifest selects, in selection order."""
+    """The indices of the table rows the manifest selects, sorted: table order,
+    which is R order, whatever the order of --r."""
     if manifest.ansatz not in ANSATZ_FAMILIES:
         raise ManifestError(f"unknown ansatz '{manifest.ansatz}'")
     family = ANSATZ_FAMILIES[manifest.ansatz]
@@ -135,8 +136,8 @@ def validate_manifest(manifest: RunManifest, table: MoleculeTable) -> list[int]:
         missing = [r for r, ks in zip(manifest.r_selection, found) if not ks]
         if missing:
             raise ManifestError(f"bond distances not in table: {missing}")
-        rows = [k for ks in found for k in ks]
-        repeated = sorted(table.rows[k][0] for k, count in Counter(rows).items() if count > 1)
+        rows = sorted(k for ks in found for k in ks)
+        repeated = [table.rows[k][0] for k, count in Counter(rows).items() if count > 1]
         if repeated:
             raise ManifestError(f"bond distances given more than once: {repeated}")
     rs = [table.rows[k][0] for k in rows]
@@ -174,29 +175,27 @@ def discontinuity_rs(table: MoleculeTable) -> set[float]:
 def run_scan(manifest: RunManifest, lift: bool = False):
     """Execute the manifest; returns (points, trajectories, cmf records).
 
-    Results are merged in bond-distance order, and every point's random
-    stream is seeded from (seed, R).  One step runs all points at once, a
-    stack in and a stack out: the table's selected rows as one Hamiltonian
-    stack, the batched CMF reduction (cmf_reduce_rows) when --cmf is set,
-    then one run_qite_rows batch under one config; `lift` (excited) reduces
-    every 3-qubit table and lifts each row's ground level first, its e_exact
-    the first excited level.  If the step raises, it runs again for each
-    point alone, and only the points that fail alone are recorded, with an
-    `error:<ExceptionType>` flag and their message on stderr.  A point reads
-    its row's summary from the stacked result; its trajectory makes the
-    records only when read (emit_outputs with --trace), and its cmf record,
-    (R, reduction, the row's index in it), the selection text only when
-    written (emit_outputs with --out).
+    One pass over the selected rows in table order, which is R order, each
+    point's random stream seeded from (seed, R).  One step runs all points
+    at once, a stack in and a stack out: the rows as one Hamiltonian stack,
+    the batched CMF reduction (cmf_reduce_rows) when --cmf is set, then one
+    run_qite_rows batch under one config; `lift` (excited) reduces every
+    3-qubit table and lifts each row's ground level first, its e_exact the
+    first excited level.  The step makes each row's point, flags included;
+    if it raises, it runs again for each point alone, and a point that fails
+    alone is made where it fails: an `error:<ExceptionType>` flag, its
+    message on stderr.  A trajectory makes the records only when read
+    (emit_outputs with --trace), a cmf record (R, reduction, the row's index
+    in it) the selection text only when written (emit_outputs with --out).
     """
     table = load_manifest_table(manifest.table)
     if lift:
         manifest = manifest._replace(cmf=table.n_qubits == 3)
     rows = validate_manifest(manifest, table)
-    rs = [table.rows[k][0] for k in rows]
     flagged = set() if lift else discontinuity_rs(table)   # excited prints no such flag
     builder = getattr(ansatz, ANSATZ_FAMILIES[manifest.ansatz].builder)
 
-    def step(ks):  # (trajectory, (reduction, index), (e_exact, e_max)) of each table row k in ks
+    def step(ks):  # (point, trajectory, cmf record) of each table row k in ks
         h, dtau, levels = table.hamiltonians(ks), manifest.dtau, None
         eff = cmf_reduce_rows(h) if manifest.cmf else None
         run, energy_map = (h, None) if eff is None else (eff.h_eff, EnergyMap(eff, h))
@@ -212,8 +211,19 @@ def run_scan(manifest: RunManifest, lift: bool = False):
                             manifest.shots, manifest.seed)
         trajs = run_qite_rows(run, builder, config, energy_map, seeds=[
             manifest.point_seed(table.rows[k][0]) for k in ks]).trajectories()
-        return list(zip(trajs, [(eff, b) for b in range(len(ks))] if eff else [None] * len(ks),
-                        levels or [(t.exact_energy, None) for t in trajs]))
+        levels, outcomes = levels or [(t.exact_energy, None) for t in trajs], []
+        for b, (k, traj, (e_exact, e_max)) in enumerate(zip(ks, trajs, levels)):
+            r = table.rows[k][0]
+            flags = tuple(flag for flag, hit in (
+                ("stationary", traj.stationary),
+                ("degenerate", traj.ground_degenerate),
+                ("discontinuity", r in flagged),
+                ("bound-violation", traj.converged_energy < traj.exact_energy - 1e-9),
+                ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
+            ) if hit)
+            outcomes.append((CurvePoint(r, traj.converged_energy, e_exact, traj.final_fidelity,
+                                        flags, e_max), traj, eff and (r, eff, b)))
+        return outcomes
 
     try:
         outcomes = step(rows)
@@ -223,31 +233,13 @@ def run_scan(manifest: RunManifest, lift: bool = False):
             try:
                 outcomes += step([k])
             except Exception as exc:  # per-point failure: recorded, not fatal
-                outcomes.append(exc)
-
-    results = []
-    for r, outcome in zip(rs, outcomes):
-        if isinstance(outcome, Exception):
-            kind = type(outcome).__name__
-            print(f"R={r:g}: {kind}: {outcome}", file=sys.stderr)
-            results.append((CurvePoint(r, float("nan"), float("nan"), None, ("error:" + kind,)),
-                            None, None))
-            continue
-        traj, cmf, (e_exact, e_max) = outcome
-        flags = tuple(flag for flag, hit in (
-            ("stationary", traj.stationary),
-            ("degenerate", traj.ground_degenerate),
-            ("discontinuity", r in flagged),
-            ("bound-violation", traj.converged_energy < traj.exact_energy - 1e-9),
-            ("non-monotone", manifest.route == "exact" and traj.monotonicity_violations),
-        ) if hit)
-        results.append((CurvePoint(r, traj.converged_energy, e_exact, traj.final_fidelity,
-                                   flags, e_max), traj, cmf and (r, *cmf)))
-    results.sort(key=lambda item: item[0].r)
-    points = [p for p, _, _ in results]
-    trajectories = {p.r: t for p, t, _ in results if t is not None}
-    cmf_records = [c for _, _, c in results if c is not None]
-    return points, trajectories, cmf_records
+                r, kind = table.rows[k][0], type(exc).__name__
+                print(f"R={r:g}: {kind}: {exc}", file=sys.stderr)
+                outcomes.append((CurvePoint(r, float("nan"), float("nan"), None,
+                                            ("error:" + kind,)), None, None))
+    points, trajectories, cmf_records = zip(*outcomes)
+    return (list(points), {p.r: t for p, t in zip(points, trajectories) if t is not None},
+            [c for c in cmf_records if c is not None])
 
 
 def format_number(v) -> str:
@@ -274,7 +266,7 @@ def emit_outputs(points, trajectories, out_dir, manifest: RunManifest,
     write("curve.csv", lines)
 
     if manifest.trace:
-        for r, traj in sorted(trajectories.items()):
+        for r, traj in trajectories.items():
             records = traj.records    # made here, once
             header = ["iter"] + [f"theta_{k + 1}" for k in range(records[0].theta.size)]
             header += ["energy", "fidelity"]

@@ -163,14 +163,16 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     """One weighted test circuit per A/B summand of _layout: the ansatz gates g
     cut at the insertion points p_i, A(i, j) as g[:p_i] + anti_i + g[p_i:p_j]
     + ctrl_j + g[p_j:] + final and B(i, l) as g[:p_i] + anti_i + g[p_i:] +
-    c-h_l + final, c-h_l the l-th Hamiltonian word controlled on the ancilla."""
+    c-h_l + final, c-h_l the l-th Hamiltonian word controlled on the ancilla;
+    h is one sum or a one-row stack (compute_sampled takes a stack)."""
+    coeffs = h.one_row("compute_sampled")[0].tolist()
     _check_rows(ansatz, h)
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
     ctrl = [tuple(controlled_pauli(n, range(n), d.sigma.letters)) for d in descs]
     anti, final = [(x(n), *c, x(n)) for c in ctrl], (hadamard(n),)
     tails = [tuple(controlled_pauli(n, range(n), w)) for w in h.words]
     pts, jobs = [d.insertion_point for d in descs], []
-    for word, phase, weight, (kind, i, *j) in _layout(len(descs), h.coeffs.tolist()):
+    for word, phase, weight, (kind, i, *j) in _layout(len(descs), coeffs):
         pj, tail = (pts[j[0]], ctrl[j[0]] + g[pts[j[0]]:]) if j else (len(g), tails[word])
         gates = g[:pts[i]] + anti[i] + g[pts[i]:pj] + tail + final
         jobs.append(HadamardJob(HadamardTestCircuit(gates, phase, ansatz.reference_state),
@@ -224,11 +226,10 @@ def _start(ref: StateVector, phases) -> np.ndarray:
     return amps.reshape((len(phases),) + (2,) * (ref.n_qubits + 1))
 
 
-def evaluate_circuit(circuit: HadamardTestCircuit, shots: int | None = None,
-                     rng=None) -> float:
-    """Run one test circuit and return the ancilla Z expectation."""
+def evaluate_circuit(circuit: HadamardTestCircuit) -> float:
+    """Run one test circuit and return the exact ancilla Z expectation."""
     start = _start(circuit.system_reference, [circuit.ancilla_phase])
-    return float(measure_z_expectation(run_gates(start, circuit.gates), shots, rng)[0])
+    return float(measure_z_expectation(run_gates(start, circuit.gates))[0])
 
 
 def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,

@@ -311,6 +311,19 @@ def test_main_one_bond_distance_commands(command, r, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--ansatz", "he", "--cmf"],
+    ["--ansatz", "ucc-lih", "--route", "shots:10000", "--seed", "1"],
+])
+def test_scan_output_does_not_depend_on_the_r_order(argv, tmp_path):
+    # Rows run, print and are written in R order whatever the order of --r:
+    # stdout, curve.csv, the traces, manifest.echo and cmf_selection.txt match.
+    unsorted, ascending = (run_cli(["scan", "--table", "lih", *argv, "--r", r, "--trace"],
+                                   tmp_path / r) for r in ("3.0,0.5,1.5", "0.5,1.5,3.0"))
+    assert unsorted == ascending
+    assert ascending[0] == 0 and len(ascending[2]) == 5 + ("--cmf" in argv)
+
+
 @pytest.mark.filterwarnings("ignore:energy rose")
 @pytest.mark.parametrize("r", ["all", "3.0,0.5,1.5"])
 def test_excited_blocks_equal_one_row_calls(r, lih_table):
@@ -438,7 +451,7 @@ def test_main_shared_seed_key_exit_two(tmp_path, capsys):
 
 def test_manifest_lists_each_repeated_and_shared_row():
     # A repeated R is listed once, in increasing order; R values that share a
-    # seed stream are listed each time, in selection order.
+    # seed stream are listed each time, in R order.
     lih = load_lih_table()
     with pytest.raises(ManifestError, match=r"more than once: \[1\.5, 2\.0\]$"):
         validate_manifest(manifest(r_selection=(2.0, 1.5, 2.0, 1.5, 1.5, 0.5)), lih)
@@ -640,6 +653,23 @@ def test_reduction_and_qite_failures_share_one_fallback(tmp_path, monkeypatch, c
     assert read(failed / "trace_R1.csv") == read(clean / "trace_R1.csv")
     blocks = [(d / "cmf_selection.txt").read_text().strip().split("\n\n") for d in (clean, failed)]
     assert blocks[1] == blocks[0][:1] and blocks[0][0].startswith("[R=1]\n")
+
+
+def test_failure_lines_follow_r_order(tmp_path, monkeypatch, capsys):
+    # Two rows that fail, given in descending order, print their lines in
+    # ascending R order, each where its row fails.
+    import vqite.cmf as cmf_mod
+    import vqite.engine as engine_mod
+    monkeypatch.setattr(cmf_mod, "_select_basis",
+                        _failing_reduction("_select_basis", cmf_mod._select_basis))
+    monkeypatch.setattr(engine_mod, "ExactRun",
+                        _failing_qite("ExactRun", engine_mod.ExactRun, 3.0,
+                                      FloatingPointError))
+    assert main(["scan", "--table", "lih", "--ansatz", "he", "--cmf", "--r", "3.0,1.5,1.0",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "R=1.5: ArithmeticError: injected at R=1.5",
+        "R=3: FloatingPointError: injected at R=3"]
 
 
 def test_scan_warnings_follow_row_order():

@@ -246,6 +246,30 @@ def test_ucc_h2_circuit_counts(h2_r07):
     assert len(b_jobs) == len(h2_r07.words)
 
 
+@pytest.mark.parametrize("angle_shape", [(2,), (1, 2)])
+def test_circuits_of_a_one_row_stack_are_its_sums(lih_table, angle_shape):
+    # A one-row stack gives the jobs of its row's plain sum: the same weights,
+    # destinations, ancilla phases and gate matrices, 29 jobs on UCC-LiH.
+    ansatz = build_ucc_lih(np.full(angle_shape, 0.3))
+    plain = build_hadamard_circuits(ansatz, hamiltonian_at(lih_table, lih_table.rows[10][0]))
+    stacked = build_hadamard_circuits(ansatz, lih_table.hamiltonians([10]))
+    assert len(plain) == len(stacked) == 29
+    for a, b in zip(plain, stacked):
+        assert (a.weight, a.destination, a.circuit.ancilla_phase) == (
+            b.weight, b.destination, b.circuit.ancilla_phase)
+        assert len(a.circuit.gates) == len(b.circuit.gates)
+        for g, h in zip(a.circuit.gates, b.circuit.gates):
+            assert (g.target, g.control) == (h.target, h.control)
+            assert np.array_equal(g.matrix, h.matrix)
+
+
+def test_circuits_refuse_a_stack_of_rows(lih_table):
+    with pytest.raises(ValueError, match=r"^a stack of 2 Hamiltonians: "
+                                         r"use compute_sampled for a stack$"):
+        build_hadamard_circuits(build_ucc_lih(np.full((2, 2), 0.3)),
+                                lih_table.hamiltonians([10, 20]))
+
+
 def test_route_equivalence_exact_mode(h2_r07, lih_r15):
     cases = [
         (build_ucc_h2(0.9), h2_r07),
