@@ -155,19 +155,18 @@ class AnsatzCircuit:
 
 
 @lru_cache(maxsize=8)
-def _program(gates, descriptors, n: int, axes: int = 1) -> list:
+def _program(gates, descriptors, n: int) -> list:
     """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
     the gate before descriptor i's insertion point, i) and gate_plan, each
     after a join (None, sigma_i as (src, phase)) per descriptor there.  A
-    rotation runs per state (one stack axis) or per row (two, (B rows, K
-    states)), a shared gate as one np.dot, but per state on one axis where
+    rotation runs per state, a shared gate as one np.dot, but per state where
     the width rule (dot_rounds_apart) holds."""
     slots, steps = {d.insertion_point - 1: i for i, d in enumerate(descriptors)}, []
     for k, gate in enumerate((*gates, None)):
         steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]
         if gate is not None:
-            per_state = k in slots or axes == 1 and dot_rounds_apart(n, gate.control is not None)
-            steps.append((slots.get(k, gate.matrix), gate_plan(gate, n, per_state, axes)))
+            per_state = k in slots or dot_rounds_apart(n, gate.control is not None)
+            steps.append((slots.get(k, gate.matrix), gate_plan(gate, n, per_state)))
     return steps
 
 

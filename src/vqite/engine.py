@@ -21,14 +21,14 @@ under one config (run_qite_rows): a scan's bond distances or theta_scan's
 initial angles; run_qite is the one-row case.  What does not depend on
 theta is made once per run: the row, qubit and dtau checks, the spectra,
 one circuit build, its ExactRun and on the shot route a SampledRun
-(mclachlan).  An exact
-iteration is one ExactRun call, whose pair product gives A, B, each state's
-norm and the energy of a row reported against its own Hamiltonian, and one
-stacked solve (solve_update); on the shot route A and B come from a
-SampledRun call, which reads the rotation stack the ExactRun call wrote.
-Iterations rewrite only that stack, so the builder's circuit must hold
-rotation_matrix of theta about its descriptors' axes there and no other
-gate depending on theta, as a family build and its AnsatzCircuit copy do.
+(mclachlan).  An iteration is one ExactRun call, whose pair product gives
+A, B, each state's norm and the energy of a row reported against its own
+Hamiltonian, and one stacked solve (solve_update); on the shot route A and
+B are draws on that call's overlaps of psi and d_i (SampledRun: no all-I job,
+each row in job order from its own (seed, R) stream).  Iterations rewrite
+only the rotation stack, so the builder's circuit must hold rotation_matrix
+of theta about its descriptors' axes there and no other gate depending on
+theta, as a family build and its AnsatzCircuit copy do.
 A run's result stays stacked over (iteration, row) (QiteRun); a row's
 QiteTrajectory is a view of it that makes its QiteRecords only when read.
 """
@@ -200,9 +200,9 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     off theta (module docstring) is refused (ValueError), and so are a shot
     count check_shots refuses and an energy map whose reduction or original
     Hamiltonian has another row count than h_system, before the loop.  Each
-    iteration takes the states of all rows from the run's ExactRun, A and B
-    from it or its SampledRun (each row drawing from its own seeded
-    generator) and solves every update
+    iteration takes the states and derivative states of all rows from the
+    run's ExactRun, A and B from it or from its SampledRun's draws on those
+    states (each row drawing from its own seeded generator) and solves every update
     with one stacked eigh (solve_update).  It returns what the loop kept as
     one QiteRun and makes no QiteRecord.  Each row's records are bitwise
     those of the row run alone; its warnings follow the loop, row by row.
@@ -230,18 +230,17 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     run = ExactRun(circuit, h_system)
     # the weighted terms of every reported energy: the run's own without a reduction
     terms = run.terms if eff is None else weighted_terms(labels, coeffs, report.n_qubits)
-    sampled = config.shots is not None
-    route, own = ("hadamard" if sampled else "exact"), eff is None and not sampled
+    sampled, route = config.shots is not None, "exact" if config.shots is None else "hadamard"
     estimate = sampled and SampledRun(run, config.shots, seeds or [config.seed] * len(coeffs))
     steps = []   # per iteration: theta, energy, overlap, A, B (None after the last update)
 
     for it in range(config.iterations + 1):
         last = it == config.iterations
-        states, a, b, energies = run(theta, not (sampled or last))
+        states, a, b, energies = run(theta, not last)
         if sampled and not last:
             _, a, b = estimate()
         psi = states if eff is None else lift_amplitudes(eff, states)
-        energy = energies if own and not last else expectations(terms, psi)
+        energy = energies if eff is None and not last else expectations(terms, psi)
         steps.append((theta, energy, (ground @ psi[:, :, None])[:, 0, 0], a, b))
         if last:
             break

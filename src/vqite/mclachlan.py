@@ -9,15 +9,17 @@ evaluates the defining inner products directly on statevectors:
 
 with |d_i psi> built from the ansatz derivative descriptors, for one
 circuit or for the B rows of a batched one at once (A and B stacked).
-The Hadamard route (SampledRun) expands the same sums into one ancilla
-test job per summand, in job order per row A(i, j), i <= j, prefactor
-conj(p) p, then B(i, l), prefactor -conj(p) h_l of term l, where p is
-DERIVATIVE_PREFACTOR; the ancilla is prepared in (|0> + e^{i phi}
-|1>)/sqrt(2), phi the prefactor's angle, and its Z expectation times the
-prefactor's modulus (the job's weight) is the summand's real part.  A
-test circuit is three slices of the ansatz gate tuple with controlled
-Pauli gates between them.  Evaluated without sampling, the two routes
-agree to machine precision; with shots they agree statistically.
+The Hadamard route expands the same sums into one ancilla test job per
+summand, in job order per row A(i, j), i <= j, prefactor conj(p) p, then
+B(i, l), prefactor -conj(p) h_l of term l, p = DERIVATIVE_PREFACTOR; the
+all-I word has none, its -h Re <d_i psi|psi> being 0 at every angle.  The
+ancilla is prepared in (|0> + e^{i phi} |1>)/sqrt(2), phi the prefactor's
+angle, and its Z expectation times the prefactor's modulus (the job's
+weight) is the summand's real part.  A test circuit is three slices of the
+ansatz gate tuple with controlled Pauli gates between them; SampledRun
+takes each job's value from the ExactRun call's overlaps instead, and each
+row draws its jobs in order from its own (seed, R) stream.  Without
+sampling the routes agree to machine precision, with shots statistically.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit, _program
-from .pauli import PauliHamiltonian, _term_stack, apply_sums, real_part, weighted_terms
-from .simulator import (Gate, StateVector, apply_planned, check_norms, check_shots, check_unit,
-                        controlled_pauli, dot_rounds_apart, hadamard, measure_z_expectation,
-                        rotation_matrix, run_gates, sample_z, x, z_marginals)
+from .ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
+from .pauli import PauliHamiltonian, apply_sums, real_part, weighted_terms
+from .simulator import (Gate, StateVector, check_norms, check_shots, check_unit, controlled_pauli,
+                        hadamard, measure_z_expectation, rotation_matrix, run_gates, sample_z, x)
 
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3              # looser: shot noise inflates the small eigenvalues
-PASS_ROWS = 8                       # rows per measured pass of a SampledRun call
 ABS_EIG_FLOOR = 1e-12
 
 
@@ -88,12 +88,13 @@ class ExactRun:
     one pair product of (1, L) @ (L, 1) matmuls, bitwise np.vdot, whose
     <psi|psi> checks each norm: (states, A, B, energies <psi|H|psi> as
     real_part), or without `system` the states alone, norm-checked by
-    check_unit, as views of the buffer until the next call."""
+    check_unit, as views of the buffer until the next call.  `derived`: the
+    last call had `system` and passed, so the buffer holds each d_i."""
 
     def __init__(self, ansatz: AnsatzCircuit, h: PauliHamiltonian) -> None:
         self.columns = h.words, _check_rows(ansatz, h)
         n, gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(self.columns[1])
-        self.ansatz, self.pairs, self.programs = ansatz, _pairs(gamma), {}
+        self.ansatz, self.pairs, self.programs, self.derived = ansatz, _pairs(gamma), {}, False
         self.terms = weighted_terms(*self.columns, n)
         self.stack = np.empty(((gamma + 2) * rows, 2 ** n), dtype=complex)
         self.kets = self.stack.reshape(gamma + 2, rows, -1)   # psi, each d_i, H|psi>
@@ -101,6 +102,7 @@ class ExactRun:
         self.angles = self.rotations.swapaxes(0, -3).reshape(rows, gamma, 2, 2)   # a view
 
     def __call__(self, theta=None, system: bool = True) -> tuple:
+        self.derived = False
         if theta is not None:   # new angles of the circuit's rotations
             if np.shape(theta) != self.angles.shape[:2]:
                 raise ValueError(f"angles of shape {np.shape(theta)}, not {self.angles.shape[:2]}")
@@ -121,7 +123,7 @@ class ExactRun:
         # and <psi|psi>, of row b; take makes A and B C-contiguous, as BLAS must read them
         v = (kets[bra].conj()[:, :, None, :] @ kets[ket][:, :, :, None])[..., 0, 0].T
         check_norms(np.sqrt(v[:, -1].real))
-        energies, v = real_part(v[:, -2]), v.real
+        energies, v, self.derived = real_part(v[:, -2]), v.real, True
         return kets[0], v.take(a_cols, axis=1), -v.take(b_cols, axis=1), energies
 
 
@@ -137,15 +139,16 @@ def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
             a_cols, len(i) + np.arange(gamma), i, j)
 
 
-def _layout(gamma: int, coeffs: list[float]) -> list:
-    """The jobs of one row with `gamma` parameters and Hamiltonian
-    coefficients `coeffs`, in job order (module docstring), as (word, phase,
-    weight, destination); A jobs have no word."""
-    p = DERIVATIVE_PREFACTOR
+def _layout(gamma: int, words, coeffs: list[float]) -> list:
+    """The jobs of one row with `gamma` parameters and Hamiltonian terms
+    `coeffs` over `words`, in job order (module docstring), as (word, phase,
+    weight, destination); A jobs have no word, and the all-I word and the
+    words of coefficient 0 no job."""
+    p, terms = DERIVATIVE_PREFACTOR, [l for l, w in enumerate(words) if w.strip("I") and coeffs[l]]
     sums = [(float(np.angle(c)), float(abs(c)))
-            for c in [np.conj(p) * p] + [-np.conj(p) * h_l for h_l in coeffs]]
+            for c in [np.conj(p) * p] + [-np.conj(p) * coeffs[l] for l in terms]]
     jobs = [(None, *sums[0], ("A", i, j)) for i in range(gamma) for j in range(i, gamma)]
-    return jobs + [(l, *sums[l + 1], ("B", i)) for i in range(gamma) for l in range(len(coeffs))]
+    return jobs + [(l, *sums[k + 1], ("B", i)) for i in range(gamma) for k, l in enumerate(terms)]
 
 
 def _check_rows(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> np.ndarray:
@@ -160,7 +163,7 @@ def _check_rows(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> np.ndarray:
 
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
-    """One weighted test circuit per A/B summand of _layout: the ansatz gates g
+    """One weighted test circuit per job of _layout: the ansatz gates g
     cut at the insertion points p_i, A(i, j) as g[:p_i] + anti_i + g[p_i:p_j]
     + ctrl_j + g[p_j:] + final and B(i, l) as g[:p_i] + anti_i + g[p_i:] +
     c-h_l + final, c-h_l the l-th Hamiltonian word controlled on the ancilla;
@@ -172,7 +175,7 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     anti, final = [(x(n), *c, x(n)) for c in ctrl], (hadamard(n),)
     tails = [tuple(controlled_pauli(n, range(n), w)) for w in h.words]
     pts, jobs = [d.insertion_point for d in descs], []
-    for word, phase, weight, (kind, i, *j) in _layout(len(descs), coeffs):
+    for word, phase, weight, (kind, i, *j) in _layout(len(descs), h.words, coeffs):
         pj, tail = (pts[j[0]], ctrl[j[0]] + g[pts[j[0]]:]) if j else (len(g), tails[word])
         gates = g[:pts[i]] + anti[i] + g[pts[i]:pj] + tail + final
         jobs.append(HadamardJob(HadamardTestCircuit(gates, phase, ansatz.reference_state),
@@ -183,63 +186,40 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
 @lru_cache(maxsize=2)
 def _table(descriptors, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
     """The Hadamard jobs of B rows whose Hamiltonian stack has the (B, L)
-    coefficients `coeff_bytes` over the words `labels`,
-    compiled for SampledRun from these values and the ansatz family alone:
-    (phases, head, zero, one, words, src, sign, entry, weight, sizes), a
-    row's terms its nonzero coefficients.
-
-    Each row sweeps K = head + 2 gamma half-states of the system qubits,
-    one ancilla branch each: F0 = ref/sqrt(2) (ancilla 0), F1 = e^{i phi}
-    ref/sqrt(2) (ancilla 1) per distinct phase phi, the A phase first, and
-    on 2 qubits a copy of F0 if that makes K even; then per descriptor j
-    B_j = sigma_j F0 and C_j = sigma_j F1[A phase], joined at p_j.  Job k
-    (rows in turn) takes half-state zero[k] (row b's B_i, b K + head + 2 i)
-    for ancilla 0 and one[k] for ancilla 1: C_j for A(i, j), F1 of its
-    phase for B(i, l), gathered through union word words[k] (-1: the
-    identity appended to the word stack), and adds its weighted value to
-    entry[k] of A (B, gamma, gamma) then B (B, gamma), flattened.  sizes:
-    each row's job count."""
+    coefficients `coeff_bytes` over the words `labels`, for SampledRun:
+    (cols, entry, weight, sizes).  Job k (rows in turn) reads flat index
+    cols[k] of the (B, gamma, gamma + L) overlaps, <d_i|d_j> at (b, i, j) for
+    A(i, j), -<d_i|h_l P_l|psi> at (b, i, gamma + l) for B(i, l); its <Z> is
+    the real part over weight[k], the modulus of its prefactor, and it adds
+    weight[k] times that <Z> to entry[k] of A (B, gamma, gamma) then B (B,
+    gamma), flattened; sizes: each row's jobs."""
     gamma, coeffs = len(descriptors), np.frombuffer(coeff_bytes).reshape(rows, len(labels))
-    n = len(descriptors[0].sigma.letters)   # the qubits of each full-width descriptor word
-    kept = [np.flatnonzero(c).tolist() for c in coeffs]
-    jobs = [_layout(gamma, c[k].tolist()) for c, k in zip(coeffs, kept)]
-    phases = list(dict.fromkeys([job[1] for row in jobs for job in row]))
-    head = 1 + len(phases)
-    head += head % 2 * dot_rounds_apart(n, False)     # K even: see SampledRun
-    cols, width = [], head + 2 * gamma
-    for b, (k, row) in enumerate(zip(kept, jobs)):
-        cols += [(b * width + head + 2 * i,
-                  b * width + (head + 2 * j[0] + 1 if j else 1 + phases.index(phase)),
-                  -1 if word is None else k[word],
-                  (b * gamma + i) * gamma + j[0] if j else (rows * gamma + b) * gamma + i, w)
-                 for word, phase, w, (kind, i, *j) in row]
-    zero, one, words, entry = np.array([c[:4] for c in cols], dtype=np.intp).T
-    return (phases, head, zero, one, words, *_term_stack((*labels, "I" * n), n), entry,
-            np.array([c[4] for c in cols]), [len(row) for row in jobs])
-
-
-def _start(ref: StateVector, phases) -> np.ndarray:
-    """ref (x) (|0> + e^{i phi} |1>)/sqrt(2) per phase, a norm-checked tensor stack."""
-    amps = np.stack([ref.amplitudes[:, None] * (np.array([1.0, np.exp(1j * phi)], dtype=complex)
-                                                / np.sqrt(2.0)) for phi in phases])
-    check_unit(amps.reshape(len(phases), -1))
-    return amps.reshape((len(phases),) + (2,) * (ref.n_qubits + 1))
+    width = gamma + len(labels)
+    jobs = [[((b * gamma + i) * width + (j[0] if j else gamma + word),
+              (b * gamma + i) * gamma + j[0] if j else (rows * gamma + b) * gamma + i, w)
+             for word, _, w, (kind, i, *j) in _layout(gamma, labels, c)]
+            for b, c in enumerate(coeffs.tolist())]
+    cols, entry, weight = np.array([job for row in jobs for job in row]).T
+    return cols.astype(np.intp), entry.astype(np.intp), weight, list(map(len, jobs))
 
 
 def evaluate_circuit(circuit: HadamardTestCircuit) -> float:
-    """Run one test circuit and return the exact ancilla Z expectation."""
-    start = _start(circuit.system_reference, [circuit.ancilla_phase])
+    """Run one test circuit from its system reference (x) (|0> + e^{i phi}
+    |1>)/sqrt(2), phi its ancilla phase, and return the exact ancilla <Z>."""
+    ref, ancilla = circuit.system_reference, np.exp(1j * circuit.ancilla_phase)
+    start = ref.amplitudes[:, None] * (np.array([1.0, ancilla]) / np.sqrt(2.0))
+    start = start.reshape((1,) + (2,) * (ref.n_qubits + 1))
     return float(measure_z_expectation(run_gates(start, circuit.gates))[0])
 
 
 def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
                     seed=None) -> McLachlanSystem:
-    """A and B from the Hadamard-test circuits, as one SampledRun call, for
+    """A and B from the Hadamard-test jobs, as one SampledRun call, for
     one angle vector and Hamiltonian or for B rows and a stack (A and B stacked).
-    shots=None evaluates every circuit analytically (the exact-mode switch);
-    otherwise each ancilla expectation is a binomial estimate with the given
-    shot count, drawn from `seed` (ValueError if missing): an integer seed or
-    a numpy Generator, then drawn from in place, one per row for a batch."""
+    shots=None reads every job's ancilla expectation exactly (the exact-mode
+    switch); otherwise each is a binomial estimate with the given shot count,
+    drawn from `seed` (ValueError if missing): an integer seed or a numpy
+    Generator, then drawn from in place, one per row for a batch."""
     batch = ansatz.parameters.ndim == 2
     run = ExactRun(ansatz, h)
     _, a, b = SampledRun(run, shots, seed if batch and seed is not None else [seed])()
@@ -248,64 +228,40 @@ def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
 
 class SampledRun:
     """The Hadamard route of an ExactRun's rows, made once per run from it: the
-    job table (_table), the rows' starting half-states, the sweep steps, one
-    Generator per row from `seeds` (ValueError unless check_shots passes and
-    shot mode has a seed for each row).  A call reads the ExactRun's rotation
-    stack as its last call left it and returns (ancilla <Z> of every job, A,
-    B), A and B adding the weighted values from 0.0 in job order.
-
-    Until the closing H the ansatz acts on each ancilla branch of a test
-    alone, so one forward sweep runs each ansatz gate once over the (B, K)
-    half-states of _table: a (B, 2, 2) rotation as one matmul per row, a
-    shared gate as one np.dot, a join as a signed permutation.  Each pass of
-    PASS_ROWS rows gathers its jobs' states into the call's buffer (sized for
-    the largest pass) as one contiguous (2, k, 2^n) array, ancilla first, that
-    the final H reads without a copy: a job's zero row, and its word's signs
-    times its one row permuted by the word (exact products by +-1 or +-i),
-    and writes their z_marginals into one (2, jobs) array.  Then sample_z
-    checks every norm before each row draws its jobs in job order.  By the
-    width rule of simulator (2 K wide per row on 2 qubits, hence K even) each
-    value and draw is bitwise that of the job's circuit run alone.
-    """
+    job table (_table; the all-I word has no job) and one Generator per row
+    from `seeds` (ValueError unless check_shots passes and shot mode has a
+    seed for each row).  A call takes each job's <Z> from one einsum of the
+    overlaps of each d_i that the ExactRun's last call left (making one first
+    unless `derived`) with each d_j and each -h_l P_l psi (its weighted
+    terms), has sample_z check every |<Z>| <= 1 and then draw each row's jobs
+    in order from the row's own generator, and returns (<Z> of every job, A,
+    B), A and B adding the weighted values from 0.0 in job order."""
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
         ansatz, (labels, coeffs) = exact.ansatz, exact.columns
-        self.n, self.gamma, rows = ansatz.n_system_qubits, ansatz.n_parameters, len(coeffs)
+        rows = len(coeffs)
         check_shots(shots)
         # len(), as per-row seeds of unequal lengths do not stack; an int or a Generator is one seed
         count = len(seeds) if isinstance(seeds, Sized) and getattr(seeds, "ndim", 1) else None
         if shots is not None and (count != rows or any(s is None for s in seeds)):
             raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
         self.table = _table(ansatz.descriptors, labels, rows, coeffs.tobytes())
-        phases, head, _, one, words, src, *_, sizes = self.table
-        amps = _start(ansatz.reference_state, phases).reshape(len(phases), -1, 2)
-        halves = [amps[:1, :, 0], amps[:, :, 1], amps[:head - 1 - len(phases), :, 0]] * rows
-        self.halves = np.concatenate(halves).reshape((rows, head) + (2,) * self.n)
-        self.steps = _program(ansatz._fixed, ansatz.descriptors, self.n, 2)
-        self.rotations, self.shots, self.final = exact.rotations, shots, (hadamard(self.n),)
+        self.exact, self.shots, self.gamma = exact, shots, ansatz.n_parameters
         self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
-        ends = np.cumsum([0, *sizes]).tolist()
-        ks = [slice(ends[r], ends[min(r + PASS_ROWS, rows)]) for r in range(0, rows, PASS_ROWS)]
-        self.passes = [(k, one[k, None] * 2 ** self.n + src[words[k]], words[k]) for k in ks]
 
     def __call__(self) -> tuple:
-        (_, _, zero, *_, sign, entry, weight, sizes), t = self.table, self.halves
-        n, gamma, rows = self.n, self.gamma, len(sizes)
-        for source, step in self.steps:     # a join adds B_j, C_j: sigma_j of F0, F1[A phase]
-            t = (np.concatenate([t, step[1] * t[:, :2][step[0]]], axis=1) if source is None
-                 else apply_planned(t, source if isinstance(source, np.ndarray)
-                                    else self.rotations[source], step))
-        t, marg = t.reshape(-1, 2 ** n), np.empty((2, len(entry)))
-        buffer = np.empty(2 * max(len(w) for *_, w in self.passes) << n, dtype=complex)
-        for jobs, flat, words in self.passes:   # the pass's job states, ancilla first
-            out = buffer[:2 * len(words) << n].reshape((2, -1) + (2,) * n)
-            t.take(zero[jobs], axis=0, out=out[0].reshape(-1, 2 ** n))
-            np.multiply(sign.take(words, axis=0), t.take(flat), out=out[1].reshape(-1, 2 ** n))
-            out = run_gates(out.transpose(*range(1, n + 2), 0), self.final)   # qubit order
-            marg[:, jobs] = z_marginals(out)
-        values = sample_z(marg, self.shots, self.rngs, sizes)
-        cut = rows * gamma * gamma
-        ab = np.bincount(entry, weight * values, cut + rows * gamma)
+        if not self.exact.derived:
+            self.exact()
+        (cols, entry, weight, sizes), (src, terms) = self.table, self.exact.terms
+        kets, gamma = self.exact.kets, self.gamma
+        bra = kets[1:-1].swapaxes(0, 1)     # (B, gamma, 2^n): each row's d_i
+        ket = np.concatenate([bra, -terms * kets[0][:, src]], axis=1)   # then each -h_l P_l|psi>
+        # Re <d_i|ket> as one float dot of the real and imaginary parts, added in one order
+        # whatever rows run beside it (a stacked complex matmul rounds some one-row entries apart)
+        z = np.einsum("bin,bkn->bik", bra.view(float), ket.view(float)).take(cols) / weight
+        values = sample_z(z, self.shots, self.rngs, sizes)
+        cut = len(sizes) * gamma * gamma
+        ab = np.bincount(entry, weight * values, cut + len(sizes) * gamma)
         a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)
         a[:, j, i] = a[:, i, j]
         return values, a, ab[cut:].reshape(-1, gamma)

@@ -19,7 +19,7 @@ list of them; a compiled circuit keeps its plans, copies the gates'
 results into one buffer, and can record the numpy calls of that sweep
 (call) to repeat at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
-sample_z draws only from caller-supplied seeds, one per group of states.
+sample_z draws only from caller-supplied seeds, one per group of values.
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
 """
 
@@ -160,18 +160,18 @@ def dot_rounds_apart(n: int, controlled: bool) -> bool:
     return 2 ** (n - 1 - controlled) < 4
 
 
-def gate_plan(gate: Gate, n: int, per_state: bool = True, axes: int = 1) -> tuple:
+def gate_plan(gate: Gate, n: int, per_state: bool = True) -> tuple:
     """(control-1 index or None, axis order, inverse, per_state) of a gate on
-    a stack of n-qubit tensors with `axes` stack axes, for apply_planned.
-    Raises ValueError on a qubit outside 0..n-1: qubit q is axis q + axes,
-    so -1 would land on a stack axis."""
+    a stack of n-qubit tensors, for apply_planned.  Raises ValueError on a
+    qubit outside 0..n-1: qubit q is axis q + 1, so -1 would land on the
+    stack axis."""
     if not (0 <= gate.target < n and (gate.control is None or 0 <= gate.control < n)):
         raise ValueError(f"gate on qubits ({gate.target}, {gate.control}) outside 0..{n - 1}")
     if gate.control is None:
-        return (None, *_axis_plan(n + axes, gate.target + axes, int(per_state)), per_state)
-    return ((slice(None),) * (gate.control + axes) + (1,),
-            *_axis_plan(n + axes - 1, gate.target + axes - (gate.target > gate.control),
-                        int(per_state)), per_state)
+        return (None, *_axis_plan(n + 1, gate.target + 1, int(per_state)), per_state)
+    return ((slice(None),) * (gate.control + 1) + (1,),
+            *_axis_plan(n, gate.target + 1 - (gate.target > gate.control), int(per_state)),
+            per_state)
 
 
 def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
@@ -261,29 +261,21 @@ def check_shots(shots):   # shots, else ValueError; None is exact mode, int64 a 
     return shots
 
 
-def z_marginals(states: np.ndarray) -> np.ndarray:
-    """(2, S) probabilities of the last qubit's 0 and 1 in each state of a stack, each
-    the |amplitude|^2 added in index order in the stack's own layout (no copy)."""
-    p = np.abs(states.reshape(len(states), -1, 2)).transpose(1, 2, 0) ** 2   # (2^(N-1), 2, S)
-    return sum(p[1:], p[0])     # left to right over the stack, not pairwise as .sum adds
-
-
-def sample_z(marg: np.ndarray, shots: int | None, rngs, sizes) -> np.ndarray:
-    """<Z> of each state from its z_marginals, norms checked: marg[0] - marg[1], or
-    2*count/shots - 1, count ~ Binomial(shots, (1+<Z>)/2) per state in stack order,
-    generator rngs[r] (a Generator or seed) drawing for the next sizes[r] >= 0 states
-    in one call.  ValueErrors come before any draw."""
+def sample_z(z: np.ndarray, shots: int | None, rngs, sizes) -> np.ndarray:
+    """Shot estimates of exact ancilla <Z> values z: z itself, or 2*count/shots - 1,
+    count ~ Binomial(shots, (1+z)/2) per value in order, generator rngs[r] (a
+    Generator or seed) drawing for the next sizes[r] >= 0 values in one call.
+    ValueErrors, among them a |z| above 1 + NORM_TOL, come before any draw."""
     check_shots(shots)
     if shots is not None and not (isinstance(rngs, (list, tuple)) and len(rngs) == len(sizes)
                                   and all(g is not None for g in rngs)):
         raise ValueError("shot mode needs rngs: one seed or generator for each of the sizes")
-    if shots is not None and (min(sizes, default=0) < 0 or sum(sizes) != marg.shape[1]):
+    if shots is not None and (min(sizes, default=0) < 0 or sum(sizes) != len(z)):
         raise ValueError(f"sizes {sizes} must be non-negative and add up to the stack")
-    check_norms(np.sqrt(marg[0] + marg[1]))
-    exact = marg[0] - marg[1]
+    check_norms(np.maximum(abs(z), 1.0))   # |<Z>| <= |bra| |ket|, 1 for unit states
     if shots is None:
-        return exact
-    p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
+        return z
+    p = np.clip((1.0 + z) / 2.0, 0.0, 1.0)
     ends = [0, *accumulate(sizes)]
     n = np.full(len(p), shots)   # the int's draws, with less argument checking per call
     counts = np.concatenate([np.random.default_rng(g).binomial(n[a:b], p[a:b])
@@ -291,6 +283,10 @@ def sample_z(marg: np.ndarray, shots: int | None, rngs, sizes) -> np.ndarray:
     return 2.0 * counts / shots - 1.0
 
 
-def measure_z_expectation(states, shots: int | None = None, rng=None) -> np.ndarray:
-    """<Z> of the last qubit of each state: sample_z of its z_marginals, one group, `rng`'s."""
-    return sample_z(z_marginals(states), shots, [rng], [len(states)])
+def measure_z_expectation(states) -> np.ndarray:
+    """Exact <Z> of the last qubit of each state of a stack, norms checked: its 0 and 1
+    probabilities, each |amplitude|^2 added in index order in the stack's layout."""
+    p = np.abs(states.reshape(len(states), -1, 2)).transpose(1, 2, 0) ** 2   # (2^(N-1), 2, S)
+    marg = sum(p[1:], p[0])     # left to right over the stack, not pairwise as .sum adds
+    check_norms(np.sqrt(marg[0] + marg[1]))
+    return marg[0] - marg[1]

@@ -569,20 +569,27 @@ def analytic_shot_route(monkeypatch):
                         lambda run, shots, seeds: SampledRun(run, None, seeds))
 
 
-# The per-job Hadamard route the stacked pass replaced: each test circuit
-# on its own unstacked tensor, measured one by one with scalar draws.
+# The per-job Hadamard route: each test circuit on its own unstacked
+# tensor, measured one by one, and each job drawn alone by a scalar draw.
+
+JOB_TOL = 1e-14     # |<Z> of a job - <Z> of its circuit|: its weighted value within JOB_TOL weight
+
+
+def scalar_draw(z, shots=None, rng=None):
+    """z, or with shots one scalar binomial estimate of it drawn from the Generator `rng`."""
+    if shots is None:
+        return z
+    p = min(max((1.0 + z) / 2.0, 0.0), 1.0)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+
 
 def scalar_z(tensor, shots=None, rng=None):
     """Ancilla <Z> of one final amplitude tensor (2,)*N, ancilla last: the
     marginal over every other axis of the contiguous probabilities, then
-    one scalar binomial draw from the Generator `rng` when shots is set."""
+    scalar_draw."""
     probs = np.abs(np.ascontiguousarray(tensor)) ** 2
     marg = probs.sum(axis=tuple(range(tensor.ndim - 1)))
-    exact = float(marg[0] - marg[1])
-    if shots is None:
-        return exact
-    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+    return scalar_draw(float(marg[0] - marg[1]), shots, rng)
 
 
 def ancilla_state(phase):
@@ -596,12 +603,12 @@ def start_tensor(circuit):
     return amps.reshape((2,) * (amps.size.bit_length() - 1))
 
 
-def scratch_z(circuit, shots=None, rng=None):
-    """Ancilla <Z> of one test circuit run from its start through tensordot_gate."""
+def scratch_z(circuit):
+    """Exact ancilla <Z> of one test circuit run from its start through tensordot_gate."""
     t = start_tensor(circuit)
     for g in circuit.gates:
         t = tensordot_gate(t, g)
-    return scalar_z(t, shots, rng)
+    return scalar_z(t)
 
 
 def assemble_system(jobs, values, gamma, route, shots):
@@ -622,17 +629,11 @@ def assemble_system(jobs, values, gamma, route, shots):
     return McLachlanSystem(a, b, route=route, shots=shots)
 
 
-def sampled_oracle(ansatz, h, runs):
-    """compute_sampled(ansatz, h, shots, rng) for each (shots, rng) of
-    `runs`, as a loop over the jobs of build_hadamard_circuits.
-
-    Per ancilla phase, a circuit resumes from the longest gate prefix it
-    shares by identity with the last circuit of that phase (the per-job
-    memo), applying gates with tensordot_gate; each job is then measured
-    alone by scalar_z, drawing from the Generator `rng` in job order.
-    """
-    jobs = build_hadamard_circuits(ansatz, h)
-    memo, finals = {}, []
+def circuit_values(jobs):
+    """The exact ancilla <Z> of each job's circuit, as scratch_z: per ancilla
+    phase, a circuit resumes from the longest gate prefix it shares by
+    identity with the last circuit of that phase (the per-job memo)."""
+    memo, values = {}, []
     for job in jobs:
         c = job.circuit
         done, states = memo.get(c.ancilla_phase, ((), [start_tensor(c)]))
@@ -643,8 +644,27 @@ def sampled_oracle(ansatz, h, runs):
         for g in c.gates[k:]:
             states.append(tensordot_gate(states[-1], g))
         memo[c.ancilla_phase] = (c.gates, states)
-        finals.append(states[-1])
-    return [assemble_system(jobs, [scalar_z(t, shots, rng) for t in finals],
+        values.append(scalar_z(states[-1]))
+    return np.array(values)
+
+
+def sampled_oracle(ansatz, h, runs):
+    """compute_sampled(ansatz, h, shots, rng) for each (shots, rng) of
+    `runs`, as a loop over the jobs of build_hadamard_circuits.
+
+    Each job's exact ancilla <Z> is that of a one-row SampledRun at
+    shots=None, which must lie within JOB_TOL of its circuit's
+    (circuit_values; else AssertionError).  Each job is then drawn alone by
+    scalar_draw from the Generator `rng` in job order, and A and B added up
+    by assemble_system.
+    """
+    from vqite.mclachlan import ExactRun, SampledRun
+
+    jobs = build_hadamard_circuits(ansatz, h)
+    values = SampledRun(ExactRun(ansatz, h), None, [None])()[0]
+    assert len(values) == len(jobs)
+    assert np.abs(values - circuit_values(jobs)).max() <= JOB_TOL
+    return [assemble_system(jobs, [scalar_draw(z, shots, rng) for z in values.tolist()],
                             ansatz.n_parameters, "hadamard", shots)
             for shots, rng in runs]
 

@@ -508,14 +508,18 @@ def test_exact_iteration_applies_each_gate_once(rows, lih_table, monkeypatch):
     assert calls == sweep * 4 + [(3, rows)] * 7
 
 
-def test_shot_route_states_apply_no_branch(lih_table, monkeypatch):
-    # On the shot route the ansatz gates run on the B forward rows only (the
-    # branches live in the Hadamard sweep, one qubit wider), once per iteration.
+def test_shot_route_sweeps_as_the_exact_route(lih_table, monkeypatch):
+    # The shot route reads its job values from the ExactRun call's own psi and
+    # d_i, so its iterations apply the gates the exact route applies: each of
+    # the 14 once to the B forward rows and the branches joined before it,
+    # and the final iteration to the B rows alone.
     h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, slice(7))
+    exact = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config))
     config = QiteConfig(**dict(vars(config), shots=1000))
     calls = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config,
                                                               seeds=seeds))
-    assert [c for c in calls if c[0] == 4] == [(4, 7)] * (14 * 5)
+    sweep = [(4, 7 * k) for k in (1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3)]
+    assert calls == exact == sweep * 4 + [(4, 7)] * 14
 
 
 @st.composite

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (apply, apply_word, assemble_system, from_pairs, row_views, sampled_oracle,
-                      scratch_z, stacked)
+from conftest import (JOB_TOL, apply, apply_word, assemble_system, circuit_values, from_pairs,
+                      row_views, sampled_oracle, scalar_draw, scratch_z, stacked)
 from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
 from vqite.ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
-from vqite import mclachlan, simulator
-from vqite.mclachlan import (PASS_ROWS, ExactRun, McLachlanSystem, SampledRun, _start,
+from vqite import ansatz as ansatz_module, mclachlan, simulator
+from vqite.mclachlan import (ExactRun, HadamardTestCircuit, McLachlanSystem, SampledRun,
                              evaluate_circuit)
 from vqite.pauli import PAULI_MATRICES
-from vqite.simulator import Gate, basis_state, controlled_pauli, hadamard, x
+from vqite.simulator import Gate, basis_state, controlled_pauli, cz, hadamard, x
 
 
 def fd_system(builder, theta, h, eps=1e-5):
@@ -147,11 +147,15 @@ def test_exact_run_checks_each_norm(lih_r15, system):
 # --- Hadamard route ---
 
 def test_ancilla_preparation():
-    # A test starts as the reference state (x) (|0> + e^{i phi} |1>)/sqrt(2).
+    # A test starts as the reference state (x) (|0> + e^{i phi} |1>)/sqrt(2):
+    # a closing H reads Re e^{i phi} = cos(phi) on the ancilla, and a CZ from
+    # the reference's |1> on qubit 1 first flips its sign.
     for phi in (0.0, 0.7, -np.pi / 2):
-        target = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2)
-        start = _start(basis_state("01"), [phi, 0.0]).reshape(2, -1)[0]
-        assert np.max(np.abs(start - np.kron([0, 1, 0, 0], target))) < 1e-12
+        ref = basis_state("01")
+        plain = HadamardTestCircuit((hadamard(2),), phi, ref)
+        flipped = HadamardTestCircuit((cz(1, 2), hadamard(2)), phi, ref)
+        assert abs(evaluate_circuit(plain) - np.cos(phi)) < 1e-12
+        assert abs(evaluate_circuit(flipped) + np.cos(phi)) < 1e-12
 
 
 def insertion_oracle(ansatz, h):
@@ -176,7 +180,7 @@ def insertion_oracle(ansatz, h):
             ins.setdefault(descs[j].insertion_point, []).extend(ctrl(descs[j].sigma))
             out.append((assemble(ins, []), ("A", i, j)))
     for i, di in enumerate(descs):
-        for sigma in map(PauliString, h.words):
+        for sigma in map(PauliString, [w for w in h.words if w != "I" * anc]):
             anti = {di.insertion_point: [x(anc), *ctrl(di.sigma), x(anc)]}
             out.append((assemble(anti, ctrl(sigma)), ("B", i)))
     return out
@@ -197,13 +201,14 @@ def test_circuits_match_insertion_oracle(lih_r15, h2_r07, rng):
 def test_analytic_z_is_branch_overlap(lih_r15, h2_r07, rng):
     # With the ancilla in (|0> + e^{i phi}|1>)/sqrt(2), the analytic ancilla Z
     # of a test is Re(e^{i phi} <bra|ket>) (McArdle et al., npj QI 5, 75 (2019)):
-    # bra the sigma_i branch, ket the sigma_j branch (A) or sigma_l |psi> (B).
+    # bra the sigma_i branch, ket the sigma_j branch (A) or sigma_l |psi> (B),
+    # sigma_l each word but the all-I one, which has no test.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
         gamma = ansatz.n_parameters
         branch = [ansatz.derivative_state(i) / DERIVATIVE_PREFACTOR for i in range(gamma)]
         psi = ansatz.state().amplitudes
         kets = [branch[j] for i in range(gamma) for j in range(i, gamma)]
-        kets += [apply_word(w, psi) for _ in range(gamma) for w in h.words]
+        kets += [apply_word(w, psi) for _ in range(gamma) for w in h.words if w.strip("I")]
         jobs = build_hadamard_circuits(ansatz, h)
         assert len(jobs) == len(kets)
         for job, ket in zip(jobs, kets):
@@ -214,7 +219,7 @@ def test_analytic_z_is_branch_overlap(lih_r15, h2_r07, rng):
 
 @pytest.mark.parametrize("family", ["ucc-h2", "ucc-lih", "he"])
 def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
-    # The sweep's analytic ancilla Z of every job (shots=None), for one row
+    # SampledRun's analytic ancilla Z of every job (shots=None), for one row
     # and for all rows of a table at once, is Re(e^{i phi} <bra|ket>) with
     # the branch states taken from the circuit's own derivative sweep.
     builder, _, gamma = FAMILIES[family]
@@ -228,7 +233,7 @@ def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
         for b, (theta, h) in enumerate(batch):
             branch = branches[:, b]
             kets = [branch[j] for i in range(gamma) for j in range(i, gamma)]
-            kets += [apply_word(w, psi[b]) for _ in range(gamma) for w in h.words]
+            kets += [apply_word(w, psi[b]) for _ in range(gamma) for w in h.words if w.strip("I")]
             jobs = build_hadamard_circuits(builder(theta), h)
             assert len(jobs) == len(kets)
             expected += [(np.exp(1j * job.circuit.ancilla_phase)
@@ -239,21 +244,24 @@ def test_sweep_analytic_z_is_branch_overlap(table_cases, family):
 
 
 def test_ucc_h2_circuit_counts(h2_r07):
+    # One B test per word but the all-I one, whose summand is 0 at every angle.
     jobs = build_hadamard_circuits(build_ucc_h2(0.9), h2_r07)
     a_jobs = [j for j in jobs if j.destination[0] == "A"]
     b_jobs = [j for j in jobs if j.destination[0] == "B"]
+    assert "II" in h2_r07.words
     assert len(a_jobs) == 1
-    assert len(b_jobs) == len(h2_r07.words)
+    assert len(b_jobs) == len(h2_r07.words) - 1
 
 
 @pytest.mark.parametrize("angle_shape", [(2,), (1, 2)])
 def test_circuits_of_a_one_row_stack_are_its_sums(lih_table, angle_shape):
     # A one-row stack gives the jobs of its row's plain sum: the same weights,
-    # destinations, ancilla phases and gate matrices, 29 jobs on UCC-LiH.
+    # destinations, ancilla phases and gate matrices, 27 jobs on UCC-LiH (3 A
+    # jobs and 2 B jobs for each of the 12 words but III).
     ansatz = build_ucc_lih(np.full(angle_shape, 0.3))
     plain = build_hadamard_circuits(ansatz, hamiltonian_at(lih_table, lih_table.rows[10][0]))
     stacked = build_hadamard_circuits(ansatz, lih_table.hamiltonians([10]))
-    assert len(plain) == len(stacked) == 29
+    assert len(plain) == len(stacked) == 27
     for a, b in zip(plain, stacked):
         assert (a.weight, a.destination, a.circuit.ancilla_phase) == (
             b.weight, b.destination, b.circuit.ancilla_phase)
@@ -313,24 +321,44 @@ def memo_cases(lih_r15, h2_r07, rng):
     ]
 
 
-def test_prefix_memo_bitwise_equals_scratch(lih_r15, h2_r07, rng):
-    # The sweep runs each ansatz gate once over all branches; each job's
-    # value is still that of its circuit run alone.
-    for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
-        values = SampledRun(ExactRun(ansatz, h), None, [None])()[0]
-        circuits = build_hadamard_circuits(ansatz, h)
-        assert len(values) == len(circuits)
-        for z, job in zip(values, circuits):
-            assert z == evaluate_circuit(job.circuit) == scratch_z(job.circuit)
+def test_job_values_are_their_circuits_within_rounding(lih_table, h2_table):
+    # Each job's ancilla <Z>, read from the ExactRun overlaps, times its
+    # weight lies within JOB_TOL weight of evaluate_circuit on its
+    # build_hadamard_circuits circuit (a fixed bound: the overlap and the
+    # circuit round apart), and evaluate_circuit is the tensordot circuit
+    # bitwise.  Every family, table rows at seeded random angles as one
+    # batch, on Hamiltonians with an all-I word, which has no job.
+    draw, lih = np.random.default_rng(41), lih_table.hamiltonians(range(0, 50, 5))
+    cases = {"ucc-lih": lih, "he": cmf_reduce_rows(lih).h_eff,
+             "ucc-h2": h2_table.hamiltonians(range(len(h2_table.rows)))}
+    for family, h in cases.items():
+        builder, n, gamma = FAMILIES[family]
+        assert "I" * n in h.words
+        for theta in draw.uniform(-np.pi, np.pi, (2, len(h.coeffs), gamma)):
+            run = SampledRun(ExactRun(builder(theta), h), None, [None] * len(h.coeffs))
+            values, ends = run()[0], np.cumsum([0, *run.table[-1]]).tolist()
+            for b, row in enumerate(row_views(h)):
+                jobs = build_hadamard_circuits(builder(theta[b]), row)
+                weights = np.array([job.weight for job in jobs])
+                circuits = np.array([evaluate_circuit(job.circuit) for job in jobs])
+                assert weights.tobytes() == run.table[-2][ends[b]:ends[b + 1]].tobytes()
+                assert np.all(np.abs(weights * values[ends[b]:ends[b + 1]] - weights * circuits)
+                              <= JOB_TOL * weights), (family, b)
+                assert circuits.tobytes() == circuit_values(jobs).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_bitwise_equals_scratch_loop(lih_r15, h2_r07, rng, seed):
+    # From the exact job values, each within JOB_TOL of its circuit run from
+    # scratch, one draw per job in job order from one generator and A and B
+    # added up job by job give compute_sampled's bytes.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
         sampled = compute_sampled(ansatz, h, shots=1000, seed=seed)
         draws = np.random.default_rng(seed)
         jobs = build_hadamard_circuits(ansatz, h)
-        values = [scratch_z(job.circuit, 1000, draws) for job in jobs]
+        exact = SampledRun(ExactRun(ansatz, h), None, [None])()[0]
+        assert np.abs(exact - [scratch_z(job.circuit) for job in jobs]).max() <= JOB_TOL
+        values = [scalar_draw(z, 1000, draws) for z in exact.tolist()]
         ref = assemble_system(jobs, values, ansatz.n_parameters, "hadamard", 1000)
         assert np.array_equal(sampled.a_matrix, ref.a_matrix)
         assert np.array_equal(sampled.b_vector, ref.b_vector)
@@ -489,16 +517,13 @@ def grid_hamiltonians(n, phases, rows):
 @pytest.mark.parametrize("family", ["ucc-h2", "he", "ucc-lih"])
 def test_sampled_is_per_job_oracle_on_grid(family, phases):
     # A fixed grid that always runs: each family at 1, 2 or 3 ancilla phases,
-    # one row at 1-D theta, then B = 1..5 rows at 2-D theta, and B =
-    # PASS_ROWS + 1 and 2 PASS_ROWS + 1, whose last measured pass holds one
-    # row.  Its case ucc-h2, h = -1.0 XY, theta = 1.0 fails a sweep whose
-    # products over the 2-qubit half-states of a row take an odd number of
-    # them; so do the multi-pass batches at 2 phases.
+    # one row at 1-D theta, then B = 1..5, 9 and 17 rows at 2-D theta.
     builder, n, gamma = FAMILIES[family]
     h = grid_hamiltonians(n, phases, 1)[0]
-    assert len(SampledRun(ExactRun(builder(np.ones(gamma)), h), None, [None]).table[0]) == phases
+    jobs = build_hadamard_circuits(builder(np.ones(gamma)), h)
+    assert len({job.circuit.ancilla_phase for job in jobs}) == phases
     assert oracle_agrees(builder(np.ones(gamma)), h, [None, 10_000], 5)
-    for rows in (*range(1, 6), PASS_ROWS + 1, 2 * PASS_ROWS + 1):
+    for rows in (*range(1, 6), 9, 17):
         theta = 1.0 - 0.6 * np.arange(rows)[:, None] + 0.3 * np.arange(gamma)
         hs = grid_hamiltonians(n, phases, rows)
         assert rows_agree(builder, theta, hs, [None, 1000, 10_000], range(7, 7 + rows)), rows
@@ -506,25 +531,24 @@ def test_sampled_is_per_job_oracle_on_grid(family, phases):
 
 def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
     # One batched compute_sampled applies each gate of the batched build
-    # once, whatever B is, to the stack of half-states; the joins B_j and C_j
-    # are signed permutations, not gates, and the closing H runs once per
-    # pass of PASS_ROWS rows.  The 50 LiH rows (3 ancilla phases, gamma = 2)
-    # end with B (1 + 3 + 2 gamma) = 400 half-states of 8 amplitudes.
-    planned, real = mclachlan.apply_planned, simulator.apply_gate
+    # once, whatever B is, in its ExactRun's sweep of the B forward rows and
+    # their branches; it runs no Hadamard-test circuit, so no gate acts on a
+    # register with an ancilla.  The last gate of the 50 LiH rows (gamma =
+    # 2) takes 150 states of 8 amplitudes.
+    planned, real = ansatz_module.apply_planned, simulator.apply_gate
     for rows in (1, 50):
-        swept, closing = [], []
-        monkeypatch.setattr(mclachlan, "apply_planned", lambda t, m, *plan: swept.append(
+        swept, circuits = [], []
+        monkeypatch.setattr(ansatz_module, "apply_planned", lambda t, m, *plan: swept.append(
             (m, t.shape)) or planned(t, m, *plan))
         monkeypatch.setattr(simulator, "apply_gate",
-                            lambda t, g, *kernel: closing.append(g) or real(t, g, *kernel))
+                            lambda t, g, *kernel: circuits.append(g) or real(t, g, *kernel))
         ansatz = build_ucc_lih(np.ones((rows, 2)))
         compute_sampled(ansatz, lih_table.hamiltonians(range(rows)), 10_000, list(range(rows)))
         monkeypatch.undo()
         assert len(swept) == len(ansatz.gates) == 14
         assert all(np.array_equal(m, g.matrix) for (m, _), g in zip(swept, ansatz.gates))
-        assert len(closing) == -(-rows // PASS_ROWS)
-        assert all(g.matrix is hadamard(3).matrix and g.target == 3 for g in closing)
-    assert swept[-1][1] == (50, 1 + 3 + 2 * 2, 2, 2, 2)     # 400 half-states
+        assert circuits == []
+    assert swept[-1][1] == (50 * 3, 2, 2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -537,29 +561,54 @@ def shot_batches(lih_table):
              cmf_reduce_rows(hs).h_eff, 1000)]
 
 
-def test_sampled_values_do_not_depend_on_the_pass_size(shot_batches, monkeypatch):
-    # Each row draws from its own generator whichever pass measures its
-    # jobs, so the values, A and B keep every byte when the passes hold 1,
-    # 3, 8 or all 50 rows.
-    for ansatz, h, shots in shot_batches:
-        got = []
-        for rows in (1, 3, 8, 64):
-            monkeypatch.setattr(mclachlan, "PASS_ROWS", rows)
-            got.append([x.tobytes() for x in SampledRun(ExactRun(ansatz, h), shots, range(50))()])
-        assert got[1:] == got[:1] * 3
+def test_sampled_values_do_not_depend_on_the_rows_beside_them(shot_batches):
+    # Each row's job values, A and B keep every byte, exact and drawn (its
+    # generator drawing the same), whichever rows run beside it and in which
+    # order, over the words of those rows alone: each row alone, and a few
+    # selections.  R = 4.9 and 5.0 (rows 48 and 49) each have 11 of the 13
+    # LiH words.
+    assert np.count_nonzero(shot_batches[0][1].coeffs[48:], axis=1).tolist() == [11, 11]
+    for ansatz, h, count in shot_batches:
+        builder = build_ucc_lih if ansatz.n_parameters == 2 else build_hardware_efficient
+        seeds = [(3, r) for r in range(50)]
+        for shots in (None, count):
+            full = SampledRun(ExactRun(ansatz, h), shots, seeds)
+            values, a, b = full()
+            ends = np.cumsum([0, *full.table[-1]])
+            for rows in ([49, 10, 48], list(range(3, 50)), *([r] for r in range(50))):
+                keep = h.coeffs[rows].any(axis=0)
+                sub = PauliHamiltonian([w for w, k in zip(h.words, keep) if k],
+                                       h.coeffs[rows][:, keep], h.n_qubits)
+                got = SampledRun(ExactRun(builder(ansatz.parameters[rows]), sub), shots,
+                                 [seeds[r] for r in rows])()
+                want = np.concatenate([values[ends[r]:ends[r + 1]] for r in rows])
+                assert got[0].tobytes() == want.tobytes(), (shots, rows)
+                assert got[1].tobytes() == a[rows].tobytes()
+                assert got[2].tobytes() == b[rows].tobytes()
 
 
 def test_sampled_norm_failure_draws_nothing(shot_batches):
-    # The norms of all jobs are checked once, after the last pass and
-    # before any row draws: a failing job of the last row leaves every
-    # generator as it was, those of rows measured in earlier passes too.
+    # A state off its norm draws nothing.  The ExactRun call refuses a psi
+    # off its norm before SampledRun reads it, and sample_z refuses a job's
+    # ancilla <Z> beyond 1 + NORM_TOL (a d_i off its norm: A(i, i) reads
+    # |d_i|^2 / |p|^2) before any row draws, so every generator stays as it
+    # was, those of the rows before the failing one too.
     ansatz, h, shots = shot_batches[0]
     gens, twins = ([np.random.default_rng(s) for s in range(50)] for _ in range(2))
-    run = SampledRun(ExactRun(ansatz, h), shots, gens)
-    run.halves[-1] *= 1.001
+    run = ExactRun(ansatz, h)
+    sampled = SampledRun(run, shots, gens)
+    run.rotations[0, -1] *= 1.001    # the last row's first rotation, and so its psi, off unit norm
     with pytest.raises(ValueError, match="norm"):
-        run()
+        sampled()
+    run.rotations[0, -1] /= 1.001
+    run()
+    run.kets[1, -1] *= 1.001         # the last row's d_0, after the call's checks
+    with pytest.raises(ValueError, match=r"^state norm 1\.00\d+ deviates from 1 beyond 1e-10$"):
+        sampled()
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+    run.kets[1, -1] /= 1.001
+    sampled()
+    assert [g.bit_generator.state for g in gens] != [t.bit_generator.state for t in twins]
 
 
 def test_sampled_table_is_keyed_on_values(lih_table):
@@ -662,6 +711,20 @@ def test_solve_zero_matrix_is_stationary():
     delta, stationary = solve_update(system, 0.5)
     assert np.array_equal(delta, np.zeros(3))
     assert stationary
+
+
+def test_solve_zeroes_a_stationary_row_beside_a_moving_one():
+    # Row 0's A lies wholly below ABS_EIG_FLOOR, yet the relative cutoff keeps
+    # both its eigenvalues, so only the floor stops a step of about 1e13 on its
+    # nonzero B: its update is exactly 0 and it is flagged stationary.  Row 1
+    # takes the pseudo-inverse step at its own dtau.
+    a = np.array([np.diag([4e-13, 2e-13]), [[0.5, 0.1], [0.1, 0.3]]])
+    b = np.array([[1.0, -2.0], [0.2, -0.4]])
+    assert np.linalg.eigvalsh(a[0]).max() < mclachlan.ABS_EIG_FLOOR
+    delta, stationary = solve_update(McLachlanSystem(a, b), np.array([0.5, 0.7]))
+    assert delta[0].tolist() == [0.0, 0.0]
+    assert stationary.tolist() == [True, False]
+    assert np.max(np.abs(delta[1] - 0.7 * np.linalg.pinv(a[1]) @ b[1])) < 1e-12
 
 
 def test_solve_matches_dense_solver(rng):

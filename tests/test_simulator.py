@@ -10,7 +10,7 @@ from vqite import (DensityMatrix, StateVector, basis_state, measure_z_expectatio
 from vqite.pauli import PAULI_MATRICES
 from vqite import simulator
 from vqite.simulator import (HADAMARD, Gate, cnot, controlled_pauli, cz, gate_plan,
-                             hadamard, run_gates, rx, ry, rz, x, y, z, z_marginals)
+                             hadamard, run_gates, rx, ry, rz, x, y, z)
 
 ALL_GATE_SAMPLES = [
     rx(0, 0.7), ry(1, -1.3), rz(0, 2.1), hadamard(1), x(0), y(1), z(0),
@@ -115,9 +115,15 @@ def test_norm_preserved_random_circuits(rng):
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
 
+def sampled(states, shots=None, rng=None):
+    """sample_z of the exact <Z> of each state's last qubit, drawn from `rng`
+    as one group."""
+    return simulator.sample_z(measure_z_expectation(states), shots, [rng], [len(states)])
+
+
 def z_of(state, **kw):
     """<Z> of the last qubit of one StateVector, as a stack of one."""
-    return measure_z_expectation(state.amplitudes[None], **kw)[0]
+    return sampled(state.amplitudes[None], **kw)[0]
 
 
 def test_measure_z_exact():
@@ -158,7 +164,7 @@ def test_measure_z_stack_equals_one_by_one(rng, shots):
     stack = np.array([random_state(rng, 3) for _ in range(40)]
                      + [basis_state("001").amplitudes, basis_state("000").amplitudes])
     gen, twin = np.random.default_rng(shots), np.random.default_rng(shots)
-    got = measure_z_expectation(stack.reshape(-1, 2, 2, 2), shots, gen)
+    got = sampled(stack.reshape(-1, 2, 2, 2), shots, gen)
     exact = measure_z_expectation(stack)
     for k, amps in enumerate(stack):
         probs = np.abs(amps.reshape(2, 2, 2)) ** 2
@@ -177,9 +183,9 @@ def test_measure_z_rows_draw_from_their_own_generators(rng):
     sizes, seeds = [4, 1, 4], [11, 12, 13]
     gens = [np.random.default_rng(s) for s in seeds]
     twins = [np.random.default_rng(s) for s in seeds]
-    got = simulator.sample_z(z_marginals(stack), 1000, gens, sizes)
+    got = simulator.sample_z(measure_z_expectation(stack), 1000, gens, sizes)
     bounds = np.cumsum([0, *sizes])
-    want = np.concatenate([measure_z_expectation(stack[a:b], 1000, twin)
+    want = np.concatenate([sampled(stack[a:b], 1000, twin)
                            for a, b, twin in zip(bounds, bounds[1:], twins)])
     assert got.tobytes() == want.tobytes()
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
@@ -192,10 +198,10 @@ def test_sample_z_count_array_draws_as_the_int_count(shots):
     # p > 0.5 (drawn as 1 - p), small n*p (inversion) and, at 10,000 shots,
     # n*p > 30 (BTPE), over rows of 3, 0 and 4 states.
     p = np.array([0.0, 1.0, 0.8, 0.99, 0.001, 0.3, 0.5])
-    marg, sizes, seeds = np.stack([p, 1.0 - p]), [3, 0, 4], [(5, 1), (5, 2), (5, 3)]
+    z, sizes, seeds = p - (1.0 - p), [3, 0, 4], [(5, 1), (5, 2), (5, 3)]
     gens, twins = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
-    got = simulator.sample_z(marg, shots, gens, sizes)
-    q = np.clip((1.0 + (marg[0] - marg[1])) / 2.0, 0.0, 1.0)
+    got = simulator.sample_z(z, shots, gens, sizes)
+    q = np.clip((1.0 + z) / 2.0, 0.0, 1.0)
     counts = [t.binomial(shots, q[a:b]) for t, a, b in zip(twins, (0, 3, 3), (3, 3, 7))]
     assert got.tobytes() == (2.0 * np.concatenate(counts) / shots - 1.0).tobytes()
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
@@ -209,10 +215,10 @@ def test_measure_z_rejects_sizes_unlike_the_stack(rng):
     stack = np.array([random_state(rng, 3) for _ in range(5)])
     gens = [np.random.default_rng(s) for s in (1, 2)]
     with pytest.raises(ValueError, match="sizes"):
-        simulator.sample_z(z_marginals(stack), 100, gens[:1], [2, 3])
+        simulator.sample_z(measure_z_expectation(stack), 100, gens[:1], [2, 3])
     with pytest.raises(ValueError, match="sizes"):
-        simulator.sample_z(z_marginals(stack), 100, gens, [2, 2])
-    assert len(simulator.sample_z(z_marginals(stack), 100, gens, [2, 3])) == 5
+        simulator.sample_z(measure_z_expectation(stack), 100, gens, [2, 2])
+    assert len(simulator.sample_z(measure_z_expectation(stack), 100, gens, [2, 3])) == 5
 
 
 def test_measure_z_names_bad_sizes_and_generators(rng):
@@ -223,10 +229,26 @@ def test_measure_z_names_bad_sizes_and_generators(rng):
     stack = np.array([random_state(rng, 3) for _ in range(5)])
     gens, twins = ([np.random.default_rng(s) for s in (1, 2)] for _ in range(2))
     with pytest.raises(ValueError, match=r"sizes \[6, -1\] must be non-negative"):
-        simulator.sample_z(z_marginals(stack), 100, gens, [6, -1])
+        simulator.sample_z(measure_z_expectation(stack), 100, gens, [6, -1])
     with pytest.raises(ValueError, match="one seed or generator for each of the sizes"):
-        simulator.sample_z(z_marginals(stack), 100, 7, [2, 3])
+        simulator.sample_z(measure_z_expectation(stack), 100, 7, [2, 3])
     assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+
+
+def test_sample_z_refuses_values_beyond_one_before_any_draw():
+    # An exact <Z> is a difference of probabilities that add up to the
+    # state's norm squared: beyond 1 + NORM_TOL in modulus (or NaN) a state
+    # is off its norm, and no generator draws, not even those of the rows
+    # before the offending value.  Within the tolerance, p is clipped.
+    gens, twins = ([np.random.default_rng(s) for s in (1, 2)] for _ in range(2))
+    for bad in (1.0 + 2e-10, -1.0 - 2e-10, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^state norm {abs(bad)} deviates from 1 beyond"):
+            simulator.sample_z(np.array([0.5, 0.0, bad]), 100, gens, [2, 1])
+        with pytest.raises(ValueError, match="norm"):
+            simulator.sample_z(np.array([bad]), None, None, [1])
+    assert [g.bit_generator.state for g in gens] == [t.bit_generator.state for t in twins]
+    edge = simulator.sample_z(np.array([1.0 + 5e-11, -1.0 - 5e-11]), 100, gens, [1, 1])
+    assert edge.tolist() == [1.0, -1.0]
 
 
 @pytest.mark.parametrize("shots", [2.5, 2.0, True, False, np.float64(10.0), "10"])
@@ -267,7 +289,7 @@ def test_marginal_is_index_order_sum_on_every_layout(n, q, count, seed, shots):
     for stack in (flat, tensors, view):
         want = [index_order_z(amps) for amps in stack]
         gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = measure_z_expectation(stack, shots, gen if shots else None)
+        got = sampled(stack, shots, gen if shots else None)
         if shots:
             want = [2.0 * twin.binomial(shots, min(max((1.0 + z) / 2.0, 0.0), 1.0)) / shots - 1.0
                     for z in want]
@@ -283,7 +305,9 @@ def test_nan_fails_state_checks():
     with pytest.raises(ValueError, match="norm"):
         measure_z_expectation(np.array([[1.0, 0.0], [np.nan, 0.0]]))
     with pytest.raises(ValueError, match="norm"):
-        measure_z_expectation(np.array([[1.0, 0.0], [1.0, 1.0]]), shots=5, rng=1)
+        measure_z_expectation(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="norm"):
+        simulator.sample_z(np.array([1.0, np.nan]), 5, [1], [2])
 
 
 @pytest.mark.parametrize("gate", [rx(-1, 0.3), rx(3, 0.3), rx(4, 0.3), cnot(-1, 0),
