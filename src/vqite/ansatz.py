@@ -154,7 +154,6 @@ class AnsatzCircuit:
         return self.derivatives[i, 0]
 
 
-@lru_cache(maxsize=8)
 def _program(gates, descriptors, n: int) -> list:
     """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
     the gate before descriptor i's insertion point, i) and gate_plan, each

@@ -15,10 +15,11 @@ B(i, l), prefactor -conj(p) h_l of term l, p = DERIVATIVE_PREFACTOR; the
 all-I word has none, its -h Re <d_i psi|psi> being 0 at every angle.  The
 ancilla is prepared in (|0> + e^{i phi} |1>)/sqrt(2), phi the prefactor's
 angle, and its Z expectation times the prefactor's modulus (the job's
-weight) is the summand's real part.  A test circuit is three slices of the
-ansatz gate tuple with controlled Pauli gates between them; SampledRun
-takes each job's value from the ExactRun call's overlaps instead, and each
-row draws its jobs in order from its own (seed, R) stream.  Without
+weight) is the summand's real part.  One array job table (_jobs), built
+per run, serves both readers: build_hadamard_circuits makes each job's test
+circuit (three slices of the ansatz gates, controlled Paulis between them);
+SampledRun reads each job's value from the ExactRun call's overlaps, each
+row drawing its jobs in order from its own (seed, R) stream.  Without
 sampling the routes agree to machine precision, with shots statistically.
 """
 
@@ -139,16 +140,20 @@ def _pairs(gamma: int) -> tuple[np.ndarray, ...]:
             a_cols, len(i) + np.arange(gamma), i, j)
 
 
-def _layout(gamma: int, words, coeffs: list[float]) -> list:
-    """The jobs of one row with `gamma` parameters and Hamiltonian terms
-    `coeffs` over `words`, in job order (module docstring), as (word, phase,
-    weight, destination); A jobs have no word, and the all-I word and the
-    words of coefficient 0 no job."""
-    p, terms = DERIVATIVE_PREFACTOR, [l for l, w in enumerate(words) if w.strip("I") and coeffs[l]]
-    sums = [(float(np.angle(c)), float(abs(c)))
-            for c in [np.conj(p) * p] + [-np.conj(p) * coeffs[l] for l in terms]]
-    jobs = [(None, *sums[0], ("A", i, j)) for i in range(gamma) for j in range(i, gamma)]
-    return jobs + [(l, *sums[k + 1], ("B", i)) for i in range(gamma) for k, l in enumerate(terms)]
+def _jobs(gamma: int, words, coeffs: np.ndarray) -> tuple:
+    """The Hadamard jobs of a (B, L) coefficient stack over `words`, rows in
+    turn and each row's in job order (module docstring): each job's row, i,
+    column k of that row's (gamma, gamma + L) overlap block (j for A(i, j),
+    gamma + l for B(i, l)) and prefactor, then each row's job count.  The
+    all-I word and the words of coefficient 0 have no job."""
+    p, (*_, i, j), rows = DERIVATIVE_PREFACTOR, _pairs(gamma), len(coeffs)
+    b_i, l = np.divmod(np.arange(gamma * len(words)), len(words))
+    terms = (coeffs != 0) & np.array([bool(w.strip("I")) for w in words], dtype=bool)
+    # a candidate per A pair (i, j), then per (i, l); nonzero lists the live ones, rows in turn
+    row, c = np.nonzero(np.concatenate([np.ones((rows, len(i)), dtype=bool), terms[:, l]], 1))
+    pre = np.concatenate([np.full((rows, len(i)), np.conj(p) * p), -np.conj(p) * coeffs[:, l]], 1)
+    i, k = np.concatenate([i, b_i])[c], np.concatenate([j, gamma + l])[c]
+    return row, i, k, pre[row, c], np.bincount(row, minlength=rows).tolist()
 
 
 def _check_rows(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> np.ndarray:
@@ -163,44 +168,26 @@ def _check_rows(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> np.ndarray:
 
 def build_hadamard_circuits(ansatz: AnsatzCircuit,
                             h: PauliHamiltonian) -> list[HadamardJob]:
-    """One weighted test circuit per job of _layout: the ansatz gates g
-    cut at the insertion points p_i, A(i, j) as g[:p_i] + anti_i + g[p_i:p_j]
-    + ctrl_j + g[p_j:] + final and B(i, l) as g[:p_i] + anti_i + g[p_i:] +
-    c-h_l + final, c-h_l the l-th Hamiltonian word controlled on the ancilla;
-    h is one sum or a one-row stack (compute_sampled takes a stack)."""
-    coeffs = h.one_row("compute_sampled")[0].tolist()
+    """One weighted test circuit per job of the row's table (_jobs): the
+    ansatz gates g cut at the insertion points p_i, A(i, j) as g[:p_i] +
+    anti_i + g[p_i:p_j] + ctrl_j + g[p_j:] + final and B(i, l) as g[:p_i] +
+    anti_i + g[p_i:] + c-h_l + final, c-h_l word l controlled on the ancilla,
+    column k picking cut and tail; h is one sum or a one-row stack."""
+    coeffs, ref = h.one_row("compute_sampled"), ansatz.reference_state
     _check_rows(ansatz, h)
     n, g, descs = ansatz.n_system_qubits, tuple(ansatz.gates), ansatz.descriptors
     ctrl = [tuple(controlled_pauli(n, range(n), d.sigma.letters)) for d in descs]
     anti, final = [(x(n), *c, x(n)) for c in ctrl], (hadamard(n),)
-    tails = [tuple(controlled_pauli(n, range(n), w)) for w in h.words]
-    pts, jobs = [d.insertion_point for d in descs], []
-    for word, phase, weight, (kind, i, *j) in _layout(len(descs), h.words, coeffs):
-        pj, tail = (pts[j[0]], ctrl[j[0]] + g[pts[j[0]]:]) if j else (len(g), tails[word])
-        gates = g[:pts[i]] + anti[i] + g[pts[i]:pj] + tail + final
-        jobs.append(HadamardJob(HadamardTestCircuit(gates, phase, ansatz.reference_state),
-                                weight, (kind, i, *j)))
+    pts, gamma, jobs = [d.insertion_point for d in descs], len(descs), []
+    cuts = pts + [len(g)] * len(h.words)
+    tails = [c + g[p:] for c, p in zip(ctrl, pts)] + [
+        tuple(controlled_pauli(n, range(n), w)) for w in h.words]
+    _, i_s, k_s, pre, _ = _jobs(gamma, h.words, coeffs)
+    for i, k, c in zip(i_s.tolist(), k_s.tolist(), pre.tolist()):
+        gates = g[:pts[i]] + anti[i] + g[pts[i]:cuts[k]] + tails[k] + final
+        jobs.append(HadamardJob(HadamardTestCircuit(gates, float(np.angle(c)), ref), abs(c),
+                                ("A", i, k) if k < gamma else ("B", i)))
     return jobs
-
-
-@lru_cache(maxsize=2)
-def _table(descriptors, labels: tuple[str, ...], rows: int, coeff_bytes: bytes) -> tuple:
-    """The Hadamard jobs of B rows whose Hamiltonian stack has the (B, L)
-    coefficients `coeff_bytes` over the words `labels`, for SampledRun:
-    (cols, entry, weight, sizes).  Job k (rows in turn) reads flat index
-    cols[k] of the (B, gamma, gamma + L) overlaps, <d_i|d_j> at (b, i, j) for
-    A(i, j), -<d_i|h_l P_l|psi> at (b, i, gamma + l) for B(i, l); its <Z> is
-    the real part over weight[k], the modulus of its prefactor, and it adds
-    weight[k] times that <Z> to entry[k] of A (B, gamma, gamma) then B (B,
-    gamma), flattened; sizes: each row's jobs."""
-    gamma, coeffs = len(descriptors), np.frombuffer(coeff_bytes).reshape(rows, len(labels))
-    width = gamma + len(labels)
-    jobs = [[((b * gamma + i) * width + (j[0] if j else gamma + word),
-              (b * gamma + i) * gamma + j[0] if j else (rows * gamma + b) * gamma + i, w)
-             for word, _, w, (kind, i, *j) in _layout(gamma, labels, c)]
-            for b, c in enumerate(coeffs.tolist())]
-    cols, entry, weight = np.array([job for row in jobs for job in row]).T
-    return cols.astype(np.intp), entry.astype(np.intp), weight, list(map(len, jobs))
 
 
 def evaluate_circuit(circuit: HadamardTestCircuit) -> float:
@@ -228,25 +215,34 @@ def compute_sampled(ansatz: AnsatzCircuit, h, shots: int | None,
 
 class SampledRun:
     """The Hadamard route of an ExactRun's rows, made once per run from it: the
-    job table (_table; the all-I word has no job) and one Generator per row
-    from `seeds` (ValueError unless check_shots passes and shot mode has a
-    seed for each row).  A call takes each job's <Z> from one einsum of the
-    overlaps of each d_i that the ExactRun's last call left (making one first
-    unless `derived`) with each d_j and each -h_l P_l psi (its weighted
-    terms), has sample_z check every |<Z>| <= 1 and then draw each row's jobs
-    in order from the row's own generator, and returns (<Z> of every job, A,
-    B), A and B adding the weighted values from 0.0 in job order."""
+    job table of its rows and one Generator per row from `seeds` (ValueError
+    unless check_shots passes and shot mode has a seed for each row).  The
+    table, from _jobs, is (cols, entry, weight, sizes): job k reads flat index
+    cols[k] of the (B, gamma, gamma + L) overlaps, (b, i, k) of its row b; its
+    <Z> is the real part over weight[k], its prefactor's modulus, and it adds
+    weight[k] times that <Z> to entry[k] of A (B, gamma, gamma) then B (B,
+    gamma), flattened; sizes: each row's jobs.  A call takes each job's <Z>
+    from one einsum of the overlaps of each d_i that the ExactRun's last call
+    left (making one first unless `derived`) with each d_j and each
+    -h_l P_l psi (its weighted terms), has sample_z check every |<Z>| <= 1 and
+    then draw each row's jobs in order from the row's own generator, and
+    returns (<Z> of every job, A, B), A and B adding the weighted values from
+    0.0 in job order."""
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
-        ansatz, (labels, coeffs) = exact.ansatz, exact.columns
+        (labels, coeffs), gamma = exact.columns, exact.ansatz.n_parameters
         rows = len(coeffs)
         check_shots(shots)
         # len(), as per-row seeds of unequal lengths do not stack; an int or a Generator is one seed
         count = len(seeds) if isinstance(seeds, Sized) and getattr(seeds, "ndim", 1) else None
         if shots is not None and (count != rows or any(s is None for s in seeds)):
             raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
-        self.table = _table(ansatz.descriptors, labels, rows, coeffs.tobytes())
-        self.exact, self.shots, self.gamma = exact, shots, ansatz.n_parameters
+        row, i, k, pre, sizes = _jobs(gamma, labels, coeffs)
+        slot = row * gamma + i
+        self.table = (slot * (gamma + len(labels)) + k,
+                      np.where(k < gamma, slot * gamma + k, rows * gamma * gamma + slot),
+                      abs(pre), sizes)
+        self.exact, self.shots, self.gamma = exact, shots, gamma
         self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
 
     def __call__(self) -> tuple:

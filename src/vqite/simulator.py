@@ -25,7 +25,6 @@ DensityMatrix holds the mixed states of the CMF reduction and the lift.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -146,13 +145,6 @@ def controlled_pauli(control: int, targets, letters: str) -> list[Gate]:
             for q, c in zip(targets, letters) if c != "I"]
 
 
-@lru_cache(maxsize=256)
-def _axis_plan(ndim: int, q: int, lead: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order bringing axis q to position `lead`, and its inverse."""
-    order = (*range(lead), q, *(k for k in range(lead, ndim) if k != q))
-    return order, tuple([order.index(k) for k in range(ndim)])
-
-
 def dot_rounds_apart(n: int, controlled: bool) -> bool:
     """The width rule, a fact of OpenBLAS zgemm (which rounds widths 1 and 2 unlike
     wider ones): a gate's shared np.dot over a stack of n-qubit states rounds a state
@@ -162,16 +154,17 @@ def dot_rounds_apart(n: int, controlled: bool) -> bool:
 
 def gate_plan(gate: Gate, n: int, per_state: bool = True) -> tuple:
     """(control-1 index or None, axis order, inverse, per_state) of a gate on
-    a stack of n-qubit tensors, for apply_planned.  Raises ValueError on a
-    qubit outside 0..n-1: qubit q is axis q + 1, so -1 would land on the
-    stack axis."""
+    a stack of n-qubit tensors, for apply_planned: the order brings the
+    target's axis to position per_state.  Raises ValueError on a qubit
+    outside 0..n-1: qubit q is axis q + 1, so -1 would land on the stack axis."""
     if not (0 <= gate.target < n and (gate.control is None or 0 <= gate.control < n)):
         raise ValueError(f"gate on qubits ({gate.target}, {gate.control}) outside 0..{n - 1}")
-    if gate.control is None:
-        return (None, *_axis_plan(n + 1, gate.target + 1, int(per_state)), per_state)
-    return ((slice(None),) * (gate.control + 1) + (1,),
-            *_axis_plan(n, gate.target + 1 - (gate.target > gate.control), int(per_state)),
-            per_state)
+    control, q, ndim, lead = None, gate.target + 1, n + 1, int(per_state)
+    if gate.control is not None:   # the control-1 half, without the control's axis
+        control, ndim = (slice(None),) * (gate.control + 1) + (1,), n
+        q -= gate.target > gate.control
+    order = (*range(lead), q, *(k for k in range(lead, ndim) if k != q))
+    return control, order, tuple([order.index(k) for k in range(ndim)]), per_state
 
 
 def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,

@@ -479,6 +479,17 @@ def test_non_monotone_flag_exact_route_only(tmp_path, capsys):
     assert "non-monotone" not in points[0].flags
 
 
+def test_non_monotone_flag_catches_a_rise_above_its_tolerance(tmp_path, capsys):
+    # R = 4.4 at dtau 2 rises once, by about 1.1e-4 at the last iteration:
+    # above MONOTONICITY_TOL (1e-6), so the exact-route point is flagged.
+    with pytest.warns(UserWarning, match=r"^energy rose by 1\.\d+e-04 at iteration 4$"):
+        rc = main(["point", "--table", "lih", "--ansatz", "ucc-lih", "--r", "4.4",
+                   "--dtau", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "curve.csv").read_text().splitlines()[1].endswith(",non-monotone")
+    assert "flags=non-monotone" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("r, flagged", [("0.5", True), ("1.5", False)])
 def test_main_excited_non_monotone_line(r, flagged, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -54,6 +54,18 @@ def test_auto_dtau_rejects_rounding_residue_mean():
     assert resolve_dtau(config([0.0], dtau=0.25), h) == 0.25
 
 
+def test_auto_dtau_keeps_a_small_mean_above_the_zero_floor():
+    # A single-Z mean of about 1e-6 of the largest |coefficient| is a step
+    # scale, far above ZERO_MEAN_TOL (1e-12): the rule applies.  An exact
+    # cancellation is refused.
+    h = PauliHamiltonian(["ZI", "IZ", "XX"], [1.0, -1.0 + 2e-6, 0.5])
+    h_z = average_z_coefficient(h)
+    assert 0.9e-6 < abs(h_z) < 1.1e-6
+    assert resolve_dtau(QiteConfig((0.0,)), h) == 0.8 / (abs(h_z) * 4)
+    with pytest.raises(ValueError, match="average to 0; use a fixed dtau instead"):
+        resolve_dtau(QiteConfig((0.0,)), PauliHamiltonian(["ZI", "IZ", "XX"], [1.0, -1.0, 0.5]))
+
+
 def test_h2_fidelity_rises(h2_r07):
     traj = run_qite(h2_r07, build_ucc_h2, config([2.0], iterations=4))
     fids = [r.fidelity for r in traj.records]

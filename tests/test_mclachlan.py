@@ -611,28 +611,6 @@ def test_sampled_norm_failure_draws_nothing(shot_batches):
     assert [g.bit_generator.state for g in gens] != [t.bit_generator.state for t in twins]
 
 
-def test_sampled_table_is_keyed_on_values(lih_table):
-    # The compiled jobs of a batch are found again for equal Hamiltonians
-    # built anew, as a repeated invocation in one process builds them (and a
-    # one-point batch that fails, when it runs again alone), and not for a
-    # coefficient one ulp away.  A run makes its table once.
-    from vqite.mclachlan import _table
-
-    def rows():
-        return lih_table.hamiltonians(range(50))
-
-    ansatz, first, second = build_ucc_lih(np.ones((50, 2))), rows(), rows()
-    assert first is not second and first.coeffs is not second.coeffs
-    _table.cache_clear()
-    for h in (first, second):
-        compute_sampled(ansatz, h, None)
-    assert (_table.cache_info().misses, _table.cache_info().hits) == (1, 1)
-    moved = second.coeffs.copy()
-    moved[7, 3] = np.nextafter(moved[7, 3], np.inf)
-    compute_sampled(ansatz, PauliHamiltonian(second.words, moved, 3), None)
-    assert (_table.cache_info().misses, _table.cache_info().hits) == (2, 1)
-
-
 def test_sampled_reproducible(h2_r07):
     a = compute_sampled(build_ucc_h2(0.9), h2_r07, shots=2000, seed=42)
     b = compute_sampled(build_ucc_h2(0.9), h2_r07, shots=2000, seed=42)
