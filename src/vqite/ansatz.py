@@ -158,8 +158,9 @@ def _program(gates, descriptors, n: int) -> list:
     """The sweep steps of a circuit on n qubits: per gate its matrix (or, for
     the gate before descriptor i's insertion point, i) and gate_plan, each
     after a join (None, sigma_i as (src, phase)) per descriptor there.  A
-    rotation runs per state, a shared gate as one np.dot, but per state where
-    the width rule (dot_rounds_apart) holds."""
+    Pauli gate (a CNOT) runs as its signed permutation, as a join does, a
+    rotation per state, any other gate as one np.dot, but per state where the
+    width rule (dot_rounds_apart) holds."""
     slots, steps = {d.insertion_point - 1: i for i, d in enumerate(descriptors)}, []
     for k, gate in enumerate((*gates, None)):
         steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]

@@ -231,7 +231,8 @@ def run_qite_rows(h_system: PauliHamiltonian, ansatz_builder, config: QiteConfig
     # the weighted terms of every reported energy: the run's own without a reduction
     terms = run.terms if eff is None else weighted_terms(labels, coeffs, report.n_qubits)
     sampled, route = config.shots is not None, "exact" if config.shots is None else "hadamard"
-    estimate = sampled and SampledRun(run, config.shots, seeds or [config.seed] * len(coeffs))
+    seeds = [config.seed] * len(coeffs) if seeds is None else seeds
+    estimate = sampled and SampledRun(run, config.shots, seeds)
     steps = []   # per iteration: theta, energy, overlap, A, B (None after the last update)
 
     for it in range(config.iterations + 1):

@@ -19,9 +19,9 @@ for a stack of B rows (a scan's table rows, their reductions or lifts),
 brought to that canonical form by its constructor alone.  Every kernel
 reads words and (B, L) coefficient rows.
 
-A word is a signed permutation (Aaronson & Gottesman, quant-ph/0406196),
-memoized per word: row j of its matrix holds phase[j] = +-1 or +-i at column
-src[j] = j ^ xmask, xmask marking the X and Y letters.  Products by it are
+A word is a signed permutation (Aaronson & Gottesman, quant-ph/0406196):
+row j of its matrix holds phase[j] = +-1 or +-i at column src[j] = j ^
+xmask, xmask marking the X and Y letters.  Products by it are
 exact, so one gather and one multiply give the values of the Kronecker
 product.  A word tuple is stacked once; H|psi> is one gather, multiply and
 sum over the terms, and the dense matrices of B sums over one word tuple are
@@ -72,13 +72,12 @@ class DimensionCapError(ValueError):
     """Raised when a dense realization would exceed the qubit cap."""
 
 
-@functools.lru_cache(maxsize=1024)
 def _signed_permutation(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (src, phase): row j of the matrix holds phase[j] at src[j]."""
     xmask = int("".join("1" if c in "XY" else "0" for c in letters), 2)
     src = np.arange(2 ** len(letters)) ^ xmask
-    phase = functools.reduce(np.kron, map(ROW_PHASES.get, letters), np.ones(1, complex))
-    return read_only(src), read_only(phase)
+    phase = functools.reduce(np.multiply.outer, map(ROW_PHASES.get, letters), np.ones((), complex))
+    return read_only(src), read_only(phase.ravel())
 
 
 @functools.lru_cache(maxsize=256)

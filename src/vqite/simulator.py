@@ -6,18 +6,20 @@ control qubit; Rx, Ry, Rz, H, X, Y, Z, CNOT and CZ are built as such, and
 a controlled Pauli string c-(s1 s2 ...) is the list of its controlled
 single-letter factors c-s1, c-s2, ..., as the reference circuits
 decompose it.  Gates run on a stack of raw amplitude tensors (one state
-is a stack of one), and norms are checked once per circuit.  There is one
-gate kernel: gate_plan checks a gate's qubits and resolves its axis order,
-and apply_planned applies a matrix by that plan, as one np.dot over the
-stack, or per_state one matmul per state, which rounds each state as
-alone; a rotation may hold one (2, 2) matrix per row of a stack of B
-ansatz rows.  The np.dot rounds each state as alone too unless the width
-rule (dot_rounds_apart) holds.  A gate leaves its input unchanged and
-writes only arrays of its own (a controlled gate its control-1 half of a
-copy).  apply_gate plans and applies one gate as one np.dot, run_gates a
-list of them; a compiled circuit keeps its plans, copies the gates'
-results into one buffer, and can record the numpy calls of that sweep
-(call) to repeat at new matrices.
+is a stack of one), and norms are checked once per circuit.  gate_plan
+checks a gate's qubits and plans it for apply_planned, one kernel per kind
+of gate.  A gate whose matrix is X, Y or Z, controlled or not, is a signed
+permutation (apply_pauli): a copy with the target's axis reversed (X, Y)
+times row phases (Y, Z), exact and without BLAS, so its values are those
+of any product form up to the sign of a zero.  Any other gate is a
+product: one np.dot over the stack, or per_state one matmul per state,
+which rounds each state as alone; a rotation may hold one (2, 2) matrix
+per row of a stack of B ansatz rows.  The np.dot rounds each state as
+alone too unless the width rule (dot_rounds_apart) holds.  A gate leaves
+its input unchanged and writes only arrays of its own.  apply_gate plans
+and applies one gate, run_gates a list of them; a compiled circuit keeps
+its plans, copies the gates' results into one buffer, and can record the
+numpy calls of that sweep (call) to repeat at new matrices.
 Qubit ordering follows vqite.pauli (q0 = most significant bit).
 sample_z draws only from caller-supplied seeds, one per group of values.
 DensityMatrix holds the mixed states of the CMF reduction and the lift.
@@ -29,7 +31,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .pauli import NORM_TOL, PAULI_MATRICES, Frozen, PauliString, check_density, read_only
+from .pauli import (NORM_TOL, PAULI_MATRICES, ROW_PHASES, Frozen, PauliString, check_density,
+                    read_only)
 
 HADAMARD = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 EYE = read_only(np.eye(2))
@@ -155,30 +158,41 @@ def dot_rounds_apart(n: int, controlled: bool) -> bool:
 def gate_plan(gate: Gate, n: int, per_state: bool = True) -> tuple:
     """(control-1 index or None, axis order, inverse, per_state) of a gate on
     a stack of n-qubit tensors, for apply_planned: the order brings the
-    target's axis to position per_state.  Raises ValueError on a qubit
-    outside 0..n-1: qubit q is axis q + 1, so -1 would land on the stack axis."""
+    target's axis to position per_state.  A gate whose matrix has the bytes
+    of X, Y or Z plans as (control-1 index or None, index reversing the
+    target's axis, row phases or None, None) for apply_pauli.  Raises
+    ValueError on a qubit outside 0..n-1: qubit q is axis q + 1, so -1 would
+    land on the stack axis."""
     if not (0 <= gate.target < n and (gate.control is None or 0 <= gate.control < n)):
         raise ValueError(f"gate on qubits ({gate.target}, {gate.control}) outside 0..{n - 1}")
     control, q, ndim, lead = None, gate.target + 1, n + 1, int(per_state)
     if gate.control is not None:   # the control-1 half, without the control's axis
         control, ndim = (slice(None),) * (gate.control + 1) + (1,), n
         q -= gate.target > gate.control
+    letter = next((c for c in "XYZ" if gate.matrix.tobytes() == PAULI_MATRICES[c].tobytes()), "")
+    if letter:
+        phase = np.array(ROW_PHASES[letter], dtype=complex).reshape((2,) + (1,) * (ndim - 1 - q))
+        flip = (slice(None),) * q + (slice(None, None, -1 if letter in "XY" else 1),)
+        return control, flip, None if letter == "X" else phase, None
     order = (*range(lead), q, *(k for k in range(lead, ndim) if k != q))
     return control, order, tuple([order.index(k) for k in range(ndim)]), per_state
 
 
 def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
                   calls: list | None = None) -> np.ndarray:
-    """The 2x2 matrix m applied by gate_plan `plan` to a stack of amplitude
-    tensors t, shape (S,) + (2,)*n, as a transposed view: one np.dot of m
-    with the target axis moved to the front and the rest flattened (bitwise
-    the tensordot + moveaxis oracle), or per_state one matmul per state,
-    which gives each state its bytes alone (as np.dot does under the width
-    rule); m is then (2, 2) or a (B, 2, 2) stack, state s taking m[s % B].
-    t is left unchanged: a controlled gate writes its control-1 half of a
-    copy of t.  The numpy calls that move values are recorded into `calls`
-    (call), a copy as dst.__setitem__(..., src), twice as fast as np.copyto."""
+    """The 2x2 matrix m applied by gate_plan `plan` (by apply_pauli, without
+    BLAS, for X, Y and Z) to a stack of amplitude tensors t, shape (S,) +
+    (2,)*n, as a transposed view: one np.dot of m with the target axis moved
+    to the front and the rest flattened (bitwise the tensordot + moveaxis
+    oracle), or per_state one matmul per state, which gives each state its
+    bytes alone (as np.dot does under the width rule); m is then (2, 2) or a
+    (B, 2, 2) stack, state s taking m[s % B].  t is left unchanged: a
+    controlled gate writes its control-1 half of a copy of t.  The numpy
+    calls that move values are recorded into `calls` (call), a copy as
+    dst.__setitem__(..., src), twice as fast as np.copyto."""
     control, order, inverse, per_state = plan
+    if per_state is None:
+        return apply_pauli(t, plan, calls)
     whole, moves = t, []
     if control is not None:
         whole = t.copy()
@@ -198,6 +212,23 @@ def apply_planned(t: np.ndarray, m: np.ndarray, plan: tuple,
     return result if control is None else whole
 
 
+def apply_pauli(t: np.ndarray, plan: tuple, calls: list | None = None) -> np.ndarray:
+    """The X, Y or Z gate of gate_plan `plan` applied to the stack t as its
+    signed permutation into a new array, exact and without BLAS: the control-0
+    half copied, the rest read with the target's axis reversed (X, Y) times the
+    row phases (Y, Z).  The numpy calls are recorded into `calls` (call)."""
+    control, flip, phase, _ = plan
+    out = dst = np.empty(t.shape, dtype=complex)
+    if control is not None:
+        call(calls, out[control[:-1] + (0,)].__setitem__, ..., t[control[:-1] + (0,)])
+        t, dst = t[control], out[control]
+    if phase is None:
+        call(calls, dst.__setitem__, ..., t[flip])
+    else:
+        call(calls, np.multiply, t[flip], phase, dst)
+    return out
+
+
 def call(calls: list | None, function, *args) -> None:
     """function(*args), also appended to `calls` (unless None) to repeat."""
     if calls is not None:
@@ -207,8 +238,9 @@ def call(calls: list | None, function, *args) -> None:
 
 def apply_gate(t: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate to a stack of amplitude tensors, shape (S,) + (2,)*n,
-    as one np.dot, leaving t unchanged; qubit q is axis q + 1.  Qubits
-    checked as in gate_plan."""
+    leaving t unchanged; qubit q is axis q + 1: an X, Y or Z gate by
+    apply_pauli (no BLAS), any other as one np.dot.  Qubits checked as in
+    gate_plan."""
     return apply_planned(t, gate.matrix, gate_plan(gate, t.ndim - 1, False))
 
 

@@ -103,6 +103,18 @@ def test_batched_shot_rows_equal_one_row_runs(lih_table):
         assert traj == alone
 
 
+def test_seed_arrays_draw_as_the_seeds_in_a_list(lih_table):
+    # Per-row seeds may come as an array: each row draws from its own seed,
+    # a 0 seed and (seed, R) pairs included, never from config.seed.
+    for rows, seeds in ((slice(1), [0]), (slice(2), [[1, 2], [3, 4]])):
+        h, config, _, _ = scan_rows(lih_table, build_ucc_lih, False, rows)
+        config = QiteConfig(**dict(vars(config), shots=1000, seed=5))
+        listed = run_qite_rows(h, build_ucc_lih, config, seeds=seeds).trajectories()
+        assert run_qite_rows(h, build_ucc_lih, config, seeds=np.array(seeds)).trajectories() \
+            == listed
+        assert run_qite_rows(h, build_ucc_lih, config).trajectories() != listed
+
+
 @pytest.mark.parametrize("builder,cmf,rows,shots", [
     (build_ucc_lih, False, slice(None), 10_000),
     (build_hardware_efficient, True, slice(0, 50, 17), 1000),
@@ -261,6 +273,8 @@ def reduced_rows_with_one_row_map(h):
      "3 angle rows but 2 Hamiltonians"),
     (lambda h: run_qite_rows(stacked([h, h]), build_ucc_lih, ONE, seeds=[1]),
      "a seed or generator for each of the 2 rows"),
+    (lambda h: run_qite_rows(stacked([h, h]), build_ucc_lih, ONE, seeds=[]),
+     "a seed or generator for each of the 2 rows"),
     (reduced_rows_with_one_row_map,
      "h_system has 2 rows, the energy map's reduction 1 and its original Hamiltonian 1"),
     (lambda h: map_rows([10], [10, 30]),
@@ -274,7 +288,7 @@ def reduced_rows_with_one_row_map(h):
      "2 angle rows but 1 Hamiltonians"),
     (lambda h: compute_sampled(build_ucc_lih(TWO_ROWS), stacked([h] * 3), 100, [1, 2, 3]),
      "2 angle rows but 3 Hamiltonians"),
-], ids=["run-hamiltonians", "run-seeds", "run-energy-maps", "run-map-reduction",
+], ids=["run-hamiltonians", "run-seeds", "run-no-seeds", "run-energy-maps", "run-map-reduction",
         "run-map-original", "exact-1", "exact-3",
         "sampled-1", "sampled-3"])
 def test_row_counts_must_agree(call, message, lih_r15):
@@ -475,19 +489,21 @@ def test_compiled_sweep_is_per_gate_oracle(builder, rows, data):
 
 
 def recorded_gates(monkeypatch, run):
-    """(stack ndim, stack length) of every gate the ansatz sweep applies in
-    run(): each apply_planned call, and each later run of the product it
-    recorded (a run repeats its first sweep's recorded numpy calls)."""
+    """(stack ndim, stack length, kind) of every gate the ansatz sweep applies
+    in run(): each apply_planned call, and each later run of the numpy calls it
+    recorded (a run repeats its first sweep's recorded numpy calls).  kind is
+    "product" for a gate that calls np.matmul or np.dot, else "pauli"."""
     real, applied = ansatz_module.apply_planned, []
 
     def recording(t, m, plan, calls=None):
-        shape, start = (t.ndim, len(t)), len(calls) if calls is not None else 0
-        applied.append(shape)
+        calls = [] if calls is None else calls
+        start = len(calls)
         result = real(t, m, plan, calls)
-        if calls is not None:
-            calls[start:] = [((lambda *a, f=f: applied.append(shape) or f(*a)), args)
-                             if f in (np.matmul, np.dot) else (f, args)
-                             for f, args in calls[start:]]
+        product = any(f in (np.matmul, np.dot) for f, _ in calls[start:])
+        gate = (t.ndim, len(t), "product" if product else "pauli")
+        applied.append(gate)
+        f, args = calls[start]   # the gate's first call counts it once per repeat
+        calls[start] = ((lambda *a, f=f: applied.append(gate) or f(*a)), args)
         return result
     monkeypatch.setattr(ansatz_module, "apply_planned", recording)
     run()
@@ -498,28 +514,34 @@ def recorded_gates(monkeypatch, run):
 @pytest.mark.parametrize("rows", [1, 50])
 def test_exact_iteration_applies_each_gate_once(rows, lih_table, monkeypatch):
     # An exact HE iteration applies each of the 7 gates once, to the B
-    # forward rows and the branches joined before it; the final iteration,
-    # which needs only the states, applies them to the B rows alone.
+    # forward rows and the branches joined before it, the CNOT as a signed
+    # permutation and the 6 rotations as products; the final iteration, which
+    # needs only the states, applies them to the B rows alone.
     h, config, energy_map, _ = scan_rows(lih_table, build_hardware_efficient, True, slice(rows))
     calls = recorded_gates(monkeypatch, lambda: run_qite_rows(
         h, build_hardware_efficient, config, energy_map))
+    kinds = ["product"] * 2 + ["pauli"] + ["product"] * 4
     # branches join after gates 0, 1, 3, 4, 5 and 6 (none after the CNOT)
-    sweep = [(3, rows * k) for k in (1, 2, 3, 3, 4, 5, 6)]
-    assert calls == sweep * 4 + [(3, rows)] * 7
+    sweep = [(3, rows * k, kind) for k, kind in zip((1, 2, 3, 3, 4, 5, 6), kinds)]
+    assert calls == sweep * 4 + [(3, rows, kind) for kind in kinds]
 
 
 def test_shot_route_sweeps_as_the_exact_route(lih_table, monkeypatch):
     # The shot route reads its job values from the ExactRun call's own psi and
     # d_i, so its iterations apply the gates the exact route applies: each of
     # the 14 once to the B forward rows and the branches joined before it,
-    # and the final iteration to the B rows alone.
+    # and the final iteration to the B rows alone.  A UCC-LiH sweep makes 10
+    # products (the rotations) and 4 Pauli steps (the CNOTs).
     h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, slice(7))
     exact = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config))
     config = QiteConfig(**dict(vars(config), shots=1000))
     calls = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config,
                                                               seeds=seeds))
-    sweep = [(4, 7 * k) for k in (1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3)]
-    assert calls == exact == sweep * 4 + [(4, 7)] * 14
+    kinds = ["product", "product", "pauli", "product", "pauli", "product", "product"] * 2
+    sweep = [(4, 7 * k, kind) for k, kind in zip((1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3),
+                                                   kinds)]
+    assert calls == exact == sweep * 4 + [(4, 7, kind) for kind in kinds]
+    assert [kinds.count("product"), kinds.count("pauli")] == [10, 4]
 
 
 @st.composite
@@ -582,14 +604,15 @@ def test_shared_gate_is_per_state_when_four_wide(case):
 
 
 @pytest.mark.parametrize("builder,per_state", [
-    (build_hardware_efficient, [True] * 7),
-    (build_ucc_h2, [True] * 7),
-    (build_ucc_lih, [False, False, True, True, True, False, False] * 2),
+    (build_hardware_efficient, [True, True, None, True, True, True, True]),
+    (build_ucc_h2, [True, True, None, True, None, True, True]),
+    (build_ucc_lih, [False, False, None, True, None, False, False] * 2),
 ], ids=["he", "ucc-h2", "ucc-lih"])
 def test_exact_program_stacks_four_wide_shared_gates(builder, per_state):
-    # On one stack axis, the rotations and every gate narrower than 4
-    # amplitudes per state (all of 2 qubits, a CNOT on 3) run per state, and
-    # UCC-LiH's 8 fixed one-qubit gates as one np.dot each.
+    # On one stack axis, the rotations and every product gate narrower than 4
+    # amplitudes per state (all of 2 qubits) run per state, UCC-LiH's 8 fixed
+    # one-qubit gates as one np.dot each, and every CNOT as a signed
+    # permutation (per_state None), whatever its width.
     ansatz = builder(np.zeros(len(THETA0[builder])))
     assert [step[3] for source, step in ansatz._steps if source is not None] == per_state
 

@@ -217,3 +217,24 @@ def test_stacked_reduction_notes_each_row_term_count(lih_table):
     assert [n[-1] for n in selection_notes(eff)] == ["h_eff.terms=10", "h_eff.terms=3",
                                                      "h_eff.terms=2"]
     assert reduction_rows(eff) == [row for e in alone for row in reduction_rows(e)]
+
+
+def test_gram_schmidt_keeps_a_small_residual_and_drops_a_tiny_one():
+    # GRAM_RANK_TOL (1e-8) decides a drop: the primary candidate
+    # e0 + eps e3, sorted right after e0, leaves a residual of norm eps.  At
+    # eps = 1e-6 it is kept and the 4 primaries make the basis; at 1e-10 it
+    # is dropped and the lowest secondary candidate takes its place.
+    eye = np.eye(8, dtype=complex)
+    h_dense = np.diag(np.arange(8.0)).astype(complex)[None].repeat(2, axis=0)
+    cands = np.empty((2, 2, 4, 8), dtype=complex)
+    for row, eps in enumerate((1e-6, 1e-10)):
+        near = (eye[0] + eps * eye[3]) / np.sqrt(1 + eps ** 2)
+        cands[row] = [[eye[0], near, eye[1], eye[2]], eye[4:]]
+    eigenvalues = tuple(np.zeros((t, 2, k)) for t, k in ((1, 4), (2, 2), (4, 4)))
+    eff = cmf._select_basis(h_dense, cands, np.arange(4.0)[None].repeat(2, axis=0), eigenvalues)
+    assert eff.selection[1].tolist() == [4, 5]
+    assert [next(n for n in notes if n.startswith("gram_schmidt.rank_deficient"))
+            for notes in selection_notes(eff)] == ["gram_schmidt.rank_deficient_dropped=0",
+                                                   "gram_schmidt.rank_deficient_dropped=1"]
+    assert abs(eff.basis_isometry[0, 3, 1]) == pytest.approx(1.0)
+    assert abs(eff.basis_isometry[1, 4, 3]) == pytest.approx(1.0)

@@ -13,8 +13,8 @@ from conftest import (apply, apply_word, canonical_oracle, circuit_unitary, cmf_
 from vqite import (PauliHamiltonian, StateVector, cmf_reduce_rows,
                    pauli_decompose, run_circuit, to_dense_matrix, weighted_partial_trace)
 from vqite.pauli import PAULI_MATRICES
-from vqite.simulator import (Gate, apply_gate, cnot, controlled_pauli,
-                             cz, hadamard, rx, ry, rz, x, y, z)
+from vqite.simulator import (Gate, apply_gate, apply_planned, cnot, controlled_pauli,
+                             cz, gate_plan, hadamard, rx, ry, rz, x, y, z)
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 COEFF = st.floats(-2.0, 2.0)
@@ -293,6 +293,28 @@ def test_stacked_gate_is_per_state_bitwise(t, m, data):
     for s in range(t.shape[0]):
         alone = apply_gate(t[s:s + 1], gate)
         assert (out[s] + 0.0).tobytes() == (alone[0] + 0.0).tobytes()
+
+
+@PROPERTY
+@given(stacks(st.integers(2, 5), st.integers(1, 4)), st.sampled_from("XYZ"), st.data())
+def test_pauli_gate_is_tensordot_values(t, letter, data):
+    # A gate whose matrix is X, Y or Z, controlled or not, plans as a signed
+    # permutation and gives the values of the tensordot oracle on any BLAS
+    # (np.array_equal: up to the sign of a zero), also through apply_gate.
+    # Its recorded calls, repeated after new values are written into the
+    # stack, give the oracle's values of the new stack.
+    gate = random_gate(data, PAULI_MATRICES[letter].copy(), t.ndim - 1)
+    shifted = Gate(gate.matrix, gate.target + 1, None if gate.control is None else gate.control + 1)
+    plan, calls = gate_plan(gate, t.ndim - 1, per_state=False), []
+    out = apply_planned(t, gate.matrix, plan, calls)
+    assert plan[3] is None and out.shape == t.shape
+    assert np.array_equal(out, tensordot_gate(t, shifted))
+    assert np.array_equal(apply_gate(t, gate), out)
+    new = data.draw(arrays(complex, t.shape, elements=AMPLITUDE))
+    t[...] = new
+    for function, args in calls:
+        function(*args)
+    assert np.array_equal(out, tensordot_gate(new, shifted))
 
 
 @PROPERTY
