@@ -47,6 +47,7 @@ from .simulator import (Gate, StateVector, apply_planned, basis_state, call, che
 
 
 DERIVATIVE_PREFACTOR = -0.5j
+COMPILED = ("descriptors", "reference_state", "_fixed", "_axes", "_steps")   # shared by at()
 
 
 class DerivativeDescriptor(NamedTuple):
@@ -101,6 +102,21 @@ class AnsatzCircuit:
         for k, matrix in zip((d.insertion_point - 1 for d in self.descriptors), self._rotations):
             gates[k] = Gate(matrix, gates[k].target, gates[k].control)
         return tuple(gates)
+
+    def at(self, theta) -> AnsatzCircuit:
+        """The circuit at angles theta, a vector or a (B, gamma) array of B
+        rows: its compiled fields, shared, with the rotation stack of one
+        rotation_matrix call about its rotation axes."""
+        theta = np.asarray(theta, dtype=float)
+        theta = theta if theta.ndim == 2 else theta.reshape(-1)
+        if theta.shape[-1] != len(self._axes):
+            raise ValueError(f"the circuit takes {len(self._axes)} parameters, "
+                             f"got {theta.shape[-1]}")
+        circuit = object.__new__(AnsatzCircuit)
+        circuit.__dict__.update({k: vars(self)[k] for k in COMPILED}, parameters=theta,
+                                _rotations=read_only(rotation_matrix(self._axes, theta)
+                                                     .swapaxes(-3, 0)))
+        return circuit
 
     def sweep(self, rotations, stack: np.ndarray, branches: bool, calls=None) -> None:
         """Write the B forward rows at the rotation stack `rotations`, then with
@@ -160,7 +176,9 @@ def _program(gates, descriptors, n: int) -> list:
     after a join (None, sigma_i as (src, phase)) per descriptor there.  A
     Pauli gate (a CNOT) runs as its signed permutation, as a join does, a
     rotation per state, any other gate as one np.dot, but per state where the
-    width rule (dot_rounds_apart) holds."""
+    width rule (dot_rounds_apart) holds.  Every controlled gate of the three
+    families is a CNOT, so the rule's controlled case decides only a custom
+    circuit's controlled non-Pauli gate."""
     slots, steps = {d.insertion_point - 1: i for i, d in enumerate(descriptors)}, []
     for k, gate in enumerate((*gates, None)):
         steps += [(None, _join(d.sigma.letters)) for d in descriptors if d.insertion_point == k]
@@ -186,11 +204,11 @@ def _ucc_block(control: int, target: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _template(family: str) -> tuple:
-    """The fields of a family's checked circuit at zero angles.  A slot is a
-    fixed gate, shared by every build, or the (axis, qubit) of the next
-    parameter's rotation, whose descriptor inserts the axis string right
-    after it (and gives the rotation's Pauli to the axes)."""
+def _template(family: str) -> AnsatzCircuit:
+    """A family's checked circuit at zero angles.  A slot is a fixed gate,
+    shared by every build, or the (axis, qubit) of the next parameter's
+    rotation, whose descriptor inserts the axis string right after it (and
+    gives the rotation's Pauli to the axes)."""
     if family == "ucc-h2":
         slots, bits = _ucc_block(0, 1), "10"
     elif family == "ucc-lih":
@@ -204,26 +222,12 @@ def _template(family: str) -> tuple:
     gates = tuple(Gate(rotation_matrix(s[0], 0.0), s[1]) if isinstance(s, tuple) else s
                   for s in slots)
     reference = StateVector(read_only(basis_state(bits).amplitudes))
-    return vars(AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference))
-
-
-def _build(family: str, theta) -> AnsatzCircuit:
-    """The family's circuit at angles theta, a vector or a (B, gamma) array
-    of B rows: the template's fields with its rotation stack."""
-    template, theta = _template(family), np.asarray(theta, dtype=float)
-    axes = template["_axes"]
-    theta = theta if theta.ndim == 2 else theta.reshape(-1)
-    if theta.shape[-1] != len(axes):
-        raise ValueError(f"{family} takes {len(axes)} parameters, got {theta.shape[-1]}")
-    circuit = object.__new__(AnsatzCircuit)
-    circuit.__dict__.update(template, parameters=theta,
-                            _rotations=read_only(rotation_matrix(axes, theta).swapaxes(-3, 0)))
-    return circuit
+    return AnsatzCircuit(gates, np.zeros(len(descs)), descs, reference)
 
 
 def build_ucc_h2(theta) -> AnsatzCircuit:
     """UCC circuit for H2: 2 system qubits, 1 parameter, reference |10>."""
-    return _build("ucc-h2", theta)
+    return _template("ucc-h2").at(theta)
 
 
 def build_ucc_lih(theta) -> AnsatzCircuit:
@@ -233,7 +237,7 @@ def build_ucc_lih(theta) -> AnsatzCircuit:
     block (q0, q2), matching the rightmost-first reading of the operator
     product.
     """
-    return _build("ucc-lih", theta)
+    return _template("ucc-lih").at(theta)
 
 
 def build_hardware_efficient(theta) -> AnsatzCircuit:
@@ -241,4 +245,4 @@ def build_hardware_efficient(theta) -> AnsatzCircuit:
 
     Six parameters, applied as Rx(t1) Rx(t2) CNOT Rz(t3) Rz(t4) Rx(t5) Rx(t6).
     """
-    return _build("he", theta)
+    return _template("he").at(theta)

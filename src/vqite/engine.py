@@ -25,7 +25,8 @@ one circuit build, its ExactRun and on the shot route a SampledRun
 A, B, each state's norm and the energy of a row reported against its own
 Hamiltonian, and one stacked solve (solve_update); on the shot route A and
 B are draws on that call's overlaps of psi and d_i (SampledRun: no all-I job,
-each row in job order from its own (seed, R) stream).  Iterations rewrite
+no draw for a job known at every angle, each row in job order from its own
+(seed, R) stream).  Iterations rewrite
 only the rotation stack, so the builder's circuit must hold rotation_matrix
 of theta about its descriptors' axes there and no other gate depending on
 theta, as a family build and its AnsatzCircuit copy do.

@@ -17,10 +17,13 @@ ancilla is prepared in (|0> + e^{i phi} |1>)/sqrt(2), phi the prefactor's
 angle, and its Z expectation times the prefactor's modulus (the job's
 weight) is the summand's real part.  One array job table (_jobs), built
 per run, serves both readers: build_hadamard_circuits makes each job's test
-circuit (three slices of the ansatz gates, controlled Paulis between them);
-SampledRun reads each job's value from the ExactRun call's overlaps, each
-row drawing its jobs in order from its own (seed, R) stream.  Without
-sampling the routes agree to machine precision, with shots statistically.
+circuit (three slices of the ansatz gates, controlled Paulis between them),
+every job's; SampledRun reads each job's value from the ExactRun call's
+overlaps.  A job whose value is the same at every angle (_known: the A
+diagonals, 1, and the jobs that are 0, such as A(0, 1) of UCC-LiH) is
+known: it adds the call's exact value and draws nothing.  Each row draws
+its other jobs in order from its own (seed, R) stream.  Without sampling
+the routes agree to machine precision, with shots statistically.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .simulator import (Gate, StateVector, check_norms, check_shots, check_unit,
 EXACT_EIG_CUTOFF = 1e-8
 SHOT_EIG_CUTOFF = 1e-3              # looser: shot noise inflates the small eigenvalues
 ABS_EIG_FLOOR = 1e-12
+KNOWN_SPREAD = 1e-12                # a job's <Z> spread over the probe rows that marks it known
 
 
 class McLachlanSystem(NamedTuple):
@@ -144,8 +148,8 @@ def _jobs(gamma: int, words, coeffs: np.ndarray) -> tuple:
     """The Hadamard jobs of a (B, L) coefficient stack over `words`, rows in
     turn and each row's in job order (module docstring): each job's row, i,
     column k of that row's (gamma, gamma + L) overlap block (j for A(i, j),
-    gamma + l for B(i, l)) and prefactor, then each row's job count.  The
-    all-I word and the words of coefficient 0 have no job."""
+    gamma + l for B(i, l)) and prefactor.  The all-I word and the words of
+    coefficient 0 have no job."""
     p, (*_, i, j), rows = DERIVATIVE_PREFACTOR, _pairs(gamma), len(coeffs)
     b_i, l = np.divmod(np.arange(gamma * len(words)), len(words))
     terms = (coeffs != 0) & np.array([bool(w.strip("I")) for w in words], dtype=bool)
@@ -153,7 +157,37 @@ def _jobs(gamma: int, words, coeffs: np.ndarray) -> tuple:
     row, c = np.nonzero(np.concatenate([np.ones((rows, len(i)), dtype=bool), terms[:, l]], 1))
     pre = np.concatenate([np.full((rows, len(i)), np.conj(p) * p), -np.conj(p) * coeffs[:, l]], 1)
     i, k = np.concatenate([i, b_i])[c], np.concatenate([j, gamma + l])[c]
-    return row, i, k, pre[row, c], np.bincount(row, minlength=rows).tolist()
+    return row, i, k, pre[row, c]
+
+
+def _overlaps(psi: np.ndarray, d: np.ndarray, terms: tuple) -> np.ndarray:
+    """(B, gamma, gamma + L) Re <d_i|d_j>, then Re <d_i| -h_l P_l |psi>, of each
+    row's psi (B, 2^n), d_i (gamma, B, 2^n) and weighted terms (src, (B or 1,
+    L, 2^n)): one float dot of the real and imaginary parts, added in one order
+    whatever rows run beside it (a stacked complex matmul rounds some one-row
+    entries apart)."""
+    src, terms = terms
+    bra = d.swapaxes(0, 1)
+    ket = np.concatenate([bra, -terms * psi[:, src]], axis=1)
+    return np.einsum("bin,bkn->bik", bra.view(float), ket.view(float))
+
+
+def _known(ansatz: AnsatzCircuit, words) -> np.ndarray:
+    """(gamma, gamma + L) marks of the job columns (_jobs' k) over `words`
+    whose ancilla <Z> takes one value, within KNOWN_SPREAD, at three fixed
+    generic angle rows, theta_k = 2 sqrt(2 + k), 2 sqrt(2 + gamma + k) and
+    2 sqrt(2 + 2 gamma + k): one unrecorded sweep of the circuit there, with
+    unit coefficients.  A job's value is a trigonometric polynomial of degree
+    <= 1 in each theta_k, so the 3^gamma grid theta_k in {0, 2 pi/3, 4 pi/3}
+    proves a mark (tests/test_mclachlan.py); a wrong mark would drop that
+    job's noise, never bias A or B, as a known job adds each call's exact
+    value."""
+    gamma = ansatz.n_parameters
+    kets = ansatz.at(2.0 * np.sqrt(np.arange(2, 2 + 3 * gamma)).reshape(3, gamma))._sweep(True)
+    terms = weighted_terms(words, np.ones((1, len(words))), ansatz.n_system_qubits)
+    # each d_i at a unit prefactor, so that each overlap is its job's <Z>
+    z = _overlaps(kets[0], DERIVATIVE_PREFACTOR / abs(DERIVATIVE_PREFACTOR) * kets[1:], terms)
+    return z.max(axis=0) - z.min(axis=0) <= KNOWN_SPREAD
 
 
 def _check_rows(ansatz: AnsatzCircuit, h: PauliHamiltonian) -> np.ndarray:
@@ -182,7 +216,7 @@ def build_hadamard_circuits(ansatz: AnsatzCircuit,
     cuts = pts + [len(g)] * len(h.words)
     tails = [c + g[p:] for c, p in zip(ctrl, pts)] + [
         tuple(controlled_pauli(n, range(n), w)) for w in h.words]
-    _, i_s, k_s, pre, _ = _jobs(gamma, h.words, coeffs)
+    _, i_s, k_s, pre = _jobs(gamma, h.words, coeffs)
     for i, k, c in zip(i_s.tolist(), k_s.tolist(), pre.tolist()):
         gates = g[:pts[i]] + anti[i] + g[pts[i]:cuts[k]] + tails[k] + final
         jobs.append(HadamardJob(HadamardTestCircuit(gates, float(np.angle(c)), ref), abs(c),
@@ -217,17 +251,18 @@ class SampledRun:
     """The Hadamard route of an ExactRun's rows, made once per run from it: the
     job table of its rows and one Generator per row from `seeds` (ValueError
     unless check_shots passes and shot mode has a seed for each row).  The
-    table, from _jobs, is (cols, entry, weight, sizes): job k reads flat index
-    cols[k] of the (B, gamma, gamma + L) overlaps, (b, i, k) of its row b; its
-    <Z> is the real part over weight[k], its prefactor's modulus, and it adds
-    weight[k] times that <Z> to entry[k] of A (B, gamma, gamma) then B (B,
-    gamma), flattened; sizes: each row's jobs.  A call takes each job's <Z>
-    from one einsum of the overlaps of each d_i that the ExactRun's last call
-    left (making one first unless `derived`) with each d_j and each
-    -h_l P_l psi (its weighted terms), has sample_z check every |<Z>| <= 1 and
-    then draw each row's jobs in order from the row's own generator, and
-    returns (<Z> of every job, A, B), A and B adding the weighted values from
-    0.0 in job order."""
+    table, from _jobs and _known, is (cols, entry, weight, drawn, sizes): job
+    k reads flat index cols[k] of the (B, gamma, gamma + L) overlaps, (b, i,
+    k) of its row b; its <Z> is the real part over weight[k], its prefactor's
+    modulus, and it adds weight[k] times that <Z> to entry[k] of A (B, gamma,
+    gamma) then B (B, gamma), flattened; drawn[k] is False for a known job;
+    sizes: each row's drawn jobs.  A call takes each job's <Z> from the
+    overlaps (_overlaps) of each d_i that the ExactRun's last call left
+    (making one first unless `derived`) with each d_j and each -h_l P_l psi
+    (its weighted terms), checks every |<Z>| <= 1, has sample_z draw each
+    row's drawn jobs in order from the row's own generator, a known job
+    keeping its exact <Z>, and returns (<Z> of every job, A, B), A and B
+    adding the weighted values from 0.0 in job order."""
 
     def __init__(self, exact: ExactRun, shots: int | None, seeds) -> None:
         (labels, coeffs), gamma = exact.columns, exact.ansatz.n_parameters
@@ -237,25 +272,21 @@ class SampledRun:
         count = len(seeds) if isinstance(seeds, Sized) and getattr(seeds, "ndim", 1) else None
         if shots is not None and (count != rows or any(s is None for s in seeds)):
             raise ValueError(f"shot mode needs a seed or generator for each of the {rows} rows")
-        row, i, k, pre, sizes = _jobs(gamma, labels, coeffs)
-        slot = row * gamma + i
+        row, i, k, pre = _jobs(gamma, labels, coeffs)
+        slot, drawn = row * gamma + i, ~_known(exact.ansatz, labels)[i, k]
         self.table = (slot * (gamma + len(labels)) + k,
                       np.where(k < gamma, slot * gamma + k, rows * gamma * gamma + slot),
-                      abs(pre), sizes)
+                      abs(pre), drawn, np.bincount(row[drawn], minlength=rows).tolist())
         self.exact, self.shots, self.gamma = exact, shots, gamma
         self.rngs = None if shots is None else list(map(np.random.default_rng, seeds))
 
     def __call__(self) -> tuple:
         if not self.exact.derived:
             self.exact()
-        (cols, entry, weight, sizes), (src, terms) = self.table, self.exact.terms
-        kets, gamma = self.exact.kets, self.gamma
-        bra = kets[1:-1].swapaxes(0, 1)     # (B, gamma, 2^n): each row's d_i
-        ket = np.concatenate([bra, -terms * kets[0][:, src]], axis=1)   # then each -h_l P_l|psi>
-        # Re <d_i|ket> as one float dot of the real and imaginary parts, added in one order
-        # whatever rows run beside it (a stacked complex matmul rounds some one-row entries apart)
-        z = np.einsum("bin,bkn->bik", bra.view(float), ket.view(float)).take(cols) / weight
-        values = sample_z(z, self.shots, self.rngs, sizes)
+        (cols, entry, weight, drawn, sizes), kets, gamma = self.table, self.exact.kets, self.gamma
+        values = _overlaps(kets[0], kets[1:-1], self.exact.terms).take(cols) / weight
+        check_norms(np.maximum(abs(values), 1.0))   # every job's |<Z>| <= 1, before any draw
+        values[drawn] = sample_z(values[drawn], self.shots, self.rngs, sizes)
         cut = len(sizes) * gamma * gamma
         ab = np.bincount(entry, weight * values, cut + len(sizes) * gamma)
         a, (*_, i, j) = ab[:cut].reshape(-1, gamma, gamma), _pairs(gamma)

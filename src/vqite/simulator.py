@@ -151,7 +151,11 @@ def controlled_pauli(control: int, targets, letters: str) -> list[Gate]:
 def dot_rounds_apart(n: int, controlled: bool) -> bool:
     """The width rule, a fact of OpenBLAS zgemm (which rounds widths 1 and 2 unlike
     wider ones): a gate's shared np.dot over a stack of n-qubit states rounds a state
-    unlike the state alone while its 2^(n-1) amplitudes, halved by a control, are under 4."""
+    unlike the state alone while its 2^(n-1) amplitudes, halved by a control, are under 4.
+    No family reaches the controlled case: each controlled template gate is a CNOT,
+    planned as a signed permutation whatever per_state says.  The case decides only a
+    custom circuit's controlled non-Pauli gate (test_batch's
+    test_shared_gate_is_per_state_when_four_wide)."""
     return 2 ** (n - 1 - controlled) < 4
 
 

@@ -380,7 +380,7 @@ def sampled_ab_add_at(run, values):
     into zeros at the job table's entries."""
     from vqite.mclachlan import _pairs
 
-    *_, entry, weight, sizes = run.table
+    _, entry, weight, _, sizes = run.table
     rows, gamma = len(sizes), run.gamma
     ab, cut = np.zeros(rows * (gamma + 1) * gamma), rows * gamma * gamma
     np.add.at(ab, entry, weight * values)
@@ -652,21 +652,45 @@ def sampled_oracle(ansatz, h, runs):
     """compute_sampled(ansatz, h, shots, rng) for each (shots, rng) of
     `runs`, as a loop over the jobs of build_hadamard_circuits.
 
-    Each job's exact ancilla <Z> is that of a one-row SampledRun at
-    shots=None, which must lie within JOB_TOL of its circuit's
-    (circuit_values; else AssertionError).  Each job is then drawn alone by
-    scalar_draw from the Generator `rng` in job order, and A and B added up
-    by assemble_system.
+    Each job's exact ancilla <Z> and its mark (drawn, or known: one value at
+    every angle, which test_mclachlan proves on the 3^gamma grid) are those
+    of a one-row SampledRun at shots=None; each value must lie within
+    JOB_TOL of its circuit's (circuit_values; else AssertionError).  Each
+    drawn job is then drawn alone by scalar_draw from the Generator `rng` in
+    job order, each known job keeps its exact value, and A and B are added
+    up by assemble_system.
     """
     from vqite.mclachlan import ExactRun, SampledRun
 
-    jobs = build_hadamard_circuits(ansatz, h)
-    values = SampledRun(ExactRun(ansatz, h), None, [None])()[0]
+    jobs, run = build_hadamard_circuits(ansatz, h), SampledRun(ExactRun(ansatz, h), None, [None])
+    values, drawn = run()[0], run.table[3]
     assert len(values) == len(jobs)
     assert np.abs(values - circuit_values(jobs)).max() <= JOB_TOL
-    return [assemble_system(jobs, [scalar_draw(z, shots, rng) for z in values.tolist()],
+    return [assemble_system(jobs, [scalar_draw(z, shots if d else None, rng)
+                                   for z, d in zip(values.tolist(), drawn.tolist())],
                             ansatz.n_parameters, "hadamard", shots)
             for shots, rng in runs]
+
+
+def grid_spread(builder, gamma, words, n_qubits):
+    """(spread, value): the (gamma, gamma + L) <Z> spread over the 3^gamma
+    grid theta_k in {0, 2 pi/3, 4 pi/3}, and the value at its first row, of
+    each Hadamard job column over `words` at unit coefficients (inf and 0.0
+    where no job lies).  A job's <Z> is a trigonometric polynomial of degree
+    <= 1 in each theta_k, so it is constant exactly when its grid spread is
+    0, up to rounding."""
+    from vqite.mclachlan import ExactRun, SampledRun, _jobs
+
+    grid = np.array(list(product(2 * np.pi * np.arange(3) / 3, repeat=gamma)))
+    unit = PauliHamiltonian(words, np.ones((len(grid), len(words))), n_qubits)
+    assert unit.words == tuple(words)
+    z = SampledRun(ExactRun(builder(grid), unit), None, [None] * len(grid))()[0]
+    z = z.reshape(len(grid), -1)
+    _, i, k, _ = _jobs(gamma, unit.words, unit.coeffs[:1])
+    shape = (gamma, gamma + len(words))
+    spread, value = np.full(shape, np.inf), np.zeros(shape)
+    spread[i, k], value[i, k] = z.max(axis=0) - z.min(axis=0), z[0]
+    return spread, value
 
 
 # Golden outputs: recorded CLI runs, replayed through vqite.cli.main.

@@ -24,10 +24,10 @@ from vqite import (DensityMatrix, basis_state, build_hardware_efficient, build_u
                    exact_spectrum, expectation, gershgorin_emax, hamiltonian_at,
                    lift_ground_state, load_lih_table, run_qite, theta_scan, to_dense_matrix,
                    weighted_partial_trace)
-from vqite import ansatz as ansatz_module, cmf, engine, pauli, spectra
+from vqite import ansatz as ansatz_module, cmf, engine, mclachlan, pauli, spectra
 from vqite.ansatz import DERIVATIVE_PREFACTOR, AnsatzCircuit
 from vqite.engine import EnergyMap, QiteConfig, resolve_dtau, run_qite_rows
-from vqite.mclachlan import ExactRun, McLachlanSystem, solve_update
+from vqite.mclachlan import ExactRun, McLachlanSystem, SampledRun, solve_update
 from vqite.simulator import Gate, apply_gate, apply_planned, gate_plan, rotation_matrix
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
@@ -530,18 +530,47 @@ def test_shot_route_sweeps_as_the_exact_route(lih_table, monkeypatch):
     # The shot route reads its job values from the ExactRun call's own psi and
     # d_i, so its iterations apply the gates the exact route applies: each of
     # the 14 once to the B forward rows and the branches joined before it,
-    # and the final iteration to the B rows alone.  A UCC-LiH sweep makes 10
-    # products (the rotations) and 4 Pauli steps (the CNOTs).
+    # and the final iteration to the B rows alone.  Before them the run marks
+    # its known jobs from one sweep of three probe rows and their branches.
+    # A UCC-LiH sweep makes 10 products (the rotations) and 4 Pauli steps
+    # (the CNOTs).
     h, config, _, seeds = scan_rows(lih_table, build_ucc_lih, False, slice(7))
     exact = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config))
     config = QiteConfig(**dict(vars(config), shots=1000))
     calls = recorded_gates(monkeypatch, lambda: run_qite_rows(h, build_ucc_lih, config,
                                                               seeds=seeds))
     kinds = ["product", "product", "pauli", "product", "pauli", "product", "product"] * 2
-    sweep = [(4, 7 * k, kind) for k, kind in zip((1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3),
-                                                   kinds)]
-    assert calls == exact == sweep * 4 + [(4, 7, kind) for kind in kinds]
+    branches = (1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3)
+    sweep = [(4, 7 * k, kind) for k, kind in zip(branches, kinds)]
+    assert exact == sweep * 4 + [(4, 7, kind) for kind in kinds]
+    assert calls == [(4, 3 * k, kind) for k, kind in zip(branches, kinds)] + exact
     assert [kinds.count("product"), kinds.count("pauli")] == [10, 4]
+
+
+@pytest.mark.parametrize("builder,cmf,jobs,draws", [(build_ucc_lih, False, 1342, 794),
+                                                     (build_hardware_efficient, True, 3750, 2050)],
+                         ids=["ucc-lih", "cmf-he"])
+def test_shot_route_draws_only_the_unknown_jobs(builder, cmf, jobs, draws, lih_table,
+                                                monkeypatch):
+    # Each iteration of a 50-row shot run hands sample_z the exact values of
+    # its drawn jobs alone, in job order (794 of the 1,342 UCC-LiH jobs and
+    # 2,050 of the 3,750 CMF + HE ones), so the last bit of a known job's
+    # value (a zero, say, rounded to 1e-17) cannot move a count.  The values
+    # are bitwise those of a shots=None run at the iteration's angles.
+    h, config, energy_map, seeds = scan_rows(lih_table, builder, cmf)
+    real, received = mclachlan.sample_z, []
+    monkeypatch.setattr(mclachlan, "sample_z", lambda z, *args: received.append(z.copy())
+                        or real(z, *args))
+    config = QiteConfig(**dict(vars(config), shots=1000))
+    trajs = run_qite_rows(h, builder, config, energy_map, seeds=seeds).trajectories()
+    monkeypatch.undo()
+    assert len(received) == config.iterations
+    for it, z in enumerate(received):
+        run = SampledRun(ExactRun(builder(np.array([t.records[it].theta for t in trajs])), h),
+                         None, [None] * len(seeds))
+        values, drawn = run()[0], run.table[3]
+        assert (len(values), len(z)) == (jobs, draws)
+        assert z.tobytes() == values[drawn].tobytes(), it
 
 
 @st.composite

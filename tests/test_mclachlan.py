@@ -1,11 +1,13 @@
 """A/B estimation: exact route, Hadamard-test route, and the solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (JOB_TOL, apply, apply_word, assemble_system, circuit_values, from_pairs,
-                      row_views, sampled_oracle, scalar_draw, scratch_z, stacked)
+                      grid_spread, row_views, sampled_oracle, scalar_draw, scratch_z, stacked)
 from vqite import (PauliHamiltonian, PauliString, build_hardware_efficient, build_ucc_h2,
                    build_ucc_lih, build_hadamard_circuits, cmf_reduce, cmf_reduce_rows,
                    compute_exact, compute_sampled, hamiltonian_at, solve_update)
@@ -336,29 +338,34 @@ def test_job_values_are_their_circuits_within_rounding(lih_table, h2_table):
         assert "I" * n in h.words
         for theta in draw.uniform(-np.pi, np.pi, (2, len(h.coeffs), gamma)):
             run = SampledRun(ExactRun(builder(theta), h), None, [None] * len(h.coeffs))
-            values, ends = run()[0], np.cumsum([0, *run.table[-1]]).tolist()
+            values, end = run()[0], 0
             for b, row in enumerate(row_views(h)):
                 jobs = build_hadamard_circuits(builder(theta[b]), row)
+                start, end = end, end + len(jobs)
                 weights = np.array([job.weight for job in jobs])
                 circuits = np.array([evaluate_circuit(job.circuit) for job in jobs])
-                assert weights.tobytes() == run.table[-2][ends[b]:ends[b + 1]].tobytes()
-                assert np.all(np.abs(weights * values[ends[b]:ends[b + 1]] - weights * circuits)
+                assert weights.tobytes() == run.table[2][start:end].tobytes()
+                assert np.all(np.abs(weights * values[start:end] - weights * circuits)
                               <= JOB_TOL * weights), (family, b)
                 assert circuits.tobytes() == circuit_values(jobs).tobytes()
+            assert end == len(values)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_bitwise_equals_scratch_loop(lih_r15, h2_r07, rng, seed):
     # From the exact job values, each within JOB_TOL of its circuit run from
-    # scratch, one draw per job in job order from one generator and A and B
-    # added up job by job give compute_sampled's bytes.
+    # scratch, one draw per drawn job in job order from one generator, each
+    # known job's exact value, and A and B added up job by job give
+    # compute_sampled's bytes.
     for ansatz, h in memo_cases(lih_r15, h2_r07, rng):
         sampled = compute_sampled(ansatz, h, shots=1000, seed=seed)
         draws = np.random.default_rng(seed)
         jobs = build_hadamard_circuits(ansatz, h)
-        exact = SampledRun(ExactRun(ansatz, h), None, [None])()[0]
+        run = SampledRun(ExactRun(ansatz, h), None, [None])
+        exact, drawn = run()[0], run.table[3]
         assert np.abs(exact - [scratch_z(job.circuit) for job in jobs]).max() <= JOB_TOL
-        values = [scalar_draw(z, 1000, draws) for z in exact.tolist()]
+        values = [scalar_draw(z, 1000 if d else None, draws)
+                  for z, d in zip(exact.tolist(), drawn.tolist())]
         ref = assemble_system(jobs, values, ansatz.n_parameters, "hadamard", 1000)
         assert np.array_equal(sampled.a_matrix, ref.a_matrix)
         assert np.array_equal(sampled.b_vector, ref.b_vector)
@@ -529,12 +536,53 @@ def test_sampled_is_per_job_oracle_on_grid(family, phases):
         assert rows_agree(builder, theta, hs, [None, 1000, 10_000], range(7, 7 + rows)), rows
 
 
+@pytest.fixture(scope="module")
+def family_rows(lih_table, h2_table):
+    """Each family's Hamiltonian stack: UCC-H2 on the H2 table's rows,
+    UCC-LiH on the 50 LiH rows and HE on their CMF h_eff."""
+    lih = lih_table.hamiltonians(range(50))
+    return {"ucc-h2": h2_table.hamiltonians(range(len(h2_table.rows))), "ucc-lih": lih,
+            "he": cmf_reduce_rows(lih).h_eff}
+
+
+@pytest.mark.parametrize("words", ["table", "every"])
+@pytest.mark.parametrize("family", ["ucc-h2", "ucc-lih", "he"])
+def test_known_jobs_are_the_constants_of_the_grid(family_rows, family, words):
+    # A job's <Z> is constant exactly when it is constant on the 3^gamma grid
+    # (grid_spread; HE: 729 rows).  The run's known jobs, marked from its three
+    # probe rows, are those of the grid, over the table's words and over all
+    # 4^n words at unit coefficients, and every other job spreads there by
+    # more than 1e-3.  Each known job's circuit, from build_hadamard_circuits
+    # and evaluate_circuit, lies within 1e-14 of its constant (sign(h_l)
+    # times the unit-coefficient value for B(i, l)) at seeded random angles
+    # on every row.
+    builder, n, gamma = FAMILIES[family]
+    h = family_rows[family] if words == "table" else PauliHamiltonian(
+        ["".join(w) for w in itertools.product("IXYZ", repeat=n)], np.ones((1, 4 ** n)), n)
+    spread, value = grid_spread(builder, gamma, h.words, n)
+    known = spread <= mclachlan.KNOWN_SPREAD
+    assert spread[~known].min() > 1e-3
+    theta = np.random.default_rng(44).uniform(-np.pi, np.pi, (len(h.coeffs), gamma))
+    run = SampledRun(ExactRun(builder(theta), h), None, [None] * len(h.coeffs))
+    row, i, k, _ = mclachlan._jobs(gamma, h.words, h.coeffs)
+    assert np.array_equal(~run.table[3], known[i, k])
+    for b, one in enumerate(row_views(h)):
+        jobs = build_hadamard_circuits(builder(theta[b]), one)
+        mine = row == b
+        assert len(jobs) == np.count_nonzero(mine)
+        sign = np.where(k[mine] < gamma, 1.0, np.sign(h.coeffs[b, k[mine] - gamma]))
+        for job, ib, kb, s in zip(jobs, i[mine], k[mine], sign):
+            if known[ib, kb]:
+                assert abs(evaluate_circuit(job.circuit) - s * value[ib, kb]) <= 1e-14, (b, ib, kb)
+
+
 def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
     # One batched compute_sampled applies each gate of the batched build
     # once, whatever B is, in its ExactRun's sweep of the B forward rows and
-    # their branches; it runs no Hadamard-test circuit, so no gate acts on a
-    # register with an ancilla.  The last gate of the 50 LiH rows (gamma =
-    # 2) takes 150 states of 8 amplitudes.
+    # their branches, after the job marks' one sweep of the three probe rows
+    # and their branches; it runs no Hadamard-test circuit, so no gate acts
+    # on a register with an ancilla.  The last gate of the 50 LiH rows
+    # (gamma = 2) takes 150 states of 8 amplitudes, the probe's 9.
     planned, real = ansatz_module.apply_planned, simulator.apply_gate
     for rows in (1, 50):
         swept, circuits = [], []
@@ -545,10 +593,13 @@ def test_sweep_runs_each_ansatz_gate_once(lih_table, monkeypatch):
         ansatz = build_ucc_lih(np.ones((rows, 2)))
         compute_sampled(ansatz, lih_table.hamiltonians(range(rows)), 10_000, list(range(rows)))
         monkeypatch.undo()
+        probe, swept = swept[:14], swept[14:]
         assert len(swept) == len(ansatz.gates) == 14
         assert all(np.array_equal(m, g.matrix) for (m, _), g in zip(swept, ansatz.gates))
+        assert [t[0] for _, t in probe] == [3 * t[0] // rows for _, t in swept]
         assert circuits == []
     assert swept[-1][1] == (50 * 3, 2, 2, 2)
+    assert probe[-1][1] == (3 * 3, 2, 2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -566,22 +617,27 @@ def test_sampled_values_do_not_depend_on_the_rows_beside_them(shot_batches):
     # generator drawing the same), whichever rows run beside it and in which
     # order, over the words of those rows alone: each row alone, and a few
     # selections.  R = 4.9 and 5.0 (rows 48 and 49) each have 11 of the 13
-    # LiH words.
+    # LiH words.  Each row's jobs keep their marks: which jobs are known
+    # does not depend on the rows beside it or on the words they bring.
     assert np.count_nonzero(shot_batches[0][1].coeffs[48:], axis=1).tolist() == [11, 11]
     for ansatz, h, count in shot_batches:
-        builder = build_ucc_lih if ansatz.n_parameters == 2 else build_hardware_efficient
+        gamma = ansatz.n_parameters
+        builder = build_ucc_lih if gamma == 2 else build_hardware_efficient
         seeds = [(3, r) for r in range(50)]
+        ends = np.cumsum([0, *np.bincount(mclachlan._jobs(gamma, h.words, h.coeffs)[0])])
         for shots in (None, count):
             full = SampledRun(ExactRun(ansatz, h), shots, seeds)
             values, a, b = full()
-            ends = np.cumsum([0, *full.table[-1]])
             for rows in ([49, 10, 48], list(range(3, 50)), *([r] for r in range(50))):
                 keep = h.coeffs[rows].any(axis=0)
                 sub = PauliHamiltonian([w for w, k in zip(h.words, keep) if k],
                                        h.coeffs[rows][:, keep], h.n_qubits)
-                got = SampledRun(ExactRun(builder(ansatz.parameters[rows]), sub), shots,
-                                 [seeds[r] for r in rows])()
+                run = SampledRun(ExactRun(builder(ansatz.parameters[rows]), sub), shots,
+                                 [seeds[r] for r in rows])
+                got = run()
                 want = np.concatenate([values[ends[r]:ends[r + 1]] for r in rows])
+                drawn = np.concatenate([full.table[3][ends[r]:ends[r + 1]] for r in rows])
+                assert run.table[3].tobytes() == drawn.tobytes(), (shots, rows)
                 assert got[0].tobytes() == want.tobytes(), (shots, rows)
                 assert got[1].tobytes() == a[rows].tobytes()
                 assert got[2].tobytes() == b[rows].tobytes()

@@ -4,12 +4,17 @@ their spread is the binomial spread that the shot count implies.
 A case is a 50-row SampledRun, UCC-LiH at 10,000 shots or HE on the CMF
 h_eff rows at 1,000 shots, at the initial angles or at the angles of the
 exact route's second iteration, called once per seed set (n of them: 30 for
-UCC-LiH, 60 for HE, whose entries sum more jobs of small weight).
-Job k of a row, of weight w_k and ancilla <Z> z_k (the same run without
-shots), draws Binomial(shots, (1 + z_k) / 2).  So each entry e of A (i <= j)
-and B has the ExactRun value mu_e as its mean and the predicted variance
-v_e = sum_k w_k^2 (1 - z_k^2) / shots over its jobs.  Two statistics pool
-the entries with v_e > 0 of a case, E of them, and one bounds each entry:
+UCC-LiH, 60 for HE, whose entries sum more jobs of small weight).  Every A
+job of UCC-LiH is known, so at one angle set only its 2 B entries of each
+of 49 rows hold a drawn job, 98 entries: its case pools both angle sets,
+each with its own n seed sets, disjoint from the other's.
+A drawn job k of a row, of weight w_k and ancilla <Z> z_k (the same run
+without shots), draws Binomial(shots, (1 + z_k) / 2); a known job, one
+whose <Z> is constant on the 3^gamma grid (grid_spread), adds z_k itself.
+So each entry e of A (i <= j) and B has the ExactRun value mu_e as
+its mean and the predicted variance v_e = sum_k w_k^2 (1 - z_k^2) / shots
+over its drawn jobs.  Two statistics pool the entries with v_e > 0 of a
+case, E of them, and one bounds each entry:
 
     chi2  = sum_e n (mean_e - mu_e)^2 / v_e          ~ chi^2(E)
     ratio = sum_e s_e^2 / v_e / E                     ~ chi^2(nu) / nu
@@ -24,7 +29,16 @@ pooled chi2 spreads one entry's shift over about 1,000 HE entries: a single
 HE weight flipped moves its entry by 5 to 6 standard errors at 30 seed sets,
 which every statistic passes, and by about 7 to 8 at 60, which t_e fails.  A
 job whose |z| is 1 up to rounding puts every shot on one outcome, so an
-entry made of such jobs alone (v_e = 0) equals mu_e in every draw.
+entry made of such jobs and known jobs alone (v_e = 0) equals mu_e in every
+draw.
+
+Each angle set also checks its jobs one by one.  A known job repeats its
+exact value in every seed set.  A drawn job varies, where its count could
+take one value in all n seed sets with probability at most TAIL / jobs: the
+probability of its binomial mode to the power n - 1 bounds that.  A job
+marked known by mistake loses its noise, and no entry statistic resolves
+that: UCC-LiH's B(0, ZII) carries about 3% of its entry's predicted
+variance at these angles.
 
 Row 0 keeps one seed in every seed set and stays out of the statistics: it
 must repeat byte for byte, because each row draws from its own stream alone.
@@ -35,10 +49,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import chdtri, ndtri
+from scipy.stats import binom
 
+from conftest import grid_spread
 from vqite import (EnergyMap, QiteConfig, build_hardware_efficient, build_ucc_lih,
                    cmf_reduce_rows, run_qite_rows)
-from vqite.mclachlan import ExactRun, SampledRun
+from vqite.mclachlan import KNOWN_SPREAD, ExactRun, SampledRun, _jobs
 
 TAIL = 1e-6
 ROUNDING = 1e-14    # 1 - z^2 up to this is |z| = 1 as rounded
@@ -75,26 +91,49 @@ def per_entry(values, entry, rows, gamma):
     return entries(flat[:cut].reshape(rows, gamma, gamma), flat[cut:].reshape(rows, gamma))
 
 
-@pytest.mark.parametrize("angles", ["initial", "mid-run"])
-@pytest.mark.parametrize("family", ["ucc-lih", "cmf-he"])
-def test_sampled_entries_have_the_binomial_mean_and_spread(families, family, angles):
-    builder, h, shots, n, theta0, mid = families[family]
+def angle_set(family, angles, seed_sets):
+    """(predicted variance, fourth cumulant, exact value, draws over the
+    seed sets) of each entry of a family's run at one angle set, after
+    checking its jobs: each known one repeats its exact value in every seed
+    set, and each drawn one of a row r >= 1 whose count could repeat in
+    every seed set with probability at most TAIL / jobs varies."""
+    builder, h, shots, _, theta0, mid = family
     run = ExactRun(builder(theta0 if angles == "initial" else mid), h)
     _, a, b, _ = run()
     exact, rows, gamma = entries(a, b), len(a), a.shape[-1]
     free = SampledRun(run, None, [None] * rows)
-    z, (*_, entry, weight, _) = free()[0], free.table
-    spread = np.where(1.0 - z * z > ROUNDING, 1.0 - z * z, 0.0)
+    z, (_, entry, weight, _, _) = free()[0], free.table
+    row, i, k, _ = _jobs(gamma, h.words, h.coeffs)
+    drawn = grid_spread(builder, gamma, h.words, h.n_qubits)[0][i, k] > KNOWN_SPREAD
+    spread = np.where(drawn & (1.0 - z * z > ROUNDING), 1.0 - z * z, 0.0)
     var = per_entry(weight ** 2 * spread / shots, entry, rows, gamma)
     # fourth cumulant of w (2 count / shots - 1): 4 w^4 (1 - z^2) (1 - 1.5 (1 - z^2)) / shots^3
     k4 = per_entry(4 * weight ** 4 * spread * (1 - 1.5 * spread) / shots ** 3, entry, rows, gamma)
 
     def draw(s):    # row r >= 1 of seed set s draws from (s, r), row 0 from (0, 0)
-        return entries(*SampledRun(run, shots, [(0, 0)] + [(s, r) for r in range(1, rows)])()[1:])
+        values, a, b = SampledRun(run, shots, [(0, 0)] + [(s, r) for r in range(1, rows)])()
+        return values, entries(a, b)
 
-    draws = np.array([draw(s) for s in range(1, n + 1)])
+    values, draws = map(np.array, zip(*(draw(s) for s in seed_sets)))
     assert (draws[:, 0] == draws[0, 0]).all()       # row 0's one seed: the same bytes
-    draws, exact, var, k4 = draws[:, 1:], exact[1:], var[1:], k4[1:]
+    assert (values[:, ~drawn] == z[~drawn]).all()
+    # P(one count in every seed set) <= P(the mode)^(n - 1), the mode floor((shots + 1) p)
+    p = np.clip((1.0 + z) / 2.0, 0.0, 1.0)
+    repeat = binom.pmf(np.floor((shots + 1) * p), shots, p) ** (len(seed_sets) - 1)
+    varies = np.flatnonzero(drawn & (row >= 1) & (repeat <= TAIL / len(z)))
+    stuck = varies[(values[:, varies] == values[0, varies]).all(axis=0)]
+    assert stuck.size == 0, list(zip(row[stuck].tolist(), i[stuck].tolist(), k[stuck].tolist()))
+    return var[1:], k4[1:], exact[1:], draws[:, 1:]
+
+
+@pytest.mark.parametrize("family,angle_sets", [
+    ("ucc-lih", ("initial", "mid-run")), ("cmf-he", ("initial",)), ("cmf-he", ("mid-run",)),
+], ids=["ucc-lih-initial-and-mid-run", "cmf-he-initial", "cmf-he-mid-run"])
+def test_sampled_entries_have_the_binomial_mean_and_spread(families, family, angle_sets):
+    n = families[family][3]
+    sets = [angle_set(families[family], angles, range(1 + k * n, 1 + (k + 1) * n))
+            for k, angles in enumerate(angle_sets)]
+    var, k4, exact, draws = (np.concatenate(parts, axis=-1) for parts in zip(*sets))
     fixed = var == 0
     assert np.abs(draws[:, fixed] - exact[fixed]).max(initial=0.0) <= 1e-12
     draws, exact, var, k4 = draws[:, ~fixed], exact[~fixed], var[~fixed], k4[~fixed]
